@@ -19,7 +19,28 @@ func benchSystem(n int, box float64) *System {
 	return s
 }
 
+// benchOpenSlab is the region the repo's benchmark workloads run: an open
+// 10³ box at its steady population of 3550, no-slip walls at z = 0 and
+// z = 10, periodic in y, flux faces at both x ends.
+func benchOpenSlab() *System {
+	hi := geometry.Vec3{X: 10, Y: 10, Z: 10}
+	s := NewSystem(DefaultParams(1), geometry.Vec3{}, hi, [3]bool{false, true, false})
+	s.Walls = zWalls(hi.Z)
+	s.FillRandom(3550, 0)
+	s.Inflows = xFluxFaces()
+	s.Run(3)
+	return s
+}
+
 func BenchmarkKernelForces(b *testing.B) {
+	b.Run("open-zslab-n=3550", func(b *testing.B) {
+		s := benchOpenSlab()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.ComputeForces()
+		}
+	})
 	for _, n := range []int{600, 2400} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			box := 6.0

@@ -131,11 +131,9 @@ func (s *System) addOpenFaceForces() {
 	// at inflow/outflow"): faces with a prescribed profile measure the mean
 	// velocity in a one-rc buffer slab and apply a proportional corrective
 	// body force to the slab.
-	type control struct {
-		force geometry.Vec3
-		on    bool
-	}
-	ctrl := make([]control, len(s.Inflows))
+	s.faceCtrl = grow(s.faceCtrl, len(s.Inflows), 0)
+	clear(s.faceCtrl)
+	ctrl := s.faceCtrl
 	for k, f := range s.Inflows {
 		if f.Vel == nil {
 			continue
@@ -157,7 +155,7 @@ func (s *System) addOpenFaceForces() {
 		}
 		mean = mean.Scale(1 / float64(n))
 		target := f.Vel(f.randomFacePoint(s))
-		ctrl[k] = control{force: target.Sub(mean).Scale(f.gain()), on: true}
+		ctrl[k] = faceControl{force: target.Sub(mean).Scale(f.gain()), on: true}
 	}
 	for i := range s.Particles {
 		p := &s.Particles[i]
@@ -175,6 +173,13 @@ func (s *System) addOpenFaceForces() {
 			}
 		}
 	}
+}
+
+// faceControl is the corrective slab force of one flux face's velocity
+// controller for the current force evaluation.
+type faceControl struct {
+	force geometry.Vec3
+	on    bool
 }
 
 // faceDistance returns the distance from pos to the face along the inward
@@ -216,54 +221,55 @@ func (s *System) WallGamma() float64 { return 3 * s.Gamma }
 
 // applyBoundaries wraps periodic dimensions, bounces particles off walls and
 // handles open faces: particles crossing a face carrying a FluxBC are
-// deleted; other non-periodic faces reflect specularly.
+// deleted (the survivors are compacted in place, order kept); other
+// non-periodic faces reflect specularly.
 func (s *System) applyBoundaries() {
 	sz := s.Size()
-	var deleted []int
+	kept := 0
 	for i := range s.Particles {
 		p := &s.Particles[i]
-		if p.Frozen {
-			continue
-		}
-		// Periodic wrap.
-		if s.Periodic[0] {
-			p.Pos.X = s.Lo.X + wrap(p.Pos.X-s.Lo.X, sz.X)
-		}
-		if s.Periodic[1] {
-			p.Pos.Y = s.Lo.Y + wrap(p.Pos.Y-s.Lo.Y, sz.Y)
-		}
-		if s.Periodic[2] {
-			p.Pos.Z = s.Lo.Z + wrap(p.Pos.Z-s.Lo.Z, sz.Z)
-		}
-		// Geometric walls: bounce-back (reverse relative velocity, reflect
-		// position) imposes no-slip at the surface.
-		for _, w := range s.Walls {
-			if h := w.Distance(p.Pos); h < 0 {
-				n := w.Normal(p.Pos)
-				p.Pos = p.Pos.Sub(n.Scale(2 * h)) // h < 0: push back inside
-				vw := w.Velocity(p.Pos)
-				p.Vel = vw.Scale(2).Sub(p.Vel)
+		if !p.Frozen {
+			// Periodic wrap.
+			if s.Periodic[0] {
+				p.Pos.X = s.Lo.X + wrap(p.Pos.X-s.Lo.X, sz.X)
+			}
+			if s.Periodic[1] {
+				p.Pos.Y = s.Lo.Y + wrap(p.Pos.Y-s.Lo.Y, sz.Y)
+			}
+			if s.Periodic[2] {
+				p.Pos.Z = s.Lo.Z + wrap(p.Pos.Z-s.Lo.Z, sz.Z)
+			}
+			// Geometric walls: bounce-back (reverse relative velocity,
+			// reflect position) imposes no-slip at the surface.
+			for _, w := range s.Walls {
+				if h := w.Distance(p.Pos); h < 0 {
+					n := w.Normal(p.Pos)
+					p.Pos = p.Pos.Sub(n.Scale(2 * h)) // h < 0: push back inside
+					vw := w.Velocity(p.Pos)
+					p.Vel = vw.Scale(2).Sub(p.Vel)
+				}
+			}
+			// Open/solid box faces on non-periodic dims.
+			if s.handleFace(p, 0) || s.handleFace(p, 1) || s.handleFace(p, 2) {
+				continue // outflow
 			}
 		}
-		// Open/solid box faces on non-periodic dims.
-		if del := s.handleFace(p, 0, sz); del {
-			deleted = append(deleted, i)
-			continue
+		if kept != i {
+			s.Particles[kept] = *p
 		}
-		if del := s.handleFace(p, 1, sz); del {
-			deleted = append(deleted, i)
-			continue
-		}
-		if del := s.handleFace(p, 2, sz); del {
-			deleted = append(deleted, i)
-		}
+		kept++
 	}
-	if len(deleted) > 0 {
-		s.removeParticles(deleted)
-	}
+	s.Deleted += int64(len(s.Particles) - kept)
+	s.Particles = s.Particles[:kept]
 }
 
+// wrap maps x into [0, l). A particle moves a small fraction of the box per
+// step, so nearly every call takes the in-range exit — which returns what
+// math.Mod would, bit for bit.
 func wrap(x, l float64) float64 {
+	if 0 <= x && x < l {
+		return x
+	}
 	x = math.Mod(x, l)
 	if x < 0 {
 		x += l
@@ -273,54 +279,29 @@ func wrap(x, l float64) float64 {
 
 // handleFace reflects or deletes a particle leaving the box along dim d;
 // returns true when the particle must be deleted (outflow).
-func (s *System) handleFace(p *Particle, d int, sz geometry.Vec3) bool {
+func (s *System) handleFace(p *Particle, d int) bool {
 	if s.Periodic[d] {
 		return false
 	}
-	lo := [3]float64{s.Lo.X, s.Lo.Y, s.Lo.Z}[d]
-	hi := [3]float64{s.Hi.X, s.Hi.Y, s.Hi.Z}[d]
-	get := func() float64 {
-		switch d {
-		case 0:
-			return p.Pos.X
-		case 1:
-			return p.Pos.Y
-		}
-		return p.Pos.Z
+	lo, hi, x, v := s.Lo.X, s.Hi.X, &p.Pos.X, &p.Vel.X
+	switch d {
+	case 1:
+		lo, hi, x, v = s.Lo.Y, s.Hi.Y, &p.Pos.Y, &p.Vel.Y
+	case 2:
+		lo, hi, x, v = s.Lo.Z, s.Hi.Z, &p.Pos.Z, &p.Vel.Z
 	}
-	set := func(v float64) {
-		switch d {
-		case 0:
-			p.Pos.X = v
-		case 1:
-			p.Pos.Y = v
-		default:
-			p.Pos.Z = v
-		}
-	}
-	flipVel := func() {
-		switch d {
-		case 0:
-			p.Vel.X = -p.Vel.X
-		case 1:
-			p.Vel.Y = -p.Vel.Y
-		default:
-			p.Vel.Z = -p.Vel.Z
-		}
-	}
-	x := get()
-	if x < lo {
+	if *x < lo {
 		if s.fluxFace(d, false) != nil {
 			return true
 		}
-		set(2*lo - x)
-		flipVel()
-	} else if x > hi {
+		*x = 2*lo - *x
+		*v = -*v
+	} else if *x > hi {
 		if s.fluxFace(d, true) != nil {
 			return true
 		}
-		set(2*hi - x)
-		flipVel()
+		*x = 2*hi - *x
+		*v = -*v
 	}
 	return false
 }
@@ -333,21 +314,6 @@ func (s *System) fluxFace(axis int, atMax bool) *FluxBC {
 		}
 	}
 	return nil
-}
-
-// removeParticles deletes the given (sorted ascending) indices.
-func (s *System) removeParticles(idx []int) {
-	s.Deleted += int64(len(idx))
-	out := s.Particles[:0]
-	k := 0
-	for i := range s.Particles {
-		if k < len(idx) && idx[k] == i {
-			k++
-			continue
-		}
-		out = append(out, s.Particles[i])
-	}
-	s.Particles = out
 }
 
 // FluxBC is an open boundary face following Lei, Fedosov & Karniadakis

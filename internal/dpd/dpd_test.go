@@ -43,6 +43,9 @@ func TestPairXiSymmetricAndBounded(t *testing.T) {
 		if x != y {
 			t.Fatal("xi not symmetric in particle ids")
 		}
+		if k := pairXiKeyed(7^splitmix64(uint64(i)), 3, 11); k != x {
+			t.Fatalf("step %d: keyed xi %v differs from the per-pair hash %v", i, k, x)
+		}
 		if math.Abs(x) > math.Sqrt(3)+1e-12 {
 			t.Fatalf("xi out of range: %v", x)
 		}

@@ -92,3 +92,47 @@ func TestVVStepZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestVVStepOpenBoxAllocatesOnlyOnGrowth extends the guard to the box the
+// coupled runs use — walls in z, flux faces inserting and deleting at both x
+// ends: a step may allocate only when an insertion outgrows Particles itself,
+// and the step after it — insertions close a step, and the scratch, sized
+// with cap(Particles), follows at the next force evaluation.
+func TestVVStepOpenBoxAllocatesOnlyOnGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	for _, workers := range []int{1, 3} {
+		s := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 6, Y: 5, Z: 5}, [3]bool{false, true, false})
+		s.Parallel = workers
+		s.forceTiles = 4
+		s.Walls = zWalls(5)
+		s.FillRandom(450, 0)
+		s.Inflows = xFluxFaces()
+		s.Run(20) // warm up scratch, tiles and worker pool
+		ins0, del0 := s.Inserted, s.Deleted
+		var grown int
+		var ms runtime.MemStats
+		grewLast := false
+		for step := 0; step < 200; step++ {
+			capBefore := cap(s.Particles)
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			s.VVStep()
+			runtime.ReadMemStats(&ms)
+			grew := cap(s.Particles) != capBefore
+			if grew {
+				grown++
+			}
+			if n := ms.Mallocs - before; n != 0 && !grew && !grewLast {
+				t.Fatalf("Parallel=%d step %d: %d allocations with Particles at %d of cap %d", workers, s.Step, n, len(s.Particles), capBefore)
+			}
+			grewLast = grew
+		}
+		if s.Inserted == ins0 || s.Deleted == del0 {
+			t.Fatalf("Parallel=%d: no insertion (%d) or no deletion (%d) under the guard", workers, s.Inserted-ins0, s.Deleted-del0)
+		}
+		t.Logf("Parallel=%d: %d particles, +%d -%d, Particles grew in %d of 200 steps", workers, len(s.Particles), s.Inserted-ins0, s.Deleted-del0, grown)
+	}
+}

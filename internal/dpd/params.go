@@ -98,14 +98,15 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// pairXi returns a zero-mean unit-variance random number for the (i, j) pair
-// at the given step, symmetric in i and j. Uniform on [-√3, √3], which is
-// sufficient for the DPD thermostat (Groot & Warren §II.C).
-func pairXi(seed uint64, step uint64, id1, id2 int64) float64 {
+// pairXiKeyed returns a zero-mean unit-variance random number for the (i, j)
+// pair, symmetric in i and j, at the step whose key — seed ^ splitmix64(step),
+// computed once per force evaluation — is given. Uniform on [-√3, √3], which
+// is sufficient for the DPD thermostat (Groot & Warren §II.C).
+func pairXiKeyed(stepKey uint64, id1, id2 int64) float64 {
 	if id1 > id2 {
 		id1, id2 = id2, id1
 	}
-	h := splitmix64(seed ^ splitmix64(step) ^ splitmix64(uint64(id1)<<32|uint64(uint32(id2))))
+	h := splitmix64(stepKey ^ splitmix64(uint64(id1)<<32|uint64(uint32(id2))))
 	const sqrt3 = 1.7320508075688772
 	return (2*float64(h>>11)/float64(1<<53) - 1) * sqrt3
 }

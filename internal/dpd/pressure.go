@@ -14,46 +14,36 @@ import "math"
 func (s *System) VirialPressure() float64 {
 	s.buildCells()
 	rc2 := s.Rc * s.Rc
+	short := s.short[0] || s.short[1] || s.short[2]
 	var virial float64
-	// Serial half-shell sweep over all pairs (measurement path, not the
-	// hot loop).
-	for cz := 0; cz < s.ncell[2]; cz++ {
-		for cy := 0; cy < s.ncell[1]; cy++ {
-			for cx := 0; cx < s.ncell[0]; cx++ {
-				home := cx + s.ncell[0]*(cy+s.ncell[1]*cz)
-				for _, off := range halfShell {
-					nx, ny, nz := cx+off[0], cy+off[1], cz+off[2]
-					if !s.wrapCell(&nx, 0) || !s.wrapCell(&ny, 1) || !s.wrapCell(&nz, 2) {
-						continue
-					}
-					nbr := nx + s.ncell[0]*(ny+s.ncell[1]*nz)
-					if nbr == home && off != [3]int{0, 0, 0} {
-						continue
-					}
-					same := off == [3]int{0, 0, 0}
-					for i := s.heads[home]; i >= 0; i = s.next[i] {
-						jStart := s.heads[nbr]
-						if same {
-							jStart = s.next[i]
-						}
-						for j := jStart; j >= 0; j = s.next[j] {
-							pi := &s.Particles[i]
-							pj := &s.Particles[j]
-							if pi.Frozen && pj.Frozen {
-								continue
-							}
-							d := s.minimumImage(pi.Pos, pj.Pos)
-							r2 := d.Norm2()
-							if r2 >= rc2 || r2 == 0 {
-								continue
-							}
-							r := math.Sqrt(r2)
-							fc := s.A[pi.Species][pj.Species] * (1 - r/s.Rc)
-							// r_ij · F_ij = r * fc for a central force.
-							virial += r * fc
-						}
-					}
+	// Serial sweep over all pairs (measurement path, not the hot loop).
+	w := s.walkCells(0, s.ncell[2])
+	for w.next() {
+		j0, j1 := s.cstart[w.nbr], s.cstart[w.nbr+1]
+		for si := s.cstart[w.home]; si < s.cstart[w.home+1]; si++ {
+			if w.same {
+				j0 = si + 1
+			}
+			pi := &s.Particles[s.sidx[si]]
+			for sj := j0; sj < j1; sj++ {
+				pj := &s.Particles[s.sidx[sj]]
+				if pi.Frozen && pj.Frozen {
+					continue
 				}
+				dx := s.px[si] - s.px[sj] - w.shift.X
+				dy := s.py[si] - s.py[sj] - w.shift.Y
+				dz := s.pz[si] - s.pz[sj] - w.shift.Z
+				if short {
+					dx, dy, dz = s.foldShort(dx, dy, dz)
+				}
+				r2 := dx*dx + dy*dy + dz*dz
+				if r2 >= rc2 || r2 == 0 {
+					continue
+				}
+				r := math.Sqrt(r2)
+				fc := s.A[pi.Species][pj.Species] * (1 - r/s.Rc)
+				// r_ij · F_ij = r * fc for a central force.
+				virial += r * fc
 			}
 		}
 	}

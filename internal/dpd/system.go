@@ -82,7 +82,7 @@ type System struct {
 	// dpd.State, so a restored open (flux-BC) system replays the exact
 	// insertion stream an uninterrupted run would have drawn — the
 	// checkpoint/restart determinism contract. Pairwise random *forces* are
-	// counter-based (see pairXi) and carry no stream state at all.
+	// counter-based (see pairXiKeyed) and carry no stream state at all.
 	rngSrc *rand.PCG
 	rng    *rand.Rand
 
@@ -91,25 +91,41 @@ type System struct {
 	// FluxBC hooks; AttachInflows consumes it.
 	pendingFaceAcc []float64
 
-	// cell list scratch
-	ncell   [3]int
-	cellLen [3]float64
-	heads   []int32
-	next    []int32
+	// Cell-sorted particle order, rebuilt by buildCells on every force
+	// evaluation: cell c owns slots cstart[c]..cstart[c+1], sidx maps a slot
+	// to its particle index (descending within a cell — the order a
+	// push-front linked list would walk), and px/py/pz mirror the positions
+	// in slot order so the pair sweep's distance test streams contiguous
+	// memory instead of chasing 96-byte Particles. short marks periodic axes
+	// with fewer than three cells, where the cell walk cannot tell the +1
+	// neighbour from the -1 one; shell holds the resulting per-offset rule.
+	ncell      [3]int
+	cellLen    [3]float64
+	boxLen     [3]float64
+	short      [3]bool
+	shell      [len(halfShell)]shellRule
+	cstart     []int32
+	sidx       []int32
+	pcell      []int32
+	px, py, pz []float64
 
 	// Force-evaluation scratch (arena contract, DESIGN.md §14): reused every
-	// step, sized up on particle growth, and deliberately absent from
-	// dpd.State — CaptureState serializes named simulation state only, so
-	// scratch reuse can never leak across a checkpoint round-trip (pinned by
-	// TestCaptureStateExcludesScratch). Pair forces accumulate into one
-	// buffer per TILE (fixed count, see forceTiles) merged in tile order,
-	// so the result is bit-identical for every worker count including 1.
-	tiles   []forceTile
-	tileBuf [][]geometry.Vec3
-	fOld    []geometry.Vec3 // velocity-Verlet old-force buffer
-	pool    work.Pool
-	forceFn func(int) // prebuilt worker closure (rebuilt when forceNW changes)
-	forceNW int
+	// step, sized with cap(Particles) so it reallocates only when Particles
+	// does, and deliberately absent from dpd.State — CaptureState serializes
+	// named simulation state only, so scratch reuse can never leak across a
+	// checkpoint round-trip (pinned by TestCaptureStateExcludesScratch).
+	// Each TILE (fixed count, see forceTiles) accumulates the forces on its
+	// own z-strip straight into Particles[i].F and those on the one z-layer
+	// above it into its slice of halo, merged afterwards; at most two tiles
+	// touch a particle and a two-term sum is order-free, so the result is
+	// bit-identical for every worker count including 1.
+	tiles    []forceTile
+	halo     []geometry.Vec3
+	fOld     []geometry.Vec3 // velocity-Verlet old-force buffer
+	faceCtrl []faceControl   // addOpenFaceForces per-face controller state
+	pool     work.Pool
+	forceFn  func(int) // prebuilt worker closure (rebuilt when forceNW changes)
+	forceNW  int
 
 	// forceTiles is the force-accumulation tile count (clamped to the z-cell
 	// count). 0 means "capture GOMAXPROCS at first use" — exactly the strip
@@ -126,8 +142,16 @@ type System struct {
 	Parallel int
 }
 
-// forceTile is a z-strip of cells owning its pair interactions.
-type forceTile struct{ z0, z1 int }
+// forceTile is a z-strip of cells owning its pair interactions: every cell
+// pair whose home cell lies in layers [z0, z1). The neighbour of such a pair
+// sits in the strip or in the one layer above it; when that layer belongs to
+// another tile its slots [haloLo, haloHi) accumulate into
+// halo[haloOff : haloOff+haloHi-haloLo] instead of Particles.
+type forceTile struct {
+	z0, z1         int
+	haloLo, haloHi int32
+	haloOff        int
+}
 
 // NewSystem builds an empty domain.
 func NewSystem(p Params, lo, hi geometry.Vec3, periodic [3]bool) *System {
@@ -233,126 +257,16 @@ func (s *System) minimumImage(a, b geometry.Vec3) geometry.Vec3 {
 	return d
 }
 
-// buildCells refreshes the linked-cell list.
-func (s *System) buildCells() {
-	sz := s.Size()
-	dims := [3]float64{sz.X, sz.Y, sz.Z}
-	for d := 0; d < 3; d++ {
-		s.ncell[d] = int(dims[d] / s.Rc)
-		if s.ncell[d] < 1 {
-			s.ncell[d] = 1
-		}
-		s.cellLen[d] = dims[d] / float64(s.ncell[d])
-	}
-	ntot := s.ncell[0] * s.ncell[1] * s.ncell[2]
-	if cap(s.heads) < ntot {
-		s.heads = make([]int32, ntot)
-	}
-	s.heads = s.heads[:ntot]
-	for i := range s.heads {
-		s.heads[i] = -1
-	}
-	if cap(s.next) < len(s.Particles) {
-		s.next = make([]int32, len(s.Particles))
-	}
-	s.next = s.next[:len(s.Particles)]
-	for i := range s.Particles {
-		c := s.cellOf(s.Particles[i].Pos)
-		s.next[i] = s.heads[c]
-		s.heads[c] = int32(i)
-	}
-}
-
-func (s *System) cellOf(pos geometry.Vec3) int {
-	rel := pos.Sub(s.Lo)
-	coords := [3]float64{rel.X, rel.Y, rel.Z}
-	var c [3]int
-	for d := 0; d < 3; d++ {
-		c[d] = int(coords[d] / s.cellLen[d])
-		if c[d] < 0 {
-			c[d] = 0
-		}
-		if c[d] >= s.ncell[d] {
-			c[d] = s.ncell[d] - 1
-		}
-	}
-	return c[0] + s.ncell[0]*(c[1]+s.ncell[1]*c[2])
-}
-
 // ComputeForces evaluates all forces into Particles[i].F. Pairwise forces
-// are computed in parallel over a FIXED tiling of cell z-strips with
-// per-tile accumulation buffers and counter-based random numbers; because
-// neither the tiling nor the merge order depends on the worker count, the
-// forces are bit-identical for every Parallel setting. Steady-state calls
-// reuse all scratch and allocate nothing.
+// are computed in parallel over a FIXED tiling of cell z-strips and
+// counter-based random numbers; because neither the tiling nor the merge
+// depends on the worker count, the forces are bit-identical for every
+// Parallel setting. Steady-state calls reuse all scratch and allocate
+// nothing.
 func (s *System) ComputeForces() {
 	sp := s.Rec.Begin("dpd.forces")
 	defer sp.End()
-	n := len(s.Particles)
-	for i := range s.Particles {
-		s.Particles[i].F = geometry.Vec3{}
-	}
-	s.buildCells()
-
-	// Fixed tiling: the tile layout depends on the cell grid and the
-	// captured forceTiles count, never on the worker count, so the per-tile
-	// partial sums and their tile-order merge below give bit-identical
-	// forces for any Parallel setting.
-	if s.forceTiles <= 0 {
-		s.forceTiles = runtime.GOMAXPROCS(0)
-	}
-	nt := s.forceTiles
-	if nt > s.ncell[2] {
-		nt = s.ncell[2]
-	}
-	if nt < 1 {
-		nt = 1
-	}
-	s.tiles = s.tiles[:0]
-	per := (s.ncell[2] + nt - 1) / nt
-	for z := 0; z < s.ncell[2]; z += per {
-		z1 := z + per
-		if z1 > s.ncell[2] {
-			z1 = s.ncell[2]
-		}
-		s.tiles = append(s.tiles, forceTile{z, z1})
-	}
-	for len(s.tileBuf) < len(s.tiles) {
-		s.tileBuf = append(s.tileBuf, nil)
-	}
-	for t := range s.tiles {
-		if cap(s.tileBuf[t]) < n {
-			s.tileBuf[t] = make([]geometry.Vec3, n)
-		}
-		s.tileBuf[t] = s.tileBuf[t][:n]
-		clear(s.tileBuf[t])
-	}
-
-	nw := s.workers()
-	if nw > len(s.tiles) {
-		nw = len(s.tiles)
-	}
-	if nw > 1 {
-		if s.forceFn == nil || s.forceNW != nw {
-			s.forceNW = nw
-			s.forceFn = func(w int) {
-				for t := w; t < len(s.tiles); t += s.forceNW {
-					s.forcesInStrip(s.tiles[t].z0, s.tiles[t].z1, s.tileBuf[t])
-				}
-			}
-		}
-		s.pool.Run(nw, s.forceFn)
-	} else {
-		for t := range s.tiles {
-			s.forcesInStrip(s.tiles[t].z0, s.tiles[t].z1, s.tileBuf[t])
-		}
-	}
-	for t := range s.tiles {
-		buf := s.tileBuf[t]
-		for i := range buf {
-			s.Particles[i].F = s.Particles[i].F.Add(buf[i])
-		}
-	}
+	s.pairForces()
 
 	// Bonded, wall and external forces (serial; cheap relative to pairs).
 	for _, b := range s.Bonded {
@@ -369,6 +283,71 @@ func (s *System) ComputeForces() {
 	}
 }
 
+// pairForces overwrites Particles[i].F with the pairwise DPD forces.
+func (s *System) pairForces() {
+	for i := range s.Particles {
+		s.Particles[i].F = geometry.Vec3{}
+	}
+	s.buildCells()
+	s.layoutTiles()
+
+	nw := min(s.workers(), len(s.tiles))
+	if nw > 1 {
+		if s.forceFn == nil || s.forceNW != nw {
+			s.forceNW = nw
+			s.forceFn = func(w int) {
+				for t := w; t < len(s.tiles); t += s.forceNW {
+					s.forcesInTile(&s.tiles[t])
+				}
+			}
+		}
+		s.pool.Run(nw, s.forceFn)
+	} else {
+		for t := range s.tiles {
+			s.forcesInTile(&s.tiles[t])
+		}
+	}
+	// Merge the halos: own strip first (already in F), then the one other
+	// tile that reached the particle.
+	for t := range s.tiles {
+		tile := &s.tiles[t]
+		halo := s.halo[tile.haloOff:]
+		for k := tile.haloLo; k < tile.haloHi; k++ {
+			p := &s.Particles[s.sidx[k]]
+			p.F = p.F.Add(halo[k-tile.haloLo])
+		}
+	}
+}
+
+// layoutTiles cuts the cell grid into the fixed z-strips and carves each
+// tile's halo out of the shared arena. The layout depends on the cell grid
+// and the captured forceTiles count, never on the worker count.
+func (s *System) layoutTiles() {
+	if s.forceTiles <= 0 {
+		s.forceTiles = runtime.GOMAXPROCS(0)
+	}
+	ncz := s.ncell[2]
+	nt := max(min(s.forceTiles, ncz), 1)
+	per := (ncz + nt - 1) / nt
+	layer := s.ncell[0] * s.ncell[1]
+	s.tiles = s.tiles[:0]
+	need := 0
+	for z := 0; z < ncz; z += per {
+		tile := forceTile{z0: z, z1: min(z+per, ncz)}
+		// The layer above the strip, wrapped; a single tile owns it anyway.
+		if hz := tile.z1 % ncz; tile.z1-tile.z0 < ncz && (tile.z1 < ncz || s.Periodic[2]) {
+			tile.haloLo, tile.haloHi = s.cstart[hz*layer], s.cstart[(hz+1)*layer]
+			tile.haloOff = need
+			need += int(tile.haloHi - tile.haloLo)
+		}
+		s.tiles = append(s.tiles, tile)
+	}
+	// Layer populations fluctuate from step to step: half again as much
+	// room keeps the arena from being reallocated at every record high.
+	s.halo = grow(s.halo, need, need+need/2)
+	clear(s.halo)
+}
+
 // workers resolves the Parallel knob: 0 (the default) means GOMAXPROCS.
 func (s *System) workers() int {
 	nw := s.Parallel
@@ -381,103 +360,74 @@ func (s *System) workers() int {
 	return nw
 }
 
-// forcesInStrip accumulates pair forces for all pairs whose *owning* cell
-// (the lexicographically smaller of the two cells, or the cell itself for
-// intra-cell pairs) lies in the z-strip [z0, z1).
-func (s *System) forcesInStrip(z0, z1 int, buf []geometry.Vec3) {
-	rc2 := s.Rc * s.Rc
-	for cz := z0; cz < z1; cz++ {
-		for cy := 0; cy < s.ncell[1]; cy++ {
-			for cx := 0; cx < s.ncell[0]; cx++ {
-				home := cx + s.ncell[0]*(cy+s.ncell[1]*cz)
-				// Half-shell of neighbor cells (13 + self) so each pair is
-				// visited exactly once by exactly one strip.
-				for _, off := range halfShell {
-					nx, ny, nz := cx+off[0], cy+off[1], cz+off[2]
-					if !s.wrapCell(&nx, 0) || !s.wrapCell(&ny, 1) || !s.wrapCell(&nz, 2) {
-						continue
-					}
-					nbr := nx + s.ncell[0]*(ny+s.ncell[1]*nz)
-					if nbr == home && off != [3]int{0, 0, 0} {
-						continue // degenerate wrap in a 1-cell dimension
-					}
-					s.pairCells(home, nbr, off == [3]int{0, 0, 0}, rc2, buf)
-				}
-			}
-		}
-	}
-}
-
-// halfShell lists the cell offsets covering each neighbor pair once.
-var halfShell = [][3]int{
-	{0, 0, 0},
-	{1, 0, 0},
-	{-1, 1, 0}, {0, 1, 0}, {1, 1, 0},
-	{-1, -1, 1}, {0, -1, 1}, {1, -1, 1},
-	{-1, 0, 1}, {0, 0, 1}, {1, 0, 1},
-	{-1, 1, 1}, {0, 1, 1}, {1, 1, 1},
-}
-
-// wrapCell wraps a cell index along dimension d; returns false when the
-// index leaves a non-periodic box.
-func (s *System) wrapCell(c *int, d int) bool {
-	if *c < 0 {
-		if !s.Periodic[d] {
-			return false
-		}
-		*c += s.ncell[d]
-	} else if *c >= s.ncell[d] {
-		if !s.Periodic[d] {
-			return false
-		}
-		*c -= s.ncell[d]
-	}
-	return true
-}
-
-// pairCells accumulates forces between particles of cells ca and cb.
-func (s *System) pairCells(ca, cb int, same bool, rc2 float64, buf []geometry.Vec3) {
-	for i := s.heads[ca]; i >= 0; i = s.next[i] {
-		jStart := s.heads[cb]
-		if same {
-			jStart = s.next[i]
-		}
-		for j := jStart; j >= 0; j = s.next[j] {
-			s.pairForce(int(i), int(j), rc2, buf)
-		}
-	}
-}
-
-// pairForce computes the Groot-Warren force between particles i and j.
-func (s *System) pairForce(i, j int, rc2 float64, buf []geometry.Vec3) {
-	pi := &s.Particles[i]
-	pj := &s.Particles[j]
-	if pi.Frozen && pj.Frozen {
-		return
-	}
-	d := s.minimumImage(pi.Pos, pj.Pos)
-	r2 := d.Norm2()
-	if r2 >= rc2 || r2 == 0 {
-		return
-	}
-	r := math.Sqrt(r2)
-	rhat := d.Scale(1 / r)
-	w := 1 - r/s.Rc
-
-	a := s.A[pi.Species][pj.Species]
-	fc := a * w
-
-	vij := pi.Vel.Sub(pj.Vel)
-	wd := w * w
-	fd := -s.Gamma * wd * rhat.Dot(vij)
-
+// forcesInTile accumulates the Groot-Warren pair forces of every cell pair
+// homed in the tile: one sweep over contiguous slot ranges of the position
+// mirror, touching Particles (velocity, id, species, force) only for the
+// candidates inside the cutoff. Cells, cell pairs, pairs within a cell pair
+// and the arithmetic of one pair all keep the order of the linked-list
+// kernel this replaces (refPairForces in the tests), hence its bits.
+func (s *System) forcesInTile(t *forceTile) {
+	rc := s.Rc
+	rc2 := rc * rc
+	gamma := s.Gamma
 	sigma := math.Sqrt(2 * s.Gamma * s.KBT)
-	xi := pairXi(s.Seed, uint64(s.Step), pi.ID, pj.ID)
-	fr := sigma * w * xi / math.Sqrt(s.Dt)
+	sqrtDt := math.Sqrt(s.Dt)
+	stepKey := s.Seed ^ splitmix64(uint64(s.Step))
+	px, py, pz, sidx, parts := s.px, s.py, s.pz, s.sidx, s.Particles
+	halo, haloLo := s.halo[t.haloOff:], t.haloLo
+	short := s.short[0] || s.short[1] || s.short[2]
 
-	f := rhat.Scale(fc + fd + fr)
-	buf[i] = buf[i].Add(f)
-	buf[j] = buf[j].Sub(f)
+	w := s.walkCells(t.z0, t.z1)
+	for w.next() {
+		i0, i1 := s.cstart[w.home], s.cstart[w.home+1]
+		j0, j1 := s.cstart[w.nbr], s.cstart[w.nbr+1]
+		inHalo := w.nz < t.z0 || w.nz >= t.z1
+		shx, shy, shz := w.shift.X, w.shift.Y, w.shift.Z
+		for si := i0; si < i1; si++ {
+			if w.same {
+				j0 = si + 1
+			}
+			xi, yi, zi := px[si], py[si], pz[si]
+			pi := &parts[sidx[si]]
+			ai := s.A[pi.Species]
+			fi := pi.F
+			for sj := j0; sj < j1; sj++ {
+				dx := xi - px[sj] - shx
+				dy := yi - py[sj] - shy
+				dz := zi - pz[sj] - shz
+				if short {
+					dx, dy, dz = s.foldShort(dx, dy, dz)
+				}
+				r2 := dx*dx + dy*dy + dz*dz
+				if r2 >= rc2 || r2 == 0 {
+					continue
+				}
+				pj := &parts[sidx[sj]]
+				if pi.Frozen && pj.Frozen {
+					continue
+				}
+				r := math.Sqrt(r2)
+				inv := 1 / r
+				rx, ry, rz := inv*dx, inv*dy, inv*dz
+				wr := 1 - r/rc
+
+				fc := ai[pj.Species] * wr
+				vx, vy, vz := pi.Vel.X-pj.Vel.X, pi.Vel.Y-pj.Vel.Y, pi.Vel.Z-pj.Vel.Z
+				fd := -gamma * (wr * wr) * (rx*vx + ry*vy + rz*vz)
+				fr := sigma * wr * pairXiKeyed(stepKey, pi.ID, pj.ID) / sqrtDt
+
+				f := fc + fd + fr
+				fx, fy, fz := f*rx, f*ry, f*rz
+				fi.X, fi.Y, fi.Z = fi.X+fx, fi.Y+fy, fi.Z+fz
+				fj := &pj.F
+				if inHalo {
+					fj = &halo[sj-haloLo]
+				}
+				fj.X, fj.Y, fj.Z = fj.X-fx, fj.Y-fy, fj.Z-fz
+			}
+			pi.F = fi
+		}
+	}
 }
 
 // VVStep advances one modified velocity-Verlet step (Groot-Warren λ scheme):
@@ -508,10 +458,7 @@ func (s *System) VVStep() {
 	s.applyBoundaries()
 	s.Step++
 	s.Time += dt
-	if cap(s.fOld) < len(s.Particles) {
-		s.fOld = make([]geometry.Vec3, len(s.Particles))
-	}
-	s.fOld = s.fOld[:len(s.Particles)]
+	s.fOld = grow(s.fOld, len(s.Particles), cap(s.Particles))
 	old := s.fOld
 	for i := range s.Particles {
 		old[i] = s.Particles[i].F

@@ -71,11 +71,15 @@ go test -run 'TestGoldenAuditExposition|TestAuditExpositionHelpTypeLint' -count=
 # exactly 0 allocs/op (run without -race: instrumentation allocates, so the
 # guards skip themselves under the detector).
 go test -race -run 'TestOperatorParityBitIdentical|TestStepBitIdenticalAcrossWorkerCounts' -count=1 ./internal/nektar3d
-go test -race -run 'TestForcesBitIdenticalAcrossWorkerCounts|TestCaptureStateExcludesScratch' -count=1 ./internal/dpd
+# DPD: the cell-sorted kernel must also equal, bit for bit, the linked-list
+# kernel it replaced (retained as a test oracle), and an O(N^2) all-pairs sum
+# on every box from two cutoffs per periodic edge up.
+go test -race -run 'TestForcesBitIdenticalAcrossWorkerCounts|TestCaptureStateExcludesScratch|TestPairKernelMatchesReference' -count=1 ./internal/dpd
+go test -run 'TestForcesMatchAllPairs' -count=1 ./internal/dpd
 go test -race -run 'TestCGWithMatchesCG|TestCGBreakdownReportsDivergencePoint' -count=1 ./internal/linalg
 go test -race -count=1 ./internal/work
 go test -run 'TestSolverStepZeroAllocSteadyState|TestApplyStiffnessZeroAlloc' -count=1 ./internal/nektar3d
-go test -run 'TestVVStepZeroAllocSteadyState' -count=1 ./internal/dpd
+go test -run 'TestVVStepZeroAllocSteadyState|TestVVStepOpenBoxAllocatesOnlyOnGrowth' -count=1 ./internal/dpd
 go test -run 'TestCGWithZeroAlloc' -count=1 ./internal/linalg
 go test -run 'TestPoolRunZeroAlloc' -count=1 ./internal/work
 
