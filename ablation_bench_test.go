@@ -1,7 +1,8 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// low-energy preconditioner vs. plain Jacobi, first- vs. second-order time
-// stepping, deterministic vs. adaptive torus routing, and serial vs.
-// parallel DPD force evaluation.
+// Ablation benchmarks for the design choices DESIGN.md calls out: first- vs.
+// second-order time stepping, deterministic vs. adaptive torus routing, and
+// serial vs. parallel DPD force evaluation. (The preconditioner ablation,
+// Jacobi vs. fast diagonalization, needs the solver's internals and lives in
+// internal/nektar3d: TestFDMBeatsJacobi.)
 package nektarg_test
 
 import (
@@ -15,67 +16,6 @@ import (
 	"nektarg/internal/partition"
 	"nektarg/internal/topology"
 )
-
-// ablationGrid builds the Helmholtz testbed shared by the preconditioner
-// ablations.
-func ablationGrid() (*nektar3d.Grid, []float64) {
-	g := nektar3d.NewGrid(5, 5, 5, 3, 1, 1, 1, false, false, false)
-	f := g.NewField()
-	// Deterministic rough forcing.
-	for i := range f {
-		f[i] = float64((i*2654435761)%1000)/500 - 1
-	}
-	return g, f
-}
-
-func BenchmarkAblation_Helmholtz_Jacobi(b *testing.B) {
-	g, f := ablationGrid()
-	zero := g.NewField()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := g.SolveHelmholtzDirichletWith(nil, 0.5, f, zero, nil, 1e-9, 8000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_Helmholtz_LowEnergy(b *testing.B) {
-	g, f := ablationGrid()
-	zero := g.NewField()
-	prec, err := g.NewLowEnergyPrec(0.5, g.BoundaryMask())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := g.SolveHelmholtzDirichletWith(prec, 0.5, f, zero, nil, 1e-9, 8000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestAblationPreconditionerIterations prints the iteration-count ablation.
-func TestAblationPreconditionerIterations(t *testing.T) {
-	g, f := ablationGrid()
-	zero := g.NewField()
-	_, stJ, err := g.SolveHelmholtzDirichletWith(nil, 0.5, f, zero, nil, 1e-9, 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prec, err := g.NewLowEnergyPrec(0.5, g.BoundaryMask())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stL, err := g.SolveHelmholtzDirichletWith(prec, 0.5, f, zero, nil, 1e-9, 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("ablation: Helmholtz CG iterations — Jacobi %d, low-energy %d\n",
-		stJ.Iterations, stL.Iterations)
-	if stL.Iterations >= stJ.Iterations {
-		t.Errorf("low-energy not better: %d vs %d", stL.Iterations, stJ.Iterations)
-	}
-}
 
 func benchTimeOrder(b *testing.B, order int) {
 	g := nektar3d.NewGrid(2, 2, 1, 5, 6.28, 6.28, 1, true, true, true)

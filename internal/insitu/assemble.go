@@ -26,12 +26,12 @@ func (f *Frame) Sources() []string {
 // AssemblerStats is the frame-assembly accounting exported next to the
 // queue's drop counters.
 type AssemblerStats struct {
-	Frames    int64 `json:"frames"`     // complete frames emitted
-	Abandoned int64 `json:"abandoned"`  // partial steps discarded by newer arrivals
-	Staleness int   `json:"staleness"`  // newest published step − last emitted frame step
-	LastStep  int   `json:"last_step"`  // step of the newest emitted frame
-	MaxStep   int   `json:"max_step"`   // newest step observed on any piece
-	Pending   int   `json:"pending"`    // steps currently under assembly
+	Frames    int64 `json:"frames"`    // complete frames emitted
+	Abandoned int64 `json:"abandoned"` // partial steps discarded by newer arrivals
+	Staleness int   `json:"staleness"` // newest published step − last emitted frame step
+	LastStep  int   `json:"last_step"` // step of the newest emitted frame
+	MaxStep   int   `json:"max_step"`  // newest step observed on any piece
+	Pending   int   `json:"pending"`   // steps currently under assembly
 }
 
 // Assembler groups pieces by step index into causally consistent frames. A

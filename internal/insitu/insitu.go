@@ -179,9 +179,9 @@ type Stats struct {
 	Published int64 `json:"published"`
 	Delivered int64 `json:"delivered"`
 	Dropped   int64 `json:"dropped"`
-	Queued    int64 `json:"queued"`    // pieces accepted but not yet consumed
-	Bytes     int64 `json:"bytes"`     // payload bytes published
-	MaxStep   int   `json:"max_step"`  // newest step seen by a publish
+	Queued    int64 `json:"queued"`   // pieces accepted but not yet consumed
+	Bytes     int64 `json:"bytes"`    // payload bytes published
+	MaxStep   int   `json:"max_step"` // newest step seen by a publish
 	DropBytes int64 `json:"drop_bytes"`
 }
 

@@ -42,13 +42,13 @@ const DefaultKeep = 4
 type Observer struct {
 	cfg ObserverConfig
 
-	mu      sync.Mutex
-	asm     *Assembler
-	latest  *Frame
-	files   map[int][]string // step -> files written, for pruning
-	steps   []int            // written steps in emission order
-	wErr    error            // first disk-write error (latched, reported in meta)
-	stats   func() Stats     // transport accounting source, optional
+	mu     sync.Mutex
+	asm    *Assembler
+	latest *Frame
+	files  map[int][]string // step -> files written, for pruning
+	steps  []int            // written steps in emission order
+	wErr   error            // first disk-write error (latched, reported in meta)
+	stats  func() Stats     // transport accounting source, optional
 }
 
 // NewObserver builds an observer. Call SetStatsSource to surface transport

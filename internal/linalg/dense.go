@@ -107,8 +107,7 @@ func Identity(n int) *Dense {
 
 // SolveLU solves A x = b in place using Gaussian elimination with partial
 // pivoting. A and b are copied, not modified. It backs the small dense
-// element-boundary systems of the low-energy preconditioner and the 1D
-// solver's implicit steps.
+// Newton systems of the 1D solver's junction conditions.
 func SolveLU(a *Dense, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {

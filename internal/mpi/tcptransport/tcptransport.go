@@ -358,9 +358,9 @@ func (t *Transport) handshakeDial(c net.Conn, j int, deadline time.Time) error {
 	c.SetDeadline(deadline)
 	defer c.SetDeadline(time.Time{})
 	req := struct {
-		Magic      [6]byte
-		From, To   uint32
-		WorldSize  uint32
+		Magic     [6]byte
+		From, To  uint32
+		WorldSize uint32
 	}{Magic: handshakeMagic, From: uint32(t.rank), To: uint32(j), WorldSize: uint32(len(t.peers))}
 	if err := binary.Write(c, binary.BigEndian, &req); err != nil {
 		return err
@@ -407,9 +407,9 @@ func (t *Transport) handshakeAccept(c net.Conn, deadline time.Time) (int, error)
 	c.SetDeadline(deadline)
 	defer c.SetDeadline(time.Time{})
 	var req struct {
-		Magic      [6]byte
-		From, To   uint32
-		WorldSize  uint32
+		Magic     [6]byte
+		From, To  uint32
+		WorldSize uint32
 	}
 	if err := binary.Read(c, binary.BigEndian, &req); err != nil {
 		return 0, err

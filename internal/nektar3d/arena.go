@@ -25,7 +25,6 @@ type arena struct {
 	dF, dT        []float64 // flat row-major D and Dᵀ (nq x nq)
 	gids          []int32   // per-element local→global node map, element-major
 	mask          []bool    // cached BoundaryMask
-	stiffDiag     []float64 // cached StiffnessDiag
 	elemOut       []float64 // phase-A stiffness outputs, nel*nq3, disjoint per element
 	elemG         []float64 // phase-A gradient outputs, 3*nel*nq3 (gx | gy | gz)
 	dxF, dyF, dzF []float64 // directional-derivative node fields for Divergence
@@ -42,19 +41,20 @@ type arena struct {
 	stiffFn func(int) // prebuilt worker closures (rebuilt only when nw grows)
 	gradFn  func(int)
 
-	// Solve scratch: lifting field, RHS, interior iterate, shifted diagonal,
-	// CG workspace, and prebuilt operator/preconditioner values. The ops are
-	// pointers stored in interface-typed fields once so per-solve interface
-	// conversions never allocate; lambda/mask are mutated per solve.
-	ug, b, x, diag []float64
-	cgws           linalg.CGWorkspace
-	jac            *linalg.JacobiPrec
-	jacIface       linalg.Preconditioner // == jac
-	mfIface        linalg.Preconditioner // meanFreePrec{inner: jac}
-	op             *helmholtzOp          // unmasked (lifting applies)
-	mop            *helmholtzOp          // masked (CG operator)
-	opIface        linalg.Operator
-	mopIface       linalg.Operator
+	// Solve scratch: lifting field, RHS, interior iterate, CG workspace, the
+	// two fast-diagonalization preconditioners (fdm.go; natural boundaries
+	// and Dirichlet mask, one scratch pair between them) and prebuilt
+	// operator values. The ops and the mean-free wrapper are stored in
+	// interface-typed fields once so per-solve interface conversions never
+	// allocate; lambda is set per solve.
+	ug, b, x []float64
+	cgws     linalg.CGWorkspace
+	nat, dir *fdmPrec
+	mfIface  linalg.Preconditioner // meanFreePrec{inner: nat}
+	op       *helmholtzOp          // unmasked (lifting applies)
+	mop      *helmholtzOp          // masked (CG operator)
+	opIface  linalg.Operator
+	mopIface linalg.Operator
 }
 
 // arena returns the grid's scratch arena, building it on first use.
@@ -98,8 +98,6 @@ func newArena(g *Grid) *arena {
 	})
 
 	ar.mask = g.boundaryMaskInto(make([]bool, g.NumNodes()))
-	ar.stiffDiag = make([]float64, g.NumNodes())
-	g.stiffnessDiagRef(ar.stiffDiag)
 
 	ar.elemOut = make([]float64, nel*nq3)
 	ar.elemG = make([]float64, 3*nel*nq3)
@@ -111,10 +109,8 @@ func newArena(g *Grid) *arena {
 	ar.ug = make([]float64, n)
 	ar.b = make([]float64, n)
 	ar.x = make([]float64, n)
-	ar.diag = make([]float64, n)
-	ar.jac = linalg.NewJacobiPrec(ar.diag)
-	ar.jacIface = ar.jac
-	ar.mfIface = meanFreePrec{inner: ar.jac}
+	ar.nat, ar.dir = newFDM(g, ar.mask)
+	ar.mfIface = meanFreePrec{inner: ar.nat}
 	ar.op = &helmholtzOp{g: g}
 	ar.mop = &helmholtzOp{g: g, mask: ar.mask}
 	ar.opIface = ar.op

@@ -75,6 +75,21 @@ func BenchmarkKernelHelmholtz(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFDMApply times one Dirichlet preconditioner apply on the
+// repo benchmark's order-6 patch.
+func BenchmarkKernelFDMApply(b *testing.B) {
+	g := NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false)
+	ar := g.arena()
+	r := randomField(g, 1)
+	z := g.NewField()
+	ar.dir.lambda = 300
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ar.dir.Precondition(z, r)
+	}
+}
+
 func BenchmarkKernelStep(b *testing.B) {
 	g := NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false)
 	s := NewSolver(g, 0.05, 2e-3)

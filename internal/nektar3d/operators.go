@@ -1,6 +1,7 @@
 package nektar3d
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -28,15 +29,6 @@ func (g *Grid) ApplyStiffness(y, x []float64) {
 			y[n] += out[l]
 		}
 	}
-}
-
-// StiffnessDiag assembles the diagonal of K for Jacobi preconditioning. The
-// returned field is a fresh copy (callers shift it by lambda*M in place);
-// hot solves use the arena's cached diagonal instead.
-func (g *Grid) StiffnessDiag() []float64 {
-	diag := g.NewField()
-	copy(diag, g.arena().stiffDiag)
-	return diag
 }
 
 // helmholtzOp is the masked operator y = (lambda*M + K) x with identity rows
@@ -69,6 +61,10 @@ func (o *helmholtzOp) Apply(y, x []float64) {
 		}
 	}
 }
+
+// ErrCGStalled is wrapped by the Grid solves when CG exhausts its iteration
+// budget above tolerance (linalg.ErrCGBreakdown covers a non-SPD operator).
+var ErrCGStalled = errors.New("CG stalled")
 
 // meanFreePrec wraps a preconditioner with a Euclidean mean projection so CG
 // iterates stay orthogonal to the constant null space of the pure-Neumann
@@ -141,23 +137,14 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 			x[i] -= ug[i] // u approximates the full solution
 		}
 	}
-	diag := ar.diag
-	for i := range diag {
-		diag[i] = ar.stiffDiag[i] + lambda*g.massDiag[i]
-	}
-	for i, m := range mask {
-		if m {
-			diag[i] = 1
-		}
-	}
-	ar.jac.SetDiag(diag)
 	ar.mop.lambda = lambda
-	res, err := linalg.CGWith(&ar.cgws, ar.mopIface, x, b, ar.jacIface, tol, maxIter)
+	ar.dir.lambda = lambda
+	res, err := linalg.CGWith(&ar.cgws, ar.mopIface, x, b, ar.dir, tol, maxIter)
 	if err != nil {
 		return res, err
 	}
 	if !res.Converged {
-		return res, fmt.Errorf("nektar3d: Helmholtz CG stalled at %g after %d iterations", res.Residual, res.Iterations)
+		return res, fmt.Errorf("nektar3d: Helmholtz %w at %g after %d iterations", ErrCGStalled, res.Residual, res.Iterations)
 	}
 	for i := range x {
 		u[i] = x[i] + ug[i]
@@ -216,16 +203,14 @@ func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (
 			x[i] -= mean
 		}
 	}
-	diag := ar.diag
-	copy(diag, ar.stiffDiag)
-	ar.jac.SetDiag(diag)
 	ar.op.lambda = 0
+	ar.nat.lambda = 0
 	res, err := linalg.CGWith(&ar.cgws, ar.opIface, x, b, ar.mfIface, tol, maxIter)
 	if err != nil {
 		return res, err
 	}
 	if !res.Converged && res.Residual > math.Sqrt(tol) {
-		return res, fmt.Errorf("nektar3d: Poisson CG stalled at %g after %d iterations", res.Residual, res.Iterations)
+		return res, fmt.Errorf("nektar3d: Poisson %w at %g after %d iterations", ErrCGStalled, res.Residual, res.Iterations)
 	}
 	g.removeMean(x)
 	copy(p, x)

@@ -74,10 +74,10 @@ type Solver struct {
 	// workspace — overwritten before every use, never checkpointed (state.go
 	// captures named state fields only). exu/exv/exw pointer-swap with
 	// exuPrev/... each step instead of aliasing, so history stays intact.
-	exu, exv, exw []float64 // current explicit term
-	qx, qy, qz    []float64 // advect/projection gradient components
-	us, vs, ws    []float64 // intermediate velocity
-	div           []float64 // divergence RHS
+	exu, exv, exw    []float64 // current explicit term
+	qx, qy, qz       []float64 // advect/projection gradient components
+	us, vs, ws       []float64 // intermediate velocity
+	div              []float64 // divergence RHS
 	rhsU, rhsV, rhsW []float64
 }
 
@@ -253,12 +253,14 @@ func (s *Solver) Step() error {
 	}
 	pst, err := g.SolvePoissonNeumannIn(s.Pr, div, s.Tol, s.MaxIter)
 	pr.End()
+	// The watchdog sees every solve, failed ones first of all: a stalled or
+	// broken-down CG is what its stagnation/divergence branches are for.
+	s.Watch.ObserveSolve("ns.pressure", pst, s.MaxIter)
 	if err != nil {
 		return fmt.Errorf("pressure solve: %w", err)
 	}
 	s.Rec.Gauge("ns.pressure.iters", float64(pst.Iterations))
 	s.Rec.Gauge("ns.pressure.residual", pst.Residual)
-	s.Watch.ObserveSolve("ns.pressure", pst, s.MaxIter)
 
 	// 3. Projection: û̂ = û - dt ∇p.
 	proj := s.Rec.Begin("ns.projection")
@@ -284,25 +286,21 @@ func (s *Solver) Step() error {
 	helm := s.Rec.Begin("ns.helmholtz")
 	var hst linalg.SolveStats
 	var hIters int
-	if hst, err = g.SolveHelmholtzDirichletIn(s.U, lambda, rhsU, s.bcU, s.Tol, s.MaxIter); err != nil {
-		helm.End()
-		return fmt.Errorf("viscous solve u: %w", err)
+	for _, c := range [...]struct {
+		name       string
+		u, rhs, bc []float64
+	}{{"u", s.U, rhsU, s.bcU}, {"v", s.V, rhsV, s.bcV}, {"w", s.W, rhsW, s.bcW}} {
+		hst, err = g.SolveHelmholtzDirichletIn(c.u, lambda, c.rhs, c.bc, s.Tol, s.MaxIter)
+		s.Watch.ObserveSolve("ns.helmholtz", hst, s.MaxIter)
+		if err != nil {
+			helm.End()
+			return fmt.Errorf("viscous solve %s: %w", c.name, err)
+		}
+		hIters += hst.Iterations
 	}
-	hIters += hst.Iterations
-	if hst, err = g.SolveHelmholtzDirichletIn(s.V, lambda, rhsV, s.bcV, s.Tol, s.MaxIter); err != nil {
-		helm.End()
-		return fmt.Errorf("viscous solve v: %w", err)
-	}
-	hIters += hst.Iterations
-	if hst, err = g.SolveHelmholtzDirichletIn(s.W, lambda, rhsW, s.bcW, s.Tol, s.MaxIter); err != nil {
-		helm.End()
-		return fmt.Errorf("viscous solve w: %w", err)
-	}
-	hIters += hst.Iterations
 	helm.End()
 	s.Rec.Gauge("ns.helmholtz.iters", float64(hIters))
 	s.Rec.Gauge("ns.helmholtz.residual", hst.Residual)
-	s.Watch.ObserveSolve("ns.helmholtz", hst, s.MaxIter)
 
 	// NaN/Inf field guard: corrupted state trips the health watchdog and
 	// aborts the step instead of silently advancing garbage.

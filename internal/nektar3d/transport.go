@@ -100,25 +100,24 @@ func (tr *Transport) Step() error {
 		}
 		tr.C = c
 	} else {
-		// Natural (insulated) boundaries: unmasked SPD solve.
-		b := g.NewField()
+		// Natural (insulated) boundaries: unmasked SPD solve on the arena,
+		// preconditioned by the natural-boundary fast diagonalization.
+		ar := g.arena()
+		b, x := ar.b, ar.x
 		for i := range b {
 			b[i] = g.massDiag[i] * rhs[i]
 		}
-		diag := g.StiffnessDiag()
-		for i := range diag {
-			diag[i] += lambda * g.massDiag[i]
-		}
-		op := &helmholtzOp{g: g, lambda: lambda}
-		x := append([]float64(nil), tr.C...)
-		res, err := linalg.CG(op, x, b, linalg.NewJacobiPrec(diag), tr.Tol, tr.MaxIter)
+		copy(x, tr.C)
+		ar.op.lambda = lambda
+		ar.nat.lambda = lambda
+		res, err := linalg.CGWith(&ar.cgws, ar.opIface, x, b, ar.nat, tr.Tol, tr.MaxIter)
 		if err != nil {
 			return fmt.Errorf("transport diffusion solve: %w", err)
 		}
 		if !res.Converged {
-			return fmt.Errorf("transport diffusion CG stalled at %g", res.Residual)
+			return fmt.Errorf("transport diffusion %w at %g", ErrCGStalled, res.Residual)
 		}
-		tr.C = x
+		copy(tr.C, x)
 	}
 
 	tr.Steps++

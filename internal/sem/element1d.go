@@ -93,6 +93,88 @@ func (m *Mesh1D) AssembleHelmholtz(lambda float64) (helm, mass *linalg.CSR) {
 	return hc.ToCSR(), mc.ToCSR()
 }
 
+// Modes1D is the generalized eigen-decomposition K S = M S Λ of a mesh's C0
+// stiffness against its diagonal mass, normalised SᵀMS = I: in the basis S
+// both matrices are diagonal, which is what lets a tensor-product Helmholtz
+// operator λM + K on a box be inverted one axis at a time (fast
+// diagonalization). S and its transpose are stored flat row-major so line
+// contractions can run through simd.MatVec.
+type Modes1D struct {
+	Nodes, Modes int
+	Lambda       []float64 // Modes eigenvalues, descending
+	S            []float64 // Nodes×Modes: S[i*Modes+m]
+	ST           []float64 // Modes×Nodes
+}
+
+// Modes diagonalizes the mesh's stiffness/mass pair (AssembleHelmholtz(0)).
+// periodic identifies the last node with the first (Nodes = Elements*P);
+// dirichlet drops the two end nodes from the eigenproblem (their rows of S
+// are zero, Modes = Nodes-2) and is ignored on a periodic mesh, which has no
+// ends. Without Dirichlet ends the stiffness annihilates constants; that mode
+// is returned exactly — eigenvalue 0, constant vector — rather than to
+// rounding, so callers can pseudo-invert it by testing for zero.
+func (m *Mesh1D) Modes(periodic, dirichlet bool) (*Modes1D, error) {
+	helm, mass := m.AssembleHelmholtz(0)
+	n := m.NumNodes()
+	nodes := n
+	if periodic {
+		nodes, dirichlet = n-1, false
+	}
+	wrap := func(i int) int { return i % nodes }
+	k1 := linalg.NewDense(nodes, nodes)
+	m1 := make([]float64, nodes)
+	for i := 0; i < n; i++ {
+		m1[wrap(i)] += mass.At(i, i)
+		for p := helm.RowPtr[i]; p < helm.RowPtr[i+1]; p++ {
+			j := wrap(helm.ColIdx[p])
+			k1.Set(wrap(i), j, k1.At(wrap(i), j)+helm.Val[p])
+		}
+	}
+	first, modes := 0, nodes
+	if dirichlet {
+		first, modes = 1, nodes-2
+	}
+	// A = M^{-1/2} K M^{-1/2} on the kept nodes, symmetrized against the
+	// assembly's rounding.
+	a := linalg.NewDense(modes, modes)
+	for i := 0; i < modes; i++ {
+		for j := 0; j < modes; j++ {
+			kij := (k1.At(first+i, first+j) + k1.At(first+j, first+i)) / 2
+			a.Set(i, j, kij/math.Sqrt(m1[first+i]*m1[first+j]))
+		}
+	}
+	lam, q, err := linalg.EigenSym(a)
+	if err != nil {
+		return nil, fmt.Errorf("sem: 1D mode decomposition: %w", err)
+	}
+	md := &Modes1D{
+		Nodes: nodes, Modes: modes, Lambda: lam,
+		S:  make([]float64, nodes*modes),
+		ST: make([]float64, modes*nodes),
+	}
+	for i := 0; i < modes; i++ {
+		for k := 0; k < modes; k++ {
+			md.S[(first+i)*modes+k] = q.At(i, k) / math.Sqrt(m1[first+i])
+		}
+	}
+	if !dirichlet {
+		var total float64
+		for _, v := range m1 {
+			total += v
+		}
+		lam[modes-1] = 0
+		for i := 0; i < nodes; i++ {
+			md.S[i*modes+modes-1] = 1 / math.Sqrt(total)
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		for k := 0; k < modes; k++ {
+			md.ST[k*nodes+i] = md.S[i*modes+k]
+		}
+	}
+	return md, nil
+}
+
 // SolveHelmholtzDirichlet solves -u” + lambda*u = f on the mesh with
 // Dirichlet values uL, uR at the endpoints, where f is sampled at the global
 // nodes. Returns the nodal solution.

@@ -244,3 +244,73 @@ func TestPanicsOnBadArguments(t *testing.T) {
 	mustPanic("jacobi neg degree", func() { JacobiP(-1, 0, 0, 0) })
 	mustPanic("mesh empty", func() { NewMesh1D(NewBasis1D(2), 0, 0, 1) })
 }
+
+// TestModesDiagonalizePencil checks the generalized eigen-decomposition fast
+// diagonalization rests on: SᵀMS = I and SᵀKS = Λ on the kept nodes, zero
+// rows on Dirichlet ends, and an exact constant null mode without them.
+func TestModesDiagonalizePencil(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		periodic, dirichlet bool
+	}{{"natural", false, false}, {"periodic", true, false}, {"dirichlet", false, true}} {
+		m := NewMesh1D(NewBasis1D(5), 3, 0, 1.5)
+		md, err := m.Modes(c.periodic, c.dirichlet)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		helm, mass := m.AssembleHelmholtz(0)
+		n := m.NumNodes()
+		wantNodes, wantModes := n, n
+		if c.periodic {
+			wantNodes, wantModes = n-1, n-1
+		}
+		if c.dirichlet {
+			wantModes = n - 2
+		}
+		if md.Nodes != wantNodes || md.Modes != wantModes {
+			t.Fatalf("%s: %d nodes x %d modes, want %d x %d", c.name, md.Nodes, md.Modes, wantNodes, wantModes)
+		}
+		// col(k) is mode k scattered onto the unwrapped mesh nodes.
+		col := func(k int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = md.S[(i%md.Nodes)*md.Modes+k]
+			}
+			return v
+		}
+		kv, mv := make([]float64, n), make([]float64, n)
+		for a := 0; a < md.Modes; a++ {
+			va := col(a)
+			helm.MulVec(kv, va)
+			mass.MulVec(mv, va)
+			if c.periodic { // the seam node is one unknown, counted once
+				kv[0] += kv[n-1]
+				mv[0] += mv[n-1]
+				kv[n-1], mv[n-1] = 0, 0
+			}
+			for b := 0; b < md.Modes; b++ {
+				vb := col(b)
+				var skb, smb float64
+				for i := range vb {
+					skb += vb[i] * kv[i]
+					smb += vb[i] * mv[i]
+				}
+				wantK, wantM := 0.0, 0.0
+				if a == b {
+					wantK, wantM = md.Lambda[a], 1
+				}
+				if math.Abs(smb-wantM) > 1e-10 || math.Abs(skb-wantK) > 1e-9*(1+md.Lambda[0]) {
+					t.Fatalf("%s: modes %d,%d: sMs = %g (want %g), sKs = %g (want %g)", c.name, a, b, smb, wantM, skb, wantK)
+				}
+			}
+		}
+		last := col(md.Modes - 1)
+		if c.dirichlet {
+			if last[0] != 0 || last[n-1] != 0 || md.Lambda[md.Modes-1] <= 0 {
+				t.Fatalf("dirichlet: end rows %g, %g and smallest eigenvalue %g", last[0], last[n-1], md.Lambda[md.Modes-1])
+			}
+		} else if md.Lambda[md.Modes-1] != 0 || last[0] != last[n/2] {
+			t.Fatalf("%s: null mode not exact: eigenvalue %g, entries %g vs %g", c.name, md.Lambda[md.Modes-1], last[0], last[n/2])
+		}
+	}
+}

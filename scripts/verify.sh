@@ -71,6 +71,11 @@ go test -run 'TestGoldenAuditExposition|TestAuditExpositionHelpTypeLint' -count=
 # exactly 0 allocs/op (run without -race: instrumentation allocates, so the
 # guards skip themselves under the detector).
 go test -race -run 'TestOperatorParityBitIdentical|TestStepBitIdenticalAcrossWorkerCounts' -count=1 ./internal/nektar3d
+# nektar3d solves: the fast-diagonalization preconditioner is the exact
+# inverse of the Grid operator on every periodicity/order/shift the solves
+# use, so CG converges in one or two iterations on the benchmark patches; a
+# failed solve reaches the CG watchdog before Step returns its typed error.
+go test -race -run 'TestFDMInvertsOperator|TestSolvesConvergeInOneOrTwoIterations|TestFDMBeatsJacobi|TestWatchdogSeesFailedSolves' -count=1 ./internal/nektar3d
 # DPD: the cell-sorted kernel must also equal, bit for bit, the linked-list
 # kernel it replaced (retained as a test oracle), and an O(N^2) all-pairs sum
 # on every box from two cutoffs per periodic edge up.
