@@ -16,19 +16,12 @@ import (
 	"time"
 
 	"nektarg/internal/audit"
+	"nektarg/internal/config"
 	"nektarg/internal/fleet"
 	"nektarg/internal/history"
 	"nektarg/internal/monitor"
 	"nektarg/internal/telemetry"
 )
-
-// fleetOpts bundles the fleet-plane flags.
-type fleetOpts struct {
-	addr    string // -fleet-addr: serve /cluster/* and /events
-	publish string // -fleet-publish: aggregator base URL to POST status to
-	stride  int    // -fleet-stride: publish every N exchanges
-	hold    string // -fleet-hold: keep serving after the run until this file exists
-}
 
 // fleetWire is the assembled fleet plane of one process.
 type fleetWire struct {
@@ -46,24 +39,25 @@ type fleetWire struct {
 // wireFleet assembles the fleet plane. The journal opens whenever
 // checkpointing is on (it lives in the checkpoint directory and records the
 // same run the store snapshots); aggregator, publisher and trace writer each
-// need their flag. topts is mutated: with a TCP transport the combined
-// -trace-out file is replaced by per-incarnation files the trace writer
-// maintains (a single file written at exit would vanish with a killed
-// process and mix spans of different hop-clock eras).
-func wireFleet(fopts fleetOpts, topts *telemetryOpts, ropts restartOpts,
+// need their flag. tr is the TCP world this process is a rank of (nil =
+// in-process). o is mutated: with a TCP transport the combined -trace-out
+// file is replaced by per-incarnation files the trace writer maintains (a
+// single file written at exit would vanish with a killed process and mix
+// spans of different hop-clock eras).
+func wireFleet(o *options, tr *config.Transport,
 	reg *telemetry.Registry, mon *monitor.Monitor, ist *insituState) (*fleetWire, error) {
-	fw := &fleetWire{hold: fopts.hold, logger: ropts.logger}
+	fw := &fleetWire{hold: o.fleetHold, logger: o.logger}
 
 	rank, kind := 0, "inproc"
-	if t := ropts.transport; t != nil {
-		rank, kind = t.Rank, t.Kind
+	if tr != nil {
+		rank, kind = tr.Rank, tr.Kind
 	}
 
-	if ropts.dir != "" {
-		if err := os.MkdirAll(ropts.dir, 0o755); err != nil {
+	if o.checkpointDir != "" {
+		if err := os.MkdirAll(o.checkpointDir, 0o755); err != nil {
 			return nil, err
 		}
-		j, err := fleet.OpenJournal(filepath.Join(ropts.dir, "journal.nkj"), rank, kind)
+		j, err := fleet.OpenJournal(filepath.Join(o.checkpointDir, "journal.nkj"), rank, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -85,36 +79,36 @@ func wireFleet(fopts fleetOpts, topts *telemetryOpts, ropts restartOpts,
 		})
 	}
 
-	if fopts.addr != "" {
+	if o.fleetAddr != "" {
 		agg := fleet.NewAggregator()
 		if fw.journal != nil {
 			agg.ObserveJournal(fw.journal)
 		}
-		srv, err := agg.Serve(fopts.addr, "nektarg", fw.journal)
+		srv, err := agg.Serve(o.fleetAddr, "nektarg", fw.journal)
 		if err != nil {
 			return nil, err
 		}
 		fw.srv = srv
-		ropts.logger.Info("fleet aggregator serving",
+		o.logger.Info("fleet aggregator serving",
 			"url", srv.URL(),
 			"metrics", srv.URL()+"/cluster/metrics",
 			"healthz", srv.URL()+"/cluster/healthz",
 			"events", srv.URL()+"/events")
 	}
 
-	if ropts.transport != nil {
+	if tr != nil {
 		fw.tcp = &fleet.TCPStats{}
 		if mon != nil {
 			mon.AddStatSource(fw.tcp.Source())
 		}
 	}
 
-	if fopts.publish != "" {
+	if o.fleetPublish != "" {
 		if mon == nil {
 			return nil, fmt.Errorf("nektarg: -fleet-publish requires -monitor-addr (the published status carries the monitor's snapshots and verdict)")
 		}
-		fw.pub = fleet.NewPublisher(fopts.publish, mon, fmt.Sprintf("rank%d", rank), []int{rank}, kind, fw.journal)
-		fw.pub.SetStride(fopts.stride)
+		fw.pub = fleet.NewPublisher(o.fleetPublish, mon, fmt.Sprintf("rank%d", rank), []int{rank}, kind, fw.journal)
+		fw.pub.SetStride(o.fleetStride)
 		// The ticker keeps the aggregator's view fresh through windows with
 		// no exchanges — rendezvous, rollback, a peer's outage.
 		fw.stopPub = fw.pub.Start(time.Second)
@@ -129,29 +123,21 @@ func wireFleet(fopts fleetOpts, topts *telemetryOpts, ropts restartOpts,
 		})
 	}
 
-	if ropts.transport != nil && reg != nil && topts.traceOut != "" {
-		dir := filepath.Dir(topts.traceOut)
-		base := strings.TrimSuffix(filepath.Base(topts.traceOut), filepath.Ext(topts.traceOut))
+	if tr != nil && reg != nil && o.traceOut != "" {
+		dir := filepath.Dir(o.traceOut)
+		base := strings.TrimSuffix(filepath.Base(o.traceOut), filepath.Ext(o.traceOut))
 		fw.traces = fleet.NewTraceWriter(dir, base, rank, kind, reg.Recorders, fw.journal)
-		topts.traceOut = "" // report() must not also write a combined file
+		o.traceOut = "" // report() must not also write a combined file
 	}
 
 	return fw, nil
 }
 
-// journalOrNil unwraps the journal, tolerating a nil wire.
-func (fw *fleetWire) journalOrNil() *fleet.Journal {
-	if fw == nil {
-		return nil
-	}
-	return fw.journal
-}
-
 // bindAudit routes audit-ledger violations into the run-event journal, so an
 // operator replaying a failed run sees exactly which conservation budget broke
-// and at which exchange. Nil wire, nil journal or nil ledger all no-op.
+// and at which exchange. Nil journal or nil ledger no-op.
 func (fw *fleetWire) bindAudit(led *audit.Ledger) {
-	if fw == nil || fw.journal == nil || led == nil {
+	if fw.journal == nil || led == nil {
 		return
 	}
 	j := fw.journal
@@ -170,10 +156,10 @@ func (fw *fleetWire) bindAudit(led *audit.Ledger) {
 
 // bindHistory routes performance anomalies into the run-event journal, so a
 // post-mortem shows "the step time regressed at exchange N" next to the
-// checkpoint commits and watchdog transitions of the same run. Nil wire, nil
-// journal or nil plane all no-op.
+// checkpoint commits and watchdog transitions of the same run. Nil journal or
+// nil plane no-op.
 func (fw *fleetWire) bindHistory(h *history.Plane) {
-	if fw == nil || fw.journal == nil || h == nil {
+	if fw.journal == nil || h == nil {
 		return
 	}
 	j := fw.journal
@@ -194,9 +180,6 @@ func (fw *fleetWire) bindHistory(h *history.Plane) {
 // ledger, rewrite the incarnation's trace file. Every leg is nil-safe, so the
 // drivers call it unconditionally.
 func (fw *fleetWire) afterExchange(exchange int) {
-	if fw == nil {
-		return
-	}
 	fw.pub.OnExchange(exchange)
 	fw.drops.Check()
 	if err := fw.traces.WriteNow(); err != nil && fw.logger != nil {
@@ -207,9 +190,6 @@ func (fw *fleetWire) afterExchange(exchange int) {
 // close publishes the final status, honors -fleet-hold, and shuts the
 // aggregator and journal down.
 func (fw *fleetWire) close() {
-	if fw == nil {
-		return
-	}
 	if fw.stopPub != nil {
 		fw.stopPub()
 	}

@@ -1,20 +1,28 @@
-// Nektarg drives a configurable coupled continuum-atomistic simulation: a
-// chain of overlapping spectral-element channel patches (NεκTαr-3D with the
-// §3.2 interface conditions) with an embedded DPD region (§3.3 coupling,
-// Eq. 1 unit scaling, Figure 5 time progression), optionally with platelets
-// aggregating at a wall injury (Figure 10). It prints interface-continuity
-// and clot-growth diagnostics each exchange period.
+// Nektarg drives a coupled continuum-atomistic simulation described by a
+// config.Config: overlapping spectral-element channel patches (NεκTαr-3D with
+// the §3.2 interface conditions), embedded DPD regions (§3.3 coupling, Eq. 1
+// unit scaling, Figure 5 time progression) optionally with platelets
+// aggregating at a wall injury (Figure 10), and 1D peripheral trees on patch
+// outlets. Every run takes one path: flags → Config → config.Build → run.
+// Without -config the scenario flags generate the Config (a chain of
+// -patches patches with a DPD region inside the last); with it the file is
+// the Config, and the flags that shadow one of its blocks (-insitu*, -audit,
+// -transport/-rank/-peers/-rendezvous-sec) override that block field by
+// field. It prints interface-continuity and clot-growth diagnostics each
+// exchange period and the overlap continuity of every coupled patch pair at
+// the end.
 //
 // Usage:
 //
-//	go run ./cmd/nektarg [-patches N] [-exchanges N] [-particles N]
-//	                     [-platelets N] [-order P] [-seed S]
+//	go run ./cmd/nektarg [-config FILE | -patches N -order P -particles N
+//	                      -platelets N -seed S -with1d -flux-scale S]
+//	                     [-exchanges N] [-parallel N] [-vtk DIR]
+//	                     [-telemetry] [-trace-out F] [-telemetry-out F]
 //	                     [-monitor-addr :9090] [-log-level info] [-log-format text]
 //	                     [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
 //	                     [-max-restarts N] [-kill-at N] [-flight-max N]
 //	                     [-insitu] [-insitu-stride N] [-insitu-policy P]
-//	                     [-insitu-dir DIR] [-insitu-keep K]
-//	                     [-audit] [-flux-scale S]
+//	                     [-insitu-dir DIR] [-insitu-keep K] [-audit]
 //	                     [-history] [-history-stride N] [-history-out FILE]
 //	                     [-history-profile-dir DIR] [-slow-at N] [-slow-ms MS]
 //	                     [-transport tcp -rank N -peers H:P,H:P,...]
@@ -23,67 +31,30 @@
 //	go run ./cmd/nektarg events [-json] <checkpoint-dir>/journal.nkj
 //	go run ./cmd/nektarg perf-report [-threshold F] old.json new.json
 //
-// With -checkpoint-dir the run additionally keeps an append-only run-event
-// journal at <dir>/journal.nkj — incarnation starts, world losses, resume
-// agreements, checkpoint commits, watchdog transitions, flight dumps, in-situ
-// drop milestones — readable with the events subcommand or GET /events on the
-// fleet aggregator. With -fleet-addr one process (conventionally rank 0)
-// serves the cluster observability plane: every process pointed at it with
-// -fleet-publish contributes its telemetry/health status, and the aggregator
-// rolls them up into /cluster/metrics, /cluster/healthz (503 while the world
-// is broken) and /cluster/imbalance. Per-process Chrome traces from a TCP
-// world (-trace-out) are written per incarnation and stitched into one
-// causally ordered timeline by the trace-merge subcommand.
-//
-// With -monitor-addr the run serves live Prometheus metrics, a JSON health
-// verdict and pprof endpoints while it executes (see internal/monitor);
-// solver watchdogs then guard fields against NaN/Inf and trip /healthz.
-//
-// With -audit the run keeps a physics audit ledger (see internal/audit):
-// per-exchange conservation and coupling-fidelity budgets — 3D mass/energy,
-// interface flux continuity, DPD momentum/temperature, 1D network mass
-// balance — judged against tolerance bands with step-change and slow-leak
-// detection. Combined with -monitor-addr the ledger serves GET /audit and
-// nektarg_audit_* Prometheus series, and an audit critical trips /healthz
-// and fires a flight dump. -flux-scale != 1 deliberately violates interface
-// flux continuity to demonstrate the ledger catching a coupling fault.
-//
-// With -history the run keeps a performance-history plane (see
-// internal/history): every exchange's wall time, per-stage timings, gauges,
-// traffic rates and Go runtime signals sampled into bounded in-memory time
-// series with streamed downsample tiers, judged against rolling EWMA+MAD
-// baselines. A sustained excursion raises a typed anomaly (step-time
-// regression, CG-iteration inflation, traffic spike, imbalance drift,
-// alloc growth), optionally auto-captures a pprof CPU profile
-// (-history-profile-dir), fires an anomaly flight dump (budgeted separately
-// via -flight-anomaly-max) and journals a perf-anomaly event. Combined with
-// -monitor-addr the plane serves GET /history and GET /anomalies;
-// -history-out writes the full document at exit, and the perf-report
-// subcommand diffs two such documents into a regression table. -slow-at /
-// -slow-ms inject a deterministic mid-run slowdown to demonstrate the
-// detection end to end.
-//
-// With -insitu the run additionally publishes downsampled snapshots (patch
-// velocity/pressure slabs, DPD particle subsamples, interface triangulations)
-// into a non-blocking, drop-accounted pipeline consumed by a live observer
-// (see internal/insitu). Combined with -monitor-addr, the observer serves the
-// latest causally consistent frame at /snapshot (JSON metadata) and
-// /snapshot/vtk (legacy VTK scene); with -insitu-dir it also maintains a
-// rolling on-disk VTK time series of the last -insitu-keep frames.
+// -telemetry, -monitor-addr (live /metrics, /healthz, pprof and solver
+// watchdogs; see internal/monitor), -audit (per-exchange conservation and
+// coupling-fidelity budgets, internal/audit; -flux-scale != 1 is the fault it
+// must catch), -history (bounded time series with anomaly baselines,
+// internal/history; -slow-at/-slow-ms inject the slowdown it must catch) and
+// -insitu (non-blocking snapshot stream to a live observer, internal/insitu)
+// each switch on one observer plane; any of them implies telemetry recording.
 //
 // With -checkpoint-dir the run writes atomic, checksummed checkpoints every
-// -checkpoint-every exchanges and executes inside the recover-and-resume
-// envelope: a solver blow-up, watchdog trip or injected fault dumps the
-// flight recorder, reloads the last good checkpoint and continues. -resume
-// restarts a previous run from its newest checkpoint; -kill-at injects a
-// one-shot panic after the given exchange to demonstrate the loop.
+// -checkpoint-every exchanges, keeps a run-event journal at
+// <dir>/journal.nkj (read it with the events subcommand) and executes inside
+// the recover-and-resume envelope: a solver blow-up, watchdog trip or
+// injected fault (-kill-at) dumps the flight recorder, reloads the last good
+// checkpoint and continues to the same final state. -resume restarts a
+// previous run from its newest checkpoint; a fresh run refuses a directory
+// that holds another run's checkpoints.
 //
-// With -transport tcp the run becomes one rank of a multi-process world: every
+// With -transport tcp the run is one rank of a multi-process world: every
 // process runs the same scenario, -peers lists each rank's host:port in rank
-// order, and -rank selects this process's slot. Combined with the (required)
-// -checkpoint-dir, a killed process can simply be relaunched: the survivors
-// re-dial, the world agrees on the common newest checkpoint, and every rank
-// rolls back and continues (see core.RunDistributed).
+// order, -rank selects this process's slot, and -checkpoint-dir is required.
+// A killed process can simply be relaunched: the survivors re-dial, the world
+// agrees on the common newest checkpoint, and every rank rolls back and
+// continues (see core.RunDistributed). -fleet-addr serves the cluster
+// observability plane on one process; the others point -fleet-publish at it.
 package main
 
 import (
@@ -94,7 +65,6 @@ import (
 	"log"
 	"log/slog"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -106,7 +76,6 @@ import (
 	"nektarg/internal/checkpoint"
 	"nektarg/internal/config"
 	"nektarg/internal/core"
-	"nektarg/internal/dpd"
 	"nektarg/internal/fleet"
 	"nektarg/internal/geometry"
 	"nektarg/internal/history"
@@ -115,39 +84,107 @@ import (
 	"nektarg/internal/mpi"
 	"nektarg/internal/mpi/tcptransport"
 	"nektarg/internal/nektar1d"
-	"nektarg/internal/nektar3d"
-	"nektarg/internal/platelet"
 	"nektarg/internal/telemetry"
 	"nektarg/internal/viz"
 )
 
-// telemetryOpts bundles the observability flags shared by both run paths.
-type telemetryOpts struct {
-	enabled        bool   // -telemetry: print per-stage/traffic/gauge tables
-	traceOut       string // -trace-out: Chrome trace_event JSON path
-	jsonOut        string // -telemetry-out: aggregate summary JSON path
-	monitorAddr    string // -monitor-addr: live HTTP metrics/health endpoint
-	flightMax      int    // -flight-max: per-run flight dump cap
-	insituOn       bool   // -insitu: live snapshot pipeline
-	insituCfg      insitu.Config
-	insituDir      string // -insitu-dir: rolling VTK series directory
-	insituKeep     int    // -insitu-keep: frames kept on disk
-	auditOn        bool   // -audit: physics conservation/coupling-fidelity ledger
-	auditTol       audit.Tolerance
-	historyOn      bool   // -history: performance-history time-series plane
-	historyStride  int    // -history-stride: sample every N exchange periods
-	historyOut     string // -history-out: write the history document JSON at exit
-	historyProfDir string // -history-profile-dir: anomaly-triggered pprof captures
-	flightAnomaly  int    // -flight-anomaly-max: anomaly flight-dump budget
-	flightDir      string // monitor-side dump directory (<checkpoint-dir>/flight when set)
-	logger         *slog.Logger
+// options is everything the command line says that is not the scenario: one
+// field per flag that does not shadow a config block.
+type options struct {
+	exchanges int // -exchanges: coupling exchange periods
+	parallel  int // -parallel: intra-rank workers per solver (0 = leave the config's)
+	vtkDir    string
+
+	telemetry        bool   // -telemetry: print per-stage/traffic/gauge tables
+	traceOut         string // -trace-out: Chrome trace_event JSON path
+	telemetryOut     string // -telemetry-out: aggregate summary JSON path
+	monitorAddr      string // -monitor-addr: live HTTP metrics/health endpoint
+	flightMax        int    // -flight-max: per-run flight dump cap
+	flightAnomalyMax int    // -flight-anomaly-max: anomaly flight-dump budget
+	history          bool   // -history: performance-history time-series plane
+	historyStride    int    // -history-stride: sample every N exchange periods
+	historyOut       string // -history-out: write the history document JSON at exit
+	historyProfDir   string // -history-profile-dir: anomaly-triggered pprof captures
+
+	checkpointDir   string // -checkpoint-dir: managed store directory ("" = no checkpointing)
+	checkpointEvery int    // -checkpoint-every: period in exchanges
+	resume          bool   // -resume: reload the newest checkpoint before running
+	maxRestarts     int    // -max-restarts: per-position restart budget
+	killAt          int    // -kill-at: one-shot injected panic after this exchange (0 = off)
+	slowAt          int    // -slow-at: injected slowdown from this exchange on (0 = off)
+	slowMs          int    // -slow-ms: injected sleep per exchange, milliseconds
+
+	fleetAddr    string // -fleet-addr: serve /cluster/* and /events
+	fleetPublish string // -fleet-publish: aggregator base URL to POST status to
+	fleetStride  int    // -fleet-stride: publish every N exchanges
+	fleetHold    string // -fleet-hold: keep serving after the run until this file exists
+
+	version                bool // -version: print build provenance and exit
+	cpuProfile, memProfile string
+
+	out    io.Writer // reports and tables (os.Stdout)
+	logger *slog.Logger
 }
 
-// active reports whether any telemetry output was requested; asking for a
-// trace, a summary file, a live monitor, in-situ observation or the physics
-// audit ledger implies enabling the recorders.
-func (o telemetryOpts) active() bool {
-	return o.enabled || o.traceOut != "" || o.jsonOut != "" || o.monitorAddr != "" || o.insituOn || o.auditOn || o.historyOn
+// recording reports whether the recorders are needed: asking for a trace, a
+// summary file, a live monitor or any observer plane implies them.
+func (o options) recording(cfg *config.Config) bool {
+	return o.telemetry || o.traceOut != "" || o.telemetryOut != "" || o.monitorAddr != "" ||
+		o.history || cfg.Insitu != nil || cfg.Audit != nil
+}
+
+// tcp returns the config's transport block when it selects a TCP world, nil
+// for the in-process default.
+func tcp(cfg *config.Config) *config.Transport {
+	if cfg.Transport != nil && cfg.Transport.Kind == "tcp" {
+		return cfg.Transport
+	}
+	return nil
+}
+
+// builtinConfig is the scenario the -patches/-order/-particles/-platelets/
+// -seed/-with1d/-flux-scale flags describe: a chain of overlapping channel
+// patches (patch i spans x in [i, i+1.5], one third shared with each
+// neighbour), a DPD slab inside the last one, optionally platelets at a wall
+// injury and a 1D peripheral tree on the last patch's outlet.
+func builtinConfig(patches, order, particles, platelets int, seed int64, with1D bool, fluxScale float64) (*config.Config, error) {
+	if patches < 1 {
+		return nil, errors.New("nektarg: need at least one patch")
+	}
+	cfg := &config.Config{}
+	name := func(i int) string { return fmt.Sprintf("patch%d", i) }
+	for i := 0; i < patches; i++ {
+		cfg.Patches = append(cfg.Patches, config.Patch{
+			Name: name(i), Origin: config.Vec{float64(i)},
+			Elements: [3]int{3, 1, 2}, Order: order, Size: config.Vec{1.5, 1, 1},
+			Periodic: [3]bool{false, true, false},
+			Nu:       0.5, Dt: 0.01, Force: config.Vec{1}, Initial: "poiseuille",
+		})
+		if i > 0 {
+			cfg.Couplings = append(cfg.Couplings,
+				config.Coupling{Donor: name(i - 1), Receiver: name(i), Face: "x0"},
+				config.Coupling{Donor: name(i), Receiver: name(i - 1), Face: "x1"})
+		}
+	}
+	region := config.Region{
+		Name: "insert", Origin: config.Vec{float64(patches-1) + 0.6, 0.4, 0.05},
+		Box: config.Vec{10, 10, 10}, Particles: particles, Rho: 3, KBT: 0.2, Dt: 0.005,
+		Seed: uint64(seed), Walls: "zslab",
+		NSUnits: config.Units{L: 1e-3, Nu: 0.5}, DPDUnits: config.Units{L: 2e-5, Nu: 0.2},
+		Boost: 120, FluxScale: fluxScale,
+	}
+	if platelets > 0 {
+		region.Platelets = &config.Platelets{
+			Count: platelets, Delay: 0.1,
+			Sites:   []config.Vec{{3, 5, 0.3}, {4, 5, 0.3}, {5, 5, 0.3}, {6, 5, 0.3}, {7, 5, 0.3}},
+			SeedBox: [2]config.Vec{{0.5, 0.5, 0.3}, {9.5, 9.5, 2.5}},
+		}
+	}
+	cfg.Regions = []config.Region{region}
+	if with1D {
+		cfg.Outlets = []config.Outlet{{Patch: name(patches - 1), Face: "x1"}}
+	}
+	return cfg, nil
 }
 
 // insituState is the running in-situ pipeline: closed and drained at exit so
@@ -158,22 +195,27 @@ type insituState struct {
 	done  chan struct{}
 }
 
-// start builds the in-process pipeline over the fully assembled metasolver,
-// launches the observer goroutine and publishes every stride-th exchange.
-func startInsitu(meta *core.Metasolver, reg *telemetry.Registry, o telemetryOpts) *insituState {
-	if !o.insituOn {
-		return nil
+// startInsitu builds the in-process pipeline the config's insitu block asks
+// for over the fully assembled metasolver, launches the observer goroutine
+// and publishes every stride-th exchange. Nil spec = off.
+func startInsitu(spec *config.Insitu, meta *core.Metasolver, reg *telemetry.Registry, logger *slog.Logger) (*insituState, error) {
+	if spec == nil {
+		return nil, nil
 	}
-	if o.insituDir != "" {
-		if err := os.MkdirAll(o.insituDir, 0o755); err != nil {
-			log.Fatal(err)
+	icfg, err := spec.InsituConfig()
+	if err != nil {
+		return nil, err
+	}
+	if spec.Dir != "" {
+		if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
+			return nil, err
 		}
 	}
-	pub, q := insitu.NewPipeline(o.insituCfg)
+	pub, q := insitu.NewPipeline(icfg)
 	obs := insitu.NewObserver(insitu.ObserverConfig{
 		Sources: insitu.ExpectedSources(meta),
-		Dir:     o.insituDir,
-		Keep:    o.insituKeep,
+		Dir:     spec.Dir,
+		Keep:    spec.Keep,
 		Rec:     reg.NewRecorder("observer"),
 	})
 	obs.SetStatsSource(q.Stats)
@@ -183,22 +225,25 @@ func startInsitu(meta *core.Metasolver, reg *telemetry.Registry, o telemetryOpts
 		defer close(st.done)
 		obs.Run(q)
 	}()
-	o.logger.Info("in-situ observation enabled",
-		"stride", o.insituCfg.Stride, "policy", o.insituCfg.Policy.String(),
-		"queue_cap", o.insituCfg.QueueCap, "dir", o.insituDir)
-	return st
+	logger.Info("in-situ observation enabled",
+		"stride", icfg.Stride, "policy", icfg.Policy.String(),
+		"queue_cap", icfg.QueueCap, "dir", spec.Dir)
+	return st, nil
 }
 
-// finish closes the pipeline, waits for the observer to drain and prints the
-// drop-accounting summary (the published == delivered + dropped law).
+// finish closes the pipeline, waits for the observer to drain and logs the
+// drop-accounting summary (the published == delivered + dropped law). A
+// second call is a no-op, so run can both call it before the report and
+// defer it for the error paths.
 func (st *insituState) finish(logger *slog.Logger) {
-	if st == nil {
+	if st == nil || st.queue == nil {
 		return
 	}
 	st.queue.Close()
 	<-st.done
 	qs := st.queue.Stats()
 	as := st.obs.AssemblerStats()
+	st.queue = nil
 	logger.Info("in-situ pipeline drained",
 		"published", qs.Published, "delivered", qs.Delivered, "dropped", qs.Dropped,
 		"bytes", qs.Bytes, "frames", as.Frames, "abandoned", as.Abandoned,
@@ -209,33 +254,32 @@ func (st *insituState) finish(logger *slog.Logger) {
 	}
 }
 
-// setup installs recorders on the metasolver (and the optional 1D tree) when
-// telemetry is requested; returns nils otherwise, which leaves every Rec and
-// Watch field nil and instrumentation on its no-op fast path. When
-// -monitor-addr is set it additionally attaches solver watchdogs and starts
-// the live HTTP monitor (the returned server is non-nil and must be closed).
-func (o telemetryOpts) setup(meta *core.Metasolver, tree *nektar1d.Network) (*telemetry.Registry, *monitor.Monitor, *monitor.Server) {
+// setup installs the observer planes on the built metasolver — recorders,
+// then (with -monitor-addr) watchdogs and the live HTTP monitor, the audit
+// ledger the config's audit block asks for, the history plane — and returns
+// nils when nothing was requested, which leaves every Rec and Watch field nil
+// and instrumentation on its no-op fast path. A non-nil server must be
+// closed.
+func (o options) setup(cfg *config.Config, meta *core.Metasolver) (*telemetry.Registry, *monitor.Monitor, *monitor.Server, error) {
 	meta.SetLogger(o.logger)
-	if !o.active() {
-		return nil, nil, nil
+	if !o.recording(cfg) {
+		return nil, nil, nil, nil
 	}
 	reg := telemetry.NewRegistry()
 	meta.EnableTelemetry(reg)
-	if tree != nil {
-		tree.Rec = reg.NewRecorder("1d:tree")
-	}
 	var mon *monitor.Monitor
 	if o.monitorAddr != "" {
-		mon = monitor.New(reg, monitor.Options{
-			FlightDir: o.flightDir, FlightLimit: o.flightMax, FlightAnomalyLimit: o.flightAnomaly,
-		})
+		opts := monitor.Options{FlightLimit: o.flightMax, FlightAnomalyLimit: o.flightAnomalyMax}
+		if o.checkpointDir != "" {
+			// Monitor-side dumps (manual POST /flight, anomaly captures) land
+			// next to the recovery envelope's, not in the working directory.
+			opts.FlightDir = filepath.Join(o.checkpointDir, "flight")
+		}
+		mon = monitor.New(reg, opts)
 		mon.Health().SetLogger(o.logger)
 		meta.EnableMonitoring(mon.Health())
-		if tree != nil {
-			tree.Watch = mon.Health().Watch("1d:tree")
-		}
 	}
-	if o.auditOn {
+	if cfg.Audit != nil {
 		// The ledger's watchdog bundle rides the health plane when a monitor
 		// exists (audit criticals then trip /healthz and fire flight dumps via
 		// the existing OnTrip wiring); without one it runs standalone.
@@ -246,7 +290,7 @@ func (o telemetryOpts) setup(meta *core.Metasolver, tree *nektar1d.Network) (*te
 		led := audit.New(audit.Options{
 			Rec:       reg.NewRecorder("audit"),
 			Watch:     watch,
-			Tolerance: o.auditTol,
+			Tolerance: audit.Tolerance{Warn: cfg.Audit.Warn, Critical: cfg.Audit.Critical},
 		})
 		meta.EnableAudit(led)
 		if mon != nil {
@@ -257,7 +301,7 @@ func (o telemetryOpts) setup(meta *core.Metasolver, tree *nektar1d.Network) (*te
 		}
 		o.logger.Info("physics audit ledger enabled", "monitored", mon != nil)
 	}
-	if o.historyOn {
+	if o.history {
 		plane := history.New(history.Options{Stride: o.historyStride, ProfileDir: o.historyProfDir})
 		meta.EnableHistory(plane)
 		if mon != nil {
@@ -277,65 +321,76 @@ func (o telemetryOpts) setup(meta *core.Metasolver, tree *nektar1d.Network) (*te
 			"stride", plane.Stride(), "profiles", o.historyProfDir != "", "monitored", mon != nil)
 	}
 	if mon == nil {
-		return reg, nil, nil
+		return reg, nil, nil, nil
 	}
 	srv, err := mon.Serve(o.monitorAddr)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, nil, err
 	}
 	o.logger.Info("live monitor serving",
 		"url", srv.URL(), "metrics", srv.URL()+"/metrics", "healthz", srv.URL()+"/healthz")
-	return reg, mon, srv
+	return reg, mon, srv, nil
 }
 
 // report prints the aggregate tables and writes the requested trace/summary
 // files.
-func (o telemetryOpts) report(reg *telemetry.Registry, mon *monitor.Monitor, meta *core.Metasolver) {
+func (o options) report(reg *telemetry.Registry, mon *monitor.Monitor, meta *core.Metasolver) error {
 	if reg == nil {
-		return
+		return nil
 	}
 	recs := reg.Recorders()
-	if o.enabled {
+	// write streams one requested output file and says so.
+	write := func(path, said string, fn func(io.Writer) error) error {
+		if path == "" {
+			return nil
+		}
+		if err := writeFileWith(path, fn); err != nil {
+			return err
+		}
+		fmt.Fprintf(o.out, said, path)
+		return nil
+	}
+	if o.telemetry {
 		cs := telemetry.AggregateRecorders(recs)
-		fmt.Println("\n--- telemetry: per-stage timings ---")
-		fmt.Print(cs.FormatStageTable())
-		fmt.Println("--- telemetry: gauges ---")
-		fmt.Print(cs.FormatGaugeTable())
+		fmt.Fprintln(o.out, "\n--- telemetry: per-stage timings ---")
+		fmt.Fprint(o.out, cs.FormatStageTable())
+		fmt.Fprintln(o.out, "--- telemetry: gauges ---")
+		fmt.Fprint(o.out, cs.FormatGaugeTable())
 		if t := cs.Traffic.Total(); t.Msgs > 0 {
-			fmt.Println("--- telemetry: traffic ---")
-			fmt.Print(cs.FormatTrafficTable())
+			fmt.Fprintln(o.out, "--- telemetry: traffic ---")
+			fmt.Fprint(o.out, cs.FormatTrafficTable())
 		}
 		imb := monitor.AnalyzeImbalance(snapshotRecorders(recs))
 		if len(imb) > 0 {
-			fmt.Println("--- telemetry: load imbalance ---")
-			fmt.Print(monitor.FormatImbalanceTable(imb))
+			fmt.Fprintln(o.out, "--- telemetry: load imbalance ---")
+			fmt.Fprint(o.out, monitor.FormatImbalanceTable(imb))
 		}
-		fmt.Printf("coupling overhead: %.2f%% of step time\n", 100*meta.CouplingOverhead())
+		fmt.Fprintf(o.out, "coupling overhead: %.2f%% of step time\n", 100*meta.CouplingOverhead())
 	}
 	if led := meta.Audit(); led != nil {
-		fmt.Println("\n--- physics audit ---")
-		fmt.Print(led.FormatTable())
+		fmt.Fprintln(o.out, "\n--- physics audit ---")
+		fmt.Fprint(o.out, led.FormatTable())
 		if !led.Healthy() {
 			o.logger.Error("physics audit finished with a latched critical budget",
 				"worst", led.Status().Worst.String(), "violations", led.Status().Violations)
 		}
 	}
 	if h := meta.History(); h != nil {
-		fmt.Println("\n--- performance history ---")
-		fmt.Printf("samples=%d anomalies=%d sampling_cost=%v\n",
+		fmt.Fprintln(o.out, "\n--- performance history ---")
+		fmt.Fprintf(o.out, "samples=%d anomalies=%d sampling_cost=%v\n",
 			h.Samples(), h.AnomalyTotal(), h.SampleCost().Round(time.Microsecond))
 		for _, a := range h.Anomalies() {
-			fmt.Printf("  %-16s %-36s step=%-6d value=%.4g baseline=%.4g z=%.1f\n",
+			fmt.Fprintf(o.out, "  %-16s %-36s step=%-6d value=%.4g baseline=%.4g z=%.1f\n",
 				a.Kind, a.Series, a.Step, a.Value, a.Baseline, a.Z)
 			if a.ProfilePath != "" {
-				fmt.Printf("  %-16s profile: %s\n", "", a.ProfilePath)
+				fmt.Fprintf(o.out, "  %-16s profile: %s\n", "", a.ProfilePath)
 			}
 		}
 		if h.AnomalyTotal() > 0 {
 			o.logger.Warn("run finished with performance anomalies", "total", h.AnomalyTotal())
 		}
-		if o.historyOut != "" {
-			writeFileWith(o.historyOut, func(w io.Writer) error {
+		err := write(o.historyOut, "wrote performance history to %s (diff two with: nektarg perf-report old.json new.json)\n",
+			func(w io.Writer) error {
 				doc, err := h.HistoryJSON("", 0, 0)
 				if err != nil {
 					return err
@@ -343,107 +398,42 @@ func (o telemetryOpts) report(reg *telemetry.Registry, mon *monitor.Monitor, met
 				_, err = w.Write(doc)
 				return err
 			})
-			fmt.Printf("wrote performance history to %s (diff two with: nektarg perf-report old.json new.json)\n", o.historyOut)
+		if err != nil {
+			return err
 		}
 	}
 	if mon != nil && !mon.Health().Healthy() {
 		v := mon.Health().Verdict()
 		o.logger.Error("run finished unhealthy", "trips", v.Trips, "events", v.Events)
 	}
-	if o.traceOut != "" {
-		writeFileWith(o.traceOut, func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, recs)
-		})
-		fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", o.traceOut)
+	err := write(o.traceOut, "wrote Chrome trace to %s (open in chrome://tracing or https://ui.perfetto.dev)\n",
+		func(w io.Writer) error { return telemetry.WriteChromeTrace(w, recs) })
+	if err != nil {
+		return err
 	}
-	if o.jsonOut != "" {
-		writeFileWith(o.jsonOut, func(w io.Writer) error {
-			return telemetry.WriteSummary(w, recs)
-		})
-		fmt.Printf("wrote telemetry summary to %s\n", o.jsonOut)
-	}
+	return write(o.telemetryOut, "wrote telemetry summary to %s\n",
+		func(w io.Writer) error { return telemetry.WriteSummary(w, recs) })
 }
 
-// restartOpts bundles the checkpoint/restart flags shared by both run paths.
-type restartOpts struct {
-	dir         string // -checkpoint-dir: managed store directory ("" = no checkpointing)
-	every       int    // -checkpoint-every: period in exchanges
-	resume      bool   // -resume: reload the newest checkpoint before running
-	maxRestarts int    // -max-restarts: per-position restart budget
-	killAt      int    // -kill-at: one-shot injected panic after this exchange (0 = off)
-	slowAt      int    // -slow-at: injected slowdown from this exchange on (0 = off)
-	slowMs      int    // -slow-ms: injected sleep per exchange, milliseconds
-	flightMax   int    // -flight-max: per-run flight dump cap
-	logger      *slog.Logger
-	// transport, when non-nil, runs this process as one rank of a TCP world
-	// (kind is always "tcp" here: the in-process default leaves it nil).
-	transport *config.Transport
-}
-
-// transportFlags carries the raw -transport/-rank/-peers/-rendezvous-sec
-// values until a config file (if any) is loaded; merge resolves them against
-// the file's transport block with flags winning, mirroring the insitu merge.
-type transportFlags struct {
-	kind   string
-	rank   int
-	peers  string
-	rendez int
-}
-
-// merge overlays the flags on an optional config transport block and
-// validates the result. Returns nil for the in-process default.
-func (f transportFlags) merge(fromCfg *config.Transport) (*config.Transport, error) {
-	t := &config.Transport{}
-	if fromCfg != nil {
-		*t = *fromCfg
-	}
-	if f.kind != "" {
-		t.Kind = f.kind
-	}
-	if f.rank >= 0 {
-		t.Rank = f.rank
-	}
-	if f.peers != "" {
-		t.Peers = strings.Split(f.peers, ",")
-	}
-	if f.rendez > 0 {
-		t.RendezvousSec = f.rendez
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if t.Kind != "tcp" {
-		return nil, nil
-	}
-	return t, nil
-}
-
-// driveExchanges advances the metasolver to the target exchange count,
-// running onExchange (diagnostics, 1D coupling, fault demo) after each one.
+// drive advances the metasolver to the target exchange count, running
+// onExchange (diagnostics, fault demo) and the fleet hook after each one.
 // Without -checkpoint-dir it is a plain loop where any failure is fatal; with
-// it, the run executes under core.RunWithRecovery — periodic atomic
-// checkpoints, flight dumps on faults, reload-and-continue — optionally
-// resuming from the newest checkpoint first.
-func driveExchanges(meta *core.Metasolver, networks map[string]*nektar1d.Network,
-	exchanges int, onExchange func(int) error,
-	ropts restartOpts, reg *telemetry.Registry, mon *monitor.Monitor, fw *fleetWire) error {
-	if ropts.transport != nil && ropts.dir == "" {
-		return errors.New("nektarg: -transport tcp requires -checkpoint-dir (each process rolls back from its own store after a failure)")
-	}
-	// Every driver runs the fleet per-exchange hook after the scenario's own
-	// diagnostics; each leg inside is nil when not configured.
-	base := onExchange
-	onExchange = func(e int) error {
-		err := base(e)
+// it, the run executes under core.RunWithRecovery — or, as one rank of the
+// TCP world tr describes, core.RunDistributed — with periodic atomic
+// checkpoints, flight dumps on faults and reload-and-continue.
+func (o options) drive(meta *core.Metasolver, networks map[string]*nektar1d.Network, tr *config.Transport,
+	onExchange func(int) error, reg *telemetry.Registry, mon *monitor.Monitor, fw *fleetWire) error {
+	hook := func(e int) error {
+		err := onExchange(e)
 		fw.afterExchange(e)
 		return err
 	}
-	if ropts.dir == "" {
-		for meta.Exchanges < exchanges {
+	if o.checkpointDir == "" {
+		for meta.Exchanges < o.exchanges {
 			if err := meta.Advance(1); err != nil {
 				return err
 			}
-			if err := onExchange(meta.Exchanges); err != nil {
+			if err := hook(meta.Exchanges); err != nil {
 				return err
 			}
 		}
@@ -452,12 +442,12 @@ func driveExchanges(meta *core.Metasolver, networks map[string]*nektar1d.Network
 	ck := &core.Checkpointer{
 		Meta:     meta,
 		Networks: networks,
-		Store:    &checkpoint.Store{Dir: ropts.dir},
-		Every:    ropts.every,
-		Journal:  fw.journalOrNil(),
-		Log:      ropts.logger,
+		Store:    &checkpoint.Store{Dir: o.checkpointDir},
+		Every:    o.checkpointEvery,
+		Journal:  fw.journal,
+		Log:      o.logger,
 	}
-	if ropts.resume && ropts.transport == nil {
+	if o.resume && tr == nil {
 		// Distributed runs skip this: the resume protocol inside
 		// RunDistributed always rolls every rank to the world's common
 		// newest checkpoint on connect.
@@ -465,7 +455,7 @@ func driveExchanges(meta *core.Metasolver, networks map[string]*nektar1d.Network
 		case err == nil:
 			// Resume() already logged the path and exchange.
 		case errors.Is(err, os.ErrNotExist):
-			ropts.logger.Info("no checkpoint to resume from; starting fresh", "dir", ropts.dir)
+			o.logger.Info("no checkpoint to resume from; starting fresh", "dir", o.checkpointDir)
 		default:
 			return err
 		}
@@ -481,65 +471,204 @@ func driveExchanges(meta *core.Metasolver, networks map[string]*nektar1d.Network
 	if reg != nil {
 		source = reg.Recorders
 	}
-	flight := monitor.NewFlightRecorder(filepath.Join(ropts.dir, "flight"), source, health)
-	if ropts.flightMax > 0 {
-		flight.SetLimit(ropts.flightMax)
+	flight := monitor.NewFlightRecorder(filepath.Join(o.checkpointDir, "flight"), source, health)
+	if o.flightMax > 0 {
+		flight.SetLimit(o.flightMax)
 	}
-	if j := fw.journalOrNil(); j != nil {
+	if j := fw.journal; j != nil {
 		flight.OnDump(func(path, reason string) {
 			j.Record(fleet.EventFlightDump, map[string]any{"path": path, "reason": reason})
 		})
 	}
-	if t := ropts.transport; t != nil {
-		rendez := time.Duration(t.RendezvousSec) * time.Second
-		if rendez <= 0 {
-			rendez = 30 * time.Second
-		}
-		ropts.logger.Info("joining tcp world",
-			"rank", t.Rank, "size", len(t.Peers), "listen", t.Peers[t.Rank])
-		dial := func() (*tcptransport.Transport, error) {
-			return tcptransport.New(t.Rank, t.Peers, tcptransport.Options{RendezvousTimeout: rendez})
-		}
-		var mdial func() (mpi.Transport, error)
-		if fw != nil && fw.tcp != nil {
-			// The holder folds each dead incarnation's counters into a
-			// cumulative base, so redials don't reset the transport stats.
-			mdial = fw.tcp.Wrap(dial)
-		} else {
-			mdial = func() (mpi.Transport, error) { return dial() }
-		}
-		return core.RunDistributed(ck, exchanges, core.DistributedOptions{
-			Dial:        mdial,
-			MaxRestarts: ropts.maxRestarts,
+	if tr == nil {
+		return core.RunWithRecovery(ck, o.exchanges, core.RecoveryOptions{
+			MaxRestarts: o.maxRestarts,
 			Flight:      flight,
 			Health:      health,
-			OnExchange:  func(_ *mpi.Comm, e int) error { return onExchange(e) },
-			Journal:     fw.journalOrNil(),
-			Log:         ropts.logger,
+			OnExchange:  hook,
+			Log:         o.logger,
 		})
 	}
-	return core.RunWithRecovery(ck, exchanges, core.RecoveryOptions{
-		MaxRestarts: ropts.maxRestarts,
+	rendez := time.Duration(tr.RendezvousSec) * time.Second
+	if rendez <= 0 {
+		rendez = 30 * time.Second
+	}
+	o.logger.Info("joining tcp world",
+		"rank", tr.Rank, "size", len(tr.Peers), "listen", tr.Peers[tr.Rank])
+	// The holder folds each dead incarnation's counters into a cumulative
+	// base, so redials don't reset the transport stats.
+	dial := fw.tcp.Wrap(func() (*tcptransport.Transport, error) {
+		return tcptransport.New(tr.Rank, tr.Peers, tcptransport.Options{RendezvousTimeout: rendez})
+	})
+	return core.RunDistributed(ck, o.exchanges, core.DistributedOptions{
+		Dial:        dial,
+		MaxRestarts: o.maxRestarts,
 		Flight:      flight,
 		Health:      health,
-		OnExchange:  onExchange,
-		Log:         ropts.logger,
+		OnExchange:  func(_ *mpi.Comm, e int) error { return hook(e) },
+		Journal:     fw.journal,
+		Log:         o.logger,
 	})
 }
 
-// armSlowdown arms the metasolver's deterministic slowdown injection
-// (-slow-at/-slow-ms): a fixed sleep inside the step span from the given
-// exchange on. It is the performance-fault analogue of -kill-at — physics
-// untouched, wall time perturbed — and exists so the history plane's
-// step-time anomaly detection can be demonstrated (and tested) on demand.
-func armSlowdown(meta *core.Metasolver, ropts restartOpts) {
-	if ropts.slowAt <= 0 || ropts.slowMs <= 0 {
-		return
+// run builds the scenario cfg describes and drives it as o says: the one
+// path from a Config to a finished simulation. Everything it starts is
+// stopped before it returns.
+func run(cfg *config.Config, o options) error {
+	if o.resume && o.checkpointDir == "" {
+		return errors.New("nektarg: -resume requires -checkpoint-dir")
 	}
-	meta.SlowAfter = ropts.slowAt
-	meta.SlowBy = time.Duration(ropts.slowMs) * time.Millisecond
-	ropts.logger.Info("slowdown injection armed",
-		"from_exchange", ropts.slowAt, "per_exchange_ms", ropts.slowMs)
+	if err := cfg.Transport.Validate(); err != nil {
+		return err
+	}
+	tr := tcp(cfg)
+	if tr != nil && o.checkpointDir == "" {
+		return errors.New("nektarg: -transport tcp requires -checkpoint-dir (each process rolls back from its own store after a failure)")
+	}
+	b, err := cfg.Build()
+	if err != nil {
+		return err
+	}
+	meta := b.Meta
+	// -parallel overrides any per-patch/per-region "parallel" values of the
+	// config; 0 leaves them in place.
+	meta.SetParallelism(o.parallel)
+
+	reg, mon, srv, err := o.setup(cfg, meta)
+	if err != nil {
+		return err
+	}
+	if srv != nil {
+		defer srv.Close() //nolint:errcheck // returning anyway
+	}
+	ist, err := startInsitu(cfg.Insitu, meta, reg, o.logger)
+	if err != nil {
+		return err
+	}
+	defer ist.finish(o.logger)
+	if mon != nil && ist != nil {
+		mon.SetSnapshotSource(ist.obs)
+	}
+	fw, err := wireFleet(&o, tr, reg, mon, ist)
+	if err != nil {
+		return err
+	}
+	defer fw.close()
+	fw.bindAudit(meta.Audit())
+	fw.bindHistory(meta.History())
+	if o.slowAt > 0 && o.slowMs > 0 {
+		// The performance-fault analogue of -kill-at — physics untouched,
+		// wall time perturbed — so the history plane's step-time anomaly
+		// detection can be demonstrated on demand.
+		meta.SlowAfter = o.slowAt
+		meta.SlowBy = time.Duration(o.slowMs) * time.Millisecond
+		o.logger.Info("slowdown injection armed", "from_exchange", o.slowAt, "per_exchange_ms", o.slowMs)
+	}
+
+	dof, particles := 0, 0
+	for _, p := range meta.Patches {
+		dof += 4 * p.Solver.G.NumNodes()
+	}
+	for _, a := range meta.Atomistic {
+		particles += len(a.Sys.Particles)
+	}
+	o.logger.Info("simulation configured",
+		"patches", len(meta.Patches), "couplings", len(meta.Couplings), "regions", len(meta.Atomistic),
+		"outlets", len(meta.Outlets), "dof", dof, "particles", particles,
+		"dpd_steps_per_ns", meta.DPDStepsPerNS, "ns_steps_per_exchange", meta.NSStepsPerExchange)
+
+	killed := false
+	onExchange := func(e int) error {
+		attrs := []any{"exchange", e, "t_ns", meta.Patches[0].Solver.Time, "max_div", maxDivergence(meta.Patches)}
+		for _, a := range meta.Atomistic {
+			rms, n := meta.InterfaceContinuity(a, 2.5)
+			attrs = append(attrs, a.Name+"_iface_rms", rms, a.Name+"_probes", n)
+			if m := b.Platelets[a.Name]; m != nil {
+				passive, triggered, adhered := m.Counts(a.Sys)
+				attrs = append(attrs, a.Name+"_clot", adhered, a.Name+"_triggered", triggered, a.Name+"_passive", passive)
+			}
+		}
+		for _, out := range meta.Outlets {
+			// Advance has already stepped the outlet: report the flow it was
+			// handed and the inlet pressure the tree answers with.
+			attrs = append(attrs, out.Name()+"_q_1d", out.FaceFlow()*out.AreaScale,
+				out.Name()+"_p_1d", out.Inlet.Seg.Pressure(0))
+		}
+		o.logger.Info("exchange complete", attrs...)
+		if o.killAt > 0 && e == o.killAt && !killed {
+			killed = true
+			panic(fmt.Sprintf("injected fault after exchange %d (-kill-at)", e))
+		}
+		return nil
+	}
+	err = o.drive(meta, b.Networks, tr, onExchange, reg, mon, fw)
+	ist.finish(o.logger)
+	if err != nil {
+		return fmt.Errorf("run failed: %w", err)
+	}
+
+	if o.vtkDir != "" {
+		if err := os.MkdirAll(o.vtkDir, 0o755); err != nil {
+			return err
+		}
+		scene := &viz.Scene{Meta: meta}
+		err := scene.Write(func(name string) (io.WriteCloser, error) {
+			return os.Create(filepath.Join(o.vtkDir, name))
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(o.out, "\nwrote VTK scene to %s/\n", o.vtkDir)
+	}
+	reportOverlapContinuity(o.out, meta.Couplings)
+	return o.report(reg, mon, meta)
+}
+
+// reportOverlapContinuity prints, for every coupled patch pair, the RMS
+// velocity mismatch at nine fixed points of their overlap box: 0.2/0.5/0.8
+// of its x extent, mid y, the z quarter points.
+func reportOverlapContinuity(w io.Writer, couplings []*core.PatchCoupling) {
+	seen := map[[2]string]bool{}
+	for _, c := range couplings {
+		a, b := c.Donor, c.Receiver
+		if seen[[2]string{b.Name, a.Name}] || seen[[2]string{a.Name, b.Name}] {
+			continue
+		}
+		if len(seen) == 0 {
+			fmt.Fprintln(w, "\noverlap continuity (RMS velocity mismatch):")
+		}
+		seen[[2]string{a.Name, b.Name}] = true
+		ga, gb := a.Solver.G, b.Solver.G
+		lo := geometry.Vec3{X: math.Max(a.Origin.X, b.Origin.X), Y: math.Max(a.Origin.Y, b.Origin.Y), Z: math.Max(a.Origin.Z, b.Origin.Z)}
+		ext := geometry.Vec3{
+			X: math.Min(a.Origin.X+ga.Lx, b.Origin.X+gb.Lx) - lo.X,
+			Y: math.Min(a.Origin.Y+ga.Ly, b.Origin.Y+gb.Ly) - lo.Y,
+			Z: math.Min(a.Origin.Z+ga.Lz, b.Origin.Z+gb.Lz) - lo.Z,
+		}
+		var sum float64
+		var n int
+		for _, fx := range []float64{0.2, 0.5, 0.8} {
+			for _, fz := range []float64{0.25, 0.5, 0.75} {
+				g := lo.Add(ext.Mul(geometry.Vec3{X: fx, Y: 0.5, Z: fz}))
+				ua, va, wa := a.SampleVelocity(g)
+				ub, vb, wb := b.SampleVelocity(g)
+				sum += geometry.Vec3{X: ua - ub, Y: va - vb, Z: wa - wb}.Norm2()
+				n++
+			}
+		}
+		fmt.Fprintf(w, "  %s-%s: %.3e\n", a.Name, b.Name, math.Sqrt(sum/float64(n)))
+	}
+}
+
+// maxDivergence returns the worst incompressibility violation over patches.
+func maxDivergence(patches []*core.ContinuumPatch) float64 {
+	var m float64
+	for _, p := range patches {
+		if d := p.Solver.MaxDivergence(); d > m {
+			m = d
+		}
+	}
+	return m
 }
 
 // snapshotRecorders captures every recorder's aggregates for the imbalance
@@ -554,47 +683,137 @@ func snapshotRecorders(recs []*telemetry.Recorder) []*telemetry.Snapshot {
 	return snaps
 }
 
-// writeFileWith creates path and streams fn into it, fataling on error.
-func writeFileWith(path string, fn func(io.Writer) error) {
+// writeFileWith creates path and streams fn into it.
+func writeFileWith(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := fn(f); err != nil {
 		f.Close()
-		log.Fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	return f.Close()
 }
 
-// startCPUProfile begins CPU profiling into path (empty = off) and returns a
-// stop function.
-func startCPUProfile(path string) func() {
-	if path == "" {
-		return func() {}
+// parseArgs turns the command line into the run's Config and options. The
+// scenario flags generate the Config unless -config names a file; the flags
+// that shadow a config block are then applied onto it — only those the
+// command line actually set, so a file's block survives unless overridden.
+func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, err error) {
+	nPatches := fs.Int("patches", 2, "number of overlapping continuum patches")
+	fs.IntVar(&o.exchanges, "exchanges", 6, "coupling exchange periods")
+	nParticles := fs.Int("particles", 2400, "DPD solvent particles")
+	nPlatelets := fs.Int("platelets", 40, "platelets seeded in the DPD region (0 = off)")
+	order := fs.Int("order", 4, "spectral element polynomial order")
+	fs.IntVar(&o.parallel, "parallel", 0, "intra-rank workers per solver: SEM element tiles and DPD force tiles (0 = per-solver defaults, -1 = all cores; overrides config; output is bit-identical for any value)")
+	seed := fs.Int64("seed", 1, "random seed")
+	fs.StringVar(&o.vtkDir, "vtk", "", "directory for final-state VTK output (empty = off)")
+	with1D := fs.Bool("with1d", false, "attach a 1D fractal peripheral tree to the last patch outlet")
+	configPath := fs.String("config", "", "JSON simulation config (replaces the built-in scenario flags)")
+	fs.BoolVar(&o.telemetry, "telemetry", false, "record per-rank stage timers/gauges and print the aggregate tables")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON (implies telemetry recording)")
+	fs.StringVar(&o.telemetryOut, "telemetry-out", "", "write the aggregate telemetry summary JSON (implies telemetry recording)")
+	fs.StringVar(&o.monitorAddr, "monitor-addr", "", "serve live /metrics, /healthz and /debug/pprof on this address (e.g. :9090; implies telemetry recording and solver watchdogs)")
+	logLevel := fs.String("log-level", "info", "structured log level: debug|info|warn|error")
+	logFormat := fs.String("log-format", "text", "structured log format: text|json")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
+	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "managed checkpoint store directory (enables the recover-and-resume envelope)")
+	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "checkpoint period in completed exchanges (with -checkpoint-dir; <= 0 writes only the baseline)")
+	fs.BoolVar(&o.resume, "resume", false, "resume from the newest checkpoint in -checkpoint-dir before running")
+	fs.IntVar(&o.maxRestarts, "max-restarts", core.DefaultMaxRestarts, "per-position restart budget of the recovery loop")
+	fs.IntVar(&o.killAt, "kill-at", 0, "inject a one-shot panic after this exchange (fault-injection demo; survivable with -checkpoint-dir)")
+	fs.IntVar(&o.flightMax, "flight-max", monitor.DefaultFlightLimit, "per-run flight dump cap")
+	fs.IntVar(&o.flightAnomalyMax, "flight-anomaly-max", monitor.DefaultAnomalyFlightLimit, "per-run cap on performance-anomaly flight dumps (a budget separate from -flight-max)")
+	fs.BoolVar(&o.history, "history", false, "enable the performance-history plane: bounded time-series store, anomaly baselines, optional continuous profiling (implies telemetry recording; pairs with -monitor-addr for GET /history and /anomalies)")
+	fs.IntVar(&o.historyStride, "history-stride", 1, "sample the history plane every N exchange periods")
+	fs.StringVar(&o.historyOut, "history-out", "", "write the full history document JSON at exit (diff two with the perf-report subcommand)")
+	fs.StringVar(&o.historyProfDir, "history-profile-dir", "", "directory for anomaly-triggered pprof CPU profile auto-capture (empty = off; incompatible captures, e.g. under -cpuprofile, are skipped)")
+	fs.IntVar(&o.slowAt, "slow-at", 0, "inject a deterministic slowdown from this exchange on (performance-fault demo the history plane must catch; 0 = off)")
+	fs.IntVar(&o.slowMs, "slow-ms", 20, "injected slowdown per exchange in milliseconds (with -slow-at)")
+	insituOn := fs.Bool("insitu", false, "enable live in-situ observation: non-blocking snapshot publishing to an observer (implies telemetry recording; pairs with -monitor-addr for /snapshot)")
+	insituStride := fs.Int("insitu-stride", 1, "publish a snapshot every N exchange periods")
+	insituPolicy := fs.String("insitu-policy", "drop-oldest", "queue drop policy: drop-oldest|drop-newest")
+	insituDir := fs.String("insitu-dir", "", "rolling VTK time-series directory (empty = in-memory frames only)")
+	insituKeep := fs.Int("insitu-keep", insitu.DefaultKeep, "frames kept in the rolling VTK series")
+	auditOn := fs.Bool("audit", false, "enable the physics audit ledger: per-exchange conservation and coupling-fidelity budgets (implies telemetry recording; pairs with -monitor-addr for GET /audit)")
+	fluxScale := fs.Float64("flux-scale", 1, "scale applied to the 3D->DPD interface velocity trace at application (a value != 1 is a deliberate conservation fault the audit ledger must catch)")
+	fs.StringVar(&o.fleetAddr, "fleet-addr", "", "serve the fleet aggregation endpoints (/cluster/metrics, /cluster/healthz, /cluster/imbalance, /events) on this address (e.g. :9190)")
+	fs.StringVar(&o.fleetPublish, "fleet-publish", "", "base URL of a fleet aggregator to publish this process's status to (e.g. http://127.0.0.1:9190; requires -monitor-addr)")
+	fs.IntVar(&o.fleetStride, "fleet-stride", 1, "publish to the fleet aggregator every N exchanges")
+	fs.StringVar(&o.fleetHold, "fleet-hold", "", "after the run, keep serving -fleet-addr until this file exists (for external scrapers)")
+	transportKind := fs.String("transport", "", "rank transport: inproc (default) or tcp — one OS process per rank; tcp needs -rank, -peers and -checkpoint-dir")
+	rank := fs.Int("rank", -1, "this process's world rank (with -transport tcp)")
+	peers := fs.String("peers", "", "comma-separated host:port for every rank in rank order (with -transport tcp); this process listens at its own entry")
+	rendezSec := fs.Int("rendezvous-sec", 0, "seconds the tcp rendezvous waits for the other processes (default 30)")
+	fs.BoolVar(&o.version, "version", false, "print build provenance and exit")
+	if err = fs.Parse(args); err != nil {
+		return nil, o, err
 	}
-	f, err := os.Create(path)
+	o.out = os.Stdout
+	if o.logger, err = monitor.NewLogger(os.Stderr, *logLevel, *logFormat); err != nil {
+		return nil, o, err
+	}
+
+	if *configPath == "" {
+		cfg, err = builtinConfig(*nPatches, *order, *nParticles, *nPlatelets, *seed, *with1D, *fluxScale)
+	} else {
+		var f *os.File
+		if f, err = os.Open(*configPath); err == nil {
+			cfg, err = config.Load(f)
+			f.Close()
+		}
+	}
 	if err != nil {
-		log.Fatal(err)
+		return nil, o, err
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		log.Fatal(err)
+	// Visit walks the set flags in name order, so -insitu creates its block
+	// before the flags that refine it; a refining flag without a block (e.g.
+	// -insitu-stride alone) changes nothing.
+	transport := func() *config.Transport {
+		if cfg.Transport == nil {
+			cfg.Transport = &config.Transport{}
+		}
+		return cfg.Transport
 	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}
-}
-
-// writeMemProfile dumps a heap profile to path (empty = off).
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	runtime.GC()
-	writeFileWith(path, pprof.WriteHeapProfile)
+	fs.Visit(func(f *flag.Flag) {
+		switch in := cfg.Insitu; f.Name {
+		case "insitu":
+			if *insituOn && in == nil {
+				cfg.Insitu = &config.Insitu{Stride: *insituStride, Policy: *insituPolicy, Dir: *insituDir, Keep: *insituKeep}
+			}
+		case "insitu-stride":
+			if in != nil {
+				in.Stride = *insituStride
+			}
+		case "insitu-policy":
+			if in != nil {
+				in.Policy = *insituPolicy
+			}
+		case "insitu-dir":
+			if in != nil {
+				in.Dir = *insituDir
+			}
+		case "insitu-keep":
+			if in != nil {
+				in.Keep = *insituKeep
+			}
+		case "audit":
+			if *auditOn && cfg.Audit == nil {
+				cfg.Audit = &config.Audit{}
+			}
+		case "transport":
+			transport().Kind = *transportKind
+		case "rank":
+			transport().Rank = *rank
+		case "peers":
+			transport().Peers = strings.Split(*peers, ",")
+		case "rendezvous-sec":
+			transport().RendezvousSec = *rendezSec
+		}
+	})
+	return cfg, o, nil
 }
 
 func main() {
@@ -613,411 +832,35 @@ func main() {
 			return
 		}
 	}
-	nPatches := flag.Int("patches", 2, "number of overlapping continuum patches")
-	exchanges := flag.Int("exchanges", 6, "coupling exchange periods")
-	nParticles := flag.Int("particles", 2400, "DPD solvent particles")
-	nPlatelets := flag.Int("platelets", 40, "platelets seeded in the DPD region (0 = off)")
-	order := flag.Int("order", 4, "spectral element polynomial order")
-	parallelism := flag.Int("parallel", 0, "intra-rank workers per solver: SEM element tiles and DPD force tiles (0 = per-solver defaults, -1 = all cores; overrides config; output is bit-identical for any value)")
-	seed := flag.Int64("seed", 1, "random seed")
-	vtkDir := flag.String("vtk", "", "directory for final-state VTK output (empty = off)")
-	with1D := flag.Bool("with1d", false, "attach a 1D fractal peripheral tree to the last patch outlet")
-	configPath := flag.String("config", "", "JSON simulation config (overrides the built-in scenario flags)")
-	teleFlag := flag.Bool("telemetry", false, "record per-rank stage timers/gauges and print the aggregate tables")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON (implies telemetry recording)")
-	teleOut := flag.String("telemetry-out", "", "write the aggregate telemetry summary JSON (implies telemetry recording)")
-	monitorAddr := flag.String("monitor-addr", "", "serve live /metrics, /healthz and /debug/pprof on this address (e.g. :9090; implies telemetry recording and solver watchdogs)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "text", "structured log format: text|json")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	ckptDir := flag.String("checkpoint-dir", "", "managed checkpoint store directory (enables the recover-and-resume envelope)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint period in completed exchanges (with -checkpoint-dir; <= 0 writes only the baseline)")
-	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir before running")
-	maxRestarts := flag.Int("max-restarts", core.DefaultMaxRestarts, "per-position restart budget of the recovery loop")
-	killAt := flag.Int("kill-at", 0, "inject a one-shot panic after this exchange (fault-injection demo; survivable with -checkpoint-dir)")
-	flightMax := flag.Int("flight-max", monitor.DefaultFlightLimit, "per-run flight dump cap")
-	flightAnomalyMax := flag.Int("flight-anomaly-max", monitor.DefaultAnomalyFlightLimit, "per-run cap on performance-anomaly flight dumps (a budget separate from -flight-max)")
-	historyOn := flag.Bool("history", false, "enable the performance-history plane: bounded time-series store, anomaly baselines, optional continuous profiling (implies telemetry recording; pairs with -monitor-addr for GET /history and /anomalies)")
-	historyStride := flag.Int("history-stride", 1, "sample the history plane every N exchange periods")
-	historyOut := flag.String("history-out", "", "write the full history document JSON at exit (diff two with the perf-report subcommand)")
-	historyProfDir := flag.String("history-profile-dir", "", "directory for anomaly-triggered pprof CPU profile auto-capture (empty = off; incompatible captures, e.g. under -cpuprofile, are skipped)")
-	slowAt := flag.Int("slow-at", 0, "inject a deterministic slowdown from this exchange on (performance-fault demo the history plane must catch; 0 = off)")
-	slowMs := flag.Int("slow-ms", 20, "injected slowdown per exchange in milliseconds (with -slow-at)")
-	insituOn := flag.Bool("insitu", false, "enable live in-situ observation: non-blocking snapshot publishing to an observer (implies telemetry recording; pairs with -monitor-addr for /snapshot)")
-	insituStride := flag.Int("insitu-stride", 1, "publish a snapshot every N exchange periods")
-	insituPolicy := flag.String("insitu-policy", "drop-oldest", "queue drop policy: drop-oldest|drop-newest")
-	insituDir := flag.String("insitu-dir", "", "rolling VTK time-series directory (empty = in-memory frames only)")
-	insituKeep := flag.Int("insitu-keep", insitu.DefaultKeep, "frames kept in the rolling VTK series")
-	auditOn := flag.Bool("audit", false, "enable the physics audit ledger: per-exchange conservation and coupling-fidelity budgets (implies telemetry recording; pairs with -monitor-addr for GET /audit)")
-	fluxScale := flag.Float64("flux-scale", 1, "scale applied to the 3D->DPD interface velocity trace at application (a value != 1 is a deliberate conservation fault the audit ledger must catch)")
-	fleetAddr := flag.String("fleet-addr", "", "serve the fleet aggregation endpoints (/cluster/metrics, /cluster/healthz, /cluster/imbalance, /events) on this address (e.g. :9190)")
-	fleetPublish := flag.String("fleet-publish", "", "base URL of a fleet aggregator to publish this process's status to (e.g. http://127.0.0.1:9190; requires -monitor-addr)")
-	fleetStride := flag.Int("fleet-stride", 1, "publish to the fleet aggregator every N exchanges")
-	fleetHold := flag.String("fleet-hold", "", "after the run, keep serving -fleet-addr until this file exists (for external scrapers)")
-	transportKind := flag.String("transport", "", "rank transport: inproc (default) or tcp — one OS process per rank; tcp needs -rank, -peers and -checkpoint-dir")
-	rankFlag := flag.Int("rank", -1, "this process's world rank (with -transport tcp)")
-	peersFlag := flag.String("peers", "", "comma-separated host:port for every rank in rank order (with -transport tcp); this process listens at its own entry")
-	rendezSec := flag.Int("rendezvous-sec", 0, "seconds the tcp rendezvous waits for the other processes (default 30)")
-	showVersion := flag.Bool("version", false, "print build provenance and exit")
-	flag.Parse()
-	if *showVersion {
+	cfg, o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if o.version {
 		fmt.Println(monitor.ReadBuildInfo().String())
 		return
 	}
-	logger, err := monitor.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *resume && *ckptDir == "" {
-		log.Fatal("nektarg: -resume requires -checkpoint-dir")
-	}
-	policy, err := insitu.ParsePolicy(*insituPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	topts := telemetryOpts{enabled: *teleFlag, traceOut: *traceOut, jsonOut: *teleOut,
-		monitorAddr: *monitorAddr, flightMax: *flightMax,
-		insituOn:       *insituOn,
-		insituCfg:      insitu.Config{Stride: *insituStride, Policy: policy},
-		insituDir:      *insituDir,
-		insituKeep:     *insituKeep,
-		auditOn:        *auditOn,
-		historyOn:      *historyOn,
-		historyStride:  *historyStride,
-		historyOut:     *historyOut,
-		historyProfDir: *historyProfDir,
-		flightAnomaly:  *flightAnomalyMax,
-		logger:         logger}
-	if *ckptDir != "" {
-		// Monitor-side dumps (manual POST /flight, anomaly captures) land next
-		// to the recovery envelope's, not in the working directory.
-		topts.flightDir = filepath.Join(*ckptDir, "flight")
-	}
-	ropts := restartOpts{dir: *ckptDir, every: *ckptEvery, resume: *resume,
-		maxRestarts: *maxRestarts, killAt: *killAt, slowAt: *slowAt, slowMs: *slowMs,
-		flightMax: *flightMax, logger: logger}
-	tflags := transportFlags{kind: *transportKind, rank: *rankFlag, peers: *peersFlag, rendez: *rendezSec}
-	fopts := fleetOpts{addr: *fleetAddr, publish: *fleetPublish, stride: *fleetStride, hold: *fleetHold}
-	stopCPU := startCPUProfile(*cpuProfile)
-	defer stopCPU()
-	defer writeMemProfile(*memProfile)
-	if *configPath != "" {
-		runFromConfig(*configPath, *exchanges, *vtkDir, *parallelism, topts, ropts, tflags, fopts)
-		return
-	}
-	tr, err := tflags.merge(nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ropts.transport = tr
-	if *nPatches < 1 {
-		log.Fatal("nektarg: need at least one patch")
-	}
-
-	// Patch i spans x in [i, i+1.5]: one-third overlaps with each
-	// neighbour.
-	prof := func(x, y, z float64) (float64, float64, float64) { return z * (1 - z), 0, 0 }
-	var patches []*core.ContinuumPatch
-	for i := 0; i < *nPatches; i++ {
-		g := nektar3d.NewGrid(3, 1, 2, *order, 1.5, 1, 1, false, true, false)
-		s := nektar3d.NewSolver(g, 0.5, 0.01)
-		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
-		s.SetInitial(prof)
-		s.VelBC = func(_, x, y, z float64) (float64, float64, float64) { return prof(x, y, z) }
-		patches = append(patches, core.NewContinuumPatch(
-			fmt.Sprintf("patch%d", i), s, geometry.Vec3{X: float64(i)}))
-	}
-
-	meta := core.NewMetasolver()
-	meta.Patches = patches
-	for i := 0; i+1 < *nPatches; i++ {
-		meta.Couplings = append(meta.Couplings,
-			&core.PatchCoupling{Donor: patches[i], Receiver: patches[i+1], Face: "x0"},
-			&core.PatchCoupling{Donor: patches[i+1], Receiver: patches[i], Face: "x1"},
-		)
-	}
-
-	// DPD region inside the last patch.
-	params := dpd.DefaultParams(2)
-	params.Dt = 0.005
-	params.KBT = 0.2
-	params.Seed = uint64(*seed)
-	sys := dpd.NewSystem(params, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, false})
-	sys.Walls = []dpd.Wall{
-		&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
-		&dpd.PlaneWall{Point: geometry.Vec3{Z: 10}, Norm: geometry.Vec3{Z: -1}},
-	}
-	sys.FillRandom(*nParticles, 0)
-	inflow := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
-	outflow := &dpd.FluxBC{Axis: 0, AtMax: true, Rho: 3}
-	sys.Inflows = []*dpd.FluxBC{inflow, outflow}
-
-	var clot *platelet.Model
-	if *nPlatelets > 0 {
-		var sites []geometry.Vec3
-		for x := 3.0; x <= 7; x++ {
-			sites = append(sites, geometry.Vec3{X: x, Y: 5, Z: 0.3})
-		}
-		clot = platelet.NewModel(1, sites, 0.1)
-		sys.Bonded = append(sys.Bonded, clot)
-		rng := rand.New(rand.NewSource(*seed))
-		platelet.SeedPlatelets(sys, clot, *nPlatelets,
-			geometry.Vec3{X: 0.5, Y: 0.5, Z: 0.3}, geometry.Vec3{X: 9.5, Y: 9.5, Z: 2.5}, rng.Float64)
-	}
-
-	lastOrigin := float64(*nPatches-1) + 0.6
-	region := &core.AtomisticRegion{
-		Name:          "insert",
-		Sys:           sys,
-		Origin:        geometry.Vec3{X: lastOrigin, Y: 0.4, Z: 0.05},
-		NSUnits:       core.Units{L: 1e-3, Nu: 0.5},
-		DPDUnits:      core.Units{L: 2e-5, Nu: 0.2},
-		VelocityBoost: 120,
-		FluxScale:     *fluxScale,
-		Interfaces: []*geometry.Surface{geometry.PlanarRect("gammaIn",
-			geometry.Vec3{}, geometry.Vec3{Y: 10}, geometry.Vec3{Z: 10}, 3, 3)},
-		FluxFaces: []*dpd.FluxBC{inflow},
-	}
-	meta.Atomistic = []*core.AtomisticRegion{region}
-	meta.SetParallelism(*parallelism)
-
-	// Optional NεκTαr-1D peripheral tree on the last patch's outlet: the
-	// full Figure 2 metasolver structure (3D + 1D + DPD).
-	var to1d *core.OutletTo1D
-	var tree *nektar1d.Network
-	if *with1D {
-		spec := nektar1d.DefaultTreeSpec(3)
-		spec.NodesPerSegment = 21
-		var inlet *nektar1d.Inlet
-		var err error
-		tree, inlet, err = nektar1d.BuildFractalTree(spec)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		to1d, err = core.NewOutletTo1D(patches[len(patches)-1], "x1", tree, inlet, 6)
-		if err != nil {
+		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatal(err)
 		}
+		defer f.Close()
+		defer pprof.StopCPUProfile()
 	}
-
-	reg, mon, srv := topts.setup(meta, tree)
-	if srv != nil {
-		defer srv.Close() //nolint:errcheck // exiting anyway
+	err = run(cfg, o)
+	if o.memProfile != "" {
+		runtime.GC()
+		if merr := writeFileWith(o.memProfile, pprof.WriteHeapProfile); merr != nil {
+			o.logger.Error("heap profile not written", "err", merr)
+		}
 	}
-	if to1d != nil {
-		// The 1D bridge audits its own budgets (network mass balance, 1D/3D
-		// flow-rate match); nil ledger keeps it on the no-op path.
-		to1d.Aud = meta.Audit()
-	}
-	ist := startInsitu(meta, reg, topts)
-	if mon != nil && ist != nil {
-		mon.SetSnapshotSource(ist.obs)
-	}
-	fw, err := wireFleet(fopts, &topts, ropts, reg, mon, ist)
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer fw.close()
-	fw.bindAudit(meta.Audit())
-	fw.bindHistory(meta.History())
-	armSlowdown(meta, ropts)
-
-	dof := 0
-	for _, p := range patches {
-		dof += 4 * p.Solver.G.NumNodes()
-	}
-	logger.Info("simulation configured",
-		"patches", *nPatches, "order", *order, "dof", dof,
-		"particles", len(sys.Particles), "platelets", *nPlatelets,
-		"dpd_steps_per_ns", meta.DPDStepsPerNS, "ns_steps_per_exchange", meta.NSStepsPerExchange)
-
-	networks := map[string]*nektar1d.Network{}
-	if tree != nil {
-		networks["tree"] = tree
-	}
-	killed := false
-	onExchange := func(e int) error {
-		rms, n := meta.InterfaceContinuity(region, 2.5)
-		attrs := []any{
-			"exchange", e, "t_ns", patches[0].Solver.Time,
-			"iface_rms", rms, "probes", n, "max_div", maxDivergence(patches),
-		}
-		if clot != nil {
-			passive, triggered, adhered := clot.Counts(sys)
-			attrs = append(attrs, "clot", adhered, "triggered", triggered, "passive", passive)
-		}
-		if to1d != nil {
-			q, p1d, err := to1d.Exchange(5e-5)
-			if err != nil {
-				return fmt.Errorf("1D exchange %d: %w", e, err)
-			}
-			attrs = append(attrs, "q_1d", q, "p_1d", p1d)
-		}
-		logger.Info("exchange complete", attrs...)
-		if ropts.killAt > 0 && e == ropts.killAt && !killed {
-			killed = true
-			panic(fmt.Sprintf("injected fault after exchange %d (-kill-at)", e))
-		}
-		return nil
-	}
-	if err := driveExchanges(meta, networks, *exchanges, onExchange, ropts, reg, mon, fw); err != nil {
-		logger.Error("run failed", "err", err)
-		fw.close()
+		o.logger.Error(err.Error())
+		pprof.StopCPUProfile()
 		os.Exit(1)
 	}
-
-	if *vtkDir != "" {
-		if err := os.MkdirAll(*vtkDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		scene := &viz.Scene{Meta: meta}
-		err := scene.Write(func(name string) (io.WriteCloser, error) {
-			return os.Create(filepath.Join(*vtkDir, name))
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote VTK scene to %s/\n", *vtkDir)
-	}
-
-	// Final continuum-continuum continuity across every overlap.
-	if *nPatches > 1 {
-		fmt.Println("\noverlap continuity (RMS velocity mismatch):")
-		for i := 0; i+1 < *nPatches; i++ {
-			var rms float64
-			var n int
-			for _, fx := range []float64{0.1, 0.25, 0.4} {
-				for _, z := range []float64{0.25, 0.5, 0.75} {
-					g := geometry.Vec3{X: float64(i+1) + fx, Y: 0.5, Z: z}
-					ua, va, wa := patches[i].SampleVelocity(g)
-					ub, vb, wb := patches[i+1].SampleVelocity(g)
-					d := geometry.Vec3{X: ua - ub, Y: va - vb, Z: wa - wb}
-					rms += d.Norm2()
-					n++
-				}
-			}
-			fmt.Printf("  patches %d-%d: %.3e\n", i, i+1, math.Sqrt(rms/float64(n)))
-		}
-	}
-
-	ist.finish(logger)
-	topts.report(reg, mon, meta)
-}
-
-// runFromConfig builds and drives a simulation from a declarative JSON file.
-func runFromConfig(path string, exchanges int, vtkDir string, parallelism int, topts telemetryOpts, ropts restartOpts, tflags transportFlags, fopts fleetOpts) {
-	logger := topts.logger
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg, err := config.Load(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := cfg.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The -parallel flag overrides any per-patch/per-region "parallel"
-	// values from the file; 0 leaves the file's choices in place.
-	b.Meta.SetParallelism(parallelism)
-	// A config-level transport block selects the world carrier unless the
-	// flags already did; flags win field by field (operator overrides file).
-	if ropts.transport, err = tflags.merge(cfg.Transport); err != nil {
-		log.Fatal(err)
-	}
-	// A config-level insitu block enables the pipeline unless the flags
-	// already did; flags win on conflict (operator overrides file), and a
-	// -insitu-dir / -insitu-keep given on the command line survives even
-	// when the enablement came from the file.
-	if cfg.Insitu != nil && !topts.insituOn {
-		icfg, err := cfg.Insitu.InsituConfig()
-		if err != nil {
-			log.Fatal(err)
-		}
-		topts.insituOn = true
-		topts.insituCfg = icfg
-		if topts.insituDir == "" {
-			topts.insituDir = cfg.Insitu.Dir
-		}
-		if topts.insituKeep == insitu.DefaultKeep && cfg.Insitu.Keep > 0 {
-			topts.insituKeep = cfg.Insitu.Keep
-		}
-	}
-	// A config-level audit block enables the conservation ledger unless the
-	// -audit flag already did; the file's band overrides apply either way
-	// (zero fields inherit the built-in defaults).
-	if cfg.Audit != nil {
-		topts.auditOn = true
-		topts.auditTol = audit.Tolerance{Warn: cfg.Audit.Warn, Critical: cfg.Audit.Critical}
-	}
-	logger.Info("config loaded", "path", path,
-		"patches", len(b.Meta.Patches), "couplings", len(b.Meta.Couplings), "regions", len(b.Meta.Atomistic))
-	reg, mon, srv := topts.setup(b.Meta, nil)
-	if srv != nil {
-		defer srv.Close() //nolint:errcheck // exiting anyway
-	}
-	ist := startInsitu(b.Meta, reg, topts)
-	if mon != nil && ist != nil {
-		mon.SetSnapshotSource(ist.obs)
-	}
-	fw, err := wireFleet(fopts, &topts, ropts, reg, mon, ist)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fw.close()
-	fw.bindAudit(b.Meta.Audit())
-	fw.bindHistory(b.Meta.History())
-	armSlowdown(b.Meta, ropts)
-	killed := false
-	onExchange := func(e int) error {
-		attrs := []any{"exchange", e, "max_div", maxDivergence(b.Meta.Patches)}
-		for name, region := range b.Regions {
-			rms, n := b.Meta.InterfaceContinuity(region, 2.5)
-			attrs = append(attrs, name+"_iface_rms", rms, name+"_probes", n)
-			if m := b.Platelets[name]; m != nil {
-				_, _, adhered := m.Counts(region.Sys)
-				attrs = append(attrs, name+"_clot", adhered)
-			}
-		}
-		logger.Info("exchange complete", attrs...)
-		if ropts.killAt > 0 && e == ropts.killAt && !killed {
-			killed = true
-			panic(fmt.Sprintf("injected fault after exchange %d (-kill-at)", e))
-		}
-		return nil
-	}
-	if err := driveExchanges(b.Meta, nil, exchanges, onExchange, ropts, reg, mon, fw); err != nil {
-		logger.Error("run failed", "err", err)
-		fw.close()
-		os.Exit(1)
-	}
-	if vtkDir != "" {
-		if err := os.MkdirAll(vtkDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		scene := &viz.Scene{Meta: b.Meta}
-		if err := scene.Write(func(name string) (io.WriteCloser, error) {
-			return os.Create(filepath.Join(vtkDir, name))
-		}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote VTK scene to %s/\n", vtkDir)
-	}
-	ist.finish(logger)
-	topts.report(reg, mon, b.Meta)
-}
-
-// maxDivergence returns the worst incompressibility violation over patches.
-func maxDivergence(patches []*core.ContinuumPatch) float64 {
-	var m float64
-	for _, p := range patches {
-		if d := p.Solver.MaxDivergence(); d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -5,8 +5,9 @@
 // condition closures, forcing, bonded models — are code and are re-attached
 // by the caller after loading; the physics state round-trips exactly, and a
 // restored DPD system continues bit-identically: pairwise random forces are
-// counter-based and the stream RNG position plus flux-face insertion
-// accumulators are part of dpd.State.
+// counter-based and the stream RNG position, flux-face insertion
+// accumulators and the state of stateful bonded models (platelet activation
+// clocks) are part of dpd.State.
 //
 // Atomic, crash-safe persistence (tmp + fsync + rename, retention pruning,
 // last-good scanning) lives in store.go; the periodic write/resume driver is
@@ -41,40 +42,26 @@ type Coupled struct {
 	Regions map[string]dpd.State
 	// Networks holds the NεκTαr-1D network states — per-segment (A, U)
 	// arrays and windkessel outlet pressures — keyed by network name.
-	// Introduced in format v2; nil in v1 bundles, whose resume silently
-	// reset the peripheral circulation to t = 0.
 	Networks map[string]nektar1d.NetworkState
 	// Audit holds the physics audit ledger — per-budget EMAs, drift
 	// references/baselines and latched severities — so conservation
 	// budgets stay bit-exact across kill -9 and a pre-checkpoint slow
-	// leak stays on the books after resume. Introduced in format v3; nil
-	// in older bundles and in runs with the audit plane disabled.
+	// leak stays on the books after resume. Nil in runs with the audit
+	// plane disabled.
 	Audit *audit.State
 	// History holds the performance-history plane — series rings,
 	// downsample tiers and anomaly baselines — so a resumed run keeps its
 	// notion of "normal" step time and CG cost instead of re-learning it
-	// from post-restart samples. Introduced in format v4; nil in older
-	// bundles and in runs with the history plane disabled.
+	// from post-restart samples. Nil in runs with the history plane
+	// disabled.
 	History *history.State
 }
 
-// Format versions. v1 predates Networks and the dpd RNG/face-accumulator
-// capture; v2 predates the audit ledger; v3 predates the performance
-// history. Load still accepts all of them (the missing state restores to
-// zero values, the dpd RNG reseeds from Params.Seed, and fresh audit/history
-// planes re-seed from the restored physics). Save only writes the current
-// version.
-const (
-	// FormatV1 is the legacy format: no 1D networks, no RNG stream state.
-	FormatV1 = 1
-	// FormatV2 added the 1D network states and dpd RNG/accumulator capture.
-	FormatV2 = 2
-	// FormatV3 added the physics audit ledger.
-	FormatV3 = 3
-	// FormatVersion is the current checkpoint format (v4: performance
-	// history).
-	FormatVersion = 4
-)
+// FormatVersion is the one checkpoint format Save writes and Load accepts
+// (v5: bonded-model state inside dpd.State). A bundle at any other version
+// is rejected: the state it lacks cannot be reconstructed, and a resume that
+// silently zeroes it is not bit-identical.
+const FormatVersion = 5
 
 // NewCoupled creates an empty bundle at the current format version.
 func NewCoupled() *Coupled {
@@ -105,24 +92,17 @@ func Save(w io.Writer, c *Coupled) error {
 	return nil
 }
 
-// Load reads a bundle written by Save. It accepts the current format and the
-// legacy v1/v2/v3 formats (v1 bundles carry no Networks map and no dpd RNG
-// stream state; v2 bundles carry no audit ledger; v3 bundles carry no
-// performance history); anything else — including a zero version, the
-// signature of a bundle that was never initialized — is an error. Maps
-// absent from old streams are materialized empty so callers can range
-// without nil checks; the Audit and History pointers stay nil for old
-// bundles.
+// Load reads a bundle written by Save. Any version other than FormatVersion
+// — including zero, the signature of a bundle that was never initialized —
+// is an error. Maps are materialized empty so callers can range without nil
+// checks; the Audit and History pointers stay nil when the planes were off.
 func Load(r io.Reader) (*Coupled, error) {
 	var c Coupled
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
-	switch c.Version {
-	case FormatVersion, FormatV3, FormatV2, FormatV1:
-	default:
-		return nil, fmt.Errorf("checkpoint: format version %d, want %d (or legacy %d/%d/%d)",
-			c.Version, FormatVersion, FormatV3, FormatV2, FormatV1)
+	if c.Version != FormatVersion {
+		return nil, fmt.Errorf("checkpoint: format version %d, want %d", c.Version, FormatVersion)
 	}
 	if c.Patches == nil {
 		c.Patches = map[string]nektar3d.State{}

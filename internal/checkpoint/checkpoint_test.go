@@ -150,7 +150,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 }
 
 func TestSaveRejectsUnsetOrUnknownVersion(t *testing.T) {
-	for _, v := range []int{0, FormatVersion + 1, 99, -1, FormatV1, FormatV2} {
+	for _, v := range []int{0, FormatVersion + 1, 99, -1, 1, 4} {
 		var buf bytes.Buffer
 		c := NewCoupled()
 		c.Version = v

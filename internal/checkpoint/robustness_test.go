@@ -56,14 +56,20 @@ func TestCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// forgeVersion writes a well-formed file (envelope, CRC) whose bundle
+	// claims format version v: only the version check can reject it.
 	forgeVersion := func(v int) []byte {
-		var buf bytes.Buffer
+		var payload bytes.Buffer
 		c := sampleBundle(t, 5)
 		c.Version = v
-		if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		if err := gob.NewEncoder(&payload).Encode(c); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		hdr := envelopeHeader(payload.Bytes())
+		return append(hdr[:], payload.Bytes()...)
+	}
+	if _, err := Load(bytes.NewReader(forgeVersion(FormatVersion)[envelopeHeaderLen:])); err != nil {
+		t.Fatalf("forged file at the current version must load: %v", err)
 	}
 	flip := func(b []byte, at int) []byte {
 		out := append([]byte(nil), b...)
@@ -82,7 +88,12 @@ func TestCorruptionTable(t *testing.T) {
 		{"flipped-early", flip(raw, 10)},
 		{"flipped-late", flip(raw, len(raw)-20)},
 		{"version-zero", forgeVersion(0)},
+		{"version-1", forgeVersion(1)},
+		{"version-2", forgeVersion(2)},
+		{"version-3", forgeVersion(3)},
+		{"version-4", forgeVersion(4)},
 		{"version-future", forgeVersion(FormatVersion + 1)},
+		{"no-magic", raw[envelopeHeaderLen:]}, // a valid current-version gob stream, bare
 		{"not-a-gob", []byte("definitely not a gob stream")},
 	}
 	for _, tc := range cases {
@@ -107,77 +118,6 @@ func TestCorruptionTable(t *testing.T) {
 			t.Fatal("expected error, got nil")
 		}
 	})
-}
-
-// legacyCoupled mirrors the v1 on-disk shape: no Networks map, and a
-// dpd.State without RNG/FaceAcc fields. Gob matches structs by field name,
-// so encoding this reproduces a byte-faithful v1 stream.
-type legacyCoupled struct {
-	Version   int
-	Exchanges int
-	Patches   map[string]nektar3d.State
-	Regions   map[string]legacyDPDState
-}
-
-type legacyDPDState struct {
-	Params    dpd.Params
-	Lo, Hi    geometry.Vec3
-	Periodic  [3]bool
-	Particles []dpd.Particle
-	Step      int
-	Time      float64
-	NextID    int64
-}
-
-// TestLoadAcceptsV1Stream pins the legacy loader: a v1 bundle (no Networks,
-// no RNG capture) still loads, its missing maps materialize empty, and the
-// restored DPD system falls back to reseeding from Params.Seed.
-func TestLoadAcceptsV1Stream(t *testing.T) {
-	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
-	sys.FillRandom(20, 0)
-	sys.Run(2)
-	full := sys.CaptureState()
-
-	legacy := legacyCoupled{
-		Version:   FormatV1,
-		Exchanges: 9,
-		Regions: map[string]legacyDPDState{
-			"box": {
-				Params: full.Params, Lo: full.Lo, Hi: full.Hi, Periodic: full.Periodic,
-				Particles: full.Particles, Step: full.Step, Time: full.Time, NextID: full.NextID,
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	if c.Version != FormatV1 || c.Exchanges != 9 {
-		t.Fatalf("bad header: %+v", c)
-	}
-	if c.Networks == nil || c.Patches == nil {
-		t.Fatal("missing maps must materialize empty")
-	}
-	st, ok := c.Regions["box"]
-	if !ok {
-		t.Fatal("region lost")
-	}
-	if st.RNG != nil || st.FaceAcc != nil {
-		t.Fatalf("v1 stream cannot carry RNG/FaceAcc, got %v/%v", st.RNG, st.FaceAcc)
-	}
-	restored, err := dpd.RestoreState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored.Particles) != len(sys.Particles) {
-		t.Fatalf("particles: %d vs %d", len(restored.Particles), len(sys.Particles))
-	}
-	restored.Run(1) // closed system continues fine without stream state
 }
 
 // TestStoreWriteLatestPrune exercises the managed directory: writes are

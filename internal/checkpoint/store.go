@@ -23,6 +23,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // envelopeHeaderLen is magic(4) + length(8) + crc(4).
 const envelopeHeaderLen = 16
 
+// envelopeHeader returns the magic, length and CRC-32C that precede payload
+// on disk.
+func envelopeHeader(payload []byte) (hdr [envelopeHeaderLen]byte) {
+	copy(hdr[:4], fileMagic[:])
+	binary.BigEndian.PutUint64(hdr[4:12], uint64(len(payload)))
+	binary.BigEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, crcTable))
+	return hdr
+}
+
 // WriteFile atomically persists a bundle at path using the flight-recorder
 // pattern: encode into path+".tmp", fsync, then rename over the final name.
 // A crash mid-write leaves at worst a stale .tmp next to the previous good
@@ -32,10 +41,7 @@ func WriteFile(path string, c *Coupled) error {
 	if err := Save(&payload, c); err != nil {
 		return err
 	}
-	var hdr [envelopeHeaderLen]byte
-	copy(hdr[:4], fileMagic[:])
-	binary.BigEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
-	binary.BigEndian.PutUint32(hdr[12:16], crc32.Checksum(payload.Bytes(), crcTable))
+	hdr := envelopeHeader(payload.Bytes())
 
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -68,32 +74,30 @@ func WriteFile(path string, c *Coupled) error {
 }
 
 // ReadFile loads a bundle persisted by WriteFile. Every failure mode —
-// missing file, truncation, flipped bytes (caught by the CRC), version
-// mismatch — comes back as a wrapped error, never a panic: the restart path
-// must survive whatever the filesystem hands it. Files without the envelope
-// magic are parsed as bare gob streams for compatibility with bundles
-// written directly via Save.
+// missing file, missing magic, truncation, flipped bytes (caught by the
+// CRC), version mismatch — comes back as a wrapped error, never a panic: the
+// restart path must survive whatever the filesystem hands it.
 func ReadFile(path string) (*Coupled, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open: %w", err)
 	}
 	name := filepath.Base(path)
-	payload := raw
-	if len(raw) >= 4 && bytes.Equal(raw[:4], fileMagic[:]) {
-		if len(raw) < envelopeHeaderLen {
-			return nil, fmt.Errorf("checkpoint: %s: truncated envelope header (%d bytes)", name, len(raw))
-		}
-		want := binary.BigEndian.Uint64(raw[4:12])
-		payload = raw[envelopeHeaderLen:]
-		if uint64(len(payload)) != want {
-			return nil, fmt.Errorf("checkpoint: %s: payload %d bytes, envelope says %d (torn write)",
-				name, len(payload), want)
-		}
-		sum := binary.BigEndian.Uint32(raw[12:16])
-		if got := crc32.Checksum(payload, crcTable); got != sum {
-			return nil, fmt.Errorf("checkpoint: %s: CRC mismatch %08x != %08x (corrupted)", name, got, sum)
-		}
+	if len(raw) < 4 || !bytes.Equal(raw[:4], fileMagic[:]) {
+		return nil, fmt.Errorf("checkpoint: %s: no NKCP envelope magic (not a checkpoint file)", name)
+	}
+	if len(raw) < envelopeHeaderLen {
+		return nil, fmt.Errorf("checkpoint: %s: truncated envelope header (%d bytes)", name, len(raw))
+	}
+	want := binary.BigEndian.Uint64(raw[4:12])
+	payload := raw[envelopeHeaderLen:]
+	if uint64(len(payload)) != want {
+		return nil, fmt.Errorf("checkpoint: %s: payload %d bytes, envelope says %d (torn write)",
+			name, len(payload), want)
+	}
+	sum := binary.BigEndian.Uint32(raw[12:16])
+	if got := crc32.Checksum(payload, crcTable); got != sum {
+		return nil, fmt.Errorf("checkpoint: %s: CRC mismatch %08x != %08x (corrupted)", name, got, sum)
 	}
 	c, err := Load(bytes.NewReader(payload))
 	if err != nil {

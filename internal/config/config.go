@@ -1,8 +1,8 @@
 // Package config builds coupled simulations from declarative JSON — the
 // production front door a downstream user drives NεκTαrG with instead of
 // writing Go. A config names continuum patches, their couplings, embedded
-// DPD regions (with optional platelet models) and the exchange schedule;
-// Build wires the same structures the examples assemble by hand.
+// DPD regions (with optional platelet models), 1D peripheral outlets and the
+// exchange schedule; Build returns the wired, runnable metasolver.
 package config
 
 import (
@@ -15,6 +15,7 @@ import (
 	"nektarg/internal/dpd"
 	"nektarg/internal/geometry"
 	"nektarg/internal/insitu"
+	"nektarg/internal/nektar1d"
 	"nektarg/internal/nektar3d"
 	"nektarg/internal/platelet"
 )
@@ -52,6 +53,21 @@ type Coupling struct {
 	Receiver string `json:"receiver"`
 	Face     string `json:"face"`
 }
+
+// Outlet attaches a NεκTαr-1D fractal peripheral tree to one outflow face of
+// a patch: the full Figure 2 structure (3D + 1D + DPD). The tree itself is
+// not configurable — every run uses the same one (see the outlet constants).
+type Outlet struct {
+	Patch string `json:"patch"`
+	Face  string `json:"face"`
+}
+
+// The peripheral tree every outlet gets, and the 3D→1D flow unit conversion.
+const (
+	outletGenerations     = 3
+	outletNodesPerSegment = 21
+	outletAreaScale       = 6
+)
 
 // Units mirrors core.Units.
 type Units struct {
@@ -198,6 +214,7 @@ type Config struct {
 	Patches   []Patch    `json:"patches"`
 	Couplings []Coupling `json:"couplings"`
 	Regions   []Region   `json:"regions"`
+	Outlets   []Outlet   `json:"outlets,omitempty"`
 	Exchange  Exchange   `json:"exchange"`
 	Insitu    *Insitu    `json:"insitu,omitempty"`
 	Audit     *Audit     `json:"audit,omitempty"`
@@ -222,6 +239,9 @@ type Built struct {
 	Patches   map[string]*core.ContinuumPatch
 	Regions   map[string]*core.AtomisticRegion
 	Platelets map[string]*platelet.Model
+	// Networks are the outlets' 1D trees keyed by outlet name
+	// ("<patch>:<face>") — what a core.Checkpointer carries as Networks.
+	Networks map[string]*nektar1d.Network
 }
 
 // Build constructs the metasolver described by the config.
@@ -234,6 +254,7 @@ func (c *Config) Build() (*Built, error) {
 		Patches:   map[string]*core.ContinuumPatch{},
 		Regions:   map[string]*core.AtomisticRegion{},
 		Platelets: map[string]*platelet.Model{},
+		Networks:  map[string]*nektar1d.Network{},
 	}
 	if c.Exchange.NSSteps > 0 {
 		b.Meta.NSStepsPerExchange = c.Exchange.NSSteps
@@ -266,9 +287,7 @@ func (c *Config) Build() (*Built, error) {
 		if !ok {
 			return nil, fmt.Errorf("config: coupling receiver %q unknown", cc.Receiver)
 		}
-		switch cc.Face {
-		case "x0", "x1", "y0", "y1", "z0", "z1":
-		default:
+		if !validFace(cc.Face) {
 			return nil, fmt.Errorf("config: coupling face %q invalid", cc.Face)
 		}
 		b.Meta.Couplings = append(b.Meta.Couplings, &core.PatchCoupling{
@@ -293,7 +312,40 @@ func (c *Config) Build() (*Built, error) {
 			b.Platelets[rc.Name] = model
 		}
 	}
+
+	for _, oc := range c.Outlets {
+		patch, ok := b.Patches[oc.Patch]
+		if !ok {
+			return nil, fmt.Errorf("config: outlet patch %q unknown", oc.Patch)
+		}
+		if !validFace(oc.Face) {
+			return nil, fmt.Errorf("config: outlet face %q invalid", oc.Face)
+		}
+		spec := nektar1d.DefaultTreeSpec(outletGenerations)
+		spec.NodesPerSegment = outletNodesPerSegment
+		tree, inlet, err := nektar1d.BuildFractalTree(spec)
+		if err != nil {
+			return nil, fmt.Errorf("config: outlet %s:%s: %w", oc.Patch, oc.Face, err)
+		}
+		out, err := core.NewOutletTo1D(patch, oc.Face, tree, inlet, outletAreaScale)
+		if err != nil {
+			return nil, fmt.Errorf("config: outlet %s:%s: %w", oc.Patch, oc.Face, err)
+		}
+		if _, dup := b.Networks[out.Name()]; dup {
+			return nil, fmt.Errorf("config: duplicate outlet on %s", out.Name())
+		}
+		b.Networks[out.Name()] = tree
+		b.Meta.Outlets = append(b.Meta.Outlets, out)
+	}
 	return b, nil
+}
+
+func validFace(face string) bool {
+	switch face {
+	case "x0", "x1", "y0", "y1", "z0", "z1":
+		return true
+	}
+	return false
 }
 
 func buildPatch(pc Patch) (*core.ContinuumPatch, error) {

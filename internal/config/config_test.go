@@ -95,6 +95,37 @@ func TestBuildValidation(t *testing.T) {
 	mustBuildErr(t, func(c *Config) { c.Regions[0].Walls = "dome" })
 	mustBuildErr(t, func(c *Config) { c.Regions[0].Platelets.Sites = nil })
 	mustBuildErr(t, func(c *Config) { c.Regions[0].NSUnits.L = 0 })
+	mustBuildErr(t, func(c *Config) { c.Outlets = []Outlet{{Patch: "ghost", Face: "x1"}} })
+	mustBuildErr(t, func(c *Config) { c.Outlets = []Outlet{{Patch: "distal", Face: "q9"}} })
+	mustBuildErr(t, func(c *Config) { c.Outlets = []Outlet{{Patch: "distal", Face: "x1"}, {Patch: "distal", Face: "x1"}} })
+}
+
+// TestOutletsBlock: an outlet becomes a registered metasolver outlet whose
+// network Built also lists under the outlet's name, and Advance steps it.
+func TestOutletsBlock(t *testing.T) {
+	c, err := Load(strings.NewReader(strings.Replace(validJSON,
+		`"exchange":`, `"outlets": [{"patch": "distal", "face": "x1"}], "exchange":`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Meta.Outlets) != 1 || b.Meta.Outlets[0].Patch != b.Patches["distal"] {
+		t.Fatalf("outlets: %+v", b.Meta.Outlets)
+	}
+	tree := b.Networks["distal:x1"]
+	if tree == nil || tree != b.Meta.Outlets[0].Network {
+		t.Fatalf("networks: %v", b.Networks)
+	}
+	if err := b.Meta.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Time != b.Patches["distal"].Solver.Time || tree.Steps == 0 {
+		t.Fatalf("after one period the tree is at t=%v (%d steps), its patch at t=%v",
+			tree.Time, tree.Steps, b.Patches["distal"].Solver.Time)
+	}
 }
 
 func TestDefaultsApplied(t *testing.T) {

@@ -27,13 +27,17 @@ import (
 // region below it is still filling and its budgets stay unseeded.
 const auditMinPopulation = 32
 
-// EnableAudit attaches a conservation ledger to the metasolver. Call it
-// after all patches and regions are registered (alongside EnableTelemetry /
+// EnableAudit attaches a conservation ledger to the metasolver and to every
+// registered outlet (its 1d.mass / q.match budgets). Call it after all
+// patches, regions and outlets are registered (alongside EnableTelemetry /
 // EnableMonitoring) and before Advance; per-region tolerance floors are
 // derived from the DPD thermostat targets at that point. A nil ledger
 // disables auditing.
 func (m *Metasolver) EnableAudit(led *audit.Ledger) {
 	m.aud = led
+	for _, o := range m.Outlets {
+		o.Aud = led
+	}
 	if led == nil {
 		return
 	}
@@ -52,7 +56,9 @@ func (m *Metasolver) Audit() *audit.Ledger { return m.aud }
 // period has fully advanced: divergence and kinetic energy per patch,
 // momentum and temperature per region. The ΓI flux/byte budgets are fed
 // inline by coupleAtomistic (they need the pre/post-scaling traces), and
-// the 1D budgets by OutletTo1D.Exchange (it owns the network step).
+// the 1D budgets by OutletTo1D.Exchange (it owns the network step), which
+// for a registered outlet runs after EndExchange: its observations belong
+// to the next period's ledger row.
 func (m *Metasolver) auditExchange() {
 	if m.aud == nil {
 		return

@@ -28,7 +28,6 @@ import (
 func wireAudit(sc *restartScenario, watch *monitor.Watchdogs) *audit.Ledger {
 	led := audit.New(audit.Options{Watch: watch})
 	sc.m.EnableAudit(led)
-	sc.out.Aud = led
 	return led
 }
 

@@ -26,8 +26,8 @@ import (
 )
 
 // CaptureCheckpoint snapshots the full coupled state — every continuum
-// patch, every atomistic region (including the DPD stream-RNG position and
-// flux-face insertion accumulators), the named 1D peripheral networks, and
+// patch, every atomistic region (including the DPD stream-RNG position,
+// flux-face insertion accumulators and bonded-model state), the named 1D peripheral networks, and
 // the exchange count — into a version-stamped bundle ready for
 // checkpoint.Save or a Store write. networks may be nil.
 func (m *Metasolver) CaptureCheckpoint(networks map[string]*nektar1d.Network) *checkpoint.Coupled {
@@ -58,9 +58,7 @@ func (m *Metasolver) CaptureCheckpoint(networks map[string]*nektar1d.Network) *c
 // RestoreCheckpoint overlays a loaded bundle onto this metasolver's live
 // wiring: patches, regions and networks are matched by name and must agree
 // exactly with the bundle (a missing or extra name is a configuration
-// mismatch, not something to skip silently). Legacy v1 bundles carry no
-// network state; registered networks then keep their current (t = 0) state
-// and a warning is logged if log is non-nil.
+// mismatch, not something to skip silently).
 func (m *Metasolver) RestoreCheckpoint(c *checkpoint.Coupled, networks map[string]*nektar1d.Network) error {
 	// Validate the name sets both ways before mutating anything.
 	patches := map[string]*ContinuumPatch{}
@@ -77,14 +75,8 @@ func (m *Metasolver) RestoreCheckpoint(c *checkpoint.Coupled, networks map[strin
 	if err := matchNames("region", keysOf(c.Regions), keysOf(regions)); err != nil {
 		return err
 	}
-	legacyNetworks := c.Version == checkpoint.FormatV1 && len(c.Networks) == 0
-	if !legacyNetworks {
-		if err := matchNames("network", keysOf(c.Networks), keysOf(networks)); err != nil {
-			return err
-		}
-	} else if len(networks) > 0 && m.log != nil {
-		m.log.Warn("v1 checkpoint carries no 1D network state; peripheral networks keep their current state",
-			"networks", len(networks))
+	if err := matchNames("network", keysOf(c.Networks), keysOf(networks)); err != nil {
+		return err
 	}
 
 	for name, st := range c.Patches {
@@ -97,24 +89,22 @@ func (m *Metasolver) RestoreCheckpoint(c *checkpoint.Coupled, networks map[strin
 			return fmt.Errorf("core: restoring region %q: %w", name, err)
 		}
 	}
-	if !legacyNetworks {
-		for name, st := range c.Networks {
-			if err := networks[name].ApplyState(st); err != nil {
-				return fmt.Errorf("core: restoring network %q: %w", name, err)
-			}
+	for name, st := range c.Networks {
+		if err := networks[name].ApplyState(st); err != nil {
+			return fmt.Errorf("core: restoring network %q: %w", name, err)
 		}
 	}
 	m.Exchanges = c.Exchanges
 	// Overlay the ledger last: restoring an older, clean ledger state is
 	// what un-latches an audit critical that postdates the checkpoint
 	// (RearmWatchdogs deliberately leaves the ledger alone — ApplyState is
-	// the last word on its latches). A pre-v3 bundle or an audit-disabled
-	// capture carries nil and leaves the live ledger to re-seed its drift
-	// baselines from the restored physics.
+	// the last word on its latches). An audit-disabled capture carries nil
+	// and leaves the live ledger to re-seed its drift baselines from the
+	// restored physics.
 	m.aud.ApplyState(c.Audit)
-	// Same overlay discipline for the performance history: a pre-v4 bundle
-	// or a history-disabled capture carries nil and leaves the live plane
-	// to re-warm its baselines from post-restore samples.
+	// Same overlay discipline for the performance history: a
+	// history-disabled capture carries nil and leaves the live plane to
+	// re-warm its baselines from post-restore samples.
 	m.hist.ApplyState(c.History)
 	return nil
 }
@@ -204,14 +194,7 @@ func (ck *Checkpointer) ResumeAt(exchanges int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := ck.Meta.RestoreCheckpoint(c, ck.Networks); err != nil {
-		return "", fmt.Errorf("core: resuming from %s: %w", path, err)
-	}
-	ck.Meta.RearmWatchdogs()
-	if ck.Log != nil {
-		ck.Log.Info("resumed from checkpoint", "path", path, "exchange", c.Exchanges)
-	}
-	return path, nil
+	return path, ck.restore(path, c)
 }
 
 // Resume loads the newest good checkpoint from the store and overlays it
@@ -221,14 +204,19 @@ func (ck *Checkpointer) Resume() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return path, ck.restore(path, c)
+}
+
+// restore overlays a loaded bundle and re-arms the watchdogs: the restored
+// state predates whatever tripped them, so a recurrence after resume must
+// transition (and be seen) again.
+func (ck *Checkpointer) restore(path string, c *checkpoint.Coupled) error {
 	if err := ck.Meta.RestoreCheckpoint(c, ck.Networks); err != nil {
-		return "", fmt.Errorf("core: resuming from %s: %w", path, err)
+		return fmt.Errorf("core: resuming from %s: %w", path, err)
 	}
-	// The restored state predates whatever tripped the watchdogs; clear the
-	// latches so a recurrence after resume transitions (and is seen) again.
 	ck.Meta.RearmWatchdogs()
 	if ck.Log != nil {
 		ck.Log.Info("resumed from checkpoint", "path", path, "exchange", c.Exchanges)
 	}
-	return path, nil
+	return nil
 }

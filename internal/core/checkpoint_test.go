@@ -15,15 +15,12 @@ import (
 // overlapping 3D channel patches exchanging interface traces, a third
 // periodic patch feeding an open DPD region through a flux face (so the
 // stream RNG and insertion accumulators are genuinely exercised), and a 1D
-// peripheral network charged from patch B's free outlet each exchange.
+// peripheral network on patch B's free outlet, registered with the metasolver
+// so Advance charges it every exchange.
 type restartScenario struct {
 	m        *Metasolver
 	networks map[string]*nektar1d.Network
-	out      *OutletTo1D
 }
-
-// dt1D is the 1D network step the scenario's outlet coupling uses.
-const scenarioDt1D = 2e-4
 
 // buildRestartScenario wires a fresh scenario from fixed seeds. Two calls
 // produce independent but identical initial states — the foundation of every
@@ -92,23 +89,18 @@ func buildRestartScenario(t *testing.T) *restartScenario {
 		{Donor: pa, Receiver: pb, Face: "x0"},
 		{Donor: pb, Receiver: pa, Face: "x1"},
 	}
+	m.Outlets = []*OutletTo1D{out}
 	return &restartScenario{
 		m:        m,
 		networks: map[string]*nektar1d.Network{"tree": net},
-		out:      out,
 	}
 }
 
 // advance runs n full exchanges including the per-exchange 1D coupling.
 func (sc *restartScenario) advance(t *testing.T, n int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		if err := sc.m.Advance(1); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sc.out.Exchange(scenarioDt1D); err != nil {
-			t.Fatal(err)
-		}
+	if err := sc.m.Advance(n); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // at every exchange the volumetric flow rate through one outflow face of a
 // continuum patch becomes the inflow of a NεκTαr-1D network, and the
 // network's inlet pressure is reported back as the patch's downstream
-// impedance diagnostic.
+// impedance diagnostic. An outlet listed in Metasolver.Outlets is stepped by
+// Advance once per exchange period with OutletDt1D.
 type OutletTo1D struct {
 	Patch *ContinuumPatch
 	Face  string // outflow face of the patch ("x1", "y0", ...)
@@ -35,6 +36,13 @@ type OutletTo1D struct {
 	// lastQ is the most recent flow rate handed to the 1D side.
 	lastQ float64
 }
+
+// OutletDt1D is the NεκTαr-1D sub-step Advance uses for registered outlets.
+const OutletDt1D = 5e-5
+
+// Name identifies the outlet as "<patch>:<face>": its audit budgets, its
+// network's telemetry/watchdog track ("1d:<name>") and checkpoint key.
+func (c *OutletTo1D) Name() string { return c.Patch.Name + ":" + c.Face }
 
 // NewOutletTo1D wires a patch face to a 1D network inlet. The inlet's Q
 // function is replaced by the coupled flow rate.
@@ -123,7 +131,7 @@ func (c *OutletTo1D) auditExchange() {
 	if c.Aud == nil {
 		return
 	}
-	id := c.Patch.Name + ":" + c.Face
+	id := c.Name()
 	// The discrete invariant of a conservative scheme: current stored
 	// volume minus everything admitted plus everything discharged stays at
 	// the initial volume (up to truncation error). A drift budget watches

@@ -190,49 +190,23 @@ func distributedWorldBody(world *mpi.Comm, ck *Checkpointer, exchanges int, opt 
 		opt.Journal.Record(fleet.EventRecovered, map[string]any{"exchange": common})
 	}
 
+	var hook func(exchange int) error
+	if opt.OnExchange != nil {
+		hook = func(e int) error { return opt.OnExchange(world, e) }
+	}
 	for ck.Meta.Exchanges < exchanges {
-		if err := distributedExchange(world, ck, opt, log); err != nil {
+		if err := guardedExchange(ck.Meta, opt.Health, hook); err != nil {
 			panic(err)
 		}
-	}
-}
-
-// distributedExchange advances one exchange inside a recover envelope, then
-// commits it with a lockstep barrier: an AllreduceInt of the exchange count
-// that both synchronizes the world (bounding checkpoint skew to one period)
-// and detects divergence. Checkpoints are written only after the commit.
-func distributedExchange(world *mpi.Comm, ck *Checkpointer, opt DistributedOptions, log *slog.Logger) (err error) {
-	attempt := ck.Meta.Exchanges + 1
-	tripsBefore := opt.Health.Trips()
-	defer func() {
-		if r := recover(); r != nil {
-			// Keep error panic values in the chain so the supervisor can still
-			// classify a dead peer (errors.As on *mpi.WorldLostError).
-			if rerr, ok := r.(error); ok {
-				err = fmt.Errorf("core: exchange %d panicked: %w", attempt, rerr)
-			} else {
-				err = fmt.Errorf("core: exchange %d panicked: %v", attempt, r)
-			}
+		// Commit with a lockstep barrier: an AllreduceInt of the exchange
+		// count both synchronizes the world (bounding checkpoint skew to one
+		// period) and detects divergence. Checkpoints are written only after
+		// the commit.
+		if min := world.AllreduceInt([]int{ck.Meta.Exchanges}, mpi.MinInt)[0]; min != ck.Meta.Exchanges {
+			panic(fmt.Errorf("core: exchange lockstep broken: local count %d, world minimum %d", ck.Meta.Exchanges, min))
 		}
-	}()
-	if err := ck.Meta.Advance(1); err != nil {
-		return err
-	}
-	if opt.OnExchange != nil {
-		if err := opt.OnExchange(world, ck.Meta.Exchanges); err != nil {
-			return fmt.Errorf("core: exchange %d diagnostics: %w", ck.Meta.Exchanges, err)
-		}
-	}
-	if t := opt.Health.Trips(); t > tripsBefore {
-		return fmt.Errorf("core: %d watchdog trip(s) during exchange %d", t-tripsBefore, ck.Meta.Exchanges)
-	}
-	if min := world.AllreduceInt([]int{ck.Meta.Exchanges}, mpi.MinInt)[0]; min != ck.Meta.Exchanges {
-		return fmt.Errorf("core: exchange lockstep broken: local count %d, world minimum %d", ck.Meta.Exchanges, min)
-	}
-	if cerr := ck.MaybeCheckpoint(); cerr != nil {
-		if log != nil {
+		if cerr := ck.MaybeCheckpoint(); cerr != nil && log != nil {
 			log.Error("checkpoint write failed", "err", cerr.Error())
 		}
 	}
-	return nil
 }

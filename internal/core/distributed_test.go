@@ -68,11 +68,7 @@ func TestDistributedWorldChild(t *testing.T) {
 		},
 		MaxRestarts: 5,
 		Backoff:     100 * time.Millisecond,
-		OnExchange: func(world *mpi.Comm, e int) error {
-			_, _, err := sc.out.Exchange(scenarioDt1D)
-			return err
-		},
-		Log: slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Log:         slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})
 	if err != nil {
 		t.Fatalf("rank %d: distributed run failed: %v", rank, err)

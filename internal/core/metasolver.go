@@ -145,6 +145,10 @@ type Metasolver struct {
 	Patches   []*ContinuumPatch
 	Couplings []*PatchCoupling
 	Atomistic []*AtomisticRegion
+	// Outlets are the 3D→1D peripheral couplings. Advance steps each one at
+	// the end of every exchange period — after the audit, history and
+	// in-situ hooks of that period have run.
+	Outlets []*OutletTo1D
 
 	// NSStepsPerExchange is τ/Δt_NS (10 in the paper).
 	NSStepsPerExchange int
@@ -296,7 +300,8 @@ func (m *Metasolver) ownerOf(g geometry.Vec3) *ContinuumPatch {
 }
 
 // Advance runs n exchange periods: each period exchanges interface data,
-// then advances all patches (concurrently) and all atomistic regions.
+// advances all patches (concurrently) and all atomistic regions, then lets
+// every registered outlet's 1D network catch up to its patch.
 func (m *Metasolver) Advance(n int) error {
 	if m.NSStepsPerExchange < 1 || m.DPDStepsPerNS < 1 {
 		return fmt.Errorf("core: bad time progression %d/%d", m.NSStepsPerExchange, m.DPDStepsPerNS)
@@ -372,6 +377,11 @@ func (m *Metasolver) Advance(n int) error {
 			m.log.Debug("exchange period complete",
 				"exchange", m.Exchanges, "t_ns", t,
 				"patches", len(m.Patches), "regions", len(m.Atomistic))
+		}
+		for _, o := range m.Outlets {
+			if _, _, err := o.Exchange(OutletDt1D); err != nil {
+				return fmt.Errorf("core: outlet %s, exchange %d: %w", o.Name(), m.Exchanges, err)
+			}
 		}
 	}
 	return nil

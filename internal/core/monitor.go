@@ -11,11 +11,12 @@ import (
 	"nektarg/internal/monitor"
 )
 
-// EnableMonitoring attaches solver watchdogs for every patch and atomistic
-// region to the given health state: NaN/Inf field guards and CG
-// stagnation/divergence detection on each nektar3d patch, particle-count
-// drift and state guards on each DPD region. Call it after all patches and
-// regions are registered (alongside EnableTelemetry) and before Advance. A
+// EnableMonitoring attaches solver watchdogs for every patch, atomistic
+// region and registered outlet to the given health state: NaN/Inf field
+// guards and CG stagnation/divergence detection on each nektar3d patch,
+// particle-count drift and state guards on each DPD region, CFL and field
+// guards on each outlet's 1D network. Call it after all of them are
+// registered (alongside EnableTelemetry) and before Advance. A
 // nil health disables monitoring (all bundles nil).
 func (m *Metasolver) EnableMonitoring(h *monitor.Health) {
 	m.watch = h.Watch("metasolver")
@@ -24,6 +25,9 @@ func (m *Metasolver) EnableMonitoring(h *monitor.Health) {
 	}
 	for _, a := range m.Atomistic {
 		a.Sys.Watch = h.Watch("dpd:" + a.Name)
+	}
+	for _, o := range m.Outlets {
+		o.Network.Watch = h.Watch("1d:" + o.Name())
 	}
 }
 
@@ -38,6 +42,9 @@ func (m *Metasolver) RearmWatchdogs() {
 	}
 	for _, a := range m.Atomistic {
 		a.Sys.Watch.Rearm()
+	}
+	for _, o := range m.Outlets {
+		o.Network.Watch.Rearm()
 	}
 }
 

@@ -41,12 +41,21 @@ type RecoveryOptions struct {
 // DefaultMaxRestarts is the per-position restart budget.
 const DefaultMaxRestarts = 3
 
+// ErrForeignStore is returned (wrapped) by RunWithRecovery when the store
+// already holds a checkpoint at a different exchange than the run enters
+// with: recovering from it would jump into another run's state, and the
+// store's retention would prune this run's own lower-numbered files first.
+var ErrForeignStore = errors.New("core: checkpoint store holds another run's state")
+
 // RunWithRecovery advances the metasolver to the target exchange count,
 // checkpointing through ck and surviving faults: any panic or error inside
 // an exchange (or a new watchdog trip during it) triggers a flight dump, a
 // reload of the last good checkpoint, and continuation. If the store holds
 // no checkpoint yet, a baseline is written first so even an exchange-1 fault
-// is recoverable. Returns the first unrecoverable error.
+// is recoverable; a store whose newest checkpoint is not at the exchange the
+// run enters with (a fresh run pointed at a used directory — resume first,
+// or use an empty one) is refused with ErrForeignStore. Returns the first
+// unrecoverable error.
 func RunWithRecovery(ck *Checkpointer, exchanges int, opt RecoveryOptions) error {
 	maxRestarts := opt.MaxRestarts
 	if maxRestarts <= 0 {
@@ -58,10 +67,13 @@ func RunWithRecovery(ck *Checkpointer, exchanges int, opt RecoveryOptions) error
 	}
 
 	// Baseline: never enter the loop without something to fall back to.
-	if _, _, err := ck.Store.Latest(); err != nil {
+	if path, c, err := ck.Store.Latest(); err != nil {
 		if _, werr := ck.Checkpoint(); werr != nil {
 			return fmt.Errorf("core: writing baseline checkpoint: %w", werr)
 		}
+	} else if c.Exchanges != ck.Meta.Exchanges {
+		return fmt.Errorf("%w: %s is at exchange %d, the run enters at %d",
+			ErrForeignStore, path, c.Exchanges, ck.Meta.Exchanges)
 	}
 
 	restarts := 0
@@ -70,7 +82,7 @@ func RunWithRecovery(ck *Checkpointer, exchanges int, opt RecoveryOptions) error
 		// Capture the attempted exchange number up front: a failed Advance
 		// may or may not have incremented the counter already.
 		attempt := ck.Meta.Exchanges + 1
-		err := runExchangeGuarded(ck.Meta, opt)
+		err := guardedExchange(ck.Meta, opt.Health, opt.OnExchange)
 		if err == nil {
 			if ck.Meta.Exchanges > highWater {
 				highWater = ck.Meta.Exchanges
@@ -115,26 +127,33 @@ func RunWithRecovery(ck *Checkpointer, exchanges int, opt RecoveryOptions) error
 	return nil
 }
 
-// runExchangeGuarded advances one exchange (plus the caller's diagnostics)
+// guardedExchange advances one exchange period and runs the caller's hook
 // inside a recover envelope, converting panics to errors and new watchdog
-// trips to failures.
-func runExchangeGuarded(m *Metasolver, opt RecoveryOptions) (err error) {
+// trips to failures. Both recovery loops run every exchange through it.
+// Error panic values stay in the chain so a supervisor can still classify
+// them (errors.As on *mpi.WorldLostError tells a dead peer from a local
+// failure).
+func guardedExchange(m *Metasolver, health *monitor.Health, hook func(exchange int) error) (err error) {
 	attempt := m.Exchanges + 1 // Advance increments the counter mid-flight
-	tripsBefore := opt.Health.Trips()
+	tripsBefore := health.Trips()
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: exchange %d panicked: %v", attempt, r)
+			if rerr, ok := r.(error); ok {
+				err = fmt.Errorf("core: exchange %d panicked: %w", attempt, rerr)
+			} else {
+				err = fmt.Errorf("core: exchange %d panicked: %v", attempt, r)
+			}
 		}
 	}()
 	if err := m.Advance(1); err != nil {
 		return err
 	}
-	if opt.OnExchange != nil {
-		if err := opt.OnExchange(m.Exchanges); err != nil {
+	if hook != nil {
+		if err := hook(m.Exchanges); err != nil {
 			return fmt.Errorf("core: exchange %d diagnostics: %w", m.Exchanges, err)
 		}
 	}
-	if t := opt.Health.Trips(); t > tripsBefore {
+	if t := health.Trips(); t > tripsBefore {
 		return fmt.Errorf("core: %d watchdog trip(s) during exchange %d", t-tripsBefore, m.Exchanges)
 	}
 	return nil

@@ -42,9 +42,6 @@ func TestRecoveryFromInjectedRankKill(t *testing.T) {
 			Flight: flight,
 			Health: health,
 			OnExchange: func(e int) error {
-				if _, _, err := sc.out.Exchange(scenarioDt1D); err != nil {
-					return err
-				}
 				world.FaultPoint(e) // dies here at exchange 2, exactly once
 				return nil
 			},
@@ -68,6 +65,27 @@ func TestRecoveryFromInjectedRankKill(t *testing.T) {
 		t.Fatalf("faulted run stopped at exchange %d, want %d", got.Exchanges, exchanges)
 	}
 	assertCoupledEqual(t, got, want, "killed-and-resumed vs straight")
+
+	// A rank death that surfaces as an error-valued panic and never heals:
+	// the loop gives up, and what it returns still carries the panic value's
+	// chain, so a supervisor can tell a lost world from a local failure.
+	t.Run("error panic keeps its chain", func(t *testing.T) {
+		sc := buildRestartScenario(t)
+		ck := &Checkpointer{Meta: sc.m, Networks: sc.networks, Store: &checkpoint.Store{Dir: t.TempDir()}, Every: 1}
+		err := RunWithRecovery(ck, exchanges, RecoveryOptions{
+			MaxRestarts: 1,
+			OnExchange: func(e int) error {
+				if e == 2 {
+					panic(&mpi.WorldLostError{Cause: errors.New("peer 1: connection reset")})
+				}
+				return nil
+			},
+		})
+		var lost *mpi.WorldLostError
+		if !errors.As(err, &lost) {
+			t.Fatalf("the panic's error chain was flattened: %v", err)
+		}
+	})
 }
 
 // TestRecoveryGivesUpOnPersistentFault: a fault that re-fires at the same
@@ -86,9 +104,6 @@ func TestRecoveryGivesUpOnPersistentFault(t *testing.T) {
 	err := RunWithRecovery(ck, 4, RecoveryOptions{
 		MaxRestarts: 2,
 		OnExchange: func(e int) error {
-			if _, _, err := sc.out.Exchange(scenarioDt1D); err != nil {
-				return err
-			}
 			if e == 2 {
 				attempts++
 				return wantErr
@@ -127,9 +142,6 @@ func TestRecoveryBudgetRefillsOnProgress(t *testing.T) {
 	err := RunWithRecovery(ck, 3, RecoveryOptions{
 		MaxRestarts: 2,
 		OnExchange: func(e int) error {
-			if _, _, err := sc.out.Exchange(scenarioDt1D); err != nil {
-				return err
-			}
 			if failures[e] < 2 {
 				failures[e]++
 				return errors.New("transient hiccup")
@@ -163,9 +175,6 @@ func TestRecoveryFromWatchdogTrip(t *testing.T) {
 	err := RunWithRecovery(ck, 3, RecoveryOptions{
 		Health: health,
 		OnExchange: func(e int) error {
-			if _, _, err := sc.out.Exchange(scenarioDt1D); err != nil {
-				return err
-			}
 			if e == 2 && trips < 1 {
 				trips++
 				// A probe with no error path records a critical event; the
@@ -200,9 +209,6 @@ func TestRecoveryWritesBaselineCheckpoint(t *testing.T) {
 	failed := false
 	err := RunWithRecovery(ck, 2, RecoveryOptions{
 		OnExchange: func(e int) error {
-			if _, _, err := sc.out.Exchange(scenarioDt1D); err != nil {
-				return err
-			}
 			if e == 1 && !failed {
 				failed = true
 				return errors.New("first-exchange fault")
@@ -219,5 +225,35 @@ func TestRecoveryWritesBaselineCheckpoint(t *testing.T) {
 	}
 	if len(entries) == 0 {
 		t.Fatal("no baseline checkpoint written")
+	}
+}
+
+// TestRecoveryRefusesForeignStore: a fresh run pointed at a directory that
+// still holds a previous run's newer-numbered checkpoints must be refused —
+// its own files would be pruned first, and a fault would "recover" into the
+// other run's state. Resuming from that store remains fine.
+func TestRecoveryRefusesForeignStore(t *testing.T) {
+	dir := t.TempDir()
+	old := buildRestartScenario(t)
+	ck := &Checkpointer{Meta: old.m, Networks: old.networks, Store: &checkpoint.Store{Dir: dir}, Every: 1}
+	if err := RunWithRecovery(ck, 3, RecoveryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := buildRestartScenario(t)
+	ck = &Checkpointer{Meta: fresh.m, Networks: fresh.networks, Store: &checkpoint.Store{Dir: dir}, Every: 1}
+	err := RunWithRecovery(ck, 4, RecoveryOptions{})
+	if !errors.Is(err, ErrForeignStore) {
+		t.Fatalf("fresh run into a used store: got %v, want ErrForeignStore", err)
+	}
+	if fresh.m.Exchanges != 0 {
+		t.Fatalf("refused run still advanced to exchange %d", fresh.m.Exchanges)
+	}
+
+	if _, err := ck.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunWithRecovery(ck, 4, RecoveryOptions{}); err != nil {
+		t.Fatalf("resumed run into its own store: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package dpd
 
 import (
+	"errors"
 	"testing"
 
 	"nektarg/internal/geometry"
@@ -127,6 +128,27 @@ func TestApplyStateRejectsGeometryMismatch(t *testing.T) {
 	other := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true})
 	if err := other.ApplyState(st); err == nil {
 		t.Fatal("expected geometry mismatch error")
+	}
+}
+
+// TestStateWithoutStreamPositionIsRejected: a state that carries no RNG
+// position cannot resume bit-identically; both restore paths refuse it and
+// leave the target system untouched.
+func TestStateWithoutStreamPositionIsRejected(t *testing.T) {
+	sys := mkOpenChannel()
+	sys.Run(10)
+	st := sys.CaptureState()
+	st.RNG = nil
+	if _, err := RestoreState(st); !errors.Is(err, ErrNoStreamState) {
+		t.Fatalf("RestoreState: got %v, want ErrNoStreamState", err)
+	}
+	fresh := mkOpenChannel()
+	before := len(fresh.Particles)
+	if err := fresh.ApplyState(st); !errors.Is(err, ErrNoStreamState) {
+		t.Fatalf("ApplyState: got %v, want ErrNoStreamState", err)
+	}
+	if fresh.Step != 0 || len(fresh.Particles) != before {
+		t.Fatal("a rejected state was partly applied")
 	}
 }
 

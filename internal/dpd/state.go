@@ -1,6 +1,7 @@
 package dpd
 
 import (
+	"errors"
 	"fmt"
 
 	"nektarg/internal/geometry"
@@ -10,9 +11,9 @@ import (
 // run. Behavioral hooks (walls, bonded forces, external forcing, flux-face
 // profiles) are code, not data — the caller re-attaches them after Restore.
 // Because pairwise random forces are counter-based (seed, step, particle
-// ids) and the stream RNG position plus the flux-face fractional-insertion
-// accumulators are captured, a restored system — closed or open — continues
-// bit-identically.
+// ids) and the stream RNG position, the flux-face fractional-insertion
+// accumulators and the state of every StatefulBonded model are captured, a
+// restored system — closed or open — continues bit-identically.
 type State struct {
 	Params    Params
 	Lo, Hi    geometry.Vec3
@@ -23,19 +24,27 @@ type State struct {
 	NextID    int64
 
 	// RNG is the serialized position of the stream random source (PCG).
-	// Nil in v1 checkpoints, which predate RNG capture; restore then
-	// reseeds from Params.Seed and the insertion stream replays from zero.
+	// A state without one is rejected with ErrNoStreamState.
 	RNG []byte
 	// FaceAcc holds the fractional-insertion accumulator of each flux face
-	// in Inflows order. Nil in v1 checkpoints.
+	// in Inflows order.
 	FaceAcc []float64
+	// Bonded holds, in System.Bonded order, the encoding of each
+	// StatefulBonded model (empty for stateless ones); nil when the system
+	// has none. ApplyState hands each entry back to the model wired at the
+	// same index; RestoreState, which starts without hooks, ignores it.
+	Bonded [][]byte
 	// Inserted and Deleted are the cumulative open-boundary particle
 	// counters (telemetry continuity across restarts).
 	Inserted, Deleted int64
 }
 
+// ErrNoStreamState is returned (wrapped) when a State carries no RNG stream
+// position: reseeding would replay the insertion stream from zero.
+var ErrNoStreamState = errors.New("dpd: state carries no RNG stream position")
+
 // CaptureState deep-copies the resumable state, including the stream RNG
-// position and per-face insertion accumulators.
+// position, per-face insertion accumulators and bonded-model state.
 func (s *System) CaptureState() State {
 	rngBytes, err := s.rngSrc.MarshalBinary()
 	if err != nil {
@@ -49,6 +58,15 @@ func (s *System) CaptureState() State {
 			acc[i] = f.Acc
 		}
 	}
+	var bonded [][]byte
+	for i, b := range s.Bonded {
+		if sb, ok := b.(StatefulBonded); ok {
+			if bonded == nil {
+				bonded = make([][]byte, len(s.Bonded))
+			}
+			bonded[i] = sb.CaptureState()
+		}
+	}
 	return State{
 		Params:    s.Params,
 		Lo:        s.Lo,
@@ -60,6 +78,7 @@ func (s *System) CaptureState() State {
 		NextID:    s.nextID,
 		RNG:       rngBytes,
 		FaceAcc:   acc,
+		Bonded:    bonded,
 		Inserted:  s.Inserted,
 		Deleted:   s.Deleted,
 	}
@@ -83,7 +102,8 @@ func RestoreState(st State) (*System, error) {
 // (walls, bonded models, flux faces) are already wired — the restart path of
 // the metasolver, which rebuilds the scenario from code and then overlays
 // the checkpointed physics state. The box geometry must match; flux-face
-// accumulators are applied directly to the attached Inflows.
+// accumulators are applied directly to the attached Inflows and bonded-model
+// state to the attached StatefulBonded models.
 func (s *System) ApplyState(st State) error {
 	if err := st.Params.Validate(); err != nil {
 		return fmt.Errorf("dpd: applying state: %w", err)
@@ -96,6 +116,18 @@ func (s *System) ApplyState(st State) error {
 	if err := s.applyCommon(st); err != nil {
 		return err
 	}
+	for i, b := range s.Bonded {
+		sb, ok := b.(StatefulBonded)
+		if !ok {
+			continue
+		}
+		if i >= len(st.Bonded) || len(st.Bonded[i]) == 0 {
+			return fmt.Errorf("dpd: applying state: checkpoint carries no state for bonded model %d", i)
+		}
+		if err := sb.ApplyState(st.Bonded[i]); err != nil {
+			return fmt.Errorf("dpd: applying state: bonded model %d: %w", i, err)
+		}
+	}
 	return s.consumePendingFaceAcc()
 }
 
@@ -103,17 +135,18 @@ func (s *System) ApplyState(st State) error {
 // ApplyState onto sys; pending face accumulators are stashed for
 // AttachInflows (RestoreState) or consumed immediately (ApplyState).
 func (s *System) applyCommon(st State) error {
+	if st.RNG == nil {
+		return ErrNoStreamState
+	}
+	if err := s.rngSrc.UnmarshalBinary(st.RNG); err != nil {
+		return fmt.Errorf("dpd: restoring rng stream: %w", err)
+	}
 	s.Particles = append(s.Particles[:0], st.Particles...)
 	s.Step = st.Step
 	s.Time = st.Time
 	s.nextID = st.NextID
 	s.Inserted = st.Inserted
 	s.Deleted = st.Deleted
-	if st.RNG != nil {
-		if err := s.rngSrc.UnmarshalBinary(st.RNG); err != nil {
-			return fmt.Errorf("dpd: restoring rng stream: %w", err)
-		}
-	}
 	if st.FaceAcc != nil {
 		s.pendingFaceAcc = append([]float64(nil), st.FaceAcc...)
 	} else {

@@ -28,6 +28,17 @@ type BondedForce interface {
 	AddForces(sys *System)
 }
 
+// StatefulBonded is a BondedForce whose forces depend on history a resumed
+// run cannot recompute from the particles (platelet activation clocks).
+// System.CaptureState stores each one's encoding in State.Bonded and
+// ApplyState hands it back to the re-attached model. Equal model states must
+// encode to equal bytes.
+type StatefulBonded interface {
+	BondedForce
+	CaptureState() []byte
+	ApplyState([]byte) error
+}
+
 // ExternalForce supplies a per-particle body force (e.g. the time-periodic
 // pipe driving force of Figure 8).
 type ExternalForce func(t float64, p *Particle) geometry.Vec3

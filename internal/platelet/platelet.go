@@ -9,8 +9,10 @@
 package platelet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"nektarg/internal/dpd"
 	"nektarg/internal/geometry"
@@ -45,13 +47,18 @@ type Model struct {
 	// r0)))² - De; force is attractive beyond r0, repulsive inside.
 	De, Beta, R0 float64
 
-	// state bookkeeping, keyed by particle ID.
-	states  map[int64]State
-	contact map[int64]float64 // accumulated contact time
-	lastT   float64
+	// per-platelet bookkeeping, keyed by particle ID.
+	recs  map[int64]record
+	lastT float64
 }
 
-var _ dpd.BondedForce = (*Model)(nil)
+// record is one platelet's activation state and accumulated contact time.
+type record struct {
+	state   State
+	contact float64
+}
+
+var _ dpd.StatefulBonded = (*Model)(nil)
 
 // NewModel creates a platelet model with Pivkin-like defaults.
 func NewModel(species int, sites []geometry.Vec3, activationDelay float64) *Model {
@@ -66,14 +73,51 @@ func NewModel(species int, sites []geometry.Vec3, activationDelay float64) *Mode
 		De:              15,
 		Beta:            2,
 		R0:              0.6,
-		states:          map[int64]State{},
-		contact:         map[int64]float64{},
+		recs:            map[int64]record{},
 	}
+}
+
+// CaptureState implements dpd.StatefulBonded: the activation clock origin,
+// then one (id, state, contact time) record per tracked platelet, sorted by
+// particle ID so equal models encode to equal bytes.
+func (m *Model) CaptureState() []byte {
+	ids := make([]int64, 0, len(m.recs))
+	for id := range m.recs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+24*len(ids)), math.Float64bits(m.lastT))
+	for _, id := range ids {
+		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.recs[id].state))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.recs[id].contact))
+	}
+	return b
+}
+
+// ApplyState implements dpd.StatefulBonded, replacing the model's
+// bookkeeping with a CaptureState encoding.
+func (m *Model) ApplyState(b []byte) error {
+	if len(b) < 8 || (len(b)-8)%24 != 0 {
+		return fmt.Errorf("platelet: state is %d bytes, want 8 + 24 per platelet", len(b))
+	}
+	recs := make(map[int64]record, (len(b)-8)/24)
+	for r := b[8:]; len(r) > 0; r = r[24:] {
+		id := int64(binary.LittleEndian.Uint64(r))
+		st := State(binary.LittleEndian.Uint64(r[8:]))
+		if st < Passive || st > Adhered {
+			return fmt.Errorf("platelet: state: platelet %d in unknown state %d", id, st)
+		}
+		recs[id] = record{st, math.Float64frombits(binary.LittleEndian.Uint64(r[16:]))}
+	}
+	m.lastT = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	m.recs = recs
+	return nil
 }
 
 // StateOf returns the current state of the platelet with the given particle
 // ID.
-func (m *Model) StateOf(id int64) State { return m.states[id] }
+func (m *Model) StateOf(id int64) State { return m.recs[id].state }
 
 // Counts returns the number of platelets in each state.
 func (m *Model) Counts(sys *dpd.System) (passive, triggered, adhered int) {
@@ -82,7 +126,7 @@ func (m *Model) Counts(sys *dpd.System) (passive, triggered, adhered int) {
 		if p.Species != m.Species || p.Frozen {
 			continue
 		}
-		switch m.states[p.ID] {
+		switch m.recs[p.ID].state {
 		case Triggered:
 			triggered++
 		case Adhered:
@@ -133,7 +177,7 @@ func (m *Model) AddForces(sys *dpd.System) {
 			continue
 		}
 		platelets = append(platelets, ref{i, p.ID})
-		if m.states[p.ID] != Passive {
+		if m.recs[p.ID].state != Passive {
 			anchors = append(anchors, p.Pos)
 		}
 	}
@@ -149,20 +193,20 @@ func (m *Model) AddForces(sys *dpd.System) {
 				nearest = a
 			}
 		}
-		st := m.states[pl.id]
-		switch st {
+		rec := m.recs[pl.id]
+		switch rec.state {
 		case Passive:
 			if near <= m.ContactRange {
-				m.contact[pl.id] += dt
-				if m.contact[pl.id] >= m.ActivationDelay {
-					m.states[pl.id] = Triggered
+				rec.contact += dt
+				if rec.contact >= m.ActivationDelay {
+					rec.state = Triggered
 				}
 			} else {
-				m.contact[pl.id] = 0 // contact must be sustained
+				rec.contact = 0 // contact must be sustained
 			}
 		case Triggered, Adhered:
 			if near <= m.ContactRange {
-				m.states[pl.id] = Adhered
+				rec.state = Adhered
 				// Morse adhesion toward the nearest anchor.
 				dir := nearest.Sub(p.Pos)
 				r := dir.Norm()
@@ -171,9 +215,10 @@ func (m *Model) AddForces(sys *dpd.System) {
 					p.F = p.F.Add(dir.Scale(f / r))
 				}
 			} else {
-				m.states[pl.id] = Triggered
+				rec.state = Triggered
 			}
 		}
+		m.recs[pl.id] = rec
 	}
 }
 

@@ -1,7 +1,9 @@
 package platelet
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nektarg/internal/dpd"
@@ -146,4 +148,40 @@ func TestNewModelPanicsWithoutSites(t *testing.T) {
 		}
 	}()
 	NewModel(1, nil, 0)
+}
+
+// TestResumeIsBitIdenticalWhileClotGrows: the activation clocks and states
+// ride in dpd.State, so a system rebuilt from code and overlaid with a
+// mid-growth capture continues exactly as the uninterrupted run — and two
+// models in the same state encode to the same bytes.
+func TestResumeIsBitIdenticalWhileClotGrows(t *testing.T) {
+	build := func() (*dpd.System, *Model) {
+		s, m := plateletSystem(t, 0.05)
+		rng := rand.New(rand.NewSource(2))
+		SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
+		return s, m
+	}
+	ref, refModel := build()
+	ref.Run(300)
+	st := ref.CaptureState()
+	if refModel.ClotSize(ref) == 0 {
+		t.Fatal("test is vacuous: no platelet has adhered at the capture")
+	}
+	ref.Run(300)
+
+	resumed, model := build()
+	if err := resumed.ApplyState(st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(model.CaptureState(), st.Bonded[0]) {
+		t.Fatal("a model restored from a capture encodes differently from it")
+	}
+	resumed.Run(300)
+	if !reflect.DeepEqual(resumed.CaptureState(), ref.CaptureState()) {
+		t.Fatalf("resumed run diverged: clot %d vs %d", model.ClotSize(resumed), refModel.ClotSize(ref))
+	}
+
+	if err := model.ApplyState(st.Bonded[0][:9]); err == nil {
+		t.Fatal("a truncated encoding was accepted")
+	}
 }
