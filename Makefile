@@ -10,8 +10,8 @@ bench-comm:
 bench:
 	go test -bench=. -benchmem
 
-# Telemetry benchmark bundle: comm + instrumentation-overhead + in-situ
-# benches plus the scaling tables, written to BENCH_telemetry.json
+# Micro-benchmark bundle (what bench/ does not measure): comm, observer-plane
+# overhead and kernel benches, written to BENCH_telemetry.json
 # (scripts/bench.sh).
 bench-telemetry:
 	sh scripts/bench.sh

@@ -114,22 +114,6 @@ func BenchmarkAblation_Stiffness_Affine(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_Stiffness_Curvilinear(b *testing.B) {
-	mg := nektar3d.NewMappedGrid(3, 3, 3, 5, nektar3d.BentChannelMapping(4, 1, 1, 0.5))
-	x := mg.NewField()
-	y := mg.NewField()
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range y {
-			y[j] = 0
-		}
-		mg.ApplyStiffness(y, x)
-	}
-}
-
 func BenchmarkTransportStep(b *testing.B) {
 	g := nektar3d.NewGrid(2, 2, 2, 4, 1, 1, 1, true, true, true)
 	s := nektar3d.NewSolver(g, 0.1, 0.005)

@@ -26,7 +26,7 @@ import (
 // fleetWire is the assembled fleet plane of one process.
 type fleetWire struct {
 	journal *fleet.Journal
-	srv     *fleet.Server
+	srv     *monitor.Server
 	pub     *fleet.Publisher
 	stopPub func()
 	drops   *fleet.DropLedger

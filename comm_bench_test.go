@@ -3,7 +3,7 @@
 // interface exchange. The paper's claim (§3.1, Fig. 4) is that coupling
 // overhead stays negligible as the core count grows; these benchmarks track
 // how the collective algorithms scale with P (tree/recursive-doubling depth
-// ~log P versus the O(P) rank-0 funnel).
+// ~log P).
 //
 // Two metrics are reported per operation:
 //
@@ -16,11 +16,6 @@
 //     would exhibit with one processor per rank. This is the quantity the
 //     paper's scaling argument is about, and it is measured, not modeled:
 //     every send and receive advances a Lamport-style clock.
-//
-// The *Funnel benchmarks reproduce the seed's rank-0 funnel topology on the
-// identical runtime (same payload copies, same mailboxes) so the tree/ring
-// rewrites have an in-tree baseline: compare BcastFunnel vs Bcast and
-// AllreduceFunnel vs Allreduce at the same P.
 //
 // Each benchmark iteration spawns the ranks once and then runs commRounds
 // collectives, so the goroutine setup cost is amortized identically across
@@ -97,36 +92,6 @@ func BenchmarkBcast(b *testing.B) {
 	}
 }
 
-// funnelBcast reproduces the seed's rank-0 funnel broadcast — the root sends
-// to every other rank in turn — on the current runtime, with the same
-// per-receiver payload copies the library now guarantees. It exists purely
-// as a measured baseline for the binomial tree.
-func funnelBcast(w *mpi.Comm, tag int, data []float64) []float64 {
-	if w.Rank() == 0 {
-		for dst := 1; dst < w.Size(); dst++ {
-			w.Send(dst, tag, append([]float64(nil), data...))
-		}
-		return data
-	}
-	return w.Recv(0, tag).([]float64)
-}
-
-func BenchmarkBcastFunnel(b *testing.B) {
-	for _, p := range commSizes {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			payload := make([]float64, 1024)
-			benchCollective(b, p, func(w *mpi.Comm) {
-				for r := 0; r < commRounds; r++ {
-					got := funnelBcast(w, r, payload)
-					if len(got) != 1024 {
-						panic("bad bcast payload")
-					}
-				}
-			})
-		})
-	}
-}
-
 func BenchmarkAllreduce(b *testing.B) {
 	for _, p := range commSizes {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
@@ -137,46 +102,6 @@ func BenchmarkAllreduce(b *testing.B) {
 				}
 				for r := 0; r < commRounds; r++ {
 					got := w.Allreduce(local, mpi.Sum)
-					if len(got) != 256 {
-						panic("bad allreduce payload")
-					}
-				}
-			})
-		})
-	}
-}
-
-// funnelAllreduce reproduces the seed's rank-0 funnel allreduce — every rank
-// sends its vector to the root, which folds and fans the result back out —
-// as a measured baseline for recursive doubling.
-func funnelAllreduce(w *mpi.Comm, tag int, local []float64) []float64 {
-	if w.Rank() == 0 {
-		acc := append([]float64(nil), local...)
-		for src := 1; src < w.Size(); src++ {
-			v := w.Recv(src, tag).([]float64)
-			for i := range acc {
-				acc[i] += v[i]
-			}
-		}
-		for dst := 1; dst < w.Size(); dst++ {
-			w.Send(dst, tag+1, append([]float64(nil), acc...))
-		}
-		return acc
-	}
-	w.Send(0, tag, append([]float64(nil), local...))
-	return w.Recv(0, tag+1).([]float64)
-}
-
-func BenchmarkAllreduceFunnel(b *testing.B) {
-	for _, p := range commSizes {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			benchCollective(b, p, func(w *mpi.Comm) {
-				local := make([]float64, 256)
-				for j := range local {
-					local[j] = float64(w.Rank() + j)
-				}
-				for r := 0; r < commRounds; r++ {
-					got := funnelAllreduce(w, 2*r, local)
 					if len(got) != 256 {
 						panic("bad allreduce payload")
 					}

@@ -5,7 +5,6 @@ package audit
 // so a dashboard built on them cannot be broken by an accidental rename.
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"os"
@@ -37,7 +36,7 @@ func fixtureLedger() *Ledger {
 func TestGoldenAuditExposition(t *testing.T) {
 	led := fixtureLedger()
 	var buf bytes.Buffer
-	if err := monitor.WriteMetrics(&buf, "nektarg", nil, nil, led.Stats(), monitor.NewHealth()); err != nil {
+	if err := monitor.WriteMetrics(&buf, "nektarg", nil, led.Stats(), monitor.NewHealth()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics_audit.golden")
@@ -73,32 +72,17 @@ func TestGoldenAuditExposition(t *testing.T) {
 // guarantee Prometheus scrapers rely on, independent of the golden bytes.
 func TestAuditExpositionHelpTypeLint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := monitor.WriteMetrics(&buf, "nektarg", nil, nil, fixtureLedger().Stats(), monitor.NewHealth()); err != nil {
+	if err := monitor.WriteMetrics(&buf, "nektarg", nil, fixtureLedger().Stats(), monitor.NewHealth()); err != nil {
 		t.Fatal(err)
 	}
-	helped, typed := map[string]bool{}, map[string]bool{}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			helped[strings.Fields(line)[2]] = true
-		case strings.HasPrefix(line, "# TYPE "):
-			typed[strings.Fields(line)[2]] = true
-		case line != "":
-			fam := line
-			if i := strings.IndexAny(fam, "{ "); i >= 0 {
-				fam = fam[:i]
-			}
-			if !helped[fam] || !typed[fam] {
-				t.Errorf("sample %q emitted before its HELP/TYPE headers", line)
-			}
-		}
+	announced, err := monitor.LintExposition(buf.String())
+	if err != nil {
+		t.Error(err)
 	}
 	for _, fam := range []string{"nektarg_audit_exchanges_total", "nektarg_audit_violations_total",
 		"nektarg_audit_worst_severity", "nektarg_audit_budget_rel", "nektarg_audit_budget_ema",
 		"nektarg_audit_budget_severity", "nektarg_audit_budget_violations_total"} {
-		if !helped[fam] || !typed[fam] {
+		if !announced[fam] {
 			t.Errorf("family %s missing HELP or TYPE", fam)
 		}
 	}

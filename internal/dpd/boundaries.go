@@ -212,9 +212,6 @@ func (f *FluxBC) inwardNormal() geometry.Vec3 {
 	return n
 }
 
-// WallA returns the effective wall repulsion coefficient.
-func (s *System) WallA() float64 { return s.A[0][0] }
-
 // WallGamma returns the effective wall friction coefficient (3γ gives a
 // sharp no-slip layer for the standard fluid).
 func (s *System) WallGamma() float64 { return 3 * s.Gamma }

@@ -189,41 +189,24 @@ func (a *Aggregator) Statuses() []ProcessStatus {
 	return out
 }
 
-// procSnapshot folds one process's per-track snapshots into a single
-// synthetic snapshot on track proc — the unit of cross-process imbalance
-// analysis (which rank/process straggles, not which track within one).
-func procSnapshot(st ProcessStatus) *telemetry.Snapshot {
-	s := &telemetry.Snapshot{
-		Track:  st.Proc,
-		Stages: map[string]telemetry.StageStats{},
-		Gauges: map[string]telemetry.GaugeStats{},
+// procSnapshots folds each process's per-track snapshots into one synthetic
+// snapshot on track proc — the unit of cross-process imbalance analysis
+// (which rank/process straggles, not which track within one).
+func procSnapshots(sts []ProcessStatus) []*telemetry.Snapshot {
+	snaps := make([]*telemetry.Snapshot, len(sts))
+	for i, st := range sts {
+		cs := telemetry.Aggregate(st.Snapshots)
+		s := &telemetry.Snapshot{
+			Track:   st.Proc,
+			Traffic: cs.Traffic,
+			Stages:  make(map[string]telemetry.StageStats, len(cs.Stages)),
+		}
+		for _, g := range cs.Stages {
+			s.Stages[g.Name] = telemetry.StageStats{Count: g.Count, Total: g.Total, Min: g.SpanMin, Max: g.SpanMax, Hops: g.Hops}
+		}
+		snaps[i] = s
 	}
-	for _, snap := range st.Snapshots {
-		if snap == nil {
-			continue
-		}
-		for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-			for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-				s.Traffic[l][op].Msgs += snap.Traffic[l][op].Msgs
-				s.Traffic[l][op].Bytes += snap.Traffic[l][op].Bytes
-			}
-		}
-		for name, st := range snap.Stages {
-			agg := s.Stages[name]
-			agg.Count += st.Count
-			agg.Total += st.Total
-			agg.Hops += st.Hops
-			if agg.Count == st.Count || st.Min < agg.Min {
-				agg.Min = st.Min
-			}
-			if st.Max > agg.Max {
-				agg.Max = st.Max
-			}
-			s.Stages[name] = agg
-		}
-		s.DroppedEvents += snap.DroppedEvents
-	}
-	return s
+	return snaps
 }
 
 // Imbalance runs the straggler analyzer across processes: each process's
@@ -231,10 +214,5 @@ func procSnapshot(st ProcessStatus) *telemetry.Snapshot {
 // process straggles", complementing the per-process /imbalance endpoint's
 // "which track within it".
 func (a *Aggregator) Imbalance() []monitor.StageImbalance {
-	sts := a.Statuses()
-	snaps := make([]*telemetry.Snapshot, 0, len(sts))
-	for _, st := range sts {
-		snaps = append(snaps, procSnapshot(st))
-	}
-	return monitor.AnalyzeImbalance(snaps)
+	return monitor.AnalyzeImbalance(procSnapshots(a.Statuses()))
 }

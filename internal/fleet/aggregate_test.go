@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -105,7 +104,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	a.Report(healthyStatus("rank0", 0))
 	a.Report(healthyStatus("rank1", 1))
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses(), a.Imbalance()); err != nil {
+	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -128,7 +127,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 
 	// Deterministic: a second render is byte-identical.
 	var buf2 bytes.Buffer
-	if err := WriteClusterMetrics(&buf2, "nektarg", a.Verdict(), a.Statuses(), a.Imbalance()); err != nil {
+	if err := WriteClusterMetrics(&buf2, "nektarg", a.Verdict(), a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	a1, a2 := buf.String(), buf2.String()
@@ -174,7 +173,7 @@ func TestGoldenClusterMetrics(t *testing.T) {
 		v.Processes[i].AgeS = 0 // wall-clock-dependent; pinned to 0 for the golden bytes
 	}
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", v, a.Statuses(), a.Imbalance()); err != nil {
+	if err := WriteClusterMetrics(&buf, "nektarg", v, a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "cluster_metrics.golden")
@@ -211,27 +210,11 @@ func TestClusterMetricsHelpTypeLint(t *testing.T) {
 	a.Report(healthyStatus("rank0", 0))
 	a.Report(auditedStatus("rank1", 1))
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses(), a.Imbalance()); err != nil {
+	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
-	helped, typed := map[string]bool{}, map[string]bool{}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			helped[strings.Fields(line)[2]] = true
-		case strings.HasPrefix(line, "# TYPE "):
-			typed[strings.Fields(line)[2]] = true
-		case line != "":
-			fam := line
-			if i := strings.IndexAny(fam, "{ "); i >= 0 {
-				fam = fam[:i]
-			}
-			if !helped[fam] || !typed[fam] {
-				t.Errorf("sample %q emitted before its HELP/TYPE headers", line)
-			}
-		}
+	if _, err := monitor.LintExposition(buf.String()); err != nil {
+		t.Error(err)
 	}
 }
 

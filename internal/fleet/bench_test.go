@@ -92,10 +92,10 @@ func BenchmarkClusterMetricsWrite(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		a.Report(benchStatus(fmt.Sprintf("rank%d", i), i))
 	}
-	v, sts, imb := a.Verdict(), a.Statuses(), a.Imbalance()
+	v, sts := a.Verdict(), a.Statuses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteClusterMetrics(io.Discard, "nektarg", v, sts, imb); err != nil {
+		if err := WriteClusterMetrics(io.Discard, "nektarg", v, sts); err != nil {
 			b.Fatal(err)
 		}
 	}

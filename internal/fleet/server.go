@@ -4,49 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"nektarg/internal/monitor"
 	"nektarg/internal/telemetry"
 )
-
-// promWriter is the minimal Prometheus text-exposition helper (version
-// 0.0.4), mirroring internal/monitor's: HELP/TYPE header per family, sorted
-// escaped labels, shortest-round-trip values.
-type promWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-func (p *promWriter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *promWriter) sample(name string, labels [][2]string, v float64) {
-	val := strconv.FormatFloat(v, 'g', -1, 64)
-	if len(labels) == 0 {
-		p.printf("%s %s\n", name, val)
-		return
-	}
-	parts := make([]string, len(labels))
-	esc := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	for i, kv := range labels {
-		parts[i] = fmt.Sprintf("%s=%q", kv[0], esc.Replace(kv[1]))
-	}
-	p.printf("%s{%s} %s\n", name, strings.Join(parts, ","), val)
-}
 
 // ranksLabel renders a rank set as "0,1,2".
 func ranksLabel(ranks []int) string {
@@ -57,126 +22,66 @@ func ranksLabel(ranks []int) string {
 	return strings.Join(parts, ",")
 }
 
-// WriteClusterMetrics renders the fleet state as Prometheus text exposition:
-// cluster rollups (health latch, traffic sums, cross-process stage
-// statistics and straggler attribution) plus per-process series labeled by
-// proc id. Output is deterministic for a given input — processes, stages and
-// stat families all sorted.
-func WriteClusterMetrics(w io.Writer, namespace string, v ClusterVerdict, sts []ProcessStatus, imb []monitor.StageImbalance) error {
-	ns := namespace
-	if ns == "" {
-		ns = "nektarg"
+// WriteClusterMetrics renders the fleet state as Prometheus text exposition
+// through the monitor's writer: cluster rollups (health latch, traffic sums,
+// cross-process stage statistics and straggler attribution) plus per-process
+// series labeled by proc id. Output is deterministic for a given input —
+// processes, stages and stat families all sorted.
+func WriteClusterMetrics(w io.Writer, namespace string, v ClusterVerdict, sts []ProcessStatus) error {
+	e := monitor.NewExposition(w, namespace)
+	bit := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	p := &promWriter{w: w}
-
-	p.header(ns+"_cluster_up", "Whether the fleet aggregator is serving.", "gauge")
-	p.sample(ns+"_cluster_up", nil, 1)
-	p.header(ns+"_cluster_processes", "Processes that have published a status.", "gauge")
-	p.sample(ns+"_cluster_processes", nil, float64(len(sts)))
-	p.header(ns+"_cluster_healthy", "1 while no process is unhealthy and no outage is latched.", "gauge")
-	hv := 0.0
-	if v.Healthy {
-		hv = 1
-	}
-	p.sample(ns+"_cluster_healthy", nil, hv)
-	p.header(ns+"_cluster_latched", "1 while an outage latch holds /cluster/healthz at 503.", "gauge")
-	lv := 0.0
-	if v.Latched {
-		lv = 1
-	}
-	p.sample(ns+"_cluster_latched", nil, lv)
-	p.header(ns+"_cluster_outages_total", "Cumulative outage latch events (world losses, unhealthy processes).", "counter")
-	p.sample(ns+"_cluster_outages_total", nil, float64(v.Outages))
-	p.header(ns+"_cluster_rearms_total", "Times the cluster verdict re-armed after recovery.", "counter")
-	p.sample(ns+"_cluster_rearms_total", nil, float64(v.Rearms))
+	e.Value("_cluster_up", "Whether the fleet aggregator is serving.", "gauge", 1)
+	e.Value("_cluster_processes", "Processes that have published a status.", "gauge", float64(len(sts)))
+	e.Value("_cluster_healthy", "1 while no process is unhealthy and no outage is latched.", "gauge", bit(v.Healthy))
+	e.Value("_cluster_latched", "1 while an outage latch holds /cluster/healthz at 503.", "gauge", bit(v.Latched))
+	e.Value("_cluster_outages_total", "Cumulative outage latch events (world losses, unhealthy processes).", "counter", float64(v.Outages))
+	e.Value("_cluster_rearms_total", "Times the cluster verdict re-armed after recovery.", "counter", float64(v.Rearms))
 
 	// Per-process identity and health.
-	p.header(ns+"_process_info", "Process identity: rank set, incarnation, transport kind.", "gauge")
+	e.Family("_process_info", "Process identity: rank set, incarnation, transport kind.", "gauge")
 	for _, st := range sts {
-		p.sample(ns+"_process_info", [][2]string{
+		e.Sample([][2]string{
 			{"incarnation", strconv.Itoa(st.Incarnation)},
 			{"proc", st.Proc},
 			{"ranks", ranksLabel(st.Ranks)},
 			{"transport", st.Transport},
 		}, 1)
 	}
-	p.header(ns+"_process_healthy", "Each process's own health verdict.", "gauge")
+	e.Family("_process_healthy", "Each process's own health verdict.", "gauge")
 	for _, pv := range v.Processes {
-		hv := 0.0
-		if pv.Healthy {
-			hv = 1
-		}
-		p.sample(ns+"_process_healthy", [][2]string{{"proc", pv.Proc}}, hv)
+		e.Sample([][2]string{{"proc", pv.Proc}}, bit(pv.Healthy))
 	}
-	p.header(ns+"_process_age_seconds", "Seconds since each process last published.", "gauge")
+	e.Family("_process_age_seconds", "Seconds since each process last published.", "gauge")
 	for _, pv := range v.Processes {
-		p.sample(ns+"_process_age_seconds", [][2]string{{"proc", pv.Proc}}, pv.AgeS)
+		e.Sample([][2]string{{"proc", pv.Proc}}, pv.AgeS)
 	}
 
 	// Per-process stage rollups (each process's tracks folded into one).
-	procSnaps := make([]*telemetry.Snapshot, 0, len(sts))
-	for _, st := range sts {
-		procSnaps = append(procSnaps, procSnapshot(st))
-	}
-	p.header(ns+"_process_stage_seconds_total", "Cumulative stage seconds, per process (tracks folded).", "counter")
+	procSnaps := procSnapshots(sts)
+	e.Family("_process_stage_seconds_total", "Cumulative stage seconds, per process (tracks folded).", "counter")
 	for _, s := range procSnaps {
 		for _, name := range s.StageNames() {
-			p.sample(ns+"_process_stage_seconds_total", [][2]string{{"proc", s.Track}, {"stage", name}}, s.Stages[name].Total)
+			e.Sample([][2]string{{"proc", s.Track}, {"stage", name}}, s.Stages[name].Total)
 		}
 	}
-	p.header(ns+"_process_stage_count_total", "Stage occurrences, per process.", "counter")
+	e.Family("_process_stage_count_total", "Stage occurrences, per process.", "counter")
 	for _, s := range procSnaps {
 		for _, name := range s.StageNames() {
-			p.sample(ns+"_process_stage_count_total", [][2]string{{"proc", s.Track}, {"stage", name}}, float64(s.Stages[name].Count))
+			e.Sample([][2]string{{"proc", s.Track}, {"stage", name}}, float64(s.Stages[name].Count))
 		}
 	}
 
-	// Cross-process stage statistics + straggler attribution.
-	p.header(ns+"_cluster_stage_seconds", "Per-process stage totals aggregated across the fleet.", "gauge")
-	for _, r := range imb {
-		for _, st := range [...]struct {
-			stat string
-			v    float64
-		}{{"min", r.MinS}, {"mean", r.MeanS}, {"max", r.MaxS}} {
-			p.sample(ns+"_cluster_stage_seconds", [][2]string{{"stage", r.Stage}, {"stat", st.stat}}, st.v)
-		}
-	}
-	p.header(ns+"_cluster_stage_imbalance_ratio", "Max/mean per-process stage total (1 = balanced).", "gauge")
-	for _, r := range imb {
-		p.sample(ns+"_cluster_stage_imbalance_ratio", [][2]string{{"stage", r.Stage}}, r.Ratio)
-	}
-	p.header(ns+"_cluster_stage_straggler_share", "Straggler process's fraction of the stage's summed time.", "gauge")
-	for _, r := range imb {
-		p.sample(ns+"_cluster_stage_straggler_share", [][2]string{{"stage", r.Stage}, {"straggler", r.Straggler}}, r.StragglerShare)
-	}
-
-	// Cluster traffic rollup (bytes counted once, at the sender, so the sum
-	// over processes is exact).
-	var traffic telemetry.TrafficMatrix
-	for _, s := range procSnaps {
-		for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-			for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-				traffic[l][op].Msgs += s.Traffic[l][op].Msgs
-				traffic[l][op].Bytes += s.Traffic[l][op].Bytes
-			}
-		}
-	}
-	p.header(ns+"_cluster_traffic_messages_total", "Messages sent fleet-wide, by MCI level and operation.", "counter")
-	for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-		for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-			if t := traffic[l][op]; t.Msgs != 0 || t.Bytes != 0 {
-				p.sample(ns+"_cluster_traffic_messages_total", [][2]string{{"level", l.String()}, {"op", op.String()}}, float64(t.Msgs))
-			}
-		}
-	}
-	p.header(ns+"_cluster_traffic_bytes_total", "Payload bytes sent fleet-wide, by MCI level and operation.", "counter")
-	for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-		for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-			if t := traffic[l][op]; t.Msgs != 0 || t.Bytes != 0 {
-				p.sample(ns+"_cluster_traffic_bytes_total", [][2]string{{"level", l.String()}, {"op", op.String()}}, float64(t.Bytes))
-			}
-		}
-	}
+	// Cross-process stage statistics, straggler attribution and traffic
+	// (bytes counted once, at the sender, so the sum over processes is exact).
+	cs := telemetry.Aggregate(procSnaps)
+	e.StageRollup("_cluster_stage", "process", "fleet", cs)
+	e.Traffic("_cluster_traffic", "Messages sent fleet-wide, by MCI level and operation.",
+		"Payload bytes sent fleet-wide, by MCI level and operation.", &cs.Traffic)
 
 	// Physics audit rollup: the fleet's worst latched conservation severity
 	// (max over processes) and total budget violations (sum), derived from
@@ -198,47 +103,22 @@ func WriteClusterMetrics(w io.Writer, namespace string, v ClusterVerdict, sts []
 		}
 	}
 	if auditSeen {
-		p.header(ns+"_cluster_audit_worst_severity", "Worst latched physics-audit severity across the fleet (0 ok, 1 warn, 2 critical).", "gauge")
-		p.sample(ns+"_cluster_audit_worst_severity", nil, auditWorst)
-		p.header(ns+"_cluster_audit_violations_total", "Physics-audit budget violations latched fleet-wide.", "counter")
-		p.sample(ns+"_cluster_audit_violations_total", nil, auditViolations)
+		e.Value("_cluster_audit_worst_severity", "Worst latched physics-audit severity across the fleet (0 ok, 1 warn, 2 critical).", "gauge", auditWorst)
+		e.Value("_cluster_audit_violations_total", "Physics-audit budget violations latched fleet-wide.", "counter", auditViolations)
 	}
 
 	// Per-process extra stats (transport counters): each sample gains a proc
 	// label; families grouped by stable-sorting on name.
-	type procStat struct {
-		proc string
-		s    monitor.Stat
-	}
-	var extras []procStat
+	var extras []monitor.Stat
 	for _, st := range sts {
 		for _, s := range st.Stats {
-			extras = append(extras, procStat{proc: st.Proc, s: s})
+			s.Labels = append([][2]string{{"proc", st.Proc}}, s.Labels...)
+			extras = append(extras, s)
 		}
 	}
-	sort.SliceStable(extras, func(i, j int) bool { return extras[i].s.Name < extras[j].s.Name })
-	last := ""
-	for _, e := range extras {
-		if e.s.Name == "" {
-			continue
-		}
-		name := ns + "_" + e.s.Name
-		if e.s.Name != last {
-			typ := e.s.Type
-			if typ == "" {
-				typ = "gauge"
-			}
-			help := e.s.Help
-			if help == "" {
-				help = "(no help)"
-			}
-			p.header(name, help, typ)
-			last = e.s.Name
-		}
-		labels := append([][2]string{{"proc", e.proc}}, e.s.Labels...)
-		p.sample(name, labels, e.s.Value)
-	}
-	return p.err
+	sort.SliceStable(extras, func(i, j int) bool { return extras[i].Name < extras[j].Name })
+	e.Stats(extras)
+	return e.Err()
 }
 
 // Handler returns the fleet aggregation HTTP surface:
@@ -255,10 +135,6 @@ func WriteClusterMetrics(w io.Writer, namespace string, v ClusterVerdict, sts []
 //
 // j may be nil (no journal wired); /events then 404s.
 func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
-	ns := namespace
-	if ns == "" {
-		ns = "nektarg"
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -270,8 +146,7 @@ func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
 	})
 	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		sts := a.Statuses()
-		WriteClusterMetrics(w, ns, a.Verdict(), sts, a.Imbalance()) //nolint:errcheck // client went away
+		WriteClusterMetrics(w, namespace, a.Verdict(), a.Statuses()) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/cluster/healthz", func(w http.ResponseWriter, r *http.Request) {
 		v := a.Verdict()
@@ -316,6 +191,14 @@ func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
 			http.Error(w, "ProcessStatus.proc must be set", http.StatusBadRequest)
 			return
 		}
+		// Stat names, types and label names go into /cluster/metrics as
+		// written; values, HELP and label values are escaped by the writer.
+		for _, s := range st.Stats {
+			if err := s.Validate(); err != nil {
+				http.Error(w, "bad ProcessStatus: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+		}
 		a.Report(st)
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -337,32 +220,8 @@ func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
 	return mux
 }
 
-// Server is a running fleet aggregation endpoint.
-type Server struct {
-	Addr string // actual listen address (resolves ":0")
-	srv  *http.Server
-	done chan error
-}
-
-// Serve starts the aggregator's HTTP server on addr and returns once the
+// Serve starts the aggregator's HTTP surface on addr and returns once the
 // listener is bound. Close the returned server to stop.
-func (a *Aggregator) Serve(addr, namespace string, j *Journal) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: a.Handler(namespace, j), ReadHeaderTimeout: 5 * time.Second}
-	s := &Server{Addr: ln.Addr().String(), srv: srv, done: make(chan error, 1)}
-	go func() { s.done <- srv.Serve(ln) }()
-	return s, nil
-}
-
-// URL returns the server's base URL.
-func (s *Server) URL() string { return "http://" + s.Addr }
-
-// Close shuts the server down and waits for the serve loop to exit.
-func (s *Server) Close() error {
-	err := s.srv.Close()
-	<-s.done
-	return err
+func (a *Aggregator) Serve(addr, namespace string, j *Journal) (*monitor.Server, error) {
+	return monitor.Serve(addr, a.Handler(namespace, j))
 }

@@ -279,21 +279,6 @@ func (q *Queue) Take() (*Piece, bool) {
 	return p, true
 }
 
-// TryTake is Take without blocking; ok = false when nothing is buffered.
-func (q *Queue) TryTake() (*Piece, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.buf) == 0 {
-		return nil, false
-	}
-	p := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
-	q.st.Delivered++
-	q.st.Queued = int64(len(q.buf))
-	return p, true
-}
-
 // Close marks the queue closed: Publishers' pieces are counted as dropped
 // from now on, and Take returns ok = false once the backlog drains.
 func (q *Queue) Close() {

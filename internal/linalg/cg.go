@@ -36,9 +36,8 @@ type IdentityPrec struct{}
 // Precondition copies r into z.
 func (IdentityPrec) Precondition(z, r []float64) { copy(z, r) }
 
-// JacobiPrec is diagonal scaling: the preconditioner of the 1D and mapped
-// (curved) solves, and the baseline nektar3d's fast diagonalization is
-// measured against.
+// JacobiPrec is diagonal scaling: the preconditioner of the 1D solves, and
+// the baseline nektar3d's fast diagonalization is measured against.
 type JacobiPrec struct{ InvDiag []float64 }
 
 // NewJacobiPrec builds a Jacobi preconditioner from a diagonal; zero diagonal

@@ -137,9 +137,6 @@ func (h *Hierarchy) L3RootWorldRank(task int) int {
 	return h.l3Roots[task]
 }
 
-// NumTasks returns the number of configured tasks.
-func (h *Hierarchy) NumTasks() int { return len(h.l3Roots) }
-
 // InterfaceGroup is one L4 sub-communicator: the L3 ranks whose partitions
 // are intersected by a given interface, plus the bookkeeping the 3-step
 // exchange needs.

@@ -44,9 +44,6 @@ type Event struct {
 	Value    float64   `json:"value"` // the offending scalar (residual, ratio, CFL, ...)
 }
 
-// SeverityName mirrors Severity as a string for JSON readers.
-func (e Event) SeverityName() string { return e.Severity.String() }
-
 // DefaultEventCap bounds the health event ring; watchdogs latch on state
 // transitions so the ring comfortably outlives any realistic run, but a
 // misbehaving probe cannot grow memory without bound either way.

@@ -36,64 +36,31 @@ type StageImbalance struct {
 // snapshots. Results are sorted by stage name (deterministic for golden
 // tests); FormatImbalanceTable re-sorts by severity for human eyes.
 func AnalyzeImbalance(snaps []*telemetry.Snapshot) []StageImbalance {
-	type acc struct {
-		tracks    int
-		count     int64
-		min, max  float64
-		sum       float64
-		straggler string
-		hops      int64
-	}
-	accs := map[string]*acc{}
+	return imbalanceOf(telemetry.Aggregate(snaps))
+}
+
+// imbalanceOf projects the cluster aggregate onto the diagnoses: the
+// straggler and critical-path shares are ratios of what it already holds.
+func imbalanceOf(cs *telemetry.ClusterStats) []StageImbalance {
 	var totalHops int64
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for name, st := range s.Stages {
-			a := accs[name]
-			if a == nil {
-				a = &acc{min: st.Total, max: st.Total, straggler: s.Track}
-				accs[name] = a
-			} else {
-				if st.Total < a.min {
-					a.min = st.Total
-				}
-				if st.Total > a.max {
-					a.max = st.Total
-					a.straggler = s.Track
-				}
-			}
-			a.tracks++
-			a.count += st.Count
-			a.sum += st.Total
-			a.hops += st.Hops
-			totalHops += st.Hops
-		}
+	for i := range cs.Stages {
+		totalHops += cs.Stages[i].Hops
 	}
-	out := make([]StageImbalance, 0, len(accs))
-	for name, a := range accs {
-		mean := a.sum / float64(a.tracks)
-		ratio := 1.0
-		if mean > 0 {
-			ratio = a.max / mean
+	out := make([]StageImbalance, 0, len(cs.Stages))
+	for _, s := range cs.Stages {
+		r := StageImbalance{
+			Stage: s.Name, Tracks: s.Tracks, Count: s.Count,
+			MinS: s.TotalMin, MeanS: s.TotalMean, MaxS: s.TotalMax, Ratio: s.Imbalance,
+			Straggler: s.Straggler, Hops: s.Hops,
 		}
-		share := 0.0
-		if a.sum > 0 {
-			share = a.max / a.sum
+		if s.Total > 0 {
+			r.StragglerShare = s.TotalMax / s.Total
 		}
-		crit := 0.0
 		if totalHops > 0 {
-			crit = float64(a.hops) / float64(totalHops)
+			r.CriticalShare = float64(s.Hops) / float64(totalHops)
 		}
-		out = append(out, StageImbalance{
-			Stage: name, Tracks: a.tracks, Count: a.count,
-			MinS: a.min, MeanS: mean, MaxS: a.max, Ratio: ratio,
-			Straggler: a.straggler, StragglerShare: share,
-			Hops: a.hops, CriticalShare: crit,
-		})
+		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stage < out[j].Stage })
 	return out
 }
 
@@ -113,24 +80,8 @@ func FormatImbalanceTable(imb []StageImbalance) string {
 		"stage", "tracks", "min/track", "mean/track", "max/track", "imbal", "straggler", "share", "crit%")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-26s %6d %10s %10s %10s %6.2fx %-18s %5.0f%% %5.1f%%\n",
-			r.Stage, r.Tracks, fmtSeconds(r.MinS), fmtSeconds(r.MeanS), fmtSeconds(r.MaxS),
+			r.Stage, r.Tracks, telemetry.FormatSeconds(r.MinS), telemetry.FormatSeconds(r.MeanS), telemetry.FormatSeconds(r.MaxS),
 			r.Ratio, r.Straggler, 100*r.StragglerShare, 100*r.CriticalShare)
 	}
 	return b.String()
-}
-
-// fmtSeconds renders seconds with an adaptive unit (mirrors telemetry.fmtDur).
-func fmtSeconds(s float64) string {
-	switch {
-	case s == 0:
-		return "0"
-	case s < 1e-6:
-		return fmt.Sprintf("%.0fns", s*1e9)
-	case s < 1e-3:
-		return fmt.Sprintf("%.1fµs", s*1e6)
-	case s < 1:
-		return fmt.Sprintf("%.2fms", s*1e3)
-	default:
-		return fmt.Sprintf("%.3fs", s)
-	}
 }

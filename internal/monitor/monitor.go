@@ -100,21 +100,19 @@ type Monitor struct {
 	start  time.Time
 
 	mu    sync.Mutex
-	extra []func() []*telemetry.Recorder // additional recorder sources
-	stats []func() []Stat                // extra metric sources (transport counters, ...)
-	snap  SnapshotSource                 // in-situ observation surface; nil = 404
-	audit AuditSource                    // physics audit surface; nil = 404
-	hist  HistorySource                  // performance history surface; nil = 404
+	stats []func() []Stat // extra metric sources (transport counters, ...)
+	snap  SnapshotSource  // in-situ observation surface; nil = 404
+	audit AuditSource     // physics audit surface; nil = 404
+	hist  HistorySource   // performance history surface; nil = 404
 }
 
 // New builds a monitor over a telemetry registry. The registry supplies the
 // per-rank recorders whose snapshots feed /metrics, the imbalance analyzer
-// and the flight recorder; reg may be nil if sources are added later via
-// AddSource. The first critical health event automatically fires the flight
-// recorder.
+// and the flight recorder; a nil reg means no tracks. The first critical
+// health event automatically fires the flight recorder.
 func New(reg *telemetry.Registry, opts Options) *Monitor {
 	m := &Monitor{reg: reg, health: NewHealth(), ns: opts.Namespace, start: time.Now()}
-	m.flight = NewFlightRecorder(opts.FlightDir, m.recorders, m.health)
+	m.flight = NewFlightRecorder(opts.FlightDir, reg.Recorders, m.health)
 	if opts.FlightSpans > 0 {
 		m.flight.SetMaxSpans(opts.FlightSpans)
 	}
@@ -220,32 +218,6 @@ func (m *Monitor) HistorySource() HistorySource {
 	return m.hist
 }
 
-// AddSource registers an extra recorder source (e.g. per-rank recorders that
-// live outside the registry). fn is called at scrape time.
-func (m *Monitor) AddSource(fn func() []*telemetry.Recorder) {
-	if m == nil || fn == nil {
-		return
-	}
-	m.mu.Lock()
-	m.extra = append(m.extra, fn)
-	m.mu.Unlock()
-}
-
-// recorders collects every known recorder (registry + extra sources).
-func (m *Monitor) recorders() []*telemetry.Recorder {
-	var recs []*telemetry.Recorder
-	if m.reg != nil {
-		recs = m.reg.Recorders()
-	}
-	m.mu.Lock()
-	extra := append([]func() []*telemetry.Recorder(nil), m.extra...)
-	m.mu.Unlock()
-	for _, fn := range extra {
-		recs = append(recs, fn()...)
-	}
-	return recs
-}
-
 // Snapshots captures every track's aggregates at this instant. Safe to call
 // while the solvers are mid-step: Recorder.Snapshot serializes against the
 // owning goroutine's writes.
@@ -254,7 +226,7 @@ func (m *Monitor) Snapshots() []*telemetry.Snapshot {
 		return nil
 	}
 	var snaps []*telemetry.Snapshot
-	for _, r := range m.recorders() {
+	for _, r := range m.reg.Recorders() {
 		if s := r.Snapshot(); s != nil {
 			snaps = append(snaps, s)
 		}

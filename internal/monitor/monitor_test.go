@@ -72,7 +72,7 @@ func syntheticState() ([]*telemetry.Snapshot, *Health) {
 func TestGoldenMetrics(t *testing.T) {
 	snaps, h := syntheticState()
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, "nektarg", snaps, AnalyzeImbalance(snaps), nil, h); err != nil {
+	if err := WriteMetrics(&buf, "nektarg", snaps, nil, h); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics.golden")
@@ -98,8 +98,13 @@ func TestGoldenMetrics(t *testing.T) {
 // configured namespace, and the cluster families cover both tracks.
 func TestMetricsParse(t *testing.T) {
 	snaps, h := syntheticState()
+	// Track names come from config JSON: one with all three characters the
+	// format escapes must read back, through a scraper's unescaping, as
+	// itself (the writer used to escape it twice).
+	hostile := "patch:a\"b\\c\nd"
+	snaps = append(snaps, &telemetry.Snapshot{Track: hostile})
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, "test", snaps, AnalyzeImbalance(snaps), nil, h); err != nil {
+	if err := WriteMetrics(&buf, "test", snaps, nil, h); err != nil {
 		t.Fatal(err)
 	}
 	samples := 0
@@ -118,6 +123,16 @@ func TestMetricsParse(t *testing.T) {
 	}
 	if samples < 20 {
 		t.Fatalf("suspiciously few samples: %d", samples)
+	}
+	const dropped = `test_telemetry_dropped_events_total{track="patch:`
+	i := strings.Index(buf.String(), dropped)
+	if i < 0 {
+		t.Fatalf("no sample for the hostile track:\n%s", buf.String())
+	}
+	quoted := buf.String()[i+len(dropped)-len("patch:"):]
+	quoted = quoted[:strings.Index(quoted, "\"} ")]
+	if got := strings.NewReplacer(`\\`, `\`, `\n`, "\n", `\"`, `"`).Replace(quoted); got != hostile {
+		t.Fatalf("label value %q reads back as %q, want %q", quoted, got, hostile)
 	}
 	for _, want := range []string{
 		`test_stage_seconds_total{track="rank0",stage="ns.step"} 0.5`,
@@ -545,12 +560,11 @@ func BenchmarkAnalyzeImbalance(b *testing.B) {
 // BenchmarkWriteMetrics measures a full exposition render at the same scale.
 func BenchmarkWriteMetrics(b *testing.B) {
 	snaps := benchSnaps()
-	imb := AnalyzeImbalance(snaps)
 	h := NewHealth()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteMetrics(io.Discard, "nektarg", snaps, imb, nil, h); err != nil {
+		if err := WriteMetrics(io.Discard, "nektarg", snaps, nil, h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,18 +1,16 @@
 package monitor
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"nektarg/internal/telemetry"
 )
 
-// Prometheus text exposition (version 0.0.4) rendered straight from telemetry
-// snapshots — no client library, no global registries: the monitor owns the
-// snapshot → exposition translation so the solvers stay dependency-free.
+// The /metrics exposition, rendered straight from telemetry snapshots through
+// the Exposition writer: the monitor owns the snapshot → exposition
+// translation so the solvers stay dependency-free.
 //
 // Metric families (namespace default "nektarg"):
 //
@@ -39,126 +37,50 @@ import (
 //	<ns>_health_events_total{watchdog,severity}     watchdog event counters
 //	<ns>_health_trips_total                         critical events (cumulative)
 //	<ns>_health_rearms_total                        recovery re-arms
-type promWriter struct {
-	w   io.Writer
-	err error
-}
 
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-// header emits the HELP/TYPE preamble for one metric family.
-func (p *promWriter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// sample emits one sample line with sorted, escaped labels.
-func (p *promWriter) sample(name string, labels [][2]string, v float64) {
-	if len(labels) == 0 {
-		p.printf("%s %s\n", name, formatValue(v))
-		return
-	}
-	parts := make([]string, len(labels))
-	for i, kv := range labels {
-		parts[i] = fmt.Sprintf("%s=%q", kv[0], escapeLabel(kv[1]))
-	}
-	p.printf("%s{%s} %s\n", name, strings.Join(parts, ","), formatValue(v))
-}
-
-// formatValue renders a float the Prometheus way (shortest round-trip form).
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// escapeLabel escapes a label value per the text exposition format.
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
-
-// WriteMetrics renders snapshots, imbalance diagnoses, extra stat samples
+// WriteMetrics renders snapshots, their cluster aggregate, extra stat samples
 // (transport counters and other out-of-registry sources — pass nil for none)
 // and health counters as Prometheus text exposition. Output is deterministic
-// for a given input (tracks, stages, labels all sorted; extra families in the
-// grouped order Monitor.Stats produces), which the golden test pins.
-func WriteMetrics(w io.Writer, namespace string, snaps []*telemetry.Snapshot, imb []StageImbalance, extra []Stat, h *Health) error {
-	if namespace == "" {
-		namespace = "nektarg"
-	}
-	p := &promWriter{w: w}
-	ns := namespace
-
-	p.header(ns+"_up", "Whether the monitor is serving.", "gauge")
-	p.sample(ns+"_up", nil, 1)
-	p.header(ns+"_tracks", "Number of telemetry tracks (ranks/patches/regions).", "gauge")
-	p.sample(ns+"_tracks", nil, float64(len(snaps)))
+// for a given input (tracks, stages, labels and extra families all sorted),
+// which the golden test pins.
+func WriteMetrics(w io.Writer, namespace string, snaps []*telemetry.Snapshot, extra []Stat, h *Health) error {
+	e := NewExposition(w, namespace)
+	e.Value("_up", "Whether the monitor is serving.", "gauge", 1)
+	e.Value("_tracks", "Number of telemetry tracks (ranks/patches/regions).", "gauge", float64(len(snaps)))
 
 	ordered := append([]*telemetry.Snapshot(nil), snaps...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Track < ordered[j].Track })
 
 	// Per-rank stage aggregates.
-	p.header(ns+"_stage_seconds_total", "Cumulative seconds spent in each stage, per track.", "counter")
-	eachStage(ordered, func(track, stage string, st telemetry.StageStats) {
-		p.sample(ns+"_stage_seconds_total", [][2]string{{"track", track}, {"stage", stage}}, st.Total)
-	})
-	p.header(ns+"_stage_count_total", "Stage occurrences, per track.", "counter")
-	eachStage(ordered, func(track, stage string, st telemetry.StageStats) {
-		p.sample(ns+"_stage_count_total", [][2]string{{"track", track}, {"stage", stage}}, float64(st.Count))
-	})
-	p.header(ns+"_stage_hops_total", "Hop-clock advance attributed to each stage, per track.", "counter")
-	eachStage(ordered, func(track, stage string, st telemetry.StageStats) {
-		p.sample(ns+"_stage_hops_total", [][2]string{{"track", track}, {"stage", stage}}, float64(st.Hops))
-	})
-
-	// Cluster-aggregated stage statistics + imbalance.
-	p.header(ns+"_cluster_stage_seconds", "Per-track stage totals aggregated across the cluster.", "gauge")
-	for _, r := range imb {
-		for _, st := range [...]struct {
-			stat string
-			v    float64
-		}{{"min", r.MinS}, {"mean", r.MeanS}, {"max", r.MaxS}} {
-			p.sample(ns+"_cluster_stage_seconds", [][2]string{{"stage", r.Stage}, {"stat", st.stat}}, st.v)
-		}
-	}
-	p.header(ns+"_stage_imbalance_ratio", "Max/mean per-track stage total (1 = balanced).", "gauge")
-	for _, r := range imb {
-		p.sample(ns+"_stage_imbalance_ratio", [][2]string{{"stage", r.Stage}}, r.Ratio)
-	}
-	p.header(ns+"_stage_straggler_share", "Straggler track's fraction of the stage's summed time.", "gauge")
-	for _, r := range imb {
-		p.sample(ns+"_stage_straggler_share", [][2]string{{"stage", r.Stage}, {"straggler", r.Straggler}}, r.StragglerShare)
-	}
-	p.header(ns+"_stage_critical_path_share", "Stage's share of the total hop-clock advance.", "gauge")
-	for _, r := range imb {
-		p.sample(ns+"_stage_critical_path_share", [][2]string{{"stage", r.Stage}}, r.CriticalShare)
-	}
-
-	// Cluster traffic matrix (bytes counted once at the sender, so sums are
-	// exact across ranks).
-	var traffic telemetry.TrafficMatrix
-	for _, s := range ordered {
-		for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-			for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-				traffic[l][op].Msgs += s.Traffic[l][op].Msgs
-				traffic[l][op].Bytes += s.Traffic[l][op].Bytes
+	perStage := func(suffix, help string, value func(telemetry.StageStats) float64) {
+		e.Family(suffix, help, "counter")
+		for _, s := range ordered {
+			for _, stage := range s.StageNames() {
+				e.Sample([][2]string{{"track", s.Track}, {"stage", stage}}, value(s.Stages[stage]))
 			}
 		}
 	}
-	p.header(ns+"_traffic_messages_total", "Messages sent, by MCI communicator level and operation.", "counter")
-	eachTraffic(&traffic, func(l telemetry.Level, op telemetry.Op, t telemetry.Traffic) {
-		p.sample(ns+"_traffic_messages_total", [][2]string{{"level", l.String()}, {"op", op.String()}}, float64(t.Msgs))
-	})
-	p.header(ns+"_traffic_bytes_total", "Payload bytes sent, by MCI communicator level and operation.", "counter")
-	eachTraffic(&traffic, func(l telemetry.Level, op telemetry.Op, t telemetry.Traffic) {
-		p.sample(ns+"_traffic_bytes_total", [][2]string{{"level", l.String()}, {"op", op.String()}}, float64(t.Bytes))
-	})
+	perStage("_stage_seconds_total", "Cumulative seconds spent in each stage, per track.",
+		func(st telemetry.StageStats) float64 { return st.Total })
+	perStage("_stage_count_total", "Stage occurrences, per track.",
+		func(st telemetry.StageStats) float64 { return float64(st.Count) })
+	perStage("_stage_hops_total", "Hop-clock advance attributed to each stage, per track.",
+		func(st telemetry.StageStats) float64 { return float64(st.Hops) })
+
+	// Cluster-aggregated stage statistics, imbalance and traffic: the
+	// aggregate is taken in the caller's track order, which decides the
+	// straggler on ties.
+	cs := telemetry.Aggregate(snaps)
+	e.StageRollup("_stage", "track", "cluster", cs)
+	e.Family("_stage_critical_path_share", "Stage's share of the total hop-clock advance.", "gauge")
+	for _, r := range imbalanceOf(cs) {
+		e.Sample([][2]string{{"stage", r.Stage}}, r.CriticalShare)
+	}
+	e.Traffic("_traffic", "Messages sent, by MCI communicator level and operation.",
+		"Payload bytes sent, by MCI communicator level and operation.", &cs.Traffic)
 
 	// Solver gauges, per track.
-	p.header(ns+"_solver_gauge", "Solver gauge series (CG iterations, particle counts, ...).", "gauge")
+	e.Family("_solver_gauge", "Solver gauge series (CG iterations, particle counts, ...).", "gauge")
 	for _, s := range ordered {
 		names := make([]string, 0, len(s.Gauges))
 		for n := range s.Gauges {
@@ -171,16 +93,16 @@ func WriteMetrics(w io.Writer, namespace string, snaps []*telemetry.Snapshot, im
 				stat string
 				v    float64
 			}{{"last", g.Last}, {"mean", g.Mean()}, {"min", g.Min}, {"max", g.Max}} {
-				p.sample(ns+"_solver_gauge", [][2]string{{"track", s.Track}, {"gauge", n}, {"stat", st.stat}}, st.v)
+				e.Sample([][2]string{{"track", s.Track}, {"gauge", n}, {"stat", st.stat}}, st.v)
 			}
 		}
 	}
 
 	// Telemetry ring eviction, per track. Always emitted — including 0: a
 	// flat-zero series is how an operator proves no span records were lost.
-	p.header(ns+"_telemetry_dropped_events_total", "Span records evicted from each track's telemetry ring.", "counter")
+	e.Family("_telemetry_dropped_events_total", "Span records evicted from each track's telemetry ring.", "counter")
 	for _, s := range ordered {
-		p.sample(ns+"_telemetry_dropped_events_total", [][2]string{{"track", s.Track}}, float64(s.DroppedEvents))
+		e.Sample([][2]string{{"track", s.Track}}, float64(s.DroppedEvents))
 	}
 
 	// In-situ pipeline accounting, derived from the observer track's
@@ -213,27 +135,23 @@ func WriteMetrics(w io.Writer, namespace string, snaps []*telemetry.Snapshot, im
 					v += g.Last
 				}
 			}
-			p.header(ns+fam.suffix, fam.help, fam.typ)
-			p.sample(ns+fam.suffix, nil, v)
+			e.Value(fam.suffix, fam.help, fam.typ, v)
 		}
 	}
 
 	// Extra stat samples (transport counters and other sources registered via
 	// Monitor.AddStatSource).
-	p.writeStats(ns, extra)
+	e.Stats(extra)
 
 	// Health.
-	p.header(ns+"_health_healthy", "1 while no watchdog has tripped since the last re-arm, 0 after a critical event.", "gauge")
 	hv := 1.0
 	if !h.Healthy() {
 		hv = 0
 	}
-	p.sample(ns+"_health_healthy", nil, hv)
-	p.header(ns+"_health_trips_total", "Cumulative critical watchdog events.", "counter")
-	p.sample(ns+"_health_trips_total", nil, float64(h.Trips()))
-	p.header(ns+"_health_rearms_total", "Times the health verdict was re-armed after recovery.", "counter")
-	p.sample(ns+"_health_rearms_total", nil, float64(h.Rearms()))
-	p.header(ns+"_health_events_total", "Watchdog events by watchdog and severity.", "counter")
+	e.Value("_health_healthy", "1 while no watchdog has tripped since the last re-arm, 0 after a critical event.", "gauge", hv)
+	e.Value("_health_trips_total", "Cumulative critical watchdog events.", "counter", float64(h.Trips()))
+	e.Value("_health_rearms_total", "Times the health verdict was re-armed after recovery.", "counter", float64(h.Rearms()))
+	e.Family("_health_events_total", "Watchdog events by watchdog and severity.", "counter")
 	counts := h.WatchdogCounts()
 	wnames := make([]string, 0, len(counts))
 	for n := range counts {
@@ -246,10 +164,10 @@ func WriteMetrics(w io.Writer, namespace string, snaps []*telemetry.Snapshot, im
 			if c[sev] == 0 {
 				continue
 			}
-			p.sample(ns+"_health_events_total", [][2]string{{"watchdog", n}, {"severity", sev.String()}}, float64(c[sev]))
+			e.Sample([][2]string{{"watchdog", n}, {"severity", sev.String()}}, float64(c[sev]))
 		}
 	}
-	return p.err
+	return e.Err()
 }
 
 // hasInsituGauges reports whether any track carries in-situ pipeline gauges.
@@ -262,24 +180,4 @@ func hasInsituGauges(snaps []*telemetry.Snapshot) bool {
 		}
 	}
 	return false
-}
-
-// eachStage iterates (track, stage) pairs in deterministic order.
-func eachStage(snaps []*telemetry.Snapshot, fn func(track, stage string, st telemetry.StageStats)) {
-	for _, s := range snaps {
-		for _, name := range s.StageNames() {
-			fn(s.Track, name, s.Stages[name])
-		}
-	}
-}
-
-// eachTraffic iterates the nonzero traffic cells in level-major order.
-func eachTraffic(m *telemetry.TrafficMatrix, fn func(telemetry.Level, telemetry.Op, telemetry.Traffic)) {
-	for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-		for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-			if t := m[l][op]; t.Msgs != 0 || t.Bytes != 0 {
-				fn(l, op, t)
-			}
-		}
-	}
 }

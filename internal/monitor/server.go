@@ -46,13 +46,9 @@ func (m *Monitor) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		snaps := m.Snapshots()
-		imb := AnalyzeImbalance(snaps)
-		if err := WriteMetrics(w, m.ns, snaps, imb, m.Stats(), m.health); err != nil {
-			// Headers are gone; nothing recoverable — the scraper sees a
-			// truncated body and retries.
-			return
-		}
+		// On error the headers are gone and nothing is recoverable: the
+		// scraper sees a truncated body and retries.
+		WriteMetrics(w, m.ns, m.Snapshots(), m.Stats(), m.health) //nolint:errcheck
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		v := m.health.Verdict()
@@ -181,27 +177,33 @@ func queryInt(s string, def int) int {
 	return n
 }
 
-// Server is a running monitor HTTP endpoint.
+// Server is a running HTTP endpoint: the listen/serve/Close wrapper behind
+// Monitor.Serve and fleet's Aggregator.Serve.
 type Server struct {
 	Addr string // actual listen address (resolves ":0")
 	srv  *http.Server
-	ln   net.Listener
 	done chan error
 }
 
-// Serve starts the monitor's HTTP server on addr (e.g. ":9090", or ":0" for
-// an ephemeral port) and returns once the listener is bound; requests are
-// served on a background goroutine. Close the returned server to stop.
-func (m *Monitor) Serve(addr string) (*Server, error) {
+// Serve binds addr (e.g. ":9090", or ":0" for an ephemeral port) and serves
+// h on a background goroutine; it returns once the listener is bound. Close
+// the returned server to stop.
+func Serve(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("monitor: listen %s: %w", addr, err)
+		return nil, err // a *net.OpError: already "listen tcp <addr>: ..."
 	}
-	srv := &http.Server{Handler: m.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	s := &Server{Addr: ln.Addr().String(), srv: srv, ln: ln, done: make(chan error, 1)}
-	go func() { s.done <- srv.Serve(ln) }()
+	s := &Server{
+		Addr: ln.Addr().String(),
+		srv:  &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second},
+		done: make(chan error, 1),
+	}
+	go func() { s.done <- s.srv.Serve(ln) }()
 	return s, nil
 }
+
+// Serve starts the monitor's HTTP surface on addr.
+func (m *Monitor) Serve(addr string) (*Server, error) { return Serve(addr, m.Handler()) }
 
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr }

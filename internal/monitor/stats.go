@@ -6,8 +6,8 @@ import "sort"
 // subsystems outside the telemetry registry (the TCP transport's frame
 // counters, for instance) surface numbers into /metrics and the fleet
 // rollup without the monitor importing them. Name is the family suffix —
-// WriteMetrics prepends the namespace — and samples of one family must share
-// Help and Type.
+// the exposition prepends "<namespace>_" — and samples of one family must
+// share Help and Type.
 type Stat struct {
 	Name   string      `json:"name"`             // family suffix, e.g. "transport_frames_sent_total"
 	Help   string      `json:"help"`             // HELP text for the family
@@ -43,30 +43,4 @@ func (m *Monitor) Stats() []Stat {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// writeStats renders extra stat samples; the caller has grouped families
-// (Monitor.Stats sorts by Name). Each family's HELP/TYPE header is emitted
-// once, before its first sample.
-func (p *promWriter) writeStats(ns string, stats []Stat) {
-	last := ""
-	for _, s := range stats {
-		if s.Name == "" {
-			continue
-		}
-		name := ns + "_" + s.Name
-		if s.Name != last {
-			typ := s.Type
-			if typ == "" {
-				typ = "gauge"
-			}
-			help := s.Help
-			if help == "" {
-				help = "(no help)"
-			}
-			p.header(name, help, typ)
-			last = s.Name
-		}
-		p.sample(name, s.Labels, s.Value)
-	}
 }

@@ -15,10 +15,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nektarg/internal/mci"
 	"nektarg/internal/mpi"
 	"nektarg/internal/mpi/tcptransport"
+	"nektarg/internal/telemetry"
 )
 
 var kinds = []string{"inproc", "tcp"}
@@ -285,6 +287,57 @@ func TestConformanceMCIExchange(t *testing.T) {
 				wantBase := float64(100*(peerTask+1) + 10*wantLocal)
 				if len(got) != 2 || got[0] != wantBase || got[1] != wantBase+1 {
 					panic(fmt.Sprintf("task %d local %d got %v want base %v", h.Task, local, got, wantBase))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestConformanceReduceTelemetry runs the cluster reporter over both
+// transports. Its partial aggregates ([]*telemetry.ClusterStats) are a
+// gob-registered payload, so this is where they cross a real wire; the root
+// must hold exactly what the serial telemetry.Aggregate makes of the same
+// five snapshots, straggler and a one-rank stage included.
+func TestConformanceReduceTelemetry(t *testing.T) {
+	const P = 5
+	record := func(rec *telemetry.Recorder, r int) {
+		rec.RecordSpan("work", 0, time.Duration(r+1)*time.Second, 0, r)
+		rec.Gauge("val", float64(r))
+		for i := 0; i < r; i++ {
+			rec.CountMessage(telemetry.LevelWorld, telemetry.OpCoupling, 10)
+		}
+		if r == 3 {
+			rec.RecordSpan("solo", 0, 2*time.Second, 0, 0)
+		}
+	}
+	var snaps []*telemetry.Snapshot
+	for r := 0; r < P; r++ {
+		rec := telemetry.NewRegistry().NewRecorder(fmt.Sprintf("rank%d", r))
+		record(rec, r)
+		snaps = append(snaps, rec.Snapshot())
+	}
+	want := telemetry.Aggregate(snaps)
+	for _, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			err := runWorld(t, kind, P, func(w *mpi.Comm) {
+				rec := telemetry.NewRegistry().NewRecorder(fmt.Sprintf("rank%d", w.Rank()))
+				w.AttachTelemetry(rec)
+				record(rec, w.Rank())
+				got := mpi.ReduceTelemetry(w, rec, 0)
+				if w.Rank() != 0 {
+					if got != nil {
+						panic(fmt.Sprintf("rank %d got cluster stats", w.Rank()))
+					}
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					panic(fmt.Sprintf("tree reduction\n%+v\nserial fold\n%+v", got, want))
+				}
+				if s := got.Stage("work"); s.Straggler != "rank4" {
+					panic(fmt.Sprintf("straggler = %q, want rank4", s.Straggler))
 				}
 			})
 			if err != nil {

@@ -11,15 +11,10 @@ package mpi
 // the tag (negative collective tags embed their op code; the reserved band is
 // coupling traffic; everything else is user point-to-point).
 //
-// The cluster-wide reporter (ReduceTelemetry) aggregates per-rank stage and
-// gauge records with the existing tree collectives: one tree Gather + Bcast
-// fixes a canonical name order, then tree Reduce with Sum/Min/Max combines
-// the aligned numeric vectors — O(log P) depth, same merge rule as the
-// serial telemetry.Aggregate.
+// The cluster-wide reporter (ReduceTelemetry) is the tree reduction of the
+// merge rule whose serial fold is telemetry.Aggregate.
 
 import (
-	"math"
-	"sort"
 	"strings"
 
 	"nektarg/internal/telemetry"
@@ -97,168 +92,19 @@ func opForTag(tag int) telemetry.Op {
 	return telemetry.OpP2P
 }
 
-// Per-stage reduction vector layout (see ReduceTelemetry).
-const (
-	stageSumFields = 5 // count, total, hops, tracks, sum-of-track-totals
-	stageMinFields = 2 // per-track total, per-span min
-	stageMaxFields = 2 // per-track total, per-span max
-	gaugeSumFields = 3 // count, sum, tracks
-)
-
-// ReduceTelemetry aggregates every rank's telemetry snapshot at root using
-// the tree collectives and returns the cluster statistics there (nil on
-// non-root ranks). It must be called collectively by every rank of c; ranks
-// without a recorder pass nil and contribute empty records. The snapshot is
-// taken before any reporter traffic flows, so the reporter does not count
-// itself.
+// ReduceTelemetry aggregates every rank's telemetry snapshot at root and
+// returns the cluster statistics there (nil on non-root ranks): the binomial
+// tree reduction of telemetry.ClusterStats.Merge, depth log2 P. It must be
+// called collectively by every rank of c; ranks without a recorder pass nil
+// and contribute an empty aggregate. The snapshot is taken before any
+// reporter traffic flows, so the reporter does not count itself.
 func ReduceTelemetry(c *Comm, rec *telemetry.Recorder, root int) *telemetry.ClusterStats {
-	snap := rec.Snapshot()
-	present := 0.0
-	if snap == nil {
-		snap = &telemetry.Snapshot{
-			Stages: map[string]telemetry.StageStats{},
-			Gauges: map[string]telemetry.GaugeStats{},
-		}
-	} else {
-		present = 1
-	}
-
-	stageNames := canonicalNames(c, root, snap.StageNames())
-	gaugeNames := make([]string, 0, len(snap.Gauges))
-	for n := range snap.Gauges {
-		gaugeNames = append(gaugeNames, n)
-	}
-	sort.Strings(gaugeNames)
-	gaugeNames = canonicalNames(c, root, gaugeNames)
-
-	inf := math.Inf(1)
-	ns, ng := len(stageNames), len(gaugeNames)
-	sumVec := make([]float64, 1+ns*stageSumFields+ng*gaugeSumFields)
-	minVec := make([]float64, ns*stageMinFields+ng)
-	maxVec := make([]float64, ns*stageMaxFields+ng)
-	sumVec[0] = present
-	for i, name := range stageNames {
-		st, ok := snap.Stages[name]
-		so := 1 + i*stageSumFields
-		mo := i * stageMinFields
-		xo := i * stageMaxFields
-		if !ok {
-			minVec[mo], minVec[mo+1] = inf, inf
-			maxVec[xo], maxVec[xo+1] = -inf, -inf
-			continue
-		}
-		sumVec[so] = float64(st.Count)
-		sumVec[so+1] = st.Total
-		sumVec[so+2] = float64(st.Hops)
-		sumVec[so+3] = 1 // this rank recorded the stage
-		sumVec[so+4] = st.Total
-		minVec[mo], minVec[mo+1] = st.Total, st.Min
-		maxVec[xo], maxVec[xo+1] = st.Total, st.Max
-	}
-	for i, name := range gaugeNames {
-		g, ok := snap.Gauges[name]
-		so := 1 + ns*stageSumFields + i*gaugeSumFields
-		mo := ns*stageMinFields + i
-		xo := ns*stageMaxFields + i
-		if !ok {
-			minVec[mo] = inf
-			maxVec[xo] = -inf
-			continue
-		}
-		sumVec[so] = float64(g.Count)
-		sumVec[so+1] = g.Sum
-		sumVec[so+2] = 1
-		minVec[mo] = g.Min
-		maxVec[xo] = g.Max
-	}
-
-	// Traffic is integer identity data: reduce exactly with ReduceInt.
-	tvec := make([]int, 0, int(telemetry.NumLevels)*int(telemetry.NumOps)*2)
-	for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-		for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-			t := snap.Traffic[l][op]
-			tvec = append(tvec, int(t.Msgs), int(t.Bytes))
-		}
-	}
-
-	sums := c.Reduce(root, sumVec, Sum)
-	mins := c.Reduce(root, minVec, Min)
-	maxs := c.Reduce(root, maxVec, Max)
-	traf := c.ReduceInt(root, tvec, SumInt)
-	if c.Rank() != root {
+	local := telemetry.Aggregate([]*telemetry.Snapshot{rec.Snapshot()})
+	c.checkRoot(root)
+	out := reduceTree(c, c.collTag(opReduce), root, []*telemetry.ClusterStats{local},
+		func(a, b *telemetry.ClusterStats) *telemetry.ClusterStats { a.Merge(b); return a })
+	if out == nil {
 		return nil
 	}
-
-	cs := &telemetry.ClusterStats{Tracks: int(sums[0])}
-	for i, name := range stageNames {
-		so := 1 + i*stageSumFields
-		mo := i * stageMinFields
-		xo := i * stageMaxFields
-		tracks := sums[so+3]
-		if tracks == 0 {
-			continue
-		}
-		mean := sums[so+4] / tracks
-		imb := 1.0
-		if mean > 0 {
-			imb = maxs[xo] / mean
-		}
-		cs.Stages = append(cs.Stages, telemetry.ClusterStage{
-			Name:      name,
-			Count:     int64(sums[so]),
-			Tracks:    int(tracks),
-			Total:     sums[so+1],
-			TotalMin:  mins[mo],
-			TotalMean: mean,
-			TotalMax:  maxs[xo],
-			SpanMin:   mins[mo+1],
-			SpanMax:   maxs[xo+1],
-			Imbalance: imb,
-			Hops:      int64(sums[so+2]),
-		})
-	}
-	for i, name := range gaugeNames {
-		so := 1 + ns*stageSumFields + i*gaugeSumFields
-		count := sums[so]
-		if sums[so+2] == 0 || count == 0 {
-			continue
-		}
-		cs.Gauges = append(cs.Gauges, telemetry.ClusterGauge{
-			Name:  name,
-			Count: int64(count),
-			Mean:  sums[so+1] / count,
-			Min:   mins[ns*stageMinFields+i],
-			Max:   maxs[ns*stageMaxFields+i],
-			Sum:   sums[so+1],
-		})
-	}
-	k := 0
-	for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-		for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
-			cs.Traffic[l][op] = telemetry.Traffic{Msgs: int64(traf[k]), Bytes: int64(traf[k+1])}
-			k += 2
-		}
-	}
-	return cs
-}
-
-// canonicalNames computes the sorted union of every rank's name list and
-// distributes it to all ranks (tree Gather up, tree Bcast down).
-func canonicalNames(c *Comm, root int, mine []string) []string {
-	all := c.Gather(root, mine)
-	var canon []string
-	if c.Rank() == root {
-		set := map[string]bool{}
-		for _, raw := range all {
-			for _, n := range raw.([]string) {
-				set[n] = true
-			}
-		}
-		canon = make([]string, 0, len(set))
-		for n := range set {
-			canon = append(canon, n)
-		}
-		sort.Strings(canon)
-	}
-	return c.Bcast(root, canon).([]string)
+	return out[0]
 }

@@ -80,6 +80,7 @@ func init() {
 	gob.Register(scatterBundle{})
 	gob.Register(splitRequest{})
 	gob.Register(splitAssign{})
+	gob.Register([]*telemetry.ClusterStats{}) // ReduceTelemetry partial aggregates
 	// Common solver payload shapes.
 	gob.Register([]float64{})
 	gob.Register([]int{})

@@ -124,19 +124,3 @@ func (s *Segment) MaxCFL(dt float64) float64 {
 	}
 	return m * dt / s.Dx()
 }
-
-// solveFromCharAndPressure finds (a, u) satisfying a given Riemann invariant
-// (forward if fwd, else backward) and a target pressure: β(√a − √A0) = p.
-func (s *Segment) solveFromCharAndPressure(w, p float64, fwd bool) (a, u float64) {
-	sq := p/s.Beta + math.Sqrt(s.A0)
-	if sq < 1e-12 {
-		sq = 1e-12
-	}
-	a = sq * sq
-	if fwd {
-		u = w - 4*s.WaveSpeed(a)
-	} else {
-		u = w + 4*s.WaveSpeed(a)
-	}
-	return a, u
-}

@@ -182,7 +182,8 @@ func TestPoissonNeumannManufactured(t *testing.T) {
 	for i := range s {
 		s[i] = -2 * math.Pi * math.Pi * exact[i]
 	}
-	p, st, err := g.SolvePoissonNeumann(s, nil, 1e-11, 10000)
+	p := g.NewField()
+	st, err := g.SolvePoissonNeumannIn(p, s, 1e-11, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,20 +217,6 @@ func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (
 	return res, nil
 }
 
-// SolvePoissonNeumann is the allocating wrapper around SolvePoissonNeumannIn
-// (pInit nil for a zero initial guess).
-func (g *Grid) SolvePoissonNeumann(s, pInit []float64, tol float64, maxIter int) ([]float64, linalg.SolveStats, error) {
-	p := g.NewField()
-	if pInit != nil {
-		copy(p, pInit)
-	}
-	res, err := g.SolvePoissonNeumannIn(p, s, tol, maxIter)
-	if err != nil {
-		return nil, res, err
-	}
-	return p, res, nil
-}
-
 // GradientInto computes the collocation gradient of f into fx, fy, fz,
 // averaging the (discontinuous) element derivatives at shared nodes.
 // Arena-backed and bit-identical to gradientRef for every worker count.

@@ -72,15 +72,6 @@ func (g *Grid) SampleVelocity(u, v, w []float64, p geometry.Vec3) (float64, floa
 	return g.Sample(u, p), g.Sample(v, p), g.Sample(w, p)
 }
 
-// SampleMany evaluates a field at many points.
-func (g *Grid) SampleMany(f []float64, pts []geometry.Vec3) []float64 {
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = g.Sample(f, p)
-	}
-	return out
-}
-
 // lagrangeWeights returns the values of the nq Lagrange cardinal functions of
 // the basis at reference coordinate xi.
 func lagrangeWeights(b *sem.Basis1D, xi float64) []float64 {

@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -21,6 +21,34 @@ type ClusterStage struct {
 	SpanMax   float64 `json:"max_span_s"` // longest single occurrence
 	Imbalance float64 `json:"imbalance"`  // TotalMax / TotalMean (1 = perfectly balanced)
 	Hops      int64   `json:"hops"`       // hop-clock advance attributed to the stage
+	Straggler string  `json:"-"`          // track owning TotalMax
+}
+
+// merge folds o, the same stage over a disjoint set of tracks, into s. This
+// is the one place per-stage min/mean/max is accumulated. On equal TotalMax
+// the receiver's straggler stands, so every reduction that keeps operands in
+// track order (the serial fold, the binomial tree) names the same one.
+func (s *ClusterStage) merge(o *ClusterStage) {
+	s.Count += o.Count
+	s.Tracks += o.Tracks
+	s.Total += o.Total
+	s.Hops += o.Hops
+	s.TotalMin = min(s.TotalMin, o.TotalMin)
+	s.SpanMin = min(s.SpanMin, o.SpanMin)
+	s.SpanMax = max(s.SpanMax, o.SpanMax)
+	if o.TotalMax > s.TotalMax {
+		s.TotalMax, s.Straggler = o.TotalMax, o.Straggler
+	}
+	s.derive()
+}
+
+// derive sets the fields that are functions of the accumulated ones.
+func (s *ClusterStage) derive() {
+	s.TotalMean = s.Total / float64(s.Tracks)
+	s.Imbalance = 1
+	if s.TotalMean > 0 {
+		s.Imbalance = s.TotalMax / s.TotalMean
+	}
 }
 
 // ClusterGauge is one gauge aggregated across tracks.
@@ -33,8 +61,19 @@ type ClusterGauge struct {
 	Sum   float64 `json:"sum"`
 }
 
+func (g *ClusterGauge) merge(o *ClusterGauge) {
+	g.Count += o.Count
+	g.Sum += o.Sum
+	g.Min = min(g.Min, o.Min)
+	g.Max = max(g.Max, o.Max)
+	g.Mean = GaugeStats{Count: g.Count, Sum: g.Sum}.Mean()
+}
+
 // ClusterStats is the cluster-wide (or registry-wide) aggregate: the per-step
 // table the metasolver reports and the telemetry.json summary serializes.
+// Stages and Gauges are sorted by name. It is also its own partial
+// aggregate: the stats of two disjoint track sets Merge into the stats of
+// their union.
 type ClusterStats struct {
 	Tracks  int            `json:"tracks"`
 	Stages  []ClusterStage `json:"stages"`
@@ -42,89 +81,72 @@ type ClusterStats struct {
 	Traffic TrafficMatrix  `json:"traffic"`
 }
 
-// Aggregate combines per-track snapshots into cluster statistics. It is the
-// serial counterpart of the mpi tree-Reduce reporter (mpi.ReduceTelemetry),
-// and the merge rule is identical so both paths produce the same tables.
+// Merge folds the aggregate of a disjoint set of tracks into cs. It is
+// associative, so the serial fold in Aggregate and the tree reduction in
+// mpi.ReduceTelemetry produce the same tables (sums to rounding).
+func (cs *ClusterStats) Merge(o *ClusterStats) {
+	cs.Tracks += o.Tracks
+	cs.Traffic.add(&o.Traffic)
+	cs.Stages = mergeByName(cs.Stages, o.Stages,
+		func(s *ClusterStage) string { return s.Name }, (*ClusterStage).merge)
+	cs.Gauges = mergeByName(cs.Gauges, o.Gauges,
+		func(g *ClusterGauge) string { return g.Name }, (*ClusterGauge).merge)
+}
+
+// mergeByName merge-joins two name-sorted lists, combining equal names.
+func mergeByName[T any](a, b []T, name func(*T) string, merge func(*T, *T)) []T {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]T, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch na, nb := name(&a[0]), name(&b[0]); {
+		case na < nb:
+			out, a = append(out, a[0]), a[1:]
+		case na > nb:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			merge(&a[0], &b[0])
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// trackStats is the aggregate of one track: the base case of Merge.
+func trackStats(s *Snapshot) *ClusterStats {
+	cs := &ClusterStats{
+		Tracks:  1,
+		Traffic: s.Traffic,
+		Stages:  make([]ClusterStage, 0, len(s.Stages)),
+		Gauges:  make([]ClusterGauge, 0, len(s.Gauges)),
+	}
+	for name, st := range s.Stages {
+		one := ClusterStage{
+			Name: name, Count: st.Count, Tracks: 1, Hops: st.Hops,
+			Total: st.Total, TotalMin: st.Total, TotalMax: st.Total, Straggler: s.Track,
+			SpanMin: st.Min, SpanMax: st.Max,
+		}
+		one.derive()
+		cs.Stages = append(cs.Stages, one)
+	}
+	slices.SortFunc(cs.Stages, func(a, b ClusterStage) int { return strings.Compare(a.Name, b.Name) })
+	for name, g := range s.Gauges {
+		cs.Gauges = append(cs.Gauges, ClusterGauge{Name: name, Count: g.Count, Mean: g.Mean(), Min: g.Min, Max: g.Max, Sum: g.Sum})
+	}
+	slices.SortFunc(cs.Gauges, func(a, b ClusterGauge) int { return strings.Compare(a.Name, b.Name) })
+	return cs
+}
+
+// Aggregate combines per-track snapshots into cluster statistics: the serial
+// fold of Merge (nil snapshots are skipped).
 func Aggregate(snaps []*Snapshot) *ClusterStats {
 	cs := &ClusterStats{}
-	type acc struct {
-		stats  StageStats
-		tracks int
-		min    float64 // min per-track total
-		max    float64 // max per-track total
-		sum    float64 // sum of per-track totals
-	}
-	stages := map[string]*acc{}
-	gauges := map[string]*GaugeStats{}
-	gaugeCounts := map[string]int{}
 	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		cs.Tracks++
-		cs.Traffic.add(&s.Traffic)
-		for name, st := range s.Stages {
-			a := stages[name]
-			if a == nil {
-				a = &acc{min: st.Total, max: st.Total}
-				stages[name] = a
-			} else {
-				if st.Total < a.min {
-					a.min = st.Total
-				}
-				if st.Total > a.max {
-					a.max = st.Total
-				}
-			}
-			a.stats.fold(st)
-			a.tracks++
-			a.sum += st.Total
-		}
-		for name, g := range s.Gauges {
-			t := gauges[name]
-			if t == nil {
-				gauges[name] = &GaugeStats{Count: g.Count, Sum: g.Sum, Min: g.Min, Max: g.Max, Last: g.Last}
-			} else {
-				t.Count += g.Count
-				t.Sum += g.Sum
-				if g.Min < t.Min {
-					t.Min = g.Min
-				}
-				if g.Max > t.Max {
-					t.Max = g.Max
-				}
-				t.Last = g.Last
-			}
-			gaugeCounts[name]++
+		if s != nil {
+			cs.Merge(trackStats(s))
 		}
 	}
-	for name, a := range stages {
-		mean := a.sum / float64(a.tracks)
-		imb := 1.0
-		if mean > 0 {
-			imb = a.max / mean
-		}
-		cs.Stages = append(cs.Stages, ClusterStage{
-			Name:      name,
-			Count:     a.stats.Count,
-			Tracks:    a.tracks,
-			Total:     a.sum,
-			TotalMin:  a.min,
-			TotalMean: mean,
-			TotalMax:  a.max,
-			SpanMin:   a.stats.Min,
-			SpanMax:   a.stats.Max,
-			Imbalance: imb,
-			Hops:      a.stats.Hops,
-		})
-	}
-	sort.Slice(cs.Stages, func(i, j int) bool { return cs.Stages[i].Name < cs.Stages[j].Name })
-	for name, g := range gauges {
-		cs.Gauges = append(cs.Gauges, ClusterGauge{
-			Name: name, Count: g.Count, Mean: g.Mean(), Min: g.Min, Max: g.Max, Sum: g.Sum,
-		})
-	}
-	sort.Slice(cs.Gauges, func(i, j int) bool { return cs.Gauges[i].Name < cs.Gauges[j].Name })
 	return cs
 }
 
@@ -183,7 +205,7 @@ func (cs *ClusterStats) FormatStageTable() string {
 			perCall = s.Total / float64(s.Count)
 		}
 		fmt.Fprintf(&b, "%-26s %7d %10s %10s %10s %10s %6.2fx %6d\n",
-			s.Name, s.Count, fmtDur(perCall), fmtDur(s.TotalMin), fmtDur(s.TotalMean), fmtDur(s.TotalMax), s.Imbalance, s.Hops)
+			s.Name, s.Count, FormatSeconds(perCall), FormatSeconds(s.TotalMin), FormatSeconds(s.TotalMean), FormatSeconds(s.TotalMax), s.Imbalance, s.Hops)
 	}
 	return b.String()
 }
@@ -215,8 +237,9 @@ func (cs *ClusterStats) FormatGaugeTable() string {
 	return b.String()
 }
 
-// fmtDur renders seconds with an adaptive unit.
-func fmtDur(s float64) string {
+// FormatSeconds renders seconds with an adaptive unit (ns, µs, ms, s): the
+// one duration format of every telemetry and monitor table.
+func FormatSeconds(s float64) string {
 	switch {
 	case s == 0:
 		return "0"

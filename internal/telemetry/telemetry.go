@@ -170,26 +170,6 @@ type StageStats struct {
 	Hops  int64   `json:"hops"` // hop-clock advance attributed to the stage
 }
 
-// fold merges another aggregate into this one.
-func (s *StageStats) fold(o StageStats) {
-	if s.Count == 0 {
-		*s = o
-		return
-	}
-	if o.Count == 0 {
-		return
-	}
-	s.Count += o.Count
-	s.Total += o.Total
-	s.Hops += o.Hops
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
 // GaugeStats summarizes a scalar series (CG iterations per solve, particles
 // per step, ...) without storing it.
 type GaugeStats struct {
@@ -286,9 +266,6 @@ func (g *Registry) Recorders() []*Recorder {
 	defer g.mu.Unlock()
 	return append([]*Recorder(nil), g.recs...)
 }
-
-// Epoch returns the registry's shared time origin.
-func (g *Registry) Epoch() time.Time { return g.epoch }
 
 // Recorder is one track's telemetry sink. It is single-owner for writes:
 // exactly one goroutine may record into it at a time (per-rank usage). Reads

@@ -1,14 +1,15 @@
 #!/bin/sh
-# Benchmark bundle for the observability PR: communication-layer latency,
-# telemetry overhead (enabled vs disabled instrumentation paths), and the
-# paper's scaling tables in machine-readable form.
+# Micro-benchmark bundle: what the repo's benchmark (bench/, BENCHMARK.json)
+# does not measure. The ladder there owns end-to-end and per-layer time,
+# checkpoint I/O and the transports; this bundle keeps the collectives at
+# P = 4/16/64, the planes' enabled and disabled (zero-cost) paths and the
+# solver kernel micro-samples.
 #
 # Produces BENCH_telemetry.json in the repo root (override the path with
-# OUT=..., used by make bench-compare): a single JSON document with the
-# scaling tables (as emitted by `go run ./cmd/scaling -json`) plus raw
-# `go test -bench` transcripts for the comm, telemetry, monitor, checkpoint,
-# in-situ, transport, cluster observability, physics-audit, hot-path kernel
-# and performance-history suites.
+# OUT=..., used by make bench-compare): one JSON document of `go test -bench`
+# transcripts for the comm, telemetry, monitor, in-situ, cluster
+# observability, physics-audit, hot-path kernel and performance-history
+# suites.
 #
 # Usage: scripts/bench.sh   (or: make bench-telemetry)
 set -eu
@@ -33,17 +34,9 @@ echo "== monitor benchmarks (imbalance analyzer, exposition, disabled probes) ==
 mon=$(go test -run '^$' -bench 'Benchmark' -benchmem ./internal/monitor 2>&1)
 printf '%s\n' "$mon"
 
-echo "== checkpoint benchmarks (durable write + resume load, rank-sized bundle) =="
-ckpt=$(go test -run '^$' -bench 'BenchmarkCheckpoint' -benchmem ./internal/checkpoint 2>&1)
-printf '%s\n' "$ckpt"
-
 echo "== in-situ benchmarks (publish/assemble + disabled hook) =="
 insitu=$(go test -run '^$' -bench 'BenchmarkInsitu' -benchmem ./internal/insitu ./internal/core 2>&1)
 printf '%s\n' "$insitu"
-
-echo "== transport benchmarks (in-process vs TCP loopback, p2p + Bcast) =="
-transport=$(go test -run '^$' -bench 'BenchmarkTransport' -benchmem ./internal/mpi/tcptransport 2>&1)
-printf '%s\n' "$transport"
 
 echo "== cluster benchmarks (journal append, aggregation, exposition, trace merge, disabled hooks) =="
 cluster=$(go test -run '^$' -bench 'Benchmark' -benchmem ./internal/fleet 2>&1)
@@ -62,12 +55,9 @@ echo "== history benchmarks (per-exchange sampling cost, disabled hook; disabled
 history=$(go test -run '^$' -bench 'BenchmarkSampleExchange|BenchmarkObserve|BenchmarkHistoryDisabled' -benchmem ./internal/history 2>&1)
 printf '%s\n' "$history"
 
-echo "== scaling tables (cmd/scaling -json) =="
-tables=$(go run ./cmd/scaling -json)
-
 # Assemble the bundle without extra tooling: the bench transcripts are
 # embedded as JSON string arrays (one element per line) via go run so we
 # need no jq/python in the container.
-COMM="$comm" TELE="$tele" MONITOR="$mon" CKPT="$ckpt" INSITU="$insitu" TRANSPORT="$transport" CLUSTER="$cluster" AUDIT="$audit" KERNELS="$kernels" HISTORY="$history" TABLES="$tables" go run ./scripts/benchjson >"$out"
+COMM="$comm" TELE="$tele" MONITOR="$mon" INSITU="$insitu" CLUSTER="$cluster" AUDIT="$audit" KERNELS="$kernels" HISTORY="$history" go run ./scripts/benchjson >"$out"
 
 echo "wrote $out"

@@ -1,11 +1,10 @@
 // Benchjson assembles and compares BENCH_telemetry.json bundles.
 //
 // Bundle mode (default, used by scripts/bench.sh): reads the comm,
-// telemetry, monitor, checkpoint, insitu, transport, cluster, audit,
-// kernels and history benchmark transcripts plus the scaling tables from
-// the COMM, TELE, MONITOR, CKPT, INSITU, TRANSPORT, CLUSTER, AUDIT,
-// KERNELS, HISTORY and TABLES environment variables and emits one indented
-// JSON document on stdout.
+// telemetry, monitor, insitu, cluster, audit, kernels and history benchmark
+// transcripts from the COMM, TELE, MONITOR, INSITU, CLUSTER, AUDIT, KERNELS
+// and HISTORY environment variables and emits one indented JSON document on
+// stdout.
 // Bench transcripts are parsed into structured {name, value, unit} samples
 // (standard `go test -bench` line format) with the raw lines preserved
 // alongside.
@@ -76,35 +75,24 @@ func parseBench(out string) (lines []string, samples []Sample) {
 }
 
 // sections is the stable order of bench transcript sections in a bundle.
-var sections = []string{"comm", "telemetry", "monitor", "checkpoint", "insitu", "transport", "cluster", "audit", "kernels", "history"}
+var sections = []string{"comm", "telemetry", "monitor", "insitu", "cluster", "audit", "kernels", "history"}
 
 func bundle() {
 	env := map[string]string{
-		"comm":       "COMM",
-		"telemetry":  "TELE",
-		"monitor":    "MONITOR",
-		"checkpoint": "CKPT",
-		"insitu":     "INSITU",
-		"transport":  "TRANSPORT",
-		"cluster":    "CLUSTER",
-		"audit":      "AUDIT",
-		"kernels":    "KERNELS",
-		"history":    "HISTORY",
+		"comm":      "COMM",
+		"telemetry": "TELE",
+		"monitor":   "MONITOR",
+		"insitu":    "INSITU",
+		"cluster":   "CLUSTER",
+		"audit":     "AUDIT",
+		"kernels":   "KERNELS",
+		"history":   "HISTORY",
 	}
 	doc := map[string]any{}
 	for _, sec := range sections {
 		lines, samples := parseBench(os.Getenv(env[sec]))
 		doc[sec] = map[string]any{"lines": lines, "samples": samples}
 	}
-
-	var tables json.RawMessage
-	if raw := strings.TrimSpace(os.Getenv("TABLES")); raw != "" {
-		if !json.Valid([]byte(raw)) {
-			log.Fatal("TABLES is not valid JSON")
-		}
-		tables = json.RawMessage(raw)
-	}
-	doc["scaling_tables"] = tables
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

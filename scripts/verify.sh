@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 verification gate: vet, build, the full test suite, then the suite
-# again under the race detector. The acceptance tests of every layer
+# Tier-1 verification gate: gofmt, vet, build, the full test suite, then the
+# suite again under the race detector. The acceptance tests of every layer
 # (bit-identical restart and recovery, kill -9 of a real process, golden
 # expositions, kernel parity, the cmd/nektarg fingerprints) are ordinary
 # tests and run in both passes; the zero-alloc and overhead guards, which the
@@ -10,6 +10,11 @@
 # Usage: scripts/verify.sh   (or: make verify)
 set -eux
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l . is not clean:" "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
