@@ -105,60 +105,69 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// SolveLU solves A x = b in place using Gaussian elimination with partial
-// pivoting. A and b are copied, not modified. It backs the small dense
-// Newton systems of the 1D solver's junction conditions.
+// SolveLU solves A x = b by Gaussian elimination with partial pivoting on
+// copies of A and b, which are not modified, and returns x.
 func SolveLU(a *Dense, b []float64) ([]float64, error) {
+	x := append([]float64(nil), b...)
+	if err := SolveLUInPlace(a.Clone(), x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveLUInPlace solves A x = b by Gaussian elimination with partial
+// pivoting, overwriting b with x and a with its eliminated form; it
+// allocates nothing. It backs the small dense Newton systems of the 1D
+// solver's junction conditions, which rebuild A and b every iteration. On a
+// singular matrix it returns an error and leaves a and b part-eliminated.
+func SolveLUInPlace(a *Dense, b []float64) error {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
 		panic("linalg: SolveLU dimension mismatch")
 	}
-	m := a.Clone()
-	x := append([]float64(nil), b...)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
 	for k := 0; k < n; k++ {
 		// Partial pivot.
-		p, best := k, math.Abs(m.At(k, k))
+		p, best := k, math.Abs(a.At(k, k))
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(m.At(i, k)); v > best {
+			if v := math.Abs(a.At(i, k)); v > best {
 				p, best = i, v
 			}
 		}
 		if best == 0 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", k)
+			return fmt.Errorf("linalg: singular matrix at column %d", k)
 		}
+		rk := a.Row(k)
 		if p != k {
-			rk, rp := m.Row(k), m.Row(p)
+			rp := a.Row(p)
 			for j := 0; j < n; j++ {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			x[k], x[p] = x[p], x[k]
+			b[k], b[p] = b[p], b[k]
 		}
-		pivinv := 1 / m.At(k, k)
+		pivinv := 1 / rk[k]
 		for i := k + 1; i < n; i++ {
-			f := m.At(i, k) * pivinv
+			ri := a.Row(i)
+			f := ri[k] * pivinv
 			if f == 0 {
 				continue
 			}
-			m.Set(i, k, 0)
+			ri[k] = 0
 			for j := k + 1; j < n; j++ {
-				m.Set(i, j, m.At(i, j)-f*m.At(k, j))
+				ri[j] -= f * rk[j]
 			}
-			x[i] -= f * x[k]
+			b[i] -= f * b[k]
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
+		ri := a.Row(i)
+		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			s -= ri[j] * b[j]
 		}
-		x[i] = s / m.At(i, i)
+		b[i] = s / ri[i]
 	}
-	return x, nil
+	return nil
 }
 
 // NormInf returns the max absolute entry.

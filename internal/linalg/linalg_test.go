@@ -132,6 +132,106 @@ func TestSolveLUNeedsPivoting(t *testing.T) {
 	}
 }
 
+// refSolveLU is the elimination SolveLU carried before SolveLUInPlace
+// existed, element access through At/Set on a clone: the oracle the in-place
+// routine must match bit for bit.
+func refSolveLU(a *Dense, b []float64) []float64 {
+	n := a.Rows
+	m := a.Clone()
+	x := append([]float64(nil), b...)
+	for k := 0; k < n; k++ {
+		p, best := k, math.Abs(m.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(m.At(i, k)); v > best {
+				p, best = i, v
+			}
+		}
+		if p != k {
+			rk, rp := m.Row(k), m.Row(p)
+			for j := 0; j < n; j++ {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			x[k], x[p] = x[p], x[k]
+		}
+		pivinv := 1 / m.At(k, k)
+		for i := k + 1; i < n; i++ {
+			f := m.At(i, k) * pivinv
+			if f == 0 {
+				continue
+			}
+			m.Set(i, k, 0)
+			for j := k + 1; j < n; j++ {
+				m.Set(i, j, m.At(i, j)-f*m.At(k, j))
+			}
+			x[i] -= f * x[k]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= m.At(i, j) * x[j]
+		}
+		x[i] = s / m.At(i, i)
+	}
+	return x
+}
+
+// TestSolveLUInPlaceBitwise: a 6x6 system shaped like a bifurcation's Newton
+// Jacobian (unit and wave-speed entries in the characteristic rows, a dense
+// mass row, pressure rows of magnitude β/2√A with zeros on the diagonal, so
+// every later column pivots) and random dense systems give the reference's
+// bits; SolveLU leaves its arguments alone and the in-place routine does not.
+func TestSolveLUInPlaceBitwise(t *testing.T) {
+	junction := NewDense(6, 6)
+	copy(junction.Data, []float64{
+		36.3, 0, 0, 1, 0, 0,
+		0, -51.9, 0, 0, 1, 0,
+		0, 0, -49.2, 0, 0, 1,
+		1.7, -0.8, -0.9, 0.8, -0.5, -0.53,
+		22360.7, -28284.3, 0, 0, 0, 0,
+		22360.7, 0, -27500.1, 0, 0, 0,
+	})
+	systems := []*Dense{junction}
+	rng := rand.New(rand.NewSource(6))
+	for k := 0; k < 20; k++ {
+		a := NewDense(6, 6)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		systems = append(systems, a)
+	}
+	for k, a := range systems {
+		b := make([]float64, 6)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want := refSolveLU(a, b)
+		a0, b0 := a.Clone(), append([]float64(nil), b...)
+		got, err := SolveLU(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Data {
+			if a.Data[i] != a0.Data[i] {
+				t.Fatalf("system %d: SolveLU modified A", k)
+			}
+		}
+		for i := range b {
+			if b[i] != b0[i] {
+				t.Fatalf("system %d: SolveLU modified b", k)
+			}
+		}
+		if err := SolveLUInPlace(a, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] || b[i] != want[i] {
+				t.Fatalf("system %d: x[%d] = %x (SolveLU) %x (in place), reference %x", k, i, got[i], b[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCOOToCSRSumsDuplicates(t *testing.T) {
 	c := NewCOO(2, 2)
 	c.Add(0, 0, 1)

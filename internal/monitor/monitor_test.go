@@ -248,6 +248,31 @@ func TestWatchdogLatching(t *testing.T) {
 	}
 }
 
+// TestHealthyObservationsAllocateNothing: an enabled probe whose severity did
+// not change records nothing, so it must format nothing either — the 1D tree
+// alone observes its CFL ~2000 times per exchange period.
+func TestHealthyObservationsAllocateNothing(t *testing.T) {
+	h := NewHealth()
+	w := h.Watch("rank0")
+	ok := linalg.SolveStats{Converged: true, Residual: 1e-10, History: []float64{1, 1e-10}}
+	field := []float64{1, 2, 3}
+	w.ObserveParticles(1000) // seeds the reference
+	allocs := testing.AllocsPerRun(100, func() {
+		w.ObserveCFL("1d.step", 0.02, 1)
+		w.ObserveSolve("ns.pressure", ok, 100)
+		w.ObserveParticles(1001)
+		if err := w.GuardField("1d.step", "root.A", field); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("healthy observations allocate %.1f objects per round, want 0", allocs)
+	}
+	if got := len(h.Events()); got != 0 {
+		t.Fatalf("healthy observations recorded %d events, want 0", got)
+	}
+}
+
 // TestGuardField pins the NaN guard: clean fields pass free of events, the
 // first non-finite entry produces a critical event and an error naming the
 // field and index.

@@ -30,9 +30,14 @@ type Watchdogs struct {
 	DriftMinRef   float64 // particle-drift: reference below this ⇒ track only, no judgement (default 32)
 	CFLWarnFrac   float64 // cfl-watch: cfl > frac × limit ⇒ warn (default 0.9)
 
-	particleRef float64             // slowly adapting particle-count reference (EMA)
-	state       map[string]Severity // latched severity per watchdog:stage key
+	particleRef float64               // slowly adapting particle-count reference (EMA)
+	state       map[latchKey]Severity // latched severity per probe
 }
+
+// latchKey names one latch: the probe kind ("cfl", "cg", "nan", "drift") and
+// the stage or field it watches. A struct, not a concatenated string, so the
+// per-step lookup on the healthy path allocates nothing.
+type latchKey struct{ kind, subject string }
 
 // Watch creates a watchdog bundle reporting to this health state under the
 // given track name. A nil Health returns a nil bundle, keeping every probe on
@@ -46,7 +51,7 @@ func (h *Health) Watch(track string) *Watchdogs {
 		DivergeFactor: 10, DriftWarn: 0.2, DriftCritical: 0.5, DriftAlpha: 0.05,
 		DriftMinRef: 32,
 		CFLWarnFrac: 0.9,
-		state:       map[string]Severity{},
+		state:       map[latchKey]Severity{},
 	}
 }
 
@@ -74,12 +79,13 @@ func (w *Watchdogs) Track() string {
 	return w.track
 }
 
-// transition latches the severity for key and reports whether it changed,
-// recording the event when it did. Recovery (severity below the latch) emits
-// one info event and re-arms the latch — except from critical, which stays
-// latched: a run that corrupted state once is not healthy again just because
-// the probe went quiet.
-func (w *Watchdogs) transition(key, watchdog string, sev Severity, msg string, value float64) {
+// transition latches the severity for key and records an event when it
+// changed; msg is formatted only then, so an observation that leaves the
+// latch where it was — every call of a healthy run — costs one map lookup.
+// Recovery (severity below the latch) emits one info event and re-arms the
+// latch — except from critical, which stays latched: a run that corrupted
+// state once is not healthy again just because the probe went quiet.
+func (w *Watchdogs) transition(key latchKey, watchdog string, sev Severity, value float64, msg func() string) {
 	prev := w.state[key]
 	if sev == prev {
 		return
@@ -87,13 +93,12 @@ func (w *Watchdogs) transition(key, watchdog string, sev Severity, msg string, v
 	if prev == SevCritical {
 		return // critical latches for the life of the run
 	}
+	w.state[key] = sev
 	if sev < prev {
-		w.state[key] = sev
-		w.h.Record(watchdog, w.track, SevInfo, "recovered: "+msg, value)
+		w.h.Record(watchdog, w.track, SevInfo, "recovered: "+msg(), value)
 		return
 	}
-	w.state[key] = sev
-	w.h.Record(watchdog, w.track, sev, msg, value)
+	w.h.Record(watchdog, w.track, sev, msg(), value)
 }
 
 // GuardField scans a field for NaN/Inf. On the first non-finite entry it
@@ -107,7 +112,7 @@ func (w *Watchdogs) GuardField(stage, name string, data []float64) error {
 	for i, v := range data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			msg := fmt.Sprintf("non-finite value %v at index %d of field %q in %s", v, i, name, stage)
-			w.transition("nan:"+stage+":"+name, "nan-guard", SevCritical, msg, float64(i))
+			w.transition(latchKey{"nan", stage + ":" + name}, "nan-guard", SevCritical, float64(i), func() string { return msg })
 			return fmt.Errorf("monitor: %s: %s", w.track, msg)
 		}
 	}
@@ -122,7 +127,7 @@ func (w *Watchdogs) GuardValue(stage, name string, v float64, idx int) error {
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		msg := fmt.Sprintf("non-finite value %v in %q at element %d in %s", v, name, idx, stage)
-		w.transition("nan:"+stage+":"+name, "nan-guard", SevCritical, msg, float64(idx))
+		w.transition(latchKey{"nan", stage + ":" + name}, "nan-guard", SevCritical, float64(idx), func() string { return msg })
 		return fmt.Errorf("monitor: %s: %s", w.track, msg)
 	}
 	return nil
@@ -136,27 +141,30 @@ func (w *Watchdogs) ObserveSolve(stage string, st linalg.SolveStats, maxIter int
 	if w == nil {
 		return
 	}
+	key := latchKey{"cg", stage}
 	if math.IsNaN(st.Residual) || math.IsInf(st.Residual, 0) {
-		w.transition("cg:"+stage, "cg-watch", SevCritical,
-			fmt.Sprintf("%s: non-finite residual after %d iterations", stage, st.Iterations), st.Residual)
+		w.transition(key, "cg-watch", SevCritical, st.Residual, func() string {
+			return fmt.Sprintf("%s: non-finite residual after %d iterations", stage, st.Iterations)
+		})
 		return
 	}
 	if len(st.History) > 0 {
 		if init := st.History[0]; init > 0 && st.Residual > w.DivergeFactor*init {
-			w.transition("cg:"+stage, "cg-watch", SevCritical,
-				fmt.Sprintf("%s: diverged: residual %.3g > %g x initial %.3g", stage, st.Residual, w.DivergeFactor, init),
-				st.Residual)
+			w.transition(key, "cg-watch", SevCritical, st.Residual, func() string {
+				return fmt.Sprintf("%s: diverged: residual %.3g > %g x initial %.3g", stage, st.Residual, w.DivergeFactor, init)
+			})
 			return
 		}
 	}
 	if !st.Converged {
-		w.transition("cg:"+stage, "cg-watch", SevWarn,
-			fmt.Sprintf("%s: stagnated at residual %.3g after %d/%d iterations", stage, st.Residual, st.Iterations, maxIter),
-			st.Residual)
+		w.transition(key, "cg-watch", SevWarn, st.Residual, func() string {
+			return fmt.Sprintf("%s: stagnated at residual %.3g after %d/%d iterations", stage, st.Residual, st.Iterations, maxIter)
+		})
 		return
 	}
-	w.transition("cg:"+stage, "cg-watch", SevInfo,
-		fmt.Sprintf("%s: converged (residual %.3g)", stage, st.Residual), st.Residual)
+	w.transition(key, "cg-watch", SevInfo, st.Residual, func() string {
+		return fmt.Sprintf("%s: converged (residual %.3g)", stage, st.Residual)
+	})
 }
 
 // ObserveCFL feeds a CFL number against its stability limit: above the limit
@@ -165,16 +173,20 @@ func (w *Watchdogs) ObserveCFL(stage string, cfl, limit float64) {
 	if w == nil {
 		return
 	}
+	key := latchKey{"cfl", stage}
 	switch {
 	case math.IsNaN(cfl) || cfl > limit:
-		w.transition("cfl:"+stage, "cfl-watch", SevCritical,
-			fmt.Sprintf("%s: CFL %.3f exceeds stability limit %.3f", stage, cfl, limit), cfl)
+		w.transition(key, "cfl-watch", SevCritical, cfl, func() string {
+			return fmt.Sprintf("%s: CFL %.3f exceeds stability limit %.3f", stage, cfl, limit)
+		})
 	case cfl > w.CFLWarnFrac*limit:
-		w.transition("cfl:"+stage, "cfl-watch", SevWarn,
-			fmt.Sprintf("%s: CFL %.3f within %.0f%% of limit %.3f", stage, cfl, 100*(1-w.CFLWarnFrac), limit), cfl)
+		w.transition(key, "cfl-watch", SevWarn, cfl, func() string {
+			return fmt.Sprintf("%s: CFL %.3f within %.0f%% of limit %.3f", stage, cfl, 100*(1-w.CFLWarnFrac), limit)
+		})
 	default:
-		w.transition("cfl:"+stage, "cfl-watch", SevInfo,
-			fmt.Sprintf("%s: CFL %.3f", stage, cfl), cfl)
+		w.transition(key, "cfl-watch", SevInfo, cfl, func() string {
+			return fmt.Sprintf("%s: CFL %.3f", stage, cfl)
+		})
 	}
 }
 
@@ -203,16 +215,19 @@ func (w *Watchdogs) ObserveParticles(n int) {
 		return
 	}
 	drift := math.Abs(float64(n)-w.particleRef) / w.particleRef
+	key := latchKey{kind: "drift"}
+	jumped := func() string {
+		return fmt.Sprintf("particle count %d jumped %.0f%% from reference %.0f", n, 100*drift, w.particleRef)
+	}
 	switch {
 	case drift > w.DriftCritical:
-		w.transition("drift", "particle-drift", SevCritical,
-			fmt.Sprintf("particle count %d jumped %.0f%% from reference %.0f", n, 100*drift, w.particleRef), drift)
+		w.transition(key, "particle-drift", SevCritical, drift, jumped)
 	case drift > w.DriftWarn:
-		w.transition("drift", "particle-drift", SevWarn,
-			fmt.Sprintf("particle count %d jumped %.0f%% from reference %.0f", n, 100*drift, w.particleRef), drift)
+		w.transition(key, "particle-drift", SevWarn, drift, jumped)
 	default:
-		w.transition("drift", "particle-drift", SevInfo,
-			fmt.Sprintf("particle count %d near reference %.0f", n, w.particleRef), drift)
+		w.transition(key, "particle-drift", SevInfo, drift, func() string {
+			return fmt.Sprintf("particle count %d near reference %.0f", n, w.particleRef)
+		})
 	}
 	w.particleRef += w.DriftAlpha * (float64(n) - w.particleRef)
 }

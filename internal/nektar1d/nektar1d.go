@@ -85,13 +85,11 @@ func (s *Segment) fluxes(a, u float64) (fa, fu float64) {
 
 // interiorStep advances the interior nodes with MacCormack; boundary nodes
 // are filled by the network's characteristic treatment afterwards. aNew/uNew
-// must have length N.
-func (s *Segment) interiorStep(dt float64, aNew, uNew []float64) {
+// and the predictor scratch ap/up must have length N.
+func (s *Segment) interiorStep(dt float64, aNew, uNew, ap, up []float64) {
 	n := s.N
 	dx := s.Dx()
 	r := dt / dx
-	ap := make([]float64, n)
-	up := make([]float64, n)
 	// Predictor (forward differences).
 	for i := 0; i < n-1; i++ {
 		fa0, fu0 := s.fluxes(s.A[i], s.U[i])

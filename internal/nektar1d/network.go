@@ -80,6 +80,145 @@ type Network struct {
 	// critical past it) and guards the (A, U) state against NaN/Inf. Nil
 	// disables all probes.
 	Watch *monitor.Watchdogs
+
+	// ar holds every buffer Step works in; see stepArena.
+	ar *stepArena
+}
+
+// stepArena is the scratch a Network steps in: the next time level and the
+// MacCormack predictor of every segment side by side in four node buffers
+// (segment i owns [off[i], off[i+1])), the NaN-guard field names, and each
+// junction's Newton system. The Network owns it; Step builds it on first use
+// and rebuilds it when the wiring it was laid out for (Segments, their N,
+// Inlets, Outlets, Junctions) has changed since, so a step never indexes
+// through a stale layout and a healthy step allocates nothing.
+type stepArena struct {
+	segs         []*Segment
+	off          []int
+	newA, newU   []float64
+	ap, up       []float64
+	nameA, nameU []string
+	inlets       []int // segment index of each inlet
+	outlets      []int // segment index of each outlet
+	juncs        []junctionArena
+}
+
+// junctionArena is one junction's Newton system over its nb = 1 + children
+// branches (parent first): 2·nb unknowns a_0..a_m, u_0..u_m.
+type junctionArena struct {
+	segs    []*Segment
+	idx     []int // index of each branch in Network.Segments
+	w, x, f []float64
+	jac     *linalg.Dense
+}
+
+// newStepArena lays the buffers out for the network's current wiring. A
+// boundary device or junction on a segment the network does not hold, or a
+// segment whose arrays disagree with its N, is an error here rather than an
+// out-of-range index in the step.
+func newStepArena(n *Network) (*stepArena, error) {
+	ar := &stepArena{
+		segs:  append([]*Segment(nil), n.Segments...),
+		off:   make([]int, len(n.Segments)+1),
+		nameA: make([]string, len(n.Segments)),
+		nameU: make([]string, len(n.Segments)),
+	}
+	index := make(map[*Segment]int, len(n.Segments))
+	for i, s := range n.Segments {
+		if s.N < 3 || len(s.A) != s.N || len(s.U) != s.N {
+			return nil, fmt.Errorf("nektar1d: segment %q has N=%d but %d/%d nodes", s.Name, s.N, len(s.A), len(s.U))
+		}
+		if _, dup := index[s]; dup {
+			return nil, fmt.Errorf("nektar1d: segment %q registered twice", s.Name)
+		}
+		index[s] = i
+		ar.off[i+1] = ar.off[i] + s.N
+		ar.nameA[i], ar.nameU[i] = s.Name+".A", s.Name+".U"
+	}
+	total := ar.off[len(n.Segments)]
+	nodes := make([]float64, 4*total)
+	ar.newA, ar.newU, ar.ap, ar.up = nodes[:total], nodes[total:2*total], nodes[2*total:3*total], nodes[3*total:]
+
+	lookup := func(what string, s *Segment) (int, error) {
+		i, ok := index[s]
+		if !ok {
+			return 0, fmt.Errorf("nektar1d: %s on segment %q, which is not in the network", what, s.Name)
+		}
+		return i, nil
+	}
+	var err error
+	ar.inlets = make([]int, len(n.Inlets))
+	for i, in := range n.Inlets {
+		if ar.inlets[i], err = lookup("inlet", in.Seg); err != nil {
+			return nil, err
+		}
+	}
+	ar.outlets = make([]int, len(n.Outlets))
+	for i, out := range n.Outlets {
+		if ar.outlets[i], err = lookup("outlet", out.Seg); err != nil {
+			return nil, err
+		}
+	}
+	ar.juncs = make([]junctionArena, len(n.Junctions))
+	for i, j := range n.Junctions {
+		if len(j.Children) < 1 {
+			return nil, fmt.Errorf("nektar1d: junction of %q has no children", j.Parent.Name)
+		}
+		nb := 1 + len(j.Children)
+		ja := &ar.juncs[i]
+		ja.segs = append(append(make([]*Segment, 0, nb), j.Parent), j.Children...)
+		ja.idx = make([]int, nb)
+		for b, s := range ja.segs {
+			if ja.idx[b], err = lookup("junction", s); err != nil {
+				return nil, err
+			}
+		}
+		vec := make([]float64, 5*nb)
+		ja.w, ja.x, ja.f = vec[:nb], vec[nb:3*nb], vec[3*nb:]
+		ja.jac = linalg.NewDense(2*nb, 2*nb)
+	}
+	return ar, nil
+}
+
+// fits reports whether the arena was laid out for the network's current
+// wiring.
+func (ar *stepArena) fits(n *Network) bool {
+	if len(ar.segs) != len(n.Segments) || len(ar.inlets) != len(n.Inlets) ||
+		len(ar.outlets) != len(n.Outlets) || len(ar.juncs) != len(n.Junctions) {
+		return false
+	}
+	for i, s := range n.Segments {
+		if s != ar.segs[i] || s.N != ar.off[i+1]-ar.off[i] || len(s.A) != s.N || len(s.U) != s.N {
+			return false
+		}
+	}
+	for i, in := range n.Inlets {
+		if in.Seg != ar.segs[ar.inlets[i]] {
+			return false
+		}
+	}
+	for i, out := range n.Outlets {
+		if out.Seg != ar.segs[ar.outlets[i]] {
+			return false
+		}
+	}
+	for i, j := range n.Junctions {
+		segs := ar.juncs[i].segs
+		if len(segs) != 1+len(j.Children) || segs[0] != j.Parent {
+			return false
+		}
+		for b, c := range j.Children {
+			if segs[1+b] != c {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// nodes returns segment i's slice of a node buffer.
+func (ar *stepArena) nodes(buf []float64, i int) []float64 {
+	return buf[ar.off[i]:ar.off[i+1]]
 }
 
 // AddSegment registers a segment.
@@ -89,10 +228,19 @@ func (n *Network) AddSegment(s *Segment) *Segment {
 }
 
 // Step advances the whole network by dt. It returns an error if the CFL
-// bound is violated or a junction solve fails.
+// bound is violated, a boundary or junction solve fails, or the wiring is
+// inconsistent (see newStepArena).
 func (n *Network) Step(dt float64) error {
 	sp := n.Rec.Begin("1d.step")
 	defer sp.End()
+	if n.ar == nil || !n.ar.fits(n) {
+		ar, err := newStepArena(n)
+		if err != nil {
+			return err
+		}
+		n.ar = ar
+	}
+	ar := n.ar
 	var worstCFL float64
 	for _, s := range n.Segments {
 		cfl := s.MaxCFL(dt)
@@ -105,18 +253,13 @@ func (n *Network) Step(dt float64) error {
 		}
 	}
 	n.Watch.ObserveCFL("1d.step", worstCFL, 1)
-	// Interior update into fresh buffers.
-	newA := make(map[*Segment][]float64, len(n.Segments))
-	newU := make(map[*Segment][]float64, len(n.Segments))
-	for _, s := range n.Segments {
-		a := make([]float64, s.N)
-		u := make([]float64, s.N)
-		s.interiorStep(dt, a, u)
-		newA[s], newU[s] = a, u
+	// Interior update into the arena's next time level.
+	for i, s := range n.Segments {
+		s.interiorStep(dt, ar.nodes(ar.newA, i), ar.nodes(ar.newU, i), ar.nodes(ar.ap, i), ar.nodes(ar.up, i))
 	}
 
 	// Inlets: prescribed Q with backward characteristic from the interior.
-	for _, in := range n.Inlets {
+	for i, in := range n.Inlets {
 		s := in.Seg
 		w2 := s.charMinus(s.A[1], s.U[1])
 		q := in.Q(n.Time + dt)
@@ -124,7 +267,8 @@ func (n *Network) Step(dt float64) error {
 		if err != nil {
 			return fmt.Errorf("nektar1d: inlet on %q: %w", s.Name, err)
 		}
-		newA[s][0], newU[s][0] = a, u
+		first := ar.off[ar.inlets[i]]
+		ar.newA[first], ar.newU[first] = a, u
 	}
 
 	// Outlets: windkessel pressure coupled implicitly with the forward
@@ -132,37 +276,37 @@ func (n *Network) Step(dt float64) error {
 	// parameters (loop gain dt/C · dq/dP can exceed 1), so we Newton-solve
 	//   P = P_old + dt (q(P) - P/R)/C,  q(P) = a(P) (w1 - 4 c(a(P)))
 	// for the new capacitor pressure.
-	for _, out := range n.Outlets {
+	for i, out := range n.Outlets {
 		s := out.Seg
-		last := s.N - 1
-		w1 := s.charPlus(s.A[last-1], s.U[last-1])
+		w1 := s.charPlus(s.A[s.N-2], s.U[s.N-2])
 		p, a, u, err := solveOutletWK(s, out.WK, w1, dt)
 		if err != nil {
 			return fmt.Errorf("nektar1d: outlet on %q: %w", s.Name, err)
 		}
 		out.WK.P = p
-		newA[s][last], newU[s][last] = a, u
+		last := ar.off[ar.outlets[i]+1] - 1
+		ar.newA[last], ar.newU[last] = a, u
 	}
 
 	// Junctions: Newton solve for pressure continuity + mass conservation.
-	for _, j := range n.Junctions {
-		if err := j.solve(newA, newU); err != nil {
+	for i := range ar.juncs {
+		if err := ar.juncs[i].solve(ar); err != nil {
 			return err
 		}
 	}
 
-	for _, s := range n.Segments {
-		copy(s.A, newA[s])
-		copy(s.U, newU[s])
+	for i, s := range n.Segments {
+		copy(s.A, ar.nodes(ar.newA, i))
+		copy(s.U, ar.nodes(ar.newU, i))
 	}
 	// NaN/Inf guard over the updated (A, U) state: a tripped guard aborts
 	// the step with a structured health event instead of advancing garbage.
 	if n.Watch != nil {
-		for _, s := range n.Segments {
-			if err := n.Watch.GuardField("1d.step", s.Name+".A", s.A); err != nil {
+		for i, s := range n.Segments {
+			if err := n.Watch.GuardField("1d.step", ar.nameA[i], s.A); err != nil {
 				return err
 			}
-			if err := n.Watch.GuardField("1d.step", s.Name+".U", s.U); err != nil {
+			if err := n.Watch.GuardField("1d.step", ar.nameU[i], s.U); err != nil {
 				return err
 			}
 		}
@@ -262,39 +406,27 @@ func solveOutletWK(s *Segment, wk *Windkessel, w1, dt float64) (p, a, u float64,
 
 // solve matches the junction branches: unknowns (a_b, u_b) for the parent
 // end and each child start; equations are the outgoing/incoming Riemann
-// invariants, mass conservation and pressure continuity.
-func (j *Junction) solve(newA, newU map[*Segment][]float64) error {
-	m := len(j.Children)
-	if m < 1 {
-		return fmt.Errorf("nektar1d: junction of %q has no children", j.Parent.Name)
-	}
-	nb := m + 1
-	nu := 2 * nb // unknowns: a_0..a_m, u_0..u_m
+// invariants, mass conservation and pressure continuity. The result lands in
+// the arena's next time level.
+func (ja *junctionArena) solve(ar *stepArena) error {
+	segs, w, x, f, jac := ja.segs, ja.w, ja.x, ja.f, ja.jac
+	nb := len(segs)
+	p := segs[0]
 
-	segs := make([]*Segment, nb)
-	segs[0] = j.Parent
-	copy(segs[1:], j.Children)
-
-	// Characteristic targets from the interior (old time level).
-	w := make([]float64, nb)
-	p := j.Parent
+	// Characteristic targets from the interior (old time level), and the
+	// current boundary values as the initial guess.
 	w[0] = p.charPlus(p.A[p.N-2], p.U[p.N-2])
-	for b, c := range j.Children {
-		w[b+1] = c.charMinus(c.A[1], c.U[1])
-	}
-
-	// Initial guess: current boundary values.
-	x := make([]float64, nu)
 	x[0] = p.A[p.N-1]
 	x[nb] = p.U[p.N-1]
-	for b, c := range j.Children {
-		x[1+b] = c.A[0]
-		x[nb+1+b] = c.U[0]
+	for b := 1; b < nb; b++ {
+		c := segs[b]
+		w[b] = c.charMinus(c.A[1], c.U[1])
+		x[b] = c.A[0]
+		x[nb+b] = c.U[0]
 	}
 
 	for iter := 0; iter < 80; iter++ {
-		f := make([]float64, nu)
-		jac := linalg.NewDense(nu, nu)
+		clear(jac.Data)
 		// Characteristic equations.
 		for b := 0; b < nb; b++ {
 			a, u := x[b], x[nb+b]
@@ -336,23 +468,25 @@ func (j *Junction) solve(newA, newU map[*Segment][]float64) error {
 		if math.Sqrt(norm) < 1e-12 {
 			break
 		}
-		dx, err := linalg.SolveLU(jac, f)
-		if err != nil {
-			return fmt.Errorf("nektar1d: junction at %q: %w", j.Parent.Name, err)
+		// f becomes the Newton update in place.
+		if err := linalg.SolveLUInPlace(jac, f); err != nil {
+			return fmt.Errorf("nektar1d: junction at %q: %w", p.Name, err)
 		}
 		for i := range x {
-			x[i] -= dx[i]
+			x[i] -= f[i]
 		}
 		for b := 0; b < nb; b++ {
 			if x[b] <= 0 || math.IsNaN(x[b]) {
-				return fmt.Errorf("nektar1d: junction at %q: negative area in Newton", j.Parent.Name)
+				return fmt.Errorf("nektar1d: junction at %q: negative area in Newton", p.Name)
 			}
 		}
 	}
 
-	newA[p][p.N-1], newU[p][p.N-1] = x[0], x[nb]
-	for b, c := range j.Children {
-		newA[c][0], newU[c][0] = x[1+b], x[nb+1+b]
+	end := ar.off[ja.idx[0]+1] - 1
+	ar.newA[end], ar.newU[end] = x[0], x[nb]
+	for b := 1; b < nb; b++ {
+		start := ar.off[ja.idx[b]]
+		ar.newA[start], ar.newU[start] = x[b], x[nb+b]
 	}
 	return nil
 }

@@ -46,9 +46,9 @@ echo "== audit benchmarks (disabled hook, per-exchange ledger update, exposition
 audit=$(go test -run '^$' -bench 'BenchmarkAudit' -benchmem ./internal/audit 2>&1)
 printf '%s\n' "$audit"
 
-echo "== kernel benchmarks (SEM tensor-product tuned vs reference, Helmholtz/CG, DPD forces; hot paths must report 0 allocs/op) =="
+echo "== kernel benchmarks (SEM tensor-product tuned vs reference, Helmholtz/CG, DPD forces, 1D tree step; hot paths must report 0 allocs/op) =="
 kernels=$(go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
-	./internal/nektar3d ./internal/linalg ./internal/dpd 2>&1)
+	./internal/nektar3d ./internal/linalg ./internal/dpd ./internal/nektar1d 2>&1)
 printf '%s\n' "$kernels"
 
 echo "== history benchmarks (per-exchange sampling cost, disabled hook; disabled path must report 0 allocs/op) =="
