@@ -42,9 +42,17 @@ func (g *Grid) Sample(f []float64, p geometry.Vec3) float64 {
 	ez, zeta := locate1D(p.Z, g.Lz, g.Nez, g.PerZ)
 	nq := g.P + 1
 
-	lx := lagrangeWeights(g.Basis, xi)
-	ly := lagrangeWeights(g.Basis, eta)
-	lz := lagrangeWeights(g.Basis, zeta)
+	// The three weight vectors live on the stack up to order 15; the
+	// coupling samples thousands of points per exchange period.
+	var stack [3 * 16]float64
+	wts := stack[:]
+	if 3*nq > len(wts) {
+		wts = make([]float64, 3*nq)
+	}
+	lx, ly, lz := wts[:nq], wts[nq:2*nq], wts[2*nq:3*nq]
+	lagrangeWeights(g.Basis, xi, lx)
+	lagrangeWeights(g.Basis, eta, ly)
+	lagrangeWeights(g.Basis, zeta, lz)
 
 	var s float64
 	for k := 0; k < nq; k++ {
@@ -72,20 +80,19 @@ func (g *Grid) SampleVelocity(u, v, w []float64, p geometry.Vec3) (float64, floa
 	return g.Sample(u, p), g.Sample(v, p), g.Sample(w, p)
 }
 
-// lagrangeWeights returns the values of the nq Lagrange cardinal functions of
-// the basis at reference coordinate xi.
-func lagrangeWeights(b *sem.Basis1D, xi float64) []float64 {
+// lagrangeWeights fills out, of length nq, with the values of the nq Lagrange
+// cardinal functions of the basis at reference coordinate xi.
+func lagrangeWeights(b *sem.Basis1D, xi float64, out []float64) {
 	nq := b.P + 1
-	out := make([]float64, nq)
 	for i := 0; i < nq; i++ {
 		if xi == b.Nodes[i] {
+			clear(out)
 			out[i] = 1
-			return out
+			return
 		}
 	}
 	// Barycentric form.
 	var den float64
-	terms := make([]float64, nq)
 	for i := 0; i < nq; i++ {
 		w := 1.0
 		for j := 0; j < nq; j++ {
@@ -93,13 +100,12 @@ func lagrangeWeights(b *sem.Basis1D, xi float64) []float64 {
 				w /= b.Nodes[i] - b.Nodes[j]
 			}
 		}
-		terms[i] = w / (xi - b.Nodes[i])
-		den += terms[i]
+		out[i] = w / (xi - b.Nodes[i])
+		den += out[i]
 	}
 	for i := 0; i < nq; i++ {
-		out[i] = terms[i] / den
+		out[i] /= den
 	}
-	return out
 }
 
 // Contains reports whether a physical point lies inside the grid box.
