@@ -17,6 +17,8 @@ import (
 )
 
 // Segment is one arterial segment discretized with N uniformly spaced nodes.
+// Build one with NewSegment: it derives the wave-speed constant from Beta and
+// Rho, which are fixed from then on.
 type Segment struct {
 	Name string
 	L    float64 // length
@@ -28,6 +30,8 @@ type Segment struct {
 
 	A []float64 // cross-section area
 	U []float64 // mean velocity
+
+	k float64 // sqrt(β/(2ρ)), the wave speed per A^{1/4}
 }
 
 // NewSegment creates a segment at rest (A = A0, U = 0).
@@ -35,7 +39,7 @@ func NewSegment(name string, l float64, n int, a0, beta, rho, kr float64) *Segme
 	if n < 3 || l <= 0 || a0 <= 0 || beta <= 0 || rho <= 0 {
 		panic(fmt.Sprintf("nektar1d: bad segment %q (L=%v N=%d A0=%v beta=%v rho=%v)", name, l, n, a0, beta, rho))
 	}
-	s := &Segment{Name: name, L: l, N: n, A0: a0, Beta: beta, Rho: rho, Kr: kr}
+	s := &Segment{Name: name, L: l, N: n, A0: a0, Beta: beta, Rho: rho, Kr: kr, k: math.Sqrt(beta / (2 * rho))}
 	s.A = make([]float64, n)
 	s.U = make([]float64, n)
 	for i := range s.A {
@@ -53,8 +57,11 @@ func (s *Segment) Pressure(i int) float64 {
 }
 
 // WaveSpeed returns the local characteristic speed c = sqrt(β/(2ρ)) A^{1/4}.
+// The fourth root is two square roots, each correctly rounded: closer to the
+// true value than math.Pow's exp(log(a)/4), and an order of magnitude cheaper
+// in the call every node of every step makes.
 func (s *Segment) WaveSpeed(a float64) float64 {
-	return math.Sqrt(s.Beta/(2*s.Rho)) * math.Pow(a, 0.25)
+	return s.k * math.Sqrt(math.Sqrt(a))
 }
 
 // Flow returns the volumetric flow rate Q = A U at node i.

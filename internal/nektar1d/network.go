@@ -1,6 +1,7 @@
 package nektar1d
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -98,19 +99,38 @@ type stepArena struct {
 	newA, newU   []float64
 	ap, up       []float64
 	nameA, nameU []string
-	inlets       []int // segment index of each inlet
-	outlets      []int // segment index of each outlet
+	inlets       []int     // segment index of each inlet
+	outlets      []int     // segment index of each outlet
+	wkP          []float64 // next windkessel pressure of each outlet
 	juncs        []junctionArena
 }
 
 // junctionArena is one junction's Newton system over its nb = 1 + children
 // branches (parent first): 2·nb unknowns a_0..a_m, u_0..u_m.
 type junctionArena struct {
-	segs    []*Segment
-	idx     []int // index of each branch in Network.Segments
-	w, x, f []float64
-	jac     *linalg.Dense
+	segs       []*Segment
+	idx        []int // index of each branch in Network.Segments
+	w, c, x, f []float64
+	jac        *linalg.Dense
 }
+
+// ErrJunctionStalled is returned (wrapped, through Step) when a junction's
+// Newton iteration reaches junctionMaxIter without meeting junctionTol: the
+// step is refused rather than advanced on an unconverged boundary state.
+var ErrJunctionStalled = errors.New("junction Newton iteration stalled")
+
+// The junction Newton stops when its last update is below junctionTol
+// relative to each branch's own scales: |δa_b| ≤ tol·a_b and |δu_b| ≤ tol·c_b
+// (u itself may be zero). Newton converges quadratically, so an update of
+// 1e-9 leaves an error of order 1e-18, under float64's resolution, while
+// round-off in the update sits near 1e-15: the rule is reachable with six
+// digits to spare, where an absolute bound on a residual whose pressure rows
+// are O(β√A) ≈ 4e4 is not.
+const junctionTol = 1e-9
+
+// junctionMaxIter caps the iteration; a healthy solve takes one to three. A
+// variable only so the stall tests can lower it.
+var junctionMaxIter = 80
 
 // newStepArena lays the buffers out for the network's current wiring. A
 // boundary device or junction on a segment the network does not hold, or a
@@ -154,6 +174,7 @@ func newStepArena(n *Network) (*stepArena, error) {
 		}
 	}
 	ar.outlets = make([]int, len(n.Outlets))
+	ar.wkP = make([]float64, len(n.Outlets))
 	for i, out := range n.Outlets {
 		if ar.outlets[i], err = lookup("outlet", out.Seg); err != nil {
 			return nil, err
@@ -173,8 +194,8 @@ func newStepArena(n *Network) (*stepArena, error) {
 				return nil, err
 			}
 		}
-		vec := make([]float64, 5*nb)
-		ja.w, ja.x, ja.f = vec[:nb], vec[nb:3*nb], vec[3*nb:]
+		vec := make([]float64, 6*nb)
+		ja.w, ja.c, ja.x, ja.f = vec[:nb], vec[nb:2*nb], vec[2*nb:4*nb], vec[4*nb:]
 		ja.jac = linalg.NewDense(2*nb, 2*nb)
 	}
 	return ar, nil
@@ -283,7 +304,7 @@ func (n *Network) Step(dt float64) error {
 		if err != nil {
 			return fmt.Errorf("nektar1d: outlet on %q: %w", s.Name, err)
 		}
-		out.WK.P = p
+		ar.wkP[i] = p
 		last := ar.off[ar.outlets[i]+1] - 1
 		ar.newA[last], ar.newU[last] = a, u
 	}
@@ -295,9 +316,14 @@ func (n *Network) Step(dt float64) error {
 		}
 	}
 
+	// Every solve succeeded: commit the new time level. A step refused above
+	// leaves segments and windkessels where the last good step put them.
 	for i, s := range n.Segments {
 		copy(s.A, ar.nodes(ar.newA, i))
 		copy(s.U, ar.nodes(ar.newU, i))
+	}
+	for i, out := range n.Outlets {
+		out.WK.P = ar.wkP[i]
 	}
 	// NaN/Inf guard over the updated (A, U) state: a tripped guard aborts
 	// the step with a structured health event instead of advancing garbage.
@@ -409,7 +435,7 @@ func solveOutletWK(s *Segment, wk *Windkessel, w1, dt float64) (p, a, u float64,
 // invariants, mass conservation and pressure continuity. The result lands in
 // the arena's next time level.
 func (ja *junctionArena) solve(ar *stepArena) error {
-	segs, w, x, f, jac := ja.segs, ja.w, ja.x, ja.f, ja.jac
+	segs, w, c, x, f, jac := ja.segs, ja.w, ja.c, ja.x, ja.f, ja.jac
 	nb := len(segs)
 	p := segs[0]
 
@@ -419,24 +445,24 @@ func (ja *junctionArena) solve(ar *stepArena) error {
 	x[0] = p.A[p.N-1]
 	x[nb] = p.U[p.N-1]
 	for b := 1; b < nb; b++ {
-		c := segs[b]
-		w[b] = c.charMinus(c.A[1], c.U[1])
-		x[b] = c.A[0]
-		x[nb+b] = c.U[0]
+		s := segs[b]
+		w[b] = s.charMinus(s.A[1], s.U[1])
+		x[b] = s.A[0]
+		x[nb+b] = s.U[0]
 	}
 
-	for iter := 0; iter < 80; iter++ {
+	for iter := 0; iter < junctionMaxIter; iter++ {
 		clear(jac.Data)
 		// Characteristic equations.
 		for b := 0; b < nb; b++ {
 			a, u := x[b], x[nb+b]
-			c := segs[b].WaveSpeed(a)
-			dcda := c / (4 * a)
+			c[b] = segs[b].WaveSpeed(a)
+			dcda := c[b] / (4 * a)
 			if b == 0 {
-				f[b] = u + 4*c - w[b]
+				f[b] = u + 4*c[b] - w[b]
 				jac.Set(b, b, 4*dcda)
 			} else {
-				f[b] = u - 4*c - w[b]
+				f[b] = u - 4*c[b] - w[b]
 				jac.Set(b, b, -4*dcda)
 			}
 			jac.Set(b, nb+b, 1)
@@ -461,34 +487,34 @@ func (ja *junctionArena) solve(ar *stepArena) error {
 			jac.Set(row, b, -segs[b].Beta/(2*math.Sqrt(x[b])))
 		}
 
-		var norm float64
-		for _, v := range f {
-			norm += v * v
-		}
-		if math.Sqrt(norm) < 1e-12 {
-			break
-		}
 		// f becomes the Newton update in place.
 		if err := linalg.SolveLUInPlace(jac, f); err != nil {
 			return fmt.Errorf("nektar1d: junction at %q: %w", p.Name, err)
 		}
-		for i := range x {
-			x[i] -= f[i]
-		}
+		converged := true
 		for b := 0; b < nb; b++ {
+			x[b] -= f[b]
+			x[nb+b] -= f[nb+b]
 			if x[b] <= 0 || math.IsNaN(x[b]) {
 				return fmt.Errorf("nektar1d: junction at %q: negative area in Newton", p.Name)
 			}
+			// Negated <= so that a NaN update never counts as converged.
+			if !(math.Abs(f[b]) <= junctionTol*x[b] && math.Abs(f[nb+b]) <= junctionTol*c[b]) {
+				converged = false
+			}
 		}
+		if !converged {
+			continue
+		}
+		end := ar.off[ja.idx[0]+1] - 1
+		ar.newA[end], ar.newU[end] = x[0], x[nb]
+		for b := 1; b < nb; b++ {
+			start := ar.off[ja.idx[b]]
+			ar.newA[start], ar.newU[start] = x[b], x[nb+b]
+		}
+		return nil
 	}
-
-	end := ar.off[ja.idx[0]+1] - 1
-	ar.newA[end], ar.newU[end] = x[0], x[nb]
-	for b := 1; b < nb; b++ {
-		start := ar.off[ja.idx[b]]
-		ar.newA[start], ar.newU[start] = x[b], x[nb+b]
-	}
-	return nil
+	return fmt.Errorf("nektar1d: junction at %q: %w after %d iterations", p.Name, ErrJunctionStalled, junctionMaxIter)
 }
 
 // TotalOutletFlow sums the instantaneous flow leaving through all outlets.
