@@ -109,7 +109,7 @@ type stepArena struct {
 // branches (parent first): 2·nb unknowns a_0..a_m, u_0..u_m.
 type junctionArena struct {
 	segs       []*Segment
-	idx        []int // index of each branch in Network.Segments
+	at         []int // each branch's junction node in the arena's node buffers
 	w, c, x, f []float64
 	jac        *linalg.Dense
 }
@@ -188,10 +188,15 @@ func newStepArena(n *Network) (*stepArena, error) {
 		nb := 1 + len(j.Children)
 		ja := &ar.juncs[i]
 		ja.segs = append(append(make([]*Segment, 0, nb), j.Parent), j.Children...)
-		ja.idx = make([]int, nb)
+		ja.at = make([]int, nb)
 		for b, s := range ja.segs {
-			if ja.idx[b], err = lookup("junction", s); err != nil {
+			i, err := lookup("junction", s)
+			if err != nil {
 				return nil, err
+			}
+			ja.at[b] = ar.off[i] // a child starts at the junction,
+			if b == 0 {
+				ja.at[b] = ar.off[i+1] - 1 // the parent ends there
 			}
 		}
 		vec := make([]float64, 6*nb)
@@ -503,16 +508,12 @@ func (ja *junctionArena) solve(ar *stepArena) error {
 				converged = false
 			}
 		}
-		if !converged {
-			continue
+		if converged {
+			for b, at := range ja.at {
+				ar.newA[at], ar.newU[at] = x[b], x[nb+b]
+			}
+			return nil
 		}
-		end := ar.off[ja.idx[0]+1] - 1
-		ar.newA[end], ar.newU[end] = x[0], x[nb]
-		for b := 1; b < nb; b++ {
-			start := ar.off[ja.idx[b]]
-			ar.newA[start], ar.newU[start] = x[b], x[nb+b]
-		}
-		return nil
 	}
 	return fmt.Errorf("nektar1d: junction at %q: %w after %d iterations", p.Name, ErrJunctionStalled, junctionMaxIter)
 }

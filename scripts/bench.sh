@@ -47,7 +47,10 @@ audit=$(go test -run '^$' -bench 'BenchmarkAudit' -benchmem ./internal/audit 2>&
 printf '%s\n' "$audit"
 
 echo "== kernel benchmarks (SEM tensor-product tuned vs reference, Helmholtz/CG, DPD forces, 1D tree step; hot paths must report 0 allocs/op) =="
-kernels=$(go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
+# GOMAXPROCS=1: these are per-core kernel costs (the bench/ ladder owns
+# parallel behaviour), and without the -N suffix the sample names compare
+# across hosts of any core count.
+kernels=$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
 	./internal/nektar3d ./internal/linalg ./internal/dpd ./internal/nektar1d 2>&1)
 printf '%s\n' "$kernels"
 
