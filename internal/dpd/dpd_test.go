@@ -327,6 +327,49 @@ func TestSampleVelocityAt(t *testing.T) {
 	}
 }
 
+// TestSampleVelocityAtMatchesUnfilteredSweep holds the early rejection on
+// non-periodic axes to the plain minimum-image sweep, bit for bit, on the
+// open slab of the flux-BC regions, a closed box and a fully periodic box —
+// with one particle exactly radius away along an open axis (accepted: the
+// filter rejects only above radius², as the sweep does) and one just beyond.
+func TestSampleVelocityAtMatchesUnfilteredSweep(t *testing.T) {
+	const radius = 1.5
+	for _, periodic := range [][3]bool{{false, true, false}, {false, false, false}, {true, true, true}} {
+		s := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, periodic)
+		s.FillRandom(3000, 0)
+		for i := range s.Particles {
+			s.Particles[i].Vel = geometry.Vec3{X: s.rng.NormFloat64(), Y: s.rng.NormFloat64(), Z: s.rng.NormFloat64()}
+		}
+		s.Particles[7].Frozen = true
+		for _, p := range []geometry.Vec3{{X: 0, Y: 5, Z: 5}, {X: 10, Y: 0.2, Z: 9.9}, {X: 4, Y: 9.7, Z: 0}, {X: 5, Y: 5, Z: 5}} {
+			atRadius := s.AddParticle(geometry.Vec3{X: p.X + radius, Y: p.Y, Z: p.Z}, geometry.Vec3{X: 1e3}, 0, false)
+			s.AddParticle(geometry.Vec3{X: math.Nextafter(p.X+radius, 20), Y: p.Y, Z: p.Z}, geometry.Vec3{X: -1e3}, 0, false)
+			if d := s.Particles[atRadius].Pos.X - p.X; d*d != radius*radius {
+				t.Fatalf("particle %v is not exactly %v from %v", s.Particles[atRadius].Pos, radius, p)
+			}
+
+			var want geometry.Vec3
+			var wantN int
+			for i := range s.Particles {
+				q := &s.Particles[i]
+				if !q.Frozen && s.minimumImage(q.Pos, p).Norm2() <= radius*radius {
+					want = want.Add(q.Vel)
+					wantN++
+				}
+			}
+			want = want.Scale(1 / float64(wantN))
+
+			got, n := s.SampleVelocityAt(p, radius)
+			if n != wantN || got != want {
+				t.Errorf("periodic %v at %v: %d particles, mean %v; unfiltered sweep %d, %v", periodic, p, n, got, wantN, want)
+			}
+			if wantN < 5 {
+				t.Errorf("periodic %v at %v: only %d particles in range, the case tests nothing", periodic, p, wantN)
+			}
+		}
+	}
+}
+
 func TestTemperatureOfColdSystemIsZero(t *testing.T) {
 	p := DefaultParams(1)
 	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{true, true, true})

@@ -141,6 +141,15 @@ func (s *System) SampleVelocityAt(p geometry.Vec3, radius float64) (geometry.Vec
 		if q.Frozen {
 			continue
 		}
+		// On a non-periodic axis the separation is final, and one squared
+		// component above r2 puts the sum above it too (adding non-negative
+		// terms never rounds below one of them): skip the minimum-image
+		// rounding there, with the accepted set, its order and the mean
+		// unchanged to the bit.
+		d := q.Pos.Sub(p)
+		if !s.Periodic[0] && d.X*d.X > r2 || !s.Periodic[1] && d.Y*d.Y > r2 || !s.Periodic[2] && d.Z*d.Z > r2 {
+			continue
+		}
 		if s.minimumImage(q.Pos, p).Norm2() <= r2 {
 			sum = sum.Add(q.Vel)
 			n++

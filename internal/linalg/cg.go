@@ -238,22 +238,30 @@ func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, to
 	for i := range r {
 		r[i] = b[i] - ap[i]
 	}
-	prec.Precondition(z, r)
-	copy(p, z)
-	rz := simd.Dot(r, z)
 
+	// Convergence is tested before the residual is preconditioned, so a
+	// solve that returns never computes a z it would not use: Precondition
+	// runs once per iteration that continues, none when x0 already meets tol.
 	res := SolveStats{History: ws.hist[:0]}
 	hist := histAcc{bound: HistoryBound, stride: 1}
-	for k := 0; k < maxIter; k++ {
-		rnorm := math.Sqrt(simd.Dot(r, r))
-		res.Residual = rnorm / bnorm
+	var rz float64
+	for k := 0; ; k++ {
+		res.Residual = math.Sqrt(simd.Dot(r, r)) / bnorm
+		if k >= maxIter {
+			break
+		}
 		hist.push(&res, res.Residual)
 		if res.Residual < tol {
-			res.Converged = true
-			hist.seal(&res, res.Residual)
-			ws.hist = res.History
-			return res, nil
+			break
 		}
+		prec.Precondition(z, r)
+		rzNew := simd.Dot(r, z)
+		if k == 0 {
+			copy(p, z)
+		} else {
+			simd.Xpay(rzNew/rz, z, p)
+		}
+		rz = rzNew
 		a.Apply(ap, p)
 		pap := simd.Dot(p, ap)
 		if pap <= 0 {
@@ -262,8 +270,6 @@ func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, to
 			// iteration we broke down in, and a sealed history — so the CG
 			// watchdog and flight recorder see where the solve actually died
 			// rather than the stats of the previous iteration.
-			res.Iterations = k
-			res.Residual = math.Sqrt(simd.Dot(r, r)) / bnorm
 			hist.seal(&res, res.Residual)
 			ws.hist = res.History
 			return res, ErrCGBreakdown
@@ -271,15 +277,8 @@ func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, to
 		alpha := rz / pap
 		simd.Axpy(alpha, p, x)
 		simd.Axpy(-alpha, ap, r)
-		prec.Precondition(z, r)
-		rzNew := simd.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		simd.Xpay(beta, z, p)
 		res.Iterations = k + 1
 	}
-	rnorm := math.Sqrt(simd.Dot(r, r))
-	res.Residual = rnorm / bnorm
 	hist.seal(&res, res.Residual)
 	res.Converged = res.Residual < tol
 	ws.hist = res.History

@@ -38,6 +38,7 @@ type arena struct {
 	pool    work.Pool
 	nw      int       // workers the prebuilt closures fan out over
 	curX    []float64 // input field for the in-flight parallel apply
+	curDir  int       // direction(s) the in-flight gradient computes
 	stiffFn func(int) // prebuilt worker closures (rebuilt only when nw grows)
 	gradFn  func(int)
 
@@ -148,7 +149,7 @@ func (ar *arena) ensureWorkers(nw int) {
 	ar.gradFn = func(w int) {
 		lo, hi := ar.chunk(w)
 		for e := lo; e < hi; e++ {
-			ar.gradElem(e, ar.curX, ar.wLoc[w], ar.wLine[w], ar.wTmp[w])
+			ar.gradElem(e, ar.curX, ar.wLoc[w], ar.wLine[w], ar.wTmp[w], ar.curDir)
 		}
 	}
 }

@@ -77,6 +77,30 @@ func TestOperatorParityBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDivergenceIsSumOfGradientComponents holds the one-direction phase A of
+// DivergenceInto to the three Gradient components it replaces, with ==. The
+// calls alternate, so each all-direction pass runs over element sections a
+// one-direction pass left stale, and the other way round.
+func TestDivergenceIsSumOfGradientComponents(t *testing.T) {
+	for gi, g := range parityGrids() {
+		for _, nw := range []int{1, 3} {
+			g.Parallel = nw
+			u, v, w := randomField(g, int64(500+gi)), randomField(g, int64(600+gi)), randomField(g, int64(700+gi))
+			div := g.NewField()
+			g.DivergenceInto(div, u, v, w)
+			ux, _, _ := g.Gradient(u)
+			_, vy, _ := g.Gradient(v)
+			_, _, wz := g.Gradient(w)
+			again := g.Divergence(u, v, w)
+			for i := range div {
+				if want := ux[i] + vy[i] + wz[i]; div[i] != want || again[i] != want {
+					t.Fatalf("grid %d P=%d workers=%d: div[%d] = %v, then %v; ux+vy+wz = %v", gi, g.P, nw, i, div[i], again[i], want)
+				}
+			}
+		}
+	}
+}
+
 // TestStepBitIdenticalAcrossWorkerCounts pins the end-to-end determinism
 // contract: a full solver trajectory is byte-identical for every Parallel
 // setting.

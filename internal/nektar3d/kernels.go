@@ -82,11 +82,16 @@ func (ar *arena) stiffElem(e int, xg, loc, line, tmp, lineOut []float64) {
 	}
 }
 
+// allDirs asks gradElem for all three derivatives; 0, 1, 2 ask for d/dx,
+// d/dy or d/dz alone.
+const allDirs = -1
+
 // gradElem computes the element-local collocation derivatives of field fg
-// for element e into the three elemG sections (gx | gy | gz). Values are the
-// raw line derivatives; the serial scatter applies the 1/J metric and the
+// for element e into the three elemG sections (gx | gy | gz), or only the
+// section of direction dir, leaving the other two stale. Values are the raw
+// line derivatives; the serial scatter applies the 1/J metric and the
 // multiplicity average, exactly as the reference does.
-func (ar *arena) gradElem(e int, fg, loc, line, tmp []float64) {
+func (ar *arena) gradElem(e int, fg, loc, line, tmp []float64, dir int) {
 	nq := ar.nq
 	nq3 := ar.nq3
 	gids := ar.gids[e*nq3 : (e+1)*nq3]
@@ -97,35 +102,41 @@ func (ar *arena) gradElem(e int, fg, loc, line, tmp []float64) {
 		loc[l] = fg[n]
 	}
 	// d/dx: rows d[i][q] times the contiguous x-line.
-	for k := 0; k < nq; k++ {
-		for j := 0; j < nq; j++ {
-			off := nq * (j + nq*k)
-			simd.MatVec(gx[off:off+nq], ar.dF, loc[off:off+nq], nq, nq)
+	if dir == allDirs || dir == 0 {
+		for k := 0; k < nq; k++ {
+			for j := 0; j < nq; j++ {
+				off := nq * (j + nq*k)
+				simd.MatVec(gx[off:off+nq], ar.dF, loc[off:off+nq], nq, nq)
+			}
 		}
 	}
 	// d/dy: gather the j-line (stride nq).
-	for k := 0; k < nq; k++ {
-		for i := 0; i < nq; i++ {
-			base := i + nq*nq*k
-			for j := 0; j < nq; j++ {
-				line[j] = loc[base+nq*j]
-			}
-			simd.MatVec(tmp, ar.dF, line, nq, nq)
-			for j := 0; j < nq; j++ {
-				gy[base+nq*j] = tmp[j]
+	if dir == allDirs || dir == 1 {
+		for k := 0; k < nq; k++ {
+			for i := 0; i < nq; i++ {
+				base := i + nq*nq*k
+				for j := 0; j < nq; j++ {
+					line[j] = loc[base+nq*j]
+				}
+				simd.MatVec(tmp, ar.dF, line, nq, nq)
+				for j := 0; j < nq; j++ {
+					gy[base+nq*j] = tmp[j]
+				}
 			}
 		}
 	}
 	// d/dz: gather the k-line (stride nq²).
-	for j := 0; j < nq; j++ {
-		for i := 0; i < nq; i++ {
-			base := i + nq*j
-			for k := 0; k < nq; k++ {
-				line[k] = loc[base+nq*nq*k]
-			}
-			simd.MatVec(tmp, ar.dF, line, nq, nq)
-			for k := 0; k < nq; k++ {
-				gz[base+nq*nq*k] = tmp[k]
+	if dir == allDirs || dir == 2 {
+		for j := 0; j < nq; j++ {
+			for i := 0; i < nq; i++ {
+				base := i + nq*j
+				for k := 0; k < nq; k++ {
+					line[k] = loc[base+nq*nq*k]
+				}
+				simd.MatVec(tmp, ar.dF, line, nq, nq)
+				for k := 0; k < nq; k++ {
+					gz[base+nq*nq*k] = tmp[k]
+				}
 			}
 		}
 	}
@@ -141,11 +152,11 @@ func (ar *arena) runStiffElems(x []float64) {
 	ar.curX = nil
 }
 
-// runGradElems evaluates phase A of the gradient for input f, leaving
-// per-element derivatives in elemG.
-func (ar *arena) runGradElems(f []float64) {
+// runGradElems evaluates phase A of the gradient for input f, leaving the
+// per-element derivatives of direction dir (allDirs for all three) in elemG.
+func (ar *arena) runGradElems(f []float64, dir int) {
 	ar.ensureWorkers(ar.g.workers())
-	ar.curX = f
+	ar.curX, ar.curDir = f, dir
 	ar.pool.Run(ar.nw, ar.gradFn)
 	ar.curX = nil
 }

@@ -222,7 +222,7 @@ func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (
 // Arena-backed and bit-identical to gradientRef for every worker count.
 func (g *Grid) GradientInto(fx, fy, fz, f []float64) {
 	ar := g.arena()
-	ar.runGradElems(f)
+	ar.runGradElems(f, allDirs)
 	for i := range fx {
 		fx[i], fy[i], fz[i] = 0, 0, 0
 	}
@@ -273,7 +273,7 @@ func (g *Grid) DivergenceInto(div, u, v, w []float64) {
 // component.
 func (g *Grid) derivInto(dst, f []float64, dir int) {
 	ar := g.arena()
-	ar.runGradElems(f)
+	ar.runGradElems(f, dir)
 	for i := range dst {
 		dst[i] = 0
 	}

@@ -3,8 +3,9 @@ package simd
 // Dense row-major matrix kernels for the spectral-element line applies. The
 // tensor-product stiffness/derivative operators reduce to many small y = D x
 // products along element lines; these kernels unroll 4-way ACROSS rows
-// (independent outputs) while keeping each row's accumulation strictly
-// sequential in column order. That makes them bit-identical to the naive
+// (independent outputs; a remainder of 3 or 2 rows is one narrower block)
+// while keeping each row's accumulation strictly sequential in column order.
+// That makes them bit-identical to the naive
 //
 //	for r { s := 0; for c { s += a[r*cols+c] * x[c] }; y[r] = s }
 //
@@ -37,7 +38,35 @@ func MatVec(y, a, x []float64, rows, cols int) {
 		y[r+2] = s2
 		y[r+3] = s3
 	}
-	for ; r < rows; r++ {
+	// A 3- or 2-row remainder (rows 4–6 at order 6) is one block too, so its
+	// sums interleave instead of running as separate dependent add chains.
+	switch rows - r {
+	case 3:
+		a0 := a[r*cols : r*cols+cols]
+		a1 := a[(r+1)*cols : (r+1)*cols+cols]
+		a2 := a[(r+2)*cols : (r+2)*cols+cols]
+		var s0, s1, s2 float64
+		for c := 0; c < cols; c++ {
+			xc := x[c]
+			s0 += a0[c] * xc
+			s1 += a1[c] * xc
+			s2 += a2[c] * xc
+		}
+		y[r] = s0
+		y[r+1] = s1
+		y[r+2] = s2
+	case 2:
+		a0 := a[r*cols : r*cols+cols]
+		a1 := a[(r+1)*cols : (r+1)*cols+cols]
+		var s0, s1 float64
+		for c := 0; c < cols; c++ {
+			xc := x[c]
+			s0 += a0[c] * xc
+			s1 += a1[c] * xc
+		}
+		y[r] = s0
+		y[r+1] = s1
+	case 1:
 		ar := a[r*cols : r*cols+cols]
 		var s float64
 		for c := 0; c < cols; c++ {
@@ -74,7 +103,33 @@ func MatVecAcc(y, a, x []float64, rows, cols int) {
 		y[r+2] += s2
 		y[r+3] += s3
 	}
-	for ; r < rows; r++ {
+	switch rows - r {
+	case 3:
+		a0 := a[r*cols : r*cols+cols]
+		a1 := a[(r+1)*cols : (r+1)*cols+cols]
+		a2 := a[(r+2)*cols : (r+2)*cols+cols]
+		var s0, s1, s2 float64
+		for c := 0; c < cols; c++ {
+			xc := x[c]
+			s0 += a0[c] * xc
+			s1 += a1[c] * xc
+			s2 += a2[c] * xc
+		}
+		y[r] += s0
+		y[r+1] += s1
+		y[r+2] += s2
+	case 2:
+		a0 := a[r*cols : r*cols+cols]
+		a1 := a[(r+1)*cols : (r+1)*cols+cols]
+		var s0, s1 float64
+		for c := 0; c < cols; c++ {
+			xc := x[c]
+			s0 += a0[c] * xc
+			s1 += a1[c] * xc
+		}
+		y[r] += s0
+		y[r+1] += s1
+	case 1:
 		ar := a[r*cols : r*cols+cols]
 		var s float64
 		for c := 0; c < cols; c++ {

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -21,9 +22,18 @@ func naiveMatVec(y, a, x []float64, rows, cols int, acc bool) {
 	}
 }
 
+// TestMatVecBitIdentical covers every shape the 4-row blocks and the 3-, 2-
+// and 1-row remainders can meet, rows and cols 1…9 (nq = 2…9 are the orders
+// the grids run at), plus one wider case.
 func TestMatVecBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, dim := range [][2]int{{1, 1}, {3, 3}, {4, 4}, {5, 7}, {7, 5}, {8, 8}, {9, 9}, {13, 6}} {
+	dims := [][2]int{{13, 6}}
+	for rows := 1; rows <= 9; rows++ {
+		for cols := 1; cols <= 9; cols++ {
+			dims = append(dims, [2]int{rows, cols})
+		}
+	}
+	for _, dim := range dims {
 		rows, cols := dim[0], dim[1]
 		a := make([]float64, rows*cols)
 		x := make([]float64, cols)
@@ -100,4 +110,29 @@ func TestMatVecPanicsOnShortSlices(t *testing.T) {
 		}
 	}()
 	MatVec(make([]float64, 2), make([]float64, 4), make([]float64, 2), 3, 2)
+}
+
+// BenchmarkKernelMatVec times the line product at the two sizes the bench/
+// workloads run most: nq = 5 (order 4: one 4-row block and one row) and
+// nq = 7 (order 6: a 4-row and a 3-row block).
+func BenchmarkKernelMatVec(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	for _, nq := range []int{5, 7} {
+		b.Run(fmt.Sprintf("nq=%d", nq), func(b *testing.B) {
+			a := make([]float64, nq*nq)
+			x := make([]float64, nq)
+			y := make([]float64, nq)
+			for i := range a {
+				a[i] = rng.NormFloat64()
+			}
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatVec(y, a, x, nq, nq)
+			}
+		})
+	}
 }

@@ -46,12 +46,12 @@ echo "== audit benchmarks (disabled hook, per-exchange ledger update, exposition
 audit=$(go test -run '^$' -bench 'BenchmarkAudit' -benchmem ./internal/audit 2>&1)
 printf '%s\n' "$audit"
 
-echo "== kernel benchmarks (SEM tensor-product tuned vs reference, Helmholtz/CG, DPD forces, 1D tree step; hot paths must report 0 allocs/op) =="
+echo "== kernel benchmarks (line MatVec, SEM tensor-product tuned vs reference, Helmholtz/CG, DPD forces, 1D tree step; hot paths must report 0 allocs/op) =="
 # GOMAXPROCS=1: these are per-core kernel costs (the bench/ ladder owns
 # parallel behaviour), and without the -N suffix the sample names compare
 # across hosts of any core count.
 kernels=$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
-	./internal/nektar3d ./internal/linalg ./internal/dpd ./internal/nektar1d 2>&1)
+	./internal/simd ./internal/nektar3d ./internal/linalg ./internal/dpd ./internal/nektar1d 2>&1)
 printf '%s\n' "$kernels"
 
 echo "== history benchmarks (per-exchange sampling cost, disabled hook; disabled path must report 0 allocs/op) =="
