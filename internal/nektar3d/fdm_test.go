@@ -31,7 +31,7 @@ func relDiff(a, b []float64) float64 {
 	return d / n
 }
 
-// TestFDMInvertsOperator pins the claim the one-iteration solves rest on:
+// TestFDMInvertsOperator pins the claim the zero-iteration solves rest on:
 // on a Grid the preconditioner is the inverse of λM + K — of its mean-free
 // part for the singular pure-Neumann operator, of its interior block (with
 // identity rows on the mask) under Dirichlet boundaries.

@@ -220,13 +220,7 @@ func TestHelmholtzSpectralConvergence3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m float64
-		for i := range u {
-			if d := math.Abs(u[i] - exact[i]); d > m {
-				m = d
-			}
-		}
-		return m
+		return maxAbsDiff(u, exact)
 	}
 	e3, e6 := errAt(3), errAt(6)
 	if e6 > e3/50 {
