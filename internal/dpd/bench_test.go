@@ -32,7 +32,29 @@ func benchOpenSlab() *System {
 	return s
 }
 
+// benchWorkloadSlab is benchOpenSlab with the fluid the workloads put in it:
+// two species, kBT 0.2, dt 0.005, run past its start-up transient.
+func benchWorkloadSlab() *System {
+	p := DefaultParams(2)
+	p.KBT, p.Dt = 0.2, 0.005
+	hi := geometry.Vec3{X: 10, Y: 10, Z: 10}
+	s := NewSystem(p, geometry.Vec3{}, hi, [3]bool{false, true, false})
+	s.Walls = zWalls(hi.Z)
+	s.FillRandom(3550, 0)
+	s.Inflows = xFluxFaces()
+	s.Run(400)
+	return s
+}
+
 func BenchmarkKernelForces(b *testing.B) {
+	b.Run("workload-slab", func(b *testing.B) {
+		s := benchWorkloadSlab()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.ComputeForces()
+		}
+	})
 	b.Run("open-zslab-n=3550", func(b *testing.B) {
 		s := benchOpenSlab()
 		b.ReportAllocs()

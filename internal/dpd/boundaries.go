@@ -134,17 +134,28 @@ func (s *System) addOpenFaceForces() {
 	s.faceCtrl = grow(s.faceCtrl, len(s.Inflows), 0)
 	clear(s.faceCtrl)
 	ctrl := s.faceCtrl
+	// The slabs hold a few per cent of the particles: list them once, in
+	// particle order, and run the mean and the force loop over the list.
+	near := grow(s.nearFace, len(s.Particles), cap(s.Particles))[:0]
+	for i := range s.Particles {
+		if p := &s.Particles[i]; !p.Frozen {
+			for _, f := range s.Inflows {
+				if h := f.faceDistance(s, p.Pos); h >= 0 && h < s.Rc {
+					near = append(near, int32(i))
+					break
+				}
+			}
+		}
+	}
+	s.nearFace = near
 	for k, f := range s.Inflows {
 		if f.Vel == nil {
 			continue
 		}
 		var mean geometry.Vec3
 		var n int
-		for i := range s.Particles {
+		for _, i := range near {
 			p := &s.Particles[i]
-			if p.Frozen {
-				continue
-			}
 			if h := f.faceDistance(s, p.Pos); h >= 0 && h < s.Rc {
 				mean = mean.Add(p.Vel)
 				n++
@@ -157,11 +168,8 @@ func (s *System) addOpenFaceForces() {
 		target := f.Vel(f.randomFacePoint(s))
 		ctrl[k] = faceControl{force: target.Sub(mean).Scale(f.gain()), on: true}
 	}
-	for i := range s.Particles {
+	for _, i := range near {
 		p := &s.Particles[i]
-		if p.Frozen {
-			continue
-		}
 		for k, f := range s.Inflows {
 			h := f.faceDistance(s, p.Pos)
 			if h >= s.Rc || h < 0 {
@@ -364,14 +372,42 @@ func oneSidedFlux(w, sd float64) float64 {
 	return w*cdf + sd*phi
 }
 
-// reservoirVelocity returns the reservoir drift at a face point.
-func (f *FluxBC) reservoirVelocity(s *System, pos geometry.Vec3) geometry.Vec3 {
+// nSample is the number of face points a reservoir's drift is averaged over.
+const nSample = 4
+
+// reservoirVelocities returns the reservoir drift at the given face points:
+// the prescribed profile, or for a measured face what SampleVelocityAt(pt,
+// 1.5 rc) returns at each — zero where it finds nobody — from one pass over
+// the particles near the face instead of one full sweep per point.
+func (f *FluxBC) reservoirVelocities(s *System, pts *[nSample]geometry.Vec3) (v [nSample]geometry.Vec3) {
 	if f.Vel != nil {
-		return f.Vel(pos)
+		for k, pt := range pts {
+			v[k] = f.Vel(pt)
+		}
+		return v
 	}
-	v, n := s.SampleVelocityAt(pos, 1.5*s.Rc)
-	if n == 0 {
-		return geometry.Vec3{}
+	radius := 1.5 * s.Rc
+	// The points lie within 0.2 rc of the face (randomFacePoint), so along an
+	// open axis nobody beyond 1.7 rc is in range of any; the rest is slack
+	// for the rounding of the two subtractions.
+	near := 1.75 * s.Rc
+	var n [nSample]int
+	for i := range s.Particles {
+		q := &s.Particles[i]
+		if q.Frozen || !s.Periodic[f.Axis] && f.faceDistance(s, q.Pos) > near {
+			continue
+		}
+		for k, pt := range pts {
+			if s.inSampleRange(q.Pos, pt, radius*radius) {
+				v[k] = v[k].Add(q.Vel)
+				n[k]++
+			}
+		}
+	}
+	for k := range v {
+		if n[k] > 0 {
+			v[k] = v[k].Scale(1 / float64(n[k]))
+		}
 	}
 	return v
 }
@@ -399,12 +435,13 @@ func (f *FluxBC) apply(s *System) {
 	sd := math.Sqrt(s.KBT)
 
 	// Reservoir drift sampled at a few face points.
-	const nSample = 4
+	var pts [nSample]geometry.Vec3
+	for k := range pts {
+		pts[k] = f.randomFacePoint(s)
+	}
 	var w float64
 	var vres geometry.Vec3
-	for k := 0; k < nSample; k++ {
-		pos := f.randomFacePoint(s)
-		v := f.reservoirVelocity(s, pos)
+	for _, v := range f.reservoirVelocities(s, &pts) {
 		vres = vres.Add(v)
 		w += f.inwardComponent(v)
 	}

@@ -22,10 +22,14 @@ func (s *System) buildCells() {
 	s.boxLen = [3]float64{sz.X, sz.Y, sz.Z}
 	for d := 0; d < 3; d++ {
 		s.ncell[d] = max(int(s.boxLen[d]/s.Rc), 1)
+		// With fewer than three cells the +1 neighbour of a cell is also its
+		// -1 neighbour, or the cell itself: such an axis is one cell, paired
+		// with itself under the per-pair minimum image (foldShort).
+		if s.short[d] = s.Periodic[d] && s.ncell[d] < 3; s.short[d] {
+			s.ncell[d] = 1
+		}
 		s.cellLen[d] = s.boxLen[d] / float64(s.ncell[d])
-		s.short[d] = s.Periodic[d] && s.ncell[d] < 3
 	}
-	s.setShellRules()
 
 	n, pcap := len(s.Particles), cap(s.Particles)
 	ntot := s.ncell[0] * s.ncell[1] * s.ncell[2]
@@ -77,147 +81,110 @@ func (s *System) cellOf(pos geometry.Vec3) int {
 	return c[0] + s.ncell[0]*(c[1]+s.ncell[1]*c[2])
 }
 
-// halfShell lists the cell offsets covering each neighbor pair once: the
-// home cell itself plus the 13 offsets whose first non-zero component,
-// reading z, y, x, is positive.
-var halfShell = [14][3]int{
-	{0, 0, 0},
-	{1, 0, 0},
-	{-1, 1, 0}, {0, 1, 0}, {1, 1, 0},
-	{-1, -1, 1}, {0, -1, 1}, {1, -1, 1},
-	{-1, 0, 1}, {0, 0, 1}, {1, 0, 1},
-	{-1, 1, 1}, {0, 1, 1}, {1, 1, 1},
-}
+// rowShell is the half-shell of cell offsets — the home cell plus the 13
+// neighbours whose first non-zero offset, reading z, y, x, is positive, every
+// neighbour pair once — taken a row of cells along x at a time: (dy, dz) of
+// the home row, whose cells pair with themselves and their +x neighbour, and
+// of the four rows whose cells pair with all three x-neighbours of a home.
+var rowShell = [5][2]int{{0, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1}}
 
-// shellRule says how the cell walk treats one halfShell offset.
-type shellRule uint8
-
-const (
-	shellVisit shellRule = iota
-	shellSkip
-	// shellOnce marks an offset that is its own inverse (non-zero only along
-	// two-cell periodic axes): both cells of the pair reach each other
-	// through it, so only the lower cell id is the home.
-	shellOnce
-)
-
-// setShellRules adapts the half-shell to short periodic axes, where wrapping
-// makes distinct offsets reach the same neighbour cell: along a one-cell axis
-// every offset is the cell itself, along a two-cell axis -1 is +1. Dropping
-// the duplicates leaves the sign of an offset to be read over the remaining
-// axes only. With no short axis every rule is shellVisit.
-func (s *System) setShellRules() {
-	for k, off := range halfShell {
-		rule, lead := shellVisit, 0
-		for d := 2; d >= 0 && rule == shellVisit; d-- {
-			switch o := off[d]; {
-			case o == 0:
-			case s.short[d]:
-				if s.ncell[d] == 1 || o < 0 {
-					rule = shellSkip
-				}
-			case lead == 0:
-				lead = o
-			}
-		}
-		if rule == shellVisit && k > 0 {
-			if lead < 0 {
-				rule = shellSkip
-			} else if lead == 0 {
-				rule = shellOnce
-			}
-		}
-		s.shell[k] = rule
-	}
-}
-
-// cellWalk iterates the half-shell cell pairs whose home cell lies in the
-// z-layers [z0, z1), in home-cell order (z, y, x) and halfShell order within
-// a home — every distinct pair of neighbouring cells exactly once over the
-// whole grid. It is the one cell traversal: the force kernel and the virial
-// both range over it.
+// gatherRow is one tile's pair-sweep scratch (arena contract: reused every
+// step, never serialized). It holds what the cells of one home row pair
+// with, copied from the position mirror with the periodic image shift folded
+// in, laid out so that the candidates of a home particle are two contiguous
+// ranges: the home row (plus the image of cell 0 behind a periodic row), and
+// the neighbour rows interleaved by x-column. Particle a of home cell c pairs
+// with
 //
-//	w := s.walkCells(z0, z1)
-//	for w.next() { ... w.home, w.nbr ... }
-type cellWalk struct {
-	s             *System
-	z1            int
-	cx, cy, cz, k int
-
-	home, nbr int  // cell ids of the current pair
-	nz        int  // z-layer of nbr
-	same      bool // nbr == home: pair each slot with the later ones only
-	// shift is the periodic image offset of the pair: for particle i in home
-	// and j in nbr, r_ij = pos_i - pos_j - shift, equal to the per-pair
-	// minimum image on every axis of three or more cells. Short axes carry 0
-	// and are folded per pair (foldShort).
-	shift geometry.Vec3
+//	(a, own[c+2])  and  [col[c], col[c+3])
+//
+// where own[c] starts home cell c and col[c] neighbour column c-1; columns
+// beyond an open or short row's ends are empty. slot maps an entry back to
+// its mirror slot; hit is the filter's output.
+type gatherRow struct {
+	x, y, z   []float64
+	slot, hit []int32
+	own, col  []int32
+	n         int
 }
 
-func (s *System) walkCells(z0, z1 int) cellWalk {
-	return cellWalk{s: s, z1: z1, cx: -1, cz: z0, k: len(halfShell) - 1}
-}
-
-func (w *cellWalk) next() bool {
-	s := w.s
-	for {
-		if w.k++; w.k == len(halfShell) {
-			w.k = 0
-			if w.cx++; w.cx == s.ncell[0] {
-				w.cx = 0
-				if w.cy++; w.cy == s.ncell[1] {
-					w.cy = 0
-					w.cz++
-				}
-			}
-			if w.cz >= w.z1 {
-				return false
-			}
-			w.home = w.cx + s.ncell[0]*(w.cy+s.ncell[1]*w.cz)
-		}
-		rule := s.shell[w.k]
-		if rule == shellSkip {
-			continue
-		}
-		off := &halfShell[w.k]
-		nx, sx, okx := s.wrapCell(w.cx+off[0], 0)
-		ny, sy, oky := s.wrapCell(w.cy+off[1], 1)
-		nz, sz, okz := s.wrapCell(w.cz+off[2], 2)
-		if !okx || !oky || !okz {
-			continue
-		}
-		w.nbr = nx + s.ncell[0]*(ny+s.ncell[1]*nz)
-		if rule == shellOnce && w.nbr < w.home {
-			continue
-		}
-		w.nz = nz
-		w.same = w.k == 0
-		w.shift = geometry.Vec3{X: sx, Y: sy, Z: sz}
-		return true
+// gather fills r for the home row (cy, cz). It is the one traversal of
+// rowShell: the force kernel and the virial both range over its output.
+func (r *gatherRow) gather(s *System, cy, cz int) {
+	ncx, ncy := s.ncell[0], s.ncell[1]
+	var rows [len(rowShell) - 1]struct {
+		first  int
+		sy, sz float64
 	}
+	nr := 0
+	for _, o := range rowShell[1:] {
+		ny, sy, oky := s.wrapCell(cy+o[0], 1)
+		nz, sz, okz := s.wrapCell(cz+o[1], 2)
+		if oky && okz {
+			rows[nr].first, rows[nr].sy, rows[nr].sz = ncx*(ny+ncy*nz), sy, sz
+			nr++
+		}
+	}
+	home := ncx * (cy + ncy*cz)
+	r.n, r.own, r.col = 0, r.own[:0], r.col[:0]
+	for c := 0; c <= ncx; c++ {
+		r.own = append(r.own, int32(r.n))
+		if wc, sx, ok := s.wrapCell(c, 0); ok {
+			r.add(s, home+wc, sx, 0, 0)
+		}
+	}
+	r.own = append(r.own, int32(r.n))
+	for c := -1; c <= ncx; c++ {
+		r.col = append(r.col, int32(r.n))
+		if wc, sx, ok := s.wrapCell(c, 0); ok {
+			for _, row := range rows[:nr] {
+				r.add(s, row.first+wc, sx, row.sy, row.sz)
+			}
+		}
+	}
+	r.col = append(r.col, int32(r.n))
+}
+
+// add appends the particles of one cell, displaced by its image shift.
+func (r *gatherRow) add(s *System, cell int, sx, sy, sz float64) {
+	j0, j1 := int(s.cstart[cell]), int(s.cstart[cell+1])
+	n := r.n
+	if need := n + j1 - j0; need > len(r.x) {
+		r.grow(need + need/2)
+	}
+	for sj := j0; sj < j1; sj++ {
+		r.x[n], r.y[n], r.z[n], r.slot[n] = s.px[sj]+sx, s.py[sj]+sy, s.pz[sj]+sz, int32(sj)
+		n++
+	}
+	r.n = n
+}
+
+// grow makes room for n entries, keeping what is there.
+func (r *gatherRow) grow(n int) {
+	if n <= len(r.x) {
+		return
+	}
+	r.x = append(r.x, make([]float64, n-len(r.x))...)
+	r.y = append(r.y, make([]float64, n-len(r.y))...)
+	r.z = append(r.z, make([]float64, n-len(r.z))...)
+	r.slot = append(r.slot, make([]int32, n-len(r.slot))...)
+	r.hit = append(r.hit, make([]int32, n-len(r.hit))...)
 }
 
 // wrapCell wraps cell coordinate c along axis d and returns the image shift
-// that goes with the wrap (±L; 0 on a short axis); ok is false when c leaves
-// a non-periodic box.
+// that goes with the wrap (±L); ok is false when c leaves a non-periodic box,
+// or the one cell of a short axis, whose images are folded per pair.
 func (s *System) wrapCell(c, d int) (wrapped int, shift float64, ok bool) {
 	if c >= 0 && c < s.ncell[d] {
 		return c, 0, true
 	}
-	if !s.Periodic[d] {
+	if !s.Periodic[d] || s.short[d] {
 		return 0, 0, false
 	}
-	shift = s.boxLen[d]
 	if c < 0 {
-		c += s.ncell[d]
-		shift = -shift
-	} else {
-		c -= s.ncell[d]
+		return c + s.ncell[d], -s.boxLen[d], true
 	}
-	if s.short[d] {
-		shift = 0
-	}
-	return c, shift, true
+	return c - s.ncell[d], s.boxLen[d], true
 }
 
 // foldShort applies the per-pair minimum image along the short axes.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"nektarg/internal/geometry"
+	"nektarg/internal/stats"
 )
 
 func periodicFluid(t *testing.T, n int, l float64) *System {
@@ -59,6 +60,49 @@ func TestPairXiSymmetricAndBounded(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("xi variance = %v", variance)
+	}
+}
+
+// TestPairXiMoments holds the one-round pair hash to what the thermostat
+// needs of it over the keys a run feeds it — small particle ids, consecutive
+// steps: zero mean, unit variance, and no correlation between one pair's
+// draws at consecutive steps, between two pairs that share a particle, or
+// between pairs whose keys differ in one low bit of either id. Each within
+// three standard errors of an ideal generator's.
+func TestPairXiMoments(t *testing.T) {
+	const ids, steps = 120, 30
+	var xi, xi2, lag, shared, nextLo, nextHi stats.Moments
+	for step := uint64(0); step < steps; step++ {
+		key, keyNext := 7^splitmix64(step), 7^splitmix64(step+1)
+		for i := int64(0); i < ids; i++ {
+			for j := i + 1; j < ids; j++ {
+				x := pairXiKeyed(key, i, j)
+				xi.Add(x)
+				xi2.Add(x * x)
+				lag.Add(x * pairXiKeyed(keyNext, i, j))
+				shared.Add(x * pairXiKeyed(key, j, ids+i))
+				nextLo.Add(x * pairXiKeyed(key, i, j+1))
+				nextHi.Add(x * pairXiKeyed(key, i+1, j+1))
+			}
+		}
+	}
+	n := float64(xi.N())
+	// ξ uniform on ±√3: Var ξ = 1, Var ξ² = 9/5 - 1, Var(ξ ξ') = 1.
+	for _, c := range []struct {
+		name       string
+		got, want  float64
+		stdOfTerms float64
+	}{
+		{"mean", xi.Mean(), 0, 1},
+		{"variance", xi2.Mean() - xi.Mean()*xi.Mean(), 1, math.Sqrt(0.8)},
+		{"step-lag correlation", lag.Mean(), 0, 1},
+		{"shared-particle correlation", shared.Mean(), 0, 1},
+		{"adjacent-id correlation", nextLo.Mean(), 0, 1},
+		{"adjacent-pair correlation", nextHi.Mean(), 0, 1},
+	} {
+		if se := c.stdOfTerms / math.Sqrt(n); math.Abs(c.got-c.want) > 3*se {
+			t.Errorf("%s = %.5f over %.0f draws, want %v ± %.5f", c.name, c.got, n, c.want, 3*se)
+		}
 	}
 }
 
@@ -370,6 +414,55 @@ func TestSampleVelocityAtMatchesUnfilteredSweep(t *testing.T) {
 	}
 }
 
+// TestFluxReservoirFusedMatchesSampleVelocityAt holds the one-pass reservoir
+// sampling of a measured flux face to the four SampleVelocityAt sweeps it
+// replaced, bit for bit: faces at either end of an open axis of the slab the
+// coupled regions run (with a frozen particle in range), a face on a
+// periodic axis, where the near-face cut must not apply, and a face nobody is
+// near, which reads zero.
+func TestFluxReservoirFusedMatchesSampleVelocityAt(t *testing.T) {
+	open := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 8, Y: 5, Z: 5}, [3]bool{false, true, false})
+	open.Walls = zWalls(5)
+	open.FillRandom(600, 0)
+	open.Inflows = xFluxFaces()
+	open.Run(30)
+	open.Particles[3].Frozen = true
+	periodic := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
+	periodic.FillRandom(192, 0)
+	periodic.Run(5)
+	empty := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{false, true, true})
+	empty.AddParticle(geometry.Vec3{X: 4, Y: 2, Z: 2}, geometry.Vec3{X: 1}, 0, false)
+
+	for _, c := range []struct {
+		name string
+		s    *System
+		f    *FluxBC
+	}{
+		{"x-min", open, &FluxBC{Axis: 0, Rho: 3}},
+		{"x-max", open, &FluxBC{Axis: 0, AtMax: true, Rho: 3}},
+		{"z-max", open, &FluxBC{Axis: 2, AtMax: true, Rho: 3}},
+		{"periodic-axis", periodic, &FluxBC{Axis: 1, Rho: 3}},
+		{"nobody-near", empty, &FluxBC{Axis: 0, Rho: 3}},
+	} {
+		for round := 0; round < 8; round++ {
+			var pts [nSample]geometry.Vec3
+			for k := range pts {
+				pts[k] = c.f.randomFacePoint(c.s)
+			}
+			got := c.f.reservoirVelocities(c.s, &pts)
+			for k, pt := range pts {
+				want, n := c.s.SampleVelocityAt(pt, 1.5*c.s.Rc)
+				if (n == 0) != (c.name == "nobody-near") {
+					t.Fatalf("%s: %d particles in range of %v", c.name, n, pt)
+				}
+				if got[k] != want {
+					t.Errorf("%s point %v: fused pass %v, SampleVelocityAt %v over %d particles", c.name, pt, got[k], want, n)
+				}
+			}
+		}
+	}
+}
+
 func TestTemperatureOfColdSystemIsZero(t *testing.T) {
 	p := DefaultParams(1)
 	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{true, true, true})
@@ -391,22 +484,19 @@ func TestNumberDensityExcludesFrozen(t *testing.T) {
 }
 
 func TestVirialPressureMatchesGrootWarren(t *testing.T) {
-	// Equilibrium standard fluid: the virial pressure must match the
-	// Groot-Warren equation of state P = rho kBT + 0.101 a rho^2.
-	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true})
-	s.FillRandom(648, 0) // rho = 3
-	s.Run(300)
+	// Equilibrium standard fluid: Groot & Warren measured P = 23.7 at ρ = 3,
+	// a = 25, kBT = 1 — 8 % under the asymptotic fit ρ kBT + 0.101 a ρ²
+	// (GrootWarrenPressure), which that density has not reached. One run
+	// scatters by ~0.1 about it; a few share the test.
 	var sum float64
-	const samples = 40
-	for i := 0; i < samples; i++ {
-		s.Run(3)
-		sum += s.VirialPressure()
+	const members = 4
+	for m := 1; m <= members; m++ {
+		_, press := standardFluidSample(m)
+		sum += press
 	}
-	got := sum / samples
-	want := GrootWarrenPressure(25, 3, 1)
-	if math.Abs(got-want)/want > 0.08 {
-		t.Fatalf("pressure = %v, Groot-Warren EOS = %v", got, want)
+	got, want := sum/members, 23.7
+	if math.Abs(got-want)/want > 0.02 {
+		t.Fatalf("pressure = %v over %d runs, Groot & Warren measured %v", got, members, want)
 	}
 }
 

@@ -6,12 +6,27 @@ import (
 	"nektarg/internal/geometry"
 )
 
-// The linked-cell pair kernel that forcesInTile replaced, retained verbatim
-// as the reference oracle of TestPairKernelMatchesReference: a push-front
-// int32 linked list per cell, the per-pair minimum image, one N-sized buffer
-// per tile merged in tile order. It double-counts pairs along periodic axes
-// of fewer than three cells (the +1 and -1 neighbours are one cell), so it is
-// a reference only on grids of three or more cells per periodic axis.
+// The linked-cell pair kernel, retained as the reference oracle of
+// TestPairKernelMatchesReference: a push-front int32 linked list per cell, a
+// walk of the 14 half-shell offsets per home cell, the per-pair minimum image,
+// two divisions and three forces per pair, one N-sized buffer per tile merged
+// in tile order. Only pairXi has followed the kernel, to the one-round hash:
+// forces at a fixed configuration are comparable, to round-off, because both
+// draw the same ξ. It double-counts pairs along periodic axes of fewer than
+// three cells (the +1 and -1 neighbours are one cell), so it is a reference
+// only on grids of three or more cells per periodic axis.
+
+// halfShell lists the cell offsets covering each neighbor pair once: the
+// home cell itself plus the 13 offsets whose first non-zero component,
+// reading z, y, x, is positive.
+var halfShell = [14][3]int{
+	{0, 0, 0},
+	{1, 0, 0},
+	{-1, 1, 0}, {0, 1, 0}, {1, 1, 0},
+	{-1, -1, 1}, {0, -1, 1}, {1, -1, 1},
+	{-1, 0, 1}, {0, 0, 1}, {1, 0, 1},
+	{-1, 1, 1}, {0, 1, 1}, {1, 1, 1},
+}
 
 type refCells struct {
 	s     *System
@@ -170,13 +185,13 @@ func (c *refCells) pairForce(i, j int, rc2 float64, buf []geometry.Vec3) {
 	buf[j] = buf[j].Sub(f)
 }
 
-// pairXi is the random number of one pair as the old kernel drew it, the
-// whole hash per pair; pairXiKeyed must equal it with the step part hoisted.
+// pairXi is the random number of one pair with the whole hash spelled out per
+// pair; pairXiKeyed must equal it with the step part hoisted.
 func pairXi(seed uint64, step uint64, id1, id2 int64) float64 {
 	if id1 > id2 {
 		id1, id2 = id2, id1
 	}
-	h := splitmix64(seed ^ splitmix64(step) ^ splitmix64(uint64(id1)<<32|uint64(uint32(id2))))
+	h := splitmix64(seed ^ splitmix64(step) ^ (uint64(id1)<<32 | uint64(uint32(id2))))
 	const sqrt3 = 1.7320508075688772
 	return (2*float64(h>>11)/float64(1<<53) - 1) * sqrt3
 }

@@ -106,7 +106,7 @@ func pairXiKeyed(stepKey uint64, id1, id2 int64) float64 {
 	if id1 > id2 {
 		id1, id2 = id2, id1
 	}
-	h := splitmix64(stepKey ^ splitmix64(uint64(id1)<<32|uint64(uint32(id2))))
+	h := splitmix64(stepKey ^ (uint64(id1)<<32 | uint64(uint32(id2))))
 	const sqrt3 = 1.7320508075688772
 	return (2*float64(h>>11)/float64(1<<53) - 1) * sqrt3
 }

@@ -17,33 +17,34 @@ func (s *System) VirialPressure() float64 {
 	short := s.short[0] || s.short[1] || s.short[2]
 	var virial float64
 	// Serial sweep over all pairs (measurement path, not the hot loop).
-	w := s.walkCells(0, s.ncell[2])
-	for w.next() {
-		j0, j1 := s.cstart[w.nbr], s.cstart[w.nbr+1]
-		for si := s.cstart[w.home]; si < s.cstart[w.home+1]; si++ {
-			if w.same {
-				j0 = si + 1
-			}
-			pi := &s.Particles[s.sidx[si]]
-			for sj := j0; sj < j1; sj++ {
-				pj := &s.Particles[s.sidx[sj]]
-				if pi.Frozen && pj.Frozen {
-					continue
+	var row gatherRow
+	for cz := 0; cz < s.ncell[2]; cz++ {
+		for cy := 0; cy < s.ncell[1]; cy++ {
+			row.gather(s, cy, cz)
+			for cx := 0; cx < s.ncell[0]; cx++ {
+				for a := row.own[cx]; a < row.own[cx+1]; a++ {
+					pi := &s.Particles[s.sidx[row.slot[a]]]
+					for _, r := range [2][2]int32{{a + 1, row.own[cx+2]}, {row.col[cx], row.col[cx+3]}} {
+						for k := r[0]; k < r[1]; k++ {
+							pj := &s.Particles[s.sidx[row.slot[k]]]
+							if pi.Frozen && pj.Frozen {
+								continue
+							}
+							dx, dy, dz := row.x[a]-row.x[k], row.y[a]-row.y[k], row.z[a]-row.z[k]
+							if short {
+								dx, dy, dz = s.foldShort(dx, dy, dz)
+							}
+							r2 := dx*dx + dy*dy + dz*dz
+							if r2 >= rc2 || r2 == 0 {
+								continue
+							}
+							r := math.Sqrt(r2)
+							fc := s.A[pi.Species][pj.Species] * (1 - r/s.Rc)
+							// r_ij · F_ij = r * fc for a central force.
+							virial += r * fc
+						}
+					}
 				}
-				dx := s.px[si] - s.px[sj] - w.shift.X
-				dy := s.py[si] - s.py[sj] - w.shift.Y
-				dz := s.pz[si] - s.pz[sj] - w.shift.Z
-				if short {
-					dx, dy, dz = s.foldShort(dx, dy, dz)
-				}
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				r := math.Sqrt(r2)
-				fc := s.A[pi.Species][pj.Species] * (1 - r/s.Rc)
-				// r_ij · F_ij = r * fc for a central force.
-				virial += r * fc
 			}
 		}
 	}

@@ -141,16 +141,7 @@ func (s *System) SampleVelocityAt(p geometry.Vec3, radius float64) (geometry.Vec
 		if q.Frozen {
 			continue
 		}
-		// On a non-periodic axis the separation is final, and one squared
-		// component above r2 puts the sum above it too (adding non-negative
-		// terms never rounds below one of them): skip the minimum-image
-		// rounding there, with the accepted set, its order and the mean
-		// unchanged to the bit.
-		d := q.Pos.Sub(p)
-		if !s.Periodic[0] && d.X*d.X > r2 || !s.Periodic[1] && d.Y*d.Y > r2 || !s.Periodic[2] && d.Z*d.Z > r2 {
-			continue
-		}
-		if s.minimumImage(q.Pos, p).Norm2() <= r2 {
+		if s.inSampleRange(q.Pos, p, r2) {
 			sum = sum.Add(q.Vel)
 			n++
 		}
@@ -159,4 +150,17 @@ func (s *System) SampleVelocityAt(p geometry.Vec3, radius float64) (geometry.Vec
 		sum = sum.Scale(1 / float64(n))
 	}
 	return sum, n
+}
+
+// inSampleRange reports whether q lies within √r2 of p under the minimum
+// image. On a non-periodic axis the separation is final, and one squared
+// component above r2 puts the sum above it too (adding non-negative terms
+// never rounds below one of them): the minimum-image rounding is skipped
+// there, with the accepted set unchanged.
+func (s *System) inSampleRange(q, p geometry.Vec3, r2 float64) bool {
+	d := q.Sub(p)
+	if !s.Periodic[0] && d.X*d.X > r2 || !s.Periodic[1] && d.Y*d.Y > r2 || !s.Periodic[2] && d.Z*d.Z > r2 {
+		return false
+	}
+	return s.minimumImage(q, p).Norm2() <= r2
 }

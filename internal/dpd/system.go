@@ -108,13 +108,11 @@ type System struct {
 	// push-front linked list would walk), and px/py/pz mirror the positions
 	// in slot order so the pair sweep's distance test streams contiguous
 	// memory instead of chasing 96-byte Particles. short marks periodic axes
-	// with fewer than three cells, where the cell walk cannot tell the +1
-	// neighbour from the -1 one; shell holds the resulting per-offset rule.
+	// too short for three cells, which are one cell whose images fold per pair.
 	ncell      [3]int
 	cellLen    [3]float64
 	boxLen     [3]float64
 	short      [3]bool
-	shell      [len(halfShell)]shellRule
 	cstart     []int32
 	sidx       []int32
 	pcell      []int32
@@ -131,8 +129,10 @@ type System struct {
 	// touch a particle and a two-term sum is order-free, so the result is
 	// bit-identical for every worker count including 1.
 	tiles    []forceTile
+	rows     []gatherRow // per-tile gather scratch, see forcesInTile
 	halo     []geometry.Vec3
-	fOld     []geometry.Vec3 // velocity-Verlet old-force buffer
+	fOld     []geometry.Vec3 // velocity-Verlet old-force term, λ ≠ 1/2 only
+	nearFace []int32         // addOpenFaceForces: particles within rc of a flux face
 	faceCtrl []faceControl   // addOpenFaceForces per-face controller state
 	pool     work.Pool
 	forceFn  func(int) // prebuilt worker closure (rebuilt when forceNW changes)
@@ -308,14 +308,14 @@ func (s *System) pairForces() {
 			s.forceNW = nw
 			s.forceFn = func(w int) {
 				for t := w; t < len(s.tiles); t += s.forceNW {
-					s.forcesInTile(&s.tiles[t])
+					s.forcesInTile(&s.tiles[t], &s.rows[t])
 				}
 			}
 		}
 		s.pool.Run(nw, s.forceFn)
 	} else {
 		for t := range s.tiles {
-			s.forcesInTile(&s.tiles[t])
+			s.forcesInTile(&s.tiles[t], &s.rows[t])
 		}
 	}
 	// Merge the halos: own strip first (already in F), then the one other
@@ -357,6 +357,9 @@ func (s *System) layoutTiles() {
 	// room keeps the arena from being reallocated at every record high.
 	s.halo = grow(s.halo, need, need+need/2)
 	clear(s.halo)
+	if len(s.rows) < len(s.tiles) {
+		s.rows = append(s.rows, make([]gatherRow, len(s.tiles)-len(s.rows))...)
+	}
 }
 
 // workers resolves the Parallel knob: 0 (the default) means GOMAXPROCS.
@@ -372,73 +375,101 @@ func (s *System) workers() int {
 }
 
 // forcesInTile accumulates the Groot-Warren pair forces of every cell pair
-// homed in the tile: one sweep over contiguous slot ranges of the position
-// mirror, touching Particles (velocity, id, species, force) only for the
-// candidates inside the cutoff. Cells, cell pairs, pairs within a cell pair
-// and the arithmetic of one pair all keep the order of the linked-list
-// kernel this replaces (refPairForces in the tests), hence its bits.
-func (s *System) forcesInTile(t *forceTile) {
-	rc := s.Rc
-	rc2 := rc * rc
+// homed in the tile, a row of home cells at a time, in three phases. GATHER
+// (gatherRow.gather) lays the row's half-shell neighbourhood out contiguously.
+// FILTER runs the cutoff test of one home particle over its two candidate
+// ranges without a branch, keeping only the indices of the few inside.
+// FORCE touches Particles (velocity, id, species, force) for those alone.
+func (s *System) forcesInTile(t *forceTile, row *gatherRow) {
+	invRc := 1 / s.Rc
 	gamma := s.Gamma
-	sigma := math.Sqrt(2 * s.Gamma * s.KBT)
-	sqrtDt := math.Sqrt(s.Dt)
+	sigma := math.Sqrt(2*s.Gamma*s.KBT) / math.Sqrt(s.Dt)
 	stepKey := s.Seed ^ splitmix64(uint64(s.Step))
-	px, py, pz, sidx, parts := s.px, s.py, s.pz, s.sidx, s.Particles
-	halo, haloLo := s.halo[t.haloOff:], t.haloLo
+	sidx, parts := s.sidx, s.Particles
+	halo, haloLo, haloN := s.halo[t.haloOff:], t.haloLo, uint32(t.haloHi-t.haloLo)
 	short := s.short[0] || s.short[1] || s.short[2]
+	ncx, ncy := s.ncell[0], s.ncell[1]
 
-	w := s.walkCells(t.z0, t.z1)
-	for w.next() {
-		i0, i1 := s.cstart[w.home], s.cstart[w.home+1]
-		j0, j1 := s.cstart[w.nbr], s.cstart[w.nbr+1]
-		inHalo := w.nz < t.z0 || w.nz >= t.z1
-		shx, shy, shz := w.shift.X, w.shift.Y, w.shift.Z
-		for si := i0; si < i1; si++ {
-			if w.same {
-				j0 = si + 1
+	// A quarter more than the row holds when Particles is full: like the
+	// other scratch it follows cap(Particles), and only a cluster denser
+	// than that grows it mid-sweep.
+	need := (len(rowShell)*(ncx+2) - 1) * cap(parts) / (len(s.cstart) - 1)
+	row.grow(need + need/4 + 32)
+	for cz := t.z0; cz < t.z1; cz++ {
+		for cy := 0; cy < ncy; cy++ {
+			if home := ncx * (cy + ncy*cz); s.cstart[home] == s.cstart[home+ncx] {
+				continue
 			}
-			xi, yi, zi := px[si], py[si], pz[si]
-			pi := &parts[sidx[si]]
-			ai := s.A[pi.Species]
-			fi := pi.F
-			for sj := j0; sj < j1; sj++ {
-				dx := xi - px[sj] - shx
-				dy := yi - py[sj] - shy
-				dz := zi - pz[sj] - shz
-				if short {
-					dx, dy, dz = s.foldShort(dx, dy, dz)
+			row.gather(s, cy, cz)
+			gx, gy, gz, slot, hit := row.x[:row.n], row.y[:row.n], row.z[:row.n], row.slot[:row.n], row.hit[:row.n]
+			for cx := 0; cx < ncx; cx++ {
+				ownEnd := int(row.own[cx+2])
+				col0, col1 := int(row.col[cx]), int(row.col[cx+3])
+				for a := int(row.own[cx]); a < int(row.own[cx+1]); a++ {
+					xi, yi, zi := gx[a], gy[a], gz[a]
+					nhit := s.filter(row, a, a+1, ownEnd, 0)
+					nhit = s.filter(row, a, col0, col1, nhit)
+					if nhit == 0 {
+						continue
+					}
+					pi := &parts[sidx[slot[a]]]
+					ai := s.A[pi.Species]
+					fi := pi.F
+					for _, k := range hit[:nhit] {
+						dx, dy, dz := xi-gx[k], yi-gy[k], zi-gz[k]
+						if short {
+							dx, dy, dz = s.foldShort(dx, dy, dz)
+						}
+						r2 := dx*dx + dy*dy + dz*dz
+						sj := slot[k]
+						pj := &parts[sidx[sj]]
+						if r2 == 0 || pi.Frozen && pj.Frozen {
+							continue
+						}
+						// One division per pair: with u = 1/r and w = 1 - r/rc,
+						// (a w - γ w² r̂·v + σ w ξ/√dt) r̂ = (a - γ w u d·v + σξ/√dt) w u d.
+						r := math.Sqrt(r2)
+						wu := (1 - r*invRc) / r
+						vx, vy, vz := pi.Vel.X-pj.Vel.X, pi.Vel.Y-pj.Vel.Y, pi.Vel.Z-pj.Vel.Z
+						fd := -gamma * wu * (dx*vx + dy*vy + dz*vz)
+						fr := sigma * pairXiKeyed(stepKey, pi.ID, pj.ID)
+						f := (ai[pj.Species] + fd + fr) * wu
+						fx, fy, fz := f*dx, f*dy, f*dz
+						fi.X, fi.Y, fi.Z = fi.X+fx, fi.Y+fy, fi.Z+fz
+						// Slots of the layer above the strip are another tile's.
+						fj := &pj.F
+						if h := uint32(sj - haloLo); h < haloN {
+							fj = &halo[h]
+						}
+						fj.X, fj.Y, fj.Z = fj.X-fx, fj.Y-fy, fj.Z-fz
+					}
+					pi.F = fi
 				}
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				pj := &parts[sidx[sj]]
-				if pi.Frozen && pj.Frozen {
-					continue
-				}
-				r := math.Sqrt(r2)
-				inv := 1 / r
-				rx, ry, rz := inv*dx, inv*dy, inv*dz
-				wr := 1 - r/rc
-
-				fc := ai[pj.Species] * wr
-				vx, vy, vz := pi.Vel.X-pj.Vel.X, pi.Vel.Y-pj.Vel.Y, pi.Vel.Z-pj.Vel.Z
-				fd := -gamma * (wr * wr) * (rx*vx + ry*vy + rz*vz)
-				fr := sigma * wr * pairXiKeyed(stepKey, pi.ID, pj.ID) / sqrtDt
-
-				f := fc + fd + fr
-				fx, fy, fz := f*rx, f*ry, f*rz
-				fi.X, fi.Y, fi.Z = fi.X+fx, fi.Y+fy, fi.Z+fz
-				fj := &pj.F
-				if inHalo {
-					fj = &halo[sj-haloLo]
-				}
-				fj.X, fj.Y, fj.Z = fj.X-fx, fj.Y-fy, fj.Z-fz
 			}
-			pi.F = fi
 		}
 	}
+}
+
+// filter appends to row.hit[n:] the entries of row[k0:k1] within the cutoff of
+// entry a and returns the new count. The store is unconditional and the count
+// advances by the comparison's result, so the loop carries no branch on the
+// ~86 % of candidates that fail.
+func (s *System) filter(row *gatherRow, a, k0, k1, n int) int {
+	rc2 := s.Rc * s.Rc
+	short := s.short[0] || s.short[1] || s.short[2]
+	gx, gy, gz, hit := row.x[:k1], row.y[:k1], row.z[:k1], row.hit
+	xi, yi, zi := gx[a], gy[a], gz[a]
+	for k := k0; k < k1; k++ {
+		dx, dy, dz := xi-gx[k], yi-gy[k], zi-gz[k]
+		if short {
+			dx, dy, dz = s.foldShort(dx, dy, dz)
+		}
+		hit[n] = int32(k)
+		if dx*dx+dy*dy+dz*dz < rc2 {
+			n++
+		}
+	}
+	return n
 }
 
 // VVStep advances one modified velocity-Verlet step (Groot-Warren λ scheme):
@@ -469,20 +500,25 @@ func (s *System) VVStep() {
 	s.applyBoundaries()
 	s.Step++
 	s.Time += dt
-	s.fOld = grow(s.fOld, len(s.Particles), cap(s.Particles))
-	old := s.fOld
-	for i := range s.Particles {
-		old[i] = s.Particles[i].F
+	// v = v_pred + dt (f_new + (1-2λ) f_old)/2: at Groot-Warren's λ = 1/2 the
+	// old force drops out, and is neither kept nor added.
+	wOld := dt * (1 - 2*s.Lambda) / 2
+	if wOld != 0 {
+		s.fOld = grow(s.fOld, len(s.Particles), cap(s.Particles))
+		for i := range s.Particles {
+			s.fOld[i] = s.Particles[i].F.Scale(wOld)
+		}
 	}
 	s.ComputeForces()
-	// Correct: v = v_pred + dt (f_new + (1-2λ) f_old)/2, which reduces to
-	// the standard half-step correction for λ = 1/2.
 	for i := range s.Particles {
 		p := &s.Particles[i]
 		if p.Frozen {
 			continue
 		}
-		p.Vel = p.Vel.Add(p.F.Scale(dt / 2)).Add(old[i].Scale(dt * (1 - 2*s.Lambda) / 2))
+		p.Vel = p.Vel.Add(p.F.Scale(dt / 2))
+		if wOld != 0 {
+			p.Vel = p.Vel.Add(s.fOld[i])
+		}
 	}
 	// Inflow/outflow particle management runs after the move.
 	for _, f := range s.Inflows {

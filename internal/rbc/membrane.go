@@ -133,11 +133,26 @@ func wlcForce(kwlc, l, lmax float64) float64 {
 	return kwlc * (1/(4*(1-x)*(1-x)) - 0.25 + x)
 }
 
-// positions gathers current vertex positions from the DPD system.
+// positions gathers current vertex positions from the DPD system. A cell
+// that straddles a periodic face has vertices wrapped to both sides of the
+// box; each is taken at its image nearest vertex 0 (a cell is far smaller
+// than half the box), so bond lengths, area and volume are those of the
+// connected surface.
 func (m *Membrane) positions(sys *dpd.System) []geometry.Vec3 {
 	out := make([]geometry.Vec3, len(m.Idx))
+	size, ref := sys.Size(), sys.Particles[m.Idx[0]].Pos
 	for k, i := range m.Idx {
-		out[k] = sys.Particles[i].Pos
+		p := sys.Particles[i].Pos
+		if sys.Periodic[0] {
+			p.X -= size.X * math.Round((p.X-ref.X)/size.X)
+		}
+		if sys.Periodic[1] {
+			p.Y -= size.Y * math.Round((p.Y-ref.Y)/size.Y)
+		}
+		if sys.Periodic[2] {
+			p.Z -= size.Z * math.Round((p.Z-ref.Z)/size.Z)
+		}
+		out[k] = p
 	}
 	return out
 }
@@ -156,11 +171,11 @@ func (m *Membrane) TargetArea() float64 { return m.a0 }
 // TargetVolume returns the volume constraint target V0.
 func (m *Membrane) TargetVolume() float64 { return m.v0 }
 
-// Center returns the vertex centroid.
+// Center returns the vertex centroid (of the image that holds vertex 0).
 func (m *Membrane) Center(sys *dpd.System) geometry.Vec3 {
 	var c geometry.Vec3
-	for _, i := range m.Idx {
-		c = c.Add(sys.Particles[i].Pos)
+	for _, p := range m.positions(sys) {
+		c = c.Add(p)
 	}
 	return c.Scale(1 / float64(len(m.Idx)))
 }

@@ -172,6 +172,49 @@ func TestMembraneForcesAreInternal(t *testing.T) {
 	}
 }
 
+// TestMembraneAcrossPeriodicFace: a cell carried through a periodic face has
+// its vertices wrapped to both ends of the box. Its area, volume and bonded
+// forces must be those of the same cell mid-box, not of a surface stretched
+// across the domain.
+func TestMembraneAcrossPeriodicFace(t *testing.T) {
+	build := func(cx float64) (*dpd.System, *Membrane) {
+		sys := quietSystem(geometry.Vec3{}, geometry.Vec3{X: 8, Y: 6, Z: 6})
+		m := NewMembrane(sys, geometry.Vec3{X: cx, Y: 3, Z: 3}, 1.3, 1, 1, Healthy(), 0.8)
+		for _, i := range m.Idx {
+			p := &sys.Particles[i]
+			p.Pos = p.Pos.Add(geometry.Vec3{X: 0.05 * math.Sin(float64(i)), Y: 0.04 * math.Cos(float64(2*i))})
+			p.Pos.X = math.Mod(p.Pos.X+8, 8)
+		}
+		m.AddForces(sys)
+		return sys, m
+	}
+	mid, midCell := build(4)
+	edge, edgeCell := build(0.2)
+	var left, right int
+	for _, i := range edgeCell.Idx {
+		if edge.Particles[i].Pos.X < 4 {
+			left++
+		} else {
+			right++
+		}
+	}
+	if left == 0 || right == 0 {
+		t.Fatalf("cell does not straddle the face: %d vertices left, %d right", left, right)
+	}
+	if a, b := edgeCell.Area(edge), midCell.Area(mid); math.Abs(a-b) > 1e-9*b {
+		t.Errorf("area %v across the face, %v mid-box", a, b)
+	}
+	if a, b := edgeCell.Volume(edge), midCell.Volume(mid); math.Abs(a-b) > 1e-9*b {
+		t.Errorf("volume %v across the face, %v mid-box", a, b)
+	}
+	for k := range midCell.Idx {
+		fe, fm := edge.Particles[edgeCell.Idx[k]].F, mid.Particles[midCell.Idx[k]].F
+		if fe.Sub(fm).Norm() > 1e-6*(1+fm.Norm()) {
+			t.Fatalf("vertex %d: force %v across the face, %v mid-box", k, fe, fm)
+		}
+	}
+}
+
 func TestNewMembranePanicsOnBadReducedVolume(t *testing.T) {
 	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
 	defer func() {
