@@ -104,9 +104,9 @@ func assertContains(t *testing.T, got, want []string) {
 
 // TestRunFingerprints: the four scenarios recorded from the parent binary
 // (built-in defaults, with the 1D tree, a small three-patch run without
-// platelets, configs/coupled.json) come out of run digit for digit. Two
-// re-recordings since, both round-off-level numerics (the bound for such a
-// change is 1e-9 relative), old values kept in each file's header: with1d's
+// platelets, configs/coupled.json) come out of run digit for digit. Three
+// re-recordings since, old values kept in each file's header. Two were
+// round-off-level numerics (the bound for such a change is 1e-9 relative): with1d's
 // three 1D inlet pressures, when nektar1d's wave speed became two square
 // roots and its junction Newton stopped on a reachable rule (largest relative
 // change 5.6e-14, every 3D and DPD fact untouched); and the 3D facts of all
@@ -114,7 +114,11 @@ func assertContains(t *testing.T, got, want []string) {
 // solve instead of last step's field — interface RMS by at most 7.5e-15
 // relative, while max_div and the overlap RMS, exact zeros of these steady
 // Poiseuille runs that read as round-off, went from ~8e-16 to ~1e-14 and
-// from ~1e-17 to ~1e-16..4e-16 in absolute terms.
+// from ~1e-17 to ~1e-16..4e-16 in absolute terms. The third re-pinned the DPD
+// facts of all four (interface RMS, clot and passive counts) when the pair
+// sweep took one hash round per pair and summed in gather order: another
+// trajectory of the same fluid, earned by dpd's ensemble and kernel tests,
+// not by a bound on these digits; every continuum and 1D fact stayed put.
 func TestRunFingerprints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
