@@ -372,13 +372,20 @@ func oneSidedFlux(w, sd float64) float64 {
 	return w*cdf + sd*phi
 }
 
-// nSample is the number of face points a reservoir's drift is averaged over.
-const nSample = 4
+// Flux-face geometry. A reservoir's drift is averaged over nSample points
+// drawn, like the positions of inserted particles, in a slab faceDepth (in
+// units of rc) deep behind the face; a measured reservoir reads the fluid
+// within faceSampleRadius of each point.
+const (
+	nSample          = 4
+	faceDepth        = 0.2
+	faceSampleRadius = 1.5
+)
 
 // reservoirVelocities returns the reservoir drift at the given face points:
 // the prescribed profile, or for a measured face what SampleVelocityAt(pt,
-// 1.5 rc) returns at each — zero where it finds nobody — from one pass over
-// the particles near the face instead of one full sweep per point.
+// faceSampleRadius rc) returns at each — zero where it finds nobody — from one
+// pass over the particles near the face instead of one full sweep per point.
 func (f *FluxBC) reservoirVelocities(s *System, pts *[nSample]geometry.Vec3) (v [nSample]geometry.Vec3) {
 	if f.Vel != nil {
 		for k, pt := range pts {
@@ -386,11 +393,11 @@ func (f *FluxBC) reservoirVelocities(s *System, pts *[nSample]geometry.Vec3) (v 
 		}
 		return v
 	}
-	radius := 1.5 * s.Rc
-	// The points lie within 0.2 rc of the face (randomFacePoint), so along an
-	// open axis nobody beyond 1.7 rc is in range of any; the rest is slack
-	// for the rounding of the two subtractions.
-	near := 1.75 * s.Rc
+	radius := faceSampleRadius * s.Rc
+	// The points lie within faceDepth of the face, so along an open axis
+	// nobody beyond radius + depth is in range of any; the 0.05 rc on top is
+	// slack for the rounding of the two subtractions.
+	near := (faceSampleRadius + faceDepth + 0.05) * s.Rc
 	var n [nSample]int
 	for i := range s.Particles {
 		q := &s.Particles[i]
@@ -487,7 +494,7 @@ func (f *FluxBC) apply(s *System) {
 // randomFacePoint samples a point in a thin insertion slab at the face.
 func (f *FluxBC) randomFacePoint(s *System) geometry.Vec3 {
 	sz := s.Size()
-	depth := 0.2 * s.Rc
+	depth := faceDepth * s.Rc
 	pos := geometry.Vec3{
 		X: s.Lo.X + s.rng.Float64()*sz.X,
 		Y: s.Lo.Y + s.rng.Float64()*sz.Y,

@@ -451,7 +451,7 @@ func TestFluxReservoirFusedMatchesSampleVelocityAt(t *testing.T) {
 			}
 			got := c.f.reservoirVelocities(c.s, &pts)
 			for k, pt := range pts {
-				want, n := c.s.SampleVelocityAt(pt, 1.5*c.s.Rc)
+				want, n := c.s.SampleVelocityAt(pt, faceSampleRadius*c.s.Rc)
 				if (n == 0) != (c.name == "nobody-near") {
 					t.Fatalf("%s: %d particles in range of %v", c.name, n, pt)
 				}
