@@ -24,7 +24,7 @@
 //	                     [-insitu] [-insitu-stride N] [-insitu-policy P]
 //	                     [-insitu-dir DIR] [-insitu-keep K] [-audit]
 //	                     [-history] [-history-stride N] [-history-out FILE]
-//	                     [-history-profile-dir DIR] [-slow-at N] [-slow-ms MS]
+//	                     [-history-profile-dir DIR]
 //	                     [-transport tcp -rank N -peers H:P,H:P,...]
 //	                     [-fleet-addr :9190] [-fleet-publish URL] [-version]
 //	go run ./cmd/nektarg trace-merge [-o out.json] [-strict] trace1.json trace2.json ...
@@ -35,14 +35,15 @@
 // watchdogs; see internal/monitor), -audit (per-exchange conservation and
 // coupling-fidelity budgets, internal/audit; -flux-scale != 1 is the fault it
 // must catch), -history (bounded time series with anomaly baselines,
-// internal/history; -slow-at/-slow-ms inject the slowdown it must catch) and
-// -insitu (non-blocking snapshot stream to a live observer, internal/insitu)
-// each switch on one observer plane; any of them implies telemetry recording.
+// internal/history) and -insitu (non-blocking snapshot stream to a live
+// observer, internal/insitu) each switch on one observer plane; any of them
+// implies telemetry recording.
 //
 // With -checkpoint-dir the run writes atomic, checksummed checkpoints every
 // -checkpoint-every exchanges, keeps a run-event journal at
 // <dir>/journal.nkj (read it with the events subcommand) and executes inside
-// the recover-and-resume envelope: a solver blow-up, watchdog trip or
+// the recover-and-resume envelope (core.RunWithRecovery, a one-rank world
+// of the same loop the TCP ranks run): a solver blow-up, watchdog trip or
 // injected fault (-kill-at) dumps the flight recorder, reloads the last good
 // checkpoint and continues to the same final state. -resume restarts a
 // previous run from its newest checkpoint; a fresh run refuses a directory
@@ -111,8 +112,6 @@ type options struct {
 	resume          bool   // -resume: reload the newest checkpoint before running
 	maxRestarts     int    // -max-restarts: per-position restart budget
 	killAt          int    // -kill-at: one-shot injected panic after this exchange (0 = off)
-	slowAt          int    // -slow-at: injected slowdown from this exchange on (0 = off)
-	slowMs          int    // -slow-ms: injected sleep per exchange, milliseconds
 
 	fleetAddr    string // -fleet-addr: serve /cluster/* and /events
 	fleetPublish string // -fleet-publish: aggregator base URL to POST status to
@@ -418,9 +417,10 @@ func (o options) report(reg *telemetry.Registry, mon *monitor.Monitor, meta *cor
 // drive advances the metasolver to the target exchange count, running
 // onExchange (diagnostics, fault demo) and the fleet hook after each one.
 // Without -checkpoint-dir it is a plain loop where any failure is fatal; with
-// it, the run executes under core.RunWithRecovery — or, as one rank of the
-// TCP world tr describes, core.RunDistributed — with periodic atomic
-// checkpoints, flight dumps on faults and reload-and-continue.
+// it, the run executes inside core's recover-and-resume loop — as a one-rank
+// world through core.RunWithRecovery, or as one rank of the TCP world tr
+// describes through core.RunDistributed — with periodic atomic checkpoints,
+// flight dumps on faults and reload-and-continue.
 func (o options) drive(meta *core.Metasolver, networks map[string]*nektar1d.Network, tr *config.Transport,
 	onExchange func(int) error, reg *telemetry.Registry, mon *monitor.Monitor, fw *fleetWire) error {
 	hook := func(e int) error {
@@ -556,14 +556,6 @@ func run(cfg *config.Config, o options) error {
 	defer fw.close()
 	fw.bindAudit(meta.Audit())
 	fw.bindHistory(meta.History())
-	if o.slowAt > 0 && o.slowMs > 0 {
-		// The performance-fault analogue of -kill-at — physics untouched,
-		// wall time perturbed — so the history plane's step-time anomaly
-		// detection can be demonstrated on demand.
-		meta.SlowAfter = o.slowAt
-		meta.SlowBy = time.Duration(o.slowMs) * time.Millisecond
-		o.logger.Info("slowdown injection armed", "from_exchange", o.slowAt, "per_exchange_ms", o.slowMs)
-	}
 
 	dof, particles := 0, 0
 	for _, p := range meta.Patches {
@@ -730,8 +722,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, 
 	fs.IntVar(&o.historyStride, "history-stride", 1, "sample the history plane every N exchange periods")
 	fs.StringVar(&o.historyOut, "history-out", "", "write the full history document JSON at exit (diff two with the perf-report subcommand)")
 	fs.StringVar(&o.historyProfDir, "history-profile-dir", "", "directory for anomaly-triggered pprof CPU profile auto-capture (empty = off; incompatible captures, e.g. under -cpuprofile, are skipped)")
-	fs.IntVar(&o.slowAt, "slow-at", 0, "inject a deterministic slowdown from this exchange on (performance-fault demo the history plane must catch; 0 = off)")
-	fs.IntVar(&o.slowMs, "slow-ms", 20, "injected slowdown per exchange in milliseconds (with -slow-at)")
 	insituOn := fs.Bool("insitu", false, "enable live in-situ observation: non-blocking snapshot publishing to an observer (implies telemetry recording; pairs with -monitor-addr for /snapshot)")
 	insituStride := fs.Int("insitu-stride", 1, "publish a snapshot every N exchange periods")
 	insituPolicy := fs.String("insitu-policy", "drop-oldest", "queue drop policy: drop-oldest|drop-newest")

@@ -13,7 +13,8 @@ package core
 //     in-place, overlaying physics state onto hooks the caller rebuilt from
 //     code, so no closure ever needs to serialize;
 //   - Checkpointer drives periodic atomic writes and resume-from-latest;
-//   - RunWithRecovery (recovery.go) closes the loop under faults.
+//   - the recover-and-resume loop (recovery.go) closes the loop under
+//     faults, for one process and for every rank of a world alike.
 
 import (
 	"fmt"
@@ -183,18 +184,6 @@ func (ck *Checkpointer) MaybeCheckpoint() error {
 	}
 	_, err := ck.Checkpoint()
 	return err
-}
-
-// ResumeAt loads the checkpoint at exactly the given exchange count and
-// overlays it onto the live wiring. The distributed recovery loop uses it to
-// roll every rank back to the world's common newest checkpoint (see
-// RunDistributed); Resume remains the single-process "latest good" path.
-func (ck *Checkpointer) ResumeAt(exchanges int) (string, error) {
-	path, c, err := ck.Store.At(exchanges)
-	if err != nil {
-		return "", err
-	}
-	return path, ck.restore(path, c)
 }
 
 // Resume loads the newest good checkpoint from the store and overlays it

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"nektarg/internal/checkpoint"
+	"nektarg/internal/dpd"
 	"nektarg/internal/fleet"
 	"nektarg/internal/history"
 	"nektarg/internal/monitor"
@@ -71,9 +72,16 @@ func TestHistoryControlRunNoAnomalies(t *testing.T) {
 	}
 }
 
+// sleepyBond is a stateless bonded "force" that adds nothing and sleeps once
+// per force evaluation, i.e. once per DPD step: a step-time perturbation
+// inside the meta.step span that leaves the physics trajectory untouched.
+type sleepyBond time.Duration
+
+func (d sleepyBond) AddForces(*dpd.System) { time.Sleep(time.Duration(d)) }
+
 // TestHistoryInducedSlowdownEndToEnd injects a deterministic mid-run
-// step-time perturbation (Metasolver.SlowAfter/SlowBy — the -slow-at hook)
-// into an otherwise identical run and requires the full detection chain:
+// step-time perturbation (a sleepyBond on the scenario's DPD region) into an
+// otherwise identical run and requires the full detection chain:
 // exactly one step-time anomaly, with an auto-captured pprof profile, an
 // anomaly flight dump charged to its own budget, a perf-anomaly record in
 // the run-event journal, and the verdicts visible on GET /anomalies,
@@ -127,8 +135,10 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 	if slow < 50*time.Millisecond {
 		slow = 50 * time.Millisecond
 	}
-	sc.m.SlowAfter = 1 // from now on, every exchange
-	sc.m.SlowBy = slow
+	// From now on every exchange is slow by that much, spread over its DPD
+	// steps.
+	sys := sc.m.Atomistic[0].Sys
+	sys.Bonded = append(sys.Bonded, sleepyBond(slow/time.Duration(sc.m.NSStepsPerExchange*sc.m.DPDStepsPerNS)))
 	sc.advance(t, 6)
 
 	anoms := h.Anomalies()

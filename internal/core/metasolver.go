@@ -180,14 +180,6 @@ type Metasolver struct {
 	// exchange); nil until EnableHistory is called. See history.go in this
 	// package.
 	hist *history.Plane
-
-	// SlowAfter/SlowBy inject a deterministic step-time perturbation: from
-	// exchange SlowAfter on, every exchange sleeps SlowBy inside the
-	// meta.step span. It is the fault-injection seam of the performance-
-	// history acceptance tests and cmd/nektarg's -slow-at/-slow-ms demo
-	// flags — wall-clock only, the physics trajectory is untouched.
-	SlowAfter int
-	SlowBy    time.Duration
 }
 
 // NewMetasolver applies the paper's default time-progression ratios.
@@ -352,9 +344,6 @@ func (m *Metasolver) Advance(n int) error {
 		wg.Wait()
 		wait.End()
 		adv.End()
-		if m.SlowAfter > 0 && m.Exchanges >= m.SlowAfter && m.SlowBy > 0 {
-			time.Sleep(m.SlowBy)
-		}
 		step.End()
 		for i, err := range errs {
 			if err != nil {

@@ -3,11 +3,9 @@ package insitu
 import "sort"
 
 // Frame is one causally consistent snapshot: every piece carries the same
-// Step. Hops is the maximum publisher hop clock across the pieces (the
-// frame's causal depth); Time the solver time stamped on the pieces.
+// Step; Time is the solver time stamped on the pieces.
 type Frame struct {
 	Step   int
-	Hops   int
 	Time   float64
 	Pieces []*Piece
 }
@@ -114,9 +112,6 @@ func (a *Assembler) Add(p *Piece) *Frame {
 	f := &Frame{Step: p.Step}
 	for _, pc := range m {
 		f.Pieces = append(f.Pieces, pc)
-		if pc.Hops > f.Hops {
-			f.Hops = pc.Hops
-		}
 		f.Time = pc.Time
 	}
 	sort.Slice(f.Pieces, func(i, j int) bool { return f.Pieces[i].Source < f.Pieces[j].Source })

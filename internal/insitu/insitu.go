@@ -5,10 +5,10 @@
 // groups (the vis-node pattern of the companion aneurysm paper,
 // arXiv:1110.3092); this package reproduces that path in-process:
 //
-//	solver ranks ──publish──▶ bounded queue / credit window ──▶ observer
-//	 (non-blocking,              (explicit drop policy,          (frame
-//	  every stride                published == delivered          assembly,
-//	  exchanges)                  + dropped, exactly)             VTK, HTTP)
+//	solver ranks ──publish──▶ bounded queue ──────────▶ observer
+//	 (non-blocking,           (explicit drop policy,     (frame
+//	  every stride             published == delivered     assembly,
+//	  exchanges)               + dropped, exactly)        VTK, HTTP)
 //
 // The contract that makes it safe to bolt onto a production run:
 //
@@ -17,18 +17,15 @@
 //     dropped, and the conservation law published == delivered + dropped
 //     holds exactly once the pipeline quiesces (pinned by test under -race).
 //   - Frames are causally consistent: the observer only assembles pieces
-//     carrying the same step index into one frame, tagged with the senders'
-//     hop clocks; a frame never mixes steps.
+//     carrying the same step index into one frame; a frame never mixes steps.
 //   - Staleness is explicit: the observer exports how many steps the latest
 //     assembled frame trails the newest published piece.
 //   - Disabled means nil, as everywhere else in this codebase: a metasolver
 //     without a publisher pays one nil comparison per exchange and zero
 //     allocations (pinned by TestInsituDisabledZeroCost in the verify gate).
 //
-// Two transports share the piece/assembly layer: an in-process bounded Queue
-// (cmd/nektarg's goroutine-per-patch metasolver) and a credit-window stream
-// over the mpi runtime's reserved tag band between solver L3 ranks and a
-// dedicated observer task group carved out of the MCI hierarchy (stream.go).
+// Every run, single-process or one rank of a TCP world, publishes into the
+// in-process bounded Queue its own observer drains.
 package insitu
 
 import (
@@ -42,13 +39,11 @@ import (
 // Kind labels what a snapshot piece carries.
 type Kind uint8
 
-// Piece kinds. kindEOF is the stream-termination sentinel of the mpi
-// transport and never reaches the assembler.
+// Piece kinds.
 const (
 	KindContinuum Kind = iota
 	KindParticles
 	KindInterface
-	kindEOF
 )
 
 // String returns the kind's display name.
@@ -60,8 +55,6 @@ func (k Kind) String() string {
 		return "particles"
 	case KindInterface:
 		return "interface"
-	case kindEOF:
-		return "eof"
 	default:
 		return "?"
 	}
@@ -95,13 +88,11 @@ type SurfacePatch struct {
 
 // Piece is one snapshot fragment published by a solver rank: exactly one of
 // the payload pointers is set, per Kind. Step is the exchange index the piece
-// was captured at; Hops the publisher's Lamport hop clock at publish time (0
-// for the in-process transport), Time the solver time.
+// was captured at, Time the solver time.
 type Piece struct {
 	Kind   Kind
 	Source string // "patch:<name>", "dpd:<name>", "iface:<region>/<surface>"
 	Step   int
-	Hops   int
 	Time   float64
 
 	Continuum *ContinuumSlab
@@ -171,10 +162,10 @@ func ParsePolicy(s string) (DropPolicy, error) {
 	}
 }
 
-// Stats is one endpoint's drop accounting. The conservation law is
+// Stats is the queue's drop accounting. The conservation law is
 // Published == Delivered + Dropped + Queued at every instant, collapsing to
-// Published == Delivered + Dropped once the pipeline quiesces (queue drained,
-// stream closed).
+// Published == Delivered + Dropped once the pipeline quiesces (queue drained
+// and closed).
 type Stats struct {
 	Published int64 `json:"published"`
 	Delivered int64 `json:"delivered"`

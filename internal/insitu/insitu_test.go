@@ -149,27 +149,22 @@ func TestQueuePublishAfterClose(t *testing.T) {
 }
 
 // TestAssemblerCausalConsistency: pieces from interleaved steps must assemble
-// into frames that never mix steps, tagged with the max hop clock.
+// into frames that never mix steps.
 func TestAssemblerCausalConsistency(t *testing.T) {
 	sources := []string{"patch:a", "patch:b", "dpd:r"}
 	a := NewAssembler(sources, 10)
 
-	mk := func(src string, step, hops int) *Piece {
-		p := testPiece(src, step)
-		p.Hops = hops
-		return p
-	}
 	// Interleave steps 1 and 2; neither completes until its last source.
-	if f := a.Add(mk("patch:a", 1, 3)); f != nil {
+	if f := a.Add(testPiece("patch:a", 1)); f != nil {
 		t.Fatal("frame emitted before all sources reported")
 	}
-	if f := a.Add(mk("patch:a", 2, 5)); f != nil {
+	if f := a.Add(testPiece("patch:a", 2)); f != nil {
 		t.Fatal("frame emitted for incomplete step 2")
 	}
-	if f := a.Add(mk("patch:b", 1, 4)); f != nil {
+	if f := a.Add(testPiece("patch:b", 1)); f != nil {
 		t.Fatal("frame emitted with 2/3 sources")
 	}
-	f := a.Add(mk("dpd:r", 1, 7))
+	f := a.Add(testPiece("dpd:r", 1))
 	if f == nil {
 		t.Fatal("step 1 complete but no frame emitted")
 	}
@@ -181,18 +176,15 @@ func TestAssemblerCausalConsistency(t *testing.T) {
 			t.Fatalf("frame mixes steps: piece %q carries step %d", p.Source, p.Step)
 		}
 	}
-	if f.Hops != 7 {
-		t.Fatalf("frame hop clock %d, want max publisher clock 7", f.Hops)
-	}
 	// Unexpected sources are ignored, duplicates keep the first arrival.
-	if f := a.Add(mk("stranger", 2, 0)); f != nil {
+	if f := a.Add(testPiece("stranger", 2)); f != nil {
 		t.Fatal("unexpected source completed a frame")
 	}
-	if f := a.Add(mk("patch:a", 2, 0)); f != nil {
+	if f := a.Add(testPiece("patch:a", 2)); f != nil {
 		t.Fatal("duplicate source completed a frame")
 	}
-	a.Add(mk("patch:b", 2, 1))
-	f = a.Add(mk("dpd:r", 2, 2))
+	a.Add(testPiece("patch:b", 2))
+	f = a.Add(testPiece("dpd:r", 2))
 	if f == nil || f.Step != 2 {
 		t.Fatalf("step 2 did not assemble: %+v", f)
 	}

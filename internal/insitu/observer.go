@@ -64,8 +64,8 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	}
 }
 
-// SetStatsSource wires the transport's drop accounting (Queue.Stats or
-// StreamStats) into SnapshotMeta.
+// SetStatsSource wires the transport's drop accounting (Queue.Stats) into
+// SnapshotMeta.
 func (o *Observer) SetStatsSource(fn func() Stats) {
 	o.mu.Lock()
 	o.stats = fn
@@ -85,8 +85,7 @@ func (o *Observer) Run(q *Queue) {
 }
 
 // Consume offers one piece to the assembler; a completed frame becomes the
-// latest, goes to disk (when Dir is set) and updates the gauges. Both
-// transports funnel through here.
+// latest, goes to disk (when Dir is set) and updates the gauges.
 func (o *Observer) Consume(p *Piece) {
 	o.mu.Lock()
 	f := o.asm.Add(p)
@@ -137,7 +136,6 @@ type Meta struct {
 	HasFrame  bool           `json:"has_frame"`
 	Step      int            `json:"step"`
 	Time      float64        `json:"time"`
-	Hops      int            `json:"hops"`
 	Sources   []string       `json:"sources"`
 	Assembly  AssemblerStats `json:"assembly"`
 	Transport *Stats         `json:"transport,omitempty"`
@@ -153,7 +151,6 @@ func (o *Observer) SnapshotMeta() ([]byte, error) {
 		m.HasFrame = true
 		m.Step = o.latest.Step
 		m.Time = o.latest.Time
-		m.Hops = o.latest.Hops
 		m.Sources = o.latest.Sources()
 	}
 	if o.wErr != nil {

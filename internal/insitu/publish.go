@@ -9,9 +9,8 @@ import (
 )
 
 // Sink accepts published pieces. Publish must never block and reports whether
-// the piece was accepted (false = counted as dropped by the transport). Both
-// transports implement it: *Queue in-process, *RankPublisher over the mpi
-// reserved tag band.
+// the piece was accepted (false = counted as dropped by the transport). *Queue
+// is the transport; tests substitute their own.
 type Sink interface {
 	Publish(p *Piece) bool
 }
@@ -55,13 +54,10 @@ func (c Config) maxParticles() int {
 
 // Publisher downsamples a metasolver's state into snapshot pieces once per
 // stride exchanges and offers them to a sink, never blocking. It implements
-// core.FramePublisher. hops, when non-nil, stamps the publisher's Lamport hop
-// clock onto each piece (the mpi transport wires the rank's clock in; the
-// in-process transport leaves it 0).
+// core.FramePublisher.
 type Publisher struct {
 	cfg  Config
 	sink Sink
-	hops func() int
 }
 
 // NewPublisher builds a publisher over an existing sink.
@@ -76,9 +72,6 @@ func NewPipeline(cfg Config) (*Publisher, *Queue) {
 	return NewPublisher(cfg, q), q
 }
 
-// SetHopClock wires a Lamport hop-clock sampler stamped onto outgoing pieces.
-func (pb *Publisher) SetHopClock(fn func() int) { pb.hops = fn }
-
 // PublishExchange implements core.FramePublisher: on stride boundaries it
 // snapshots every patch, region and interface into independent pieces and
 // offers each to the sink. Off-stride exchanges return after one modulo.
@@ -86,27 +79,23 @@ func (pb *Publisher) PublishExchange(m *core.Metasolver, exchange int, t float64
 	if exchange%pb.cfg.stride() != 0 {
 		return
 	}
-	h := 0
-	if pb.hops != nil {
-		h = pb.hops()
-	}
 	for _, p := range m.Patches {
 		pb.sink.Publish(&Piece{
 			Kind: KindContinuum, Source: "patch:" + p.Name,
-			Step: exchange, Hops: h, Time: t,
+			Step: exchange, Time: t,
 			Continuum: SnapshotPatch(p, pb.cfg.gridStride()),
 		})
 	}
 	for _, a := range m.Atomistic {
 		pb.sink.Publish(&Piece{
 			Kind: KindParticles, Source: "dpd:" + a.Name,
-			Step: exchange, Hops: h, Time: t,
+			Step: exchange, Time: t,
 			Particles: SnapshotParticles(a, pb.cfg.maxParticles()),
 		})
 		for _, surf := range a.Interfaces {
 			pb.sink.Publish(&Piece{
 				Kind: KindInterface, Source: fmt.Sprintf("iface:%s/%s", a.Name, surf.Name),
-				Step: exchange, Hops: h, Time: t,
+				Step: exchange, Time: t,
 				Surface: SnapshotSurface(a, surf),
 			})
 		}

@@ -53,9 +53,6 @@ type Hierarchy struct {
 	// worldRankOfL3Root[t] maps each task to the World rank of its L3 root
 	// so L3 roots can find each other for coupling handshakes.
 	l3Roots []int
-	// taskNames[t] is each task's configured name (observer discovery and
-	// diagnostics; every rank knows the full task table, mirroring l3Roots).
-	taskNames []string
 }
 
 // Build performs the L2 and L3 splits. It must be called collectively by
@@ -111,22 +108,12 @@ func Build(world *mpi.Comm, cfg Config) (*Hierarchy, error) {
 	// Record each task's L3 root world rank (the lowest world rank of the
 	// range, by construction of the split keys).
 	h.l3Roots = make([]int, len(cfg.Tasks))
-	h.taskNames = make([]string, len(cfg.Tasks))
 	lo = 0
 	for i, t := range cfg.Tasks {
 		h.l3Roots[i] = lo
-		h.taskNames[i] = t.Name
 		lo += t.Ranks
 	}
 	return h, nil
-}
-
-// TaskName returns the configured name of the given task.
-func (h *Hierarchy) TaskName(task int) string {
-	if task < 0 || task >= len(h.taskNames) {
-		panic(fmt.Sprintf("mci: task %d out of %d", task, len(h.taskNames)))
-	}
-	return h.taskNames[task]
 }
 
 // L3RootWorldRank returns the World rank of the given task's L3 root.

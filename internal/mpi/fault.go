@@ -8,7 +8,7 @@ package mpi
 //   - rank kill: a designated rank panics at a designated FaultPoint step —
 //     the in-process analogue of a node dying mid-exchange. The panic unwinds
 //     into RunHooked's per-rank recover (or the caller's own envelope, e.g.
-//     core.RunWithRecovery), exactly like a real solver blow-up.
+//     core's recover-and-resume loop), exactly like a real solver blow-up.
 //   - message drop: a send on a matching tag is silently discarded.
 //   - message corrupt: a []float64 payload is copied and one element's bits
 //     are flipped before delivery (non-float payloads pass through intact).
@@ -43,9 +43,9 @@ type FaultPlan struct {
 	// FaultPoint(KillStep), it panics with an InjectedKill. KillStep <= 0
 	// disables the kill (keeping the zero plan inert). The kill is one-shot
 	// per rank goroutine: after it fires once, later FaultPoints on that
-	// rank are no-ops, so a caller that recovers and resumes
-	// (core.RunWithRecovery) makes forward progress instead of dying at the
-	// same site forever.
+	// rank are no-ops, so a caller that recovers and resumes (core's
+	// recover-and-resume loop) makes forward progress instead of dying at
+	// the same site forever.
 	KillRank int
 	KillStep int
 

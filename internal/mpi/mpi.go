@@ -439,7 +439,7 @@ func runRanks(size int, body func(world *Comm), onPanic func(rank int, recovered
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					rankErrs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+					rankErrs[rank] = panicError(rank, p)
 					if onPanic != nil {
 						onPanic(rank, p)
 					}
@@ -459,4 +459,14 @@ func runRanks(size int, body func(world *Comm), onPanic func(rank int, recovered
 	// the run.
 	ws.closeAll(errWorldClosed)
 	return errors.Join(rankErrs...)
+}
+
+// panicError is the error a rank's recovered panic becomes. Error panic
+// values are wrapped, not flattened, so callers can classify the failure
+// (errors.As on *WorldLostError distinguishes a dead peer from a local fault).
+func panicError(rank int, p any) error {
+	if perr, ok := p.(error); ok {
+		return fmt.Errorf("mpi: rank %d panicked: %w", rank, perr)
+	}
+	return fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 }

@@ -306,14 +306,7 @@ func runOn(tr Transport, plan *FaultPlan, body func(world *Comm), onPanic func(r
 			err = fmt.Errorf("mpi: transport close: %w", cerr)
 		}
 		if p != nil {
-			// Error panic values are wrapped, not flattened, so callers can
-			// classify the failure (errors.As on *WorldLostError distinguishes
-			// a dead peer from a local fault).
-			if perr, ok := p.(error); ok {
-				err = fmt.Errorf("mpi: rank %d panicked: %w", self, perr)
-			} else {
-				err = fmt.Errorf("mpi: rank %d panicked: %v", self, p)
-			}
+			err = panicError(self, p)
 			if onPanic != nil {
 				onPanic(self, p)
 			}

@@ -15,7 +15,7 @@ import (
 // Ownership and reentrancy contract (DESIGN.md §14): the arena belongs to
 // its Grid, is built lazily on first operator call, and serves ONE operator
 // apply / solve at a time. Grid operators are not reentrant — two goroutines
-// must not call ApplyStiffness/Gradient/solve methods on the same Grid
+// must not call ApplyStiffness/GradientInto/solve methods on the same Grid
 // concurrently (each Metasolver patch owns its own Grid, so patch-level
 // concurrency is unaffected). Intra-apply parallelism is the arena's own
 // worker pool, which writes to disjoint per-element ranges.

@@ -1,6 +1,7 @@
 package nektar3d
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -19,6 +20,13 @@ func parityGrids() []*Grid {
 		NewGrid(6, 6, 6, 3, 1.0, 1.0, 1.0, false, false, false),
 	)
 	return grids
+}
+
+// gradient is GradientInto on fresh fields.
+func gradient(g *Grid, f []float64) (fx, fy, fz []float64) {
+	fx, fy, fz = g.NewField(), g.NewField(), g.NewField()
+	g.GradientInto(fx, fy, fz, f)
+	return fx, fy, fz
 }
 
 func randomField(g *Grid, seed int64) []float64 {
@@ -54,7 +62,7 @@ func TestOperatorParityBitIdentical(t *testing.T) {
 				}
 			}
 
-			fx, fy, fz := g.Gradient(x)
+			fx, fy, fz := gradient(g, x)
 			for i := range fx {
 				if fx[i] != fxRef[i] || fy[i] != fyRef[i] || fz[i] != fzRef[i] {
 					t.Fatalf("grid %d P=%d workers=%d: gradient[%d] diverges", gi, g.P, nw, i)
@@ -67,7 +75,8 @@ func TestOperatorParityBitIdentical(t *testing.T) {
 			uxr, _, _ := g.gradientRef(u)
 			_, vyr, _ := g.gradientRef(v)
 			_, _, wzr := g.gradientRef(w)
-			div := g.Divergence(u, v, w)
+			div := g.NewField()
+			g.DivergenceInto(div, u, v, w)
 			for i := range div {
 				if want := uxr[i] + vyr[i] + wzr[i]; div[i] != want {
 					t.Fatalf("grid %d P=%d workers=%d: div[%d] = %v vs %v", gi, g.P, nw, i, div[i], want)
@@ -78,7 +87,7 @@ func TestOperatorParityBitIdentical(t *testing.T) {
 }
 
 // TestDivergenceIsSumOfGradientComponents holds the one-direction phase A of
-// DivergenceInto to the three Gradient components it replaces, with ==. The
+// DivergenceInto to the three GradientInto components it replaces, with ==. The
 // calls alternate, so each all-direction pass runs over element sections a
 // one-direction pass left stale, and the other way round.
 func TestDivergenceIsSumOfGradientComponents(t *testing.T) {
@@ -88,16 +97,44 @@ func TestDivergenceIsSumOfGradientComponents(t *testing.T) {
 			u, v, w := randomField(g, int64(500+gi)), randomField(g, int64(600+gi)), randomField(g, int64(700+gi))
 			div := g.NewField()
 			g.DivergenceInto(div, u, v, w)
-			ux, _, _ := g.Gradient(u)
-			_, vy, _ := g.Gradient(v)
-			_, _, wz := g.Gradient(w)
-			again := g.Divergence(u, v, w)
+			ux, _, _ := gradient(g, u)
+			_, vy, _ := gradient(g, v)
+			_, _, wz := gradient(g, w)
+			again := g.NewField()
+			g.DivergenceInto(again, u, v, w)
 			for i := range div {
 				if want := ux[i] + vy[i] + wz[i]; div[i] != want || again[i] != want {
 					t.Fatalf("grid %d P=%d workers=%d: div[%d] = %v, then %v; ux+vy+wz = %v", gi, g.P, nw, i, div[i], again[i], want)
 				}
 			}
 		}
+	}
+}
+
+// TestMaxDivergenceSameBitsNoAlloc: MaxDivergence is the max-norm of the
+// reference divergence bit for bit, and once its scratch exists it
+// allocates nothing — it runs once per patch per exchange on audited runs.
+func TestMaxDivergenceSameBitsNoAlloc(t *testing.T) {
+	g := NewGrid(3, 2, 2, 4, 1, 1, 1, false, true, false)
+	s := NewSolver(g, 0.05, 2e-3)
+	copy(s.U, randomField(g, 11))
+	copy(s.V, randomField(g, 12))
+	copy(s.W, randomField(g, 13))
+	ux, _, _ := g.gradientRef(s.U)
+	_, vy, _ := g.gradientRef(s.V)
+	_, _, wz := g.gradientRef(s.W)
+	var want float64
+	for i := range ux {
+		want = math.Max(want, math.Abs(ux[i]+vy[i]+wz[i]))
+	}
+	if got := s.MaxDivergence(); got != want {
+		t.Fatalf("MaxDivergence = %v, want %v", got, want)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	if a := testing.AllocsPerRun(20, func() { s.MaxDivergence() }); a != 0 {
+		t.Fatalf("MaxDivergence allocated %.1f allocs/op in steady state, want 0", a)
 	}
 }
 

@@ -148,21 +148,6 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 	return res, nil
 }
 
-// SolveHelmholtzDirichlet is the allocating wrapper around
-// SolveHelmholtzDirichletIn, kept for callers that want a fresh solution
-// field; f and gBC are nodal fields (gBC consulted on the mask only). The
-// returned SolveStats carries the inner CG iteration count and residual
-// history so telemetry and tests can assert convergence behavior instead of
-// discarding it.
-func (g *Grid) SolveHelmholtzDirichlet(lambda float64, f, gBC []float64, tol float64, maxIter int) ([]float64, linalg.SolveStats, error) {
-	u := g.NewField()
-	res, err := g.SolveHelmholtzDirichletIn(u, lambda, f, gBC, tol, maxIter)
-	if err != nil {
-		return nil, res, err
-	}
-	return u, res, nil
-}
-
 // SolvePoissonNeumannIn solves K p = -M s (that is, ∇²p = s weakly) with
 // homogeneous Neumann boundaries on all non-periodic faces. p is output
 // only: it receives the mean-free solution on success and is left untouched
@@ -230,16 +215,6 @@ func (g *Grid) GradientInto(fx, fy, fz, f []float64) {
 	}
 }
 
-// Gradient computes the collocation gradient of a nodal field into fresh
-// fields (allocating wrapper around GradientInto).
-func (g *Grid) Gradient(f []float64) (fx, fy, fz []float64) {
-	fx = g.NewField()
-	fy = g.NewField()
-	fz = g.NewField()
-	g.GradientInto(fx, fy, fz, f)
-	return fx, fy, fz
-}
-
 // DivergenceInto computes ∇·(u,v,w) into div via collocation gradients,
 // reusing the arena's directional-derivative fields. Matches the historical
 // ux+vy+wz evaluation bit for bit.
@@ -254,7 +229,7 @@ func (g *Grid) DivergenceInto(div, u, v, w []float64) {
 }
 
 // derivInto computes the single collocation derivative d f/d{x,y,z} (dir
-// 0/1/2) into dst, with the same scatter/average as the matching Gradient
+// 0/1/2) into dst, with the same scatter/average as the matching GradientInto
 // component.
 func (g *Grid) derivInto(dst, f []float64, dir int) {
 	ar := g.arena()
@@ -274,11 +249,4 @@ func (g *Grid) derivInto(dst, f []float64, dir int) {
 	for i := range dst {
 		dst[i] /= g.mult[i]
 	}
-}
-
-// Divergence computes ∇·(u,v,w) into a fresh field (allocating wrapper).
-func (g *Grid) Divergence(u, v, w []float64) []float64 {
-	div := g.NewField()
-	g.DivergenceInto(div, u, v, w)
-	return div
 }

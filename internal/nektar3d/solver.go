@@ -79,6 +79,11 @@ type Solver struct {
 	us, vs, ws       []float64 // intermediate velocity
 	div              []float64 // divergence RHS
 	rhsU, rhsV, rhsW []float64
+
+	// probe is the output scratch of the diagnostics read between steps
+	// (MaxDivergence, WallShearStress): same arena contract, built on first
+	// use so a solver nobody probes never carries it.
+	probe []float64
 }
 
 // NewSolver builds a solver with zero initial fields.
@@ -340,9 +345,19 @@ func (s *Solver) Run(n int) error {
 	return nil
 }
 
+// probeField returns the diagnostics scratch field.
+func (s *Solver) probeField() []float64 {
+	if s.probe == nil {
+		s.probe = s.G.NewField()
+	}
+	return s.probe
+}
+
 // MaxDivergence returns the max-norm of ∇·u, the incompressibility check.
+// Steady-state calls allocate nothing.
 func (s *Solver) MaxDivergence() float64 {
-	div := s.G.Divergence(s.U, s.V, s.W)
+	div := s.probeField()
+	s.G.DivergenceInto(div, s.U, s.V, s.W)
 	var m float64
 	for _, v := range div {
 		if v < 0 {

@@ -30,6 +30,11 @@ type Transport struct {
 	MaxIter int
 	Steps   int
 	Time    float64
+
+	// Step scratch, built on the first step and reused after: the advected
+	// gradient, the explicit update, the diffusion right-hand side and the
+	// Dirichlet values.
+	cx, cy, cz, cs, rhs, bc []float64
 }
 
 // NewTransport builds an insulated zero-concentration scalar on the flow.
@@ -56,9 +61,14 @@ func (tr *Transport) Step() error {
 	g := s.G
 	dt := s.Dt
 
+	if tr.cs == nil {
+		tr.cx, tr.cy, tr.cz = g.NewField(), g.NewField(), g.NewField()
+		tr.cs, tr.rhs, tr.bc = g.NewField(), g.NewField(), g.NewField()
+	}
+	cx, cy, cz, cs, rhs := tr.cx, tr.cy, tr.cz, tr.cs, tr.rhs
+
 	// Explicit advection + source.
-	cx, cy, cz := g.Gradient(tr.C)
-	cs := g.NewField()
+	g.GradientInto(cx, cy, cz, tr.C)
 	for k := 0; k < g.Nz; k++ {
 		for j := 0; j < g.Ny; j++ {
 			for i := 0; i < g.Nx; i++ {
@@ -75,14 +85,12 @@ func (tr *Transport) Step() error {
 
 	// Implicit diffusion: (M/(D dt) + K) c = M c*/(D dt).
 	lambda := 1 / (tr.D * dt)
-	rhs := g.NewField()
 	for i := range rhs {
 		rhs[i] = cs[i] * lambda
 	}
 
 	if tr.BC != nil {
-		bc := g.NewField()
-		mask := g.BoundaryMask()
+		bc, mask := tr.bc, s.mask
 		tNew := tr.Time + dt
 		for k := 0; k < g.Nz; k++ {
 			for j := 0; j < g.Ny; j++ {
@@ -94,11 +102,10 @@ func (tr *Transport) Step() error {
 				}
 			}
 		}
-		c, _, err := g.SolveHelmholtzDirichlet(lambda, rhs, bc, tr.Tol, tr.MaxIter)
-		if err != nil {
+		// C is read only above: the solve may overwrite it in place.
+		if _, err := g.SolveHelmholtzDirichletIn(tr.C, lambda, rhs, bc, tr.Tol, tr.MaxIter); err != nil {
 			return fmt.Errorf("transport diffusion solve: %w", err)
 		}
-		tr.C = c
 	} else {
 		// Natural (insulated) boundaries: unmasked SPD solve on the arena,
 		// preconditioned by the natural-boundary fast diagonalization.

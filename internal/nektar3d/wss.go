@@ -21,18 +21,19 @@ func (s *Solver) WallShearStress(face string, tang int) []float64 {
 	default:
 		panic(fmt.Sprintf("nektar3d: tangential component %d", tang))
 	}
-	fx, fy, fz := g.Gradient(field)
-	var grad []float64
+	var dir int
 	switch face {
 	case "x0", "x1":
-		grad = fx
+		dir = 0
 	case "y0", "y1":
-		grad = fy
+		dir = 1
 	case "z0", "z1":
-		grad = fz
+		dir = 2
 	default:
 		panic(fmt.Sprintf("nektar3d: unknown face %q", face))
 	}
+	grad := s.probeField()
+	g.derivInto(grad, field, dir)
 	// The wall-normal derivative taken along the inward normal gives the
 	// stress the fluid exerts on the wall.
 	sign := 1.0
