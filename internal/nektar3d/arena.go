@@ -18,29 +18,22 @@ import (
 // must not call ApplyStiffness/GradientInto/solve methods on the same Grid
 // concurrently (each Metasolver patch owns its own Grid, so patch-level
 // concurrency is unaffected). Intra-apply parallelism is the arena's own
-// worker pool, which writes to disjoint per-element ranges.
+// worker pool, each worker writing its own z-planes of the output.
 type arena struct {
 	g             *Grid
-	nq, nq3, nel  int
-	dF, dT        []float64 // flat row-major D and Dᵀ (nq x nq)
-	gids          []int32   // per-element local→global node map, element-major
 	mask          []bool    // cached BoundaryMask
-	elemOut       []float64 // phase-A stiffness outputs, nel*nq3, disjoint per element
-	elemG         []float64 // phase-A gradient outputs, 3*nel*nq3 (gx | gy | gz)
+	mx            []float64 // Mx ⊙ x, the stiffness apply's one scratch field
 	dxF, dyF, dzF []float64 // directional-derivative node fields for Divergence
 
-	// Per-worker line scratch (index = worker id).
-	wLoc  [][]float64 // nq3 gathered element values
-	wLine [][]float64 // nq gathered input line
-	wTmp  [][]float64 // nq differentiated/scaled line
-	wOut  [][]float64 // nq output line for strided directions
+	// The in-flight tiled pass (see tiled): what it computes, its output
+	// fields and its input, and the prebuilt worker closure that runs it.
+	job    job
+	dst    [3][]float64
+	src    []float64
+	nw     int
+	tileFn func(int)
 
-	pool    work.Pool
-	nw      int       // workers the prebuilt closures fan out over
-	curX    []float64 // input field for the in-flight parallel apply
-	curDir  int       // direction(s) the in-flight gradient computes
-	stiffFn func(int) // prebuilt worker closures (rebuilt only when nw grows)
-	gradFn  func(int)
+	pool work.Pool
 
 	// Solve scratch: lifting field, RHS, interior iterate, CG workspace, the
 	// two fast-diagonalization preconditioners (fdm.go; natural boundaries
@@ -58,6 +51,15 @@ type arena struct {
 	mopIface linalg.Operator
 }
 
+// job names what a tiled pass computes: the derivative along axis 0, 1 or 2
+// into dst[0], all three into dst, or the stiffness apply into dst[0].
+type job int8
+
+const (
+	jobGrad  job = 3
+	jobStiff job = 4
+)
+
 // arena returns the grid's scratch arena, building it on first use.
 func (g *Grid) arena() *arena {
 	if g.ar == nil {
@@ -67,44 +69,13 @@ func (g *Grid) arena() *arena {
 }
 
 func newArena(g *Grid) *arena {
-	nq := g.P + 1
-	nq3 := nq * nq * nq
-	nel := g.Nex * g.Ney * g.Nez
-	ar := &arena{g: g, nq: nq, nq3: nq3, nel: nel}
-
-	d := g.Basis.D
-	ar.dF = make([]float64, nq*nq)
-	ar.dT = make([]float64, nq*nq)
-	for r := 0; r < nq; r++ {
-		for c := 0; c < nq; c++ {
-			ar.dF[r*nq+c] = d[r][c]
-			ar.dT[c*nq+r] = d[r][c]
-		}
-	}
-
-	ar.gids = make([]int32, nel*nq3)
-	e := 0
-	g.forEachElement(func(ex, ey, ez int) {
-		base := e * nq3
-		l := 0
-		for k := 0; k < nq; k++ {
-			for j := 0; j < nq; j++ {
-				for i := 0; i < nq; i++ {
-					ar.gids[base+l] = int32(g.gid(ex, ey, ez, i, j, k))
-					l++
-				}
-			}
-		}
-		e++
-	})
-
+	ar := &arena{g: g}
 	ar.mask = g.boundaryMaskInto(make([]bool, g.NumNodes()))
-
-	ar.elemOut = make([]float64, nel*nq3)
-	ar.elemG = make([]float64, 3*nel*nq3)
+	ar.mx = g.NewField()
 	ar.dxF = g.NewField()
 	ar.dyF = g.NewField()
 	ar.dzF = g.NewField()
+	ar.tileFn = ar.tile
 
 	n := g.NumNodes()
 	ar.ug = make([]float64, n)
@@ -116,59 +87,37 @@ func newArena(g *Grid) *arena {
 	ar.mop = &helmholtzOp{g: g, mask: ar.mask}
 	ar.opIface = ar.op
 	ar.mopIface = ar.mop
-
-	ar.ensureWorkers(g.workers())
 	return ar
 }
 
-// ensureWorkers sizes the per-worker scratch and rebuilds the dispatch
-// closures for nw workers. Called from the serial entry points only.
-func (ar *arena) ensureWorkers(nw int) {
-	if nw < 1 {
-		nw = 1
-	}
-	if nw > ar.nel {
-		nw = ar.nel
-	}
-	if ar.nw == nw && ar.stiffFn != nil {
-		return
-	}
-	for len(ar.wLoc) < nw {
-		ar.wLoc = append(ar.wLoc, make([]float64, ar.nq3))
-		ar.wLine = append(ar.wLine, make([]float64, ar.nq))
-		ar.wTmp = append(ar.wTmp, make([]float64, ar.nq))
-		ar.wOut = append(ar.wOut, make([]float64, ar.nq))
-	}
-	ar.nw = nw
-	ar.stiffFn = func(w int) {
-		lo, hi := ar.chunk(w)
-		for e := lo; e < hi; e++ {
-			ar.stiffElem(e, ar.curX, ar.wLoc[w], ar.wLine[w], ar.wTmp[w], ar.wOut[w])
-		}
-	}
-	ar.gradFn = func(w int) {
-		lo, hi := ar.chunk(w)
-		for e := lo; e < hi; e++ {
-			ar.gradElem(e, ar.curX, ar.wLoc[w], ar.wLine[w], ar.wTmp[w], ar.curDir)
-		}
-	}
+// tiled runs job over the z-planes of the output, split into one contiguous
+// tile per worker. Each output node is written by exactly one worker, in
+// the same order whatever the split, so the result is the same bits for
+// every worker count. Outputs must not alias the input.
+func (ar *arena) tiled(j job, src []float64, dst ...[]float64) {
+	ar.job, ar.src = j, src
+	copy(ar.dst[:], dst)
+	ar.nw = min(ar.g.workers(), ar.g.Nz)
+	ar.pool.Run(ar.nw, ar.tileFn)
+	ar.src, ar.dst = nil, [3][]float64{}
 }
 
-// chunk block-partitions the element range across the current worker count.
-// The partition only controls which worker computes which element; outputs
-// land in per-element ranges of elemOut/elemG, so results are independent of
-// the partition (and hence of the worker count) bit for bit.
-func (ar *arena) chunk(w int) (lo, hi int) {
-	per := (ar.nel + ar.nw - 1) / ar.nw
-	lo = w * per
-	hi = lo + per
-	if hi > ar.nel {
-		hi = ar.nel
+// tile is worker w's share of the in-flight pass.
+func (ar *arena) tile(w int) {
+	nz := ar.g.Nz
+	per := (nz + ar.nw - 1) / ar.nw
+	for k := w * per; k < min((w+1)*per, nz); k++ {
+		switch ar.job {
+		case jobStiff:
+			ar.stiffPlane(ar.dst[0], ar.src, k)
+		case jobGrad:
+			for d, out := range ar.dst {
+				ar.derivPlane(out, ar.src, d, k)
+			}
+		default:
+			ar.derivPlane(ar.dst[0], ar.src, int(ar.job), k)
+		}
 	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // workers resolves the grid's Parallel knob to an effective worker count:

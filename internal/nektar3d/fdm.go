@@ -10,8 +10,9 @@ import (
 // fdmPrec is the fast-diagonalization solve of the Grid operators, CG's
 // initial iterate and its preconditioner. On a uniform box of GLL elements
 // the mass matrix is diagonal and separable, M = Mx⊗My⊗Mz, and
-// K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz, so in the 1D generalized eigenbases
-// S_d (K_d S_d = M_d S_d Λ_d, S_dᵀ M_d S_d = I)
+// K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz in the same 1D factors
+// (sem.Mesh1D.Factors) that ApplyStiffness applies, so in the 1D generalized
+// eigenbases S_d (K_d S_d = M_d S_d Λ_d, S_dᵀ M_d S_d = I)
 //
 //	(λM + K)⁻¹ = (Sx⊗Sy⊗Sz) diag(1/(λ + Λx_i + Λy_j + Λz_k)) (Sx⊗Sy⊗Sz)ᵀ
 //
@@ -37,16 +38,11 @@ func newFDM(g *Grid, mask []bool) (nat, dir *fdmPrec) {
 	n := g.NumNodes()
 	nat = &fdmPrec{s: make([]float64, n), t: make([]float64, n)}
 	dir = &fdmPrec{mask: mask, s: nat.s, t: nat.t}
-	for d, a := range [3]struct {
-		ne  int
-		l   float64
-		per bool
-	}{{g.Nex, g.Lx, g.PerX}, {g.Ney, g.Ly, g.PerY}, {g.Nez, g.Lz, g.PerZ}} {
-		mesh := sem.NewMesh1D(g.Basis, a.ne, 0, a.l)
+	for d, a := range g.ax {
 		// The 1D pencils are symmetric by construction, so a failed
 		// decomposition is a bug, not an input condition.
 		modes := func(dirichlet bool) *sem.Modes1D {
-			md, err := mesh.Modes(a.per, dirichlet)
+			md, err := a.mesh.Modes(a.per, dirichlet)
 			if err != nil {
 				panic(fmt.Sprintf("nektar3d: fast diagonalization, axis %d: %v", d, err))
 			}

@@ -13,6 +13,7 @@ package nektar3d
 import (
 	"fmt"
 
+	"nektarg/internal/linalg"
 	"nektarg/internal/sem"
 )
 
@@ -33,18 +34,17 @@ type Grid struct {
 	// Element Jacobians dx/dxi per direction (affine mapping).
 	Jx, Jy, Jz float64
 
-	// Parallel is the intra-grid worker count for the element-tiled
-	// operators: <=1 runs serial (the default), n>1 uses exactly n workers,
-	// negative uses GOMAXPROCS. Results are bit-identical for every setting
-	// (disjoint per-element outputs, fixed-order serial scatter). Set it
-	// before or between solves, not during one.
+	// Parallel is the intra-grid worker count for the operators, which are
+	// tiled over z-planes of their output: <=1 runs serial (the default),
+	// n>1 uses exactly n workers, negative uses GOMAXPROCS. Results are
+	// bit-identical for every setting (each node is written by one worker,
+	// in a fixed order). Set it before or between solves, not during one.
 	Parallel int
 
-	// massDiag is the assembled (diagonal) mass matrix.
+	// ax holds the per-axis 1D factors (x, y, z) every operator is built
+	// from; massDiag is the assembled (diagonal) mass matrix Mx⊗My⊗Mz.
+	ax       [3]axis
 	massDiag []float64
-	// mult[n] counts the elements contributing to node n (for averaging
-	// collocation derivatives at element boundaries).
-	mult []float64
 	// X, Y, Z are the 1D node coordinate arrays.
 	X, Y, Z []float64
 
@@ -53,7 +53,17 @@ type Grid struct {
 	ar *arena
 }
 
-// NewGrid builds a grid and precomputes mass and multiplicity.
+// axis is one direction's 1D mesh and its factors (sem.Mesh1D.Factors): C0
+// stiffness k, averaged collocation derivative d and diagonal mass m,
+// periodic-wrapped when per.
+type axis struct {
+	mesh *sem.Mesh1D
+	per  bool
+	k, d *linalg.CSR
+	m    []float64
+}
+
+// NewGrid builds a grid and precomputes its 1D factors and mass.
 func NewGrid(nex, ney, nez, p int, lx, ly, lz float64, perX, perY, perZ bool) *Grid {
 	if nex < 1 || ney < 1 || nez < 1 || p < 2 {
 		panic(fmt.Sprintf("nektar3d: bad grid %dx%dx%d P=%d", nex, ney, nez, p))
@@ -83,44 +93,28 @@ func NewGrid(nex, ney, nez, p int, lx, ly, lz float64, perX, perY, perZ bool) *G
 	g.Jy = ly / float64(ney) / 2
 	g.Jz = lz / float64(nez) / 2
 
-	g.X = g.coords1D(nex, g.Nx, lx)
-	g.Y = g.coords1D(ney, g.Ny, ly)
-	g.Z = g.coords1D(nez, g.Nz, lz)
-
-	n := g.NumNodes()
-	g.massDiag = make([]float64, n)
-	g.mult = make([]float64, n)
-	w := g.Basis.Weights
-	jac := g.Jx * g.Jy * g.Jz
-	g.forEachElement(func(ex, ey, ez int) {
-		for k := 0; k <= p; k++ {
-			for j := 0; j <= p; j++ {
-				for i := 0; i <= p; i++ {
-					n := g.gid(ex, ey, ez, i, j, k)
-					g.massDiag[n] += w[i] * w[j] * w[k] * jac
-					g.mult[n]++
-				}
+	for d, a := range [3]struct {
+		ne  int
+		l   float64
+		per bool
+	}{{nex, lx, perX}, {ney, ly, perY}, {nez, lz, perZ}} {
+		ax := &g.ax[d]
+		ax.mesh, ax.per = sem.NewMesh1D(g.Basis, a.ne, 0, a.l), a.per
+		ax.k, ax.d, ax.m = ax.mesh.Factors(a.per)
+	}
+	// A periodic axis drops its seam duplicate, the last node.
+	g.X = g.ax[0].mesh.NodeCoords()[:g.Nx]
+	g.Y = g.ax[1].mesh.NodeCoords()[:g.Ny]
+	g.Z = g.ax[2].mesh.NodeCoords()[:g.Nz]
+	g.massDiag = make([]float64, 0, g.NumNodes())
+	for _, mz := range g.ax[2].m {
+		for _, my := range g.ax[1].m {
+			for _, mx := range g.ax[0].m {
+				g.massDiag = append(g.massDiag, mx*my*mz)
 			}
-		}
-	})
-	return g
-}
-
-// coords1D returns the physical node coordinates along one direction.
-func (g *Grid) coords1D(ne, nNodes int, l float64) []float64 {
-	h := l / float64(ne)
-	out := make([]float64, nNodes)
-	p := g.P
-	for e := 0; e < ne; e++ {
-		for i := 0; i <= p; i++ {
-			gi := e*p + i
-			if gi >= nNodes { // periodic wrap duplicates the seam node
-				continue
-			}
-			out[gi] = h * (float64(e) + (g.Basis.Nodes[i]+1)/2)
 		}
 	}
-	return out
+	return g
 }
 
 // NumNodes returns the global node count.
@@ -146,16 +140,6 @@ func (g *Grid) gid(ex, ey, ez, i, j, k int) int {
 	return g.Idx(gi, gj, gk)
 }
 
-func (g *Grid) forEachElement(fn func(ex, ey, ez int)) {
-	for ez := 0; ez < g.Nez; ez++ {
-		for ey := 0; ey < g.Ney; ey++ {
-			for ex := 0; ex < g.Nex; ex++ {
-				fn(ex, ey, ez)
-			}
-		}
-	}
-}
-
 // NewField allocates a zero nodal field on the grid.
 func (g *Grid) NewField() []float64 { return make([]float64, g.NumNodes()) }
 
@@ -174,6 +158,22 @@ func (g *Grid) FillField(f []float64, fn func(x, y, z float64) float64) {
 // face.
 func (g *Grid) BoundaryMask() []bool {
 	return g.boundaryMaskInto(make([]bool, g.NumNodes()))
+}
+
+// boundaryMaskInto marks the Dirichlet nodes into m.
+func (g *Grid) boundaryMaskInto(m []bool) []bool {
+	for k := 0; k < g.Nz; k++ {
+		for j := 0; j < g.Ny; j++ {
+			for i := 0; i < g.Nx; i++ {
+				if (!g.PerX && (i == 0 || i == g.Nx-1)) ||
+					(!g.PerY && (j == 0 || j == g.Ny-1)) ||
+					(!g.PerZ && (k == 0 || k == g.Nz-1)) {
+					m[g.Idx(i, j, k)] = true
+				}
+			}
+		}
+	}
+	return m
 }
 
 // MassDiag exposes the assembled diagonal mass matrix.

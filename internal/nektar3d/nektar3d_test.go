@@ -98,6 +98,39 @@ func TestStiffnessAnnihilatesConstants(t *testing.T) {
 	}
 }
 
+// TestStiffnessNullSpaceRoundOff measures what meanFreePrec's comment states
+// about the natural-boundary operator on every parity grid: K·1 and 1ᵀKx
+// vanish to round-off — relative to max|Kx| for a unit random x — not
+// exactly, because the 1D factors' rows sum to zero only in exact
+// arithmetic.
+func TestStiffnessNullSpaceRoundOff(t *testing.T) {
+	const tol = 1e-13
+	var worstK1, worst1K float64
+	for gi, g := range parityGrids() {
+		ones := g.NewField()
+		for i := range ones {
+			ones[i] = 1
+		}
+		x := randomField(g, int64(800+gi))
+		k1, kx := g.NewField(), g.NewField()
+		g.ApplyStiffness(k1, ones)
+		g.ApplyStiffness(kx, x)
+		var scale, maxK1, sum1K float64
+		for i := range kx {
+			scale = math.Max(scale, math.Abs(kx[i]))
+			maxK1 = math.Max(maxK1, math.Abs(k1[i]))
+			sum1K += kx[i]
+		}
+		worstK1 = math.Max(worstK1, maxK1/scale)
+		worst1K = math.Max(worst1K, math.Abs(sum1K)/scale)
+		if !(maxK1 <= tol*scale) || !(math.Abs(sum1K) <= tol*scale) {
+			t.Errorf("grid %d P=%d: max|K·1| = %.3g, |1ᵀKx| = %.3g, want both <= %g·max|Kx| = %.3g",
+				gi, g.P, maxK1, math.Abs(sum1K), tol, tol*scale)
+		}
+	}
+	t.Logf("worst over the parity grids, relative to max|Kx|: max|K·1| %.3g, |1ᵀKx| %.3g", worstK1, worst1K)
+}
+
 // manufacturedHelmholtz is (lambda - ∇²) u = f with u = sin(pi x) sin(pi y)
 // sin(pi z) on the unit box: f = (lambda + 3 pi^2) u, homogeneous Dirichlet.
 func manufacturedHelmholtz(lambda float64) (g *Grid, f, exact []float64) {

@@ -6,27 +6,106 @@ import (
 	"math"
 
 	"nektarg/internal/linalg"
+	"nektarg/internal/simd"
 )
 
 // ApplyStiffness computes y += K x where K is the assembled C0 stiffness
-// matrix ∫ ∇φ·∇ψ (the SPD discrete negative Laplacian), via element-local
-// tensor-product applies: for each direction, y_loc += D^T (c ∘ (D x_loc))
-// with c the quadrature/metric coefficient.
-//
-// Phase A evaluates the element-local applies through the tuned line kernels
-// (kernels.go), tiled over the arena's worker pool into disjoint per-element
-// output ranges; phase B folds them into y serially in fixed element order.
-// The result is bit-identical to applyStiffnessRef for every worker count
-// (pinned by the parity suite), and the steady-state call allocates nothing.
+// matrix ∫ ∇φ·∇ψ (the SPD discrete negative Laplacian). On the grid's box of
+// GLL elements K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz exactly, in the
+// assembled, periodic-wrapped 1D factors the fast-diagonalization solve
+// inverts, so the apply is one band sum along each contiguous x-line plus
+// axpy sweeps over x-rows of Mx ⊙ x for y and z. It agrees with the
+// element-by-element assembly to round-off, is bit-identical for every
+// worker count, and the steady-state call allocates nothing. y and x must
+// not alias.
 func (g *Grid) ApplyStiffness(y, x []float64) {
 	ar := g.arena()
-	ar.runStiffElems(x)
-	nq3 := ar.nq3
-	for e := 0; e < ar.nel; e++ {
-		out := ar.elemOut[e*nq3 : (e+1)*nq3]
-		gids := ar.gids[e*nq3 : (e+1)*nq3]
-		for l, n := range gids {
-			y[n] += out[l]
+	mx := g.ax[0].m
+	for r := 0; r < len(x); r += g.Nx {
+		for i, m := range mx {
+			ar.mx[r+i] = m * x[r+i]
+		}
+	}
+	ar.tiled(jobStiff, x, y)
+}
+
+// stiffPlane adds plane k of K x into y (ApplyStiffness, with ar.mx filled).
+func (ar *arena) stiffPlane(y, x []float64, k int) {
+	g := ar.g
+	nx, ny := g.Nx, g.Ny
+	kx, ky, kz := g.ax[0].k, g.ax[1].k, g.ax[2].k
+	my, mz := g.ax[1].m, g.ax[2].m[k]
+	for j := 0; j < ny; j++ {
+		r := nx * (j + ny*k)
+		out, xr := y[r:r+nx], x[r:r+nx]
+		c := my[j] * mz
+		for i := range out {
+			out[i] += c * rowDot(kx, i, xr)
+		}
+		sweep(out, mz, ky, j, ar.mx, nx*ny*k, nx)
+		sweep(out, my[j], kz, k, ar.mx, nx*j, nx*ny)
+	}
+}
+
+// rowDot returns row i of a times the line x, summed in column order. A
+// row's columns are one contiguous run except across a periodic seam, and
+// the run is summed without the index gather.
+func rowDot(a *linalg.CSR, i int, x []float64) float64 {
+	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	vals, cols := a.Val[lo:hi], a.ColIdx[lo:hi]
+	var s float64
+	if c := cols[0]; cols[len(cols)-1]-c == len(cols)-1 {
+		xs := x[c : c+len(vals)]
+		for q, v := range vals {
+			s += v * xs[q]
+		}
+		return s
+	}
+	for q, v := range vals {
+		s += v * x[cols[q]]
+	}
+	return s
+}
+
+// sweep adds scale·a[i,c]·src[base+c·stride:][:len(out)] to out over the
+// columns c of row i of a, two rows of src per pass over out.
+func sweep(out []float64, scale float64, a *linalg.CSR, i int, src []float64, base, stride int) {
+	n := len(out)
+	p, hi := a.RowPtr[i], a.RowPtr[i+1]
+	for ; p+1 < hi; p += 2 {
+		c0, c1 := scale*a.Val[p], scale*a.Val[p+1]
+		x0 := src[base+a.ColIdx[p]*stride:][:n]
+		x1 := src[base+a.ColIdx[p+1]*stride:][:n]
+		for q := range out {
+			out[q] += c0*x0[q] + c1*x1[q]
+		}
+	}
+	if p < hi {
+		simd.Axpy(scale*a.Val[p], src[base+a.ColIdx[p]*stride:][:n], out)
+	}
+}
+
+// derivPlane writes plane k of the collocation derivative of f along axis
+// dir into dst: the axis's averaged 1D derivative applied to every line.
+func (ar *arena) derivPlane(dst, f []float64, dir, k int) {
+	g := ar.g
+	nx, ny := g.Nx, g.Ny
+	d := g.ax[dir].d
+	for j := 0; j < ny; j++ {
+		r := nx * (j + ny*k)
+		out := dst[r : r+nx]
+		switch dir {
+		case 0:
+			fr := f[r : r+nx]
+			for i := range out {
+				out[i] = rowDot(d, i, fr)
+			}
+		case 1:
+			clear(out)
+			sweep(out, 1, d, j, f, nx*ny*k, nx)
+		case 2:
+			clear(out)
+			sweep(out, 1, d, k, f, nx*j, nx*ny)
 		}
 	}
 }
@@ -69,8 +148,10 @@ var ErrCGStalled = errors.New("CG stalled")
 // meanFreePrec wraps a preconditioner with a Euclidean mean projection so CG
 // iterates stay orthogonal to the constant null space of the pure-Neumann
 // Poisson operator. (The operator itself needs no projection: K annihilates
-// constants and 1ᵀKx = 0 exactly, so the Krylov space stays mean-free as
-// long as the preconditioner does not reintroduce a mean component.)
+// constants and 1ᵀKx = 0 to round-off — at most 1.1e-16 and 7.6e-15 of
+// max|Kx| on the parity grids, TestStiffnessNullSpaceRoundOff — so the
+// Krylov space stays mean-free as long as the preconditioner does not
+// reintroduce a mean component.)
 type meanFreePrec struct {
 	inner linalg.Preconditioner
 }
@@ -188,31 +269,11 @@ func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (
 }
 
 // GradientInto computes the collocation gradient of f into fx, fy, fz,
-// averaging the (discontinuous) element derivatives at shared nodes.
-// Arena-backed and bit-identical to gradientRef for every worker count.
+// averaging the (discontinuous) element derivatives at shared nodes: one
+// averaged 1D derivative matrix per axis. Arena-backed, bit-identical for
+// every worker count; the outputs must not alias f.
 func (g *Grid) GradientInto(fx, fy, fz, f []float64) {
-	ar := g.arena()
-	ar.runGradElems(f, allDirs)
-	for i := range fx {
-		fx[i], fy[i], fz[i] = 0, 0, 0
-	}
-	nq3 := ar.nq3
-	for e := 0; e < ar.nel; e++ {
-		gx := ar.elemG[e*nq3 : (e+1)*nq3]
-		gy := ar.elemG[ar.nel*nq3+e*nq3:][:nq3]
-		gz := ar.elemG[2*ar.nel*nq3+e*nq3:][:nq3]
-		gids := ar.gids[e*nq3 : (e+1)*nq3]
-		for l, n := range gids {
-			fx[n] += gx[l] / g.Jx
-			fy[n] += gy[l] / g.Jy
-			fz[n] += gz[l] / g.Jz
-		}
-	}
-	for i := range fx {
-		fx[i] /= g.mult[i]
-		fy[i] /= g.mult[i]
-		fz[i] /= g.mult[i]
-	}
+	g.arena().tiled(jobGrad, f, fx, fy, fz)
 }
 
 // DivergenceInto computes ∇·(u,v,w) into div via collocation gradients,
@@ -229,24 +290,7 @@ func (g *Grid) DivergenceInto(div, u, v, w []float64) {
 }
 
 // derivInto computes the single collocation derivative d f/d{x,y,z} (dir
-// 0/1/2) into dst, with the same scatter/average as the matching GradientInto
-// component.
+// 0/1/2) into dst, the same bits as the matching GradientInto component.
 func (g *Grid) derivInto(dst, f []float64, dir int) {
-	ar := g.arena()
-	ar.runGradElems(f, dir)
-	for i := range dst {
-		dst[i] = 0
-	}
-	nq3 := ar.nq3
-	jac := [3]float64{g.Jx, g.Jy, g.Jz}[dir]
-	for e := 0; e < ar.nel; e++ {
-		gd := ar.elemG[dir*ar.nel*nq3+e*nq3:][:nq3]
-		gids := ar.gids[e*nq3 : (e+1)*nq3]
-		for l, n := range gids {
-			dst[n] += gd[l] / jac
-		}
-	}
-	for i := range dst {
-		dst[i] /= g.mult[i]
-	}
+	g.arena().tiled(job(dir), f, dst)
 }

@@ -50,6 +50,18 @@ type Model struct {
 	// per-platelet bookkeeping, keyed by particle ID.
 	recs  map[int64]record
 	lastT float64
+
+	// AddForces' per-step scratch: the live platelets and the clot anchors.
+	// Rebuilt every call, so it stays out of CaptureState.
+	platelets []plateletRef
+	anchors   []geometry.Vec3
+}
+
+// plateletRef locates one live platelet: its index in the system's particle
+// slice and its particle ID.
+type plateletRef struct {
+	idx int
+	id  int64
 }
 
 // record is one platelet's activation state and accumulated contact time.
@@ -165,22 +177,19 @@ func (m *Model) AddForces(sys *dpd.System) {
 
 	// Collect platelets and the positions of current clot anchors
 	// (adhesion sites + adhered/triggered platelets).
-	type ref struct {
-		idx int
-		id  int64
-	}
-	var platelets []ref
-	anchors := append([]geometry.Vec3(nil), m.Sites...)
+	platelets := m.platelets[:0]
+	anchors := append(m.anchors[:0], m.Sites...)
 	for i := range sys.Particles {
 		p := &sys.Particles[i]
 		if p.Species != m.Species || p.Frozen {
 			continue
 		}
-		platelets = append(platelets, ref{i, p.ID})
+		platelets = append(platelets, plateletRef{i, p.ID})
 		if m.recs[p.ID].state != Passive {
 			anchors = append(anchors, p.Pos)
 		}
 	}
+	m.platelets, m.anchors = platelets, anchors
 
 	for _, pl := range platelets {
 		p := &sys.Particles[pl.idx]

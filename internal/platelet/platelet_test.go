@@ -2,6 +2,7 @@ package platelet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // plateletSystem builds a small stagnant two-species box (solvent species 0,
 // platelets species 1) with an adhesion site at the bottom wall.
-func plateletSystem(t *testing.T, delay float64) (*dpd.System, *Model) {
+func plateletSystem(t testing.TB, delay float64) (*dpd.System, *Model) {
 	t.Helper()
 	p := dpd.DefaultParams(2)
 	p.Dt = 0.005
@@ -188,4 +189,79 @@ func TestResumeIsBitIdenticalWhileClotGrows(t *testing.T) {
 	if err := model.ApplyState(st.Bonded[0][:9]); err == nil {
 		t.Fatal("a truncated encoding was accepted")
 	}
+}
+
+// TestAddForcesReusesScratch: once warmed, AddForces allocates nothing — it
+// runs on every DPD step — and what it leaves in its scratch does not leak
+// into the next call: a fresh model given the same state computes the same
+// forces bit for bit.
+func TestAddForcesReusesScratch(t *testing.T) {
+	s, m := plateletSystem(t, 0.05)
+	rng := rand.New(rand.NewSource(2))
+	SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
+	s.Run(300)
+	if m.ClotSize(s) == 0 {
+		t.Fatal("test is vacuous: no platelet has adhered")
+	}
+
+	fresh := NewModel(m.Species, m.Sites, m.ActivationDelay)
+	if err := fresh.ApplyState(m.CaptureState()); err != nil {
+		t.Fatal(err)
+	}
+	forces := func(model *Model) []geometry.Vec3 {
+		for i := range s.Particles {
+			s.Particles[i].F = geometry.Vec3{}
+		}
+		model.AddForces(s)
+		f := make([]geometry.Vec3, len(s.Particles))
+		for i, p := range s.Particles {
+			f[i] = p.F
+		}
+		return f
+	}
+	warm, cold := forces(m), forces(fresh)
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatal("a warmed model's forces differ from a fresh model's in the same state")
+	}
+
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	if a := testing.AllocsPerRun(50, func() { m.AddForces(s) }); a != 0 {
+		t.Fatalf("AddForces allocated %.1f allocs/op on a warmed system, want 0", a)
+	}
+}
+
+// FuzzPlateletApplyState: any bytes are either refused with an error or
+// restore a model whose CaptureState re-encodes to a fixed point — the same
+// bytes back when the input already lists IDs in ascending order — and
+// never panic.
+func FuzzPlateletApplyState(f *testing.F) {
+	s, m := plateletSystem(f, 0.05)
+	SeedPlatelets(s, m, 6, geometry.Vec3{X: 2.5, Y: 2.5, Z: 0.1}, geometry.Vec3{X: 3.5, Y: 3.5, Z: 0.5}, rand.New(rand.NewSource(3)).Float64)
+	s.Run(40)
+	f.Add(m.CaptureState())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		model := NewModel(1, []geometry.Vec3{{}}, 0.05)
+		if err := model.ApplyState(b); err != nil {
+			return
+		}
+		enc := model.CaptureState()
+		again := NewModel(1, []geometry.Vec3{{}}, 0.05)
+		if err := again.ApplyState(enc); err != nil {
+			t.Fatalf("re-encoded state refused: %v", err)
+		}
+		if !bytes.Equal(again.CaptureState(), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		ascending := true
+		for r := b[8:]; len(r) > 24; r = r[24:] {
+			if int64(binary.LittleEndian.Uint64(r)) >= int64(binary.LittleEndian.Uint64(r[24:])) {
+				ascending = false
+			}
+		}
+		if ascending && !bytes.Equal(enc, b) {
+			t.Fatal("a canonical encoding did not re-encode to itself")
+		}
+	})
 }

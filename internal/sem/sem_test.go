@@ -314,3 +314,45 @@ func TestModesDiagonalizePencil(t *testing.T) {
 		}
 	}
 }
+
+// TestFactors checks the 1D factors the tensor-product operators are built
+// from: without the wrap, k and the mass are AssembleHelmholtz(0)'s bit for
+// bit; the wrap folds the seam node onto the first; and the averaged
+// derivative is exact on a global polynomial of degree P, whose element
+// derivatives agree at the shared nodes.
+func TestFactors(t *testing.T) {
+	m := NewMesh1D(NewBasis1D(5), 3, 0, 1.5)
+	n := m.NumNodes()
+	helm, mass := m.AssembleHelmholtz(0)
+	k, d, m1 := m.Factors(false)
+	for i := 0; i < n; i++ {
+		if m1[i] != mass.At(i, i) {
+			t.Fatalf("mass[%d] = %v, want %v", i, m1[i], mass.At(i, i))
+		}
+		for j := 0; j < n; j++ {
+			if k.At(i, j) != helm.At(i, j) {
+				t.Fatalf("k[%d,%d] = %v, want %v", i, j, k.At(i, j), helm.At(i, j))
+			}
+		}
+	}
+
+	kp, dp, mp := m.Factors(true)
+	if len(mp) != n-1 || kp.Rows != n-1 || dp.Rows != n-1 {
+		t.Fatalf("periodic factors have %d/%d/%d rows, want %d", len(mp), kp.Rows, dp.Rows, n-1)
+	}
+	if mp[0] != m1[0]+m1[n-1] || kp.At(0, 0) != k.At(0, 0)+k.At(n-1, n-1) || kp.At(0, n-2) != k.At(n-1, n-2) {
+		t.Fatalf("periodic seam not folded onto node 0: mass %v, k00 %v, k0,n-2 %v", mp[0], kp.At(0, 0), kp.At(0, n-2))
+	}
+
+	x := m.NodeCoords()
+	f, df := make([]float64, n), make([]float64, n)
+	for i, xi := range x {
+		f[i] = math.Pow(xi, 5) - 2*xi
+	}
+	d.MulVec(df, f)
+	for i, xi := range x {
+		if want := 5*math.Pow(xi, 4) - 2; math.Abs(df[i]-want) > 1e-11 {
+			t.Fatalf("d/dx at x=%v: %v, want %v", xi, df[i], want)
+		}
+	}
+}

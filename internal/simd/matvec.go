@@ -1,17 +1,17 @@
 package simd
 
 // Dense row-major matrix kernels for the spectral-element line applies. The
-// tensor-product stiffness/derivative operators reduce to many small y = D x
-// products along element lines; these kernels unroll 4-way ACROSS rows
-// (independent outputs; a remainder of 3 or 2 rows is one narrower block)
-// while keeping each row's accumulation strictly sequential in column order.
-// That makes them bit-identical to the naive
+// fast-diagonalization solve's x-line contractions are many small y = S x
+// products; MatVec unrolls 4-way ACROSS rows (independent outputs; a
+// remainder of 3 or 2 rows is one narrower block) while keeping each row's
+// accumulation strictly sequential in column order. That makes it
+// bit-identical to the naive
 //
 //	for r { s := 0; for c { s += a[r*cols+c] * x[c] }; y[r] = s }
 //
-// loops they replace: the same multiplications in the same order feed each
-// output, only instruction-level parallelism between rows changes. The SEM
-// parity suite pins this equivalence exactly (not to a tolerance).
+// loop it replaces: the same multiplications in the same order feed each
+// output, only instruction-level parallelism between rows changes.
+// TestMatVecBitIdentical pins this equivalence exactly (not to a tolerance).
 
 // MatVec computes y[r] = Σ_c a[r*cols+c] * x[c] for r in [0, rows).
 func MatVec(y, a, x []float64, rows, cols int) {
@@ -73,69 +73,6 @@ func MatVec(y, a, x []float64, rows, cols int) {
 			s += ar[c] * x[c]
 		}
 		y[r] = s
-	}
-}
-
-// MatVecAcc computes y[r] += Σ_c a[r*cols+c] * x[c]: each row's sum is
-// completed in a register before the single add to y[r], matching the
-// reference loops' "accumulate then scatter-add" shape exactly.
-func MatVecAcc(y, a, x []float64, rows, cols int) {
-	if len(y) < rows || len(x) < cols || len(a) < rows*cols {
-		panic("simd: MatVecAcc dimension mismatch")
-	}
-	x = x[:cols]
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		a0 := a[r*cols : r*cols+cols]
-		a1 := a[(r+1)*cols : (r+1)*cols+cols]
-		a2 := a[(r+2)*cols : (r+2)*cols+cols]
-		a3 := a[(r+3)*cols : (r+3)*cols+cols]
-		var s0, s1, s2, s3 float64
-		for c := 0; c < cols; c++ {
-			xc := x[c]
-			s0 += a0[c] * xc
-			s1 += a1[c] * xc
-			s2 += a2[c] * xc
-			s3 += a3[c] * xc
-		}
-		y[r] += s0
-		y[r+1] += s1
-		y[r+2] += s2
-		y[r+3] += s3
-	}
-	switch rows - r {
-	case 3:
-		a0 := a[r*cols : r*cols+cols]
-		a1 := a[(r+1)*cols : (r+1)*cols+cols]
-		a2 := a[(r+2)*cols : (r+2)*cols+cols]
-		var s0, s1, s2 float64
-		for c := 0; c < cols; c++ {
-			xc := x[c]
-			s0 += a0[c] * xc
-			s1 += a1[c] * xc
-			s2 += a2[c] * xc
-		}
-		y[r] += s0
-		y[r+1] += s1
-		y[r+2] += s2
-	case 2:
-		a0 := a[r*cols : r*cols+cols]
-		a1 := a[(r+1)*cols : (r+1)*cols+cols]
-		var s0, s1 float64
-		for c := 0; c < cols; c++ {
-			xc := x[c]
-			s0 += a0[c] * xc
-			s1 += a1[c] * xc
-		}
-		y[r] += s0
-		y[r+1] += s1
-	case 1:
-		ar := a[r*cols : r*cols+cols]
-		var s float64
-		for c := 0; c < cols; c++ {
-			s += ar[c] * x[c]
-		}
-		y[r] += s
 	}
 }
 
