@@ -111,22 +111,6 @@ func BenchmarkAllreduce(b *testing.B) {
 	}
 }
 
-func BenchmarkAllgather(b *testing.B) {
-	for _, p := range commSizes {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			benchCollective(b, p, func(w *mpi.Comm) {
-				local := make([]float64, 64)
-				for r := 0; r < commRounds; r++ {
-					got := w.Allgather(local)
-					if len(got) != w.Size() {
-						panic("bad allgather result")
-					}
-				}
-			})
-		})
-	}
-}
-
 func BenchmarkBarrier(b *testing.B) {
 	for _, p := range commSizes {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {

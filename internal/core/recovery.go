@@ -233,6 +233,9 @@ func recoverLoop(ck *Checkpointer, exchanges int, opt DistributedOptions, run fu
 // incarnations whether an exchange was ever attempted: only a world that has
 // not moved since entry may baseline instead of rolling back.
 func incarnation(world *mpi.Comm, ck *Checkpointer, exchanges int, opt DistributedOptions, advanced *bool) {
+	// The metasolver's own track counts this world's traffic and stamps its
+	// spans with the world's hop clock (a nil recorder leaves both off).
+	world.AttachTelemetry(ck.Meta.Telemetry())
 	latest := -1
 	path, c, err := ck.Store.Latest()
 	if err == nil {

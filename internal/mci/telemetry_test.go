@@ -43,8 +43,10 @@ func TestExchangeTrafficMatchesAnalyticCount(t *testing.T) {
 	)
 	cfg := Config{Tasks: []TaskSpec{{"patchA", n}, {"patchB", n}}}
 	reg := telemetry.NewRegistry()
+	recs := make([]*telemetry.Recorder, P)
 	err := mpi.Run(P, func(w *mpi.Comm) {
 		rec := reg.NewRecorder(fmt.Sprintf("rank%d", w.Rank()))
+		recs[w.Rank()] = rec
 		w.AttachTelemetry(rec) // before Build: splits inherit the recorder
 		h, err := Build(w, cfg)
 		if err != nil {
@@ -86,52 +88,49 @@ func TestExchangeTrafficMatchesAnalyticCount(t *testing.T) {
 				break
 			}
 		}
-
-		cs := mpi.ReduceTelemetry(w, rec, 0)
-		if w.Rank() != 0 {
-			return
-		}
-
-		T := int64(relayedSubtreeEntries(n))
-		// Two sides, each one gather + one scatter over its L4 group.
-		wantGather := telemetry.Traffic{Msgs: 2 * (n - 1), Bytes: 2 * T * (8 + 8*m)}
-		wantScatter := telemetry.Traffic{Msgs: 2 * (n - 1), Bytes: 2 * T * 8 * m}
-		wantCoupling := telemetry.Traffic{Msgs: 2, Bytes: 2 * 8 * n * m}
-
-		if g := cs.Traffic[telemetry.LevelL4][telemetry.OpGather]; g != wantGather {
-			t.Errorf("L4 gather traffic = %+v, want %+v", g, wantGather)
-		}
-		if s := cs.Traffic[telemetry.LevelL4][telemetry.OpScatter]; s != wantScatter {
-			t.Errorf("L4 scatter traffic = %+v, want %+v", s, wantScatter)
-		}
-		if c := cs.Traffic[telemetry.LevelWorld][telemetry.OpCoupling]; c != wantCoupling {
-			t.Errorf("World coupling traffic = %+v, want %+v", c, wantCoupling)
-		}
-		// Nothing else should have moved during the exchange.
-		tot := cs.Traffic.Total()
-		sum := telemetry.Traffic{
-			Msgs:  wantGather.Msgs + wantScatter.Msgs + wantCoupling.Msgs,
-			Bytes: wantGather.Bytes + wantScatter.Bytes + wantCoupling.Bytes,
-		}
-		if tot != sum {
-			t.Errorf("total traffic = %+v, want exactly the 3-step volume %+v", tot, sum)
-		}
-
-		// The mci.* spans landed on every participating recorder.
-		for stage, want := range map[string]int64{
-			"mci.exchange":     P,
-			"mci.gather":       P,
-			"mci.scatter":      P,
-			"mci.rootexchange": 2,
-		} {
-			st := cs.Stage(stage)
-			if st == nil || st.Count != want {
-				t.Errorf("stage %s = %+v, want count %d", stage, st, want)
-			}
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every rank has returned, so nothing moves after these snapshots.
+	cs := telemetry.AggregateRecorders(recs)
+
+	T := int64(relayedSubtreeEntries(n))
+	// Two sides, each one gather + one scatter over its L4 group.
+	wantGather := telemetry.Traffic{Msgs: 2 * (n - 1), Bytes: 2 * T * (8 + 8*m)}
+	wantScatter := telemetry.Traffic{Msgs: 2 * (n - 1), Bytes: 2 * T * 8 * m}
+	wantCoupling := telemetry.Traffic{Msgs: 2, Bytes: 2 * 8 * n * m}
+
+	if g := cs.Traffic[telemetry.LevelL4][telemetry.OpGather]; g != wantGather {
+		t.Errorf("L4 gather traffic = %+v, want %+v", g, wantGather)
+	}
+	if s := cs.Traffic[telemetry.LevelL4][telemetry.OpScatter]; s != wantScatter {
+		t.Errorf("L4 scatter traffic = %+v, want %+v", s, wantScatter)
+	}
+	if c := cs.Traffic[telemetry.LevelWorld][telemetry.OpCoupling]; c != wantCoupling {
+		t.Errorf("World coupling traffic = %+v, want %+v", c, wantCoupling)
+	}
+	// Nothing else should have moved during the exchange.
+	tot := cs.Traffic.Total()
+	sum := telemetry.Traffic{
+		Msgs:  wantGather.Msgs + wantScatter.Msgs + wantCoupling.Msgs,
+		Bytes: wantGather.Bytes + wantScatter.Bytes + wantCoupling.Bytes,
+	}
+	if tot != sum {
+		t.Errorf("total traffic = %+v, want exactly the 3-step volume %+v", tot, sum)
+	}
+
+	// The mci.* spans landed on every participating recorder.
+	for stage, want := range map[string]int64{
+		"mci.exchange":     P,
+		"mci.gather":       P,
+		"mci.scatter":      P,
+		"mci.rootexchange": 2,
+	} {
+		st := cs.Stage(stage)
+		if st == nil || st.Count != want {
+			t.Errorf("stage %s = %+v, want count %d", stage, st, want)
+		}
 	}
 }
 

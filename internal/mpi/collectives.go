@@ -5,16 +5,14 @@ package mpi
 // anti-pattern the paper's L2/L3/L4 hierarchy exists to avoid (§3.1, Fig. 4).
 // This file implements the standard scalable topologies instead:
 //
-//   - binomial trees for the rooted collectives (Bcast, Reduce, Gather,
-//     Scatter), giving O(log P) latency depth for any root via virtual rank
+//   - binomial trees for the rooted collectives (Bcast, Gather, Scatter),
+//     giving O(log P) latency depth for any root via virtual rank
 //     renumbering vr = (rank − root + P) mod P;
 //   - recursive doubling for Allreduce (largest power of two P' ≤ P does the
 //     hypercube exchange; the P − P' remainder ranks fold their vectors into
 //     partners beforehand and receive the result afterwards);
 //   - a dissemination barrier (ceil(log2 P) rounds at distances 1, 2, 4, …,
 //     correct for arbitrary P);
-//   - ring schedules for Allgather and Alltoall (P − 1 steps, each step a
-//     perfect permutation of the communicator, no hot spot);
 //   - Split composed from tree Gather + tree Scatter.
 //
 // All algorithms preserve the package's blocking semantics, the (color, key)
@@ -24,9 +22,9 @@ package mpi
 // rounds is impossible.
 //
 // Payload ownership: collectives that replicate one logical payload across
-// ranks (Bcast, Allreduce, Allgather, Scatter) hand every rank an
-// independent buffer — slice payloads are copied with clonePayload on each
-// hop — so callers may mutate results freely; `go test -race` enforces this.
+// ranks (Bcast, Allreduce, Scatter) hand every rank an independent buffer —
+// slice payloads are copied with clonePayload on each hop — so callers may
+// mutate results freely; `go test -race` enforces this.
 
 import (
 	"fmt"
@@ -43,9 +41,6 @@ const (
 	opGather
 	opScatter
 	opAllreduce
-	opAllgather
-	opReduce
-	opAlltoall
 )
 
 // collTag reserves a distinct negative tag for the seq-th collective of a
@@ -359,87 +354,6 @@ func (c *Comm) Allreduce(local []float64, op ReduceOp) []float64 {
 // data (ranks, counts, ids) never transits float64.
 func (c *Comm) AllreduceInt(local []int, op IntReduceOp) []int {
 	return allreduceRD(c, c.collTag(opAllreduce), local, op)
-}
-
-// reduceTree is binomial-tree reduce-to-root over element type T.
-func reduceTree[T any](c *Comm, tag, root int, local []T, op func(a, b T) T) []T {
-	size := c.state.size
-	vr := (c.rank - root + size) % size
-	acc := append([]T(nil), local...)
-	for mask := 1; mask < size; mask <<= 1 {
-		if vr&mask != 0 {
-			c.send((c.rank-mask+size)%size, tag, acc)
-			return nil
-		}
-		if vr+mask < size {
-			child := (c.rank + mask) % size
-			v := c.recvMsg(child, tag).data.([]T)
-			foldInto(acc, v, op)
-		}
-	}
-	return acc
-}
-
-// Reduce element-wise combines equal-length vectors from all ranks onto
-// root; non-root callers receive nil. Binomial tree, depth log2 P.
-func (c *Comm) Reduce(root int, local []float64, op ReduceOp) []float64 {
-	tag := c.collTag(opReduce)
-	c.checkRoot(root)
-	return reduceTree(c, tag, root, local, op)
-}
-
-// ReduceInt is Reduce over int vectors.
-func (c *Comm) ReduceInt(root int, local []int, op IntReduceOp) []int {
-	tag := c.collTag(opReduce)
-	c.checkRoot(root)
-	return reduceTree(c, tag, root, local, op)
-}
-
-// Allgather collects one payload from every rank on every rank, ordered by
-// rank. Ring algorithm: P−1 steps; in step s each rank forwards the block it
-// received in step s−1 to its successor, so every link carries exactly one
-// block per step and no rank serializes the exchange. Each rank stores
-// private copies of the blocks it relays, so mutating the result is safe.
-func (c *Comm) Allgather(data any) []any {
-	tag := c.collTag(opAllgather)
-	size := c.state.size
-	out := make([]any, size)
-	out[c.rank] = clonePayload(data)
-	if size == 1 {
-		return out
-	}
-	next := (c.rank + 1) % size
-	prev := (c.rank - 1 + size) % size
-	block := data // the traveling block; ownership moves with each hop
-	for s := 0; s < size-1; s++ {
-		c.send(next, tag, block)
-		block = c.recvMsg(prev, tag).data
-		out[(c.rank-1-s+2*size)%size] = clonePayload(block)
-	}
-	return out
-}
-
-// Alltoall performs a personalized exchange: parts[i] goes to rank i, and
-// the result holds what every rank addressed to this one, ordered by sender.
-// Ring schedule: in step s each rank sends to (rank+s) mod P and receives
-// from (rank−s) mod P — every step is a perfect permutation, so no rank is a
-// hot spot. Each part reaches exactly one rank (true ownership transfer), so
-// no copies are made.
-func (c *Comm) Alltoall(parts []any) []any {
-	tag := c.collTag(opAlltoall)
-	size := c.state.size
-	if len(parts) != size {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d parts, got %d", size, len(parts)))
-	}
-	out := make([]any, size)
-	out[c.rank] = parts[c.rank]
-	for s := 1; s < size; s++ {
-		dst := (c.rank + s) % size
-		src := (c.rank - s + size) % size
-		c.send(dst, tag, parts[dst])
-		out[src] = c.recvMsg(src, tag).data
-	}
-	return out
 }
 
 // splitRequest is each rank's (color, key) contribution to Split. Exported

@@ -15,15 +15,13 @@
 // Collectives use the scalable topologies the paper's hierarchy presumes
 // rather than rank-0 funnels (see collectives.go):
 //
-//   - Bcast, Reduce, Gather, Scatter: binomial trees rooted (virtually) at
-//     the root rank — O(log P) latency depth.
+//   - Bcast, Gather, Scatter: binomial trees rooted (virtually) at the root
+//     rank — O(log P) latency depth.
 //   - Allreduce, AllreduceInt: recursive doubling over the largest power of
 //     two P' ≤ P, with the P−P' remainder ranks folded in before and fanned
 //     out after the doubling rounds.
 //   - Barrier: dissemination barrier — ceil(log2 P) rounds at distances
 //     1, 2, 4, ..., correct for any P.
-//   - Allgather, Alltoall: ring schedules — P−1 steps, each a perfect
-//     permutation, no serialization point at any rank.
 //   - Split: tree Gather of (color, key) requests to rank 0, which computes
 //     the partition, then tree Scatter of the assignments.
 //
@@ -35,12 +33,11 @@
 // slice afterwards.
 //
 // Collectives that hand one logical payload to several ranks (Bcast,
-// Allreduce, Allgather, Scatter) give every rank an independent buffer:
-// slice payloads are copied (fresh backing array, shallow element copy) on
-// every tree/ring hop, so a rank may freely mutate what a collective
-// returned without racing its peers. Non-slice payloads (scalars, strings,
-// structs) are passed through by value; pointer-bearing payloads remain the
-// caller's responsibility.
+// Allreduce, Scatter) give every rank an independent buffer: slice payloads
+// are copied (fresh backing array, shallow element copy) on every hop, so a
+// rank may freely mutate what a collective returned without racing its
+// peers. Non-slice payloads (scalars, strings, structs) are passed through
+// by value; pointer-bearing payloads remain the caller's responsibility.
 //
 // # Tag spaces
 //
@@ -80,89 +77,63 @@ type message struct {
 	data  any
 }
 
-// recvTicket is one posted receive awaiting a match. Tickets are queued in
-// posting order and satisfied in that order, which is what upholds the MPI
-// non-overtaking rule for concurrent receives on the same (src, tag): the
-// receive posted first matches the message that arrived first. The channel
-// has capacity 1 so delivery never blocks the sender; a closed channel means
-// the mailbox was torn down before a match arrived.
-type recvTicket struct {
-	src, tag int
-	ch       chan message
-}
-
-// mailbox buffers messages destined for one rank of one communicator. Its
-// invariant: no buffered message matches any pending ticket — put hands a
-// message to the oldest matching ticket before buffering, and posting a
-// ticket consumes the oldest matching buffered message before queueing — so
-// matching order equals arrival order on the message side and posting order
-// on the receive side.
+// mailbox buffers messages destined for one rank of one communicator. A
+// Comm handle belongs to one goroutine and take is the only receive that
+// waits, so a mailbox has at most one waiting receive: its (src, tag) sits
+// in the waiter slot, and put hands a matching message straight to it
+// instead of buffering it. Invariant: no buffered message matches the
+// waiter, so matching order is arrival order.
+//
+// wake is allocated with the mailbox and has capacity 1, so a receive that
+// waits allocates nothing and a hand-off never blocks the sender. Whoever
+// clears the waiter slot under mu (put with a match, close at teardown) is
+// the only party that may then send on or close wake.
 type mailbox struct {
-	mu      sync.Mutex
-	msgs    []message
-	tickets []*recvTicket
-	closed  error // non-nil once the world is torn down; see close
+	mu         sync.Mutex
+	msgs       []message
+	waiting    bool // the waiter slot is taken
+	wsrc, wtag int  // what the waiting receive matches
+	wake       chan message
+	closed     error // non-nil once the world is torn down; see close
 }
 
-func newMailbox() *mailbox { return &mailbox{} }
+func newMailbox() *mailbox { return &mailbox{wake: make(chan message, 1)} }
 
 func matches(src, tag int, m message) bool {
 	return (src == AnySource || m.src == src) && m.tag == tag
 }
 
-// put delivers m to the oldest matching pending ticket, or buffers it when no
-// receive is posted. Messages arriving after close are dropped — the world
-// is over and nobody can legally receive them.
+// put hands m to the waiting receive when it matches, or buffers it.
+// Messages arriving after close are dropped — the world is over and nobody
+// can legally receive them.
 func (mb *mailbox) put(m message) {
 	mb.mu.Lock()
-	for i, tk := range mb.tickets {
-		if matches(tk.src, tk.tag, m) {
-			mb.tickets = append(mb.tickets[:i], mb.tickets[i+1:]...)
-			mb.mu.Unlock()
-			tk.ch <- m
-			return
-		}
-	}
 	if mb.closed != nil {
 		mb.mu.Unlock()
+		return
+	}
+	if mb.waiting && matches(mb.wsrc, mb.wtag, m) {
+		mb.waiting = false
+		mb.mu.Unlock()
+		mb.wake <- m
 		return
 	}
 	mb.msgs = append(mb.msgs, m)
 	mb.mu.Unlock()
 }
 
-// post registers a receive for (src, tag): if a matching message is already
-// buffered the ticket completes immediately with the oldest one, otherwise it
-// joins the pending queue. On a closed mailbox the ticket's channel is
-// closed, so the eventual Wait unwinds instead of hanging.
-func (mb *mailbox) post(src, tag int) *recvTicket {
-	tk := &recvTicket{src: src, tag: tag, ch: make(chan message, 1)}
-	mb.mu.Lock()
-	for i, m := range mb.msgs {
-		if matches(src, tag, m) {
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-			mb.mu.Unlock()
-			tk.ch <- m
-			return tk
-		}
-	}
-	if mb.closed != nil {
-		mb.mu.Unlock()
-		close(tk.ch)
-		return tk
-	}
-	mb.tickets = append(mb.tickets, tk)
-	mb.mu.Unlock()
-	return tk
-}
-
 // take removes and returns the first message matching (src, tag), blocking
-// until one arrives. src == AnySource matches every sender. A fast path
-// serves already-buffered messages without allocating a ticket; on a torn-
-// down mailbox take panics with a WorldLostError rather than blocking
-// forever.
-func (mb *mailbox) take(src, tag int) message {
+// until one arrives. src == AnySource matches every sender. On a torn-down
+// mailbox take panics with a WorldLostError rather than blocking forever. A
+// second receive while one is waiting means c is shared between goroutines,
+// and panics naming the communicator and rank.
+func (mb *mailbox) take(c *Comm, src, tag int) message {
 	mb.mu.Lock()
+	if mb.waiting {
+		mb.mu.Unlock()
+		panic(fmt.Sprintf("mpi: a second receive on communicator %q rank %d while one is waiting; a Comm handle belongs to one goroutine",
+			c.state.name, c.rank))
+	}
 	for i, m := range mb.msgs {
 		if matches(src, tag, m) {
 			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
@@ -175,51 +146,29 @@ func (mb *mailbox) take(src, tag int) message {
 		mb.mu.Unlock()
 		panic(&WorldLostError{Cause: cause})
 	}
-	tk := &recvTicket{src: src, tag: tag, ch: make(chan message, 1)}
-	mb.tickets = append(mb.tickets, tk)
+	mb.waiting, mb.wsrc, mb.wtag = true, src, tag
 	mb.mu.Unlock()
-	m, ok := <-tk.ch
+	m, ok := <-mb.wake
 	if !ok {
 		panic(&WorldLostError{Cause: mb.closeCause()})
 	}
 	return m
 }
 
-// tryTake removes and returns the first message matching (src, tag) if one is
-// already buffered; it never blocks. Like take it panics once the mailbox is
-// closed, so polling loops unwind on peer loss instead of spinning forever.
-func (mb *mailbox) tryTake(src, tag int) (message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i, m := range mb.msgs {
-		if matches(src, tag, m) {
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-			return m, true
-		}
-	}
-	if mb.closed != nil {
-		panic(&WorldLostError{Cause: mb.closed})
-	}
-	return message{}, false
-}
-
-// close tears the mailbox down: buffered messages are discarded, pending
-// tickets are cancelled (their channels closed), and later puts are dropped
-// while later takes panic with the given cause. Idempotent; the first cause
-// wins.
+// close tears the mailbox down: buffered messages are discarded, a waiting
+// receive unwinds (wake is closed), later puts are dropped and later takes
+// panic with the given cause. Idempotent; the first cause wins.
 func (mb *mailbox) close(cause error) {
 	mb.mu.Lock()
+	defer mb.mu.Unlock()
 	if mb.closed != nil {
-		mb.mu.Unlock()
 		return
 	}
 	mb.closed = cause
-	tks := mb.tickets
-	mb.tickets = nil
 	mb.msgs = nil
-	mb.mu.Unlock()
-	for _, tk := range tks {
-		close(tk.ch)
+	if mb.waiting {
+		mb.waiting = false
+		close(mb.wake)
 	}
 }
 
@@ -281,7 +230,7 @@ func (c *Comm) observe(clk int) {
 // recvMsg is the internal blocking receive used by Recv and the collectives:
 // it takes the matching message and charges the receive to the hop clock.
 func (c *Comm) recvMsg(src, tag int) message {
-	m := c.state.boxes[c.rank].take(src, tag)
+	m := c.state.boxes[c.rank].take(c, src, tag)
 	c.observe(m.clock)
 	return m
 }
@@ -356,51 +305,6 @@ func (c *Comm) RecvReserved(src, salt int) any {
 	return c.recvMsg(src, ReservedTagBase+salt).data
 }
 
-// RecvReservedFrom is RecvReserved that also reports the actual sender —
-// needed by service loops (the in-situ observer rank) that accept traffic
-// from AnySource and must address a per-sender reply (the delivery ack).
-func (c *Comm) RecvReservedFrom(src, salt int) (any, int) {
-	checkSalt(salt)
-	m := c.recvMsg(src, ReservedTagBase+salt)
-	return m.data, m.src
-}
-
-// TryRecv attempts a non-blocking receive of (src, tag): if a matching
-// message is already buffered it is consumed (charging the hop clock exactly
-// like Recv) and returned with ok = true; otherwise it returns (nil, false)
-// immediately without waiting. This is the primitive a never-stall publisher
-// uses to drain flow-control acks opportunistically: MPI_Iprobe+Recv
-// collapsed into one call.
-func (c *Comm) TryRecv(src, tag int) (any, bool) {
-	checkUserTag(tag)
-	return c.tryRecvMsg(src, tag)
-}
-
-// TryRecvReserved is TryRecv on the reserved tag band; it pairs with
-// SendReserved.
-func (c *Comm) TryRecvReserved(src, salt int) (any, bool) {
-	checkSalt(salt)
-	return c.tryRecvMsg(src, ReservedTagBase+salt)
-}
-
-// tryRecvMsg is the non-blocking counterpart of recvMsg.
-func (c *Comm) tryRecvMsg(src, tag int) (any, bool) {
-	m, ok := c.state.boxes[c.rank].tryTake(src, tag)
-	if !ok {
-		return nil, false
-	}
-	c.observe(m.clock)
-	return m.data, true
-}
-
-// RecvFrom is Recv that also reports the actual sender (useful with
-// AnySource).
-func (c *Comm) RecvFrom(src, tag int) (any, int) {
-	checkUserTag(tag)
-	m := c.recvMsg(src, tag)
-	return m.data, m.src
-}
-
 // Run launches size ranks, each executing body with its world communicator,
 // and waits for all to finish. Panics are captured per rank and aggregated
 // (errors.Join, ordered by rank) so a multi-rank failure reports every
@@ -454,9 +358,8 @@ func runRanks(size int, body func(world *Comm), onPanic func(rank int, recovered
 		}(r)
 	}
 	wg.Wait()
-	// Tear the world down so abandoned nonblocking requests unwind (panic on
-	// Wait) instead of hanging, and nothing references the mailboxes after
-	// the run.
+	// Tear the world down so nothing references the mailboxes after the
+	// run.
 	ws.closeAll(errWorldClosed)
 	return errors.Join(rankErrs...)
 }

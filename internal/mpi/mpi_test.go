@@ -68,7 +68,7 @@ func TestAnySource(t *testing.T) {
 		if w.Rank() == 0 {
 			seen := map[int]bool{}
 			for i := 0; i < 3; i++ {
-				_, src := w.RecvFrom(AnySource, 5)
+				src := w.Recv(AnySource, 5).(int) // each sender sends its rank
 				seen[src] = true
 			}
 			if len(seen) != 3 {
@@ -191,20 +191,6 @@ func TestAllreduceMaxMin(t *testing.T) {
 		}
 		if got := w.Allreduce(v, Min)[0]; got != 0 {
 			t.Errorf("min = %v", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	err := Run(4, func(w *Comm) {
-		out := w.Allgather(w.Rank() * w.Rank())
-		for i, v := range out {
-			if v.(int) != i*i {
-				t.Errorf("rank %d: out[%d] = %v", w.Rank(), i, v)
-			}
 		}
 	})
 	if err != nil {
@@ -365,54 +351,6 @@ func TestCommName(t *testing.T) {
 	}
 }
 
-func TestReduceToRoot(t *testing.T) {
-	err := Run(5, func(w *Comm) {
-		local := []float64{float64(w.Rank()), 1}
-		out := w.Reduce(2, local, Sum)
-		if w.Rank() == 2 {
-			if out[0] != 10 || out[1] != 5 {
-				t.Errorf("reduce = %v", out)
-			}
-		} else if out != nil {
-			t.Errorf("non-root got %v", out)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallPersonalizedExchange(t *testing.T) {
-	err := Run(4, func(w *Comm) {
-		parts := make([]any, 4)
-		for dst := 0; dst < 4; dst++ {
-			parts[dst] = 100*w.Rank() + dst
-		}
-		got := w.Alltoall(parts)
-		for src := 0; src < 4; src++ {
-			want := 100*src + w.Rank()
-			if got[src].(int) != want {
-				t.Errorf("rank %d from %d: got %v want %v", w.Rank(), src, got[src], want)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallSingleRank(t *testing.T) {
-	err := Run(1, func(w *Comm) {
-		got := w.Alltoall([]any{"self"})
-		if got[0].(string) != "self" {
-			t.Errorf("got %v", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMixedCollectiveSequenceNoCrosstalk(t *testing.T) {
 	// Interleaving many collective kinds must not cross wires (tag packing
 	// regression test).
@@ -424,9 +362,9 @@ func TestMixedCollectiveSequenceNoCrosstalk(t *testing.T) {
 				t.Errorf("round %d: allreduce %v", round, s[0])
 				return
 			}
-			r := w.Reduce(0, []float64{float64(w.Rank())}, Max)
-			if w.Rank() == 0 && r[0] != 2 {
-				t.Errorf("round %d: reduce %v", round, r[0])
+			g := w.Gather(0, w.Rank())
+			if w.Rank() == 0 && g[2].(int) != 2 {
+				t.Errorf("round %d: gather %v", round, g)
 				return
 			}
 			got := w.Bcast(1, func() any {

@@ -1,7 +1,6 @@
 package mpi
 
-// Telemetry integration: per-rank traffic accounting hooks and the
-// cluster-wide reporter.
+// Telemetry integration: per-rank traffic accounting hooks.
 //
 // Every message is counted exactly once, at the sending rank, inside
 // Comm.send — the single funnel through which point-to-point traffic, the
@@ -10,9 +9,6 @@ package mpi
 // is fixed at communicator creation from its name, and the op is decoded from
 // the tag (negative collective tags embed their op code; the reserved band is
 // coupling traffic; everything else is user point-to-point).
-//
-// The cluster-wide reporter (ReduceTelemetry) is the tree reduction of the
-// merge rule whose serial fold is telemetry.Aggregate.
 
 import (
 	"strings"
@@ -77,12 +73,6 @@ func opForTag(tag int) telemetry.Op {
 			return telemetry.OpScatter
 		case opAllreduce:
 			return telemetry.OpAllreduce
-		case opAllgather:
-			return telemetry.OpAllgather
-		case opReduce:
-			return telemetry.OpReduce
-		case opAlltoall:
-			return telemetry.OpAlltoall
 		}
 		return telemetry.OpP2P
 	}
@@ -90,21 +80,4 @@ func opForTag(tag int) telemetry.Op {
 		return telemetry.OpCoupling
 	}
 	return telemetry.OpP2P
-}
-
-// ReduceTelemetry aggregates every rank's telemetry snapshot at root and
-// returns the cluster statistics there (nil on non-root ranks): the binomial
-// tree reduction of telemetry.ClusterStats.Merge, depth log2 P. It must be
-// called collectively by every rank of c; ranks without a recorder pass nil
-// and contribute an empty aggregate. The snapshot is taken before any
-// reporter traffic flows, so the reporter does not count itself.
-func ReduceTelemetry(c *Comm, rec *telemetry.Recorder, root int) *telemetry.ClusterStats {
-	local := telemetry.Aggregate([]*telemetry.Snapshot{rec.Snapshot()})
-	c.checkRoot(root)
-	out := reduceTree(c, c.collTag(opReduce), root, []*telemetry.ClusterStats{local},
-		func(a, b *telemetry.ClusterStats) *telemetry.ClusterStats { a.Merge(b); return a })
-	if out == nil {
-		return nil
-	}
-	return out[0]
 }

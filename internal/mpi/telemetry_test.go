@@ -2,9 +2,7 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"testing"
-	"time"
 
 	"nektarg/internal/telemetry"
 )
@@ -39,9 +37,6 @@ func TestOpForTag(t *testing.T) {
 			{opGather, telemetry.OpGather},
 			{opScatter, telemetry.OpScatter},
 			{opAllreduce, telemetry.OpAllreduce},
-			{opAllgather, telemetry.OpAllgather},
-			{opReduce, telemetry.OpReduce},
-			{opAlltoall, telemetry.OpAlltoall},
 		}
 		for _, c := range cases {
 			if got := opForTag(-(seq*16 + c.op)); got != c.want {
@@ -134,100 +129,6 @@ func TestSplitInheritsRecorderAndLevel(t *testing.T) {
 		s := rec.Snapshot()
 		if got := s.Traffic[telemetry.LevelL2][telemetry.OpP2P]; got.Msgs != 1 || got.Bytes != 8 {
 			t.Errorf("rank %d: L2 traffic = %+v, want {1 8}", w.Rank(), got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReduceTelemetry exercises the cluster-wide tree reporter: per-rank
-// stage, gauge and traffic records are reduced at the root with the same
-// merge rule as the serial Aggregate.
-func TestReduceTelemetry(t *testing.T) {
-	const P = 4
-	err := Run(P, func(w *Comm) {
-		reg := telemetry.NewRegistry()
-		rec := reg.NewRecorder(fmt.Sprintf("rank%d", w.Rank()))
-		w.AttachTelemetry(rec)
-		rec.ResetCounters()
-		// Rank r records a (r+1)-second span, one gauge sample of value r,
-		// and r coupling messages of 10 bytes. Rank 3 also records a stage
-		// nobody else has, exercising canonical-name alignment.
-		rec.RecordSpan("work", 0, time.Duration(w.Rank()+1)*time.Second, 0, w.Rank())
-		rec.Gauge("val", float64(w.Rank()))
-		for i := 0; i < w.Rank(); i++ {
-			rec.CountMessage(telemetry.LevelWorld, telemetry.OpCoupling, 10)
-		}
-		if w.Rank() == 3 {
-			rec.RecordSpan("solo", 0, 2*time.Second, 0, 0)
-		}
-
-		cs := ReduceTelemetry(w, rec, 0)
-		if w.Rank() != 0 {
-			if cs != nil {
-				t.Errorf("rank %d got non-nil cluster stats", w.Rank())
-			}
-			return
-		}
-		if cs.Tracks != P {
-			t.Errorf("tracks = %d, want %d", cs.Tracks, P)
-		}
-		work := cs.Stage("work")
-		if work == nil {
-			t.Fatal("work stage missing")
-		}
-		if work.Count != P || work.Tracks != P {
-			t.Errorf("work count/tracks = %d/%d", work.Count, work.Tracks)
-		}
-		if math.Abs(work.Total-10) > 1e-9 || work.TotalMin != 1 || work.TotalMax != 4 {
-			t.Errorf("work totals = %v [%v..%v], want 10 [1..4]", work.Total, work.TotalMin, work.TotalMax)
-		}
-		if math.Abs(work.TotalMean-2.5) > 1e-9 || math.Abs(work.Imbalance-1.6) > 1e-9 {
-			t.Errorf("work mean/imbalance = %v/%v, want 2.5/1.6", work.TotalMean, work.Imbalance)
-		}
-		if work.Hops != 0+1+2+3 {
-			t.Errorf("work hops = %d, want 6", work.Hops)
-		}
-		solo := cs.Stage("solo")
-		if solo == nil || solo.Tracks != 1 || solo.Count != 1 || solo.TotalMin != 2 || solo.TotalMax != 2 {
-			t.Errorf("solo stage = %+v", solo)
-		}
-		g := cs.Gauge("val")
-		if g == nil || g.Count != P || g.Mean != 1.5 || g.Min != 0 || g.Max != 3 {
-			t.Errorf("gauge = %+v", g)
-		}
-		// Traffic: ranks contributed 0+1+2+3 = 6 msgs of 10 bytes. The
-		// snapshot-first rule means the reporter's own collectives are not
-		// in the result.
-		if tr := cs.Traffic[telemetry.LevelWorld][telemetry.OpCoupling]; tr.Msgs != 6 || tr.Bytes != 60 {
-			t.Errorf("coupling traffic = %+v, want {6 60}", tr)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReduceTelemetryToleratesNilRecorders: ranks without a recorder
-// contribute empty records and do not corrupt min/max.
-func TestReduceTelemetryToleratesNilRecorders(t *testing.T) {
-	err := Run(3, func(w *Comm) {
-		var rec *telemetry.Recorder
-		if w.Rank() == 1 {
-			rec = telemetry.NewRegistry().NewRecorder("only")
-			rec.RecordSpan("s", 0, 3*time.Second, 0, 0)
-		}
-		cs := ReduceTelemetry(w, rec, 0)
-		if w.Rank() != 0 {
-			return
-		}
-		if cs.Tracks != 1 {
-			t.Errorf("tracks = %d, want 1", cs.Tracks)
-		}
-		s := cs.Stage("s")
-		if s == nil || s.Tracks != 1 || s.TotalMin != 3 || s.TotalMax != 3 {
-			t.Errorf("stage = %+v", s)
 		}
 	})
 	if err != nil {

@@ -40,8 +40,8 @@ const worldCommID = "w"
 // Envelope is the wire form of one point-to-point message. Src and Dst are
 // ranks within the communicator named by Comm (not world ranks); Clock is the
 // sender's hop clock at the send. Payload types crossing a process boundary
-// must be gob-registered (RegisterPayload); the runtime's internal payloads
-// and the common solver slice types are pre-registered.
+// must be gob-registered; the runtime's internal payloads and the common
+// solver slice types are registered in this file's init.
 type Envelope struct {
 	Comm  string
 	Src   int
@@ -70,17 +70,12 @@ type Transport interface {
 	Close(graceful bool) error
 }
 
-// RegisterPayload registers a payload type for transmission across process
-// boundaries (gob). In-process worlds never serialize and do not need it.
-func RegisterPayload(v any) { gob.Register(v) }
-
 func init() {
 	// Runtime-internal payloads that cross the wire inside collectives.
 	gob.Register(gatherBundle{})
 	gob.Register(scatterBundle{})
 	gob.Register(splitRequest{})
 	gob.Register(splitAssign{})
-	gob.Register([]*telemetry.ClusterStats{}) // ReduceTelemetry partial aggregates
 	// Common solver payload shapes.
 	gob.Register([]float64{})
 	gob.Register([]int{})

@@ -82,8 +82,8 @@ type ClusterStats struct {
 }
 
 // Merge folds the aggregate of a disjoint set of tracks into cs. It is
-// associative, so the serial fold in Aggregate and the tree reduction in
-// mpi.ReduceTelemetry produce the same tables (sums to rounding).
+// associative, so any grouping of the tracks folds to the same tables (sums
+// to rounding).
 func (cs *ClusterStats) Merge(o *ClusterStats) {
 	cs.Tracks += o.Tracks
 	cs.Traffic.add(&o.Traffic)

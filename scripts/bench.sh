@@ -22,7 +22,7 @@ echo "== comm benchmarks (collectives + MCI exchange) =="
 # benchjson keeps the min of duplicate samples, so three counts give the gate
 # a stable floor on both sides of the comparison.
 comm=$(go test -run '^$' \
-	-bench 'BenchmarkBcast|BenchmarkAllreduce|BenchmarkAllgather|BenchmarkBarrier|BenchmarkMCIExchange' \
+	-bench 'BenchmarkBcast|BenchmarkAllreduce|BenchmarkBarrier|BenchmarkMCIExchange' \
 	-benchtime=30x -count=3 . 2>&1)
 printf '%s\n' "$comm"
 
