@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"nektarg/internal/audit"
+	"nektarg/internal/nektar3d"
 )
 
 // auditMinPopulation is the smallest mobile-particle count at which the DPD
@@ -30,9 +31,9 @@ const auditMinPopulation = 32
 // EnableAudit attaches a conservation ledger to the metasolver and to every
 // registered outlet (its 1d.mass / q.match budgets). Call it after all
 // patches, regions and outlets are registered (alongside EnableTelemetry /
-// EnableMonitoring) and before Advance; per-region tolerance floors are
-// derived from the DPD thermostat targets at that point. A nil ledger
-// disables auditing.
+// EnableMonitoring) and before Advance; per-patch tolerance floors are
+// derived from the patches' flow and per-region floors from the DPD
+// thermostat targets at that point. A nil ledger disables auditing.
 func (m *Metasolver) EnableAudit(led *audit.Ledger) {
 	m.aud = led
 	for _, o := range m.Outlets {
@@ -41,12 +42,32 @@ func (m *Metasolver) EnableAudit(led *audit.Ledger) {
 	if led == nil {
 		return
 	}
+	for _, p := range m.Patches {
+		// The divergence is a mass-defect rate, so its jumps are judged
+		// against the rate at which the patch's own flow renews its volume,
+		// not against the budget's previous samples alone: a pulsatile
+		// forcing's zero crossing seeds a near-zero reference, and the
+		// rebound would read as a critical step.
+		led.SetTolerance("mass.div:"+p.Name, audit.Tolerance{Floor: throughflowRate(p.Solver)})
+	}
 	for _, a := range m.Atomistic {
 		// The momentum gauge watches the per-particle momentum magnitude, a
 		// quantity that legitimately fluctuates at the thermal-velocity
 		// scale √kBT: below that floor, drift is noise, not signal.
 		led.SetTolerance("momentum:"+a.Name, audit.Tolerance{Floor: math.Sqrt(a.Sys.KBT)})
 	}
+}
+
+// throughflowRate is a patch's volume-mean speed over its longest side: Q/V
+// for a flow along that side. A patch at rest has none (0), and its budget
+// keeps the class floor.
+func throughflowRate(s *nektar3d.Solver) float64 {
+	var speed, vol float64
+	for i, w := range s.G.MassDiag() {
+		speed += w * math.Sqrt(s.U[i]*s.U[i]+s.V[i]*s.V[i]+s.W[i]*s.W[i])
+		vol += w
+	}
+	return speed / vol / math.Max(s.G.Lx, math.Max(s.G.Ly, s.G.Lz))
 }
 
 // Audit returns the metasolver's ledger (nil when disabled).
