@@ -271,6 +271,21 @@ func TestClusterObservabilitySurvivesProcessKill(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
+	// /events serves rank 0's journal, and a rank goes on journaling (its
+	// checkpoints) after the recovery that re-arms healthz. Read it only once
+	// every rank has journaled the end of its run, so that no record can land
+	// between the two reads.
+	deadline = time.Now().Add(2 * time.Minute)
+	for !runsComplete(jDirs) {
+		if time.Now().After(deadline) {
+			c0.Process.Kill()
+			c1b.Process.Kill()
+			dumpOutputs()
+			t.Fatal("the ranks never journaled the end of their runs")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
 	// /events serves the durable lineage and is byte-stable across reads.
 	code, ev1, err := get("/events")
 	if err != nil || code != http.StatusOK {
@@ -404,6 +419,18 @@ func journalTypes(t *testing.T, dir string) []string {
 		types[i] = e.Type
 	}
 	return types
+}
+
+// runsComplete reports whether the journal in every dir ends with the
+// record of a completed run.
+func runsComplete(dirs []string) bool {
+	for _, dir := range dirs {
+		events, err := fleet.ReadJournal(filepath.Join(dir, "journal.nkj"))
+		if err != nil || len(events) == 0 || events[len(events)-1].Type != fleet.EventRunComplete {
+			return false
+		}
+	}
+	return true
 }
 
 // assertSubsequence checks want appears within got, in order, not necessarily

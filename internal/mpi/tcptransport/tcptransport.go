@@ -24,7 +24,8 @@
 // bytes of gob stream. The gob encoder/decoder per connection is persistent
 // (type definitions transmitted once); the length prefix bounds corrupt or
 // hostile input via Options.MaxFrame and keeps the stream resynchronizable
-// for debugging. One frame carries exactly one mpi.Envelope.
+// for debugging. One frame carries exactly one mpi.Envelope, and the
+// decoder reads one frame per envelope, never past it.
 //
 // # Shutdown
 //
@@ -458,8 +459,8 @@ func (t *Transport) Send(worldDst int, env mpi.Envelope) error {
 func (t *Transport) readLoop(pc *peerConn) {
 	defer t.readers.Done()
 	for {
-		var env mpi.Envelope
-		if err := pc.dec.Decode(&env); err != nil {
+		env, err := pc.readEnvelope()
+		if err != nil {
 			if t.closed.Load() || pc.fin.Load() {
 				return
 			}
@@ -549,35 +550,58 @@ func (w *frameWriter) frame(payload []byte) error {
 	return err
 }
 
-// frameReader presents the concatenated frame payloads as one byte stream,
-// transparently consuming the 4-byte length headers and enforcing the frame
-// size bound. The persistent gob decoder reads from it; gob's own message
-// framing and the wire frames advance in lockstep (one envelope per frame).
+// readEnvelope reads one frame and decodes the one envelope it carries.
+func (pc *peerConn) readEnvelope() (mpi.Envelope, error) {
+	var env mpi.Envelope
+	if err := pc.fr.next(); err != nil {
+		return env, err
+	}
+	if err := pc.dec.Decode(&env); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the frame ended before its envelope
+		}
+		return env, fmt.Errorf("tcptransport: decoding a frame: %w", err)
+	}
+	return env, nil
+}
+
+// frameReader hands the gob decoder one frame at a time. next reads a whole
+// frame, after checking its length header against the size bound, and the
+// decoder reads that frame's payload and nothing past it: a gob message
+// claiming more bytes than its frame holds is an error, never a reason to
+// buffer the frames behind it. The persistent decoder reads through
+// ReadByte, so it keeps no read-ahead of its own.
 type frameReader struct {
 	r         io.Reader
-	remain    uint32 // bytes left in the current frame
 	max       uint32
 	hdr       [4]byte
+	frame     bytes.Buffer  // the current frame's unread payload
 	recvBytes *atomic.Int64 // wire bytes consumed (headers + payload)
 }
 
-func (fr *frameReader) Read(p []byte) (int, error) {
-	for fr.remain == 0 {
-		if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-			return 0, err
-		}
-		fr.recvBytes.Add(4)
-		n := binary.BigEndian.Uint32(fr.hdr[:])
-		if n > fr.max {
-			return 0, fmt.Errorf("tcptransport: frame of %d bytes exceeds limit %d", n, fr.max)
-		}
-		fr.remain = n
+// next reads the following frame. The previous frame must have been read to
+// its end: one frame carries exactly one envelope.
+func (fr *frameReader) next() error {
+	if n := fr.frame.Len(); n != 0 {
+		return fmt.Errorf("tcptransport: %d bytes left in a frame after its envelope", n)
 	}
-	if uint32(len(p)) > fr.remain {
-		p = p[:fr.remain]
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return err
 	}
-	n, err := fr.r.Read(p)
-	fr.remain -= uint32(n)
-	fr.recvBytes.Add(int64(n))
-	return n, err
+	fr.recvBytes.Add(4)
+	n := binary.BigEndian.Uint32(fr.hdr[:])
+	if n > fr.max {
+		return fmt.Errorf("tcptransport: frame of %d bytes exceeds limit %d", n, fr.max)
+	}
+	fr.frame.Reset()
+	got, err := fr.frame.ReadFrom(io.LimitReader(fr.r, int64(n)))
+	fr.recvBytes.Add(got)
+	if err == nil && got < int64(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
+
+func (fr *frameReader) Read(p []byte) (int, error) { return fr.frame.Read(p) }
+
+func (fr *frameReader) ReadByte() (byte, error) { return fr.frame.ReadByte() }
