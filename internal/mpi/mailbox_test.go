@@ -52,20 +52,11 @@ func TestSecondWaitingReceivePanics(t *testing.T) {
 			w.Send(0, 5, "first")
 			return
 		}
-		got := make(chan any)
+		got := make(chan any, 1)
 		go func() { got <- w.Recv(1, 5) }()
-		box := w.state.boxes[0]
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			box.mu.Lock()
-			waiting := box.waiting
-			box.mu.Unlock()
-			if waiting {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Error("first receive never waited")
-				return
-			}
+		if !awaitWaiter(w.state.boxes[0]) {
+			t.Error("first receive never waited")
+			return
 		}
 		func() {
 			defer func() {
@@ -91,19 +82,14 @@ func TestSecondWaitingReceivePanics(t *testing.T) {
 func TestTeardownUnwindsWaitingReceive(t *testing.T) {
 	err := Run(1, func(w *Comm) {
 		box := w.state.boxes[0]
-		done := make(chan any)
+		done := make(chan any, 1)
 		go func() {
 			defer func() { done <- recover() }()
 			box.take(w, 0, 3)
 		}()
-		for {
-			box.mu.Lock()
-			waiting := box.waiting
-			box.mu.Unlock()
-			if waiting {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if !awaitWaiter(box) {
+			t.Error("receive never waited")
+			return
 		}
 		w.state.world.closeAll(errWorldClosed)
 		lost, ok := (<-done).(*WorldLostError)
@@ -124,4 +110,17 @@ func TestTeardownUnwindsWaitingReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// awaitWaiter reports whether a receive takes box's waiter slot within 5 s.
+func awaitWaiter(box *mailbox) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		box.mu.Lock()
+		waiting := box.waiting
+		box.mu.Unlock()
+		if waiting {
+			return true
+		}
+	}
+	return false
 }

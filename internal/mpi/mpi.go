@@ -150,7 +150,8 @@ func (mb *mailbox) take(c *Comm, src, tag int) message {
 	mb.mu.Unlock()
 	m, ok := <-mb.wake
 	if !ok {
-		panic(&WorldLostError{Cause: mb.closeCause()})
+		// close set mb.closed before closing wake, and never writes it again.
+		panic(&WorldLostError{Cause: mb.closed})
 	}
 	return m
 }
@@ -170,12 +171,6 @@ func (mb *mailbox) close(cause error) {
 		mb.waiting = false
 		close(mb.wake)
 	}
-}
-
-func (mb *mailbox) closeCause() error {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.closed
 }
 
 // AnySource matches messages from any sender in Recv.

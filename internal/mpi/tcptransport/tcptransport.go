@@ -575,8 +575,9 @@ type frameReader struct {
 	r         io.Reader
 	max       uint32
 	hdr       [4]byte
-	frame     bytes.Buffer  // the current frame's unread payload
-	recvBytes *atomic.Int64 // wire bytes consumed (headers + payload)
+	lim       io.LimitedReader // fr.r bounded to the current frame
+	frame     bytes.Buffer     // the current frame's unread payload
+	recvBytes *atomic.Int64    // wire bytes consumed (headers + payload)
 }
 
 // next reads the following frame. The previous frame must have been read to
@@ -594,7 +595,8 @@ func (fr *frameReader) next() error {
 		return fmt.Errorf("tcptransport: frame of %d bytes exceeds limit %d", n, fr.max)
 	}
 	fr.frame.Reset()
-	got, err := fr.frame.ReadFrom(io.LimitReader(fr.r, int64(n)))
+	fr.lim = io.LimitedReader{R: fr.r, N: int64(n)}
+	got, err := fr.frame.ReadFrom(&fr.lim)
 	fr.recvBytes.Add(got)
 	if err == nil && got < int64(n) {
 		err = io.ErrUnexpectedEOF
