@@ -165,8 +165,21 @@ func BenchmarkTable2_FullAdjacencyPartition(b *testing.B) {
 	}
 }
 
+// TestTable2 prints Table 2 and checks that it is a function of the code
+// alone: two calls agree cell for cell, and (b) beats (a) at every core
+// count.
 func TestTable2(t *testing.T) {
-	fmt.Println(perfmodel.Table2())
+	first, second := perfmodel.Table2(), perfmodel.Table2()
+	fmt.Println(first)
+	if got, want := second.String(), first.String(); got != want {
+		t.Fatalf("two Table2 calls disagree:\n%s\n%s", want, got)
+	}
+	for i := 0; i+1 < len(first.Rows); i += 2 {
+		a, b := first.Rows[i], first.Rows[i+1]
+		if b.Measured >= a.Measured {
+			t.Errorf("%s: %.2f not below %s: %.2f", b.Label, b.Measured, a.Label, a.Measured)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

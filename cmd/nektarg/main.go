@@ -460,20 +460,25 @@ func (o options) drive(meta *core.Metasolver, networks map[string]*nektar1d.Netw
 			return err
 		}
 	}
-	var health *monitor.Health
-	if mon != nil {
-		health = mon.Health()
-	}
 	// The flight recorder always rides along with checkpointing: without
 	// -telemetry it still captures the failure reason, verdict and health
-	// timeline; with it, every track's recent spans and gauges too.
-	var source func() []*telemetry.Recorder
-	if reg != nil {
-		source = reg.Recorders
-	}
-	flight := monitor.NewFlightRecorder(filepath.Join(o.checkpointDir, "flight"), source, health)
-	if o.flightMax > 0 {
-		flight.SetLimit(o.flightMax)
+	// timeline; with it, every track's recent spans and gauges too. A
+	// monitor already has one writing into the same directory (its trip and
+	// POST /flight dumps): the recovery loop shares it, so every dump is
+	// journaled, labelled with its incarnation and counted against one cap.
+	var health *monitor.Health
+	var flight *monitor.FlightRecorder
+	if mon != nil {
+		health, flight = mon.Health(), mon.Flight()
+	} else {
+		var source func() []*telemetry.Recorder
+		if reg != nil {
+			source = reg.Recorders
+		}
+		flight = monitor.NewFlightRecorder(filepath.Join(o.checkpointDir, "flight"), source, nil)
+		if o.flightMax > 0 {
+			flight.SetLimit(o.flightMax)
+		}
 	}
 	if j := fw.journal; j != nil {
 		flight.OnDump(func(path, reason string) {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"io"
 	"log/slog"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,8 @@ import (
 	"testing"
 
 	"nektarg/internal/config"
+	"nektarg/internal/fleet"
+	"nektarg/internal/monitor"
 )
 
 // parse runs parseArgs on a private flag set.
@@ -209,5 +212,75 @@ func TestFlagsOverrideConfigBlocks(t *testing.T) {
 	cfg, _ = parse(t, "-insitu", "-insitu-keep", "9")
 	if in := cfg.Insitu; in == nil || in.Stride != 1 || in.Policy != "drop-oldest" || in.Keep != 9 {
 		t.Errorf("-insitu must create the block from the insitu flags: %+v", in)
+	}
+}
+
+// TestOneFlightRecorderPerRun: with a monitor and a checkpoint store, the
+// watchdog-trip dumps and the recovery loop's dumps come from one recorder,
+// so every flight-*.json is journaled and stamped with the incarnation the
+// journal assigned. The one-rank TCP world runs through RunDistributed,
+// whose journal numbers the incarnations; the in-process world has one.
+func TestOneFlightRecorderPerRun(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := ln.Addr().String()
+	ln.Close()
+	for name, extra := range map[string][]string{
+		"inproc": nil,
+		"tcp":    {"-transport", "tcp", "-rank", "0", "-peers", peer},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			// -flux-scale 3 latches the audit ledger's gi.flux budget
+			// critical on the first exchange, every time it is replayed.
+			cfg, o := parse(t, append([]string{"-exchanges", "2", "-audit", "-flux-scale", "3",
+				"-monitor-addr", "127.0.0.1:0", "-checkpoint-dir", dir}, extra...)...)
+			o.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+			o.out = io.Discard
+			if err := run(cfg, o); err == nil {
+				t.Fatal("a run with a latched critical budget finished")
+			}
+			events, err := fleet.ReadJournal(filepath.Join(dir, "journal.nkj"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			journaled := map[string]fleet.Event{}
+			for _, e := range events {
+				if e.Type == fleet.EventFlightDump {
+					journaled[e.Fields["path"].(string)] = e
+				}
+			}
+			paths, _ := filepath.Glob(filepath.Join(dir, "flight", "flight-*.json"))
+			if len(paths) == 0 {
+				t.Fatal("no flight dump written")
+			}
+			trips := 0
+			for _, p := range paths {
+				raw, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var d monitor.FlightDump
+				if err := json.Unmarshal(raw, &d); err != nil {
+					t.Fatal(err)
+				}
+				if d.Trip != nil {
+					trips++
+				}
+				e, ok := journaled[p]
+				if !ok {
+					t.Errorf("%s (%s) has no flight-dump journal record", filepath.Base(p), d.Reason)
+					continue
+				}
+				if d.Incarnation != e.Incarnation {
+					t.Errorf("%s (%s): incarnation %d, journal says %d", filepath.Base(p), d.Reason, d.Incarnation, e.Incarnation)
+				}
+			}
+			if trips == 0 {
+				t.Error("no watchdog-trip dump among the flight dumps")
+			}
+		})
 	}
 }

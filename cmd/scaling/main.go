@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -87,47 +88,13 @@ func main() {
 		logger.Info("live monitor serving", "url", srv.URL(), "metrics", srv.URL()+"/metrics")
 	}
 
-	build := func(n int) *perfmodel.Table {
-		sp := rec.Begin(fmt.Sprintf("scaling.table%d", n))
-		defer sp.End()
-		logger.Debug("computing table", "table", n)
-		switch n {
-		case 2:
-			return perfmodel.Table2()
-		case 3:
-			return perfmodel.Table3()
-		case 4:
-			return perfmodel.Table4()
-		case 5:
-			return perfmodel.Table5()
-		}
-		fmt.Fprintf(os.Stderr, "scaling: unknown table %d (want 2-5)\n", n)
+	tables, err := compute(*table, rec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
 		os.Exit(2)
-		return nil
 	}
-
-	var tables []*perfmodel.Table
-	if *table != 0 {
-		tables = append(tables, build(*table))
-	} else {
-		for _, n := range []int{2, 3, 4, 5} {
-			tables = append(tables, build(n))
-		}
-		sp := rec.Begin("scaling.extended")
-		tables = append(tables, perfmodel.ExtendedWeakScaling())
-		sp.End()
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(tables); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		for _, t := range tables {
-			fmt.Println(t)
-		}
+	if err := render(os.Stdout, tables, *asJSON); err != nil {
+		log.Fatal(err)
 	}
 
 	if reg != nil {
@@ -150,4 +117,45 @@ func main() {
 			}
 		}
 	}
+}
+
+// compute builds one table (2-5), or with n == 0 all four plus the extended
+// runs, in that order.
+func compute(n int, rec *telemetry.Recorder) ([]*perfmodel.Table, error) {
+	builders := map[int]func() *perfmodel.Table{
+		2: perfmodel.Table2, 3: perfmodel.Table3, 4: perfmodel.Table4, 5: perfmodel.Table5,
+	}
+	build := func(name string, fn func() *perfmodel.Table) *perfmodel.Table {
+		sp := rec.Begin(name)
+		defer sp.End()
+		return fn()
+	}
+	if n != 0 {
+		fn, ok := builders[n]
+		if !ok {
+			return nil, fmt.Errorf("unknown table %d (want 2-5)", n)
+		}
+		return []*perfmodel.Table{build(fmt.Sprintf("scaling.table%d", n), fn)}, nil
+	}
+	var tables []*perfmodel.Table
+	for _, n := range []int{2, 3, 4, 5} {
+		tables = append(tables, build(fmt.Sprintf("scaling.table%d", n), builders[n]))
+	}
+	return append(tables, build("scaling.extended", perfmodel.ExtendedWeakScaling)), nil
+}
+
+// render writes the tables as text, one after another, or as one indented
+// JSON array.
+func render(w io.Writer, tables []*perfmodel.Table, asJSON bool) error {
+	if asJSON {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(tables)
+	}
+	for _, t := range tables {
+		if _, err := fmt.Fprintln(w, t); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"nektarg/internal/geometry"
 )
@@ -263,6 +264,11 @@ func (m *TetMesh) AdjacencyGraph(level AdjacencyLevel, p int) *Graph {
 		w := SharedDOFWeight(p, nShared)
 		g.Adj[a] = append(g.Adj[a], Edge{To: b, Weight: w})
 		g.Adj[b] = append(g.Adj[b], Edge{To: a, Weight: w})
+	}
+	// The map hands the pairs out in a different order on every call; the
+	// partitioner's seeds and tie-breaks follow edge order, so fix it.
+	for _, edges := range g.Adj {
+		sort.Slice(edges, func(i, j int) bool { return edges[i].To < edges[j].To })
 	}
 	return g
 }
