@@ -84,7 +84,7 @@ func wireFleet(o *options, tr *config.Transport,
 		if fw.journal != nil {
 			agg.ObserveJournal(fw.journal)
 		}
-		srv, err := agg.Serve(o.fleetAddr, "nektarg", fw.journal)
+		srv, err := agg.Serve(o.fleetAddr, fw.journal)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,6 @@ func wireFleet(o *options, tr *config.Transport,
 			return nil, fmt.Errorf("nektarg: -fleet-publish requires -monitor-addr (the published status carries the monitor's snapshots and verdict)")
 		}
 		fw.pub = fleet.NewPublisher(o.fleetPublish, mon, fmt.Sprintf("rank%d", rank), []int{rank}, kind, fw.journal)
-		fw.pub.SetStride(o.fleetStride)
 		// The ticker keeps the aggregator's view fresh through windows with
 		// no exchanges — rendezvous, rollback, a peer's outage.
 		fw.stopPub = fw.pub.Start(time.Second)

@@ -20,11 +20,9 @@
 //	                     [-telemetry] [-trace-out F] [-telemetry-out F]
 //	                     [-monitor-addr :9090] [-log-level info] [-log-format text]
 //	                     [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
-//	                     [-max-restarts N] [-kill-at N] [-flight-max N]
-//	                     [-insitu] [-insitu-stride N] [-insitu-policy P]
-//	                     [-insitu-dir DIR] [-insitu-keep K] [-audit]
-//	                     [-history] [-history-stride N] [-history-out FILE]
-//	                     [-history-profile-dir DIR]
+//	                     [-max-restarts N] [-kill-at N]
+//	                     [-insitu] [-insitu-stride N] [-insitu-dir DIR] [-audit]
+//	                     [-history] [-history-out FILE] [-history-profile-dir DIR]
 //	                     [-transport tcp -rank N -peers H:P,H:P,...]
 //	                     [-fleet-addr :9190] [-fleet-publish URL] [-version]
 //	go run ./cmd/nektarg trace-merge [-o out.json] [-strict] trace1.json trace2.json ...
@@ -96,16 +94,13 @@ type options struct {
 	parallel  int // -parallel: intra-rank workers per solver (0 = leave the config's)
 	vtkDir    string
 
-	telemetry        bool   // -telemetry: print per-stage/traffic/gauge tables
-	traceOut         string // -trace-out: Chrome trace_event JSON path
-	telemetryOut     string // -telemetry-out: aggregate summary JSON path
-	monitorAddr      string // -monitor-addr: live HTTP metrics/health endpoint
-	flightMax        int    // -flight-max: per-run flight dump cap
-	flightAnomalyMax int    // -flight-anomaly-max: anomaly flight-dump budget
-	history          bool   // -history: performance-history time-series plane
-	historyStride    int    // -history-stride: sample every N exchange periods
-	historyOut       string // -history-out: write the history document JSON at exit
-	historyProfDir   string // -history-profile-dir: anomaly-triggered pprof captures
+	telemetry      bool   // -telemetry: print per-stage/traffic/gauge tables
+	traceOut       string // -trace-out: Chrome trace_event JSON path
+	telemetryOut   string // -telemetry-out: aggregate summary JSON path
+	monitorAddr    string // -monitor-addr: live HTTP metrics/health endpoint
+	history        bool   // -history: performance-history time-series plane
+	historyOut     string // -history-out: write the history document JSON at exit
+	historyProfDir string // -history-profile-dir: anomaly-triggered pprof captures
 
 	checkpointDir   string // -checkpoint-dir: managed store directory ("" = no checkpointing)
 	checkpointEvery int    // -checkpoint-every: period in exchanges
@@ -115,7 +110,6 @@ type options struct {
 
 	fleetAddr    string // -fleet-addr: serve /cluster/* and /events
 	fleetPublish string // -fleet-publish: aggregator base URL to POST status to
-	fleetStride  int    // -fleet-stride: publish every N exchanges
 	fleetHold    string // -fleet-hold: keep serving after the run until this file exists
 
 	version                bool // -version: print build provenance and exit
@@ -201,10 +195,7 @@ func startInsitu(spec *config.Insitu, meta *core.Metasolver, reg *telemetry.Regi
 	if spec == nil {
 		return nil, nil
 	}
-	icfg, err := spec.InsituConfig()
-	if err != nil {
-		return nil, err
-	}
+	icfg := spec.InsituConfig()
 	if spec.Dir != "" {
 		if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
 			return nil, err
@@ -214,7 +205,6 @@ func startInsitu(spec *config.Insitu, meta *core.Metasolver, reg *telemetry.Regi
 	obs := insitu.NewObserver(insitu.ObserverConfig{
 		Sources: insitu.ExpectedSources(meta),
 		Dir:     spec.Dir,
-		Keep:    spec.Keep,
 		Rec:     reg.NewRecorder("observer"),
 	})
 	obs.SetStatsSource(q.Stats)
@@ -224,9 +214,7 @@ func startInsitu(spec *config.Insitu, meta *core.Metasolver, reg *telemetry.Regi
 		defer close(st.done)
 		obs.Run(q)
 	}()
-	logger.Info("in-situ observation enabled",
-		"stride", icfg.Stride, "policy", icfg.Policy.String(),
-		"queue_cap", icfg.QueueCap, "dir", spec.Dir)
+	logger.Info("in-situ observation enabled", "stride", icfg.Stride, "dir", spec.Dir)
 	return st, nil
 }
 
@@ -268,7 +256,7 @@ func (o options) setup(cfg *config.Config, meta *core.Metasolver) (*telemetry.Re
 	meta.EnableTelemetry(reg)
 	var mon *monitor.Monitor
 	if o.monitorAddr != "" {
-		opts := monitor.Options{FlightLimit: o.flightMax, FlightAnomalyLimit: o.flightAnomalyMax}
+		var opts monitor.Options
 		if o.checkpointDir != "" {
 			// Monitor-side dumps (manual POST /flight, anomaly captures) land
 			// next to the recovery envelope's, not in the working directory.
@@ -286,11 +274,7 @@ func (o options) setup(cfg *config.Config, meta *core.Metasolver) (*telemetry.Re
 		if mon != nil {
 			watch = mon.Health().Watch("audit")
 		}
-		led := audit.New(audit.Options{
-			Rec:       reg.NewRecorder("audit"),
-			Watch:     watch,
-			Tolerance: audit.Tolerance{Warn: cfg.Audit.Warn, Critical: cfg.Audit.Critical},
-		})
+		led := audit.New(audit.Options{Rec: reg.NewRecorder("audit"), Watch: watch})
 		meta.EnableAudit(led)
 		if mon != nil {
 			// Only wire a real ledger: a typed-nil AuditSource would make
@@ -301,7 +285,7 @@ func (o options) setup(cfg *config.Config, meta *core.Metasolver) (*telemetry.Re
 		o.logger.Info("physics audit ledger enabled", "monitored", mon != nil)
 	}
 	if o.history {
-		plane := history.New(history.Options{Stride: o.historyStride, ProfileDir: o.historyProfDir})
+		plane := history.New(history.Options{ProfileDir: o.historyProfDir})
 		meta.EnableHistory(plane)
 		if mon != nil {
 			mon.SetHistorySource(plane)
@@ -317,7 +301,7 @@ func (o options) setup(cfg *config.Config, meta *core.Metasolver) (*telemetry.Re
 			})
 		}
 		o.logger.Info("performance history enabled",
-			"stride", plane.Stride(), "profiles", o.historyProfDir != "", "monitored", mon != nil)
+			"profiles", o.historyProfDir != "", "monitored", mon != nil)
 	}
 	if mon == nil {
 		return reg, nil, nil, nil
@@ -476,9 +460,6 @@ func (o options) drive(meta *core.Metasolver, networks map[string]*nektar1d.Netw
 			source = reg.Recorders
 		}
 		flight = monitor.NewFlightRecorder(filepath.Join(o.checkpointDir, "flight"), source, nil)
-		if o.flightMax > 0 {
-			flight.SetLimit(o.flightMax)
-		}
 	}
 	if j := fw.journal; j != nil {
 		flight.OnDump(func(path, reason string) {
@@ -721,22 +702,16 @@ func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, 
 	fs.BoolVar(&o.resume, "resume", false, "resume from the newest checkpoint in -checkpoint-dir before running")
 	fs.IntVar(&o.maxRestarts, "max-restarts", core.DefaultMaxRestarts, "per-position restart budget of the recovery loop")
 	fs.IntVar(&o.killAt, "kill-at", 0, "inject a one-shot panic after this exchange (fault-injection demo; survivable with -checkpoint-dir)")
-	fs.IntVar(&o.flightMax, "flight-max", monitor.DefaultFlightLimit, "per-run flight dump cap")
-	fs.IntVar(&o.flightAnomalyMax, "flight-anomaly-max", monitor.DefaultAnomalyFlightLimit, "per-run cap on performance-anomaly flight dumps (a budget separate from -flight-max)")
 	fs.BoolVar(&o.history, "history", false, "enable the performance-history plane: bounded time-series store, anomaly baselines, optional continuous profiling (implies telemetry recording; pairs with -monitor-addr for GET /history and /anomalies)")
-	fs.IntVar(&o.historyStride, "history-stride", 1, "sample the history plane every N exchange periods")
 	fs.StringVar(&o.historyOut, "history-out", "", "write the full history document JSON at exit (diff two with the perf-report subcommand)")
 	fs.StringVar(&o.historyProfDir, "history-profile-dir", "", "directory for anomaly-triggered pprof CPU profile auto-capture (empty = off; incompatible captures, e.g. under -cpuprofile, are skipped)")
 	insituOn := fs.Bool("insitu", false, "enable live in-situ observation: non-blocking snapshot publishing to an observer (implies telemetry recording; pairs with -monitor-addr for /snapshot)")
 	insituStride := fs.Int("insitu-stride", 1, "publish a snapshot every N exchange periods")
-	insituPolicy := fs.String("insitu-policy", "drop-oldest", "queue drop policy: drop-oldest|drop-newest")
 	insituDir := fs.String("insitu-dir", "", "rolling VTK time-series directory (empty = in-memory frames only)")
-	insituKeep := fs.Int("insitu-keep", insitu.DefaultKeep, "frames kept in the rolling VTK series")
 	auditOn := fs.Bool("audit", false, "enable the physics audit ledger: per-exchange conservation and coupling-fidelity budgets (implies telemetry recording; pairs with -monitor-addr for GET /audit)")
 	fluxScale := fs.Float64("flux-scale", 1, "scale applied to the 3D->DPD interface velocity trace at application (a value != 1 is a deliberate conservation fault the audit ledger must catch)")
 	fs.StringVar(&o.fleetAddr, "fleet-addr", "", "serve the fleet aggregation endpoints (/cluster/metrics, /cluster/healthz, /cluster/imbalance, /events) on this address (e.g. :9190)")
 	fs.StringVar(&o.fleetPublish, "fleet-publish", "", "base URL of a fleet aggregator to publish this process's status to (e.g. http://127.0.0.1:9190; requires -monitor-addr)")
-	fs.IntVar(&o.fleetStride, "fleet-stride", 1, "publish to the fleet aggregator every N exchanges")
 	fs.StringVar(&o.fleetHold, "fleet-hold", "", "after the run, keep serving -fleet-addr until this file exists (for external scrapers)")
 	transportKind := fs.String("transport", "", "rank transport: inproc (default) or tcp — one OS process per rank; tcp needs -rank, -peers and -checkpoint-dir")
 	rank := fs.Int("rank", -1, "this process's world rank (with -transport tcp)")
@@ -776,23 +751,15 @@ func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, 
 		switch in := cfg.Insitu; f.Name {
 		case "insitu":
 			if *insituOn && in == nil {
-				cfg.Insitu = &config.Insitu{Stride: *insituStride, Policy: *insituPolicy, Dir: *insituDir, Keep: *insituKeep}
+				cfg.Insitu = &config.Insitu{Stride: *insituStride, Dir: *insituDir}
 			}
 		case "insitu-stride":
 			if in != nil {
 				in.Stride = *insituStride
 			}
-		case "insitu-policy":
-			if in != nil {
-				in.Policy = *insituPolicy
-			}
 		case "insitu-dir":
 			if in != nil {
 				in.Dir = *insituDir
-			}
-		case "insitu-keep":
-			if in != nil {
-				in.Keep = *insituKeep
 			}
 		case "audit":
 			if *auditOn && cfg.Audit == nil {

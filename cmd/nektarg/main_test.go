@@ -195,7 +195,7 @@ func TestFlagsOverrideConfigBlocks(t *testing.T) {
 
 	cfg, _ = parse(t, "-config", coupled, "-insitu-stride", "5", "-insitu-dir", "frames", "-audit",
 		"-transport", "tcp", "-rank", "1", "-peers", "a:1,b:2")
-	if in := cfg.Insitu; in.Stride != 5 || in.Dir != "frames" || in.MaxParticles != 1024 || in.Keep != 4 {
+	if in := cfg.Insitu; in.Stride != 5 || in.Dir != "frames" || in.MaxParticles != 1024 {
 		t.Errorf("insitu flags must override field by field: %+v", in)
 	}
 	if cfg.Audit == nil {
@@ -209,8 +209,8 @@ func TestFlagsOverrideConfigBlocks(t *testing.T) {
 	if cfg.Insitu != nil {
 		t.Errorf("a refining flag alone must not enable in-situ: %+v", cfg.Insitu)
 	}
-	cfg, _ = parse(t, "-insitu", "-insitu-keep", "9")
-	if in := cfg.Insitu; in == nil || in.Stride != 1 || in.Policy != "drop-oldest" || in.Keep != 9 {
+	cfg, _ = parse(t, "-insitu", "-insitu-dir", "frames")
+	if in := cfg.Insitu; in == nil || in.Stride != 1 || in.Dir != "frames" {
 		t.Errorf("-insitu must create the block from the insitu flags: %+v", in)
 	}
 }

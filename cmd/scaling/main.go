@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/scaling            # all tables
 //	go run ./cmd/scaling -table 3   # one table
-//	go run ./cmd/scaling -json      # machine-readable output (scripts/bench.sh)
+//	go run ./cmd/scaling -json      # machine-readable output
 package main
 
 import (
@@ -16,79 +16,15 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
-	"nektarg/internal/monitor"
 	"nektarg/internal/perfmodel"
-	"nektarg/internal/telemetry"
 )
 
 func main() {
 	table := flag.Int("table", 0, "table to print (2-5), 0 = all plus extended runs")
 	asJSON := flag.Bool("json", false, "emit the tables as JSON instead of text")
-	teleFlag := flag.Bool("telemetry", false, "time each table computation and print the stage table")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace of the table computations")
-	monitorAddr := flag.String("monitor-addr", "", "serve live /metrics, /healthz and /debug/pprof on this address while computing (implies telemetry recording)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "text", "structured log format: text|json")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	showVersion := flag.Bool("version", false, "print build provenance and exit")
 	flag.Parse()
-	if *showVersion {
-		fmt.Println(monitor.ReadBuildInfo().String())
-		return
-	}
-
-	logger, err := monitor.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
-	}
-	defer func() {
-		if *memProfile == "" {
-			return
-		}
-		runtime.GC()
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	var rec *telemetry.Recorder
-	var reg *telemetry.Registry
-	if *teleFlag || *traceOut != "" || *monitorAddr != "" {
-		reg = telemetry.NewRegistry()
-		rec = reg.NewRecorder("scaling")
-	}
-	if *monitorAddr != "" {
-		mon := monitor.New(reg, monitor.Options{})
-		mon.Health().SetLogger(logger)
-		srv, err := mon.Serve(*monitorAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close() //nolint:errcheck // exiting anyway
-		logger.Info("live monitor serving", "url", srv.URL(), "metrics", srv.URL()+"/metrics")
-	}
-
-	tables, err := compute(*table, rec)
+	tables, err := compute(*table)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scaling:", err)
 		os.Exit(2)
@@ -96,52 +32,26 @@ func main() {
 	if err := render(os.Stdout, tables, *asJSON); err != nil {
 		log.Fatal(err)
 	}
-
-	if reg != nil {
-		if *teleFlag {
-			cs := telemetry.AggregateRecorders(reg.Recorders())
-			fmt.Fprintln(os.Stderr, "--- telemetry: table computation timings ---")
-			fmt.Fprint(os.Stderr, cs.FormatStageTable())
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := telemetry.WriteChromeTrace(f, reg.Recorders()); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
 }
 
 // compute builds one table (2-5), or with n == 0 all four plus the extended
 // runs, in that order.
-func compute(n int, rec *telemetry.Recorder) ([]*perfmodel.Table, error) {
+func compute(n int) ([]*perfmodel.Table, error) {
 	builders := map[int]func() *perfmodel.Table{
 		2: perfmodel.Table2, 3: perfmodel.Table3, 4: perfmodel.Table4, 5: perfmodel.Table5,
 	}
-	build := func(name string, fn func() *perfmodel.Table) *perfmodel.Table {
-		sp := rec.Begin(name)
-		defer sp.End()
-		return fn()
-	}
 	if n != 0 {
-		fn, ok := builders[n]
+		build, ok := builders[n]
 		if !ok {
 			return nil, fmt.Errorf("unknown table %d (want 2-5)", n)
 		}
-		return []*perfmodel.Table{build(fmt.Sprintf("scaling.table%d", n), fn)}, nil
+		return []*perfmodel.Table{build()}, nil
 	}
 	var tables []*perfmodel.Table
 	for _, n := range []int{2, 3, 4, 5} {
-		tables = append(tables, build(fmt.Sprintf("scaling.table%d", n), builders[n]))
+		tables = append(tables, builders[n]())
 	}
-	return append(tables, build("scaling.extended", perfmodel.ExtendedWeakScaling)), nil
+	return append(tables, perfmodel.ExtendedWeakScaling()), nil
 }
 
 // render writes the tables as text, one after another, or as one indented

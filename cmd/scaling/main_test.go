@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestGoldenOutput computes every table once and renders it in both formats
 // against the committed goldens: the tables are a function of the code alone.
 func TestGoldenOutput(t *testing.T) {
-	tables, err := compute(0, nil)
+	tables, err := compute(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 func TestUnknownTable(t *testing.T) {
-	if _, err := compute(7, nil); err == nil {
+	if _, err := compute(7); err == nil {
 		t.Fatal("table 7 accepted")
 	}
 }

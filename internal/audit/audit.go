@@ -228,21 +228,14 @@ type Options struct {
 	// "audit-ledger" events, so criticals trip /healthz and fire the flight
 	// recorder through the existing OnTrip wiring); nil disables.
 	Watch *monitor.Watchdogs
-	// Tolerance overlays the global default bands (zero fields inherit).
-	Tolerance Tolerance
-	// PerClass overlays per-class bands, keyed like DefaultTolerances.
-	PerClass map[string]Tolerance
-	// PerBudget overlays exact-name bands (strongest override).
-	PerBudget map[string]Tolerance
 }
 
 // Ledger is a per-rank conservation ledger. Create with New; nil is the
 // disabled ledger (every method a nil-check no-op).
 type Ledger struct {
 	mu      sync.Mutex
-	base    Tolerance
 	classes map[string]Tolerance
-	exact   map[string]Tolerance
+	exact   map[string]Tolerance // SetTolerance overlays
 	budgets map[string]*budget
 	order   []string // insertion order; sorted views sort copies
 
@@ -254,26 +247,15 @@ type Ledger struct {
 	bytesSent, bytesReceived, bytesApplied int64
 }
 
-// New builds a ledger with the merged tolerance tables.
+// New builds a ledger over the built-in tolerance tables.
 func New(opts Options) *Ledger {
-	l := &Ledger{
-		base:    baseTolerance.merge(opts.Tolerance),
-		classes: map[string]Tolerance{},
+	return &Ledger{
+		classes: DefaultTolerances(),
 		exact:   map[string]Tolerance{},
 		budgets: map[string]*budget{},
 		rec:     opts.Rec,
 		watch:   opts.Watch,
 	}
-	for class, t := range DefaultTolerances() {
-		l.classes[class] = t
-	}
-	for class, t := range opts.PerClass {
-		l.classes[class] = l.classes[class].merge(t)
-	}
-	for name, t := range opts.PerBudget {
-		l.exact[name] = t
-	}
-	return l
 }
 
 // OnViolation registers a hook invoked (under the ledger lock, keep it
@@ -313,7 +295,7 @@ func classOf(name string) string {
 
 // toleranceForLocked resolves base → class → exact for one budget name.
 func (l *Ledger) toleranceForLocked(name string) Tolerance {
-	t := l.base
+	t := baseTolerance
 	if ct, ok := l.classes[classOf(name)]; ok {
 		t = t.merge(ct)
 	}

@@ -89,11 +89,8 @@ func TestSlowLeakDetection(t *testing.T) {
 // TestDriftStepAndLeak checks drift mode: seeding, jump detection against
 // the EMA reference, and baseline-excursion leak detection.
 func TestDriftStepAndLeak(t *testing.T) {
-	l := New(Options{
-		PerBudget: map[string]Tolerance{
-			"1d.mass:tree": {Warn: 0.1, Critical: 0.5, LeakWarn: 0.3, LeakCritical: 1.0, Alpha: 0.5, LeakMinCount: 2},
-		},
-	})
+	l := New(Options{})
+	l.SetTolerance("1d.mass:tree", Tolerance{Warn: 0.1, Critical: 0.5, LeakWarn: 0.3, LeakCritical: 1.0, Alpha: 0.5, LeakMinCount: 2})
 	l.ObserveDrift("1d.mass:tree", 100) // seeds ref and baseline
 	rep := l.Status()
 	if rep.Budgets[0].Count != 1 || rep.Budgets[0].Ref != 100 || rep.Budgets[0].Baseline != 100 {
@@ -142,21 +139,19 @@ func TestByteLegReconciliation(t *testing.T) {
 
 // TestToleranceResolution checks base → class → exact overlay order.
 func TestToleranceResolution(t *testing.T) {
-	l := New(Options{
-		Tolerance: Tolerance{Warn: 0.2},
-		PerClass:  map[string]Tolerance{"gi.flux": {Warn: 0.04}},
-		PerBudget: map[string]Tolerance{"gi.flux:special": {Warn: 0.5}},
-	})
+	l := New(Options{})
+	l.SetTolerance("gi.flux:special", Tolerance{Warn: 0.5})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if w := l.toleranceForLocked("unknown:thing").Warn; w != 0.2 {
-		t.Fatalf("base overlay: warn %g, want 0.2", w)
+	if w := l.toleranceForLocked("unknown:thing").Warn; w != baseTolerance.Warn {
+		t.Fatalf("base: warn %g, want %g", w, baseTolerance.Warn)
 	}
-	if w := l.toleranceForLocked("gi.flux:omegaA").Warn; w != 0.04 {
-		t.Fatalf("class overlay: warn %g, want 0.04", w)
+	flux := DefaultTolerances()["gi.flux"]
+	if w := l.toleranceForLocked("gi.flux:omegaA").Warn; w != flux.Warn {
+		t.Fatalf("class overlay: warn %g, want %g", w, flux.Warn)
 	}
-	if w := l.toleranceForLocked("gi.flux:special").Warn; w != 0.5 {
-		t.Fatalf("exact overlay: warn %g, want 0.5", w)
+	if got := l.toleranceForLocked("gi.flux:special"); got.Warn != 0.5 || got.Critical != flux.Critical {
+		t.Fatalf("exact overlay: warn %g critical %g, want 0.5 and the class's %g", got.Warn, got.Critical, flux.Critical)
 	}
 }
 
@@ -268,9 +263,8 @@ func TestStatsAndJSON(t *testing.T) {
 // TestFloorGuardsRelative checks that a tiny scale falls back to the floor
 // rather than dividing by ~zero.
 func TestFloorGuardsRelative(t *testing.T) {
-	l := New(Options{
-		PerBudget: map[string]Tolerance{"q.match:x": {Floor: 1.0, Warn: 0.5, Critical: 2.0}},
-	})
+	l := New(Options{})
+	l.SetTolerance("q.match:x", Tolerance{Floor: 1.0, Warn: 0.5, Critical: 2.0})
 	l.ObserveResidual("q.match:x", 0.1, 1e-300)
 	rep := l.Status()
 	if math.Abs(rep.Budgets[0].Rel-0.1) > 1e-15 {

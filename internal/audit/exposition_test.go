@@ -36,7 +36,7 @@ func fixtureLedger() *Ledger {
 func TestGoldenAuditExposition(t *testing.T) {
 	led := fixtureLedger()
 	var buf bytes.Buffer
-	if err := monitor.WriteMetrics(&buf, "nektarg", nil, led.Stats(), monitor.NewHealth()); err != nil {
+	if err := monitor.WriteMetrics(&buf, nil, led.Stats(), monitor.NewHealth()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics_audit.golden")
@@ -72,7 +72,7 @@ func TestGoldenAuditExposition(t *testing.T) {
 // guarantee Prometheus scrapers rely on, independent of the golden bytes.
 func TestAuditExpositionHelpTypeLint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := monitor.WriteMetrics(&buf, "nektarg", nil, fixtureLedger().Stats(), monitor.NewHealth()); err != nil {
+	if err := monitor.WriteMetrics(&buf, nil, fixtureLedger().Stats(), monitor.NewHealth()); err != nil {
 		t.Fatal(err)
 	}
 	announced, err := monitor.LintExposition(buf.String())

@@ -121,15 +121,9 @@ type Exchange struct {
 }
 
 // Audit enables the physics audit ledger (internal/audit): per-exchange
-// conservation and coupling-fidelity budgets judged against tolerance bands.
-// Presence of the block enables auditing; zero fields keep the built-in
-// default bands.
-type Audit struct {
-	// Warn and Critical override the base step-change bands (relative
-	// magnitudes) for every budget class that doesn't carry its own.
-	Warn     float64 `json:"warn"`
-	Critical float64 `json:"critical"`
-}
+// conservation and coupling-fidelity budgets judged against the ledger's
+// built-in tolerance bands. The block has no keys; "audit": {} enables it.
+type Audit struct{}
 
 // Insitu configures the live observation pipeline (internal/insitu): a
 // non-blocking, drop-accounted snapshot stream from the solvers to an
@@ -138,37 +132,18 @@ type Audit struct {
 type Insitu struct {
 	// Stride publishes every Stride-th exchange period (default 1).
 	Stride int `json:"stride"`
-	// GridStride decimates continuum grids per axis (default 2).
-	GridStride int `json:"gridStride"`
 	// MaxParticles caps each region's particle subsample (default 2048).
 	MaxParticles int `json:"maxParticles"`
-	// QueueCap bounds the in-flight piece backlog (default 64).
-	QueueCap int `json:"queueCap"`
-	// Policy selects what a full queue discards: "drop-oldest" (default,
-	// latest-wins live view) or "drop-newest" (archival prefix).
-	Policy string `json:"policy"`
 	// Dir receives the rolling VTK time series ("" = in-memory only).
 	Dir string `json:"dir"`
-	// Keep bounds the on-disk series length (default 4).
-	Keep int `json:"keep"`
 }
 
-// InsituConfig validates the spec into the insitu package's publisher config.
-func (s *Insitu) InsituConfig() (insitu.Config, error) {
+// InsituConfig is the insitu package's publisher config for the spec.
+func (s *Insitu) InsituConfig() insitu.Config {
 	if s == nil {
-		return insitu.Config{}, nil
+		return insitu.Config{}
 	}
-	pol, err := insitu.ParsePolicy(s.Policy)
-	if err != nil {
-		return insitu.Config{}, fmt.Errorf("config: insitu: %w", err)
-	}
-	return insitu.Config{
-		Stride:       s.Stride,
-		GridStride:   s.GridStride,
-		MaxParticles: s.MaxParticles,
-		QueueCap:     s.QueueCap,
-		Policy:       pol,
-	}, nil
+	return insitu.Config{Stride: s.Stride, MaxParticles: s.MaxParticles}
 }
 
 // Transport selects how the simulation's rank world is carried: the default

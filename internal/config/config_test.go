@@ -72,6 +72,25 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRetiredKeys: the in-situ queue policy and the audit bands
+// are constants now; a config that still sets them is refused by name
+// rather than silently ignored.
+func TestLoadRejectsRetiredKeys(t *testing.T) {
+	for key, doc := range map[string]string{
+		"policy": `{"insitu": {"stride": 2, "policy": "drop-newest"}}`,
+		"warn":   `{"audit": {"warn": 0.3}}`,
+	} {
+		_, err := Load(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: err = %v, want a rejection naming %q", doc, err, key)
+		}
+	}
+	c, err := Load(strings.NewReader(`{"audit": {}, "insitu": {"stride": 2, "maxParticles": 512, "dir": "frames"}}`))
+	if err != nil || c.Audit == nil || c.Insitu.Stride != 2 || c.Insitu.MaxParticles != 512 || c.Insitu.Dir != "frames" {
+		t.Fatalf("kept keys: %+v, %v", c, err)
+	}
+}
+
 func mustBuildErr(t *testing.T, mutate func(*Config)) {
 	t.Helper()
 	c, err := Load(strings.NewReader(validJSON))

@@ -156,7 +156,7 @@ func TestAuditCatchesInjectedFluxFault(t *testing.T) {
 		Proc: "rank0", Ranks: []int{0}, Transport: "inproc",
 		Verdict: mon.Health().Verdict(), Stats: led.Stats(),
 	})
-	fsrv, err := agg.Serve("127.0.0.1:0", "nektarg", nil)
+	fsrv, err := agg.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestFleetWorldChild(t *testing.T) {
 	if addr := os.Getenv(fleetAddrEnv); addr != "" {
 		agg := fleet.NewAggregator()
 		agg.ObserveJournal(j)
-		srv, err := agg.Serve(addr, "nektarg", j)
+		srv, err := agg.Serve(addr, j)
 		if err != nil {
 			t.Fatal(err)
 		}

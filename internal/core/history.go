@@ -28,12 +28,11 @@ func (m *Metasolver) EnableHistory(h *history.Plane) {
 // History returns the metasolver's history plane (nil when disabled).
 func (m *Metasolver) History() *history.Plane { return m.hist }
 
-// sampleHistory feeds one completed exchange into the plane, honouring the
-// sampling stride. elapsed is the exchange's wall time as measured around
+// sampleHistory feeds one completed exchange into the plane. elapsed is the exchange's wall time as measured around
 // the meta.step span in Advance.
 func (m *Metasolver) sampleHistory(elapsed time.Duration) {
 	h := m.hist
-	if h == nil || !h.Due(m.Exchanges) {
+	if h == nil {
 		return
 	}
 	h.SampleExchange(int64(m.Exchanges), elapsed.Seconds(), m.telemetryRecorders())

@@ -223,7 +223,7 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 	agg := fleet.NewAggregator()
 	agg.Report(fleet.ProcessStatus{Proc: "rank0", Ranks: []int{0}, Transport: "inproc", History: compact})
 	agg.Report(fleet.ProcessStatus{Proc: "rank1", Ranks: []int{1}, Transport: "inproc"})
-	fsrv, err := agg.Serve("127.0.0.1:0", "nektarg", nil)
+	fsrv, err := agg.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +298,14 @@ func TestHistorySamplingOverhead(t *testing.T) {
 	t.Logf("sampling cost %v, exchange %v: %.2f%% (%d exchanges)", cost, wall, 100*float64(cost)/float64(wall), len(costs))
 }
 
-// TestHistoryStrideSampling: with a stride only every Nth exchange is
-// sampled — the resolution/horizon trade for very long runs.
-func TestHistoryStrideSampling(t *testing.T) {
+// TestHistorySamplesEveryExchange: the plane takes one sample per exchange
+// period.
+func TestHistorySamplesEveryExchange(t *testing.T) {
 	sc := buildRestartScenario(t)
-	opts := historyTestOptions()
-	opts.Stride = 3
-	h := wireHistory(sc, opts)
+	h := wireHistory(sc, historyTestOptions())
 	sc.advance(t, 7)
-	if h.Samples() != 2 { // exchanges 3 and 6
-		t.Fatalf("samples = %d over 7 exchanges at stride 3, want 2", h.Samples())
+	if h.Samples() != 7 {
+		t.Fatalf("samples = %d over 7 exchanges, want 7", h.Samples())
 	}
 }
 
@@ -325,9 +323,7 @@ func TestHistoryDisabledZeroCost(t *testing.T) {
 	}
 	var p *history.Plane
 	if a := testing.AllocsPerRun(1000, func() {
-		if p.Due(7) {
-			p.SampleExchange(7, 0.1, nil)
-		}
+		p.SampleExchange(7, 0.1, nil)
 		p.Observe("x", 1, 1)
 		p.ObserveCum("x", 1, 1)
 		if p.Stats() != nil || p.Anomalies() != nil {

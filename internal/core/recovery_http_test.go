@@ -21,7 +21,7 @@ func TestHealthzRecoversAfterRestore(t *testing.T) {
 	sc := buildRestartScenario(t)
 	reg := telemetry.NewRegistry()
 	reg.NewRecorder("rank0").RecordSpan("meta.exchange", 0, time.Millisecond, 0, 0)
-	mon := monitor.New(reg, monitor.Options{FlightDir: t.TempDir(), FlightLimit: 2})
+	mon := monitor.New(reg, monitor.Options{FlightDir: t.TempDir()})
 	srv, err := mon.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestHealthzRecoversAfterRestore(t *testing.T) {
 	}
 
 	// The black box fired twice: once auto-triggered by the critical trip,
-	// once by the recovery loop before the restore — and the configured
-	// FlightLimit of 2 admitted exactly both.
+	// once by the recovery loop before the restore, both within the
+	// monitor.DefaultFlightLimit cap.
 	if dumps := mon.Flight().Dumps(); len(dumps) != 2 {
 		t.Fatalf("flight dumps after recovery = %v, want exactly 2", dumps)
 	}

@@ -104,7 +104,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	a.Report(healthyStatus("rank0", 0))
 	a.Report(healthyStatus("rank1", 1))
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses()); err != nil {
+	if err := WriteClusterMetrics(&buf, a.Verdict(), a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -127,7 +127,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 
 	// Deterministic: a second render is byte-identical.
 	var buf2 bytes.Buffer
-	if err := WriteClusterMetrics(&buf2, "nektarg", a.Verdict(), a.Statuses()); err != nil {
+	if err := WriteClusterMetrics(&buf2, a.Verdict(), a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	a1, a2 := buf.String(), buf2.String()
@@ -173,7 +173,7 @@ func TestGoldenClusterMetrics(t *testing.T) {
 		v.Processes[i].AgeS = 0 // wall-clock-dependent; pinned to 0 for the golden bytes
 	}
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", v, a.Statuses()); err != nil {
+	if err := WriteClusterMetrics(&buf, v, a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "cluster_metrics.golden")
@@ -210,7 +210,7 @@ func TestClusterMetricsHelpTypeLint(t *testing.T) {
 	a.Report(healthyStatus("rank0", 0))
 	a.Report(auditedStatus("rank1", 1))
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses()); err != nil {
+	if err := WriteClusterMetrics(&buf, a.Verdict(), a.Statuses()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := monitor.LintExposition(buf.String()); err != nil {
@@ -223,7 +223,7 @@ func TestFleetHTTPSurface(t *testing.T) {
 	j := openTestJournal(t, filepath.Join(dir, "j.nkj"), 0)
 	a := NewAggregator()
 	a.ObserveJournal(j)
-	srv, err := a.Serve("127.0.0.1:0", "nektarg", j)
+	srv, err := a.Serve("127.0.0.1:0", j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestPublisherEndToEnd(t *testing.T) {
 	})
 
 	a := NewAggregator()
-	srv, err := a.Serve("127.0.0.1:0", "nektarg", nil)
+	srv, err := a.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +324,9 @@ func TestPublisherEndToEnd(t *testing.T) {
 		t.Fatalf("status missing snapshots/stats: %+v", sts[0])
 	}
 
-	// Stride: exchange 1 skipped, exchange 2 published.
-	pub.SetStride(2)
+	// The per-exchange hook republishes the same process.
 	pub.OnExchange(1)
-	pub.OnExchange(2)
 	if got := len(a.Statuses()); got != 1 {
-		t.Fatalf("stride publish changed process count: %d", got)
+		t.Fatalf("per-exchange publish changed process count: %d", got)
 	}
 }

@@ -95,7 +95,7 @@ func BenchmarkClusterMetricsWrite(b *testing.B) {
 	v, sts := a.Verdict(), a.Statuses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteClusterMetrics(io.Discard, "nektarg", v, sts); err != nil {
+		if err := WriteClusterMetrics(io.Discard, v, sts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func (s stubHistory) AnomaliesJSON() ([]byte, error) { return []byte(`{"total":0
 
 func TestClusterHistoryRollup(t *testing.T) {
 	a := NewAggregator()
-	srv, err := a.Serve("127.0.0.1:0", "nektarg", nil)
+	srv, err := a.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

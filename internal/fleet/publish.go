@@ -32,15 +32,13 @@ type Publisher struct {
 	kind   string // transport kind
 	j      *Journal
 
-	mu     sync.Mutex
-	stride int
-	inc    int // incarnation override when no journal is wired
+	mu  sync.Mutex
+	inc int // incarnation override when no journal is wired
 }
 
 // NewPublisher builds a publisher POSTing to aggregatorURL (base URL, e.g.
 // "http://host:9190"). mon supplies snapshots, the health verdict and extra
-// stats; j (optional) supplies the incarnation id. Publishes every exchange
-// by default; see SetStride.
+// stats; j (optional) supplies the incarnation id.
 func NewPublisher(aggregatorURL string, mon *monitor.Monitor, proc string, ranks []int, transport string, j *Journal) *Publisher {
 	return &Publisher{
 		url:    aggregatorURL,
@@ -50,21 +48,7 @@ func NewPublisher(aggregatorURL string, mon *monitor.Monitor, proc string, ranks
 		ranks:  append([]int(nil), ranks...),
 		kind:   transport,
 		j:      j,
-		stride: 1,
 	}
-}
-
-// SetStride publishes only every n-th exchange (minimum 1).
-func (p *Publisher) SetStride(n int) {
-	if p == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	p.stride = n
-	p.mu.Unlock()
 }
 
 // SetIncarnation overrides the incarnation stamp for publishers without a
@@ -137,16 +121,9 @@ func (p *Publisher) PublishNow() error {
 
 // OnExchange is the supervisor-side hook, called after every committed
 // exchange. On a nil publisher it is one pointer comparison; enabled, it
-// publishes every stride-th exchange (errors are dropped — publishing is
-// best-effort by design).
+// publishes (errors are dropped — publishing is best-effort by design).
 func (p *Publisher) OnExchange(exchange int) {
 	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	stride := p.stride
-	p.mu.Unlock()
-	if exchange%stride != 0 {
 		return
 	}
 	p.PublishNow() //nolint:errcheck // best-effort: the aggregator serves the last good status

@@ -19,9 +19,9 @@ func publishAndScrape(t *testing.T, body []byte) (int, string) {
 	t.Helper()
 	a := NewAggregator()
 	pub := httptest.NewRecorder()
-	a.Handler("nektarg", nil).ServeHTTP(pub, httptest.NewRequest(http.MethodPost, "/cluster/publish", bytes.NewReader(body)))
+	a.Handler(nil).ServeHTTP(pub, httptest.NewRequest(http.MethodPost, "/cluster/publish", bytes.NewReader(body)))
 	var out bytes.Buffer
-	if err := WriteClusterMetrics(&out, "nektarg", a.Verdict(), a.Statuses()); err != nil {
+	if err := WriteClusterMetrics(&out, a.Verdict(), a.Statuses()); err != nil {
 		t.Fatalf("publish answered %d but the exposition fails: %v", pub.Code, err)
 	}
 	return pub.Code, out.String()
@@ -80,7 +80,7 @@ func TestPublishRejectsHostileStats(t *testing.T) {
 	st.Stats = []monitor.Stat{{Name: "x\n" + injected}}
 	a.Report(st)
 	var buf bytes.Buffer
-	if err := WriteClusterMetrics(&buf, "nektarg", a.Verdict(), a.Statuses()); err == nil || strings.Contains(buf.String(), injected) {
+	if err := WriteClusterMetrics(&buf, a.Verdict(), a.Statuses()); err == nil || strings.Contains(buf.String(), injected) {
 		t.Errorf("writer printed an invalid family (err = %v):\n%s", err, buf.String())
 	}
 }

@@ -27,8 +27,8 @@ func ranksLabel(ranks []int) string {
 // cross-process stage statistics and straggler attribution) plus per-process
 // series labeled by proc id. Output is deterministic for a given input —
 // processes, stages and stat families all sorted.
-func WriteClusterMetrics(w io.Writer, namespace string, v ClusterVerdict, sts []ProcessStatus) error {
-	e := monitor.NewExposition(w, namespace)
+func WriteClusterMetrics(w io.Writer, v ClusterVerdict, sts []ProcessStatus) error {
+	e := monitor.NewExposition(w)
 	bit := func(b bool) float64 {
 		if b {
 			return 1
@@ -134,7 +134,7 @@ func WriteClusterMetrics(w io.Writer, namespace string, v ClusterVerdict, sts []
 //	GET  /events            the run-event journal as JSON (404 without one)
 //
 // j may be nil (no journal wired); /events then 404s.
-func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
+func (a *Aggregator) Handler(j *Journal) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -146,7 +146,7 @@ func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
 	})
 	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteClusterMetrics(w, namespace, a.Verdict(), a.Statuses()) //nolint:errcheck // client went away
+		WriteClusterMetrics(w, a.Verdict(), a.Statuses()) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/cluster/healthz", func(w http.ResponseWriter, r *http.Request) {
 		v := a.Verdict()
@@ -222,6 +222,6 @@ func (a *Aggregator) Handler(namespace string, j *Journal) http.Handler {
 
 // Serve starts the aggregator's HTTP surface on addr and returns once the
 // listener is bound. Close the returned server to stop.
-func (a *Aggregator) Serve(addr, namespace string, j *Journal) (*monitor.Server, error) {
-	return monitor.Serve(addr, a.Handler(namespace, j))
+func (a *Aggregator) Serve(addr string, j *Journal) (*monitor.Server, error) {
+	return monitor.Serve(addr, a.Handler(j))
 }

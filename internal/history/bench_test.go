@@ -68,8 +68,6 @@ func BenchmarkHistoryDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p.Due(i) {
-			p.SampleExchange(int64(i+1), 0.012, recs)
-		}
+		p.SampleExchange(int64(i+1), 0.012, recs)
 	}
 }

@@ -1,6 +1,6 @@
 // Package history is the performance-history plane of the metasolver: an
 // embedded, bounded-memory time-series store sampling every telemetry gauge,
-// counter rate and per-stage span timing at a configurable exchange stride,
+// counter rate and per-stage span timing once per exchange period,
 // with rolling statistical baselines that raise typed performance anomalies
 // — step-time regression, CG-iteration inflation, MCI traffic spikes,
 // imbalance drift, GC/alloc growth — on sustained z-score excursions.
@@ -53,10 +53,6 @@ const (
 // Options configures a Plane. The zero value selects the defaults listed on
 // each field.
 type Options struct {
-	// Stride samples every Nth exchange (default 1). Raising it trades
-	// resolution for horizon: the fixed-capacity rings then cover
-	// Stride× more steps.
-	Stride int
 	// RawCap is the raw ring capacity per series (default 1024).
 	RawCap int
 	// TierFactor is the downsample factor between tiers (default 16).
@@ -106,7 +102,6 @@ func (o Options) withDefaults() Options {
 			*p = v
 		}
 	}
-	def(&o.Stride, 1)
 	def(&o.RawCap, 1024)
 	def(&o.TierFactor, 16)
 	def(&o.TierCap, 1024)
@@ -164,24 +159,6 @@ func New(opts Options) *Plane {
 		}
 	}
 	return p
-}
-
-// Stride returns the configured sampling stride (0 on a nil plane).
-func (p *Plane) Stride() int {
-	if p == nil {
-		return 0
-	}
-	return p.o.Stride
-}
-
-// Due reports whether the given exchange index is a sampling point. The
-// disabled plane is never due — callers can gate the cost of assembling a
-// sample (the step timer in core.Metasolver.Advance) on it.
-func (p *Plane) Due(exchange int) bool {
-	if p == nil {
-		return false
-	}
-	return exchange%p.o.Stride == 0
 }
 
 // OnAnomaly registers a hook fired (outside the plane lock) for every

@@ -677,7 +677,7 @@ func TestNilPlaneDisabled(t *testing.T) {
 	p.SampleExchange(1, 0.1, nil)
 	p.OnAnomaly(func(Anomaly) {})
 	p.ApplyState(&State{Samples: 3})
-	if p.Due(0) || p.Stride() != 0 || p.Samples() != 0 || p.AnomalyTotal() != 0 || p.SampleCost() != 0 {
+	if p.Samples() != 0 || p.AnomalyTotal() != 0 || p.SampleCost() != 0 {
 		t.Fatal("nil plane reported non-zero state")
 	}
 	if p.Doc("", 0, 0) != nil || p.CaptureState() != nil || p.Anomalies() != nil ||
@@ -689,16 +689,6 @@ func TestNilPlaneDisabled(t *testing.T) {
 	}
 	if b, err := p.AnomaliesJSON(); b != nil || err != nil {
 		t.Fatal("nil plane AnomaliesJSON not nil,nil")
-	}
-}
-
-// TestStride: sampling due-ness honours the configured stride.
-func TestStride(t *testing.T) {
-	p := New(Options{Stride: 4, NoRuntime: true})
-	for e, want := range map[int]bool{4: true, 8: true, 5: false, 7: false} {
-		if p.Due(e) != want {
-			t.Errorf("Due(%d) = %v, want %v", e, p.Due(e), want)
-		}
 	}
 }
 

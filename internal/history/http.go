@@ -26,7 +26,6 @@ type SeriesJSON struct {
 type Doc struct {
 	Step          int64        `json:"step"`
 	Samples       int64        `json:"samples"`
-	Stride        int          `json:"stride"`
 	SampleSeconds float64      `json:"sample_seconds_total"`
 	Series        []SeriesJSON `json:"series"`
 	Anomalies     []Anomaly    `json:"anomalies"`
@@ -45,7 +44,7 @@ func (p *Plane) Doc(prefix string, tier, maxPoints int) *Doc {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	d := &Doc{
-		Step: p.lastStep, Samples: p.samples, Stride: p.o.Stride,
+		Step: p.lastStep, Samples: p.samples,
 		SampleSeconds: float64(p.sampleNs) / 1e9,
 	}
 	names := append([]string(nil), p.order...)

@@ -14,8 +14,8 @@ package history
 // envelope is exactly the min/max of the raw samples it covers — wrap-around
 // of the raw ring cannot corrupt older tiers. With the defaults (raw 1024,
 // two tiers of 1024 bins at factors 16 and 256) one series spans the last
-// 1024 samples raw, the last ~16k at 16× and the last ~262k at 256×; with a
-// stride of 4 that covers a 10⁶-step run in ~112 KiB per series.
+// 1024 samples raw, the last ~16k at 16× and the last ~262k at 256×, in
+// ~112 KiB per series.
 
 // Point is one raw sample: the exchange index it was taken at and the value.
 type Point struct {

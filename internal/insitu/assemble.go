@@ -35,9 +35,8 @@ type AssemblerStats struct {
 // Assembler groups pieces by step index into causally consistent frames. A
 // frame is emitted when all expected sources have reported for its step; a
 // step still under assembly is abandoned (counted, never emitted) once it
-// trails the newest observed step by more than the horizon — with DropOldest
-// queues under load, old steps lose pieces to eviction and would otherwise
-// pend forever. The assembler is single-consumer (the observer goroutine) and
+// trails the newest observed step by more than the horizon — under load
+// the queue evicts, old steps lose pieces and would otherwise pend forever. The assembler is single-consumer (the observer goroutine) and
 // needs no lock of its own; Stats copies are what concurrent readers see via
 // the Observer.
 type Assembler struct {

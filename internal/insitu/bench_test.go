@@ -13,7 +13,7 @@ import (
 // i.e. the worst case the non-blocking contract must keep cheap.
 func BenchmarkInsituPublishExchange(b *testing.B) {
 	m := buildCoupledMeta(b)
-	pub, _ := NewPipeline(Config{Stride: 1, GridStride: 2, MaxParticles: 256, QueueCap: 8})
+	pub, _ := NewPipeline(Config{Stride: 1, MaxParticles: 256})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -22,10 +22,10 @@ func BenchmarkInsituPublishExchange(b *testing.B) {
 }
 
 // BenchmarkInsituQueuePublish isolates the transport: one small particle
-// piece into a bounded DropOldest queue with no consumer — pure
+// piece into a bounded queue with no consumer — pure
 // lock/evict/count cost, the floor under every publish.
 func BenchmarkInsituQueuePublish(b *testing.B) {
-	q := NewQueue(64, DropOldest)
+	q := NewQueue(DefaultQueueCap)
 	p := &Piece{
 		Kind: KindParticles, Source: "bench", Step: 1,
 		Particles: &ParticleCloud{Total: 8, Pos: make([]geometry.Vec3, 8), Vel: make([]geometry.Vec3, 8)},

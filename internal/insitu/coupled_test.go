@@ -1,7 +1,6 @@
 package insitu
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -76,7 +75,7 @@ func buildCoupledMeta(t testing.TB) *core.Metasolver {
 func TestCoupledConservationUnfaulted(t *testing.T) {
 	m := buildCoupledMeta(t)
 	const stride, exchanges = 2, 6
-	cfg := Config{Stride: stride, GridStride: 2, MaxParticles: 256, QueueCap: 16}
+	cfg := Config{Stride: stride, MaxParticles: 256}
 	pub, q := NewPipeline(cfg)
 	m.EnableInsitu(pub)
 
@@ -162,7 +161,7 @@ func TestCoupledConservationUnfaulted(t *testing.T) {
 func TestCoupledConservationFaulted(t *testing.T) {
 	m := buildCoupledMeta(t)
 	const exchanges = 5
-	cfg := Config{Stride: 1, GridStride: 2, MaxParticles: 256, QueueCap: 32}
+	cfg := Config{Stride: 1, MaxParticles: 256}
 	pub, q := NewPipeline(cfg)
 	m.EnableInsitu(pub)
 
@@ -223,29 +222,27 @@ func TestCoupledConservationFaulted(t *testing.T) {
 }
 
 // TestCoupledObserverDiskSeries checks the rolling VTK series against a real
-// run: only the newest Keep steps remain on disk and the latest snapshot
+// run: only the newest DefaultKeep steps remain on disk and the latest snapshot
 // endpoints serve the final frame.
 func TestCoupledObserverDiskSeries(t *testing.T) {
 	m := buildCoupledMeta(t)
-	cfg := Config{Stride: 1, GridStride: 2, MaxParticles: 128, QueueCap: 64}
-	pub, q := NewPipeline(cfg)
+	pub, q := NewPipeline(Config{Stride: 1, MaxParticles: 128})
 	m.EnableInsitu(pub)
-	obs := NewObserver(ObserverConfig{
-		Sources: ExpectedSources(m), Dir: t.TempDir(), Keep: 2,
-	})
+	obs := NewObserver(ObserverConfig{Sources: ExpectedSources(m), Dir: t.TempDir()})
 	obs.SetStatsSource(q.Stats)
 	done := make(chan struct{})
 	go func() { defer close(done); obs.Run(q) }()
 
-	if err := m.Advance(4); err != nil {
+	const exchanges = DefaultKeep + 2
+	if err := m.Advance(exchanges); err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
 	<-done
 
 	steps := obs.WrittenSteps()
-	if len(steps) != 2 || steps[0] != 3 || steps[1] != 4 {
-		t.Fatalf("rolling series kept steps %v, want [3 4]", steps)
+	if len(steps) != DefaultKeep || steps[0] != exchanges-DefaultKeep+1 || steps[len(steps)-1] != exchanges {
+		t.Fatalf("rolling series kept steps %v, want the newest %d of %d", steps, DefaultKeep, exchanges)
 	}
 	meta, err := obs.SnapshotMeta()
 	if err != nil {
@@ -258,7 +255,7 @@ func TestCoupledObserverDiskSeries(t *testing.T) {
 
 // TestInsituNonBlockingStall pins the non-blocking guarantee with a
 // deliberately stalled observer: nobody ever drains the queue, so every
-// publish beyond the first QueueCap is a drop — and the solver's wall-clock
+// publish beyond the queue's capacity is a drop — and the solver's wall-clock
 // per exchange must not inflate materially versus an observer-disabled run.
 // Timing is min-of-N on interleaved fresh scenarios to shed scheduler noise.
 func TestInsituNonBlockingStall(t *testing.T) {
@@ -267,8 +264,8 @@ func TestInsituNonBlockingStall(t *testing.T) {
 	run := func(enable bool) time.Duration {
 		m := buildCoupledMeta(t)
 		if enable {
-			pub, _ := NewPipeline(Config{Stride: 1, GridStride: 2, MaxParticles: 256, QueueCap: 1})
-			m.EnableInsitu(pub) // queue is never drained: a stalled observer
+			// The queue is never drained: a stalled observer.
+			m.EnableInsitu(NewPublisher(Config{Stride: 1, MaxParticles: 256}, NewQueue(1)))
 		}
 		start := time.Now()
 		if err := m.Advance(exchanges); err != nil {
@@ -298,8 +295,8 @@ func TestInsituNonBlockingStall(t *testing.T) {
 
 	// And the stall really exercised the drop path.
 	m := buildCoupledMeta(t)
-	pub, q := NewPipeline(Config{Stride: 1, QueueCap: 1})
-	m.EnableInsitu(pub)
+	q := NewQueue(1)
+	m.EnableInsitu(NewPublisher(Config{Stride: 1}, q))
 	if err := m.Advance(exchanges); err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +306,5 @@ func TestInsituNonBlockingStall(t *testing.T) {
 	}
 	if st.Published != st.Delivered+st.Dropped+st.Queued {
 		t.Fatalf("instantaneous conservation violated: %+v", st)
-	}
-}
-
-// TestCoupledConfigErrors keeps the error surface honest.
-func TestCoupledConfigErrors(t *testing.T) {
-	if _, err := ParsePolicy("sometimes"); !errors.Is(err, ErrBadPolicy) {
-		t.Fatalf("ParsePolicy error = %v, want ErrBadPolicy", err)
 	}
 }

@@ -6,7 +6,7 @@
 // arXiv:1110.3092); this package reproduces that path in-process:
 //
 //	solver ranks ──publish──▶ bounded queue ──────────▶ observer
-//	 (non-blocking,           (explicit drop policy,     (frame
+//	 (non-blocking,           (drops its oldest          (frame
 //	  every stride             published == delivered     assembly,
 //	  exchanges)               + dropped, exactly)        VTK, HTTP)
 //
@@ -29,8 +29,6 @@
 package insitu
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"nektarg/internal/geometry"
@@ -61,7 +59,7 @@ func (k Kind) String() string {
 }
 
 // ContinuumSlab is a downsampled structured velocity/pressure block: the
-// solver grid decimated by the publisher's GridStride, coordinates in the
+// solver grid decimated by the publisher's gridStride, coordinates in the
 // solver's local frame with the patch origin carried alongside. Fields are
 // indexed (k*ny + j)*nx + i, matching viz.WriteStructuredSlab.
 type ContinuumSlab struct {
@@ -119,49 +117,6 @@ func (p *Piece) TelemetryBytes() int64 {
 	return b
 }
 
-// DropPolicy selects what a full queue discards.
-type DropPolicy uint8
-
-const (
-	// DropOldest evicts the oldest unconsumed piece to admit the incoming
-	// one — latest-wins streaming, the default for live observation: the
-	// observer always converges on the newest state and staleness stays
-	// bounded by the queue depth even under a stalled consumer.
-	DropOldest DropPolicy = iota
-	// DropNewest discards the incoming piece when the queue is full,
-	// preserving the oldest backlog — archival mode, where a contiguous
-	// prefix of the run matters more than the newest frame.
-	DropNewest
-)
-
-// String returns the policy's display name.
-func (d DropPolicy) String() string {
-	switch d {
-	case DropOldest:
-		return "drop-oldest"
-	case DropNewest:
-		return "drop-newest"
-	default:
-		return "?"
-	}
-}
-
-// ErrBadPolicy tags ParsePolicy failures so config validation can branch on
-// the cause without string matching.
-var ErrBadPolicy = errors.New("insitu: unknown drop policy")
-
-// ParsePolicy maps a config string to a DropPolicy.
-func ParsePolicy(s string) (DropPolicy, error) {
-	switch s {
-	case "", "drop-oldest":
-		return DropOldest, nil
-	case "drop-newest":
-		return DropNewest, nil
-	default:
-		return 0, fmt.Errorf("%w %q (want drop-oldest|drop-newest)", ErrBadPolicy, s)
-	}
-}
-
 // Stats is the queue's drop accounting. The conservation law is
 // Published == Delivered + Dropped + Queued at every instant, collapsing to
 // Published == Delivered + Dropped once the pipeline quiesces (queue drained
@@ -176,8 +131,11 @@ type Stats struct {
 	DropBytes int64 `json:"drop_bytes"`
 }
 
-// Queue is the in-process transport: a bounded MPSC piece buffer with an
-// explicit drop policy. Publish never blocks; Take blocks until a piece
+// Queue is the in-process transport: a bounded MPSC piece buffer that
+// evicts its oldest piece to admit a new one when full — latest-wins
+// streaming: the observer always converges on the newest state, and
+// staleness stays bounded by the queue depth even under a stalled consumer.
+// Publish never blocks; Take blocks until a piece
 // arrives or the queue is closed. All counters are maintained under one lock
 // so the conservation law is exact at every observable instant.
 type Queue struct {
@@ -185,31 +143,29 @@ type Queue struct {
 	cond   *sync.Cond
 	buf    []*Piece // FIFO; eviction pops the front
 	cap    int
-	policy DropPolicy
 	closed bool
 	st     Stats
 }
 
 // DefaultQueueCap bounds the in-flight piece backlog. Sized for a few full
 // frames of a multi-patch scene: with a stalled observer the memory high-water
-// mark is cap × piece size, and with DropOldest the staleness high-water mark
-// is cap pieces.
+// mark is cap × piece size, and the staleness high-water mark is cap pieces.
 const DefaultQueueCap = 64
 
 // NewQueue creates a bounded queue (capacity < 1 takes DefaultQueueCap).
-func NewQueue(capacity int, policy DropPolicy) *Queue {
+func NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = DefaultQueueCap
 	}
-	q := &Queue{cap: capacity, policy: policy, buf: make([]*Piece, 0, capacity)}
+	q := &Queue{cap: capacity, buf: make([]*Piece, 0, capacity)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // Publish offers a piece without ever blocking. It reports whether the piece
-// was accepted; a false return means it (DropNewest) or an evicted older
-// piece (DropOldest) was counted as dropped. Publishing to a closed queue
-// counts as a drop: the observer is gone, the solver must not care.
+// was accepted; a full queue accepts it by evicting, and counting as
+// dropped, its oldest piece. Publishing to a closed queue counts as a drop
+// and returns false: the observer is gone, the solver must not care.
 func (q *Queue) Publish(p *Piece) bool {
 	q.mu.Lock()
 	q.st.Published++
@@ -223,31 +179,18 @@ func (q *Queue) Publish(p *Piece) bool {
 		q.mu.Unlock()
 		return false
 	}
-	accepted := true
 	if len(q.buf) >= q.cap {
-		switch q.policy {
-		case DropNewest:
-			q.st.Dropped++
-			q.st.DropBytes += p.TelemetryBytes()
-			accepted = false
-		default: // DropOldest
-			old := q.buf[0]
-			copy(q.buf, q.buf[1:])
-			q.buf = q.buf[:len(q.buf)-1]
-			q.st.Dropped++
-			q.st.DropBytes += old.TelemetryBytes()
-		}
+		old := q.buf[0]
+		copy(q.buf, q.buf[1:])
+		q.buf = q.buf[:len(q.buf)-1]
+		q.st.Dropped++
+		q.st.DropBytes += old.TelemetryBytes()
 	}
-	if accepted {
-		q.buf = append(q.buf, p)
-		q.st.Queued = int64(len(q.buf))
-		q.mu.Unlock()
-		q.cond.Broadcast()
-		return true
-	}
+	q.buf = append(q.buf, p)
 	q.st.Queued = int64(len(q.buf))
 	q.mu.Unlock()
-	return false
+	q.cond.Broadcast()
+	return true
 }
 
 // Take removes the oldest piece, blocking until one arrives. It returns

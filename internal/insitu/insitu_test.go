@@ -26,66 +26,62 @@ func testPiece(source string, step int) *Piece {
 // and the consumer must have seen exactly `delivered` pieces. Run under -race
 // in the verify gate.
 func TestQueueConservation(t *testing.T) {
-	for _, policy := range []DropPolicy{DropOldest, DropNewest} {
-		t.Run(policy.String(), func(t *testing.T) {
-			q := NewQueue(7, policy) // deliberately tiny: force drops
-			const publishers, perPublisher = 4, 500
+	q := NewQueue(7) // deliberately tiny: force drops
+	const publishers, perPublisher = 4, 500
 
-			var consumed int64
-			var consumer sync.WaitGroup
-			consumer.Add(1)
-			go func() {
-				defer consumer.Done()
-				for {
-					if _, ok := q.Take(); !ok {
-						return
-					}
-					consumed++
-				}
-			}()
+	var consumed int64
+	var consumer sync.WaitGroup
+	consumer.Add(1)
+	go func() {
+		defer consumer.Done()
+		for {
+			if _, ok := q.Take(); !ok {
+				return
+			}
+			consumed++
+		}
+	}()
 
-			var pubs sync.WaitGroup
-			for p := 0; p < publishers; p++ {
-				pubs.Add(1)
-				go func(p int) {
-					defer pubs.Done()
-					src := fmt.Sprintf("src%d", p)
-					for s := 0; s < perPublisher; s++ {
-						q.Publish(testPiece(src, s))
-					}
-				}(p)
+	var pubs sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		pubs.Add(1)
+		go func(p int) {
+			defer pubs.Done()
+			src := fmt.Sprintf("src%d", p)
+			for s := 0; s < perPublisher; s++ {
+				q.Publish(testPiece(src, s))
 			}
-			pubs.Wait()
-			q.Close()
-			consumer.Wait()
+		}(p)
+	}
+	pubs.Wait()
+	q.Close()
+	consumer.Wait()
 
-			st := q.Stats()
-			if st.Published != publishers*perPublisher {
-				t.Fatalf("published = %d, want %d", st.Published, publishers*perPublisher)
-			}
-			if st.Published != st.Delivered+st.Dropped {
-				t.Fatalf("conservation violated: published %d != delivered %d + dropped %d",
-					st.Published, st.Delivered, st.Dropped)
-			}
-			if consumed != st.Delivered {
-				t.Fatalf("consumer saw %d pieces, queue counted %d delivered", consumed, st.Delivered)
-			}
-			if st.Queued != 0 {
-				t.Fatalf("drained queue reports %d queued", st.Queued)
-			}
-			if st.Dropped == 0 {
-				t.Fatal("tiny queue under 4x500 publishes dropped nothing; test lost its teeth")
-			}
-		})
+	st := q.Stats()
+	if st.Published != publishers*perPublisher {
+		t.Fatalf("published = %d, want %d", st.Published, publishers*perPublisher)
+	}
+	if st.Published != st.Delivered+st.Dropped {
+		t.Fatalf("conservation violated: published %d != delivered %d + dropped %d",
+			st.Published, st.Delivered, st.Dropped)
+	}
+	if consumed != st.Delivered {
+		t.Fatalf("consumer saw %d pieces, queue counted %d delivered", consumed, st.Delivered)
+	}
+	if st.Queued != 0 {
+		t.Fatalf("drained queue reports %d queued", st.Queued)
+	}
+	if st.Dropped == 0 {
+		t.Fatal("tiny queue under 4x500 publishes dropped nothing; test lost its teeth")
 	}
 }
 
-// TestQueueDropOldestKeepsNewest: with a stalled consumer, DropOldest must
+// TestQueueDropOldestKeepsNewest: with a stalled consumer, the queue must
 // leave exactly the newest cap pieces in the queue — the latest-wins contract
 // that bounds observer staleness by the queue depth.
 func TestQueueDropOldestKeepsNewest(t *testing.T) {
 	const cap = 4
-	q := NewQueue(cap, DropOldest)
+	q := NewQueue(cap)
 	for s := 0; s < 10; s++ {
 		q.Publish(testPiece("a", s))
 	}
@@ -112,32 +108,11 @@ func TestQueueDropOldestKeepsNewest(t *testing.T) {
 	}
 }
 
-// TestQueueDropNewestKeepsOldest: archival mode must preserve the contiguous
-// prefix and shed the incoming pieces.
-func TestQueueDropNewestKeepsOldest(t *testing.T) {
-	q := NewQueue(3, DropNewest)
-	for s := 0; s < 8; s++ {
-		q.Publish(testPiece("a", s))
-	}
-	q.Close()
-	var got []int
-	for {
-		p, ok := q.Take()
-		if !ok {
-			break
-		}
-		got = append(got, p.Step)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("drained %v, want [0 1 2]", got)
-	}
-}
-
 // TestQueuePublishAfterClose: a closed queue counts publishes as drops — the
 // solver keeps running after the observer is gone, and the accounting stays
 // conserved.
 func TestQueuePublishAfterClose(t *testing.T) {
-	q := NewQueue(4, DropOldest)
+	q := NewQueue(4)
 	q.Close()
 	if q.Publish(testPiece("a", 1)) {
 		t.Fatal("publish to a closed queue reported accepted")
@@ -196,7 +171,7 @@ func TestAssemblerCausalConsistency(t *testing.T) {
 
 // TestAssemblerAbandonsStale: a partial step that trails the newest piece by
 // more than the horizon is dropped and counted, never emitted — the accounting
-// that keeps DropOldest pipelines from pending forever.
+// that keeps evicting pipelines from pending forever.
 func TestAssemblerAbandonsStale(t *testing.T) {
 	a := NewAssembler([]string{"x", "y"}, 2)
 	a.Add(testPiece("x", 1)) // partial step 1
@@ -229,19 +204,6 @@ func TestAssemblerEmitCleansOlderPartials(t *testing.T) {
 	// A straggler for the overtaken step must not regress the series.
 	if f := a.Add(testPiece("y", 3)); f != nil {
 		t.Fatal("stale straggler emitted a frame behind the series head")
-	}
-}
-
-// TestParsePolicy covers the config surface.
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]DropPolicy{"": DropOldest, "drop-oldest": DropOldest, "drop-newest": DropNewest} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParsePolicy("latest"); err == nil {
-		t.Fatal("bad policy string accepted")
 	}
 }
 

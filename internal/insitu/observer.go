@@ -19,20 +19,16 @@ import (
 type ObserverConfig struct {
 	// Sources are the labels a complete frame must carry (ExpectedSources).
 	Sources []string
-	// Horizon is the assembler's abandonment horizon (<1 = DefaultHorizon).
-	Horizon int
 	// Dir, when non-empty, receives a rolling VTK time series: one file per
-	// piece per frame, pruned to the newest Keep frames.
+	// piece per frame, pruned to the newest DefaultKeep frames.
 	Dir string
-	// Keep bounds the on-disk series length (<1 = DefaultKeep).
-	Keep int
 	// Rec, when non-nil, receives insitu.* gauges (frames, staleness,
 	// delivered, abandoned) surfaced through telemetry snapshots and the
 	// monitor's Prometheus page.
 	Rec *telemetry.Recorder
 }
 
-// DefaultKeep is the rolling series length when ObserverConfig.Keep is unset.
+// DefaultKeep is the rolling series length.
 const DefaultKeep = 4
 
 // Observer consumes snapshot pieces, assembles causally consistent frames,
@@ -54,12 +50,9 @@ type Observer struct {
 // NewObserver builds an observer. Call SetStatsSource to surface transport
 // drop accounting in SnapshotMeta.
 func NewObserver(cfg ObserverConfig) *Observer {
-	if cfg.Keep < 1 {
-		cfg.Keep = DefaultKeep
-	}
 	return &Observer{
 		cfg:   cfg,
-		asm:   NewAssembler(cfg.Sources, cfg.Horizon),
+		asm:   NewAssembler(cfg.Sources, DefaultHorizon),
 		files: make(map[int][]string),
 	}
 }
@@ -211,7 +204,7 @@ func writePieceVTK(w io.Writer, p *Piece) error {
 }
 
 // writeFrameLocked writes one frame to the rolling series and prunes beyond
-// Keep. Disk errors are latched into wErr (reported via SnapshotMeta) and
+// DefaultKeep. Disk errors are latched into wErr (reported via SnapshotMeta) and
 // never propagate to the pipeline: a full disk must not kill observation.
 func (o *Observer) writeFrameLocked(f *Frame) {
 	var names []string
@@ -227,7 +220,7 @@ func (o *Observer) writeFrameLocked(f *Frame) {
 	}
 	o.files[f.Step] = names
 	o.steps = append(o.steps, f.Step)
-	for len(o.steps) > o.cfg.Keep {
+	for len(o.steps) > DefaultKeep {
 		old := o.steps[0]
 		o.steps = o.steps[1:]
 		for _, n := range o.files[old] {

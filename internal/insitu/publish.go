@@ -20,29 +20,20 @@ type Sink interface {
 type Config struct {
 	// Stride publishes every Stride-th exchange period (<1 = every period).
 	Stride int
-	// GridStride keeps every GridStride-th grid node per axis (<1 = 2). The
-	// paper streamed decimated fields to the vis nodes for the same reason:
-	// the observer needs shape, not spectral accuracy.
-	GridStride int
 	// MaxParticles caps each region's subsampled cloud (<1 = 2048).
 	MaxParticles int
-	// QueueCap and Policy shape the in-process queue built by NewPipeline.
-	QueueCap int
-	Policy   DropPolicy
 }
+
+// gridStride keeps every gridStride-th grid node per axis. The paper
+// streamed decimated fields to the vis nodes for the same reason: the
+// observer needs shape, not spectral accuracy.
+const gridStride = 2
 
 func (c Config) stride() int {
 	if c.Stride < 1 {
 		return 1
 	}
 	return c.Stride
-}
-
-func (c Config) gridStride() int {
-	if c.GridStride < 1 {
-		return 2
-	}
-	return c.GridStride
 }
 
 func (c Config) maxParticles() int {
@@ -68,7 +59,7 @@ func NewPublisher(cfg Config, sink Sink) *Publisher {
 // NewPipeline builds the in-process transport: a bounded queue plus a
 // publisher feeding it.
 func NewPipeline(cfg Config) (*Publisher, *Queue) {
-	q := NewQueue(cfg.QueueCap, cfg.Policy)
+	q := NewQueue(DefaultQueueCap)
 	return NewPublisher(cfg, q), q
 }
 
@@ -83,7 +74,7 @@ func (pb *Publisher) PublishExchange(m *core.Metasolver, exchange int, t float64
 		pb.sink.Publish(&Piece{
 			Kind: KindContinuum, Source: "patch:" + p.Name,
 			Step: exchange, Time: t,
-			Continuum: SnapshotPatch(p, pb.cfg.gridStride()),
+			Continuum: SnapshotPatch(p, gridStride),
 		})
 	}
 	for _, a := range m.Atomistic {

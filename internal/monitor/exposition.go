@@ -22,19 +22,16 @@ import (
 // reported by Err.
 type Exposition struct {
 	w      io.Writer
-	ns     string
 	family string // the family Sample writes to; "" until the first Family
 	err    error
 }
 
+// namespace prefixes every metric family name.
+const namespace = "nektarg"
+
 // NewExposition starts an exposition whose family names are all prefixed
-// with namespace (default "nektarg").
-func NewExposition(w io.Writer, namespace string) *Exposition {
-	if namespace == "" {
-		namespace = "nektarg"
-	}
-	return &Exposition{w: w, ns: namespace}
-}
+// with namespace.
+func NewExposition(w io.Writer) *Exposition { return &Exposition{w: w} }
 
 // Err returns the first error the exposition hit.
 func (e *Exposition) Err() error { return e.err }
@@ -47,17 +44,17 @@ func (e *Exposition) fail(format string, args ...any) {
 
 var (
 	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	statName   = regexp.MustCompile(`^[a-zA-Z0-9_:]+$`) // a suffix: follows "<namespace>_"
+	statName   = regexp.MustCompile(`^[a-zA-Z0-9_:]+$`) // a suffix: follows "nektarg_"
 	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 	escHelp    = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	escLabel   = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 )
 
-// Family announces the family <namespace><suffix> with its HELP/TYPE
+// Family announces the family nektarg<suffix> with its HELP/TYPE
 // preamble; the Samples that follow belong to it. typ is "counter" or
 // "gauge".
 func (e *Exposition) Family(suffix, help, typ string) {
-	name := e.ns + suffix
+	name := namespace + suffix
 	if !metricName.MatchString(name) {
 		e.fail("invalid metric name %q", name)
 	}
@@ -123,7 +120,7 @@ func (s Stat) Validate() error {
 }
 
 // Stats writes externally supplied samples as the families
-// <namespace>_<Name>. Adjacent samples of one Name form a family, announced
+// nektarg_<Name>. Adjacent samples of one Name form a family, announced
 // from its first sample's Help and Type, so the caller groups them
 // (Monitor.Stats stable-sorts on Name).
 func (e *Exposition) Stats(stats []Stat) {
@@ -146,8 +143,8 @@ func (e *Exposition) Stats(stats []Stat) {
 }
 
 // StageRollup writes the cross-track stage statistics of an aggregate: the
-// paper's min/mean/max table as <ns>_cluster_stage_seconds, then
-// <ns><prefix>_imbalance_ratio and <ns><prefix>_straggler_share. unit names
+// paper's min/mean/max table as nektarg_cluster_stage_seconds, then
+// nektarg<prefix>_imbalance_ratio and nektarg<prefix>_straggler_share. unit names
 // what one track of the aggregate is ("track", "process") and scope what
 // they add up to ("cluster", "fleet") in the HELP text.
 func (e *Exposition) StageRollup(prefix, unit, scope string, cs *telemetry.ClusterStats) {
@@ -169,7 +166,7 @@ func (e *Exposition) StageRollup(prefix, unit, scope string, cs *telemetry.Clust
 }
 
 // Traffic writes the nonzero cells of a traffic matrix, level-major, as
-// <ns><prefix>_messages_total and <ns><prefix>_bytes_total. Bytes are counted
+// nektarg<prefix>_messages_total and nektarg<prefix>_bytes_total. Bytes are counted
 // once, at the sender, so a matrix summed over tracks is exact.
 func (e *Exposition) Traffic(prefix, msgsHelp, bytesHelp string, m *telemetry.TrafficMatrix) {
 	cells := func(value func(telemetry.Traffic) int64) {

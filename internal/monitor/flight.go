@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultFlightSpans is how many trailing span records per track a flight
-// dump carries by default.
+// dump carries.
 const DefaultFlightSpans = 256
 
 // DefaultFlightLimit bounds how many dumps one run may write: the first trip
@@ -25,7 +25,7 @@ const DefaultFlightLimit = 3
 // purpose: performance anomalies are expected to fire on long healthy runs
 // (that is the history plane doing its job), and letting them draw down the
 // shared cap would leave nothing for the dump that matters most — the
-// watchdog trip or rank panic at the end (-flight-max starvation).
+// watchdog trip or rank panic at the end.
 const DefaultAnomalyFlightLimit = 2
 
 // FlightTrack is one track's black-box excerpt: the last spans from the
@@ -66,10 +66,7 @@ type FlightDump struct {
 type FlightRecorder struct {
 	mu           sync.Mutex
 	dir          string
-	maxSpans     int
-	limit        int
 	dumps        []string
-	anomalyLimit int
 	anomalyDumps []string
 	source       func() []*telemetry.Recorder
 	health       *Health
@@ -87,64 +84,7 @@ func NewFlightRecorder(dir string, source func() []*telemetry.Recorder, health *
 	if dir == "" {
 		dir = "."
 	}
-	return &FlightRecorder{
-		dir: dir, maxSpans: DefaultFlightSpans, limit: DefaultFlightLimit,
-		anomalyLimit: DefaultAnomalyFlightLimit,
-		source:       source, health: health, now: time.Now,
-	}
-}
-
-// SetMaxSpans overrides how many trailing spans per track a dump keeps.
-func (f *FlightRecorder) SetMaxSpans(n int) {
-	if f == nil || n < 1 {
-		return
-	}
-	f.mu.Lock()
-	f.maxSpans = n
-	f.mu.Unlock()
-}
-
-// SetLimit overrides the per-run dump cap (default DefaultFlightLimit).
-// cmd/nektarg exposes it as -flight-max.
-func (f *FlightRecorder) SetLimit(n int) {
-	if f == nil || n < 1 {
-		return
-	}
-	f.mu.Lock()
-	f.limit = n
-	f.mu.Unlock()
-}
-
-// Limit returns the per-run dump cap.
-func (f *FlightRecorder) Limit() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.limit
-}
-
-// SetAnomalyLimit overrides the per-run cap on anomaly-triggered dumps
-// (default DefaultAnomalyFlightLimit). cmd/nektarg exposes it as
-// -flight-anomaly-max.
-func (f *FlightRecorder) SetAnomalyLimit(n int) {
-	if f == nil || n < 1 {
-		return
-	}
-	f.mu.Lock()
-	f.anomalyLimit = n
-	f.mu.Unlock()
-}
-
-// AnomalyLimit returns the per-run anomaly dump cap.
-func (f *FlightRecorder) AnomalyLimit() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.anomalyLimit
+	return &FlightRecorder{dir: dir, source: source, health: health, now: time.Now}
 }
 
 // SetInsituSource wires an in-situ metadata provider (the observer's
@@ -213,8 +153,8 @@ func (f *FlightRecorder) Dump(reason string, trip *Event) (string, error) {
 }
 
 // DumpAnomaly writes a flight dump charged to the separate performance-
-// anomaly budget (SetAnomalyLimit), so anomaly captures never starve the
-// watchdog/panic dumps of the shared cap. The history plane's OnAnomaly
+// anomaly budget (DefaultAnomalyFlightLimit), so anomaly captures never
+// starve the watchdog/panic dumps of the shared cap. The history plane's OnAnomaly
 // hook is the caller.
 func (f *FlightRecorder) DumpAnomaly(reason string) (string, error) {
 	return f.dump(reason, nil, true)
@@ -226,15 +166,15 @@ func (f *FlightRecorder) dump(reason string, trip *Event, anomaly bool) (string,
 	}
 	f.mu.Lock()
 	if anomaly {
-		if len(f.anomalyDumps) >= f.anomalyLimit {
+		if len(f.anomalyDumps) >= DefaultAnomalyFlightLimit {
 			f.mu.Unlock()
 			return "", nil
 		}
-	} else if len(f.dumps) >= f.limit {
+	} else if len(f.dumps) >= DefaultFlightLimit {
 		f.mu.Unlock()
 		return "", nil
 	}
-	dir, maxSpans := f.dir, f.maxSpans
+	dir := f.dir
 	insitu := f.insitu
 	incarnation, transport := f.incarnation, f.transport
 	onDump := f.onDump
@@ -258,8 +198,8 @@ func (f *FlightRecorder) dump(reason string, trip *Event, anomaly bool) (string,
 		}
 		snaps = append(snaps, s)
 		spans := r.Spans()
-		if len(spans) > maxSpans {
-			spans = spans[len(spans)-maxSpans:]
+		if len(spans) > DefaultFlightSpans {
+			spans = spans[len(spans)-DefaultFlightSpans:]
 		}
 		d.Tracks = append(d.Tracks, FlightTrack{
 			Track: s.Track, Spans: spans, DroppedSpans: r.DroppedSpans(),

@@ -97,11 +97,8 @@ func TestHistoryEndpoints(t *testing.T) {
 func TestAnomalyDumpBudgetIndependent(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
-	m := New(reg, Options{FlightDir: t.TempDir(), FlightAnomalyLimit: 2})
+	m := New(reg, Options{FlightDir: t.TempDir()})
 	f := m.Flight()
-	if f.AnomalyLimit() != 2 || f.Limit() != DefaultFlightLimit {
-		t.Fatalf("limits = %d/%d, want 2 anomaly, %d shared", f.AnomalyLimit(), f.Limit(), DefaultFlightLimit)
-	}
 
 	// Exhaust the shared budget first — anomaly dumps must still land.
 	for i := 0; i < DefaultFlightLimit; i++ {
@@ -112,7 +109,7 @@ func TestAnomalyDumpBudgetIndependent(t *testing.T) {
 	if path, _ := f.Dump("manual", nil); path != "" {
 		t.Fatal("shared budget not exhausted")
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultAnomalyFlightLimit; i++ {
 		if path, err := f.DumpAnomaly("perf-anomaly step-time"); err != nil || path == "" {
 			t.Fatalf("anomaly dump %d with exhausted shared budget: path=%q err=%v", i, path, err)
 		}
@@ -121,8 +118,8 @@ func TestAnomalyDumpBudgetIndependent(t *testing.T) {
 	if path, err := f.DumpAnomaly("perf-anomaly step-time"); err != nil || path != "" {
 		t.Fatalf("anomaly dump past its cap: path=%q err=%v, want silent refusal", path, err)
 	}
-	if n, a := len(f.Dumps()), len(f.AnomalyDumps()); n != DefaultFlightLimit || a != 2 {
-		t.Fatalf("dump ledgers = %d shared / %d anomaly, want %d/2", n, a, DefaultFlightLimit)
+	if n, a := len(f.Dumps()), len(f.AnomalyDumps()); n != DefaultFlightLimit || a != DefaultAnomalyFlightLimit {
+		t.Fatalf("dump ledgers = %d shared / %d anomaly, want %d/%d", n, a, DefaultFlightLimit, DefaultAnomalyFlightLimit)
 	}
 }
 

@@ -33,21 +33,8 @@ import (
 
 // Options configures a Monitor.
 type Options struct {
-	// Namespace prefixes every Prometheus metric family (default "nektarg").
-	Namespace string
 	// FlightDir is where flight-*.json dumps land (default ".").
 	FlightDir string
-	// FlightSpans caps the trailing spans per track in a dump
-	// (default DefaultFlightSpans).
-	FlightSpans int
-	// FlightLimit caps how many dumps one run may write
-	// (default DefaultFlightLimit; cmd/nektarg's -flight-max).
-	FlightLimit int
-	// FlightAnomalyLimit caps performance-anomaly-triggered dumps, a budget
-	// separate from FlightLimit so an anomaly cascade cannot starve the
-	// watchdog/panic dumps — or vice versa (default
-	// DefaultAnomalyFlightLimit; cmd/nektarg's -flight-anomaly-max).
-	FlightAnomalyLimit int
 }
 
 // SnapshotSource is the in-situ observation surface the monitor serves: the
@@ -96,7 +83,6 @@ type Monitor struct {
 	reg    *telemetry.Registry
 	health *Health
 	flight *FlightRecorder
-	ns     string
 	start  time.Time
 
 	mu    sync.Mutex
@@ -111,17 +97,8 @@ type Monitor struct {
 // and the flight recorder; a nil reg means no tracks. The first critical
 // health event automatically fires the flight recorder.
 func New(reg *telemetry.Registry, opts Options) *Monitor {
-	m := &Monitor{reg: reg, health: NewHealth(), ns: opts.Namespace, start: time.Now()}
+	m := &Monitor{reg: reg, health: NewHealth(), start: time.Now()}
 	m.flight = NewFlightRecorder(opts.FlightDir, reg.Recorders, m.health)
-	if opts.FlightSpans > 0 {
-		m.flight.SetMaxSpans(opts.FlightSpans)
-	}
-	if opts.FlightLimit > 0 {
-		m.flight.SetLimit(opts.FlightLimit)
-	}
-	if opts.FlightAnomalyLimit > 0 {
-		m.flight.SetAnomalyLimit(opts.FlightAnomalyLimit)
-	}
 	m.health.OnTrip(func(e Event) {
 		ev := e
 		m.flight.Dump("watchdog:"+e.Watchdog, &ev) //nolint:errcheck // best-effort black box

@@ -72,7 +72,7 @@ func syntheticState() ([]*telemetry.Snapshot, *Health) {
 func TestGoldenMetrics(t *testing.T) {
 	snaps, h := syntheticState()
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, "nektarg", snaps, nil, h); err != nil {
+	if err := WriteMetrics(&buf, snaps, nil, h); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics.golden")
@@ -94,8 +94,8 @@ func TestGoldenMetrics(t *testing.T) {
 }
 
 // TestMetricsParse sanity-checks the exposition shape independent of the
-// golden bytes: every non-comment line is `name{labels} value` with the
-// configured namespace, and the cluster families cover both tracks.
+// golden bytes: every non-comment line is `name{labels} value` in the
+// nektarg namespace, and the cluster families cover both tracks.
 func TestMetricsParse(t *testing.T) {
 	snaps, h := syntheticState()
 	// Track names come from config JSON: one with all three characters the
@@ -104,7 +104,7 @@ func TestMetricsParse(t *testing.T) {
 	hostile := "patch:a\"b\\c\nd"
 	snaps = append(snaps, &telemetry.Snapshot{Track: hostile})
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, "test", snaps, nil, h); err != nil {
+	if err := WriteMetrics(&buf, snaps, nil, h); err != nil {
 		t.Fatal(err)
 	}
 	samples := 0
@@ -112,7 +112,7 @@ func TestMetricsParse(t *testing.T) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if !strings.HasPrefix(line, "test_") {
+		if !strings.HasPrefix(line, "nektarg_") {
 			t.Fatalf("sample outside namespace: %q", line)
 		}
 		fields := strings.Fields(line)
@@ -124,7 +124,7 @@ func TestMetricsParse(t *testing.T) {
 	if samples < 20 {
 		t.Fatalf("suspiciously few samples: %d", samples)
 	}
-	const dropped = `test_telemetry_dropped_events_total{track="patch:`
+	const dropped = `nektarg_telemetry_dropped_events_total{track="patch:`
 	i := strings.Index(buf.String(), dropped)
 	if i < 0 {
 		t.Fatalf("no sample for the hostile track:\n%s", buf.String())
@@ -135,14 +135,14 @@ func TestMetricsParse(t *testing.T) {
 		t.Fatalf("label value %q reads back as %q, want %q", quoted, got, hostile)
 	}
 	for _, want := range []string{
-		`test_stage_seconds_total{track="rank0",stage="ns.step"} 0.5`,
-		`test_stage_seconds_total{track="rank1",stage="ns.step"} 0.75`,
-		`test_stage_imbalance_ratio{stage="ns.step"} 1.2`,
-		`test_stage_straggler_share{stage="exchange",straggler="rank1"} 0.75`,
-		`test_traffic_bytes_total{level="L4",op="coupling"} 8192`,
-		`test_solver_gauge{track="rank0",gauge="cg_iterations",stat="mean"} 15`,
-		`test_health_healthy 1`,
-		`test_health_events_total{watchdog="cfl-watch",severity="warn"} 1`,
+		`nektarg_stage_seconds_total{track="rank0",stage="ns.step"} 0.5`,
+		`nektarg_stage_seconds_total{track="rank1",stage="ns.step"} 0.75`,
+		`nektarg_stage_imbalance_ratio{stage="ns.step"} 1.2`,
+		`nektarg_stage_straggler_share{stage="exchange",straggler="rank1"} 0.75`,
+		`nektarg_traffic_bytes_total{level="L4",op="coupling"} 8192`,
+		`nektarg_solver_gauge{track="rank0",gauge="cg_iterations",stat="mean"} 15`,
+		`nektarg_health_healthy 1`,
+		`nektarg_health_events_total{watchdog="cfl-watch",severity="warn"} 1`,
 	} {
 		if !strings.Contains(buf.String(), want+"\n") {
 			t.Fatalf("exposition missing %q\n%s", want, buf.String())
@@ -422,21 +422,40 @@ func TestHealthzTripAndFlight(t *testing.T) {
 }
 
 // TestFlightDumpLimit pins the per-run dump budget: past DefaultFlightLimit
-// dumps, Dump returns "" and POST /flight answers 429.
+// dumps, Dump returns "" and POST /flight answers 429. Dumps embed the
+// in-situ drop accounting when a source is wired.
 func TestFlightDumpLimit(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
 	m := New(reg, Options{FlightDir: dir})
+	m.SetSnapshotSource(&fakeSnapshot{
+		meta: []byte(`{"has_frame": true, "transport": {"published": 9, "dropped": 2}}`),
+	})
+	var first string
 	for i := 0; i < DefaultFlightLimit; i++ {
 		path, err := m.Flight().Dump("manual", nil)
 		if err != nil || path == "" {
 			t.Fatalf("dump %d: path=%q err=%v", i, path, err)
 		}
+		if i == 0 {
+			first = path
+		}
 	}
 	path, err := m.Flight().Dump("manual", nil)
 	if err != nil || path != "" {
 		t.Fatalf("dump past limit: path=%q err=%v, want silent refusal", path, err)
+	}
+	raw, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d FlightDump
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(d.Insitu), `"published": 9`) {
+		t.Fatalf("dump in-situ section = %s, want the drop accounting embedded", d.Insitu)
 	}
 	srv, err := m.Serve("127.0.0.1:0")
 	if err != nil {
@@ -589,7 +608,7 @@ func BenchmarkWriteMetrics(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteMetrics(io.Discard, "nektarg", snaps, nil, h); err != nil {
+		if err := WriteMetrics(io.Discard, snaps, nil, h); err != nil {
 			b.Fatal(err)
 		}
 	}

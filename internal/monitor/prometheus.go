@@ -12,7 +12,7 @@ import (
 // the Exposition writer: the monitor owns the snapshot → exposition
 // translation so the solvers stay dependency-free.
 //
-// Metric families (namespace default "nektarg"):
+// Metric families (<ns> is nektarg):
 //
 //	<ns>_up                                         1 while serving
 //	<ns>_tracks                                     number of telemetry tracks
@@ -43,8 +43,8 @@ import (
 // and health counters as Prometheus text exposition. Output is deterministic
 // for a given input (tracks, stages, labels and extra families all sorted),
 // which the golden test pins.
-func WriteMetrics(w io.Writer, namespace string, snaps []*telemetry.Snapshot, extra []Stat, h *Health) error {
-	e := NewExposition(w, namespace)
+func WriteMetrics(w io.Writer, snaps []*telemetry.Snapshot, extra []Stat, h *Health) error {
+	e := NewExposition(w)
 	e.Value("_up", "Whether the monitor is serving.", "gauge", 1)
 	e.Value("_tracks", "Number of telemetry tracks (ranks/patches/regions).", "gauge", float64(len(snaps)))
 

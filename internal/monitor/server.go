@@ -48,7 +48,7 @@ func (m *Monitor) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// On error the headers are gone and nothing is recoverable: the
 		// scraper sees a truncated body and retries.
-		WriteMetrics(w, m.ns, m.Snapshots(), m.Stats(), m.health) //nolint:errcheck
+		WriteMetrics(w, m.Snapshots(), m.Stats(), m.health) //nolint:errcheck
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		v := m.health.Verdict()

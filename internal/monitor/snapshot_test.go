@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -123,48 +122,6 @@ func TestBuildinfoEndpoint(t *testing.T) {
 	}
 	if s := ReadBuildInfo().String(); s == "" {
 		t.Fatal("BuildInfo.String() empty")
-	}
-}
-
-// TestFlightLimitConfigurable pins the -flight-max satellite: the cap is no
-// longer hard-coded, and dumps embed the in-situ drop accounting when a
-// source is wired.
-func TestFlightLimitConfigurable(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
-	m := New(reg, Options{FlightDir: dir, FlightLimit: 1})
-	if got := m.Flight().Limit(); got != 1 {
-		t.Fatalf("Limit() = %d, want 1", got)
-	}
-	m.SetSnapshotSource(&fakeSnapshot{
-		meta: []byte(`{"has_frame": true, "transport": {"published": 9, "dropped": 2}}`),
-	})
-
-	path, err := m.Flight().Dump("manual", nil)
-	if err != nil || path == "" {
-		t.Fatalf("first dump: path=%q err=%v", path, err)
-	}
-	if p2, err := m.Flight().Dump("manual", nil); err != nil || p2 != "" {
-		t.Fatalf("dump past configured limit 1: path=%q err=%v, want silent refusal", p2, err)
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d FlightDump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(d.Insitu), `"published": 9`) {
-		t.Fatalf("dump in-situ section = %s, want the drop accounting embedded", d.Insitu)
-	}
-
-	// Raising the limit at runtime re-opens the budget (the restart path).
-	m.Flight().SetLimit(2)
-	if p3, err := m.Flight().Dump("manual", nil); err != nil || p3 == "" {
-		t.Fatalf("dump after SetLimit(2): path=%q err=%v", p3, err)
 	}
 }
 

@@ -6,7 +6,7 @@ import "sort"
 // subsystems outside the telemetry registry (the TCP transport's frame
 // counters, for instance) surface numbers into /metrics and the fleet
 // rollup without the monitor importing them. Name is the family suffix —
-// the exposition prepends "<namespace>_" — and samples of one family must
+// the exposition prepends "nektarg_" — and samples of one family must
 // share Help and Type.
 type Stat struct {
 	Name   string      `json:"name"`             // family suffix, e.g. "transport_frames_sent_total"

@@ -22,17 +22,19 @@ type Watchdogs struct {
 	h     *Health
 	track string
 
-	// Tunables (set before the run; defaults applied by Health.Watch).
-	DivergeFactor float64 // cg-watch: residual > factor × initial ⇒ critical (default 10)
-	DriftWarn     float64 // particle-drift: |n−ref|/ref beyond this ⇒ warn (default 0.2)
-	DriftCritical float64 // particle-drift: beyond this ⇒ critical (default 0.5)
-	DriftAlpha    float64 // particle-drift: EMA adaptation rate of the reference (default 0.05)
-	DriftMinRef   float64 // particle-drift: reference below this ⇒ track only, no judgement (default 32)
-	CFLWarnFrac   float64 // cfl-watch: cfl > frac × limit ⇒ warn (default 0.9)
-
 	particleRef float64               // slowly adapting particle-count reference (EMA)
 	state       map[latchKey]Severity // latched severity per probe
 }
+
+// The probes' thresholds.
+const (
+	divergeFactor = 10.0 // cg-watch: residual > factor × initial ⇒ critical
+	driftWarn     = 0.2  // particle-drift: |n−ref|/ref beyond this ⇒ warn
+	driftCritical = 0.5  // particle-drift: beyond this ⇒ critical
+	driftAlpha    = 0.05 // particle-drift: EMA adaptation rate of the reference
+	driftMinRef   = 32.0 // particle-drift: reference below this ⇒ track only, no judgement
+	cflWarnFrac   = 0.9  // cfl-watch: cfl > frac × limit ⇒ warn
+)
 
 // latchKey names one latch: the probe kind ("cfl", "cg", "nan", "drift") and
 // the stage or field it watches. A struct, not a concatenated string, so the
@@ -46,13 +48,7 @@ func (h *Health) Watch(track string) *Watchdogs {
 	if h == nil {
 		return nil
 	}
-	return &Watchdogs{
-		h: h, track: track,
-		DivergeFactor: 10, DriftWarn: 0.2, DriftCritical: 0.5, DriftAlpha: 0.05,
-		DriftMinRef: 32,
-		CFLWarnFrac: 0.9,
-		state:       map[latchKey]Severity{},
-	}
+	return &Watchdogs{h: h, track: track, state: map[latchKey]Severity{}}
 }
 
 // Rearm clears the latched severities and the particle-count reference.
@@ -135,7 +131,7 @@ func (w *Watchdogs) GuardValue(stage, name string, v float64, idx int) error {
 
 // ObserveSolve feeds one CG outcome into the stagnation/divergence watchdog:
 // a non-converged solve (iterations exhausted) is a warn-level stagnation; a
-// final residual more than DivergeFactor × the initial residual is a
+// final residual more than divergeFactor × the initial residual is a
 // critical divergence (the solve made things worse).
 func (w *Watchdogs) ObserveSolve(stage string, st linalg.SolveStats, maxIter int) {
 	if w == nil {
@@ -149,9 +145,9 @@ func (w *Watchdogs) ObserveSolve(stage string, st linalg.SolveStats, maxIter int
 		return
 	}
 	if len(st.History) > 0 {
-		if init := st.History[0]; init > 0 && st.Residual > w.DivergeFactor*init {
+		if init := st.History[0]; init > 0 && st.Residual > divergeFactor*init {
 			w.transition(key, "cg-watch", SevCritical, st.Residual, func() string {
-				return fmt.Sprintf("%s: diverged: residual %.3g > %g x initial %.3g", stage, st.Residual, w.DivergeFactor, init)
+				return fmt.Sprintf("%s: diverged: residual %.3g > %g x initial %.3g", stage, st.Residual, divergeFactor, init)
 			})
 			return
 		}
@@ -168,7 +164,7 @@ func (w *Watchdogs) ObserveSolve(stage string, st linalg.SolveStats, maxIter int
 }
 
 // ObserveCFL feeds a CFL number against its stability limit: above the limit
-// is critical, above CFLWarnFrac × limit is a warn.
+// is critical, above cflWarnFrac × limit is a warn.
 func (w *Watchdogs) ObserveCFL(stage string, cfl, limit float64) {
 	if w == nil {
 		return
@@ -179,9 +175,9 @@ func (w *Watchdogs) ObserveCFL(stage string, cfl, limit float64) {
 		w.transition(key, "cfl-watch", SevCritical, cfl, func() string {
 			return fmt.Sprintf("%s: CFL %.3f exceeds stability limit %.3f", stage, cfl, limit)
 		})
-	case cfl > w.CFLWarnFrac*limit:
+	case cfl > cflWarnFrac*limit:
 		w.transition(key, "cfl-watch", SevWarn, cfl, func() string {
-			return fmt.Sprintf("%s: CFL %.3f within %.0f%% of limit %.3f", stage, cfl, 100*(1-w.CFLWarnFrac), limit)
+			return fmt.Sprintf("%s: CFL %.3f within %.0f%% of limit %.3f", stage, cfl, 100*(1-cflWarnFrac), limit)
 		})
 	default:
 		w.transition(key, "cfl-watch", SevInfo, cfl, func() string {
@@ -192,8 +188,8 @@ func (w *Watchdogs) ObserveCFL(stage string, cfl, limit float64) {
 
 // ObserveParticles feeds the current particle count of an open-boundary DPD
 // region. The first observation seeds a slowly adapting reference (an
-// exponential moving average with rate DriftAlpha); per-step drift beyond
-// DriftWarn/DriftCritical relative to that reference raises the corresponding
+// exponential moving average with rate driftAlpha); per-step drift beyond
+// driftWarn/driftCritical relative to that reference raises the corresponding
 // severity. The EMA matters: an open region legitimately equilibrates toward
 // the flux-BC target density over hundreds of steps, which a fixed baseline
 // would misreport as a leak, while a genuine flux-BC leak (insertions ≠
@@ -206,12 +202,12 @@ func (w *Watchdogs) ObserveParticles(n int) {
 		w.particleRef = float64(n)
 		return
 	}
-	// Below DriftMinRef the relative drift of an open region is statistical
+	// Below driftMinRef the relative drift of an open region is statistical
 	// noise — a flux-fed box filling from 1 to 2 particles is a 100% "jump"
 	// that means nothing. Track the reference but pass no judgement until
 	// the population carries signal.
-	if w.particleRef < w.DriftMinRef {
-		w.particleRef += w.DriftAlpha * (float64(n) - w.particleRef)
+	if w.particleRef < driftMinRef {
+		w.particleRef += driftAlpha * (float64(n) - w.particleRef)
 		return
 	}
 	drift := math.Abs(float64(n)-w.particleRef) / w.particleRef
@@ -220,16 +216,16 @@ func (w *Watchdogs) ObserveParticles(n int) {
 		return fmt.Sprintf("particle count %d jumped %.0f%% from reference %.0f", n, 100*drift, w.particleRef)
 	}
 	switch {
-	case drift > w.DriftCritical:
+	case drift > driftCritical:
 		w.transition(key, "particle-drift", SevCritical, drift, jumped)
-	case drift > w.DriftWarn:
+	case drift > driftWarn:
 		w.transition(key, "particle-drift", SevWarn, drift, jumped)
 	default:
 		w.transition(key, "particle-drift", SevInfo, drift, func() string {
 			return fmt.Sprintf("particle count %d near reference %.0f", n, w.particleRef)
 		})
 	}
-	w.particleRef += w.DriftAlpha * (float64(n) - w.particleRef)
+	w.particleRef += driftAlpha * (float64(n) - w.particleRef)
 }
 
 // Event records an arbitrary structured health event on this track — the

@@ -204,7 +204,7 @@ func (g *GaugeStats) add(v float64) {
 	g.Last = v
 }
 
-// DefaultSpanCap is the default ring-buffer capacity per recorder. At ~64
+// DefaultSpanCap is the ring-buffer capacity per recorder. At ~64
 // bytes per record this bounds trace memory to ~2 MiB per track; aggregates
 // remain exact past the horizon, only trace detail is dropped.
 const DefaultSpanCap = 1 << 15
@@ -213,26 +213,14 @@ const DefaultSpanCap = 1 << 15
 // methods are safe for concurrent use; the zero value is not usable — call
 // NewRegistry.
 type Registry struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	recs    []*Recorder
-	spanCap int
+	mu    sync.Mutex
+	epoch time.Time
+	recs  []*Recorder
 }
 
 // NewRegistry creates a registry whose epoch is now.
 func NewRegistry() *Registry {
-	return &Registry{epoch: time.Now(), spanCap: DefaultSpanCap}
-}
-
-// SetSpanCapacity overrides the per-recorder ring capacity for recorders
-// created afterwards (minimum 1).
-func (g *Registry) SetSpanCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.mu.Lock()
-	g.spanCap = n
-	g.mu.Unlock()
+	return &Registry{epoch: time.Now()}
 }
 
 // NewRecorder creates a recorder on a new track. A nil registry returns a nil
@@ -248,8 +236,7 @@ func (g *Registry) NewRecorder(track string) *Recorder {
 		track: track,
 		tid:   len(g.recs),
 		epoch: g.epoch,
-		spans: make([]SpanRecord, 0, g.spanCap),
-		cap:   g.spanCap,
+		spans: make([]SpanRecord, 0, DefaultSpanCap),
 		stage: map[string]*StageStats{},
 		gauge: map[string]*GaugeStats{},
 	}
@@ -281,10 +268,9 @@ type Recorder struct {
 	hopClock func() int
 
 	mu      sync.Mutex   // guards everything below (writer vs live scrape)
-	spans   []SpanRecord // ring once len == cap
+	spans   []SpanRecord // ring once len == DefaultSpanCap
 	head    int          // next overwrite position when full
 	dropped int64
-	cap     int
 
 	traffic TrafficMatrix
 	stage   map[string]*StageStats
@@ -421,12 +407,12 @@ func (r *Recorder) RecordSpan(name string, start, dur time.Duration, hops0, hops
 
 // push appends to the span ring, overwriting the oldest record when full.
 func (r *Recorder) push(rec SpanRecord) {
-	if len(r.spans) < r.cap {
+	if len(r.spans) < DefaultSpanCap {
 		r.spans = append(r.spans, rec)
 		return
 	}
 	r.spans[r.head] = rec
-	r.head = (r.head + 1) % r.cap
+	r.head = (r.head + 1) % DefaultSpanCap
 	r.dropped++
 }
 

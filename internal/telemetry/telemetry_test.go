@@ -88,13 +88,13 @@ func TestLiveSpanFeedsRingAndAggregates(t *testing.T) {
 // drops old trace records, but stage aggregates never lose a span.
 func TestRingWrapKeepsAggregatesExact(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetSpanCapacity(4)
 	r := reg.NewRecorder("t0")
-	for i := 0; i < 10; i++ {
+	const n = DefaultSpanCap + 6
+	for i := 0; i < n; i++ {
 		r.RecordSpan("s", time.Duration(i)*time.Millisecond, time.Millisecond, 0, 0)
 	}
-	if got := len(r.Spans()); got != 4 {
-		t.Fatalf("ring holds %d spans, want 4", got)
+	if got := len(r.Spans()); got != DefaultSpanCap {
+		t.Fatalf("ring holds %d spans, want %d", got, DefaultSpanCap)
 	}
 	if r.DroppedSpans() != 6 {
 		t.Fatalf("dropped = %d, want 6", r.DroppedSpans())
@@ -106,8 +106,8 @@ func TestRingWrapKeepsAggregatesExact(t *testing.T) {
 			t.Fatalf("spans out of order: %+v", spans)
 		}
 	}
-	if st := r.Snapshot().Stages["s"]; st.Count != 10 {
-		t.Fatalf("aggregate count %d survived wrap, want 10", st.Count)
+	if st := r.Snapshot().Stages["s"]; st.Count != n {
+		t.Fatalf("aggregate count %d survived wrap, want %d", st.Count, n)
 	}
 }
 
