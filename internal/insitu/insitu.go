@@ -135,9 +135,9 @@ type Stats struct {
 // evicts its oldest piece to admit a new one when full — latest-wins
 // streaming: the observer always converges on the newest state, and
 // staleness stays bounded by the queue depth even under a stalled consumer.
-// Publish never blocks; Take blocks until a piece
-// arrives or the queue is closed. All counters are maintained under one lock
-// so the conservation law is exact at every observable instant.
+// Publish never blocks; Take blocks until a piece arrives or the queue is
+// closed. All counters are maintained under one lock so the conservation
+// law is exact at every observable instant.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
