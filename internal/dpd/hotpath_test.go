@@ -3,6 +3,7 @@ package dpd
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"nektarg/internal/geometry"
@@ -175,11 +176,20 @@ func TestVVStepZeroAllocSteadyState(t *testing.T) {
 // ends: a step may allocate only when an insertion outgrows Particles itself,
 // and the step after it — insertions close a step, and the scratch, sized
 // with cap(Particles), follows at the next force evaluation.
+//
+// MemStats.Mallocs counts the whole process, and a garbage collection
+// allocates on its own: it starts a mark worker the first time it runs at this
+// GOMAXPROCS, every cycle wakes the unique package's map cleanup, and the
+// background scavenger it wakes re-arms a timer. So the collector is held off
+// while steps are counted, after one forced cycle that also returns the free
+// memory, leaving the scavenger nothing to wake for.
 func TestVVStepOpenBoxAllocatesOnlyOnGrowth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	debug.FreeOSMemory()
 	for _, workers := range []int{1, 3} {
 		s := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 6, Y: 5, Z: 5}, [3]bool{false, true, false})
 		s.Parallel = workers

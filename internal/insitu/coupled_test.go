@@ -1,6 +1,8 @@
 package insitu
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -257,9 +259,12 @@ func TestCoupledObserverDiskSeries(t *testing.T) {
 // deliberately stalled observer: nobody ever drains the queue, so every
 // publish beyond the queue's capacity is a drop — and the solver's wall-clock
 // per exchange must not inflate materially versus an observer-disabled run.
-// Timing is min-of-N on interleaved fresh scenarios to shed scheduler noise.
+// Each trial times a fresh scenario without and then with the observer, back
+// to back, and the test judges the median of the trials' ratios: a shared
+// host's slow or fast spells last milliseconds, so they move both runs of a
+// pair, and the median sheds the pairs one spell split.
 func TestInsituNonBlockingStall(t *testing.T) {
-	const exchanges, trials = 3, 3
+	const exchanges, trials = 3, 31
 
 	run := func(enable bool) time.Duration {
 		m := buildCoupledMeta(t)
@@ -267,6 +272,7 @@ func TestInsituNonBlockingStall(t *testing.T) {
 			// The queue is never drained: a stalled observer.
 			m.EnableInsitu(NewPublisher(Config{Stride: 1, MaxParticles: 256}, NewQueue(1)))
 		}
+		runtime.GC() // start both runs of a pair with the same heap
 		start := time.Now()
 		if err := m.Advance(exchanges); err != nil {
 			t.Fatal(err)
@@ -274,23 +280,20 @@ func TestInsituNonBlockingStall(t *testing.T) {
 		return time.Since(start)
 	}
 
-	base, stalled := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < trials; i++ {
-		if d := run(false); d < base {
-			base = d
-		}
-		if d := run(true); d < stalled {
-			stalled = d
-		}
+	ratios := make([]float64, trials)
+	for i := range ratios {
+		base := run(false)
+		ratios[i] = float64(run(true)) / float64(base)
 	}
-	t.Logf("base=%v stalled=%v inflation=%.2f%%", base, stalled,
-		100*(float64(stalled)/float64(base)-1))
+	sort.Float64s(ratios)
+	ratio := ratios[trials/2]
+	t.Logf("median inflation=%.2f%%", 100*(ratio-1))
 
 	// The acceptance bound is <5%; allow modest slack for shared-runner
 	// noise at millisecond scales — a blocking publish would inflate by
 	// orders of magnitude, not tens of percent.
-	if float64(stalled) > float64(base)*1.25 {
-		t.Fatalf("stalled observer inflated step time: base=%v stalled=%v", base, stalled)
+	if ratio > 1.25 {
+		t.Fatalf("stalled observer inflated step time: median stalled/base = %.3f, trials %v", ratio, ratios)
 	}
 
 	// And the stall really exercised the drop path.

@@ -23,57 +23,60 @@ func testPiece(source string, step int) *Piece {
 // TestQueueConservation pins the drop-accounting law on the in-process
 // transport under concurrency: with several publishers racing a consumer,
 // published == delivered + dropped must hold exactly once the queue drains,
-// and the consumer must have seen exactly `delivered` pieces. Run under -race
-// in the verify gate.
+// and the consumer must have seen exactly `delivered` pieces. The subtest is
+// named for the queue's drop policy, which discards the oldest piece when
+// full. Run under -race in the verify gate.
 func TestQueueConservation(t *testing.T) {
-	q := NewQueue(7) // deliberately tiny: force drops
-	const publishers, perPublisher = 4, 500
+	t.Run("drop-oldest", func(t *testing.T) {
+		q := NewQueue(7) // deliberately tiny: force drops
+		const publishers, perPublisher = 4, 500
 
-	var consumed int64
-	var consumer sync.WaitGroup
-	consumer.Add(1)
-	go func() {
-		defer consumer.Done()
-		for {
-			if _, ok := q.Take(); !ok {
-				return
+		var consumed int64
+		var consumer sync.WaitGroup
+		consumer.Add(1)
+		go func() {
+			defer consumer.Done()
+			for {
+				if _, ok := q.Take(); !ok {
+					return
+				}
+				consumed++
 			}
-			consumed++
+		}()
+
+		var pubs sync.WaitGroup
+		for p := 0; p < publishers; p++ {
+			pubs.Add(1)
+			go func(p int) {
+				defer pubs.Done()
+				src := fmt.Sprintf("src%d", p)
+				for s := 0; s < perPublisher; s++ {
+					q.Publish(testPiece(src, s))
+				}
+			}(p)
 		}
-	}()
+		pubs.Wait()
+		q.Close()
+		consumer.Wait()
 
-	var pubs sync.WaitGroup
-	for p := 0; p < publishers; p++ {
-		pubs.Add(1)
-		go func(p int) {
-			defer pubs.Done()
-			src := fmt.Sprintf("src%d", p)
-			for s := 0; s < perPublisher; s++ {
-				q.Publish(testPiece(src, s))
-			}
-		}(p)
-	}
-	pubs.Wait()
-	q.Close()
-	consumer.Wait()
-
-	st := q.Stats()
-	if st.Published != publishers*perPublisher {
-		t.Fatalf("published = %d, want %d", st.Published, publishers*perPublisher)
-	}
-	if st.Published != st.Delivered+st.Dropped {
-		t.Fatalf("conservation violated: published %d != delivered %d + dropped %d",
-			st.Published, st.Delivered, st.Dropped)
-	}
-	if consumed != st.Delivered {
-		t.Fatalf("consumer saw %d pieces, queue counted %d delivered", consumed, st.Delivered)
-	}
-	if st.Queued != 0 {
-		t.Fatalf("drained queue reports %d queued", st.Queued)
-	}
-	if st.Dropped == 0 {
-		t.Fatal("tiny queue under 4x500 publishes dropped nothing; test lost its teeth")
-	}
+		st := q.Stats()
+		if st.Published != publishers*perPublisher {
+			t.Fatalf("published = %d, want %d", st.Published, publishers*perPublisher)
+		}
+		if st.Published != st.Delivered+st.Dropped {
+			t.Fatalf("conservation violated: published %d != delivered %d + dropped %d",
+				st.Published, st.Delivered, st.Dropped)
+		}
+		if consumed != st.Delivered {
+			t.Fatalf("consumer saw %d pieces, queue counted %d delivered", consumed, st.Delivered)
+		}
+		if st.Queued != 0 {
+			t.Fatalf("drained queue reports %d queued", st.Queued)
+		}
+		if st.Dropped == 0 {
+			t.Fatal("tiny queue under 4x500 publishes dropped nothing; test lost its teeth")
+		}
+	})
 }
 
 // TestQueueDropOldestKeepsNewest: with a stalled consumer, the queue must

@@ -422,40 +422,21 @@ func TestHealthzTripAndFlight(t *testing.T) {
 }
 
 // TestFlightDumpLimit pins the per-run dump budget: past DefaultFlightLimit
-// dumps, Dump returns "" and POST /flight answers 429. Dumps embed the
-// in-situ drop accounting when a source is wired.
+// dumps, Dump returns "" and POST /flight answers 429.
 func TestFlightDumpLimit(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
 	m := New(reg, Options{FlightDir: dir})
-	m.SetSnapshotSource(&fakeSnapshot{
-		meta: []byte(`{"has_frame": true, "transport": {"published": 9, "dropped": 2}}`),
-	})
-	var first string
 	for i := 0; i < DefaultFlightLimit; i++ {
 		path, err := m.Flight().Dump("manual", nil)
 		if err != nil || path == "" {
 			t.Fatalf("dump %d: path=%q err=%v", i, path, err)
 		}
-		if i == 0 {
-			first = path
-		}
 	}
 	path, err := m.Flight().Dump("manual", nil)
 	if err != nil || path != "" {
 		t.Fatalf("dump past limit: path=%q err=%v, want silent refusal", path, err)
-	}
-	raw, err := os.ReadFile(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d FlightDump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(d.Insitu), `"published": 9`) {
-		t.Fatalf("dump in-situ section = %s, want the drop accounting embedded", d.Insitu)
 	}
 	srv, err := m.Serve("127.0.0.1:0")
 	if err != nil {

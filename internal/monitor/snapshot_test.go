@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +123,46 @@ func TestBuildinfoEndpoint(t *testing.T) {
 	}
 	if s := ReadBuildInfo().String(); s == "" {
 		t.Fatal("BuildInfo.String() empty")
+	}
+}
+
+// TestFlightLimitConfigurable pins the flight cap as a recorder is configured
+// now: Options carry no limit, so a monitor built from Options{FlightDir}
+// writes DefaultFlightLimit dumps and refuses the next, and each dump embeds
+// the in-situ drop accounting when a source is wired.
+func TestFlightLimitConfigurable(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
+	m := New(reg, Options{FlightDir: dir})
+	m.SetSnapshotSource(&fakeSnapshot{
+		meta: []byte(`{"has_frame": true, "transport": {"published": 9, "dropped": 2}}`),
+	})
+
+	var paths []string
+	for i := 0; i < DefaultFlightLimit; i++ {
+		path, err := m.Flight().Dump("manual", nil)
+		if err != nil || path == "" {
+			t.Fatalf("dump %d: path=%q err=%v", i, path, err)
+		}
+		paths = append(paths, path)
+	}
+	if p, err := m.Flight().Dump("manual", nil); err != nil || p != "" {
+		t.Fatalf("dump past DefaultFlightLimit %d: path=%q err=%v, want silent refusal", DefaultFlightLimit, p, err)
+	}
+
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d FlightDump
+		if err := json.Unmarshal(raw, &d); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(d.Insitu), `"published": 9`) {
+			t.Fatalf("%s in-situ section = %s, want the drop accounting embedded", path, d.Insitu)
+		}
 	}
 }
 
