@@ -16,7 +16,7 @@ import (
 )
 
 // sampleBundle builds a populated three-solver bundle for robustness tests.
-func sampleBundle(t *testing.T, exchanges int) *Coupled {
+func sampleBundle(t testing.TB, exchanges int) *Coupled {
 	t.Helper()
 	c := NewCoupled()
 	c.Exchanges = exchanges

@@ -60,7 +60,7 @@ func TestDistributedRunCountsWorldTraffic(t *testing.T) {
 			t.Errorf("rank %d: World allreduce traffic %+v, want %d messages", rank, got, 1+exchanges)
 		}
 		stamped := false
-		for _, sp := range rec.Spans() {
+		for _, sp := range rec.Spans(0) {
 			if sp.Name == "meta.step" && sp.Hops0 > 0 {
 				stamped = true
 				break

@@ -197,12 +197,8 @@ func (f *FlightRecorder) dump(reason string, trip *Event, anomaly bool) (string,
 			continue
 		}
 		snaps = append(snaps, s)
-		spans := r.Spans()
-		if len(spans) > DefaultFlightSpans {
-			spans = spans[len(spans)-DefaultFlightSpans:]
-		}
 		d.Tracks = append(d.Tracks, FlightTrack{
-			Track: s.Track, Spans: spans, DroppedSpans: r.DroppedSpans(),
+			Track: s.Track, Spans: r.Spans(DefaultFlightSpans), DroppedSpans: r.DroppedSpans(),
 			Stages: s.Stages, Gauges: s.Gauges,
 		})
 	}

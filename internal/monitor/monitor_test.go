@@ -453,6 +453,44 @@ func TestFlightDumpLimit(t *testing.T) {
 	}
 }
 
+// TestFlightDumpKeepsNewestSpans: a dump from a wrapped ring carries exactly
+// the last DefaultFlightSpans records of Spans(0), in order across the seam
+// where the ring's oldest record was overwritten.
+func TestFlightDumpKeepsNewestSpans(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rec := reg.NewRecorder("rank0")
+	names := []string{"ns.step", "meta.wait", "meta.exchange"}
+	for i := 0; i < telemetry.DefaultSpanCap+100; i++ {
+		rec.RecordSpan(names[i%len(names)], time.Duration(i)*time.Microsecond, time.Microsecond, i, i+i%2)
+	}
+	m := New(reg, Options{FlightDir: t.TempDir()})
+	path, err := m.Flight().Dump("manual", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d FlightDump
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	all := rec.Spans(0)
+	want := all[len(all)-DefaultFlightSpans:]
+	if len(d.Tracks) != 1 || len(d.Tracks[0].Spans) != DefaultFlightSpans {
+		t.Fatalf("dump tracks = %+v", d.Tracks)
+	}
+	for i, sp := range d.Tracks[0].Spans {
+		if sp != want[i] {
+			t.Fatalf("dumped span %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+	if d.Tracks[0].DroppedSpans != 100 {
+		t.Fatalf("dropped spans = %d, want 100", d.Tracks[0].DroppedSpans)
+	}
+}
+
 // TestScrapeWhileStepping races live HTTP scrapes against a solver goroutine
 // actively recording — verify.sh runs this under -race; any unsynchronized
 // access between the recorder's owner and the exporter fails the build.

@@ -19,7 +19,8 @@
 //   - Spans are recorded into a bounded ring buffer (for Chrome trace export)
 //     and simultaneously folded into exact per-stage aggregates (count, total,
 //     min, max) that never suffer ring wrap-around. Span values are plain
-//     structs — Begin/End allocate nothing.
+//     structs; Begin/End allocate only to name a new stage or to open a new
+//     ring chunk, so on a full ring they allocate nothing.
 //
 //   - Traffic counters are a fixed [level][op] matrix of message/byte tallies,
 //     bumped by the mpi runtime on every send. Bytes are counted once, at the
@@ -33,6 +34,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -204,10 +206,29 @@ func (g *GaugeStats) add(v float64) {
 	g.Last = v
 }
 
-// DefaultSpanCap is the ring-buffer capacity per recorder. At ~64
-// bytes per record this bounds trace memory to ~2 MiB per track; aggregates
-// remain exact past the horizon, only trace detail is dropped.
+// DefaultSpanCap is the ring-buffer capacity per recorder. A held record
+// costs 32 bytes and the ring grows in spanChunk-record chunks as spans
+// arrive, so a track holds nothing before its first span and at most 1 MiB
+// of trace; aggregates remain exact past the horizon, only trace detail is
+// dropped.
 const DefaultSpanCap = 1 << 15
+
+// spanChunk is the number of records per ring chunk (32 KiB each).
+const spanChunk = 1 << 10
+
+// spanRec is a held ring record: pointer-free, so the collector never scans
+// the ring, and 32 bytes. SpanRecords are rebuilt from it by Spans.
+type spanRec struct {
+	start, dur, hops0 int64
+	stage             uint32 // index into the recorder's stage table
+	hops              int32  // hop advance, saturated to the int32 range
+}
+
+// stageEntry is one row of a recorder's stage table.
+type stageEntry struct {
+	name string
+	StageStats
+}
 
 // Registry owns a shared epoch and the set of recorders of one run. All
 // methods are safe for concurrent use; the zero value is not usable — call
@@ -236,8 +257,6 @@ func (g *Registry) NewRecorder(track string) *Recorder {
 		track: track,
 		tid:   len(g.recs),
 		epoch: g.epoch,
-		spans: make([]SpanRecord, 0, DefaultSpanCap),
-		stage: map[string]*StageStats{},
 		gauge: map[string]*GaugeStats{},
 	}
 	g.recs = append(g.recs, r)
@@ -267,13 +286,14 @@ type Recorder struct {
 	epoch    time.Time
 	hopClock func() int
 
-	mu      sync.Mutex   // guards everything below (writer vs live scrape)
-	spans   []SpanRecord // ring once len == DefaultSpanCap
-	head    int          // next overwrite position when full
+	mu      sync.Mutex // guards everything below (writer vs live scrape)
+	chunks  [][]spanRec
+	held    int // records in the ring, at most DefaultSpanCap
+	head    int // oldest record once the ring is full
 	dropped int64
 
 	traffic TrafficMatrix
-	stage   map[string]*StageStats
+	stages  []stageEntry // stage table, in first-seen order
 	gauge   map[string]*GaugeStats
 }
 
@@ -343,36 +363,10 @@ func (sp Span) End() {
 // which alone would blow the TestDisabledPathNearZeroCost budget).
 func (r *Recorder) endSpan(sp Span) {
 	now := time.Now()
-	dur := now.Sub(sp.start)
 	h1 := r.hops()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.push(SpanRecord{
-		Name:  sp.name,
-		Start: sp.start.Sub(r.epoch).Nanoseconds(),
-		Dur:   dur.Nanoseconds(),
-		Hops0: sp.hops0,
-		Hops1: h1,
-	})
-	st := r.stage[sp.name]
-	if st == nil {
-		st = &StageStats{}
-		r.stage[sp.name] = st
-	}
-	d := dur.Seconds()
-	if st.Count == 0 {
-		st.Min, st.Max = d, d
-	} else {
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-	}
-	st.Count++
-	st.Total += d
-	st.Hops += int64(h1 - sp.hops0)
+	r.record(sp.name, sp.start.Sub(r.epoch), now.Sub(sp.start), sp.hops0, h1)
 }
 
 // RecordSpan records a fully specified span without consulting the clock —
@@ -383,12 +377,16 @@ func (r *Recorder) RecordSpan(name string, start, dur time.Duration, hops0, hops
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.push(SpanRecord{Name: name, Start: start.Nanoseconds(), Dur: dur.Nanoseconds(), Hops0: hops0, Hops1: hops1})
-	st := r.stage[name]
-	if st == nil {
-		st = &StageStats{}
-		r.stage[name] = st
-	}
+	r.record(name, start, dur, hops0, hops1)
+}
+
+// record pushes a trace record and folds the span into its stage aggregate.
+// The caller holds r.mu.
+func (r *Recorder) record(name string, start, dur time.Duration, hops0, hops1 int) {
+	i := r.stageIndex(name)
+	adv := max(min(hops1-hops0, math.MaxInt32), math.MinInt32)
+	r.push(spanRec{start: start.Nanoseconds(), dur: dur.Nanoseconds(), hops0: int64(hops0), stage: i, hops: int32(adv)})
+	st := &r.stages[i].StageStats
 	d := dur.Seconds()
 	if st.Count == 0 {
 		st.Min, st.Max = d, d
@@ -405,27 +403,57 @@ func (r *Recorder) RecordSpan(name string, start, dur time.Duration, hops0, hops
 	st.Hops += int64(hops1 - hops0)
 }
 
-// push appends to the span ring, overwriting the oldest record when full.
-func (r *Recorder) push(rec SpanRecord) {
-	if len(r.spans) < DefaultSpanCap {
-		r.spans = append(r.spans, rec)
-		return
+// stageIndex returns name's row in the stage table, appending one if it is
+// new. A linear scan: a track has a handful of stages, named by constants.
+func (r *Recorder) stageIndex(name string) uint32 {
+	for i := range r.stages {
+		if r.stages[i].name == name {
+			return uint32(i)
+		}
 	}
-	r.spans[r.head] = rec
-	r.head = (r.head + 1) % DefaultSpanCap
-	r.dropped++
+	r.stages = append(r.stages, stageEntry{name: name})
+	return uint32(len(r.stages) - 1)
 }
 
-// Spans returns the buffered span records in chronological order.
-func (r *Recorder) Spans() []SpanRecord {
+// push appends to the span ring, allocating a chunk when the filled ones
+// are exhausted and overwriting the oldest record once DefaultSpanCap are
+// held.
+func (r *Recorder) push(rec spanRec) {
+	pos := r.held
+	if r.held == DefaultSpanCap {
+		pos = r.head
+		r.head = (r.head + 1) % DefaultSpanCap
+		r.dropped++
+	} else {
+		if pos == len(r.chunks)*spanChunk {
+			r.chunks = append(r.chunks, make([]spanRec, spanChunk))
+		}
+		r.held++
+	}
+	r.chunks[pos/spanChunk][pos%spanChunk] = rec
+}
+
+// Spans returns the newest n buffered span records (all of them when n is 0
+// or exceeds the count held) in chronological order.
+func (r *Recorder) Spans(n int) []SpanRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SpanRecord, 0, len(r.spans))
-	out = append(out, r.spans[r.head:]...)
-	out = append(out, r.spans[:r.head]...)
+	if n <= 0 || n > r.held {
+		n = r.held
+	}
+	out := make([]SpanRecord, n)
+	for i := range out {
+		pos := (r.head + r.held - n + i) % DefaultSpanCap
+		rec := &r.chunks[pos/spanChunk][pos%spanChunk]
+		out[i] = SpanRecord{
+			Name:  r.stages[rec.stage].name,
+			Start: rec.start, Dur: rec.dur,
+			Hops0: int(rec.hops0), Hops1: int(rec.hops0) + int(rec.hops),
+		}
+	}
 	return out
 }
 
@@ -496,8 +524,7 @@ func (r *Recorder) ResetSpans() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans = r.spans[:0]
-	r.head = 0
+	r.chunks, r.held, r.head = nil, 0, 0
 }
 
 // ResetCounters zeroes traffic, stage and gauge aggregates and clears the
@@ -509,10 +536,9 @@ func (r *Recorder) ResetCounters() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.traffic = TrafficMatrix{}
-	r.stage = map[string]*StageStats{}
+	r.stages = nil
 	r.gauge = map[string]*GaugeStats{}
-	r.spans = r.spans[:0]
-	r.head = 0
+	r.chunks, r.held, r.head = nil, 0, 0
 	r.dropped = 0
 }
 
@@ -527,8 +553,8 @@ func (r *Recorder) VisitStages(fn func(name string, s StageStats)) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, s := range r.stage {
-		fn(name, *s)
+	for _, e := range r.stages {
+		fn(e.name, e.StageStats)
 	}
 }
 
@@ -568,12 +594,12 @@ func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Track:         r.track,
 		Traffic:       r.traffic,
-		Stages:        make(map[string]StageStats, len(r.stage)),
+		Stages:        make(map[string]StageStats, len(r.stages)),
 		Gauges:        make(map[string]GaugeStats, len(r.gauge)),
 		DroppedEvents: r.dropped,
 	}
-	for k, v := range r.stage {
-		s.Stages[k] = *v
+	for _, e := range r.stages {
+		s.Stages[e.name] = e.StageStats
 	}
 	for k, v := range r.gauge {
 		s.Gauges[k] = *v
@@ -662,5 +688,5 @@ func (r *Recorder) String() string {
 	defer r.mu.Unlock()
 	t := r.traffic.Total()
 	return fmt.Sprintf("telemetry[%s]: %d stages, %d msgs / %d bytes, %d spans buffered (%d dropped)",
-		r.track, len(r.stage), t.Msgs, t.Bytes, len(r.spans), r.dropped)
+		r.track, len(r.stages), t.Msgs, t.Bytes, r.held, r.dropped)
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestNilRecorderIsSafeNoOp pins the disabled-sink contract: every method on
@@ -30,7 +32,7 @@ func TestNilRecorderIsSafeNoOp(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil recorder snapshot must be nil")
 	}
-	if r.Spans() != nil || r.DroppedSpans() != 0 {
+	if r.Spans(0) != nil || r.DroppedSpans() != 0 {
 		t.Fatal("nil recorder must report no spans")
 	}
 	if r.Track() != "" || r.TID() != -1 {
@@ -72,7 +74,7 @@ func TestLiveSpanFeedsRingAndAggregates(t *testing.T) {
 	sp := r.Begin("phase")
 	hops = 4
 	sp.End()
-	spans := r.Spans()
+	spans := r.Spans(0)
 	if len(spans) != 1 || spans[0].Name != "phase" {
 		t.Fatalf("spans = %+v", spans)
 	}
@@ -93,14 +95,14 @@ func TestRingWrapKeepsAggregatesExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r.RecordSpan("s", time.Duration(i)*time.Millisecond, time.Millisecond, 0, 0)
 	}
-	if got := len(r.Spans()); got != DefaultSpanCap {
+	if got := len(r.Spans(0)); got != DefaultSpanCap {
 		t.Fatalf("ring holds %d spans, want %d", got, DefaultSpanCap)
 	}
 	if r.DroppedSpans() != 6 {
 		t.Fatalf("dropped = %d, want 6", r.DroppedSpans())
 	}
 	// Chronological order preserved across the wrap.
-	spans := r.Spans()
+	spans := r.Spans(0)
 	for i := 1; i < len(spans); i++ {
 		if spans[i].Start < spans[i-1].Start {
 			t.Fatalf("spans out of order: %+v", spans)
@@ -320,7 +322,80 @@ func TestResetCounters(t *testing.T) {
 	if len(s.Stages) != 0 || len(s.Gauges) != 0 || s.Traffic.Total().Msgs != 0 {
 		t.Fatalf("reset left state: %+v", s)
 	}
-	if len(r.Spans()) != 0 || r.DroppedSpans() != 0 {
+	if len(r.Spans(0)) != 0 || r.DroppedSpans() != 0 {
 		t.Fatal("reset left spans")
+	}
+}
+
+// TestSpanRingCostsWhatItHolds pins the ring's memory rule: a 32-byte
+// pointer-free record, no chunk before the first span, capacity within one
+// chunk of what is held and never past DefaultSpanCap, and Begin/End on a
+// full ring allocating nothing.
+func TestSpanRingCostsWhatItHolds(t *testing.T) {
+	if sz := unsafe.Sizeof(spanRec{}); sz > 32 {
+		t.Fatalf("ring record is %d bytes, want at most 32", sz)
+	}
+	rt := reflect.TypeOf(spanRec{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch k := rt.Field(i).Type.Kind(); k {
+		case reflect.Int32, reflect.Int64, reflect.Uint32:
+		default:
+			t.Fatalf("ring record field %s is a %s; the record must hold no pointer", rt.Field(i).Name, k)
+		}
+	}
+
+	reg := NewRegistry()
+	if r := reg.NewRecorder("fresh"); len(r.chunks) != 0 {
+		t.Fatalf("fresh recorder holds %d chunks, want none", len(r.chunks))
+	}
+	for _, k := range []int{1, 1000, DefaultSpanCap, DefaultSpanCap + 5000} {
+		r := reg.NewRecorder("k")
+		for i := 0; i < k; i++ {
+			r.RecordSpan("s", time.Duration(i), 1, 0, 0)
+		}
+		capacity := len(r.chunks) * spanChunk
+		if capacity >= k+spanChunk || capacity > DefaultSpanCap {
+			t.Errorf("after %d spans the ring holds room for %d records, want < %d and <= %d",
+				k, capacity, k+spanChunk, DefaultSpanCap)
+		}
+	}
+
+	r := reg.NewRecorder("full")
+	for i := 0; i < DefaultSpanCap; i++ {
+		r.Begin("s").End()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { r.Begin("s").End() }); allocs != 0 {
+		t.Fatalf("Begin/End on a full ring allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestSpansNewest pins Spans(n): the newest n records in order, across the
+// wrap seam, with 0 or an oversized n meaning all of them, and a hop advance
+// past the int32 range saturating instead of wrapping.
+func TestSpansNewest(t *testing.T) {
+	r := NewRegistry().NewRecorder("t0")
+	const n = DefaultSpanCap + 100
+	for i := 0; i < n; i++ {
+		r.RecordSpan("s", time.Duration(i), 1, i, i+1)
+	}
+	all := r.Spans(0)
+	if len(all) != DefaultSpanCap || all[0].Start != n-DefaultSpanCap || all[len(all)-1].Start != n-1 {
+		t.Fatalf("Spans(0) = %d records from %d to %d", len(all), all[0].Start, all[len(all)-1].Start)
+	}
+	last := r.Spans(256)
+	if !reflect.DeepEqual(last, all[len(all)-256:]) {
+		t.Fatal("Spans(256) is not the tail of Spans(0)")
+	}
+	if got := r.Spans(n + 1); !reflect.DeepEqual(got, all) {
+		t.Fatal("Spans(n > held) is not Spans(0)")
+	}
+
+	r = NewRegistry().NewRecorder("t1")
+	r.RecordSpan("far", 0, 1, 0, math.MaxInt32+10)
+	if sp := r.Spans(0)[0]; sp.Hops1 != math.MaxInt32 {
+		t.Fatalf("saturated hop advance = %d, want %d", sp.Hops1, math.MaxInt32)
+	}
+	if st := r.Snapshot().Stages["far"]; st.Hops != math.MaxInt32+10 {
+		t.Fatalf("aggregate hops = %d, want the exact advance", st.Hops)
 	}
 }

@@ -84,7 +84,7 @@ func WriteChromeTraceTagged(w io.Writer, recs []*Recorder, meta *TraceMeta) erro
 			Name: "thread_sort_index", Ph: "M", PID: 0, TID: r.tid,
 			Args: map[string]any{"sort_index": r.tid},
 		})
-		for _, sp := range r.Spans() {
+		for _, sp := range r.Spans(0) {
 			ev := traceEvent{
 				Name: sp.Name,
 				Cat:  spanCategory(sp.Name),

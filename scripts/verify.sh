@@ -21,6 +21,20 @@ go test ./...
 # The trajectory must not depend on the host's core count: the recorded
 # fingerprints and the kill-and-resume run again at GOMAXPROCS 1, 2 and 3.
 go test -count=1 -cpu 1,2,3 -run 'TestRunFingerprints|TestRunKillAtSameFingerprint' ./cmd/nektarg
+# Fuzz smoke: `go test` above only replays each native fuzz target's seed
+# corpus; here every target also mutates for 3 s. A crash it finds lands in
+# that target's testdata/fuzz corpus, to be committed with the fix.
+for target in \
+	'FuzzFrame ./internal/mpi/tcptransport' \
+	'FuzzHandshake ./internal/mpi/tcptransport' \
+	'FuzzPlateletApplyState ./internal/platelet' \
+	'FuzzReadJournal ./internal/fleet' \
+	'FuzzPublishStatus ./internal/fleet' \
+	'FuzzRestoreCheckpoint ./internal/core' \
+	'FuzzReadFile ./internal/checkpoint'; do
+	set -- $target
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
+done
 # internal/rbc stays out of the race pass for time: 273 s under the detector
 # against 24 s without (the whole rest of the pass takes about 5 minutes), and
 # it starts no goroutine of its own — its only concurrency is dpd's force
