@@ -615,6 +615,26 @@ func TestApplyStateRebounds(t *testing.T) {
 	}
 }
 
+// TestApplyStateUnknownKind: a restored series whose Kind is out of range
+// (a corrupt or foreign blob) is kept as an untyped series, so it never
+// fires and never indexes the per-kind anomaly counters out of range.
+func TestApplyStateUnknownKind(t *testing.T) {
+	p := New(testOptions())
+	p.ApplyState(&State{Series: []SeriesState{{
+		Name: "x", Kind: numKinds + 3,
+		Det: DetectorState{Mean: 1, Dev: 0.1, N: 100},
+	}}})
+	for i := int64(1); i <= 20; i++ {
+		p.Observe("x", i, 1000)
+	}
+	if n := p.AnomalyTotal(); n != 0 {
+		t.Fatalf("an untyped series fired %d anomalies", n)
+	}
+	if k := p.series["x"].kind; k != KindOther {
+		t.Fatalf("restored kind = %v, want untyped", k)
+	}
+}
+
 // --- profiling ----------------------------------------------------------
 
 // TestAnomalyTriggersProfileCapture: a fired anomaly auto-captures a pprof

@@ -114,7 +114,13 @@ func (p *Plane) ApplyState(st *State) {
 	p.series = make(map[string]*Series, len(st.Series))
 	p.order = p.order[:0]
 	for _, ss := range st.Series {
-		s := newSeries(ss.Name, ss.Kind, p.o)
+		kind := ss.Kind
+		if kind >= numKinds {
+			// A foreign or corrupt blob: the anomaly counters are indexed
+			// by kind, so an unknown one is kept as an untyped series.
+			kind = KindOther
+		}
+		s := newSeries(ss.Name, kind, p.o)
 		s.sum = ss.Summary
 		raw := ss.Raw
 		if len(raw) > s.cap {
