@@ -31,7 +31,10 @@ for target in \
 	'FuzzReadJournal ./internal/fleet' \
 	'FuzzPublishStatus ./internal/fleet' \
 	'FuzzRestoreCheckpoint ./internal/core' \
-	'FuzzReadFile ./internal/checkpoint'; do
+	'FuzzReadFile ./internal/checkpoint' \
+	'FuzzHistoryApplyState ./internal/history' \
+	'FuzzAuditApplyState ./internal/audit' \
+	'FuzzLoadConfig ./internal/config'; do
 	set -- $target
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
 done
