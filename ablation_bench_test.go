@@ -1,12 +1,10 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: first- vs.
-// second-order time stepping, deterministic vs. adaptive torus routing, and
-// serial vs. parallel DPD force evaluation. (The preconditioner ablation,
-// Jacobi vs. fast diagonalization, needs the solver's internals and lives in
-// internal/nektar3d: TestFDMBeatsJacobi.)
+// second-order time stepping and serial vs. parallel DPD force evaluation.
+// (The preconditioner ablation, Jacobi vs. fast diagonalization, needs the
+// solver's internals and lives in internal/nektar3d: TestFDMBeatsJacobi.)
 package nektarg_test
 
 import (
-	"fmt"
 	"testing"
 
 	"nektarg/internal/dpd"
@@ -14,7 +12,6 @@ import (
 	"nektarg/internal/mesh"
 	"nektarg/internal/nektar3d"
 	"nektarg/internal/partition"
-	"nektarg/internal/topology"
 )
 
 func benchTimeOrder(b *testing.B, order int) {
@@ -34,34 +31,6 @@ func benchTimeOrder(b *testing.B, order int) {
 
 func BenchmarkAblation_TimeStep_Order1(b *testing.B) { benchTimeOrder(b, 1) }
 func BenchmarkAblation_TimeStep_Order2(b *testing.B) { benchTimeOrder(b, 2) }
-
-func BenchmarkAblation_Routing_Deterministic(b *testing.B) {
-	tor, msgs := topoTraffic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = tor.ExchangeCost(msgs, topology.Deterministic).Time
-	}
-}
-
-func BenchmarkAblation_Routing_Adaptive(b *testing.B) {
-	tor, msgs := topoTraffic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = tor.ExchangeCost(msgs, topology.Adaptive).Time
-	}
-}
-
-// TestAblationAdaptiveRoutingCongestion prints the congestion ablation.
-func TestAblationAdaptiveRoutingCongestion(t *testing.T) {
-	tor, msgs := topoTraffic()
-	det := tor.ExchangeCost(msgs, topology.Deterministic)
-	ada := tor.ExchangeCost(msgs, topology.Adaptive)
-	fmt.Printf("ablation: torus routing — deterministic max-link %.3g B, adaptive %.3g B (%.1f%% less congestion)\n",
-		det.MaxLinkBytes, ada.MaxLinkBytes, 100*(det.MaxLinkBytes-ada.MaxLinkBytes)/det.MaxLinkBytes)
-	if ada.MaxLinkBytes > det.MaxLinkBytes {
-		t.Errorf("adaptive routing increased congestion")
-	}
-}
 
 func benchDPDWorkers(b *testing.B, workers int) {
 	p := dpd.DefaultParams(1)
@@ -111,18 +80,5 @@ func BenchmarkAblation_Stiffness_Affine(b *testing.B) {
 			y[j] = 0
 		}
 		g.ApplyStiffness(y, x)
-	}
-}
-
-func BenchmarkTransportStep(b *testing.B) {
-	g := nektar3d.NewGrid(2, 2, 2, 4, 1, 1, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.1, 0.005)
-	tr := nektar3d.NewTransport(s, 0.05)
-	tr.SetInitial(func(x, y, z float64) float64 { return x + y*z })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

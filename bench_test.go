@@ -21,7 +21,6 @@ import (
 	"nektarg/internal/platelet"
 	"nektarg/internal/simd"
 	"nektarg/internal/stats"
-	"nektarg/internal/topology"
 	"nektarg/internal/wpod"
 	"time"
 )
@@ -484,7 +483,8 @@ func fig10Run(steps int) []int {
 	var curve []int
 	for i := 0; i < steps/50; i++ {
 		sys.Run(50)
-		curve = append(curve, clot.ClotSize(sys))
+		_, _, adhered := clot.Counts(sys)
+		curve = append(curve, adhered)
 	}
 	return curve
 }
@@ -504,52 +504,6 @@ func TestFigure10(t *testing.T) {
 	}
 	if curve[len(curve)-1] <= curve[0] {
 		t.Errorf("no growth over the run: %v", curve)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// §3.5: topology-aware communication scheduling.
-// ---------------------------------------------------------------------------
-
-func topoTraffic() (*topology.Torus, []topology.Message) {
-	tor := topology.NewBGPTorus(512)
-	rng := rand.New(rand.NewSource(1))
-	var msgs []topology.Message
-	for i := 0; i < 400; i++ {
-		msgs = append(msgs, topology.Message{
-			Src:   rng.Intn(tor.Cores()),
-			Dst:   rng.Intn(tor.Cores()),
-			Bytes: 64e3,
-		})
-	}
-	return tor, msgs
-}
-
-func BenchmarkTopologyAwareComm_Scheduled(b *testing.B) {
-	tor, msgs := topoTraffic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = topology.RoundCost(tor, topology.ScheduleMessages(tor, msgs), topology.Deterministic)
-	}
-}
-
-func BenchmarkTopologyAwareComm_FCFS(b *testing.B) {
-	tor, msgs := topoTraffic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = topology.RoundCost(tor, topology.FirstComeFirstServedRounds(tor, msgs), topology.Deterministic)
-	}
-}
-
-func TestTopologyAwareGain(t *testing.T) {
-	tor, msgs := topoTraffic()
-	sched := topology.RoundCost(tor, topology.ScheduleMessages(tor, msgs), topology.Deterministic)
-	naive := topology.RoundCost(tor, topology.FirstComeFirstServedRounds(tor, msgs), topology.Deterministic)
-	gain := 100 * (naive - sched) / naive
-	fmt.Printf("§3.5 topology-aware scheduling: scheduled %.3g s vs FCFS %.3g s (%.1f%% faster; paper reports 3-5%% end-to-end)\n",
-		sched, naive, gain)
-	if sched > naive {
-		t.Errorf("scheduling made communication slower: %v vs %v", sched, naive)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestDPDResumeIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := dpd.RestoreState(loaded.Regions["box"])
-	if err != nil {
+	resumed := mk()
+	if err := resumed.ApplyState(loaded.Regions["box"]); err != nil {
 		t.Fatal(err)
 	}
 	resumed.Run(35)
@@ -96,8 +96,8 @@ func TestSolverResumeContinues(t *testing.T) {
 	if loaded.Exchanges != 3 {
 		t.Fatalf("exchanges = %d", loaded.Exchanges)
 	}
-	resumed, err := nektar3d.RestoreState(loaded.Patches["main"])
-	if err != nil {
+	resumed := mk()
+	if err := resumed.ApplyState(loaded.Patches["main"]); err != nil {
 		t.Fatal(err)
 	}
 	if err := resumed.Run(12); err != nil {
@@ -123,7 +123,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	s := nektar3d.NewSolver(g, 0.1, 0.01)
 	st := s.CaptureState()
 	st.U = st.U[:2] // truncate
-	if _, err := nektar3d.RestoreState(st); err == nil {
+	if err := s.ApplyState(st); err == nil {
 		t.Fatal("expected field-length error")
 	}
 
@@ -131,7 +131,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true})
 	dst := sys.CaptureState()
 	dst.Params.Dt = 0
-	if _, err := dpd.RestoreState(dst); err == nil {
+	if err := sys.ApplyState(dst); err == nil {
 		t.Fatal("expected params error")
 	}
 }

@@ -221,9 +221,7 @@ func TestThreeSolverRoundTripProperty(t *testing.T) {
 			sys.FillRandom(40*n, 0)
 			in := &dpd.FluxBC{Axis: 0, Rho: 3, Vel: func(geometry.Vec3) geometry.Vec3 { return geometry.Vec3{X: 0.2} }}
 			out := &dpd.FluxBC{Axis: 0, AtMax: true, Rho: 3}
-			if err := sys.AttachInflows(in, out); err != nil {
-				t.Fatal(err)
-			}
+			sys.Inflows = []*dpd.FluxBC{in, out}
 			sys.Run(5 * n)
 			c.Regions["r"] = sys.CaptureState()
 

@@ -113,12 +113,6 @@ func (a *AtomisticRegion) DPDToGlobal(p geometry.Vec3) geometry.Vec3 {
 	return a.Origin.Add(p.Sub(a.Sys.Lo).Scale(s))
 }
 
-// GlobalToDPD converts a global continuum point into the DPD frame.
-func (a *AtomisticRegion) GlobalToDPD(g geometry.Vec3) geometry.Vec3 {
-	s := LengthScale(a.NSUnits, a.DPDUnits)
-	return a.Sys.Lo.Add(g.Sub(a.Origin).Scale(s))
-}
-
 // boost returns the effective velocity scale-up (1 when unset).
 func (a *AtomisticRegion) boost() float64 {
 	if a.VelocityBoost <= 0 {

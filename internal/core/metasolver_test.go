@@ -162,9 +162,9 @@ func TestDPDGlobalRoundTrip(t *testing.T) {
 		DPDUnits: Units{L: 5e-6, Nu: 0.1},
 	}
 	p := geometry.Vec3{X: 0.3, Y: -0.7, Z: 0.1}
-	back := region.GlobalToDPD(region.DPDToGlobal(p))
-	if back.Sub(p).Norm() > 1e-12 {
-		t.Fatalf("round trip %v -> %v", p, back)
+	want := region.Origin.Add(p.Sub(region.Sys.Lo).Scale(5e-6 / 1e-3))
+	if got := region.DPDToGlobal(p); got.Sub(want).Norm() > 1e-12 {
+		t.Fatalf("DPDToGlobal(%v) = %v, want %v", p, got, want)
 	}
 	// The DPD box spans 2 DPD units = 2*(5e-6/1e-3) = 0.01 NS units.
 	lo := region.DPDToGlobal(region.Sys.Lo)

@@ -8,10 +8,7 @@
 // Figure 9.
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Units defines one solver's unit system relative to SI: L is meters per
 // unit length, Nu the kinematic viscosity in solver units. In the paper
@@ -54,32 +51,3 @@ func VelocityScale(from, to Units) float64 {
 // LengthScale returns the factor converting a length in `from` units to `to`
 // units.
 func LengthScale(from, to Units) float64 { return from.L / to.L }
-
-// TimeScale returns the factor converting a time in `from` units to `to`
-// units. It follows from kinematic consistency t = x/v with the length and
-// velocity scalings above, and reproduces the paper's t ~ L²/ν rule ("the
-// time scale in each subdomain is defined as t ~ L²/ν and is governed by the
-// choice of fluid viscosity"):
-//
-//	t_to = t_from * (from.L/to.L)² * (from.Nu/to.Nu)
-func TimeScale(from, to Units) float64 {
-	return LengthScale(from, to) / VelocityScale(from, to)
-}
-
-// Reynolds returns U*L/ν in the given unit system for a velocity U and
-// length L expressed in those units.
-func Reynolds(u Units, vel, length float64) float64 {
-	return vel * length / u.Nu
-}
-
-// Womersley returns the Womersley number Ws = R sqrt(ω/ν) for pulsation
-// frequency omega and vessel radius expressed in the given unit system —
-// with Reynolds, the second characteristic number the coupling must match
-// ("as an example Reynolds and Womersley numbers in our blood flow
-// problem"; the paper's simulation runs at Re = 394, Ws = 3.7).
-func Womersley(u Units, omega, radius float64) float64 {
-	if omega < 0 {
-		panic(fmt.Sprintf("core: negative pulsation frequency %v", omega))
-	}
-	return radius * math.Sqrt(omega/u.Nu)
-}

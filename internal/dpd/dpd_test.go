@@ -86,7 +86,7 @@ func TestPairXiMoments(t *testing.T) {
 			}
 		}
 	}
-	n := float64(xi.N())
+	n := float64(steps * ids * (ids - 1) / 2)
 	// ξ uniform on ±√3: Var ξ = 1, Var ξ² = 9/5 - 1, Var(ξ ξ') = 1.
 	for _, c := range []struct {
 		name       string

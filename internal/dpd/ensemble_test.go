@@ -64,7 +64,7 @@ func TestEnsembleMatchesParentKernel(t *testing.T) {
 	for q, name := range []string{"temperature", "pressure"} {
 		g, w := &got[q], &want[q]
 		pooled := math.Sqrt((g.Variance() + w.Variance()) / 2)
-		t.Logf("%s: parent %.4f ± %.4f, this kernel %.4f ± %.4f (sd over %d members)", name, w.Mean(), w.StdDev(), g.Mean(), g.StdDev(), g.N())
+		t.Logf("%s: parent %.4f ± %.4f, this kernel %.4f ± %.4f (sd over %d members)", name, w.Mean(), w.StdDev(), g.Mean(), g.StdDev(), len(parentEnsemble))
 		if d := math.Abs(g.Mean() - w.Mean()); d > pooled {
 			t.Errorf("%s: ensemble mean %.4f is %.4f from the parent's %.4f, more than the pooled sd %.4f", name, g.Mean(), d, w.Mean(), pooled)
 		}

@@ -131,8 +131,8 @@ func TestCaptureStateExcludesScratch(t *testing.T) {
 	st := ref.CaptureState()
 	ref.Run(10)
 
-	restored, err := RestoreState(st)
-	if err != nil {
+	restored := build()
+	if err := restored.ApplyState(st); err != nil {
 		t.Fatal(err)
 	}
 	restored.Run(10)

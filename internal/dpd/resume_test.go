@@ -10,7 +10,7 @@ import (
 
 // mkOpenChannel builds the open-boundary test system: a flux-BC inflow with
 // a prescribed profile, a measured outflow, and two no-slip walls — the
-// minimal configuration whose restart used to diverge because RestoreState
+// minimal configuration whose restart used to diverge because a restore
 // reseeded the insertion RNG from zero.
 func mkOpenChannel() *System {
 	p := DefaultParams(1)
@@ -26,26 +26,8 @@ func mkOpenChannel() *System {
 	inflow := &FluxBC{Axis: 0, AtMax: false, Rho: 3,
 		Vel: func(geometry.Vec3) geometry.Vec3 { return geometry.Vec3{X: 0.4} }}
 	outflow := &FluxBC{Axis: 0, AtMax: true, Rho: 3}
-	if err := sys.AttachInflows(inflow, outflow); err != nil {
-		panic(err)
-	}
+	sys.Inflows = []*FluxBC{inflow, outflow}
 	return sys
-}
-
-// attachChannelHooks rewires the behavioral hooks (walls + flux faces) on a
-// system restored from a captured state, exactly as a restart driver would.
-func attachChannelHooks(t *testing.T, sys *System) {
-	t.Helper()
-	sys.Walls = []Wall{
-		&PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
-		&PlaneWall{Point: geometry.Vec3{Z: 6}, Norm: geometry.Vec3{Z: -1}},
-	}
-	inflow := &FluxBC{Axis: 0, AtMax: false, Rho: 3,
-		Vel: func(geometry.Vec3) geometry.Vec3 { return geometry.Vec3{X: 0.4} }}
-	outflow := &FluxBC{Axis: 0, AtMax: true, Rho: 3}
-	if err := sys.AttachInflows(inflow, outflow); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // assertBitIdentical compares two systems field by field with == (no
@@ -86,11 +68,10 @@ func TestFluxBCResumeIsBitIdentical(t *testing.T) {
 	sys.Run(kill)
 	st := sys.CaptureState()
 
-	resumed, err := RestoreState(st)
-	if err != nil {
+	resumed := mkOpenChannel()
+	if err := resumed.ApplyState(st); err != nil {
 		t.Fatal(err)
 	}
-	attachChannelHooks(t, resumed)
 	resumed.Run(total - kill)
 
 	if ref.Inserted == 0 {
@@ -159,16 +140,13 @@ func TestApplyStateRejectsGeometryMismatch(t *testing.T) {
 }
 
 // TestStateWithoutStreamPositionIsRejected: a state that carries no RNG
-// position cannot resume bit-identically; both restore paths refuse it and
-// leave the target system untouched.
+// position cannot resume bit-identically; ApplyState refuses it and leaves
+// the target system untouched.
 func TestStateWithoutStreamPositionIsRejected(t *testing.T) {
 	sys := mkOpenChannel()
 	sys.Run(10)
 	st := sys.CaptureState()
 	st.RNG = nil
-	if _, err := RestoreState(st); !errors.Is(err, ErrNoStreamState) {
-		t.Fatalf("RestoreState: got %v, want ErrNoStreamState", err)
-	}
 	fresh := mkOpenChannel()
 	before := len(fresh.Particles)
 	if err := fresh.ApplyState(st); !errors.Is(err, ErrNoStreamState) {
@@ -179,17 +157,15 @@ func TestStateWithoutStreamPositionIsRejected(t *testing.T) {
 	}
 }
 
-// TestAttachInflowsRejectsFaceCountMismatch: a checkpoint carrying two face
+// TestApplyStateRejectsFaceCountMismatch: a checkpoint carrying two face
 // accumulators cannot be resumed into a system wired with one face.
-func TestAttachInflowsRejectsFaceCountMismatch(t *testing.T) {
+func TestApplyStateRejectsFaceCountMismatch(t *testing.T) {
 	sys := mkOpenChannel()
 	sys.Run(10)
 	st := sys.CaptureState()
-	resumed, err := RestoreState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.AttachInflows(&FluxBC{Axis: 0, Rho: 3}); err == nil {
+	resumed := mkOpenChannel()
+	resumed.Inflows = resumed.Inflows[:1]
+	if err := resumed.ApplyState(st); err == nil {
 		t.Fatal("expected face-count mismatch error")
 	}
 }

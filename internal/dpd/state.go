@@ -9,7 +9,7 @@ import (
 
 // State is the serializable part of a System: everything needed to resume a
 // run. Behavioral hooks (walls, bonded forces, external forcing, flux-face
-// profiles) are code, not data — the caller re-attaches them after Restore.
+// profiles) are code, not data — the caller wires them before ApplyState.
 // Because pairwise random forces are counter-based (seed, step, particle
 // ids) and the stream RNG position, the flux-face fractional-insertion
 // accumulators and the state of every StatefulBonded model are captured, a
@@ -32,7 +32,7 @@ type State struct {
 	// Bonded holds, in System.Bonded order, the encoding of each
 	// StatefulBonded model (empty for stateless ones); nil when the system
 	// has none. ApplyState hands each entry back to the model wired at the
-	// same index; RestoreState, which starts without hooks, ignores it.
+	// same index.
 	Bonded [][]byte
 	// Inserted and Deleted are the cumulative open-boundary particle
 	// counters (telemetry continuity across restarts).
@@ -84,20 +84,6 @@ func (s *System) CaptureState() State {
 	}
 }
 
-// RestoreState creates a fresh System from a captured state. Hooks (Walls,
-// Bonded, External, Inflows) start empty; use AttachInflows to re-attach
-// flux faces so their checkpointed insertion accumulators are restored too.
-func RestoreState(st State) (*System, error) {
-	if err := st.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("dpd: restoring: %w", err)
-	}
-	sys := NewSystem(st.Params, st.Lo, st.Hi, st.Periodic)
-	if err := sys.applyCommon(st); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
 // ApplyState restores a captured state in place, into a system whose hooks
 // (walls, bonded models, flux faces) are already wired — the restart path of
 // the metasolver, which rebuilds the scenario from code and then overlays
@@ -112,10 +98,19 @@ func (s *System) ApplyState(st State) error {
 		return fmt.Errorf("dpd: applying state: box %v..%v periodic %v does not match checkpoint %v..%v %v",
 			s.Lo, s.Hi, s.Periodic, st.Lo, st.Hi, st.Periodic)
 	}
-	s.Params = st.Params
-	if err := s.applyCommon(st); err != nil {
-		return err
+	if st.RNG == nil {
+		return ErrNoStreamState
 	}
+	if err := s.rngSrc.UnmarshalBinary(st.RNG); err != nil {
+		return fmt.Errorf("dpd: restoring rng stream: %w", err)
+	}
+	s.Params = st.Params
+	s.Particles = append(s.Particles[:0], st.Particles...)
+	s.Step = st.Step
+	s.Time = st.Time
+	s.nextID = st.NextID
+	s.Inserted = st.Inserted
+	s.Deleted = st.Deleted
 	for i, b := range s.Bonded {
 		sb, ok := b.(StatefulBonded)
 		if !ok {
@@ -128,29 +123,15 @@ func (s *System) ApplyState(st State) error {
 			return fmt.Errorf("dpd: applying state: bonded model %d: %w", i, err)
 		}
 	}
-	return s.consumePendingFaceAcc()
-}
-
-// applyCommon overlays the serialized fields shared by RestoreState and
-// ApplyState onto sys; pending face accumulators are stashed for
-// AttachInflows (RestoreState) or consumed immediately (ApplyState).
-func (s *System) applyCommon(st State) error {
-	if st.RNG == nil {
-		return ErrNoStreamState
+	if st.FaceAcc == nil {
+		return nil
 	}
-	if err := s.rngSrc.UnmarshalBinary(st.RNG); err != nil {
-		return fmt.Errorf("dpd: restoring rng stream: %w", err)
+	if len(st.FaceAcc) != len(s.Inflows) {
+		return fmt.Errorf("dpd: checkpoint carries %d flux-face accumulators but %d faces are attached",
+			len(st.FaceAcc), len(s.Inflows))
 	}
-	s.Particles = append(s.Particles[:0], st.Particles...)
-	s.Step = st.Step
-	s.Time = st.Time
-	s.nextID = st.NextID
-	s.Inserted = st.Inserted
-	s.Deleted = st.Deleted
-	if st.FaceAcc != nil {
-		s.pendingFaceAcc = append([]float64(nil), st.FaceAcc...)
-	} else {
-		s.pendingFaceAcc = nil
+	for i, f := range s.Inflows {
+		f.Acc = st.FaceAcc[i]
 	}
 	return nil
 }

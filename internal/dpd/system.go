@@ -97,11 +97,6 @@ type System struct {
 	rngSrc *rand.PCG
 	rng    *rand.Rand
 
-	// pendingFaceAcc holds flux-face fractional-insertion accumulators
-	// restored from a checkpoint before the caller has re-attached its
-	// FluxBC hooks; AttachInflows consumes it.
-	pendingFaceAcc []float64
-
 	// Cell-sorted particle order, rebuilt by buildCells on every force
 	// evaluation: cell c owns slots cstart[c]..cstart[c+1], sidx maps a slot
 	// to its particle index (descending within a cell — the order a
@@ -174,32 +169,6 @@ func NewSystem(p Params, lo, hi geometry.Vec3, periodic [3]bool) *System {
 // stream-based RNG (insertions, initial conditions) from the counter-based
 // pairwise force hash, which consumes Params.Seed directly.
 const rngStreamSalt = 0x6e656b746172672d // "nektarg-"
-
-// AttachInflows installs the flux-BC faces on the system. After a
-// RestoreState the faces additionally receive the checkpointed
-// fractional-insertion accumulators (in face order), so a restored open
-// system inserts particles exactly where the uninterrupted run would have.
-func (s *System) AttachInflows(faces ...*FluxBC) error {
-	s.Inflows = append([]*FluxBC(nil), faces...)
-	return s.consumePendingFaceAcc()
-}
-
-// consumePendingFaceAcc moves checkpointed accumulators onto the attached
-// faces; a count mismatch is a wiring error.
-func (s *System) consumePendingFaceAcc() error {
-	if s.pendingFaceAcc == nil {
-		return nil
-	}
-	if len(s.pendingFaceAcc) != len(s.Inflows) {
-		return fmt.Errorf("dpd: checkpoint carries %d flux-face accumulators but %d faces are attached",
-			len(s.pendingFaceAcc), len(s.Inflows))
-	}
-	for i, f := range s.Inflows {
-		f.Acc = s.pendingFaceAcc[i]
-	}
-	s.pendingFaceAcc = nil
-	return nil
-}
 
 // Size returns the box edge lengths.
 func (s *System) Size() geometry.Vec3 { return s.Hi.Sub(s.Lo) }

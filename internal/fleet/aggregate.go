@@ -134,12 +134,6 @@ func (a *Aggregator) ObserveJournal(j *Journal) {
 	})
 }
 
-// Healthy reports the cluster verdict: not latched and every process's own
-// verdict healthy.
-func (a *Aggregator) Healthy() bool {
-	return a.Verdict().Healthy
-}
-
 // Verdict assembles the cluster verdict served by /cluster/healthz,
 // processes sorted by proc id.
 func (a *Aggregator) Verdict() ClusterVerdict {

@@ -45,7 +45,7 @@ func TestAggregatorVerdictAndLatch(t *testing.T) {
 	a := NewAggregator()
 	a.Report(healthyStatus("rank0", 0))
 	a.Report(healthyStatus("rank1", 1))
-	if !a.Healthy() {
+	if !a.Verdict().Healthy {
 		t.Fatal("two healthy processes must be healthy")
 	}
 
@@ -56,11 +56,11 @@ func TestAggregatorVerdictAndLatch(t *testing.T) {
 	}
 	// A healthy re-publish does NOT clear the latch: only a recovery does.
 	a.Report(healthyStatus("rank0", 0))
-	if a.Healthy() {
+	if a.Verdict().Healthy {
 		t.Fatal("healthy publish must not clear the outage latch")
 	}
 	a.Rearm()
-	if !a.Healthy() {
+	if !a.Verdict().Healthy {
 		t.Fatal("rearm must clear the latch")
 	}
 	if v := a.Verdict(); v.Rearms != 1 {
@@ -86,15 +86,15 @@ func TestAggregatorObserveJournal(t *testing.T) {
 	a.ObserveJournal(j)
 
 	j.Record(EventIncarnationStart, nil)
-	if !a.Healthy() {
+	if !a.Verdict().Healthy {
 		t.Fatal("incarnation start must not latch")
 	}
 	j.Record(EventWorldLost, map[string]any{"cause": "peer died"})
-	if a.Healthy() {
+	if a.Verdict().Healthy {
 		t.Fatal("world-lost must latch")
 	}
 	j.Record(EventRecovered, map[string]any{"exchange": 2})
-	if !a.Healthy() {
+	if !a.Verdict().Healthy {
 		t.Fatal("recovered must re-arm")
 	}
 }
@@ -312,12 +312,11 @@ func TestPublisherEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	pub := NewPublisher(srv.URL(), mon, "rank7", []int{7}, "tcp", nil)
-	pub.SetIncarnation(3)
 	if err := pub.PublishNow(); err != nil {
 		t.Fatal(err)
 	}
 	sts := a.Statuses()
-	if len(sts) != 1 || sts[0].Proc != "rank7" || sts[0].Incarnation != 3 || sts[0].Transport != "tcp" {
+	if len(sts) != 1 || sts[0].Proc != "rank7" || sts[0].Incarnation != 0 || sts[0].Transport != "tcp" {
 		t.Fatalf("aggregated status = %+v", sts)
 	}
 	if len(sts[0].Snapshots) == 0 || len(sts[0].Stats) == 0 {

@@ -99,7 +99,6 @@ type Journal struct {
 	transport   string
 	seq         int64
 	incarnation int
-	sync        bool
 	observers   []func(Event)
 	now         func() time.Time // test seam
 }
@@ -137,33 +136,12 @@ func OpenJournal(path string, rank int, transport string) (*Journal, error) {
 	return j, nil
 }
 
-// SetSync makes every append fsync. The default (off) already survives
-// process death — a record is in the page cache once write(2) returns — and
-// keeps appends in the sub-microsecond range; Sync additionally survives
-// host crashes at the cost of a disk flush per record.
-func (j *Journal) SetSync(on bool) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.sync = on
-	j.mu.Unlock()
-}
-
 // Path returns the journal's on-disk path ("" on nil).
 func (j *Journal) Path() string {
 	if j == nil {
 		return ""
 	}
 	return j.path
-}
-
-// Rank returns the world rank the journal is bound to (-1 on nil).
-func (j *Journal) Rank() int {
-	if j == nil {
-		return -1
-	}
-	return j.rank
 }
 
 // Transport returns the transport kind the journal was opened with.
@@ -246,13 +224,8 @@ func (j *Journal) append(e Event) error {
 	binary.BigEndian.PutUint32(buf[4:8], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[8:12], crc32.Checksum(payload, crcTable))
 	copy(buf[journalHeaderLen:], payload)
-	if _, err := j.f.Write(buf); err != nil {
-		return err
-	}
-	if j.sync {
-		return j.f.Sync()
-	}
-	return nil
+	_, err = j.f.Write(buf)
+	return err
 }
 
 // Events re-reads the journal from disk — the source of truth, not an

@@ -31,9 +31,6 @@ type Publisher struct {
 	ranks  []int
 	kind   string // transport kind
 	j      *Journal
-
-	mu  sync.Mutex
-	inc int // incarnation override when no journal is wired
 }
 
 // NewPublisher builds a publisher POSTing to aggregatorURL (base URL, e.g.
@@ -51,27 +48,6 @@ func NewPublisher(aggregatorURL string, mon *monitor.Monitor, proc string, ranks
 	}
 }
 
-// SetIncarnation overrides the incarnation stamp for publishers without a
-// journal.
-func (p *Publisher) SetIncarnation(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.inc = n
-	p.mu.Unlock()
-}
-
-// incarnation resolves the current incarnation stamp.
-func (p *Publisher) incarnation() int {
-	if p.j != nil {
-		return p.j.Incarnation()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inc
-}
-
 // Status assembles the ProcessStatus a publish would send.
 func (p *Publisher) Status() ProcessStatus {
 	if p == nil {
@@ -80,7 +56,7 @@ func (p *Publisher) Status() ProcessStatus {
 	st := ProcessStatus{
 		Proc:        p.proc,
 		Ranks:       append([]int(nil), p.ranks...),
-		Incarnation: p.incarnation(),
+		Incarnation: p.j.Incarnation(),
 		Transport:   p.kind,
 		TimeUnixNs:  time.Now().UnixNano(),
 		Snapshots:   p.mon.Snapshots(),
@@ -300,14 +276,6 @@ func NewTraceWriter(dir, base string, rank int, transport string, recs func() []
 		}
 	})
 	return tw
-}
-
-// Path returns the file the current incarnation's spans land in.
-func (tw *TraceWriter) Path() string {
-	if tw == nil {
-		return ""
-	}
-	return filepath.Join(tw.dir, fmt.Sprintf("%s-rank%d-inc%d.json", tw.base, tw.rank, tw.j.Incarnation()))
 }
 
 // WriteNow exports the current spans to the incarnation's trace file

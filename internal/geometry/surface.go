@@ -155,12 +155,6 @@ func SphereSurface(name string, center Vec3, radius float64, nLat, nLon int) *Su
 	return s
 }
 
-// SignedDistanceToPlane returns the signed distance from p to the plane of t
-// (positive on the side of the normal).
-func (t Triangle) SignedDistanceToPlane(p Vec3) float64 {
-	return p.Sub(t.A).Dot(t.UnitNormal())
-}
-
 // Flip returns a copy of the surface with reversed triangle orientation
 // (normals negated) — used to point wall normals into the fluid when a
 // generator's natural winding faces the other way.

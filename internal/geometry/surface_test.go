@@ -71,16 +71,6 @@ func TestSurfaceBounds(t *testing.T) {
 	}
 }
 
-func TestSignedDistanceToPlane(t *testing.T) {
-	tri := Triangle{Vec3{0, 0, 0}, Vec3{1, 0, 0}, Vec3{0, 1, 0}}
-	if d := tri.SignedDistanceToPlane(Vec3{0.2, 0.2, 2.5}); !almostEq(d, 2.5, 1e-14) {
-		t.Fatalf("d = %v", d)
-	}
-	if d := tri.SignedDistanceToPlane(Vec3{0.2, 0.2, -1}); !almostEq(d, -1, 1e-14) {
-		t.Fatalf("d = %v", d)
-	}
-}
-
 func TestPlanarRectPanicsOnBadArgs(t *testing.T) {
 	defer func() {
 		if recover() == nil {

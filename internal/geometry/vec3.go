@@ -53,11 +53,6 @@ func (v Vec3) Normalized() Vec3 {
 	return v.Scale(1 / n)
 }
 
-// Lerp returns the linear interpolation (1-t)*v + t*w.
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return v.Scale(1 - t).Add(w.Scale(t))
-}
-
 // Mul returns the component-wise product.
 func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
 

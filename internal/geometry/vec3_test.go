@@ -76,22 +76,6 @@ func TestNormalized(t *testing.T) {
 	Vec3{}.Normalized()
 }
 
-func TestLerpEndpoints(t *testing.T) {
-	a := Vec3{1, 2, 3}
-	b := Vec3{4, -1, 7}
-	if got := a.Lerp(b, 0); got != a {
-		t.Fatalf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Fatalf("Lerp(1) = %v", got)
-	}
-	mid := a.Lerp(b, 0.5)
-	want := Vec3{2.5, 0.5, 5}
-	if mid.Sub(want).Norm() > 1e-14 {
-		t.Fatalf("Lerp(0.5) = %v", mid)
-	}
-}
-
 func TestAABBContainsItsPoints(t *testing.T) {
 	f := func(pts []Vec3) bool {
 		b := NewAABB(pts...)

@@ -150,7 +150,7 @@ func TestCoupledConservationUnfaulted(t *testing.T) {
 	// With the consumer keeping up, the drained pipeline is fully current:
 	// staleness (steps behind the newest published piece) within the stride.
 	final := r.frames[len(r.frames)-1]
-	if stale := q.MaxStep() - final.Step; stale > stride {
+	if stale := q.Stats().MaxStep - final.Step; stale > stride {
 		t.Fatalf("staleness %d steps exceeds stride %d", stale, stride)
 	}
 }
@@ -206,7 +206,7 @@ func TestCoupledConservationFaulted(t *testing.T) {
 		t.Fatalf("conservation violated after recovery: %d != %d + %d",
 			st.Published, st.Delivered, st.Dropped)
 	}
-	f := obs.LatestFrame()
+	f := obs.latest // the observer goroutine has returned
 	if f == nil || f.Step != exchanges {
 		t.Fatalf("latest frame = %+v, want step %d", f, exchanges)
 	}
@@ -242,7 +242,8 @@ func TestCoupledObserverDiskSeries(t *testing.T) {
 	q.Close()
 	<-done
 
-	steps := obs.WrittenSteps()
+	steps := append([]int(nil), obs.steps...) // the observer goroutine has returned
+	sort.Ints(steps)
 	if len(steps) != DefaultKeep || steps[0] != exchanges-DefaultKeep+1 || steps[len(steps)-1] != exchanges {
 		t.Fatalf("rolling series kept steps %v, want the newest %d of %d", steps, DefaultKeep, exchanges)
 	}

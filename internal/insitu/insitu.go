@@ -230,11 +230,3 @@ func (q *Queue) Stats() Stats {
 	st.Queued = int64(len(q.buf))
 	return st
 }
-
-// MaxStep returns the newest step index any publish has carried — the
-// staleness reference.
-func (q *Queue) MaxStep() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.st.MaxStep
-}

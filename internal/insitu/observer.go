@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -107,13 +106,6 @@ func (o *Observer) Consume(p *Piece) {
 			r.Gauge("insitu.bytes", float64(ts.Bytes))
 		}
 	}
-}
-
-// LatestFrame returns the newest assembled frame (nil before the first).
-func (o *Observer) LatestFrame() *Frame {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.latest
 }
 
 // AssemblerStats returns a copy of the assembly accounting.
@@ -252,14 +244,4 @@ func sanitize(s string) string {
 		}
 		return r
 	}, s)
-}
-
-// WrittenSteps returns the steps currently on disk, oldest first (test hook
-// for the rolling-series pruning).
-func (o *Observer) WrittenSteps() []int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := append([]int(nil), o.steps...)
-	sort.Ints(out)
-	return out
 }

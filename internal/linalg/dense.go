@@ -51,36 +51,6 @@ func (m *Dense) MulVec(y, x []float64) {
 	}
 }
 
-// Mul computes C = A B.
-func (a *Dense) Mul(b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic("linalg: Dense.Mul dimension mismatch")
-	}
-	c := NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			simd.Axpy(aik, b.Row(k), crow)
-		}
-	}
-	return c
-}
-
-// Transpose returns A^T.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // IsSymmetric reports whether |A - A^T| is elementwise within tol.
 func (m *Dense) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {
@@ -103,16 +73,6 @@ func Identity(n int) *Dense {
 		m.Set(i, i, 1)
 	}
 	return m
-}
-
-// SolveLU solves A x = b by Gaussian elimination with partial pivoting on
-// copies of A and b, which are not modified, and returns x.
-func SolveLU(a *Dense, b []float64) ([]float64, error) {
-	x := append([]float64(nil), b...)
-	if err := SolveLUInPlace(a.Clone(), x); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveLUInPlace solves A x = b by Gaussian elimination with partial

@@ -1,7 +1,8 @@
 // Package mci implements the Multilevel Communicating Interface of §3.1: the
 // hierarchical decomposition of the World communicator into
 //
-//	L2 — topology-oriented groups (one per rack / torus region),
+//	L2 — topology-oriented groups (one per rack / torus region; the network
+//	     is homogeneous here, so L2 equals World as the paper prescribes),
 //	L3 — task-oriented groups (one per solver instance: a NεκTαr-3D patch,
 //	     the 1D solver, or a DPD-LAMMPS domain),
 //	L4 — interface groups (the ranks whose mesh partitions touch a given
@@ -17,7 +18,6 @@ import (
 
 	"nektarg/internal/audit"
 	"nektarg/internal/mpi"
-	"nektarg/internal/topology"
 )
 
 // TaskSpec names one solver instance and the number of ranks it gets.
@@ -28,14 +28,6 @@ type TaskSpec struct {
 
 // Config describes how the World communicator is decomposed.
 type Config struct {
-	// Torus, when non-nil, drives the topology-oriented L2 splitting: the
-	// torus Z-extent is carved into L2Groups contiguous slabs, grouping
-	// ranks on nearby nodes ("processors from different computers or racks
-	// are grouped into L2 sub-communicators"). When nil the network is
-	// homogeneous and L2 equals World, as the paper prescribes.
-	Torus    *topology.Torus
-	L2Groups int
-
 	// Tasks assigns contiguous World rank ranges to solver instances, in
 	// order. The totals must not exceed the World size; leftover ranks
 	// stay idle (L3 == nil).
@@ -49,10 +41,6 @@ type Hierarchy struct {
 	L3    *mpi.Comm // nil for idle ranks
 	Task  int       // task index, -1 when idle
 	Name  string    // task name, "" when idle
-
-	// worldRankOfL3Root[t] maps each task to the World rank of its L3 root
-	// so L3 roots can find each other for coupling handshakes.
-	l3Roots []int
 }
 
 // Build performs the L2 and L3 splits. It must be called collectively by
@@ -71,22 +59,10 @@ func Build(world *mpi.Comm, cfg Config) (*Hierarchy, error) {
 
 	h := &Hierarchy{World: world, Task: -1}
 
-	// L2: topology-oriented split.
-	if cfg.Torus != nil && cfg.L2Groups > 1 {
-		if world.Size() > cfg.Torus.Cores() {
-			return nil, fmt.Errorf("mci: world size %d exceeds torus cores %d", world.Size(), cfg.Torus.Cores())
-		}
-		c := cfg.Torus.Coords(world.Rank())
-		slab := c.Z * cfg.L2Groups / cfg.Torus.NZ
-		h.L2 = world.Split(slab, world.Rank(), "L2")
-	} else {
-		h.L2 = world.Split(0, world.Rank(), "L2")
-	}
+	// L2: topology-oriented split; a homogeneous network has one group.
+	h.L2 = world.Split(0, world.Rank(), "L2")
 
-	// L3: task-oriented split by contiguous world rank ranges. The split
-	// runs over World so a task may span several L2 groups; the L2 grouping
-	// still confines the heavy intra-solver traffic when ranks are laid
-	// out along the torus, which Build's contiguous assignment guarantees.
+	// L3: task-oriented split by contiguous world rank ranges.
 	task := -1
 	lo := 0
 	for i, t := range cfg.Tasks {
@@ -104,24 +80,7 @@ func Build(world *mpi.Comm, cfg Config) (*Hierarchy, error) {
 	if task >= 0 {
 		h.Name = cfg.Tasks[task].Name
 	}
-
-	// Record each task's L3 root world rank (the lowest world rank of the
-	// range, by construction of the split keys).
-	h.l3Roots = make([]int, len(cfg.Tasks))
-	lo = 0
-	for i, t := range cfg.Tasks {
-		h.l3Roots[i] = lo
-		lo += t.Ranks
-	}
 	return h, nil
-}
-
-// L3RootWorldRank returns the World rank of the given task's L3 root.
-func (h *Hierarchy) L3RootWorldRank(task int) int {
-	if task < 0 || task >= len(h.l3Roots) {
-		panic(fmt.Sprintf("mci: task %d out of %d", task, len(h.l3Roots)))
-	}
-	return h.l3Roots[task]
 }
 
 // InterfaceGroup is one L4 sub-communicator: the L3 ranks whose partitions
@@ -276,16 +235,6 @@ func (g *InterfaceGroup) ScatterFromRoot(data []float64, counts []int) []float64
 		return g.L4.Scatter(0, parts).([]float64)
 	}
 	return g.L4.Scatter(0, nil).([]float64)
-}
-
-// BcastFromRoot distributes the root's full payload to every member; used
-// when each member interpolates its own portion from the full interface
-// trace.
-func (g *InterfaceGroup) BcastFromRoot(data []float64) []float64 {
-	if !g.Member {
-		panic(fmt.Sprintf("mci: non-member rank called BcastFromRoot on %q", g.Name))
-	}
-	return g.L4.Bcast(0, data).([]float64)
 }
 
 // Exchange runs the full three-step inter-patch exchange of Figure 4 from

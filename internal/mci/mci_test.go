@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nektarg/internal/mpi"
-	"nektarg/internal/topology"
 )
 
 func TestBuildAssignsEveryRankToOneL3(t *testing.T) {
@@ -36,10 +35,6 @@ func TestBuildAssignsEveryRankToOneL3(t *testing.T) {
 		}
 		if h.L3.Size() != wantSize {
 			t.Errorf("rank %d L3 size %d want %d", w.Rank(), h.L3.Size(), wantSize)
-		}
-		// Every task's L3 root world rank must be the start of its range.
-		if h.L3RootWorldRank(0) != 0 || h.L3RootWorldRank(1) != 3 || h.L3RootWorldRank(2) != 6 {
-			t.Errorf("roots = %v %v %v", h.L3RootWorldRank(0), h.L3RootWorldRank(1), h.L3RootWorldRank(2))
 		}
 	})
 	if err != nil {
@@ -72,36 +67,6 @@ func TestBuildRejectsOversubscription(t *testing.T) {
 	err := mpi.Run(4, func(w *mpi.Comm) {
 		if _, err := Build(w, cfg); err == nil {
 			t.Error("expected oversubscription error")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildTopologyL2Slabs(t *testing.T) {
-	// 16 ranks on a 4-node torus (4 cores/node), 2 L2 groups: ranks on
-	// low-Z nodes land in one group, high-Z in the other.
-	tor := topology.NewBGPTorus(4)
-	cfg := Config{
-		Torus:    tor,
-		L2Groups: 2,
-		Tasks:    []TaskSpec{{"a", 16}},
-	}
-	err := mpi.Run(16, func(w *mpi.Comm) {
-		h, err := Build(w, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		c := tor.Coords(w.Rank())
-		slab := c.Z * 2 / tor.NZ
-		// All ranks in my L2 share my slab: verify via Allreduce of
-		// min and max slab over L2.
-		mm := h.L2.Allreduce([]float64{float64(slab)}, mpi.Min)
-		mx := h.L2.Allreduce([]float64{float64(slab)}, mpi.Max)
-		if mm[0] != mx[0] {
-			t.Errorf("rank %d: L2 mixes slabs %v and %v", w.Rank(), mm[0], mx[0])
 		}
 	})
 	if err != nil {
@@ -173,29 +138,6 @@ func TestThreeStepExchangeDeliversInterfacePayloads(t *testing.T) {
 		wantBase := float64(100*(peerTask+1) + 10*wantLocal)
 		if len(got) != 2 || got[0] != wantBase || got[1] != wantBase+1 {
 			t.Errorf("task %d local %d got %v want base %v", h.Task, local, got, wantBase)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastFromRootDistributesFullTrace(t *testing.T) {
-	cfg := Config{Tasks: []TaskSpec{{"solo", 4}}}
-	err := mpi.Run(4, func(w *mpi.Comm) {
-		h, _ := Build(w, cfg)
-		g, err := NewInterfaceGroup(h, "io", true)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var data []float64
-		if g.L4.Rank() == 0 {
-			data = []float64{3, 1, 4, 1, 5}
-		}
-		got := g.BcastFromRoot(data)
-		if len(got) != 5 || got[4] != 5 {
-			t.Errorf("rank %d got %v", w.Rank(), got)
 		}
 	})
 	if err != nil {
@@ -385,37 +327,6 @@ func TestExchangePayloadsAreIndependent(t *testing.T) {
 			// Scribble over the received slice; must not disturb peers or
 			// later rounds.
 			got[0], got[1] = -1, -1
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBcastFromRootBuffersIndependent mutates every member's copy of the
-// broadcast trace; the root's original must survive.
-func TestBcastFromRootBuffersIndependent(t *testing.T) {
-	cfg := Config{Tasks: []TaskSpec{{"solo", 5}}}
-	err := mpi.Run(5, func(w *mpi.Comm) {
-		h, _ := Build(w, cfg)
-		g, err := NewInterfaceGroup(h, "io", true)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var data []float64
-		if g.L4.Rank() == 0 {
-			data = []float64{1, 2, 3}
-		}
-		got := g.BcastFromRoot(data)
-		if g.L4.Rank() != 0 {
-			for i := range got {
-				got[i] = float64(-w.Rank())
-			}
-		}
-		h.L3.Barrier()
-		if g.L4.Rank() == 0 && (data[0] != 1 || data[1] != 2 || data[2] != 3) {
-			t.Errorf("root trace corrupted: %v", data)
 		}
 	})
 	if err != nil {

@@ -68,27 +68,6 @@ func ChainDomain(np, elementsPerPatch, overlapElements int) *MultiPatchDomain {
 	return d
 }
 
-// CircleOfWillisDomain builds the four-patch decomposition of Figure 1: the
-// cranial arterial network subdivided into 4 overlapping patches with 3
-// artificial interfaces ("three inlets and three outlets" counted per side =
-// six interface surfaces), four physical inlets (two carotids, two
-// vertebrals) and multiple physical outlets.
-func CircleOfWillisDomain(elementsPerPatch, overlapElements int) *MultiPatchDomain {
-	d := &MultiPatchDomain{ExternalInlets: 4, ExternalOutlets: 6}
-	names := []string{"rightICA", "leftICA", "basilar", "circleOfWillis"}
-	for _, n := range names {
-		d.Patches = append(d.Patches, PatchSpec{Name: n, Elements: elementsPerPatch})
-	}
-	faces := overlapElements / 2
-	// The three feeding patches each overlap the central CoW patch.
-	for i := 0; i < 3; i++ {
-		d.Interfaces = append(d.Interfaces, PatchInterface{
-			A: i, B: 3, OverlapElements: overlapElements, InterfaceFaces: faces,
-		})
-	}
-	return d
-}
-
 // TotalElements returns the element count over all patches (overlaps counted
 // once per owning patch, as in the solver's storage).
 func (d *MultiPatchDomain) TotalElements() int {
@@ -107,28 +86,4 @@ func (d *MultiPatchDomain) TotalElements() int {
 func (d *MultiPatchDomain) DOF(p, nFields int) float64 {
 	perElem := float64((p + 1) * (p + 2) * (p + 3))
 	return float64(d.TotalElements()) * perElem * float64(nFields)
-}
-
-// InterfacesOf returns the indices of interfaces touching patch i.
-func (d *MultiPatchDomain) InterfacesOf(i int) []int {
-	var out []int
-	for k, f := range d.Interfaces {
-		if f.A == i || f.B == i {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// Validate checks the patch graph for dangling references.
-func (d *MultiPatchDomain) Validate() error {
-	for k, f := range d.Interfaces {
-		if f.A < 0 || f.A >= len(d.Patches) || f.B < 0 || f.B >= len(d.Patches) || f.A == f.B {
-			return fmt.Errorf("mesh: interface %d links %d-%d of %d patches", k, f.A, f.B, len(d.Patches))
-		}
-		if f.OverlapElements < 1 || f.InterfaceFaces < 1 {
-			return fmt.Errorf("mesh: interface %d has empty overlap", k)
-		}
-	}
-	return nil
 }

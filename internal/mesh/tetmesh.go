@@ -1,9 +1,8 @@
 // Package mesh provides the unstructured tetrahedral meshes and multi-patch
 // arterial domain descriptions used by the partitioning study (Table 2), the
-// multi-patch scaling replays (Tables 3-4) and the coupled aneurysm setup.
-// Generators produce box, bent-pipe ("carotid") and aneurysm-carrying domains
-// whose element adjacency structure — not patient-specific geometry — is what
-// the paper's experiments exercise.
+// multi-patch scaling replays (Tables 3-4). Generators produce box and
+// bent-pipe ("carotid") domains whose element adjacency structure — not
+// patient-specific geometry — is what the paper's experiments exercise.
 package mesh
 
 import (
@@ -18,57 +17,6 @@ import (
 type TetMesh struct {
 	Verts []geometry.Vec3
 	Tets  [][4]int
-}
-
-// NumElements returns the element count.
-func (m *TetMesh) NumElements() int { return len(m.Tets) }
-
-// NumVertices returns the vertex count.
-func (m *TetMesh) NumVertices() int { return len(m.Verts) }
-
-// TetVolume returns the signed volume of element e.
-func (m *TetMesh) TetVolume(e int) float64 {
-	t := m.Tets[e]
-	a := m.Verts[t[1]].Sub(m.Verts[t[0]])
-	b := m.Verts[t[2]].Sub(m.Verts[t[0]])
-	c := m.Verts[t[3]].Sub(m.Verts[t[0]])
-	return a.Cross(b).Dot(c) / 6
-}
-
-// Volume returns the total mesh volume.
-func (m *TetMesh) Volume() float64 {
-	var v float64
-	for e := range m.Tets {
-		v += math.Abs(m.TetVolume(e))
-	}
-	return v
-}
-
-// Centroid returns the centroid of element e.
-func (m *TetMesh) Centroid(e int) geometry.Vec3 {
-	t := m.Tets[e]
-	return m.Verts[t[0]].Add(m.Verts[t[1]]).Add(m.Verts[t[2]]).Add(m.Verts[t[3]]).Scale(0.25)
-}
-
-// Bounds returns the mesh bounding box.
-func (m *TetMesh) Bounds() geometry.AABB {
-	return geometry.NewAABB(m.Verts...)
-}
-
-// Validate checks structural sanity: index ranges and non-degenerate
-// elements.
-func (m *TetMesh) Validate() error {
-	for e, t := range m.Tets {
-		for _, v := range t {
-			if v < 0 || v >= len(m.Verts) {
-				return fmt.Errorf("mesh: element %d references vertex %d of %d", e, v, len(m.Verts))
-			}
-		}
-		if math.Abs(m.TetVolume(e)) < 1e-300 {
-			return fmt.Errorf("mesh: element %d is degenerate", e)
-		}
-	}
-	return nil
 }
 
 // BoxTets meshes the box [0,lx]x[0,ly]x[0,lz] with nx x ny x nz cells, each
@@ -141,51 +89,6 @@ func CarotidTets(nAxial, nCirc, nRadial int) *TetMesh {
 	}
 	return m
 }
-
-// AneurysmTets builds a vessel segment carrying a saccular aneurysm: a
-// straight pipe (meshed as a deformed slab like CarotidTets) whose wall
-// bulges into a near-spherical dome around mid-length. The element count and
-// adjacency mimic the sac-bearing patch of the paper's Figure 1 domain.
-func AneurysmTets(nAxial, nCirc, nRadial int, domeRadius float64) *TetMesh {
-	if domeRadius <= 0 {
-		panic(fmt.Sprintf("mesh: dome radius %v", domeRadius))
-	}
-	m := BoxTets(nAxial, nCirc, nRadial, 1, 1, 1)
-	const pipeR = 0.5
-	for i, v := range m.Verts {
-		s := v.X // axial coordinate in [0,1]
-		// Radial bulge: the +y side of the wall inflates into a dome
-		// centered at s = 0.5.
-		bulge := domeRadius * math.Exp(-25*(s-0.5)*(s-0.5))
-		y := (v.Y - 0.5) * 2
-		z := (v.Z - 0.5) * 2
-		r := pipeR * (1 + bulge*math.Max(0, y))
-		m.Verts[i] = geometry.Vec3{
-			X: 4 * s,
-			Y: y * r,
-			Z: z * pipeR,
-		}
-	}
-	return m
-}
-
-// face is a sorted vertex triple.
-type face [3]int
-
-func sortedFace(a, b, c int) face {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return face{a, b, c}
-}
-
-var tetFaces = [4][3]int{{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}}
 
 // AdjacencyLevel selects which element-sharing relations count as adjacency
 // when building the partitioning graph.
@@ -271,22 +174,4 @@ func (m *TetMesh) AdjacencyGraph(level AdjacencyLevel, p int) *Graph {
 		sort.Slice(edges, func(i, j int) bool { return edges[i].To < edges[j].To })
 	}
 	return g
-}
-
-// BoundaryFaces returns the faces belonging to exactly one element (the mesh
-// surface).
-func (m *TetMesh) BoundaryFaces() [][3]int {
-	count := map[face]int{}
-	for _, t := range m.Tets {
-		for _, f := range tetFaces {
-			count[sortedFace(t[f[0]], t[f[1]], t[f[2]])]++
-		}
-	}
-	var out [][3]int
-	for f, c := range count {
-		if c == 1 {
-			out = append(out, [3]int{f[0], f[1], f[2]})
-		}
-	}
-	return out
 }

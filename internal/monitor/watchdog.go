@@ -67,14 +67,6 @@ func (w *Watchdogs) Rearm() {
 	w.particleRef = 0
 }
 
-// Track returns the bundle's track name ("" when disabled).
-func (w *Watchdogs) Track() string {
-	if w == nil {
-		return ""
-	}
-	return w.track
-}
-
 // transition latches the severity for key and records an event when it
 // changed; msg is formatted only then, so an observation that leaves the
 // latch where it was — every call of a healthy run — costs one map lookup.

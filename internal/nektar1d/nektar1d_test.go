@@ -56,32 +56,6 @@ func TestPressureTubeLaw(t *testing.T) {
 	}
 }
 
-func TestWindkesselDecay(t *testing.T) {
-	wk := NewWindkessel(100, 1e-3) // tau = 0.1
-	wk.P = 50
-	dt := 1e-5
-	steps := int(0.1 / dt) // one time constant
-	for i := 0; i < steps; i++ {
-		wk.Update(0, dt)
-	}
-	want := 50 * math.Exp(-1)
-	if math.Abs(wk.P-want)/want > 0.01 {
-		t.Fatalf("P = %v want %v", wk.P, want)
-	}
-}
-
-func TestWindkesselChargesToRQ(t *testing.T) {
-	wk := NewWindkessel(200, 1e-3)
-	dt := 1e-5
-	for i := 0; i < int(10*wk.TimeConstant()/dt); i++ {
-		wk.Update(0.5, dt)
-	}
-	// Steady state: P = R*Q.
-	if math.Abs(wk.P-100)/100 > 0.01 {
-		t.Fatalf("P = %v want 100", wk.P)
-	}
-}
-
 func TestPulsePropagatesAtWaveSpeed(t *testing.T) {
 	// A short inflow pulse must travel down the tube at ~c0.
 	net := &Network{}

@@ -26,14 +26,6 @@ func NewWindkessel(r, c float64) *Windkessel {
 	return &Windkessel{R: r, C: c}
 }
 
-// Update advances the capacitor pressure under inflow q over dt.
-func (w *Windkessel) Update(q, dt float64) {
-	w.P += dt * (q - w.P/w.R) / w.C
-}
-
-// TimeConstant returns RC.
-func (w *Windkessel) TimeConstant() float64 { return w.R * w.C }
-
 // Inlet prescribes volumetric inflow Q(t) at a segment's x=0 boundary.
 type Inlet struct {
 	Seg *Segment

@@ -81,8 +81,8 @@ type Solver struct {
 	rhsU, rhsV, rhsW []float64
 
 	// probe is the output scratch of the diagnostics read between steps
-	// (MaxDivergence, WallShearStress): same arena contract, built on first
-	// use so a solver nobody probes never carries it.
+	// (MaxDivergence): same arena contract, built on first use so a solver
+	// nobody probes never carries it.
 	probe []float64
 }
 

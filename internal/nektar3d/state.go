@@ -4,7 +4,7 @@ import "fmt"
 
 // State is the serializable part of a Solver: fields and time-integration
 // history. The grid is reconstructed from its defining parameters; BC and
-// forcing closures are re-attached by the caller after Restore.
+// forcing closures are attached by the caller before ApplyState.
 type State struct {
 	// Grid definition.
 	Nex, Ney, Nez, P int
@@ -78,15 +78,4 @@ func (s *Solver) ApplyState(st State) error {
 	s.Steps = st.Steps
 	s.Time = st.Time
 	return nil
-}
-
-// RestoreState reconstructs a Solver (and its grid) from a captured state.
-// Force and VelBC start nil.
-func RestoreState(st State) (*Solver, error) {
-	g := NewGrid(st.Nex, st.Ney, st.Nez, st.P, st.Lx, st.Ly, st.Lz, st.PerX, st.PerY, st.PerZ)
-	s := NewSolver(g, st.Nu, st.Dt)
-	if err := s.ApplyState(st); err != nil {
-		return nil, fmt.Errorf("nektar3d: restoring: %w", err)
-	}
-	return s, nil
 }

@@ -1,12 +1,12 @@
 // Package perfmodel replays the paper's performance experiments (Tables 2-5
-// and the §4.1 extended weak-scaling claims) on the machine models of
-// package topology. Absolute times cannot be measured without a Blue Gene/P,
-// so each machine model is an analytic cost model — an Amdahl-style
-// compute + non-scalable-solver split plus a load-imbalance (straggler) term —
-// whose two or three coefficients are calibrated against reference rows of
-// the paper's tables; every other cell is then *predicted* by the model, and
-// the comparisons in EXPERIMENTS.md report how well the predicted shape
-// (efficiencies, crossovers, superlinearity) tracks the published one.
+// and the §4.1 extended weak-scaling claims). Absolute times cannot be
+// measured without a Blue Gene/P, so each machine model is an analytic cost
+// model — an Amdahl-style compute + non-scalable-solver split plus a
+// load-imbalance (straggler) term — whose two or three coefficients are
+// calibrated against reference rows of the paper's tables; every other cell
+// is then *predicted* by the model, and the comparisons in EXPERIMENTS.md
+// report how well the predicted shape (efficiencies, crossovers,
+// superlinearity) tracks the published one.
 package perfmodel
 
 import (
@@ -101,13 +101,6 @@ func (m *DPDModel) Time(particles float64, cores, steps int) float64 {
 	n := particles / float64(cores)
 	tau := m.TauInf + m.CacheSlope*n
 	return tau * n * float64(steps)
-}
-
-// StrongEfficiency returns t(c1)*c1 / (t(c2)*c2); values above 1 are
-// superlinear.
-func (m *DPDModel) StrongEfficiency(particles float64, c1, c2, steps int) float64 {
-	return m.Time(particles, c1, steps) * float64(c1) /
-		(m.Time(particles, c2, steps) * float64(c2))
 }
 
 // Machine bundles the calibrated models of one platform.

@@ -75,8 +75,10 @@ func TestDPDSuperlinearSpeedup(t *testing.T) {
 	// The paper reports 107% and 102% efficiencies on BG/P; the cache model
 	// must reproduce >100% on both doublings.
 	m := BGP().DPD
-	e1 := m.StrongEfficiency(PaperDPDParticles, 28672, 61440, 4000)
-	e2 := m.StrongEfficiency(PaperDPDParticles, 61440, 126976, 4000)
+	eff := func(c1, c2 int) float64 { // t(c1)·c1 / (t(c2)·c2)
+		return m.Time(PaperDPDParticles, c1, 4000) * float64(c1) / (m.Time(PaperDPDParticles, c2, 4000) * float64(c2))
+	}
+	e1, e2 := eff(28672, 61440), eff(61440, 126976)
 	if e1 <= 1.0 || e1 > 1.15 {
 		t.Fatalf("first doubling efficiency %v", e1)
 	}

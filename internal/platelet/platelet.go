@@ -127,10 +127,6 @@ func (m *Model) ApplyState(b []byte) error {
 	return nil
 }
 
-// StateOf returns the current state of the platelet with the given particle
-// ID.
-func (m *Model) StateOf(id int64) State { return m.recs[id].state }
-
 // Counts returns the number of platelets in each state.
 func (m *Model) Counts(sys *dpd.System) (passive, triggered, adhered int) {
 	for i := range sys.Particles {
@@ -148,13 +144,6 @@ func (m *Model) Counts(sys *dpd.System) (passive, triggered, adhered int) {
 		}
 	}
 	return passive, triggered, adhered
-}
-
-// ClotSize returns the number of adhered platelets: the Figure 10 growth
-// metric.
-func (m *Model) ClotSize(sys *dpd.System) int {
-	_, _, adhered := m.Counts(sys)
-	return adhered
 }
 
 // morseForce returns the magnitude of the radial Morse force at distance r

@@ -34,9 +34,6 @@ func TestNoAggregationBeforeDelay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	SeedPlatelets(s, m, 30, geometry.Vec3{X: 2, Y: 2, Z: 0.1}, geometry.Vec3{X: 4, Y: 4, Z: 1}, rng.Float64)
 	s.Run(400)
-	if got := m.ClotSize(s); got != 0 {
-		t.Fatalf("clot formed despite infinite activation delay: %d", got)
-	}
 	passive, triggered, adhered := m.Counts(s)
 	if triggered != 0 || adhered != 0 {
 		t.Fatalf("states: %d/%d/%d", passive, triggered, adhered)
@@ -49,10 +46,12 @@ func TestClotGrowsUnderStagnantFlow(t *testing.T) {
 	// Seed across the whole channel so most platelets must diffuse to the
 	// growing clot before they can join it.
 	SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
-	sizes := []int{m.ClotSize(s)}
+	_, _, adhered := m.Counts(s)
+	sizes := []int{adhered}
 	for i := 0; i < 20; i++ {
 		s.Run(40)
-		sizes = append(sizes, m.ClotSize(s))
+		_, _, adhered = m.Counts(s)
+		sizes = append(sizes, adhered)
 	}
 	final := sizes[len(sizes)-1]
 	if final < 3 {
@@ -85,10 +84,10 @@ func TestActivationRequiresSustainedContact(t *testing.T) {
 		s.Particles[near].Pos = geometry.Vec3{X: 3, Y: 3, Z: 0.3}
 		s.Particles[far].Pos = geometry.Vec3{X: 1, Y: 1, Z: 3.5}
 	}
-	if m.StateOf(idFar) != Passive {
-		t.Fatalf("far platelet state = %v", m.StateOf(idFar))
+	if m.recs[idFar].state != Passive {
+		t.Fatalf("far platelet state = %v", m.recs[idFar].state)
 	}
-	if m.StateOf(idNear) == Passive {
+	if m.recs[idNear].state == Passive {
 		t.Fatal("near platelet never activated")
 	}
 }
@@ -133,7 +132,8 @@ func TestFasterFlowSlowsAggregation(t *testing.T) {
 			s.Particles[i].Vel.X += speed
 		}
 		s.Run(600)
-		return m.ClotSize(s)
+		_, _, adhered := m.Counts(s)
+		return adhered
 	}
 	for seed := uint64(1); seed <= 2; seed++ {
 		slow, fast := grow(seed, 0), grow(seed, 4)
@@ -169,7 +169,7 @@ func TestResumeIsBitIdenticalWhileClotGrows(t *testing.T) {
 	ref, refModel := build()
 	ref.Run(300)
 	st := ref.CaptureState()
-	if refModel.ClotSize(ref) == 0 {
+	if _, _, adhered := refModel.Counts(ref); adhered == 0 {
 		t.Fatal("test is vacuous: no platelet has adhered at the capture")
 	}
 	ref.Run(300)
@@ -183,7 +183,7 @@ func TestResumeIsBitIdenticalWhileClotGrows(t *testing.T) {
 	}
 	resumed.Run(300)
 	if !reflect.DeepEqual(resumed.CaptureState(), ref.CaptureState()) {
-		t.Fatalf("resumed run diverged: clot %d vs %d", model.ClotSize(resumed), refModel.ClotSize(ref))
+		t.Fatal("resumed run diverged")
 	}
 
 	if err := model.ApplyState(st.Bonded[0][:9]); err == nil {
@@ -200,7 +200,7 @@ func TestAddForcesReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
 	s.Run(300)
-	if m.ClotSize(s) == 0 {
+	if _, _, adhered := m.Counts(s); adhered == 0 {
 		t.Fatal("test is vacuous: no platelet has adhered")
 	}
 

@@ -116,27 +116,3 @@ func DiffMatrix(nodes []float64) [][]float64 {
 	}
 	return d
 }
-
-// LagrangeEval evaluates the interpolating polynomial through (nodes, vals)
-// at x using barycentric interpolation.
-func LagrangeEval(nodes, vals []float64, x float64) float64 {
-	if len(nodes) != len(vals) {
-		panic("sem: LagrangeEval length mismatch")
-	}
-	var num, den float64
-	for i, xi := range nodes {
-		if x == xi {
-			return vals[i]
-		}
-		w := 1.0
-		for j, xj := range nodes {
-			if j != i {
-				w /= xi - xj
-			}
-		}
-		t := w / (x - xi)
-		num += t * vals[i]
-		den += t
-	}
-	return num / den
-}

@@ -138,24 +138,6 @@ func TestDiffMatrixAnnihilatesConstants(t *testing.T) {
 	}
 }
 
-func TestLagrangeEvalReproducesNodes(t *testing.T) {
-	nodes, _ := GLL(6)
-	vals := make([]float64, len(nodes))
-	for i, x := range nodes {
-		vals[i] = math.Sin(3 * x)
-	}
-	for i, x := range nodes {
-		if got := LagrangeEval(nodes, vals, x); got != vals[i] {
-			t.Fatalf("node %d: %v != %v", i, got, vals[i])
-		}
-	}
-	// Interpolation of sin(3x) with 6 GLL points is accurate to ~1e-3.
-	got := LagrangeEval(nodes, vals, 0.37)
-	if math.Abs(got-math.Sin(3*0.37)) > 5e-3 {
-		t.Fatalf("interp error %v", math.Abs(got-math.Sin(3*0.37)))
-	}
-}
-
 func TestMesh1DNodeLayout(t *testing.T) {
 	b := NewBasis1D(4)
 	m := NewMesh1D(b, 3, 0, 3)

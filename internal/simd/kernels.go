@@ -166,19 +166,3 @@ func Dot(x, y []float64) float64 {
 	}
 	return a
 }
-
-// Scal computes x[i] *= alpha.
-func Scal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Copy copies src into dst (lengths must match); a named wrapper so solver
-// code reads like the BLAS it stands in for.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("simd: Copy length mismatch")
-	}
-	copy(dst, src)
-}

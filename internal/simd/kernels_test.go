@@ -100,17 +100,6 @@ func TestDotEmptyAndSmall(t *testing.T) {
 	}
 }
 
-func TestScal(t *testing.T) {
-	x := []float64{1, -2, 0.5}
-	Scal(-3, x)
-	want := []float64{-3, 6, -1.5}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("x = %v", x)
-		}
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { MulScalar(make([]float64, 2), make([]float64, 3), make([]float64, 3)) },
@@ -121,7 +110,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		func() { DotSqTuned(make([]float64, 2), make([]float64, 1)) },
 		func() { Axpy(1, make([]float64, 1), make([]float64, 2)) },
 		func() { Dot(make([]float64, 1), make([]float64, 2)) },
-		func() { Copy(make([]float64, 1), make([]float64, 2)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -132,16 +120,5 @@ func TestLengthMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestCopy(t *testing.T) {
-	src := []float64{1, 2, 3}
-	dst := make([]float64, 3)
-	Copy(dst, src)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("dst = %v", dst)
-		}
 	}
 }

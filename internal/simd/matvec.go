@@ -76,25 +76,6 @@ func MatVec(y, a, x []float64, rows, cols int) {
 	}
 }
 
-// AddTo computes y[i] += x[i].
-func AddTo(y, x []float64) {
-	if len(x) != len(y) {
-		panic("simd: AddTo length mismatch")
-	}
-	n := len(y)
-	x = x[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += x[i]
-		y[i+1] += x[i+1]
-		y[i+2] += x[i+2]
-		y[i+3] += x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += x[i]
-	}
-}
-
 // Xpay computes y[i] = x[i] + alpha*y[i] (the CG direction update
 // p = z + beta*p), preserving the reference operand order exactly.
 func Xpay(alpha float64, x, y []float64) {

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Moments accumulates running mean and variance with Welford's algorithm,
@@ -34,9 +33,6 @@ func (m *Moments) AddAll(xs []float64) {
 	}
 }
 
-// N returns the sample count.
-func (m *Moments) N() int { return m.n }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (m *Moments) Mean() float64 { return m.mean }
 
@@ -50,23 +46,6 @@ func (m *Moments) Variance() float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Merge combines another accumulator into m (parallel reduction of
-// per-replica statistics).
-func (m *Moments) Merge(o *Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *o
-		return
-	}
-	n := m.n + o.n
-	d := o.mean - m.mean
-	mean := m.mean + d*float64(o.n)/float64(n)
-	m2 := m.m2 + o.m2 + d*d*float64(m.n)*float64(o.n)/float64(n)
-	m.n, m.mean, m.m2 = n, mean, m2
-}
 
 // Histogram is a uniform-bin histogram over [Lo, Hi).
 type Histogram struct {
@@ -163,50 +142,6 @@ func (h *Histogram) L2PDFDistance(mean, sigma float64) float64 {
 	return math.Sqrt(s / float64(len(pdf)))
 }
 
-// Quantile returns the q-th quantile (0<=q<=1) of xs using linear
-// interpolation; xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile q=%v out of [0,1]", q))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// RMS returns sqrt(mean(x^2)).
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // RMSE returns the root-mean-square error between two equal-length series.
 func RMSE(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -221,44 +156,4 @@ func RMSE(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(a)))
-}
-
-// Autocorrelation returns the normalized autocorrelation function of a
-// series up to maxLag: ρ(k) = Cov(x_t, x_{t+k}) / Var(x). Used to find the
-// decorrelation time of DPD samples so the WPOD window length Nts can be
-// chosen to give nearly independent snapshots.
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	if maxLag < 0 || maxLag >= len(xs) {
-		panic(fmt.Sprintf("stats: Autocorrelation lag %d for %d samples", maxLag, len(xs)))
-	}
-	mean := Mean(xs)
-	var v float64
-	for _, x := range xs {
-		v += (x - mean) * (x - mean)
-	}
-	out := make([]float64, maxLag+1)
-	if v == 0 {
-		out[0] = 1
-		return out
-	}
-	for k := 0; k <= maxLag; k++ {
-		var c float64
-		for t := 0; t+k < len(xs); t++ {
-			c += (xs[t] - mean) * (xs[t+k] - mean)
-		}
-		out[k] = c / v
-	}
-	return out
-}
-
-// DecorrelationTime returns the first lag at which the autocorrelation drops
-// below 1/e, or maxLag when it never does.
-func DecorrelationTime(xs []float64, maxLag int) int {
-	ac := Autocorrelation(xs, maxLag)
-	for k, v := range ac {
-		if v < 1/math.E {
-			return k
-		}
-	}
-	return maxLag
 }

@@ -171,16 +171,6 @@ func (cs *ClusterStats) Stage(name string) *ClusterStage {
 	return nil
 }
 
-// Gauge returns the named gauge aggregate, or nil.
-func (cs *ClusterStats) Gauge(name string) *ClusterGauge {
-	for i := range cs.Gauges {
-		if cs.Gauges[i].Name == name {
-			return &cs.Gauges[i]
-		}
-	}
-	return nil
-}
-
 // CouplingFraction returns total(couplingStage)/total(totalStage): the
 // paper's coupling-overhead metric ("the MCI overhead stays below 2-3% of
 // the step time"). Returns 0 when either stage is absent or empty.

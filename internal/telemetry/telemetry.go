@@ -305,14 +305,6 @@ func (r *Recorder) Track() string {
 	return r.track
 }
 
-// TID returns the recorder's stable track id (Chrome trace tid).
-func (r *Recorder) TID() int {
-	if r == nil {
-		return -1
-	}
-	return r.tid
-}
-
 // SetHopClock installs a hop-clock source (e.g. an mpi.Comm's Hops method);
 // spans then capture critical-path depth alongside wall time.
 func (r *Recorder) SetHopClock(fn func() int) {

@@ -35,7 +35,7 @@ func TestNilRecorderIsSafeNoOp(t *testing.T) {
 	if r.Spans(0) != nil || r.DroppedSpans() != 0 {
 		t.Fatal("nil recorder must report no spans")
 	}
-	if r.Track() != "" || r.TID() != -1 {
+	if r.Track() != "" {
 		t.Fatal("nil recorder identity must be empty")
 	}
 	if r.String() != "telemetry: disabled" {
@@ -212,8 +212,10 @@ func TestAggregateAndCouplingFraction(t *testing.T) {
 	if math.Abs(st.Imbalance-0.3/0.25) > 1e-12 {
 		t.Fatalf("imbalance = %v, want 1.2", st.Imbalance)
 	}
-	g := cs.Gauge("iters")
-	if g == nil || g.Count != 2 || g.Mean != 15 || g.Min != 10 || g.Max != 20 {
+	if len(cs.Gauges) != 1 || cs.Gauges[0].Name != "iters" {
+		t.Fatalf("gauges = %+v", cs.Gauges)
+	}
+	if g := cs.Gauges[0]; g.Count != 2 || g.Mean != 15 || g.Min != 10 || g.Max != 20 {
 		t.Fatalf("gauge = %+v", g)
 	}
 	if tr := cs.Traffic[LevelWorld][OpCoupling]; tr.Msgs != 2 || tr.Bytes != 128 {

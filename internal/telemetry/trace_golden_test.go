@@ -76,7 +76,7 @@ func TestChromeTraceGolden(t *testing.T) {
 		if err := json.Unmarshal(raw, &ev); err != nil {
 			t.Fatal(err)
 		}
-		if ev.TID == wrapped.TID() && ev.Ph == "X" {
+		if ev.TID == wrapped.tid && ev.Ph == "X" {
 			h.Write(raw)
 			h.Write([]byte{'\n'})
 			doc.Wrapped.Events++
