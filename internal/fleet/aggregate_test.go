@@ -311,12 +311,20 @@ func TestPublisherEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	pub := NewPublisher(srv.URL(), mon, "rank7", []int{7}, "tcp", nil)
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.nkj"), 7, "tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 3; i++ {
+		j.Record(EventIncarnationStart, nil)
+	}
+	pub := NewPublisher(srv.URL(), mon, "rank7", []int{7}, "tcp", j)
 	if err := pub.PublishNow(); err != nil {
 		t.Fatal(err)
 	}
 	sts := a.Statuses()
-	if len(sts) != 1 || sts[0].Proc != "rank7" || sts[0].Incarnation != 0 || sts[0].Transport != "tcp" {
+	if len(sts) != 1 || sts[0].Proc != "rank7" || sts[0].Incarnation != 3 || sts[0].Incarnation != j.Incarnation() || sts[0].Transport != "tcp" {
 		t.Fatalf("aggregated status = %+v", sts)
 	}
 	if len(sts[0].Snapshots) == 0 || len(sts[0].Stats) == 0 {

@@ -9,8 +9,42 @@ import (
 	"nektarg/internal/geometry"
 )
 
+// checkTets fails t unless every tet of m references vertices in range and
+// spans a non-zero volume.
+func checkTets(t *testing.T, m *TetMesh) {
+	t.Helper()
+	for e, tet := range m.Tets {
+		for _, v := range tet {
+			if v < 0 || v >= len(m.Verts) {
+				t.Fatalf("element %d references vertex %d of %d", e, v, len(m.Verts))
+			}
+		}
+		a := m.Verts[tet[1]].Sub(m.Verts[tet[0]])
+		b := m.Verts[tet[2]].Sub(m.Verts[tet[0]])
+		c := m.Verts[tet[3]].Sub(m.Verts[tet[0]])
+		if math.Abs(a.Cross(b).Dot(c)) < 1e-300 {
+			t.Fatalf("element %d is degenerate", e)
+		}
+	}
+}
+
+// checkDomain fails t unless every interface of d links two distinct patches
+// in range through a non-empty overlap.
+func checkDomain(t *testing.T, d *MultiPatchDomain) {
+	t.Helper()
+	for k, f := range d.Interfaces {
+		if f.A < 0 || f.A >= len(d.Patches) || f.B < 0 || f.B >= len(d.Patches) || f.A == f.B {
+			t.Fatalf("interface %d links %d-%d of %d patches", k, f.A, f.B, len(d.Patches))
+		}
+		if f.OverlapElements < 1 || f.InterfaceFaces < 1 {
+			t.Fatalf("interface %d has empty overlap: %+v", k, f)
+		}
+	}
+}
+
 func TestBoxTetsCounts(t *testing.T) {
 	m := BoxTets(2, 3, 4, 1, 1, 1)
+	checkTets(t, m)
 	if len(m.Verts) != 3*4*5 {
 		t.Fatalf("verts = %d", len(m.Verts))
 	}
@@ -55,6 +89,8 @@ func TestBoxTetsConformingFaces(t *testing.T) {
 
 func TestCarotidTetsIsValidAndBent(t *testing.T) {
 	m := CarotidTets(20, 4, 4)
+	checkTets(t, m)
+	checkTets(t, CarotidTets(16, 4, 4))
 	b := geometry.NewAABB(m.Verts...)
 	// The bend must spread the domain in both X and Y.
 	if b.Size().X < 1 || b.Size().Y < 0.5 {
@@ -127,6 +163,7 @@ func TestAdjacencyGraphSymmetric(t *testing.T) {
 
 func TestChainDomainShape(t *testing.T) {
 	d := ChainDomain(4, PaperPatchElements, PaperOverlapElements)
+	checkDomain(t, d)
 	if len(d.Patches) != 4 || len(d.Interfaces) != 3 {
 		t.Fatalf("patches=%d interfaces=%d", len(d.Patches), len(d.Interfaces))
 	}
@@ -156,6 +193,7 @@ func TestChainDomainProperty(t *testing.T) {
 	f := func(npRaw uint8) bool {
 		np := int(npRaw%10) + 1
 		d := ChainDomain(np, 100, 10)
+		checkDomain(t, d)
 		return len(d.Interfaces) == np-1 && d.TotalElements() == np*100
 	}
 	if err := quick.Check(f, nil); err != nil {

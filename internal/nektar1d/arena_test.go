@@ -175,7 +175,7 @@ func TestJunctionStallIsAnError(t *testing.T) {
 	CapJunctionNewton(t, 1)
 	net, inlet := fullTree(t)
 	inlet.Q = func(float64) float64 { return 1 }
-	err := net.Run(fixtureSteps, fixtureDt)
+	err := stepN(net, fixtureSteps, fixtureDt)
 	if !errors.Is(err, ErrJunctionStalled) {
 		t.Fatalf("one Newton iteration per junction under a step inflow: err = %v, want ErrJunctionStalled", err)
 	}
@@ -207,7 +207,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 			net.Rec = telemetry.NewRegistry().NewRecorder("1d:test")
 			net.Watch = health.Watch("1d:test")
 		}
-		if err := net.Run(10, fixtureDt); err != nil {
+		if err := stepN(net, 10, fixtureDt); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(500, func() {
@@ -234,7 +234,7 @@ func TestStepFollowsRewiring(t *testing.T) {
 	net.Inlets = append(net.Inlets, &Inlet{Seg: root, Q: func(tm float64) float64 { return 1 - math.Exp(-tm/1e-3) }})
 	wk := &Outlet{Seg: root, WK: NewWindkessel(400, 2.5e-4)}
 	net.Outlets = append(net.Outlets, wk)
-	if err := net.Run(50, fixtureDt); err != nil {
+	if err := stepN(net, 50, fixtureDt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,7 +243,7 @@ func TestStepFollowsRewiring(t *testing.T) {
 	tail := net.AddSegment(restSegment("tail", 31))
 	net.Junctions = append(net.Junctions, &Junction{Parent: root, Children: []*Segment{tail}})
 	wk.Seg = tail
-	if err := net.Run(4000, fixtureDt); err != nil {
+	if err := stepN(net, 4000, fixtureDt); err != nil {
 		t.Fatalf("stepping the grown network: %v", err)
 	}
 	if q := tail.Flow(tail.N / 2); q < 0.1 {

@@ -12,7 +12,7 @@ import (
 func BenchmarkKernelTreeStep(b *testing.B) {
 	net, inlet := fullTree(b)
 	inlet.Q = func(tm float64) float64 { return 1 - math.Cos(2*math.Pi*tm/0.1) }
-	if err := net.Run(100, fixtureDt); err != nil {
+	if err := stepN(net, 100, fixtureDt); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -66,7 +66,7 @@ func TestFractalTreeRunsStably(t *testing.T) {
 	}
 	c0 := inlet.Seg.WaveSpeed(spec.RootArea)
 	dt := 0.25 * inlet.Seg.Dx() / c0
-	if err := net.Run(3000, dt); err != nil {
+	if err := stepN(net, 3000, dt); err != nil {
 		t.Fatal(err)
 	}
 	// Flow reaches the terminals and splits evenly by symmetry.
@@ -155,7 +155,7 @@ func TestJunctionConservationPropertyRandomTrees(t *testing.T) {
 			&Outlet{Seg: c1, WK: NewWindkessel(300, 1e-5)},
 			&Outlet{Seg: c2, WK: NewWindkessel(300, 1e-5)},
 		)
-		if err := net.Run(2500, 2e-5); err != nil {
+		if err := stepN(net, 2500, 2e-5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		qp := parent.Flow(parent.N - 1)

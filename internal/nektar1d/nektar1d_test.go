@@ -22,7 +22,7 @@ func TestSegmentAtRestStaysAtRest(t *testing.T) {
 	s := net.AddSegment(restSegment("a", 41))
 	net.Inlets = append(net.Inlets, &Inlet{Seg: s, Q: func(float64) float64 { return 0 }})
 	net.Outlets = append(net.Outlets, &Outlet{Seg: s, WK: NewWindkessel(1e3, 1e-4)})
-	if err := net.Run(200, 1e-4); err != nil {
+	if err := stepN(net, 200, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.N; i++ {
@@ -72,7 +72,7 @@ func TestPulsePropagatesAtWaveSpeed(t *testing.T) {
 	// Travel to ~70% of the tube.
 	target := 0.7 * s.L
 	steps := int(target / c0 / dt)
-	if err := net.Run(steps, dt); err != nil {
+	if err := stepN(net, steps, dt); err != nil {
 		t.Fatal(err)
 	}
 	// Locate the area peak.
@@ -140,7 +140,7 @@ func TestBifurcationConservesMassAndPressure(t *testing.T) {
 		return 1.5 * (1 - math.Exp(-tm/1e-3)) // smooth ramp to steady flow
 	})
 	dt := 2e-5
-	if err := net.Run(4000, dt); err != nil {
+	if err := stepN(net, 4000, dt); err != nil {
 		t.Fatal(err)
 	}
 	qp := parent.Flow(parent.N - 1)
@@ -173,7 +173,7 @@ func TestBifurcationSteadyFlowReachesOutlets(t *testing.T) {
 	dt := 2e-5
 	// Wave transit over both generations is ~0.17 s; run 0.8 s so several
 	// reflections settle the network to steady state.
-	if err := net.Run(90000, dt); err != nil {
+	if err := stepN(net, 90000, dt); err != nil {
 		t.Fatal(err)
 	}
 	// In steady state total outlet flow equals the inlet flow.

@@ -347,18 +347,6 @@ func (n *Network) Step(dt float64) error {
 	return nil
 }
 
-// Run advances nSteps steps of size dt.
-func (n *Network) Run(nSteps int, dt float64) error {
-	sp := n.Rec.Begin("1d.run")
-	defer sp.End()
-	for i := 0; i < nSteps; i++ {
-		if err := n.Step(dt); err != nil {
-			return fmt.Errorf("step %d: %w", n.Steps, err)
-		}
-	}
-	return nil
-}
-
 // solveInletQ finds (a, u) at the inlet with a*u = q and backward invariant
 // u - 4c(a) = w2, by Newton iteration on a.
 func solveInletQ(s *Segment, q, w2 float64) (float64, float64, error) {

@@ -19,6 +19,16 @@ func pulsedNetwork() *Network {
 	return net
 }
 
+// stepN advances net by steps steps of size dt, stopping at the first error.
+func stepN(net *Network, steps int, dt float64) error {
+	for i := 0; i < steps; i++ {
+		if err := net.Step(dt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestNetworkResumeIsBitIdentical is the windkessel-pressure regression: a
 // network restored from CaptureState and stepped m more times must match a
 // straight n+m run bit-for-bit. The pre-checkpoint code omitted Windkessel.P
@@ -33,12 +43,12 @@ func TestNetworkResumeIsBitIdentical(t *testing.T) {
 	const n, m = 1000, 200
 
 	straight := pulsedNetwork()
-	if err := straight.Run(n+m, dt); err != nil {
+	if err := stepN(straight, n+m, dt); err != nil {
 		t.Fatal(err)
 	}
 
 	first := pulsedNetwork()
-	if err := first.Run(n, dt); err != nil {
+	if err := stepN(first, n, dt); err != nil {
 		t.Fatal(err)
 	}
 	st := first.CaptureState()
@@ -50,7 +60,7 @@ func TestNetworkResumeIsBitIdentical(t *testing.T) {
 	if err := resumed.ApplyState(st); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Run(m, dt); err != nil {
+	if err := stepN(resumed, m, dt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,12 +85,12 @@ func TestNetworkResumeIsBitIdentical(t *testing.T) {
 // every checkpoint in a retention window alias the newest state.
 func TestCaptureStateIsDeepCopy(t *testing.T) {
 	net := pulsedNetwork()
-	if err := net.Run(50, 1e-4); err != nil {
+	if err := stepN(net, 50, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	st := net.CaptureState()
 	a0, u0, p0 := st.Segments[0].A[3], st.Segments[0].U[3], st.OutletP[0]
-	if err := net.Run(50, 1e-4); err != nil {
+	if err := stepN(net, 50, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	if st.Segments[0].A[3] != a0 || st.Segments[0].U[3] != u0 || st.OutletP[0] != p0 {
@@ -92,7 +102,7 @@ func TestCaptureStateIsDeepCopy(t *testing.T) {
 // a bundle and the rebuilt wiring is a loud error before any mutation.
 func TestApplyStateRejectsMismatchedTopology(t *testing.T) {
 	base := pulsedNetwork()
-	if err := base.Run(10, 1e-4); err != nil {
+	if err := stepN(base, 10, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	good := base.CaptureState()

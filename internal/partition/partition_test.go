@@ -9,7 +9,21 @@ import (
 
 func carotid(t *testing.T) *mesh.TetMesh {
 	t.Helper()
-	return mesh.CarotidTets(16, 4, 4)
+	m := mesh.CarotidTets(16, 4, 4)
+	for e, tet := range m.Tets {
+		for _, v := range tet {
+			if v < 0 || v >= len(m.Verts) {
+				t.Fatalf("element %d references vertex %d of %d", e, v, len(m.Verts))
+			}
+		}
+		a := m.Verts[tet[1]].Sub(m.Verts[tet[0]])
+		b := m.Verts[tet[2]].Sub(m.Verts[tet[0]])
+		c := m.Verts[tet[3]].Sub(m.Verts[tet[0]])
+		if a.Cross(b).Dot(c) == 0 {
+			t.Fatalf("element %d is degenerate", e)
+		}
+	}
+	return m
 }
 
 func TestPartitionCoversAllParts(t *testing.T) {

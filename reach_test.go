@@ -495,7 +495,6 @@ type reachImporter struct {
 	std    types.ImporterFrom
 	fset   *token.FileSet
 	parsed map[string]*reachPkg
-	busy   map[string]bool
 }
 
 func (r *reachImporter) Import(p string) (*types.Package, error) {
@@ -510,14 +509,6 @@ func (r *reachImporter) ImportFrom(p, dir string, mode types.ImportMode) (*types
 	if rp.pkg != nil {
 		return rp.pkg, nil
 	}
-	if r.busy == nil {
-		r.busy = map[string]bool{}
-	}
-	if r.busy[p] {
-		return nil, fmt.Errorf("import cycle through %s", p)
-	}
-	r.busy[p] = true
-	defer delete(r.busy, p)
 	rp.info = &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Defs:  map[*ast.Ident]types.Object{},
