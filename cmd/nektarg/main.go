@@ -3,20 +3,17 @@
 // the §3.2 interface conditions), embedded DPD regions (§3.3 coupling, Eq. 1
 // unit scaling, Figure 5 time progression) optionally with platelets
 // aggregating at a wall injury (Figure 10), and 1D peripheral trees on patch
-// outlets. Every run takes one path: flags → Config → config.Build → run.
-// Without -config the scenario flags generate the Config (a chain of
-// -patches patches with a DPD region inside the last); with it the file is
-// the Config, and the flags that shadow one of its blocks (-insitu*, -audit,
+// outlets. Every run takes one path: -config FILE → Config → config.Build →
+// run. The file is the scenario (configs/ holds the committed ones); the
+// flags that shadow one of its blocks (-insitu*, -audit,
 // -transport/-rank/-peers/-rendezvous-sec) override that block field by
-// field. It prints interface-continuity and clot-growth diagnostics each
-// exchange period and the overlap continuity of every coupled patch pair at
-// the end.
+// field, and the rest say how to drive and observe the run. It prints
+// interface-continuity and clot-growth diagnostics each exchange period and
+// the overlap continuity of every coupled patch pair at the end.
 //
 // Usage:
 //
-//	go run ./cmd/nektarg [-config FILE | -patches N -order P -particles N
-//	                      -platelets N -seed S -with1d -flux-scale S]
-//	                     [-exchanges N] [-parallel N] [-vtk DIR]
+//	go run ./cmd/nektarg -config FILE [-exchanges N] [-parallel N] [-vtk DIR]
 //	                     [-telemetry] [-trace-out F] [-telemetry-out F]
 //	                     [-monitor-addr :9090] [-log-level info] [-log-format text]
 //	                     [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
@@ -31,11 +28,11 @@
 //
 // -telemetry, -monitor-addr (live /metrics, /healthz, pprof and solver
 // watchdogs; see internal/monitor), -audit (per-exchange conservation and
-// coupling-fidelity budgets, internal/audit; -flux-scale != 1 is the fault it
-// must catch), -history (bounded time series with anomaly baselines,
-// internal/history) and -insitu (non-blocking snapshot stream to a live
-// observer, internal/insitu) each switch on one observer plane; any of them
-// implies telemetry recording.
+// coupling-fidelity budgets, internal/audit; a region's fluxScale != 1 is
+// the fault it must catch), -history (bounded time series with anomaly
+// baselines, internal/history) and -insitu (non-blocking snapshot stream to
+// a live observer, internal/insitu) each switch on one observer plane; any
+// of them implies telemetry recording.
 //
 // With -checkpoint-dir the run writes atomic, checksummed checkpoints every
 // -checkpoint-every exchanges, keeps a run-event journal at
@@ -133,51 +130,6 @@ func tcp(cfg *config.Config) *config.Transport {
 		return cfg.Transport
 	}
 	return nil
-}
-
-// builtinConfig is the scenario the -patches/-order/-particles/-platelets/
-// -seed/-with1d/-flux-scale flags describe: a chain of overlapping channel
-// patches (patch i spans x in [i, i+1.5], one third shared with each
-// neighbour), a DPD slab inside the last one, optionally platelets at a wall
-// injury and a 1D peripheral tree on the last patch's outlet.
-func builtinConfig(patches, order, particles, platelets int, seed int64, with1D bool, fluxScale float64) (*config.Config, error) {
-	if patches < 1 {
-		return nil, errors.New("nektarg: need at least one patch")
-	}
-	cfg := &config.Config{}
-	name := func(i int) string { return fmt.Sprintf("patch%d", i) }
-	for i := 0; i < patches; i++ {
-		cfg.Patches = append(cfg.Patches, config.Patch{
-			Name: name(i), Origin: config.Vec{float64(i)},
-			Elements: [3]int{3, 1, 2}, Order: order, Size: config.Vec{1.5, 1, 1},
-			Periodic: [3]bool{false, true, false},
-			Nu:       0.5, Dt: 0.01, Force: config.Vec{1}, Initial: "poiseuille",
-		})
-		if i > 0 {
-			cfg.Couplings = append(cfg.Couplings,
-				config.Coupling{Donor: name(i - 1), Receiver: name(i), Face: "x0"},
-				config.Coupling{Donor: name(i), Receiver: name(i - 1), Face: "x1"})
-		}
-	}
-	region := config.Region{
-		Name: "insert", Origin: config.Vec{float64(patches-1) + 0.6, 0.4, 0.05},
-		Box: config.Vec{10, 10, 10}, Particles: particles, Rho: 3, KBT: 0.2, Dt: 0.005,
-		Seed: uint64(seed), Walls: "zslab",
-		NSUnits: config.Units{L: 1e-3, Nu: 0.5}, DPDUnits: config.Units{L: 2e-5, Nu: 0.2},
-		Boost: 120, FluxScale: fluxScale,
-	}
-	if platelets > 0 {
-		region.Platelets = &config.Platelets{
-			Count: platelets, Delay: 0.1,
-			Sites:   []config.Vec{{3, 5, 0.3}, {4, 5, 0.3}, {5, 5, 0.3}, {6, 5, 0.3}, {7, 5, 0.3}},
-			SeedBox: [2]config.Vec{{0.5, 0.5, 0.3}, {9.5, 9.5, 2.5}},
-		}
-	}
-	cfg.Regions = []config.Region{region}
-	if with1D {
-		cfg.Outlets = []config.Outlet{{Patch: name(patches - 1), Face: "x1"}}
-	}
-	return cfg, nil
 }
 
 // insituState is the running in-situ pipeline: closed and drained at exit so
@@ -675,20 +627,14 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 }
 
 // parseArgs turns the command line into the run's Config and options. The
-// scenario flags generate the Config unless -config names a file; the flags
-// that shadow a config block are then applied onto it — only those the
-// command line actually set, so a file's block survives unless overridden.
+// file -config names is the Config; the flags that shadow a config block are
+// then applied onto it — only those the command line actually set, so a
+// file's block survives unless overridden. Only -version runs without it.
 func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, err error) {
-	nPatches := fs.Int("patches", 2, "number of overlapping continuum patches")
 	fs.IntVar(&o.exchanges, "exchanges", 6, "coupling exchange periods")
-	nParticles := fs.Int("particles", 2400, "DPD solvent particles")
-	nPlatelets := fs.Int("platelets", 40, "platelets seeded in the DPD region (0 = off)")
-	order := fs.Int("order", 4, "spectral element polynomial order")
 	fs.IntVar(&o.parallel, "parallel", 0, "intra-rank workers per solver: SEM element tiles and DPD force tiles (0 = per-solver defaults, -1 = all cores; overrides config; output is bit-identical for any value)")
-	seed := fs.Int64("seed", 1, "random seed")
 	fs.StringVar(&o.vtkDir, "vtk", "", "directory for final-state VTK output (empty = off)")
-	with1D := fs.Bool("with1d", false, "attach a 1D fractal peripheral tree to the last patch outlet")
-	configPath := fs.String("config", "", "JSON simulation config (replaces the built-in scenario flags)")
+	configPath := fs.String("config", "", "JSON simulation config (required; for example configs/coupled.json)")
 	fs.BoolVar(&o.telemetry, "telemetry", false, "record per-rank stage timers/gauges and print the aggregate tables")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON (implies telemetry recording)")
 	fs.StringVar(&o.telemetryOut, "telemetry-out", "", "write the aggregate telemetry summary JSON (implies telemetry recording)")
@@ -709,7 +655,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, 
 	insituStride := fs.Int("insitu-stride", 1, "publish a snapshot every N exchange periods")
 	insituDir := fs.String("insitu-dir", "", "rolling VTK time-series directory (empty = in-memory frames only)")
 	auditOn := fs.Bool("audit", false, "enable the physics audit ledger: per-exchange conservation and coupling-fidelity budgets (implies telemetry recording; pairs with -monitor-addr for GET /audit)")
-	fluxScale := fs.Float64("flux-scale", 1, "scale applied to the 3D->DPD interface velocity trace at application (a value != 1 is a deliberate conservation fault the audit ledger must catch)")
 	fs.StringVar(&o.fleetAddr, "fleet-addr", "", "serve the fleet aggregation endpoints (/cluster/metrics, /cluster/healthz, /cluster/imbalance, /events) on this address (e.g. :9190)")
 	fs.StringVar(&o.fleetPublish, "fleet-publish", "", "base URL of a fleet aggregator to publish this process's status to (e.g. http://127.0.0.1:9190; requires -monitor-addr)")
 	fs.StringVar(&o.fleetHold, "fleet-hold", "", "after the run, keep serving -fleet-addr until this file exists (for external scrapers)")
@@ -727,14 +672,17 @@ func parseArgs(fs *flag.FlagSet, args []string) (cfg *config.Config, o options, 
 	}
 
 	if *configPath == "" {
-		cfg, err = builtinConfig(*nPatches, *order, *nParticles, *nPlatelets, *seed, *with1D, *fluxScale)
-	} else {
-		var f *os.File
-		if f, err = os.Open(*configPath); err == nil {
-			cfg, err = config.Load(f)
-			f.Close()
+		if o.version {
+			return nil, o, nil
 		}
+		return nil, o, errors.New("nektarg: -config FILE is required (for example -config configs/coupled.json)")
 	}
+	f, err := os.Open(*configPath)
+	if err != nil {
+		return nil, o, err
+	}
+	cfg, err = config.Load(f)
+	f.Close()
 	if err != nil {
 		return nil, o, err
 	}

@@ -18,6 +18,9 @@ import (
 	"nektarg/internal/monitor"
 )
 
+// defaults is the two-patch, 40-platelet scenario the tests below vary.
+var defaults = filepath.Join("testdata", "defaults.json")
+
 // parse runs parseArgs on a private flag set.
 func parse(t *testing.T, args ...string) (*config.Config, options) {
 	t.Helper()
@@ -105,9 +108,12 @@ func assertContains(t *testing.T, got, want []string) {
 	}
 }
 
-// TestRunFingerprints: the four scenarios recorded from the parent binary
-// (built-in defaults, with the 1D tree, a small three-patch run without
-// platelets, configs/coupled.json) come out of run digit for digit. Five
+// TestRunFingerprints: every committed config — configs/*.json and
+// testdata/*.json — runs three exchanges to its recorded
+// testdata/<name>.fingerprint digit for digit; a config without one fails.
+// The first four (testdata's defaults, with1d and small, which the retired
+// scenario flags once generated, and configs/coupled.json) were recorded
+// from an earlier binary that had two run paths. Five
 // re-recordings since, old values kept in each file's header. Two were
 // round-off-level numerics (the bound for such a change is 1e-9 relative): with1d's
 // three 1D inlet pressures, when nektar1d's wave speed became two square
@@ -130,39 +136,18 @@ func assertContains(t *testing.T, got, want []string) {
 // forces became exact sums; every continuum and 1D fact and every DPD count
 // stayed put. Since then the facts hold at every GOMAXPROCS.
 func TestRunFingerprints(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"defaults", nil},
-		{"with1d", []string{"-with1d"}},
-		{"small", []string{"-patches", "3", "-order", "3", "-particles", "400", "-platelets", "0"}},
-		{"config", []string{"-config", filepath.Join("..", "..", "configs", "coupled.json")}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg, o := parse(t, append([]string{"-exchanges", "3"}, tc.args...)...)
-			assertContains(t, fingerprint(t, cfg, o), recorded(t, tc.name))
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "configs", "*.json"))
+	local, _ := filepath.Glob(filepath.Join("testdata", "*.json"))
+	paths = append(paths, local...)
+	if len(paths) == 0 {
+		t.Fatal("no configs found")
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			cfg, o := parse(t, "-exchanges", "3", "-config", path)
+			assertContains(t, fingerprint(t, cfg, o), recorded(t, name))
 		})
-	}
-}
-
-// TestRunConfigRoundTrip: nothing of the built-in scenario lives outside its
-// Config — written out as JSON and loaded back through config.Load it runs to
-// the same fingerprint.
-func TestRunConfigRoundTrip(t *testing.T) {
-	cfg, o := parse(t, "-exchanges", "3", "-with1d", "-particles", "400", "-platelets", "10")
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := config.Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("generated config does not load: %v\n%s", err, raw)
-	}
-	direct, reloaded := fingerprint(t, cfg, o), fingerprint(t, loaded, o)
-	if !reflect.DeepEqual(direct, reloaded) {
-		t.Fatalf("fingerprint changed across the JSON round trip:\n%s\nvs\n%s",
-			strings.Join(direct, "\n"), strings.Join(reloaded, "\n"))
 	}
 }
 
@@ -173,10 +158,12 @@ func TestRunConfigRoundTrip(t *testing.T) {
 // twice in the faulted run (before the kill and on the replay); both must be
 // the unfaulted value.
 func TestRunKillAtSameFingerprint(t *testing.T) {
-	args := []string{"-exchanges", "3", "-platelets", "200"}
+	args := []string{"-exchanges", "3", "-config", defaults}
 	cfg, o := parse(t, args...)
+	cfg.Regions[0].Platelets.Count = 200
 	want := fingerprint(t, cfg, o)
 	cfg, o = parse(t, append(args, "-checkpoint-dir", t.TempDir(), "-kill-at", "2")...)
+	cfg.Regions[0].Platelets.Count = 200
 	got := fingerprint(t, cfg, o)
 	assertContains(t, got, want)
 	assertContains(t, want, got)
@@ -205,13 +192,26 @@ func TestFlagsOverrideConfigBlocks(t *testing.T) {
 		t.Errorf("transport flags: %+v", cfg.Transport)
 	}
 
-	cfg, _ = parse(t, "-insitu-stride", "5")
+	cfg, _ = parse(t, "-config", defaults, "-insitu-stride", "5")
 	if cfg.Insitu != nil {
 		t.Errorf("a refining flag alone must not enable in-situ: %+v", cfg.Insitu)
 	}
-	cfg, _ = parse(t, "-insitu", "-insitu-dir", "frames")
+	cfg, _ = parse(t, "-config", defaults, "-insitu", "-insitu-dir", "frames")
 	if in := cfg.Insitu; in == nil || in.Stride != 1 || in.Dir != "frames" {
 		t.Errorf("-insitu must create the block from the insitu flags: %+v", in)
+	}
+}
+
+// TestConfigRequired: a run needs -config, and the error names a committed
+// one; -version alone still parses.
+func TestConfigRequired(t *testing.T) {
+	fs := flag.NewFlagSet("nektarg", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, _, err := parseArgs(fs, []string{"-exchanges", "3"}); err == nil || !strings.Contains(err.Error(), "configs/coupled.json") {
+		t.Errorf("no -config: err = %v, want one naming configs/coupled.json", err)
+	}
+	if _, o := parse(t, "-version"); !o.version {
+		t.Error("-version without -config did not parse")
 	}
 }
 
@@ -233,10 +233,11 @@ func TestOneFlightRecorderPerRun(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			// -flux-scale 3 latches the audit ledger's gi.flux budget
-			// critical on the first exchange, every time it is replayed.
-			cfg, o := parse(t, append([]string{"-exchanges", "2", "-audit", "-flux-scale", "3",
+			cfg, o := parse(t, append([]string{"-exchanges", "2", "-config", defaults, "-audit",
 				"-monitor-addr", "127.0.0.1:0", "-checkpoint-dir", dir}, extra...)...)
+			// A flux scale of 3 latches the audit ledger's gi.flux budget
+			// critical on the first exchange, every time it is replayed.
+			cfg.Regions[0].FluxScale = 3
 			o.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 			o.out = io.Discard
 			if err := run(cfg, o); err == nil {

@@ -22,7 +22,7 @@ var updateSettings = flag.Bool("update-settings", false, "rewrite testdata/setti
 func TestSettingsSurface(t *testing.T) {
 	fs := flag.NewFlagSet("nektarg", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	if _, _, err := parseArgs(fs, nil); err != nil {
+	if _, _, err := parseArgs(fs, []string{"-config", filepath.Join("testdata", "defaults.json")}); err != nil {
 		t.Fatal(err)
 	}
 	var flags []string

@@ -95,7 +95,9 @@ type Region struct {
 	Dt        float64 `json:"dt"`
 	Seed      uint64  `json:"seed"`
 	// Walls selects a preset: "" or "none" (fully open in x, periodic
-	// y/z), "zslab" (no-slip walls at z = 0 and z = box.z).
+	// y/z), "zslab" (no-slip walls at z = 0 and z = box.z), "dome" (the
+	// aneurysm fundus of Figure 10: a triangulated spherical cap bulging up
+	// from below the box, centred under it, with a no-slip lid at z = box.z).
 	Walls string `json:"walls"`
 	// Units and scale-up for the Eq. 1 coupling.
 	NSUnits  Units   `json:"nsUnits"`
@@ -197,13 +199,17 @@ type Config struct {
 	Transport *Transport `json:"transport,omitempty"`
 }
 
-// Load parses a JSON config, rejecting unknown fields.
+// Load parses a JSON config, rejecting unknown fields and anything after the
+// config object.
 func Load(r io.Reader) (*Config, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var c Config
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, fmt.Errorf("config: data after the config object")
 	}
 	return &c, nil
 }
@@ -328,6 +334,20 @@ func buildPatch(pc Patch) (*core.ContinuumPatch, error) {
 	if pc.Order < 2 {
 		return nil, fmt.Errorf("order %d < 2", pc.Order)
 	}
+	for d := range pc.Elements {
+		if pc.Elements[d] < 1 {
+			return nil, fmt.Errorf("elements %v: need at least 1 per axis", pc.Elements)
+		}
+		if pc.Size[d] <= 0 {
+			return nil, fmt.Errorf("size %v: must be positive", pc.Size)
+		}
+	}
+	if pc.Nu <= 0 {
+		return nil, fmt.Errorf("nu %v: must be positive", pc.Nu)
+	}
+	if pc.Dt <= 0 {
+		return nil, fmt.Errorf("dt %v: must be positive", pc.Dt)
+	}
 	g := nektar3d.NewGrid(pc.Elements[0], pc.Elements[1], pc.Elements[2], pc.Order,
 		pc.Size[0], pc.Size[1], pc.Size[2], pc.Periodic[0], pc.Periodic[1], pc.Periodic[2])
 	g.Parallel = pc.Parallel
@@ -373,6 +393,12 @@ func buildRegion(rc Region) (*core.AtomisticRegion, *platelet.Model, error) {
 		rho = 3
 	}
 	box := rc.Box.vec3()
+	if box.X <= 0 || box.Y <= 0 || box.Z <= 0 {
+		return nil, nil, fmt.Errorf("box %v: must be positive", rc.Box)
+	}
+	if rc.Platelets != nil && rc.Platelets.Count < 0 {
+		return nil, nil, fmt.Errorf("platelets.count %d: must not be negative", rc.Platelets.Count)
+	}
 	periodic := [3]bool{false, true, true}
 	var walls []dpd.Wall
 	switch rc.Walls {
@@ -381,6 +407,15 @@ func buildRegion(rc Region) (*core.AtomisticRegion, *platelet.Model, error) {
 		periodic[2] = false
 		walls = []dpd.Wall{
 			&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
+			&dpd.PlaneWall{Point: geometry.Vec3{Z: box.Z}, Norm: geometry.Vec3{Z: -1}},
+		}
+	case "dome":
+		periodic[2] = false
+		dome := geometry.SphereSurface("fundusWall",
+			geometry.Vec3{X: box.X / 2, Y: box.Y / 2, Z: -0.8 * box.Z}, 0.84*box.Z, 24, 48)
+		walls = []dpd.Wall{
+			dpd.NewSDFWall(dome, geometry.Vec3{X: -1, Y: -1, Z: -1},
+				geometry.Vec3{X: box.X + 1, Y: box.Y + 1, Z: 0.3 * box.Z}, 0.25),
 			&dpd.PlaneWall{Point: geometry.Vec3{Z: box.Z}, Norm: geometry.Vec3{Z: -1}},
 		}
 	default:

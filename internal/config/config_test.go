@@ -1,6 +1,8 @@
 package config
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,18 +81,24 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 			t.Errorf("%s: err = %v, want a rejection naming %q", doc, err, key)
 		}
 	}
+	// Nor is anything after the config object ignored.
+	if _, err := Load(strings.NewReader(validJSON + `{"patches": []} garbage`)); err == nil {
+		t.Error("a config followed by trailing data loaded")
+	}
 }
 
-func mustBuildErr(t *testing.T, mutate func(*Config)) {
+func mustBuildErr(t *testing.T, mutate func(*Config)) error {
 	t.Helper()
 	c, err := Load(strings.NewReader(validJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutate(c)
-	if _, err := c.Build(); err == nil {
+	_, err = c.Build()
+	if err == nil {
 		t.Fatal("expected build error")
 	}
+	return err
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -101,12 +109,29 @@ func TestBuildValidation(t *testing.T) {
 	mustBuildErr(t, func(c *Config) { c.Patches[0].Initial = "vortex" })
 	mustBuildErr(t, func(c *Config) { c.Couplings[0].Donor = "ghost" })
 	mustBuildErr(t, func(c *Config) { c.Couplings[0].Face = "q9" })
-	mustBuildErr(t, func(c *Config) { c.Regions[0].Walls = "dome" })
+	mustBuildErr(t, func(c *Config) { c.Regions[0].Walls = "funnel" })
 	mustBuildErr(t, func(c *Config) { c.Regions[0].Platelets.Sites = nil })
 	mustBuildErr(t, func(c *Config) { c.Regions[0].NSUnits.L = 0 })
 	mustBuildErr(t, func(c *Config) { c.Outlets = []Outlet{{Patch: "ghost", Face: "x1"}} })
 	mustBuildErr(t, func(c *Config) { c.Outlets = []Outlet{{Patch: "distal", Face: "q9"}} })
 	mustBuildErr(t, func(c *Config) { c.Outlets = []Outlet{{Patch: "distal", Face: "x1"}, {Patch: "distal", Face: "x1"}} })
+	// Values the solvers would panic on are errors naming the block and key.
+	for _, row := range []struct {
+		want   string
+		mutate func(*Config)
+	}{
+		{`patch "feed": elements`, func(c *Config) { c.Patches[0].Elements = [3]int{0, 1, 1} }},
+		{`patch "feed": size`, func(c *Config) { c.Patches[0].Size = Vec{0, 1, 1} }},
+		{`patch "feed": nu`, func(c *Config) { c.Patches[0].Nu = 0 }},
+		{`patch "feed": dt`, func(c *Config) { c.Patches[0].Dt = 0 }},
+		{`region "insert": box`, func(c *Config) { c.Regions[0].Box = Vec{0, 0, 0} }},
+		{`region "insert": box`, func(c *Config) { c.Regions[0].Box = Vec{-5, 5, 5} }},
+		{`region "insert": platelets.count`, func(c *Config) { c.Regions[0].Platelets.Count = -3 }},
+	} {
+		if err := mustBuildErr(t, row.mutate); !strings.Contains(err.Error(), row.want) {
+			t.Errorf("err = %v, want one naming %s", err, row.want)
+		}
+	}
 }
 
 // TestOutletsBlock: an outlet becomes a registered metasolver outlet whose
@@ -230,5 +255,35 @@ func TestParallelKnobWiring(t *testing.T) {
 	b.Meta.SetParallelism(5)
 	if b.Patches["distal"].Solver.G.Parallel != 5 || b.Regions["insert"].Sys.Parallel != 5 {
 		t.Fatal("SetParallelism(5) must reach every grid and system")
+	}
+}
+
+// TestDomeWallConfines: the "dome" preset of configs/aneurysm.json keeps the
+// fluid on its side of the curved fundus wall and under the lid at z = box.z
+// through 200 DPD steps; a fingerprint alone would not catch a leaking wall.
+func TestDomeWallConfines(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "configs", "aneurysm.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := c.Regions[0]
+	region, _, err := buildRegion(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := region.Sys
+	dome := sys.Walls[0]
+	for step := 1; step <= 200; step++ {
+		sys.Run(1)
+		for _, p := range sys.Particles {
+			if d := dome.Distance(p.Pos); d < 0 || p.Pos.Z >= rc.Box[2] {
+				t.Fatalf("step %d: particle at %v, dome distance %v, lid at z = %v", step, p.Pos, d, rc.Box[2])
+			}
+		}
 	}
 }

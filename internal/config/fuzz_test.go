@@ -8,8 +8,8 @@ import (
 
 // FuzzLoadConfig: Load returns a config or an error for any bytes, never a
 // panic, and a config it accepts re-encodes to JSON it accepts again. The
-// seed corpus holds configs/coupled.json, configs/skewed.json, a truncated
-// copy and one with an unknown key.
+// seed corpus holds every configs/*.json, a truncated copy, one with an
+// unknown key and one with trailing data after the config object.
 func FuzzLoadConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := Load(bytes.NewReader(b))

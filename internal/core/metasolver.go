@@ -103,7 +103,7 @@ type AtomisticRegion struct {
 	// value is a deliberate conservation fault: the flux BC then injects
 	// more (or less) momentum than ΓI continuity allows, which the
 	// gi.flux audit budget must catch long before the NaN guard does. The
-	// fault-injection acceptance test and `nektarg -flux-scale` use it.
+	// fault-injection acceptance test and a config region's fluxScale use it.
 	FluxScale float64
 }
 

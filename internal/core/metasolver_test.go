@@ -197,12 +197,11 @@ func TestOwnershipDiscoveryOverMPI(t *testing.T) {
 			if len(orphans) != 1 || orphans[0] != 3 {
 				t.Errorf("orphans = %v", orphans)
 			}
-		case 1:
-			box := geometry.NewAABB(geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1})
-			RespondOwnership(w, 0, box.Contains)
-		case 2:
-			box := geometry.NewAABB(geometry.Vec3{X: 1}, geometry.Vec3{X: 2, Y: 1, Z: 1})
-			RespondOwnership(w, 0, box.Contains)
+		default:
+			x0 := float64(w.Rank() - 1)
+			RespondOwnership(w, 0, func(p geometry.Vec3) bool {
+				return p.X >= x0 && p.X <= x0+1 && p.Y >= 0 && p.Y <= 1 && p.Z >= 0 && p.Z <= 1
+			})
 		}
 	})
 	if err != nil {

@@ -53,19 +53,6 @@ func (b *BinGrid) binOf(p geometry.Vec3) int {
 	return i + b.Nx*(j+b.Ny*k)
 }
 
-// BinCenter returns the center position of bin n.
-func (b *BinGrid) BinCenter(n int) geometry.Vec3 {
-	i := n % b.Nx
-	j := (n / b.Nx) % b.Ny
-	k := n / (b.Nx * b.Ny)
-	sz := b.Hi.Sub(b.Lo)
-	return geometry.Vec3{
-		X: b.Lo.X + (float64(i)+0.5)*sz.X/float64(b.Nx),
-		Y: b.Lo.Y + (float64(j)+0.5)*sz.Y/float64(b.Ny),
-		Z: b.Lo.Z + (float64(k)+0.5)*sz.Z/float64(b.Nz),
-	}
-}
-
 // Accumulate folds the current particle velocities into both the long-run
 // average and the current sampling window. Frozen particles are excluded.
 func (b *BinGrid) Accumulate(s *System) {

@@ -84,12 +84,29 @@ func TestTriangulatedWallDistanceSign(t *testing.T) {
 	}
 }
 
+// inwardTube triangulates the open cylinder of radius r along z from z0 to
+// z1, nTheta by nz quads, wound so that every normal points at the axis.
+func inwardTube(r, z0, z1 float64, nTheta, nz int) *geometry.Surface {
+	at := func(i, k int) geometry.Vec3 {
+		th := 2 * math.Pi * float64(i) / float64(nTheta)
+		return geometry.Vec3{X: r * math.Cos(th), Y: r * math.Sin(th), Z: z0 + (z1-z0)*float64(k)/float64(nz)}
+	}
+	s := &geometry.Surface{Name: "pipe"}
+	for k := 0; k < nz; k++ {
+		for i := 0; i < nTheta; i++ {
+			s.Triangles = append(s.Triangles,
+				geometry.Triangle{A: at(i, k), B: at(i+1, k+1), C: at(i+1, k)},
+				geometry.Triangle{A: at(i, k), B: at(i, k+1), C: at(i+1, k+1)})
+		}
+	}
+	return s
+}
+
 func TestTriangulatedTubeConfinesParticles(t *testing.T) {
-	// A triangulated pipe (normals flipped inward) must confine a DPD
-	// fluid just like the analytic CylinderWall.
+	// A triangulated pipe (normals inward) must confine a DPD fluid just
+	// like the analytic CylinderWall.
 	r := 2.0
-	tube := geometry.TubeSurface("pipe", r, -0.5, 5.5, 24, 6).Flip()
-	w := NewTriangulatedWall(tube, 1.0)
+	w := NewTriangulatedWall(inwardTube(r, -0.5, 5.5, 24, 6), 1.0)
 	// Sanity: interior positive, exterior negative.
 	if d := w.Distance(geometry.Vec3{Z: 2}); d < 1.9 || d > 2.1 {
 		t.Fatalf("axis distance = %v", d)
@@ -175,8 +192,7 @@ func TestSDFWallMatchesTriangulated(t *testing.T) {
 
 func TestSDFWallConfinesParticles(t *testing.T) {
 	r := 2.0
-	tube := geometry.TubeSurface("pipe", r, -1, 6, 24, 7).Flip()
-	sdf := NewSDFWall(tube,
+	sdf := NewSDFWall(inwardTube(r, -1, 6, 24, 7),
 		geometry.Vec3{X: -3, Y: -3, Z: -0.5},
 		geometry.Vec3{X: 3, Y: 3, Z: 5.5}, 0.15)
 	p := DefaultParams(1)

@@ -40,15 +40,6 @@ type Surface struct {
 	Triangles []Triangle
 }
 
-// Area returns the total surface area.
-func (s *Surface) Area() float64 {
-	var a float64
-	for _, t := range s.Triangles {
-		a += t.Area()
-	}
-	return a
-}
-
 // Centroids returns the element midpoints, the payload sent from the L3 root
 // of ΩA to the continuum L3 roots during the coupling handshake.
 func (s *Surface) Centroids() []Vec3 {
@@ -93,35 +84,6 @@ func PlanarRect(name string, origin, u, v Vec3, nu, nv int) *Surface {
 	return s
 }
 
-// TubeSurface builds a triangulated open cylinder of given radius along the
-// z-axis from z0 to z1 with nTheta azimuthal and nz axial subdivisions. It is
-// used as the wall surface of DPD pipe-flow domains.
-func TubeSurface(name string, radius, z0, z1 float64, nTheta, nz int) *Surface {
-	if nTheta < 3 || nz < 1 {
-		panic(fmt.Sprintf("geometry: TubeSurface needs nTheta>=3, nz>=1, got %d,%d", nTheta, nz))
-	}
-	s := &Surface{Name: name}
-	dz := (z1 - z0) / float64(nz)
-	dth := 2 * math.Pi / float64(nTheta)
-	at := func(i, k int) Vec3 {
-		th := float64(i) * dth
-		return Vec3{radius * math.Cos(th), radius * math.Sin(th), z0 + float64(k)*dz}
-	}
-	for k := 0; k < nz; k++ {
-		for i := 0; i < nTheta; i++ {
-			p00 := at(i, k)
-			p10 := at(i+1, k)
-			p01 := at(i, k+1)
-			p11 := at(i+1, k+1)
-			s.Triangles = append(s.Triangles,
-				Triangle{p00, p10, p11},
-				Triangle{p00, p11, p01},
-			)
-		}
-	}
-	return s
-}
-
 // SphereSurface builds a latitude/longitude triangulation of a sphere. It
 // seeds the saccular-aneurysm dome wall and the RBC reference shape.
 func SphereSurface(name string, center Vec3, radius float64, nLat, nLon int) *Surface {
@@ -153,15 +115,4 @@ func SphereSurface(name string, center Vec3, radius float64, nLat, nLon int) *Su
 		}
 	}
 	return s
-}
-
-// Flip returns a copy of the surface with reversed triangle orientation
-// (normals negated) — used to point wall normals into the fluid when a
-// generator's natural winding faces the other way.
-func (s *Surface) Flip() *Surface {
-	out := &Surface{Name: s.Name, Triangles: make([]Triangle, len(s.Triangles))}
-	for i, t := range s.Triangles {
-		out.Triangles[i] = Triangle{A: t.A, B: t.C, C: t.B}
-	}
-	return out
 }

@@ -66,7 +66,7 @@ type AABB struct {
 }
 
 // NewAABB returns the smallest box containing all pts. An empty input yields
-// an inverted box for which Contains always reports false.
+// an inverted box (Min = +Inf, Max = -Inf) that any Extend replaces.
 func NewAABB(pts ...Vec3) AABB {
 	b := AABB{
 		Min: Vec3{math.Inf(1), math.Inf(1), math.Inf(1)},
@@ -89,33 +89,4 @@ func (b AABB) Extend(p Vec3) AABB {
 // Union returns the smallest box containing both boxes.
 func (b AABB) Union(o AABB) AABB {
 	return b.Extend(o.Min).Extend(o.Max)
-}
-
-// Contains reports whether p lies in the closed box.
-func (b AABB) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Intersects reports whether the closed boxes overlap.
-func (b AABB) Intersects(o AABB) bool {
-	return b.Min.X <= o.Max.X && o.Min.X <= b.Max.X &&
-		b.Min.Y <= o.Max.Y && o.Min.Y <= b.Max.Y &&
-		b.Min.Z <= o.Max.Z && o.Min.Z <= b.Max.Z
-}
-
-// Size returns the box edge lengths.
-func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
-
-// Center returns the box midpoint.
-func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
-
-// Volume returns the box volume (0 for inverted boxes).
-func (b AABB) Volume() float64 {
-	s := b.Size()
-	if s.X < 0 || s.Y < 0 || s.Z < 0 {
-		return 0
-	}
-	return s.X * s.Y * s.Z
 }

@@ -77,10 +77,11 @@ func TestNormalized(t *testing.T) {
 }
 
 func TestAABBContainsItsPoints(t *testing.T) {
+	// Extending a box by a point it contains leaves it unchanged.
 	f := func(pts []Vec3) bool {
 		b := NewAABB(pts...)
 		for _, p := range pts {
-			if !b.Contains(p) {
+			if b.Extend(p) != b {
 				return false
 			}
 		}
@@ -92,49 +93,18 @@ func TestAABBContainsItsPoints(t *testing.T) {
 }
 
 func TestAABBEmpty(t *testing.T) {
-	b := NewAABB()
-	if b.Contains(Vec3{0, 0, 0}) {
-		t.Fatal("empty box should contain nothing")
-	}
-	if b.Volume() != 0 {
-		t.Fatalf("empty box volume = %v", b.Volume())
-	}
-}
-
-func TestAABBIntersects(t *testing.T) {
-	a := NewAABB(Vec3{0, 0, 0}, Vec3{1, 1, 1})
-	b := NewAABB(Vec3{0.5, 0.5, 0.5}, Vec3{2, 2, 2})
-	c := NewAABB(Vec3{3, 3, 3}, Vec3{4, 4, 4})
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Fatal("a and b should intersect")
-	}
-	if a.Intersects(c) {
-		t.Fatal("a and c should not intersect")
-	}
-	// Shared-face contact counts as intersection (closed boxes).
-	d := NewAABB(Vec3{1, 0, 0}, Vec3{2, 1, 1})
-	if !a.Intersects(d) {
-		t.Fatal("face contact should intersect")
-	}
-}
-
-func TestAABBVolumeAndCenter(t *testing.T) {
-	b := NewAABB(Vec3{-1, -2, -3}, Vec3{1, 2, 3})
-	if !almostEq(b.Volume(), 2*4*6, 1e-12) {
-		t.Fatalf("volume = %v", b.Volume())
-	}
-	if b.Center() != (Vec3{0, 0, 0}) {
-		t.Fatalf("center = %v", b.Center())
+	// The empty box contains nothing: extending it by a point yields the
+	// degenerate box at that point.
+	p := Vec3{1, -2, 3}
+	if got := NewAABB().Extend(p); got != (AABB{Min: p, Max: p}) {
+		t.Fatalf("empty box extended by %v = %+v", p, got)
 	}
 }
 
 func TestAABBUnion(t *testing.T) {
 	a := NewAABB(Vec3{0, 0, 0}, Vec3{1, 1, 1})
 	b := NewAABB(Vec3{2, -1, 0.5}, Vec3{3, 0, 2})
-	u := a.Union(b)
-	for _, p := range []Vec3{{0, 0, 0}, {1, 1, 1}, {2, -1, 0.5}, {3, 0, 2}} {
-		if !u.Contains(p) {
-			t.Fatalf("union misses %v", p)
-		}
+	if u, want := a.Union(b), (AABB{Min: Vec3{0, -1, 0}, Max: Vec3{3, 1, 2}}); u != want {
+		t.Fatalf("union = %+v, want %+v", u, want)
 	}
 }

@@ -93,7 +93,7 @@ func TestCarotidTetsIsValidAndBent(t *testing.T) {
 	checkTets(t, CarotidTets(16, 4, 4))
 	b := geometry.NewAABB(m.Verts...)
 	// The bend must spread the domain in both X and Y.
-	if b.Size().X < 1 || b.Size().Y < 0.5 {
+	if b.Max.X-b.Min.X < 1 || b.Max.Y-b.Min.Y < 0.5 {
 		t.Fatalf("domain not bent: %+v", b)
 	}
 }

@@ -498,15 +498,6 @@ func (ja *junctionArena) solve(ar *stepArena) error {
 	return fmt.Errorf("nektar1d: junction at %q: %w after %d iterations", p.Name, ErrJunctionStalled, junctionMaxIter)
 }
 
-// TotalOutletFlow sums the instantaneous flow leaving through all outlets.
-func (n *Network) TotalOutletFlow() float64 {
-	var q float64
-	for _, o := range n.Outlets {
-		q += o.Seg.Flow(o.Seg.N - 1)
-	}
-	return q
-}
-
 // TotalVolume sums segment volumes.
 func (n *Network) TotalVolume() float64 {
 	var v float64

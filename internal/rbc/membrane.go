@@ -184,7 +184,7 @@ func (m *Membrane) Center(sys *dpd.System) geometry.Vec3 {
 // the stretching test.
 func (m *Membrane) Extent(sys *dpd.System) geometry.Vec3 {
 	b := geometry.NewAABB(m.positions(sys)...)
-	return b.Size()
+	return b.Max.Sub(b.Min)
 }
 
 // AddForces implements dpd.BondedForce.

@@ -51,8 +51,6 @@ func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	under  int
-	over   int
 	total  int
 }
 
@@ -64,22 +62,18 @@ func NewHistogram(lo, hi float64, nbins int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
 }
 
-// Add records one sample. Out-of-range samples are tracked separately so the
-// PDF normalization stays correct.
+// Add records one sample. Out-of-range samples fall in no bin but count
+// towards the total, so the PDF normalization stays correct.
 func (h *Histogram) Add(x float64) {
 	h.total++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard against round-up at the boundary
-			i--
-		}
-		h.Counts[i]++
+	if x < h.Lo || x >= h.Hi {
+		return
 	}
+	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
+	if i == len(h.Counts) { // guard against round-up at the boundary
+		i--
+	}
+	h.Counts[i]++
 }
 
 // AddAll records a batch of samples.
@@ -88,12 +82,6 @@ func (h *Histogram) AddAll(xs []float64) {
 		h.Add(x)
 	}
 }
-
-// Total returns the number of samples seen, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the number of samples below Lo and at/above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
 
 // BinCenters returns the midpoints of the bins.
 func (h *Histogram) BinCenters() []float64 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,12 +54,13 @@ func TestHistogramPDFIntegratesToOne(t *testing.T) {
 func TestHistogramOutOfRange(t *testing.T) {
 	h := NewHistogram(0, 1, 10)
 	h.AddAll([]float64{-1, 0.5, 2, 1.0}) // 1.0 is outside the half-open range
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("under=%d over=%d", under, over)
+	if want := []int{0, 0, 0, 0, 0, 1, 0, 0, 0, 0}; !slices.Equal(h.Counts, want) {
+		t.Fatalf("counts = %v, want only 0.5 binned", h.Counts)
 	}
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
+	// The three out-of-range samples still count in the normalization:
+	// one of four samples in a bin of width 0.1.
+	if pdf := h.PDF(); math.Abs(pdf[5]-2.5) > 1e-12 {
+		t.Fatalf("pdf[5] = %v, want 2.5", pdf[5])
 	}
 }
 

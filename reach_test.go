@@ -20,21 +20,15 @@ import (
 )
 
 // reachProgram reports whether the package in the module-relative directory
-// dir is a program whose main roots the walk: cmd/*, bench and
+// dir is a program whose main roots the walk: cmd/*, examples/*, bench and
 // scripts/benchjson.
 func reachProgram(dir string) bool {
-	return strings.HasPrefix(dir, "cmd/") || dir == "bench" || dir == "scripts/benchjson"
-}
-
-// reachIgnored reports whether dir is type-checked but neither roots the walk
-// nor is reported: the example mains, which are not programs until every
-// demo runs through the front door.
-func reachIgnored(dir string) bool {
-	return dir == "examples" || strings.HasPrefix(dir, "examples/")
+	return strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/") ||
+		dir == "bench" || dir == "scripts/benchjson"
 }
 
 func TestReachableSurface(t *testing.T) {
-	unreached, err := unreachedSurface(".", reachProgram, reachIgnored)
+	unreached, err := unreachedSurface(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +146,7 @@ func TestOnlyTested(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := unreachedSurface(dir, reachProgram, reachIgnored)
+	got, err := unreachedSurface(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +174,7 @@ type reachPkg struct {
 // interface type declared in the module or anywhere in its import closure:
 // the method may be called through that interface, even by the standard
 // library (io.ByteReader on a reader passed as io.Reader).
-func unreachedSurface(root string, program, ignored func(dir string) bool) ([]string, error) {
+func unreachedSurface(root string) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -320,7 +314,7 @@ func unreachedSurface(root string, program, ignored func(dir string) bool) ([]st
 		}
 	}
 	for _, rp := range parsed {
-		if rp.pkg.Name() == "main" && program(rp.dir) {
+		if rp.pkg.Name() == "main" && reachProgram(rp.dir) {
 			markProgram(rp.pkg)
 		}
 	}
@@ -338,7 +332,7 @@ func unreachedSurface(root string, program, ignored func(dir string) bool) ([]st
 						}
 						continue
 					case d.Recv == nil && d.Name.Name == "main" && rp.pkg.Name() == "main":
-						if program(rp.dir) {
+						if reachProgram(rp.dir) {
 							roots = append(roots, uses...)
 						}
 						continue
@@ -402,7 +396,7 @@ func unreachedSurface(root string, program, ignored func(dir string) bool) ([]st
 
 	var out []string
 	for o, rp := range g.decl {
-		if reached[o] || ignored(rp.dir) {
+		if reached[o] {
 			continue
 		}
 		name := o.Name()
