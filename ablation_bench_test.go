@@ -15,8 +15,8 @@ import (
 )
 
 func benchTimeOrder(b *testing.B, order int) {
-	g := nektar3d.NewGrid(2, 2, 1, 5, 6.28, 6.28, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.05, 0.01)
+	g := must(nektar3d.NewGrid(2, 2, 1, 5, 6.28, 6.28, 1, true, true, true))(b)
+	s := must(nektar3d.NewSolver(g, 0.05, 0.01))(b)
 	s.Order = order
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return 0.1 * x, -0.1 * y, 0
@@ -34,7 +34,7 @@ func BenchmarkAblation_TimeStep_Order2(b *testing.B) { benchTimeOrder(b, 2) }
 
 func benchDPDWorkers(b *testing.B, workers int) {
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{true, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{true, true, true}))(b)
 	sys.Parallel = workers
 	sys.FillRandom(3000, 0)
 	sys.Run(2) // build cells, warm up
@@ -68,7 +68,7 @@ func BenchmarkAblation_Partition_Multilevel(b *testing.B) {
 }
 
 func BenchmarkAblation_Stiffness_Affine(b *testing.B) {
-	g := nektar3d.NewGrid(3, 3, 3, 5, 1, 1, 1, false, false, false)
+	g := must(nektar3d.NewGrid(3, 3, 3, 5, 1, 1, 1, false, false, false))(b)
 	x := g.NewField()
 	y := g.NewField()
 	for i := range x {

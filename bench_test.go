@@ -216,10 +216,10 @@ func TestExtendedRuns(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // fig7Snapshots runs a small DPD channel and samples velocity snapshots.
-func fig7Snapshots(nSnap, nts int) [][]float64 {
+func fig7Snapshots(t testing.TB, nSnap, nts int) [][]float64 {
 	p := dpd.DefaultParams(1)
 	p.Dt = 0.005
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 4}, [3]bool{true, true, false})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 4}, [3]bool{true, true, false}))(t)
 	sys.Walls = []dpd.Wall{
 		&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&dpd.PlaneWall{Point: geometry.Vec3{Z: 4}, Norm: geometry.Vec3{Z: -1}},
@@ -242,7 +242,7 @@ func fig7Snapshots(nSnap, nts int) [][]float64 {
 }
 
 func BenchmarkFig7_WPOD(b *testing.B) {
-	snaps := fig7Snapshots(30, 25)
+	snaps := fig7Snapshots(b, 30, 25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := wpod.Analyze(snaps, wpod.Options{})
@@ -254,7 +254,7 @@ func BenchmarkFig7_WPOD(b *testing.B) {
 }
 
 func TestFigure7(t *testing.T) {
-	snaps := fig7Snapshots(40, 30)
+	snaps := fig7Snapshots(t, 40, 30)
 	r, err := wpod.Analyze(snaps, wpod.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -286,14 +286,14 @@ func TestFigure7(t *testing.T) {
 // Figure 8: POD eigenspectrum of a time-periodically forced DPD pipe flow.
 // ---------------------------------------------------------------------------
 
-func fig8Snapshots(nSnap, nts int) ([][]float64, [][]float64) {
+func fig8Snapshots(t testing.TB, nSnap, nts int) ([][]float64, [][]float64) {
 	p := dpd.DefaultParams(1)
 	p.Dt = 0.005
 	r := 3.0
-	sys := dpd.NewSystem(p,
+	sys := must(dpd.NewSystem(p,
 		geometry.Vec3{X: -r - 0.5, Y: -r - 0.5, Z: 0},
 		geometry.Vec3{X: r + 0.5, Y: r + 0.5, Z: 4},
-		[3]bool{false, false, true})
+		[3]bool{false, false, true}))(t)
 	sys.Walls = []dpd.Wall{&dpd.CylinderWall{Center: geometry.Vec3{}, Radius: r}}
 	rng := rand.New(rand.NewSource(3))
 	for len(sys.Particles) < 340 {
@@ -321,7 +321,7 @@ func fig8Snapshots(nSnap, nts int) ([][]float64, [][]float64) {
 }
 
 func BenchmarkFig8_Eigenspectrum(b *testing.B) {
-	sz, _ := fig8Snapshots(24, 20)
+	sz, _ := fig8Snapshots(b, 24, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := wpod.Analyze(sz, wpod.Options{})
@@ -333,7 +333,7 @@ func BenchmarkFig8_Eigenspectrum(b *testing.B) {
 }
 
 func TestFigure8(t *testing.T) {
-	sz, sx := fig8Snapshots(36, 25)
+	sz, sx := fig8Snapshots(t, 36, 25)
 	rz, err := wpod.Analyze(sz, wpod.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -364,10 +364,10 @@ func TestFigure8(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // fig9Setup builds a two-patch + DPD coupled system.
-func fig9Setup() (*core.Metasolver, *core.ContinuumPatch, *core.ContinuumPatch, *core.AtomisticRegion) {
+func fig9Setup(t testing.TB) (*core.Metasolver, *core.ContinuumPatch, *core.ContinuumPatch, *core.AtomisticRegion) {
 	mk := func() *nektar3d.Solver {
-		g := nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false)
-		s := nektar3d.NewSolver(g, 0.5, 0.01)
+		g := must(nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false))(t)
+		s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 		return s
 	}
@@ -383,7 +383,7 @@ func fig9Setup() (*core.Metasolver, *core.ContinuumPatch, *core.ContinuumPatch, 
 
 	p := dpd.DefaultParams(1)
 	p.Dt = 0.005
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, true}))(t)
 	sys.FillRandom(2000, 0)
 	inflow := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 	outflow := &dpd.FluxBC{Axis: 0, AtMax: true, Rho: 3}
@@ -413,7 +413,7 @@ func fig9Setup() (*core.Metasolver, *core.ContinuumPatch, *core.ContinuumPatch, 
 }
 
 func BenchmarkFig9_InterfaceContinuity(b *testing.B) {
-	m, _, _, region := fig9Setup()
+	m, _, _, region := fig9Setup(b)
 	if err := m.Advance(1); err != nil {
 		b.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func BenchmarkFig9_InterfaceContinuity(b *testing.B) {
 }
 
 func TestFigure9(t *testing.T) {
-	m, pa, pb, region := fig9Setup()
+	m, pa, pb, region := fig9Setup(t)
 	if err := m.Advance(4); err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +461,11 @@ func TestFigure9(t *testing.T) {
 // Figure 10: platelet aggregation / clot growth.
 // ---------------------------------------------------------------------------
 
-func fig10Run(steps int) []int {
+func fig10Run(t testing.TB, steps int) []int {
 	p := dpd.DefaultParams(2)
 	p.Dt = 0.005
 	p.KBT = 0.2
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 8, Z: 4}, [3]bool{true, true, false})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 8, Z: 4}, [3]bool{true, true, false}))(t)
 	sys.Walls = []dpd.Wall{
 		&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&dpd.PlaneWall{Point: geometry.Vec3{Z: 4}, Norm: geometry.Vec3{Z: -1}},
@@ -475,11 +475,11 @@ func fig10Run(steps int) []int {
 	for x := 3.0; x <= 5; x++ {
 		sites = append(sites, geometry.Vec3{X: x, Y: 4, Z: 0.3})
 	}
-	clot := platelet.NewModel(1, sites, 0.1)
+	clot := must(platelet.NewModel(1, sites, 0.1))(t)
 	sys.Bonded = append(sys.Bonded, clot)
 	rng := rand.New(rand.NewSource(9))
-	platelet.SeedPlatelets(sys, clot, 50,
-		geometry.Vec3{X: 0.5, Y: 0.5, Z: 0.3}, geometry.Vec3{X: 7.5, Y: 7.5, Z: 2.5}, rng.Float64)
+	must(platelet.SeedPlatelets(sys, clot, 50,
+		geometry.Vec3{X: 0.5, Y: 0.5, Z: 0.3}, geometry.Vec3{X: 7.5, Y: 7.5, Z: 2.5}, rng.Float64))(t)
 	var curve []int
 	for i := 0; i < steps/50; i++ {
 		sys.Run(50)
@@ -491,13 +491,13 @@ func fig10Run(steps int) []int {
 
 func BenchmarkFig10_ClotGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := fig10Run(200)
+		c := fig10Run(b, 200)
 		benchSink = float64(c[len(c)-1])
 	}
 }
 
 func TestFigure10(t *testing.T) {
-	curve := fig10Run(800)
+	curve := fig10Run(t, 800)
 	fmt.Printf("Figure 10: clot growth (adhered platelets per 50 DPD steps)\n  %v\n", curve)
 	if curve[len(curve)-1] < 5 {
 		t.Errorf("clot did not grow: %v", curve)
@@ -534,5 +534,16 @@ func BenchmarkMCIThreeStepExchange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

@@ -42,10 +42,13 @@ func main() {
 	params := dpd.DefaultParams(2) // species 0: solvent, 1: membrane
 	params.Dt = 0.0025
 	params.KBT = 0.4
-	sys := dpd.NewSystem(params,
+	sys, err := dpd.NewSystem(params,
 		geometry.Vec3{X: -radius - 0.5, Y: -radius - 0.5, Z: 0},
 		geometry.Vec3{X: radius + 0.5, Y: radius + 0.5, Z: length},
 		[3]bool{false, false, true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys.Walls = []dpd.Wall{&dpd.CylinderWall{Center: geometry.Vec3{}, Radius: radius}}
 
 	// Seed solvent only inside the pipe.

@@ -17,7 +17,7 @@ func TestDPDResumeIsBitIdentical(t *testing.T) {
 	// uninterrupted run (counter-based random forces).
 	mk := func() *dpd.System {
 		p := dpd.DefaultParams(1)
-		sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true})
+		sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true}))(t)
 		sys.FillRandom(200, 0)
 		return sys
 	}
@@ -65,8 +65,8 @@ func TestSolverResumeContinues(t *testing.T) {
 	// as an uninterrupted run (deterministic solver; order-2 history
 	// must survive the round trip).
 	mk := func() *nektar3d.Solver {
-		g := nektar3d.NewGrid(2, 2, 1, 4, 6.28, 6.28, 1, true, true, true)
-		s := nektar3d.NewSolver(g, 0.05, 0.01)
+		g := must(nektar3d.NewGrid(2, 2, 1, 4, 6.28, 6.28, 1, true, true, true))(t)
+		s := must(nektar3d.NewSolver(g, 0.05, 0.01))(t)
 		s.Order = 2
 		s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 			return math.Sin(x) * math.Cos(y), -math.Cos(x) * math.Sin(y), 0
@@ -119,8 +119,8 @@ func TestSolverResumeContinues(t *testing.T) {
 }
 
 func TestRestoreRejectsCorruptState(t *testing.T) {
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	st := s.CaptureState()
 	st.U = st.U[:2] // truncate
 	if err := s.ApplyState(st); err == nil {
@@ -128,7 +128,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}
 
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true}))(t)
 	dst := sys.CaptureState()
 	dst.Params.Dt = 0
 	if err := sys.ApplyState(dst); err == nil {
@@ -184,5 +184,16 @@ func TestSaveIsSideEffectFree(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

@@ -21,15 +21,15 @@ func sampleBundle(t testing.TB, exchanges int) *Coupled {
 	c := NewCoupled()
 	c.Exchanges = exchanges
 
-	g := nektar3d.NewGrid(2, 1, 1, 3, 2, 1, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(2, 1, 1, 3, 2, 1, 1, true, true, true))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return math.Sin(x), math.Cos(x), 0
 	})
 	c.Patches["main"] = s.CaptureState()
 
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
 	sys.FillRandom(50, 0)
 	sys.Run(3)
 	c.Regions["box"] = sys.CaptureState()
@@ -204,8 +204,8 @@ func TestThreeSolverRoundTripProperty(t *testing.T) {
 			c.Exchanges = 10 * n
 
 			for i := 0; i < n; i++ {
-				g := nektar3d.NewGrid(1+i, 1, 1, 2+i, float64(1+i), 1, 1, true, true, true)
-				s := nektar3d.NewSolver(g, 0.05*float64(1+i), 0.01)
+				g := must(nektar3d.NewGrid(1+i, 1, 1, 2+i, float64(1+i), 1, 1, true, true, true))(t)
+				s := must(nektar3d.NewSolver(g, 0.05*float64(1+i), 0.01))(t)
 				s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 					return math.Sin(x + float64(i)), math.Cos(y), math.Sin(z)
 				})
@@ -217,7 +217,7 @@ func TestThreeSolverRoundTripProperty(t *testing.T) {
 
 			p := dpd.DefaultParams(1)
 			p.Seed = uint64(100 + n)
-			sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{false, true, true})
+			sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{false, true, true}))(t)
 			sys.FillRandom(40*n, 0)
 			in := &dpd.FluxBC{Axis: 0, Rho: 3, Vel: func(geometry.Vec3) geometry.Vec3 { return geometry.Vec3{X: 0.2} }}
 			out := &dpd.FluxBC{Axis: 0, AtMax: true, Rho: 3}

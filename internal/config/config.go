@@ -269,15 +269,18 @@ func (c *Config) Build() (*Built, error) {
 		if !ok {
 			return nil, fmt.Errorf("config: coupling receiver %q unknown", cc.Receiver)
 		}
-		if !validFace(cc.Face) {
-			return nil, fmt.Errorf("config: coupling face %q invalid", cc.Face)
+		if donor == recv {
+			return nil, fmt.Errorf("config: coupling donor %q is its own receiver", cc.Donor)
+		}
+		if _, _, err := nektar3d.ParseFace(cc.Face); err != nil {
+			return nil, fmt.Errorf("config: coupling face: %w", err)
 		}
 		b.Meta.Couplings = append(b.Meta.Couplings, &core.PatchCoupling{
 			Donor: donor, Receiver: recv, Face: cc.Face,
 		})
 	}
 
-	for _, rc := range c.Regions {
+	for i, rc := range c.Regions {
 		if rc.Name == "" {
 			return nil, fmt.Errorf("config: unnamed region")
 		}
@@ -287,6 +290,9 @@ func (c *Config) Build() (*Built, error) {
 		region, model, err := buildRegion(rc)
 		if err != nil {
 			return nil, fmt.Errorf("config: region %q: %w", rc.Name, err)
+		}
+		if err := b.Meta.CheckInterfaces(region); err != nil {
+			return nil, fmt.Errorf("config: regions[%d].origin %v: %w", i, rc.Origin, err)
 		}
 		b.Regions[rc.Name] = region
 		b.Meta.Atomistic = append(b.Meta.Atomistic, region)
@@ -299,9 +305,6 @@ func (c *Config) Build() (*Built, error) {
 		patch, ok := b.Patches[oc.Patch]
 		if !ok {
 			return nil, fmt.Errorf("config: outlet patch %q unknown", oc.Patch)
-		}
-		if !validFace(oc.Face) {
-			return nil, fmt.Errorf("config: outlet face %q invalid", oc.Face)
 		}
 		spec := nektar1d.DefaultTreeSpec(outletGenerations)
 		spec.NodesPerSegment = outletNodesPerSegment
@@ -322,38 +325,21 @@ func (c *Config) Build() (*Built, error) {
 	return b, nil
 }
 
-func validFace(face string) bool {
-	switch face {
-	case "x0", "x1", "y0", "y1", "z0", "z1":
-		return true
-	}
-	return false
-}
-
 func buildPatch(pc Patch) (*core.ContinuumPatch, error) {
-	if pc.Order < 2 {
-		return nil, fmt.Errorf("order %d < 2", pc.Order)
-	}
-	for d := range pc.Elements {
-		if pc.Elements[d] < 1 {
-			return nil, fmt.Errorf("elements %v: need at least 1 per axis", pc.Elements)
-		}
-		if pc.Size[d] <= 0 {
-			return nil, fmt.Errorf("size %v: must be positive", pc.Size)
-		}
-	}
-	if pc.Nu <= 0 {
-		return nil, fmt.Errorf("nu %v: must be positive", pc.Nu)
-	}
-	if pc.Dt <= 0 {
-		return nil, fmt.Errorf("dt %v: must be positive", pc.Dt)
-	}
-	g := nektar3d.NewGrid(pc.Elements[0], pc.Elements[1], pc.Elements[2], pc.Order,
+	g, err := nektar3d.NewGrid(pc.Elements[0], pc.Elements[1], pc.Elements[2], pc.Order,
 		pc.Size[0], pc.Size[1], pc.Size[2], pc.Periodic[0], pc.Periodic[1], pc.Periodic[2])
+	if err != nil {
+		return nil, err
+	}
 	g.Parallel = pc.Parallel
-	s := nektar3d.NewSolver(g, pc.Nu, pc.Dt)
-	if pc.TimeOrder > 0 {
-		s.Order = pc.TimeOrder
+	s, err := nektar3d.NewSolver(g, pc.Nu, pc.Dt)
+	if err != nil {
+		return nil, err
+	}
+	if pc.TimeOrder != 0 {
+		if err := s.SetOrder(pc.TimeOrder); err != nil {
+			return nil, fmt.Errorf("timeOrder: %w", err)
+		}
 	}
 	f := pc.Force
 	if f != (Vec{}) {
@@ -393,27 +379,24 @@ func buildRegion(rc Region) (*core.AtomisticRegion, *platelet.Model, error) {
 		rho = 3
 	}
 	box := rc.Box.vec3()
-	if box.X <= 0 || box.Y <= 0 || box.Z <= 0 {
-		return nil, nil, fmt.Errorf("box %v: must be positive", rc.Box)
+	// The box is checked before a wall preset is built from it.
+	sys, err := dpd.NewSystem(params, geometry.Vec3{}, box, [3]bool{false, true, true})
+	if err != nil {
+		return nil, nil, err
 	}
-	if rc.Platelets != nil && rc.Platelets.Count < 0 {
-		return nil, nil, fmt.Errorf("platelets.count %d: must not be negative", rc.Platelets.Count)
-	}
-	periodic := [3]bool{false, true, true}
-	var walls []dpd.Wall
 	switch rc.Walls {
 	case "", "none":
 	case "zslab":
-		periodic[2] = false
-		walls = []dpd.Wall{
+		sys.Periodic[2] = false
+		sys.Walls = []dpd.Wall{
 			&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 			&dpd.PlaneWall{Point: geometry.Vec3{Z: box.Z}, Norm: geometry.Vec3{Z: -1}},
 		}
 	case "dome":
-		periodic[2] = false
+		sys.Periodic[2] = false
 		dome := geometry.SphereSurface("fundusWall",
 			geometry.Vec3{X: box.X / 2, Y: box.Y / 2, Z: -0.8 * box.Z}, 0.84*box.Z, 24, 48)
-		walls = []dpd.Wall{
+		sys.Walls = []dpd.Wall{
 			dpd.NewSDFWall(dome, geometry.Vec3{X: -1, Y: -1, Z: -1},
 				geometry.Vec3{X: box.X + 1, Y: box.Y + 1, Z: 0.3 * box.Z}, 0.25),
 			&dpd.PlaneWall{Point: geometry.Vec3{Z: box.Z}, Norm: geometry.Vec3{Z: -1}},
@@ -421,9 +404,7 @@ func buildRegion(rc Region) (*core.AtomisticRegion, *platelet.Model, error) {
 	default:
 		return nil, nil, fmt.Errorf("unknown wall preset %q", rc.Walls)
 	}
-	sys := dpd.NewSystem(params, geometry.Vec3{}, box, periodic)
 	sys.Parallel = rc.Parallel
-	sys.Walls = walls
 	n := rc.Particles
 	if n <= 0 {
 		n = int(rho * box.X * box.Y * box.Z)
@@ -436,17 +417,18 @@ func buildRegion(rc Region) (*core.AtomisticRegion, *platelet.Model, error) {
 	var model *platelet.Model
 	if rc.Platelets != nil {
 		p := rc.Platelets
-		if len(p.Sites) == 0 {
-			return nil, nil, fmt.Errorf("platelets need adhesion sites")
-		}
 		sites := make([]geometry.Vec3, len(p.Sites))
 		for i, sv := range p.Sites {
 			sites[i] = sv.vec3()
 		}
-		model = platelet.NewModel(1, sites, p.Delay)
+		if model, err = platelet.NewModel(1, sites, p.Delay); err != nil {
+			return nil, nil, fmt.Errorf("platelets.%w", err)
+		}
 		sys.Bonded = append(sys.Bonded, model)
 		rng := rand.New(rand.NewSource(int64(params.Seed)))
-		platelet.SeedPlatelets(sys, model, p.Count, p.SeedBox[0].vec3(), p.SeedBox[1].vec3(), rng.Float64)
+		if _, err := platelet.SeedPlatelets(sys, model, p.Count, p.SeedBox[0].vec3(), p.SeedBox[1].vec3(), rng.Float64); err != nil {
+			return nil, nil, fmt.Errorf("platelets.%w", err)
+		}
 	}
 
 	div := rc.InterfaceDivisions

@@ -126,7 +126,13 @@ func TestBuildValidation(t *testing.T) {
 		{`patch "feed": dt`, func(c *Config) { c.Patches[0].Dt = 0 }},
 		{`region "insert": box`, func(c *Config) { c.Regions[0].Box = Vec{0, 0, 0} }},
 		{`region "insert": box`, func(c *Config) { c.Regions[0].Box = Vec{-5, 5, 5} }},
+		{`region "insert": box`, func(c *Config) { c.Regions[0].Walls, c.Regions[0].Box = "dome", Vec{10, 10, -10} }},
 		{`region "insert": platelets.count`, func(c *Config) { c.Regions[0].Platelets.Count = -3 }},
+		// Configs that built but failed, or ran wrong, once they ran.
+		{`patch "feed": timeOrder`, func(c *Config) { c.Patches[0].TimeOrder = 9 }},
+		{`outlet distal:y0: core: outlet face y0`, func(c *Config) { c.Outlets = []Outlet{{Patch: "distal", Face: "y0"}} }},
+		{`coupling donor "feed" is its own receiver`, func(c *Config) { c.Couplings[0].Receiver = "feed" }},
+		{`regions[0].origin`, func(c *Config) { c.Regions[0].Origin = Vec{100, 100, 100} }},
 	} {
 		if err := mustBuildErr(t, row.mutate); !strings.Contains(err.Error(), row.want) {
 			t.Errorf("err = %v, want one naming %s", err, row.want)

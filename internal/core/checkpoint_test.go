@@ -30,8 +30,8 @@ func buildRestartScenario(t *testing.T) *restartScenario {
 
 	// Two coupled channel patches (same wiring as twoPatchChannel).
 	mkChan := func() *nektar3d.Solver {
-		g := nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false)
-		s := nektar3d.NewSolver(g, 0.5, 0.01)
+		g := must(nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false))(t)
+		s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 		return s
 	}
@@ -46,8 +46,8 @@ func buildRestartScenario(t *testing.T) *restartScenario {
 	pb := NewContinuumPatch("B", sb, geometry.Vec3{X: 1})
 
 	// A third, periodic patch with uniform flow drives an open DPD region.
-	gc := nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true)
-	sc := nektar3d.NewSolver(gc, 0.1, 0.01)
+	gc := must(nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true))(t)
+	sc := must(nektar3d.NewSolver(gc, 0.1, 0.01))(t)
 	sc.SetInitial(func(_, _, _ float64) (float64, float64, float64) { return 0.4, 0, 0 })
 	pc := NewContinuumPatch("C", sc, geometry.Vec3{X: 10})
 
@@ -56,7 +56,7 @@ func buildRestartScenario(t *testing.T) *restartScenario {
 	// insertion accumulators every exchange.
 	p := dpd.DefaultParams(1)
 	p.Seed = 12345
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{false, true, true}))(t)
 	flux := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 	sys.Inflows = []*dpd.FluxBC{flux}
 	surf := geometry.PlanarRect("gamma1", geometry.Vec3{}, geometry.Vec3{Y: 4}, geometry.Vec3{Z: 4}, 2, 2)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nektarg/internal/audit"
 	"nektarg/internal/nektar1d"
+	"nektarg/internal/nektar3d"
 )
 
 // The paper's metasolver couples "3D domains to a number of 1D domains" so
@@ -45,18 +47,20 @@ const OutletDt1D = 5e-5
 func (c *OutletTo1D) Name() string { return c.Patch.Name + ":" + c.Face }
 
 // NewOutletTo1D wires a patch face to a 1D network inlet. The inlet's Q
-// function is replaced by the coupled flow rate.
+// function is replaced by the coupled flow rate. The face must be a boundary
+// face of the patch: one across a periodic axis has no outflow.
 func NewOutletTo1D(patch *ContinuumPatch, face string, net *nektar1d.Network, inlet *nektar1d.Inlet, areaScale float64) (*OutletTo1D, error) {
+	axis, _, err := nektar3d.ParseFace(face)
+	if err != nil {
+		return nil, fmt.Errorf("core: outlet face: %w", err)
+	}
+	if g := patch.Solver.G; [3]bool{g.PerX, g.PerY, g.PerZ}[axis] {
+		return nil, fmt.Errorf("core: outlet face %s: patch %q is periodic along that axis", face, patch.Name)
+	}
 	if areaScale == 0 {
 		areaScale = 1
 	}
-	found := false
-	for _, in := range net.Inlets {
-		if in == inlet {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(net.Inlets, inlet) {
 		return nil, fmt.Errorf("core: inlet does not belong to the network")
 	}
 	c := &OutletTo1D{Patch: patch, Face: face, Network: net, Inlet: inlet, AreaScale: areaScale}
@@ -70,30 +74,12 @@ func NewOutletTo1D(patch *ContinuumPatch, face string, net *nektar1d.Network, in
 func (c *OutletTo1D) FaceFlow() float64 {
 	s := c.Patch.Solver
 	g := s.G
-	var normalField []float64
-	var sign float64
-	switch c.Face {
-	case "x0", "x1":
-		normalField = s.U
+	axis, high, _ := nektar3d.ParseFace(c.Face) // NewOutletTo1D checked it
+	sign := -1.0
+	if high {
 		sign = 1
-		if c.Face == "x0" {
-			sign = -1
-		}
-	case "y0", "y1":
-		normalField = s.V
-		sign = 1
-		if c.Face == "y0" {
-			sign = -1
-		}
-	case "z0", "z1":
-		normalField = s.W
-		sign = 1
-		if c.Face == "z0" {
-			sign = -1
-		}
-	default:
-		panic(fmt.Sprintf("core: unknown face %q", c.Face))
 	}
+	normalField := [3][]float64{s.U, s.V, s.W}[axis]
 	trace := g.FaceTrace(normalField, c.Face)
 	weights := g.FaceQuadrature(c.Face)
 	var q float64

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFaceQuadratureIntegratesArea(t *testing.T) {
-	g := nektar3d.NewGrid(2, 3, 2, 4, 1, 2, 3, false, false, false)
+	g := must(nektar3d.NewGrid(2, 3, 2, 4, 1, 2, 3, false, false, false))(t)
 	for _, tc := range []struct {
 		face string
 		area float64
@@ -36,8 +36,8 @@ func TestFaceQuadratureIntegratesArea(t *testing.T) {
 func TestFaceFlowMatchesAnalytic(t *testing.T) {
 	// Poiseuille profile u = z(1-z) on a unit square cross-section:
 	// Q = ∫∫ z(1-z) dy dz = 1/6.
-	g := nektar3d.NewGrid(2, 1, 2, 5, 1, 1, 1, false, true, false)
-	s := nektar3d.NewSolver(g, 0.5, 0.01)
+	g := must(nektar3d.NewGrid(2, 1, 2, 5, 1, 1, 1, false, true, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return z * (1 - z), 0, 0
 	})
@@ -71,8 +71,8 @@ func TestFaceFlowMatchesAnalytic(t *testing.T) {
 func TestOutletTo1DDrivesNetwork(t *testing.T) {
 	// A steady 3D outflow must charge the 1D network: pressure at the 1D
 	// inlet rises from 0 and the inlet flow equals the 3D face flow.
-	g := nektar3d.NewGrid(2, 1, 2, 4, 1, 1, 1, false, true, false)
-	s := nektar3d.NewSolver(g, 0.5, 0.01)
+	g := must(nektar3d.NewGrid(2, 1, 2, 4, 1, 1, 1, false, true, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 	s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return z * (1 - z), 0, 0
@@ -121,8 +121,8 @@ func TestOutletTo1DDrivesNetwork(t *testing.T) {
 }
 
 func TestNewOutletTo1DRejectsForeignInlet(t *testing.T) {
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, true)
-	s := nektar3d.NewSolver(g, 0.5, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, true))(t)
+	s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 	patch := NewContinuumPatch("p", s, geometry.Vec3{})
 	net := &nektar1d.Network{}
 	seg := nektar1d.NewSegment("x", 1, 11, 0.5, 4e4, 1.06, 0)

@@ -15,9 +15,9 @@ import (
 // period is four exchange periods, so at period ends the forcing's excess
 // over the steady value cycles through ±sin φ, ±cos φ, and the projection's
 // divergence follows it.
-func pulsatilePatch(phi float64) (*Metasolver, *nektar3d.Solver, *audit.Ledger) {
-	g := nektar3d.NewGrid(2, 1, 1, 3, 1.5, 1, 1, false, true, false)
-	s := nektar3d.NewSolver(g, 0.5, 0.01)
+func pulsatilePatch(t testing.TB, phi float64) (*Metasolver, *nektar3d.Solver, *audit.Ledger) {
+	g := must(nektar3d.NewGrid(2, 1, 1, 3, 1.5, 1, 1, false, true, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 	s.Order = 2
 	s.Force = func(t, _, _, _ float64) (float64, float64, float64) {
 		return 1 + 0.8*math.Sin(2*math.Pi*t/0.4+phi), 0, 0
@@ -54,7 +54,7 @@ func TestMassDivPulsatileNoFalseCritical(t *testing.T) {
 	const exchanges = 8
 	for k := 0; k < 8; k++ {
 		phi := 2 * math.Pi * float64(k) / 8
-		m, s, led := pulsatilePatch(phi)
+		m, s, led := pulsatilePatch(t, phi)
 		if err := m.Advance(exchanges); err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestMassDivPulsatileNoFalseCritical(t *testing.T) {
 			t.Errorf("φ = %.3f: healthy pulsatile run latched mass.div critical:\n%s", phi, led.FormatTable())
 		}
 
-		m, s, led = pulsatilePatch(phi)
+		m, s, led = pulsatilePatch(t, phi)
 		if err := m.Advance(exchanges / 2); err != nil {
 			t.Fatal(err)
 		}

@@ -273,6 +273,19 @@ func installFluxProfile(f *dpd.FluxBC, surf *geometry.Surface, centroids []geome
 	}
 }
 
+// CheckInterfaces refuses a region with an interface centroid no patch owns,
+// which the first exchange would otherwise meet.
+func (m *Metasolver) CheckInterfaces(a *AtomisticRegion) error {
+	for _, surf := range a.Interfaces {
+		for _, c := range surf.Centroids() {
+			if g := a.DPDToGlobal(c); m.ownerOf(g) == nil {
+				return fmt.Errorf("core: interface %q centroid %v owned by no patch", surf.Name, g)
+			}
+		}
+	}
+	return nil
+}
+
 // ownerOf implements the discovery rule of §3.3 steps 2-3 serially: the
 // first patch containing the point owns it. (The message-passing version of
 // the handshake lives in discovery.go.)

@@ -37,8 +37,8 @@ func TestBCTableLookupAndFallback(t *testing.T) {
 func twoPatchChannel(t *testing.T) (*Metasolver, *ContinuumPatch, *ContinuumPatch) {
 	t.Helper()
 	mk := func() *nektar3d.Solver {
-		g := nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false)
-		s := nektar3d.NewSolver(g, 0.5, 0.01)
+		g := must(nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false))(t)
+		s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 		return s
 	}
@@ -116,13 +116,13 @@ func TestTwoPatchContinuity(t *testing.T) {
 func TestAtomisticCouplingScalesVelocity(t *testing.T) {
 	// A continuum patch with uniform velocity (via initial condition) feeds
 	// a DPD box; the flux-face profile must be the Eq. 1-scaled velocity.
-	g := nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	s.SetInitial(func(_, _, _ float64) (float64, float64, float64) { return 0.4, 0, 0 })
 	patch := NewContinuumPatch("C", s, geometry.Vec3{})
 
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, true}))(t)
 	flux := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 	sys.Inflows = []*dpd.FluxBC{flux}
 
@@ -154,9 +154,9 @@ func TestAtomisticCouplingScalesVelocity(t *testing.T) {
 
 func TestDPDGlobalRoundTrip(t *testing.T) {
 	region := &AtomisticRegion{
-		Sys: dpd.NewSystem(dpd.DefaultParams(1),
+		Sys: must(dpd.NewSystem(dpd.DefaultParams(1),
 			geometry.Vec3{X: -1, Y: -1, Z: -1}, geometry.Vec3{X: 1, Y: 1, Z: 1},
-			[3]bool{true, true, true}),
+			[3]bool{true, true, true}))(t),
 		Origin:   geometry.Vec3{X: 3, Y: 4, Z: 5},
 		NSUnits:  Units{L: 1e-3, Nu: 0.1},
 		DPDUnits: Units{L: 5e-6, Nu: 0.1},
@@ -253,9 +253,9 @@ func TestDistributedPatchExchange(t *testing.T) {
 func TestMetasolverReportsBadGeometry(t *testing.T) {
 	// A receiver face outside the donor must produce an error, not silent
 	// garbage.
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, true)
-	sa := nektar3d.NewSolver(g, 0.1, 0.01)
-	sb := nektar3d.NewSolver(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, true), 0.1, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, true))(t)
+	sa := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
+	sb := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	pa := NewContinuumPatch("A", sa, geometry.Vec3{})
 	pb := NewContinuumPatch("B", sb, geometry.Vec3{X: 5}) // no overlap
 	m := NewMetasolver()
@@ -271,8 +271,8 @@ func TestMultipleAtomisticRegions(t *testing.T) {
 	// non-overlapping atomistic domains coupled to one or several continuum
 	// domains": two DPD regions embedded in one patch, each receiving its
 	// own scaled trace.
-	g := nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return 0.3 + 0.2*z, 0, 0 // z-dependent so the two regions differ
 	})
@@ -280,7 +280,7 @@ func TestMultipleAtomisticRegions(t *testing.T) {
 
 	mkRegion := func(name string, origin geometry.Vec3) (*AtomisticRegion, *dpd.FluxBC) {
 		p := dpd.DefaultParams(1)
-		sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{false, true, true})
+		sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{false, true, true}))(t)
 		flux := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 		sys.Inflows = []*dpd.FluxBC{flux}
 		return &AtomisticRegion{
@@ -317,11 +317,11 @@ func TestExchangeReportsOrphanRegion(t *testing.T) {
 	// produce a descriptive error, not silent garbage.
 	// Non-periodic patch: a fully periodic one would own every point in
 	// space by construction.
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, false, false)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, false, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	patch := NewContinuumPatch("C", s, geometry.Vec3{})
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{false, true, true}))(t)
 	flux := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 	sys.Inflows = []*dpd.FluxBC{flux}
 	region := &AtomisticRegion{
@@ -338,5 +338,16 @@ func TestExchangeReportsOrphanRegion(t *testing.T) {
 	m.Atomistic = []*AtomisticRegion{region}
 	if err := m.ExchangeInterfaceConditions(); err == nil {
 		t.Fatal("expected orphan-interface error")
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

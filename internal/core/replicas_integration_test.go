@@ -40,7 +40,7 @@ func TestReplicaEnsembleReducesNoise(t *testing.T) {
 		p := dpd.DefaultParams(1)
 		p.Dt = 0.01
 		p.Seed = uint64(1000 + rs.Index) // "different random forcing"
-		sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true})
+		sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true}))(t)
 		sys.FillRandom(81, 0)
 		sys.Run(100)
 
@@ -111,7 +111,7 @@ func TestReplicaSeedsActuallyDiffer(t *testing.T) {
 	run := func(seed uint64) geometry.Vec3 {
 		p := dpd.DefaultParams(1)
 		p.Seed = seed
-		sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true})
+		sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true}))(t)
 		sys.FillRandom(50, 0)
 		sys.Run(20)
 		return sys.Particles[0].Pos

@@ -22,14 +22,14 @@ import (
 // three solvers in a bundle of a few kilobytes.
 func smallWiring(tb testing.TB) (*Metasolver, map[string]*nektar1d.Network) {
 	tb.Helper()
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, false)
-	sv := nektar3d.NewSolver(g, 0.5, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, true, false))(tb)
+	sv := must(nektar3d.NewSolver(g, 0.5, 0.01))(tb)
 	if err := sv.Run(1); err != nil {
 		tb.Fatal(err)
 	}
 	p := dpd.DefaultParams(1)
 	p.Seed = 7
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{false, true, true}))(tb)
 	sys.Inflows = []*dpd.FluxBC{{Axis: 0, Rho: 3}}
 	sys.FillRandom(12, 0)
 	sys.Run(2)

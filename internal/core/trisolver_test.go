@@ -23,8 +23,8 @@ import (
 func TestTriSolverIntegration(t *testing.T) {
 	// Continuum patches.
 	mk := func() *nektar3d.Solver {
-		g := nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false)
-		s := nektar3d.NewSolver(g, 0.5, 0.01)
+		g := must(nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false))(t)
+		s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 		return s
 	}
@@ -41,7 +41,7 @@ func TestTriSolverIntegration(t *testing.T) {
 	// DPD region inside patch B.
 	params := dpd.DefaultParams(1)
 	params.Dt = 0.005
-	sys := dpd.NewSystem(params, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(params, geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, [3]bool{false, true, true}))(t)
 	sys.FillRandom(1500, 0)
 	inflow := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 	outflow := &dpd.FluxBC{Axis: 0, AtMax: true, Rho: 3}

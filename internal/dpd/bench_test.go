@@ -11,9 +11,9 @@ import (
 // the full velocity-Verlet step. Named BenchmarkKernel* so scripts/bench.sh
 // captures them in the "kernels" bundle section.
 
-func benchSystem(n int, box float64) *System {
+func benchSystem(t testing.TB, n int, box float64) *System {
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: box, Y: box, Z: box}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: box, Y: box, Z: box}, [3]bool{true, true, true}))(t)
 	s.FillRandom(n, 0)
 	s.Run(3) // warm up cell lists, tiles and scratch
 	return s
@@ -22,9 +22,9 @@ func benchSystem(n int, box float64) *System {
 // benchOpenSlab is the region the repo's benchmark workloads run: an open
 // 10³ box at its steady population of 3550, no-slip walls at z = 0 and
 // z = 10, periodic in y, flux faces at both x ends.
-func benchOpenSlab() *System {
+func benchOpenSlab(t testing.TB) *System {
 	hi := geometry.Vec3{X: 10, Y: 10, Z: 10}
-	s := NewSystem(DefaultParams(1), geometry.Vec3{}, hi, [3]bool{false, true, false})
+	s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, hi, [3]bool{false, true, false}))(t)
 	s.Walls = zWalls(hi.Z)
 	s.FillRandom(3550, 0)
 	s.Inflows = xFluxFaces()
@@ -34,11 +34,11 @@ func benchOpenSlab() *System {
 
 // workloadSlab is benchOpenSlab with the fluid the workloads put in it: two
 // species, kBT 0.2, dt 0.005.
-func workloadSlab() *System {
+func workloadSlab(t testing.TB) *System {
 	p := DefaultParams(2)
 	p.KBT, p.Dt = 0.2, 0.005
 	hi := geometry.Vec3{X: 10, Y: 10, Z: 10}
-	s := NewSystem(p, geometry.Vec3{}, hi, [3]bool{false, true, false})
+	s := must(NewSystem(p, geometry.Vec3{}, hi, [3]bool{false, true, false}))(t)
 	s.Walls = zWalls(hi.Z)
 	s.FillRandom(3550, 0)
 	s.Inflows = xFluxFaces()
@@ -46,15 +46,15 @@ func workloadSlab() *System {
 }
 
 // benchWorkloadSlab is workloadSlab run past its start-up transient.
-func benchWorkloadSlab() *System {
-	s := workloadSlab()
+func benchWorkloadSlab(t testing.TB) *System {
+	s := workloadSlab(t)
 	s.Run(400)
 	return s
 }
 
 func BenchmarkKernelForces(b *testing.B) {
 	b.Run("workload-slab", func(b *testing.B) {
-		s := benchWorkloadSlab()
+		s := benchWorkloadSlab(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -62,7 +62,7 @@ func BenchmarkKernelForces(b *testing.B) {
 		}
 	})
 	b.Run("open-zslab-n=3550", func(b *testing.B) {
-		s := benchOpenSlab()
+		s := benchOpenSlab(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -75,7 +75,7 @@ func BenchmarkKernelForces(b *testing.B) {
 			if n > 1000 {
 				box = 9.0
 			}
-			s := benchSystem(n, box)
+			s := benchSystem(b, n, box)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -86,7 +86,7 @@ func BenchmarkKernelForces(b *testing.B) {
 }
 
 func BenchmarkKernelVVStep(b *testing.B) {
-	s := benchSystem(600, 6.0)
+	s := benchSystem(b, 600, 6.0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

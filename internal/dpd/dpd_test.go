@@ -13,7 +13,7 @@ import (
 func periodicFluid(t *testing.T, n int, l float64) *System {
 	t.Helper()
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: l, Y: l, Z: l}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: l, Y: l, Z: l}, [3]bool{true, true, true}))(t)
 	s.FillRandom(n, 0)
 	return s
 }
@@ -124,7 +124,7 @@ func TestThermostatEquilibrium(t *testing.T) {
 	// Start cold; the random/dissipative pair must drive the system to kBT.
 	p := DefaultParams(1)
 	p.KBT = 1
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true}))(t)
 	s.FillRandom(375, 0) // rho = 3
 	for i := range s.Particles {
 		s.Particles[i].Vel = geometry.Vec3{}
@@ -146,7 +146,7 @@ func TestThermostatEquilibrium(t *testing.T) {
 func TestDeterministicUnderParallelism(t *testing.T) {
 	run := func(workers int) []geometry.Vec3 {
 		p := DefaultParams(1)
-		s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true})
+		s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true}))(t)
 		s.Parallel = workers
 		s.FillRandom(400, 0)
 		s.Run(20)
@@ -170,7 +170,7 @@ func TestDeterministicUnderParallelism(t *testing.T) {
 
 func TestPlaneWallNoPenetration(t *testing.T) {
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 3}, [3]bool{true, true, false})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 3}, [3]bool{true, true, false}))(t)
 	s.Walls = []Wall{
 		&PlaneWall{Point: geometry.Vec3{Z: 0}, Norm: geometry.Vec3{Z: 1}},
 		&PlaneWall{Point: geometry.Vec3{Z: 3}, Norm: geometry.Vec3{Z: -1}},
@@ -191,7 +191,7 @@ func TestCouetteLinearProfile(t *testing.T) {
 	p.Dt = 0.005
 	uWall := 1.0
 	lz := 4.0
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: lz}, [3]bool{true, true, false})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: lz}, [3]bool{true, true, false}))(t)
 	s.Walls = []Wall{
 		&PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&PlaneWall{Point: geometry.Vec3{Z: lz}, Norm: geometry.Vec3{Z: -1}, WallVel: geometry.Vec3{X: uWall}},
@@ -226,7 +226,7 @@ func TestPoiseuilleBodyForceProfile(t *testing.T) {
 	p := DefaultParams(1)
 	p.Dt = 0.005
 	lz := 4.0
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: lz}, [3]bool{true, true, false})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: lz}, [3]bool{true, true, false}))(t)
 	s.Walls = []Wall{
 		&PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&PlaneWall{Point: geometry.Vec3{Z: lz}, Norm: geometry.Vec3{Z: -1}},
@@ -258,7 +258,7 @@ func TestInflowOutflowMaintainsDensity(t *testing.T) {
 	// particle count stays near the target density.
 	p := DefaultParams(1)
 	p.Dt = 0.005
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{false, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{false, true, true}))(t)
 	uIn := 0.5
 	s.Inflows = []*FluxBC{
 		{Axis: 0, AtMax: false, Rho: 3, Vel: func(geometry.Vec3) geometry.Vec3 {
@@ -292,7 +292,7 @@ func TestInflowOutflowMaintainsDensity(t *testing.T) {
 func TestCylinderWallKeepsParticlesInside(t *testing.T) {
 	p := DefaultParams(1)
 	r := 2.0
-	s := NewSystem(p, geometry.Vec3{X: -2.5, Y: -2.5, Z: 0}, geometry.Vec3{X: 2.5, Y: 2.5, Z: 5}, [3]bool{false, false, true})
+	s := must(NewSystem(p, geometry.Vec3{X: -2.5, Y: -2.5, Z: 0}, geometry.Vec3{X: 2.5, Y: 2.5, Z: 5}, [3]bool{false, false, true}))(t)
 	s.Walls = []Wall{&CylinderWall{Center: geometry.Vec3{}, Radius: r}}
 	// Seed only inside the cylinder.
 	for len(s.Particles) < 300 {
@@ -354,7 +354,7 @@ func TestSnapshotResetsWindow(t *testing.T) {
 
 func TestSampleVelocityAt(t *testing.T) {
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
 	s.AddParticle(geometry.Vec3{X: 1, Y: 1, Z: 1}, geometry.Vec3{X: 2}, 0, false)
 	s.AddParticle(geometry.Vec3{X: 1.2, Y: 1, Z: 1}, geometry.Vec3{X: 4}, 0, false)
 	s.AddParticle(geometry.Vec3{X: 3, Y: 3, Z: 3}, geometry.Vec3{X: 100}, 0, false)
@@ -375,7 +375,7 @@ func TestSampleVelocityAt(t *testing.T) {
 func TestSampleVelocityAtMatchesUnfilteredSweep(t *testing.T) {
 	const radius = 1.5
 	for _, periodic := range [][3]bool{{false, true, false}, {false, false, false}, {true, true, true}} {
-		s := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, periodic)
+		s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 10, Y: 10, Z: 10}, periodic))(t)
 		s.FillRandom(3000, 0)
 		for i := range s.Particles {
 			s.Particles[i].Vel = geometry.Vec3{X: s.rng.NormFloat64(), Y: s.rng.NormFloat64(), Z: s.rng.NormFloat64()}
@@ -417,16 +417,16 @@ func TestSampleVelocityAtMatchesUnfilteredSweep(t *testing.T) {
 // periodic axis, where the near-face cut must not apply, and a face nobody is
 // near, which reads zero.
 func TestFluxReservoirFusedMatchesSampleVelocityAt(t *testing.T) {
-	open := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 8, Y: 5, Z: 5}, [3]bool{false, true, false})
+	open := must(NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 8, Y: 5, Z: 5}, [3]bool{false, true, false}))(t)
 	open.Walls = zWalls(5)
 	open.FillRandom(600, 0)
 	open.Inflows = xFluxFaces()
 	open.Run(30)
 	open.Particles[3].Frozen = true
-	periodic := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
+	periodic := must(NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
 	periodic.FillRandom(192, 0)
 	periodic.Run(5)
-	empty := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{false, true, true})
+	empty := must(NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{false, true, true}))(t)
 	empty.AddParticle(geometry.Vec3{X: 4, Y: 2, Z: 2}, geometry.Vec3{X: 1}, 0, false)
 
 	for _, c := range []struct {
@@ -461,7 +461,7 @@ func TestFluxReservoirFusedMatchesSampleVelocityAt(t *testing.T) {
 
 func TestTemperatureOfColdSystemIsZero(t *testing.T) {
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{true, true, true}))(t)
 	s.AddParticle(geometry.Vec3{X: 1, Y: 1, Z: 1}, geometry.Vec3{X: 5}, 0, false)
 	// Single particle moving uniformly: no thermal motion about the mean.
 	if tt := s.Temperature(); tt != 0 {
@@ -471,7 +471,7 @@ func TestTemperatureOfColdSystemIsZero(t *testing.T) {
 
 func TestNumberDensityExcludesFrozen(t *testing.T) {
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true}))(t)
 	s.AddParticle(geometry.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, geometry.Vec3{}, 0, false)
 	s.AddParticle(geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.2}, geometry.Vec3{}, 0, true)
 	if rho := s.NumberDensity(); rho != 1 {
@@ -487,7 +487,7 @@ func TestVirialPressureMatchesGrootWarren(t *testing.T) {
 	var sum float64
 	const members = 4
 	for m := 1; m <= members; m++ {
-		_, press := standardFluidSample(m)
+		_, press := standardFluidSample(t, m)
 		sum += press
 	}
 	got, want := sum/members, 23.7
@@ -500,7 +500,7 @@ func TestVirialPressureScalesWithRepulsion(t *testing.T) {
 	measure := func(a float64) float64 {
 		p := DefaultParams(1)
 		p.A[0][0] = a
-		s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true})
+		s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true}))(t)
 		s.FillRandom(375, 0)
 		s.Run(200)
 		var sum float64
@@ -521,7 +521,7 @@ func TestRadialDistributionStructure(t *testing.T) {
 	// Equilibrated standard fluid: soft-core depletion at r->0, g ~ 1 far
 	// away.
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true}))(t)
 	s.FillRandom(648, 0)
 	s.Run(300)
 	nbins := 30
@@ -562,7 +562,7 @@ func TestRadialDistributionStructure(t *testing.T) {
 
 func TestRadialDistributionPanics(t *testing.T) {
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
 	s.FillRandom(10, 0)
 	mustPanic := func(fn func()) {
 		defer func() {
@@ -579,7 +579,7 @@ func TestRadialDistributionPanics(t *testing.T) {
 func TestMinimumImageProperty(t *testing.T) {
 	// |minimumImage(a,b)| <= |a-b| and each component within half box.
 	p := DefaultParams(1)
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 5, Z: 7}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 5, Z: 7}, [3]bool{true, true, true}))(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := geometry.Vec3{X: rng.Float64() * 3, Y: rng.Float64() * 5, Z: rng.Float64() * 7}
@@ -592,5 +592,16 @@ func TestMinimumImageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

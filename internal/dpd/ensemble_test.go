@@ -13,10 +13,10 @@ import (
 // kBT = 1, ρ = 3, dt = 0.01) as 648 particles in a periodic 6³ box, seeded
 // with splitmix64(member), equilibrated for 300 steps, then the kinetic
 // temperature and the virial pressure averaged over 40 samples 3 steps apart.
-func standardFluidSample(member int) (temp, press float64) {
+func standardFluidSample(t testing.TB, member int) (temp, press float64) {
 	p := DefaultParams(1)
 	p.Seed = splitmix64(uint64(member))
-	s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true})
+	s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{true, true, true}))(t)
 	s.FillRandom(648, 0)
 	s.Run(300)
 	const samples = 40
@@ -28,7 +28,7 @@ func standardFluidSample(member int) (temp, press float64) {
 	return temp / samples, press / samples
 }
 
-// parentEnsemble is what standardFluidSample(1..12) returned at commit
+// parentEnsemble is what standardFluidSample(t, 1..12) returned at commit
 // 8aaeba6 — the cell-pair kernel with the two-round pair hash — recorded
 // before the gather/filter/force kernel was written: {temperature, pressure}.
 var parentEnsemble = [12][2]float64{
@@ -55,7 +55,7 @@ var parentEnsemble = [12][2]float64{
 func TestEnsembleMatchesParentKernel(t *testing.T) {
 	var got, want [2]stats.Moments
 	for m, parent := range parentEnsemble {
-		temp, press := standardFluidSample(m + 1)
+		temp, press := standardFluidSample(t, m+1)
 		got[0].Add(temp)
 		got[1].Add(press)
 		want[0].Add(parent[0])

@@ -26,7 +26,7 @@ func TestForcesBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, procs := range procs {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range workers {
-			s := workloadSlab()
+			s := workloadSlab(t)
 			s.Parallel = workers
 			s.Run(400)
 			if ref == nil {
@@ -57,7 +57,7 @@ func TestForcesBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // keep a factor of 8 of headroom.
 func TestPairSumsStayInExactRange(t *testing.T) {
 	const limit = 1 << 13
-	s := workloadSlab()
+	s := workloadSlab(t)
 	worst, most := 0.0, 0
 	for k := 0; ; k++ {
 		mags, pairs := pairForceMagnitudes(s)
@@ -122,7 +122,7 @@ func pairForceMagnitudes(s *System) ([]geometry.Vec3, []int) {
 func TestCaptureStateExcludesScratch(t *testing.T) {
 	build := func() *System {
 		p := DefaultParams(1)
-		s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true})
+		s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true}))(t)
 		s.FillRandom(300, 0)
 		return s
 	}
@@ -156,7 +156,7 @@ func TestVVStepZeroAllocSteadyState(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		p := DefaultParams(1)
-		s := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true})
+		s := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 5, Y: 5, Z: 5}, [3]bool{true, true, true}))(t)
 		s.Parallel = workers
 		s.FillRandom(200, 0)
 		s.Run(3) // warm up scratch, tiles and worker pool
@@ -191,7 +191,7 @@ func TestVVStepOpenBoxAllocatesOnlyOnGrowth(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	debug.FreeOSMemory()
 	for _, workers := range []int{1, 3} {
-		s := NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 6, Y: 5, Z: 5}, [3]bool{false, true, false})
+		s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 6, Y: 5, Z: 5}, [3]bool{false, true, false}))(t)
 		s.Parallel = workers
 		s.Walls = zWalls(5)
 		s.FillRandom(450, 0)

@@ -39,24 +39,24 @@ func TestPairKernelMatchesReference(t *testing.T) {
 		build func() *System
 	}{
 		{"periodic", func() *System {
-			s := NewSystem(DefaultParams(1), geometry.Vec3{}, box(5, 5, 5), [3]bool{true, true, true})
+			s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, box(5, 5, 5), [3]bool{true, true, true}))(t)
 			s.FillRandom(375, 0)
 			return s
 		}},
 		{"noncubic-3x5x7", func() *System {
-			s := NewSystem(DefaultParams(1), box(-1, 2, 0.5), box(2, 7.2, 7.9), [3]bool{true, true, true})
+			s := must(NewSystem(DefaultParams(1), box(-1, 2, 0.5), box(2, 7.2, 7.9), [3]bool{true, true, true}))(t)
 			s.FillRandom(330, 0)
 			return s
 		}},
 		{"zslab-flux", func() *System {
-			s := NewSystem(DefaultParams(1), geometry.Vec3{}, box(6, 4, 5), [3]bool{false, true, false})
+			s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, box(6, 4, 5), [3]bool{false, true, false}))(t)
 			s.Walls = zWalls(5)
 			s.FillRandom(360, 0)
 			s.Inflows = xFluxFaces()
 			return s
 		}},
 		{"xy-periodic-walls", func() *System {
-			s := NewSystem(DefaultParams(1), geometry.Vec3{}, box(4, 5, 6), [3]bool{true, true, false})
+			s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, box(4, 5, 6), [3]bool{true, true, false}))(t)
 			s.Walls = zWalls(6)
 			s.FillRandom(360, 0)
 			return s
@@ -64,7 +64,7 @@ func TestPairKernelMatchesReference(t *testing.T) {
 		{"species-frozen", func() *System {
 			p := DefaultParams(2)
 			p.A[0][1], p.A[1][0], p.A[1][1] = 40, 40, 10
-			s := NewSystem(p, geometry.Vec3{}, box(4, 4, 6), [3]bool{true, true, false})
+			s := must(NewSystem(p, geometry.Vec3{}, box(4, 4, 6), [3]bool{true, true, false}))(t)
 			s.FillRandom(200, 0)
 			s.FillRandom(60, 1)
 			// A frozen slab three particles deep under the fluid: frozen
@@ -145,7 +145,7 @@ func TestForcesMatchAllPairs(t *testing.T) {
 		p := DefaultParams(2)
 		p.A[0][1], p.A[1][0] = 35, 35
 		hi := geometry.Vec3{X: c.edge[0], Y: c.edge[1], Z: c.edge[2]}
-		s := NewSystem(p, geometry.Vec3{}, hi, c.periodic)
+		s := must(NewSystem(p, geometry.Vec3{}, hi, c.periodic))(t)
 		n := int(3 * s.Volume())
 		s.FillRandom(n-n/4, 0)
 		s.FillRandom(n/4, 1)

@@ -12,12 +12,12 @@ import (
 // a prescribed profile, a measured outflow, and two no-slip walls — the
 // minimal configuration whose restart used to diverge because a restore
 // reseeded the insertion RNG from zero.
-func mkOpenChannel() *System {
+func mkOpenChannel(t testing.TB) *System {
 	p := DefaultParams(1)
 	p.Dt = 0.005
 	p.KBT = 0.2
 	p.Seed = 7
-	sys := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{false, true, false})
+	sys := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 6}, [3]bool{false, true, false}))(t)
 	sys.Walls = []Wall{
 		&PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&PlaneWall{Point: geometry.Vec3{Z: 6}, Norm: geometry.Vec3{Z: -1}},
@@ -61,14 +61,14 @@ func assertBitIdentical(t *testing.T, ref, got *System) {
 func TestFluxBCResumeIsBitIdentical(t *testing.T) {
 	const kill, total = 40, 110
 
-	ref := mkOpenChannel()
+	ref := mkOpenChannel(t)
 	ref.Run(total)
 
-	sys := mkOpenChannel()
+	sys := mkOpenChannel(t)
 	sys.Run(kill)
 	st := sys.CaptureState()
 
-	resumed := mkOpenChannel()
+	resumed := mkOpenChannel(t)
 	if err := resumed.ApplyState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestFluxBCResumeIsBitIdentical(t *testing.T) {
 func TestApplyStateInPlaceResume(t *testing.T) {
 	const kill, total = 40, 90
 
-	ref := mkOpenChannel()
+	ref := mkOpenChannel(t)
 	ref.Run(total)
 
-	sys := mkOpenChannel()
+	sys := mkOpenChannel(t)
 	sys.Run(kill)
 	st := sys.CaptureState()
 
-	fresh := mkOpenChannel() // fully wired, at t=0
+	fresh := mkOpenChannel(t) // fully wired, at t=0
 	if err := fresh.ApplyState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +108,17 @@ func TestApplyStateInPlaceResume(t *testing.T) {
 func TestResumeOnAnotherHostIsBitIdentical(t *testing.T) {
 	const kill, total = 200, 400
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	ref := workloadSlab()
+	ref := workloadSlab(t)
 	ref.Parallel = 2
 	ref.Run(total)
 
-	sys := workloadSlab()
+	sys := workloadSlab(t)
 	sys.Parallel = 2
 	sys.Run(kill)
 	st := sys.CaptureState()
 
 	runtime.GOMAXPROCS(1)
-	resumed := workloadSlab()
+	resumed := workloadSlab(t)
 	resumed.Parallel = 1
 	if err := resumed.ApplyState(st); err != nil {
 		t.Fatal(err)
@@ -130,10 +130,10 @@ func TestResumeOnAnotherHostIsBitIdentical(t *testing.T) {
 // TestApplyStateRejectsGeometryMismatch: overlaying a checkpoint onto a
 // differently shaped box is a wiring error, not a silent corruption.
 func TestApplyStateRejectsGeometryMismatch(t *testing.T) {
-	sys := mkOpenChannel()
+	sys := mkOpenChannel(t)
 	st := sys.CaptureState()
 	p := DefaultParams(1)
-	other := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true})
+	other := must(NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 3, Y: 3, Z: 3}, [3]bool{true, true, true}))(t)
 	if err := other.ApplyState(st); err == nil {
 		t.Fatal("expected geometry mismatch error")
 	}
@@ -143,11 +143,11 @@ func TestApplyStateRejectsGeometryMismatch(t *testing.T) {
 // position cannot resume bit-identically; ApplyState refuses it and leaves
 // the target system untouched.
 func TestStateWithoutStreamPositionIsRejected(t *testing.T) {
-	sys := mkOpenChannel()
+	sys := mkOpenChannel(t)
 	sys.Run(10)
 	st := sys.CaptureState()
 	st.RNG = nil
-	fresh := mkOpenChannel()
+	fresh := mkOpenChannel(t)
 	before := len(fresh.Particles)
 	if err := fresh.ApplyState(st); !errors.Is(err, ErrNoStreamState) {
 		t.Fatalf("ApplyState: got %v, want ErrNoStreamState", err)
@@ -160,10 +160,10 @@ func TestStateWithoutStreamPositionIsRejected(t *testing.T) {
 // TestApplyStateRejectsFaceCountMismatch: a checkpoint carrying two face
 // accumulators cannot be resumed into a system wired with one face.
 func TestApplyStateRejectsFaceCountMismatch(t *testing.T) {
-	sys := mkOpenChannel()
+	sys := mkOpenChannel(t)
 	sys.Run(10)
 	st := sys.CaptureState()
-	resumed := mkOpenChannel()
+	resumed := mkOpenChannel(t)
 	resumed.Inflows = resumed.Inflows[:1]
 	if err := resumed.ApplyState(st); err == nil {
 		t.Fatal("expected face-count mismatch error")

@@ -149,20 +149,20 @@ type forceTile struct {
 	haloOff        int
 }
 
-// NewSystem builds an empty domain.
-func NewSystem(p Params, lo, hi geometry.Vec3, periodic [3]bool) *System {
+// NewSystem builds an empty domain. It returns Params.Validate's error, or
+// one naming the box when hi does not exceed lo on every axis.
+func NewSystem(p Params, lo, hi geometry.Vec3, periodic [3]bool) (*System, error) {
 	if err := p.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
-	size := hi.Sub(lo)
-	if size.X <= 0 || size.Y <= 0 || size.Z <= 0 {
-		panic(fmt.Sprintf("dpd: empty box %v..%v", lo, hi))
+	if size := hi.Sub(lo); !(size.X > 0 && size.Y > 0 && size.Z > 0) {
+		return nil, fmt.Errorf("box %v: must be positive", size)
 	}
 	src := rand.NewPCG(p.Seed, rngStreamSalt)
 	return &System{
 		Params: p, Lo: lo, Hi: hi, Periodic: periodic,
 		rngSrc: src, rng: rand.New(src),
-	}
+	}, nil
 }
 
 // rngStreamSalt is the fixed second PCG seed word: it separates the

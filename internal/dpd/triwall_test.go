@@ -117,7 +117,7 @@ func TestTriangulatedTubeConfinesParticles(t *testing.T) {
 
 	p := DefaultParams(1)
 	p.Dt = 0.005
-	sys := NewSystem(p, geometry.Vec3{X: -2.5, Y: -2.5, Z: 0}, geometry.Vec3{X: 2.5, Y: 2.5, Z: 5}, [3]bool{false, false, true})
+	sys := must(NewSystem(p, geometry.Vec3{X: -2.5, Y: -2.5, Z: 0}, geometry.Vec3{X: 2.5, Y: 2.5, Z: 5}, [3]bool{false, false, true}))(t)
 	sys.Walls = []Wall{w}
 	rng := rand.New(rand.NewSource(4))
 	for len(sys.Particles) < 300 {
@@ -197,7 +197,7 @@ func TestSDFWallConfinesParticles(t *testing.T) {
 		geometry.Vec3{X: 3, Y: 3, Z: 5.5}, 0.15)
 	p := DefaultParams(1)
 	p.Dt = 0.005
-	sys := NewSystem(p, geometry.Vec3{X: -2.5, Y: -2.5, Z: 0}, geometry.Vec3{X: 2.5, Y: 2.5, Z: 5}, [3]bool{false, false, true})
+	sys := must(NewSystem(p, geometry.Vec3{X: -2.5, Y: -2.5, Z: 0}, geometry.Vec3{X: 2.5, Y: 2.5, Z: 5}, [3]bool{false, false, true}))(t)
 	sys.Walls = []Wall{sdf}
 	rng := rand.New(rand.NewSource(4))
 	for len(sys.Particles) < 300 {

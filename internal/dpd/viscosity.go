@@ -24,14 +24,14 @@ func MeasureViscosity(p Params, rho, force float64, warmupSteps, sampleSteps int
 	if rho <= 0 || force <= 0 {
 		return 0, fmt.Errorf("dpd: MeasureViscosity needs rho, force > 0")
 	}
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
 	const (
 		lx, ly = 6.0, 6.0
 		h      = 6.0 // channel width
 	)
-	sys := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: lx, Y: ly, Z: h}, [3]bool{true, true, false})
+	sys, err := NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: lx, Y: ly, Z: h}, [3]bool{true, true, false})
+	if err != nil {
+		return 0, err
+	}
 	sys.Walls = []Wall{
 		&PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&PlaneWall{Point: geometry.Vec3{Z: h}, Norm: geometry.Vec3{Z: -1}},

@@ -22,8 +22,8 @@ func buildCoupledMeta(t testing.TB) *core.Metasolver {
 	t.Helper()
 
 	mkChan := func() *nektar3d.Solver {
-		g := nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false)
-		s := nektar3d.NewSolver(g, 0.5, 0.01)
+		g := must(nektar3d.NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false))(t)
+		s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 		return s
 	}
@@ -37,14 +37,14 @@ func buildCoupledMeta(t testing.TB) *core.Metasolver {
 	pa := core.NewContinuumPatch("A", sa, geometry.Vec3{})
 	pb := core.NewContinuumPatch("B", sb, geometry.Vec3{X: 1})
 
-	gc := nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true)
-	sc := nektar3d.NewSolver(gc, 0.1, 0.01)
+	gc := must(nektar3d.NewGrid(2, 2, 2, 3, 1, 1, 1, true, true, true))(t)
+	sc := must(nektar3d.NewSolver(gc, 0.1, 0.01))(t)
 	sc.SetInitial(func(_, _, _ float64) (float64, float64, float64) { return 0.4, 0, 0 })
 	pc := core.NewContinuumPatch("C", sc, geometry.Vec3{X: 10})
 
 	p := dpd.DefaultParams(1)
 	p.Seed = 12345
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{false, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{false, true, true}))(t)
 	flux := &dpd.FluxBC{Axis: 0, AtMax: false, Rho: 3}
 	sys.Inflows = []*dpd.FluxBC{flux}
 	surf := geometry.PlanarRect("gamma1", geometry.Vec3{}, geometry.Vec3{Y: 4}, geometry.Vec3{Z: 4}, 2, 2)
@@ -310,5 +310,16 @@ func TestInsituNonBlockingStall(t *testing.T) {
 	}
 	if st.Published != st.Delivered+st.Dropped+st.Queued {
 		t.Fatalf("instantaneous conservation violated: %+v", st)
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

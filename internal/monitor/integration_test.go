@@ -26,8 +26,8 @@ func TestNektar3DNaNInjectionTrips(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := monitor.New(reg, monitor.Options{FlightDir: dir})
 
-	g := nektar3d.NewGrid(1, 1, 2, 4, 1, 1, 1, true, true, false)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 2, 4, 1, 1, 1, true, true, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	s.Rec = reg.NewRecorder("patch:test")
 	s.Watch = m.Health().Watch("patch:test")
 
@@ -140,5 +140,16 @@ func TestRankPanicDumpsFlight(t *testing.T) {
 	}
 	if d.Trip == nil || d.Trip.Watchdog != "rank-panic" || d.Trip.Value != 2 {
 		t.Fatalf("dump trip = %+v", d.Trip)
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

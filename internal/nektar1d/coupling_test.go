@@ -16,8 +16,8 @@ import (
 // here, outside package core, because the iteration cap is this package's
 // test seam.)
 func TestJunctionStallReachesTheCoupling(t *testing.T) {
-	g := nektar3d.NewGrid(2, 1, 2, 4, 1, 1, 1, false, true, false)
-	s := nektar3d.NewSolver(g, 0.5, 0.01)
+	g := must(nektar3d.NewGrid(2, 1, 2, 4, 1, 1, 1, false, true, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.5, 0.01))(t)
 	profile := func(_, _, z float64) (float64, float64, float64) { return z * (1 - z), 0, 0 }
 	s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 	s.SetInitial(profile)
@@ -46,5 +46,16 @@ func TestJunctionStallReachesTheCoupling(t *testing.T) {
 	}
 	if !errors.Is(err, nektar1d.ErrJunctionStalled) {
 		t.Fatalf("Exchange with the junction capped at one iteration: err = %v, want ErrJunctionStalled in the chain", err)
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

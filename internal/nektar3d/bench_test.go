@@ -10,8 +10,8 @@ import (
 // and the full time step. All names share the BenchmarkKernel prefix so
 // scripts/bench.sh captures them as the "kernels" bundle section.
 
-func benchGrid(p int) *Grid {
-	return NewGrid(4, 3, 2, p, 1.0, 0.8, 1.3, false, true, false)
+func benchGrid(t testing.TB, p int) *Grid {
+	return must(NewGrid(4, 3, 2, p, 1.0, 0.8, 1.3, false, true, false))(t)
 }
 
 // kernelCase is one operator benchmark case: benchGrid at an order, or
@@ -21,18 +21,18 @@ type kernelCase struct {
 	g    *Grid
 }
 
-func kernelGrids(orders ...int) []kernelCase {
+func kernelGrids(t testing.TB, orders ...int) []kernelCase {
 	var cs []kernelCase
 	for _, p := range orders {
-		cs = append(cs, kernelCase{fmt.Sprintf("P=%d", p), benchGrid(p)})
+		cs = append(cs, kernelCase{fmt.Sprintf("P=%d", p), benchGrid(t, p)})
 	}
-	return append(cs, kernelCase{"workload", NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false)})
+	return append(cs, kernelCase{"workload", must(NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false))(t)})
 }
 
 func BenchmarkKernelStiffnessRef(b *testing.B) {
 	for _, p := range []int{4, 8} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			g := benchGrid(p)
+			g := benchGrid(b, p)
 			x := randomField(g, 1)
 			y := g.NewField()
 			b.ReportAllocs()
@@ -45,7 +45,7 @@ func BenchmarkKernelStiffnessRef(b *testing.B) {
 }
 
 func BenchmarkKernelStiffness(b *testing.B) {
-	for _, c := range kernelGrids(4, 8) {
+	for _, c := range kernelGrids(b, 4, 8) {
 		g := c.g
 		b.Run(c.name, func(b *testing.B) {
 			x := randomField(g, 1)
@@ -61,7 +61,7 @@ func BenchmarkKernelStiffness(b *testing.B) {
 }
 
 func BenchmarkKernelGradient(b *testing.B) {
-	for _, c := range kernelGrids(4) {
+	for _, c := range kernelGrids(b, 4) {
 		g := c.g
 		b.Run(c.name, func(b *testing.B) {
 			x := randomField(g, 1)
@@ -77,7 +77,7 @@ func BenchmarkKernelGradient(b *testing.B) {
 }
 
 func BenchmarkKernelHelmholtz(b *testing.B) {
-	g := benchGrid(4)
+	g := benchGrid(b, 4)
 	f := randomField(g, 2)
 	u := g.NewField()
 	gBC := g.NewField() // homogeneous Dirichlet data
@@ -96,7 +96,7 @@ func BenchmarkKernelHelmholtz(b *testing.B) {
 // BenchmarkKernelFDMApply times one Dirichlet preconditioner apply on the
 // repo benchmark's order-6 patch.
 func BenchmarkKernelFDMApply(b *testing.B) {
-	g := NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false)
+	g := must(NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false))(b)
 	ar := g.arena()
 	r := randomField(g, 1)
 	z := g.NewField()
@@ -109,8 +109,8 @@ func BenchmarkKernelFDMApply(b *testing.B) {
 }
 
 func BenchmarkKernelStep(b *testing.B) {
-	g := NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false)
-	s := NewSolver(g, 0.05, 2e-3)
+	g := must(NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false))(b)
+	s := must(NewSolver(g, 0.05, 2e-3))(b)
 	s.Order = 2
 	s.SetInitial(func(x, y, z float64) (u, v, w float64) {
 		return z * (1 - z), 0, 0

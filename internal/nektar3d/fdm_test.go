@@ -13,10 +13,10 @@ import (
 
 // benchPatches are the four patch shapes of the repo benchmark's workloads
 // (bench/workload.go): size [1.5,1,1], periodic [false,true,false].
-func benchPatches() []*Grid {
+func benchPatches(t testing.TB) []*Grid {
 	var gs []*Grid
 	for _, s := range [][4]int{{4, 2, 2, 6}, {3, 1, 2, 3}, {2, 1, 1, 3}, {3, 1, 2, 4}} {
-		gs = append(gs, NewGrid(s[0], s[1], s[2], s[3], 1.5, 1, 1, false, true, false))
+		gs = append(gs, must(NewGrid(s[0], s[1], s[2], s[3], 1.5, 1, 1, false, true, false))(t))
 	}
 	return gs
 }
@@ -39,7 +39,7 @@ func TestFDMInvertsOperator(t *testing.T) {
 	for _, p := range []int{2, 3, 6, 8} {
 		for per := 0; per < 8; per++ {
 			px, py, pz := per&1 != 0, per&2 != 0, per&4 != 0
-			g := NewGrid(3, 2, 1, p, 1.5, 1.0, 0.7, px, py, pz)
+			g := must(NewGrid(3, 2, 1, p, 1.5, 1.0, 0.7, px, py, pz))(t)
 			ar := g.arena()
 			interior := 0
 			for _, m := range ar.mask {
@@ -96,7 +96,7 @@ func TestFDMInvertsOperator(t *testing.T) {
 // leave CG nothing to do, and by a margin — the residual CG measures on
 // entry is round-off, not merely under the step's 1e-8.
 func TestSolvesConvergeInOneOrTwoIterations(t *testing.T) {
-	for _, g := range benchPatches() {
+	for _, g := range benchPatches(t) {
 		name := fmt.Sprintf("%dx%dx%d P=%d", g.Nex, g.Ney, g.Nez, g.P)
 		rhs := randomField(g, 7)
 		check := func(what string, st linalg.SolveStats, err error) {
@@ -124,7 +124,7 @@ func TestSolvesConvergeInOneOrTwoIterations(t *testing.T) {
 // reference stiffness diagonal) against the arena solve, on the benchmark's
 // order-6 patch.
 func TestFDMBeatsJacobi(t *testing.T) {
-	g := benchPatches()[0]
+	g := benchPatches(t)[0]
 	ar := g.arena()
 	rhs := randomField(g, 7)
 	const tol, maxIter = 1e-8, 4000
@@ -193,8 +193,8 @@ func TestFDMBeatsJacobi(t *testing.T) {
 // the first velocity component, not just a W solve that succeeded.
 func TestWatchdogSeesFailedSolves(t *testing.T) {
 	newSolver := func() (*Solver, *monitor.Health) {
-		g := NewGrid(2, 1, 2, 3, 1, 1, 1, false, true, false)
-		s := NewSolver(g, 0.5, 0.01)
+		g := must(NewGrid(2, 1, 2, 3, 1, 1, 1, false, true, false))(t)
+		s := must(NewSolver(g, 0.5, 0.01))(t)
 		s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 		s.SetInitial(func(x, y, z float64) (u, v, w float64) { return z * (1 - z), 0.1 * x, 0 })
 		h := monitor.NewHealth()

@@ -63,13 +63,18 @@ type axis struct {
 	m    []float64
 }
 
-// NewGrid builds a grid and precomputes its 1D factors and mass.
-func NewGrid(nex, ney, nez, p int, lx, ly, lz float64, perX, perY, perZ bool) *Grid {
-	if nex < 1 || ney < 1 || nez < 1 || p < 2 {
-		panic(fmt.Sprintf("nektar3d: bad grid %dx%dx%d P=%d", nex, ney, nez, p))
+// NewGrid builds a grid and precomputes its 1D factors and mass. It refuses
+// an axis without elements, an order below 2 and a box edge that is not
+// positive, naming the argument: elements, order or size.
+func NewGrid(nex, ney, nez, p int, lx, ly, lz float64, perX, perY, perZ bool) (*Grid, error) {
+	if nex < 1 || ney < 1 || nez < 1 {
+		return nil, fmt.Errorf("elements %dx%dx%d: need at least 1 per axis", nex, ney, nez)
 	}
-	if lx <= 0 || ly <= 0 || lz <= 0 {
-		panic(fmt.Sprintf("nektar3d: bad box %v %v %v", lx, ly, lz))
+	if p < 2 {
+		return nil, fmt.Errorf("order %d < 2", p)
+	}
+	if !(lx > 0 && ly > 0 && lz > 0) {
+		return nil, fmt.Errorf("size %v x %v x %v: must be positive", lx, ly, lz)
 	}
 	g := &Grid{
 		Nex: nex, Ney: ney, Nez: nez, P: p,
@@ -114,7 +119,7 @@ func NewGrid(nex, ney, nez, p int, lx, ly, lz float64, perX, perY, perZ bool) *G
 			}
 		}
 	}
-	return g
+	return g, nil
 }
 
 // NumNodes returns the global node count.

@@ -9,15 +9,15 @@ import (
 
 // parityGrids enumerates the sweep the ISSUE pins: orders 2–8 and
 // non-power-of-two element counts, with mixed periodicity.
-func parityGrids() []*Grid {
+func parityGrids(t testing.TB) []*Grid {
 	var grids []*Grid
 	for p := 2; p <= 8; p++ {
-		grids = append(grids, NewGrid(3, 2, 1, p, 1.0, 0.8, 1.3, false, true, false))
+		grids = append(grids, must(NewGrid(3, 2, 1, p, 1.0, 0.8, 1.3, false, true, false))(t))
 	}
 	grids = append(grids,
-		NewGrid(5, 3, 2, 4, 2.0, 1.0, 1.5, true, true, true),
-		NewGrid(1, 1, 7, 5, 0.7, 0.9, 3.0, false, false, true),
-		NewGrid(6, 6, 6, 3, 1.0, 1.0, 1.0, false, false, false),
+		must(NewGrid(5, 3, 2, 4, 2.0, 1.0, 1.5, true, true, true))(t),
+		must(NewGrid(1, 1, 7, 5, 0.7, 0.9, 3.0, false, false, true))(t),
+		must(NewGrid(6, 6, 6, 3, 1.0, 1.0, 1.0, false, false, false))(t),
 	)
 	return grids
 }
@@ -45,7 +45,7 @@ func randomField(g *Grid, seed int64) []float64 {
 // factors sum the same terms in another order.
 func TestOperatorParityBitIdentical(t *testing.T) {
 	const refTol = 1e-13
-	for gi, g := range parityGrids() {
+	for gi, g := range parityGrids(t) {
 		x := randomField(g, int64(100+gi))
 		y0 := randomField(g, int64(200+gi)) // nonzero: ApplyStiffness accumulates
 		u, v, w := x, randomField(g, int64(300+gi)), randomField(g, int64(400+gi))
@@ -98,7 +98,7 @@ func TestOperatorParityBitIdentical(t *testing.T) {
 // The calls alternate, so each all-direction pass runs over fields a
 // one-direction pass wrote, and the other way round.
 func TestDivergenceIsSumOfGradientComponents(t *testing.T) {
-	for gi, g := range parityGrids() {
+	for gi, g := range parityGrids(t) {
 		for _, nw := range []int{1, 3} {
 			g.Parallel = nw
 			u, v, w := randomField(g, int64(500+gi)), randomField(g, int64(600+gi)), randomField(g, int64(700+gi))
@@ -122,8 +122,8 @@ func TestDivergenceIsSumOfGradientComponents(t *testing.T) {
 // sum of GradientInto's components bit for bit, and once its scratch exists
 // it allocates nothing — it runs once per patch per exchange on audited runs.
 func TestMaxDivergenceSameBitsNoAlloc(t *testing.T) {
-	g := NewGrid(3, 2, 2, 4, 1, 1, 1, false, true, false)
-	s := NewSolver(g, 0.05, 2e-3)
+	g := must(NewGrid(3, 2, 2, 4, 1, 1, 1, false, true, false))(t)
+	s := must(NewSolver(g, 0.05, 2e-3))(t)
 	copy(s.U, randomField(g, 11))
 	copy(s.V, randomField(g, 12))
 	copy(s.W, randomField(g, 13))
@@ -150,9 +150,9 @@ func TestMaxDivergenceSameBitsNoAlloc(t *testing.T) {
 // setting.
 func TestStepBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *Solver {
-		g := NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false)
+		g := must(NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false))(t)
 		g.Parallel = workers
-		s := NewSolver(g, 0.05, 2e-3)
+		s := must(NewSolver(g, 0.05, 2e-3))(t)
 		s.Order = 2
 		s.Tol = 1e-9
 		s.SetInitial(func(x, y, z float64) (u, v, w float64) {
@@ -183,9 +183,9 @@ func TestSolverStepZeroAllocSteadyState(t *testing.T) {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	for _, workers := range []int{1, 3} {
-		g := NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false)
+		g := must(NewGrid(3, 3, 3, 4, 1, 1, 1, true, true, false))(t)
 		g.Parallel = workers
-		s := NewSolver(g, 0.05, 2e-3)
+		s := must(NewSolver(g, 0.05, 2e-3))(t)
 		s.Order = 2
 		s.SetInitial(func(x, y, z float64) (u, v, w float64) {
 			return z * (1 - z), 0, 0
@@ -210,7 +210,7 @@ func TestApplyStiffnessZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	g := NewGrid(4, 3, 2, 5, 1, 1, 1, false, true, false)
+	g := must(NewGrid(4, 3, 2, 5, 1, 1, 1, false, true, false))(t)
 	x := randomField(g, 1)
 	y := g.NewField()
 	g.ApplyStiffness(y, x) // build the arena

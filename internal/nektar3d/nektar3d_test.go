@@ -2,6 +2,7 @@ package nektar3d
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nektarg/internal/geometry"
@@ -9,18 +10,18 @@ import (
 )
 
 func TestGridNodeCounts(t *testing.T) {
-	g := NewGrid(2, 3, 4, 4, 1, 1, 1, false, false, false)
+	g := must(NewGrid(2, 3, 4, 4, 1, 1, 1, false, false, false))(t)
 	if g.Nx != 9 || g.Ny != 13 || g.Nz != 17 {
 		t.Fatalf("nodes = %d %d %d", g.Nx, g.Ny, g.Nz)
 	}
-	gp := NewGrid(2, 3, 4, 4, 1, 1, 1, true, true, true)
+	gp := must(NewGrid(2, 3, 4, 4, 1, 1, 1, true, true, true))(t)
 	if gp.Nx != 8 || gp.Ny != 12 || gp.Nz != 16 {
 		t.Fatalf("periodic nodes = %d %d %d", gp.Nx, gp.Ny, gp.Nz)
 	}
 }
 
 func TestMassIntegratesVolume(t *testing.T) {
-	g := NewGrid(2, 2, 2, 5, 2, 3, 4, false, false, false)
+	g := must(NewGrid(2, 2, 2, 5, 2, 3, 4, false, false, false))(t)
 	f := g.NewField()
 	for i := range f {
 		f[i] = 1
@@ -34,7 +35,7 @@ func TestMassIntegratesVolume(t *testing.T) {
 }
 
 func TestMassIntegratesPolynomialExactly(t *testing.T) {
-	g := NewGrid(2, 2, 2, 4, 1, 1, 1, false, false, false)
+	g := must(NewGrid(2, 2, 2, 4, 1, 1, 1, false, false, false))(t)
 	f := g.NewField()
 	g.FillField(f, func(x, y, z float64) float64 { return x * x * y * z })
 	// ∫ x^2 y z over unit cube = (1/3)(1/2)(1/2) = 1/12.
@@ -44,7 +45,7 @@ func TestMassIntegratesPolynomialExactly(t *testing.T) {
 }
 
 func TestGradientExactOnPolynomial(t *testing.T) {
-	g := NewGrid(2, 2, 2, 5, 1, 2, 3, false, false, false)
+	g := must(NewGrid(2, 2, 2, 5, 1, 2, 3, false, false, false))(t)
 	f := g.NewField()
 	g.FillField(f, func(x, y, z float64) float64 { return x*x + 3*y - z*z*z })
 	fx, fy, fz := gradient(g, f)
@@ -69,7 +70,7 @@ func TestGradientExactOnPolynomial(t *testing.T) {
 func TestStiffnessMatchesLaplacianEnergy(t *testing.T) {
 	// For u = sin(pi x) on [0,1]^3 (Dirichlet in x): u^T K u = ∫|∇u|^2
 	// = pi^2/2.
-	g := NewGrid(3, 2, 2, 6, 1, 1, 1, false, true, true)
+	g := must(NewGrid(3, 2, 2, 6, 1, 1, 1, false, true, true))(t)
 	u := g.NewField()
 	g.FillField(u, func(x, y, z float64) float64 { return math.Sin(math.Pi * x) })
 	ku := g.NewField()
@@ -84,7 +85,7 @@ func TestStiffnessMatchesLaplacianEnergy(t *testing.T) {
 }
 
 func TestStiffnessAnnihilatesConstants(t *testing.T) {
-	g := NewGrid(2, 2, 2, 4, 1, 1, 1, true, false, true)
+	g := must(NewGrid(2, 2, 2, 4, 1, 1, 1, true, false, true))(t)
 	u := g.NewField()
 	for i := range u {
 		u[i] = 3.7
@@ -106,7 +107,7 @@ func TestStiffnessAnnihilatesConstants(t *testing.T) {
 func TestStiffnessNullSpaceRoundOff(t *testing.T) {
 	const tol = 1e-13
 	var worstK1, worst1K float64
-	for gi, g := range parityGrids() {
+	for gi, g := range parityGrids(t) {
 		ones := g.NewField()
 		for i := range ones {
 			ones[i] = 1
@@ -133,8 +134,8 @@ func TestStiffnessNullSpaceRoundOff(t *testing.T) {
 
 // manufacturedHelmholtz is (lambda - ∇²) u = f with u = sin(pi x) sin(pi y)
 // sin(pi z) on the unit box: f = (lambda + 3 pi^2) u, homogeneous Dirichlet.
-func manufacturedHelmholtz(lambda float64) (g *Grid, f, exact []float64) {
-	g = NewGrid(2, 2, 2, 7, 1, 1, 1, false, false, false)
+func manufacturedHelmholtz(t testing.TB, lambda float64) (g *Grid, f, exact []float64) {
+	g = must(NewGrid(2, 2, 2, 7, 1, 1, 1, false, false, false))(t)
 	f = g.NewField()
 	exact = g.NewField()
 	g.FillField(exact, func(x, y, z float64) float64 {
@@ -156,7 +157,7 @@ func maxAbsDiff(a, b []float64) float64 {
 
 func TestHelmholtzDirichletManufactured(t *testing.T) {
 	lambda := 4.0
-	g, f, exact := manufacturedHelmholtz(lambda)
+	g, f, exact := manufacturedHelmholtz(t, lambda)
 	u := g.NewField()
 	st, err := g.SolveHelmholtzDirichletIn(u, lambda, f, g.NewField(), 1e-10, 8000)
 	if err != nil {
@@ -187,7 +188,7 @@ func TestHelmholtzDirichletManufactured(t *testing.T) {
 // still reach the manufactured solution to the same bound.
 func TestCGIsTheLiveFallback(t *testing.T) {
 	lambda := 4.0
-	g, f, exact := manufacturedHelmholtz(lambda)
+	g, f, exact := manufacturedHelmholtz(t, lambda)
 	lam := g.arena().dir.ax[0].Lambda // descending: the last is sin(pi x)'s
 	lam[len(lam)-1] *= 1.5
 	u := g.NewField()
@@ -206,7 +207,7 @@ func TestCGIsTheLiveFallback(t *testing.T) {
 // TestSolvesIgnoreTheOutputFieldOnEntry: u and p are output only, so a
 // NaN-poisoned field gives the bits a zeroed one gives.
 func TestSolvesIgnoreTheOutputFieldOnEntry(t *testing.T) {
-	g := NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false)
+	g := must(NewGrid(3, 1, 2, 4, 1.5, 1, 1, false, true, false))(t)
 	rhs, bc := randomField(g, 7), randomField(g, 8)
 	poisoned := func() []float64 {
 		f := g.NewField()
@@ -242,7 +243,7 @@ func TestSolvesIgnoreTheOutputFieldOnEntry(t *testing.T) {
 func TestHelmholtzSpectralConvergence3D(t *testing.T) {
 	lambda := 1.0
 	errAt := func(p int) float64 {
-		g := NewGrid(2, 2, 2, p, 1, 1, 1, false, false, false)
+		g := must(NewGrid(2, 2, 2, p, 1, 1, 1, false, false, false))(t)
 		f := g.NewField()
 		exact := g.NewField()
 		g.FillField(exact, func(x, y, z float64) float64 {
@@ -266,7 +267,7 @@ func TestHelmholtzSpectralConvergence3D(t *testing.T) {
 func TestPoissonNeumannManufactured(t *testing.T) {
 	// ∇²p = s with p = cos(pi x) cos(pi y) (Neumann-compatible on the unit
 	// box, z-independent): s = -2 pi^2 p.
-	g := NewGrid(3, 3, 1, 6, 1, 1, 1, false, false, false)
+	g := must(NewGrid(3, 3, 1, 6, 1, 1, 1, false, false, false))(t)
 	exact := g.NewField()
 	g.FillField(exact, func(x, y, z float64) float64 {
 		return math.Cos(math.Pi*x) * math.Cos(math.Pi*y)
@@ -290,7 +291,7 @@ func TestPoissonNeumannManufactured(t *testing.T) {
 }
 
 func TestSampleReproducesPolynomial(t *testing.T) {
-	g := NewGrid(2, 2, 2, 4, 1, 2, 3, false, false, false)
+	g := must(NewGrid(2, 2, 2, 4, 1, 2, 3, false, false, false))(t)
 	f := g.NewField()
 	g.FillField(f, func(x, y, z float64) float64 { return x*y + z*z })
 	pts := []geometry.Vec3{
@@ -308,7 +309,7 @@ func TestSampleReproducesPolynomial(t *testing.T) {
 }
 
 func TestSamplePeriodicWraps(t *testing.T) {
-	g := NewGrid(4, 1, 1, 4, 2, 1, 1, true, true, true)
+	g := must(NewGrid(4, 1, 1, 4, 2, 1, 1, true, true, true))(t)
 	f := g.NewField()
 	g.FillField(f, func(x, y, z float64) float64 { return math.Sin(math.Pi * x) })
 	a := g.Sample(f, geometry.Vec3{X: 0.3, Y: 0.5, Z: 0.5})
@@ -319,7 +320,7 @@ func TestSamplePeriodicWraps(t *testing.T) {
 }
 
 func TestFaceTraceAndPointsConsistent(t *testing.T) {
-	g := NewGrid(2, 2, 2, 3, 1, 1, 1, false, false, false)
+	g := must(NewGrid(2, 2, 2, 3, 1, 1, 1, false, false, false))(t)
 	f := g.NewField()
 	g.FillField(f, func(x, y, z float64) float64 { return x + 10*y + 100*z })
 	for _, face := range []string{"x0", "x1", "y0", "y1", "z0", "z1"} {
@@ -344,8 +345,8 @@ func TestPoiseuilleChannel(t *testing.T) {
 	nu := 0.5
 	forceX := 1.0
 	lz := 1.0
-	g := NewGrid(1, 1, 3, 5, 1, 1, lz, true, true, false)
-	s := NewSolver(g, nu, 0.01)
+	g := must(NewGrid(1, 1, 3, 5, 1, 1, lz, true, true, false))(t)
+	s := must(NewSolver(g, nu, 0.01))(t)
 	s.Force = func(tm, x, y, z float64) (float64, float64, float64) { return forceX, 0, 0 }
 	// Start from the analytic profile scaled down to test convergence.
 	if err := s.Run(300); err != nil {
@@ -374,8 +375,8 @@ func TestPoiseuilleChannel(t *testing.T) {
 func TestTaylorGreenDecay(t *testing.T) {
 	nu := 0.05
 	l := 2 * math.Pi
-	g := NewGrid(3, 3, 1, 6, l, l, 1, true, true, true)
-	s := NewSolver(g, nu, 0.005)
+	g := must(NewGrid(3, 3, 1, 6, l, l, 1, true, true, true))(t)
+	s := must(NewSolver(g, nu, 0.005))(t)
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return math.Sin(x) * math.Cos(y), -math.Cos(x) * math.Sin(y), 0
 	})
@@ -398,8 +399,8 @@ func TestWomersleyAttenuation(t *testing.T) {
 	nu := 0.05
 	lz := 1.0
 	omega := 2 * math.Pi // Womersley alpha = (Lz/2) sqrt(omega/nu) ~ 5.6
-	g := NewGrid(1, 1, 3, 5, 1, 1, lz, true, true, false)
-	s := NewSolver(g, nu, 0.002)
+	g := must(NewGrid(1, 1, 3, 5, 1, 1, lz, true, true, false))(t)
+	s := must(NewSolver(g, nu, 0.002))(t)
 	s.Force = func(tm, x, y, z float64) (float64, float64, float64) {
 		return math.Cos(omega * tm), 0, 0
 	}
@@ -429,8 +430,8 @@ func TestWomersleyAttenuation(t *testing.T) {
 func TestDivergenceFreeAfterProjection(t *testing.T) {
 	// Start from a strongly divergent field; one step must reduce max
 	// divergence substantially.
-	g := NewGrid(2, 2, 2, 5, 1, 1, 1, true, true, true)
-	s := NewSolver(g, 0.1, 0.01)
+	g := must(NewGrid(2, 2, 2, 5, 1, 1, 1, true, true, true))(t)
+	s := must(NewSolver(g, 0.1, 0.01))(t)
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
 		return math.Sin(2 * math.Pi * x), math.Sin(2 * math.Pi * y), 0
 	})
@@ -444,12 +445,27 @@ func TestDivergenceFreeAfterProjection(t *testing.T) {
 	}
 }
 
-func TestSolverPanicsOnBadParams(t *testing.T) {
-	g := NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestSolverRejectsBadParams: NewSolver's error names the argument it
+// refuses.
+func TestSolverRejectsBadParams(t *testing.T) {
+	g := must(NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true))(t)
+	for _, c := range []struct {
+		nu, dt float64
+		want   string
+	}{{0, 0.1, "nu "}, {0.1, -1, "dt "}} {
+		if _, err := NewSolver(g, c.nu, c.dt); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("NewSolver(nu=%v, dt=%v) = %v, want an error naming %q", c.nu, c.dt, err, c.want)
 		}
-	}()
-	NewSolver(g, 0, 0.1)
+	}
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 }

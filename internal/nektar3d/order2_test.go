@@ -11,8 +11,8 @@ func tgEnergyError(t *testing.T, order int, dt float64) float64 {
 	t.Helper()
 	nu := 0.1
 	l := 2 * math.Pi
-	g := NewGrid(3, 3, 1, 6, l, l, 1, true, true, true)
-	s := NewSolver(g, nu, dt)
+	g := must(NewGrid(3, 3, 1, 6, l, l, 1, true, true, true))(t)
+	s := must(NewSolver(g, nu, dt))(t)
 	s.Order = order
 	s.Tol = 1e-11
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) {
@@ -57,8 +57,8 @@ func TestTemporalConvergenceRates(t *testing.T) {
 func TestOrder2BootstrapAndStability(t *testing.T) {
 	// Order-2 runs must bootstrap from zero history and stay stable over a
 	// longer horizon with walls and Dirichlet boundaries.
-	g := NewGrid(1, 1, 3, 4, 1, 1, 1, true, true, false)
-	s := NewSolver(g, 0.5, 0.01)
+	g := must(NewGrid(1, 1, 3, 4, 1, 1, 1, true, true, false))(t)
+	s := must(NewSolver(g, 0.5, 0.01))(t)
 	s.Order = 2
 	s.Force = func(_, _, _, _ float64) (float64, float64, float64) { return 1, 0, 0 }
 	if err := s.Run(200); err != nil {
@@ -78,8 +78,8 @@ func TestOrder2BootstrapAndStability(t *testing.T) {
 }
 
 func TestUnsupportedOrderRejected(t *testing.T) {
-	g := NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true)
-	s := NewSolver(g, 0.1, 0.01)
+	g := must(NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true))(t)
+	s := must(NewSolver(g, 0.1, 0.01))(t)
 	s.Order = 3
 	if err := s.Step(); err == nil {
 		t.Fatal("expected unsupported-order error")

@@ -116,46 +116,55 @@ func (g *Grid) Contains(p geometry.Vec3) bool {
 	return inx && iny && inz
 }
 
+// ParseFace decodes a boundary face name ("x0", "x1", "y0", "y1", "z0",
+// "z1") into its axis (0=x, 1=y, 2=z) and whether it is the high side of the
+// box. It is the one reading of a face name.
+func ParseFace(face string) (axis int, high bool, err error) {
+	if len(face) != 2 || face[0] < 'x' || face[0] > 'z' || (face[1] != '0' && face[1] != '1') {
+		return 0, false, fmt.Errorf("unknown face %q (want x0, x1, y0, y1, z0 or z1)", face)
+	}
+	return int(face[0] - 'x'), face[1] == '1', nil
+}
+
+// faceAxis decodes a face name its caller has already validated.
+func faceAxis(face string) (axis int, high bool) {
+	axis, high, err := ParseFace(face)
+	if err != nil {
+		panic("nektar3d: " + err.Error())
+	}
+	return axis, high
+}
+
+// faceNodes visits the (i, j, k) node indices of the face normal to axis in
+// the face's natural order: of the two in-face axes the lower one varies
+// fastest.
+func (g *Grid) faceNodes(axis int, high bool, visit func(n [3]int)) {
+	dims := [3]int{g.Nx, g.Ny, g.Nz}
+	fast, slow := (axis+1)%3, (axis+2)%3
+	if fast > slow {
+		fast, slow = slow, fast
+	}
+	var n [3]int
+	if high {
+		n[axis] = dims[axis] - 1
+	}
+	for n[slow] = 0; n[slow] < dims[slow]; n[slow]++ {
+		for n[fast] = 0; n[fast] < dims[fast]; n[fast]++ {
+			visit(n)
+		}
+	}
+}
+
 // FaceTrace extracts the nodal values of a field on one boundary face
 // ("x0", "x1", "y0", "y1", "z0", "z1"), flattened in the face's natural
 // (fast-varying first) order. Patch coupling ships these traces between L4
 // roots.
 func (g *Grid) FaceTrace(f []float64, face string) []float64 {
+	axis, high := faceAxis(face)
 	var out []float64
-	switch face {
-	case "x0", "x1":
-		i := 0
-		if face == "x1" {
-			i = g.Nx - 1
-		}
-		for k := 0; k < g.Nz; k++ {
-			for j := 0; j < g.Ny; j++ {
-				out = append(out, f[g.Idx(i, j, k)])
-			}
-		}
-	case "y0", "y1":
-		j := 0
-		if face == "y1" {
-			j = g.Ny - 1
-		}
-		for k := 0; k < g.Nz; k++ {
-			for i := 0; i < g.Nx; i++ {
-				out = append(out, f[g.Idx(i, j, k)])
-			}
-		}
-	case "z0", "z1":
-		k := 0
-		if face == "z1" {
-			k = g.Nz - 1
-		}
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				out = append(out, f[g.Idx(i, j, k)])
-			}
-		}
-	default:
-		panic(fmt.Sprintf("nektar3d: unknown face %q", face))
-	}
+	g.faceNodes(axis, high, func(n [3]int) {
+		out = append(out, f[g.Idx(n[0], n[1], n[2])])
+	})
 	return out
 }
 
@@ -163,17 +172,8 @@ func (g *Grid) FaceTrace(f []float64, face string) []float64 {
 // (0=x, 1=y, 2=z): weight w_i * J summed over the elements sharing each
 // node.
 func (g *Grid) mass1D(dim int) []float64 {
-	var ne, nNodes int
-	var jac float64
-	var periodic bool
-	switch dim {
-	case 0:
-		ne, nNodes, jac, periodic = g.Nex, g.Nx, g.Jx, g.PerX
-	case 1:
-		ne, nNodes, jac, periodic = g.Ney, g.Ny, g.Jy, g.PerY
-	default:
-		ne, nNodes, jac, periodic = g.Nez, g.Nz, g.Jz, g.PerZ
-	}
+	ne, nNodes := [3]int{g.Nex, g.Ney, g.Nez}[dim], [3]int{g.Nx, g.Ny, g.Nz}[dim]
+	jac, periodic := [3]float64{g.Jx, g.Jy, g.Jz}[dim], [3]bool{g.PerX, g.PerY, g.PerZ}[dim]
 	out := make([]float64, nNodes)
 	for e := 0; e < ne; e++ {
 		for i := 0; i <= g.P; i++ {
@@ -191,63 +191,45 @@ func (g *Grid) mass1D(dim int) []float64 {
 // nodes, in FaceTrace order: integrating a traced field against them yields
 // the exact surface integral for the tensor-product basis.
 func (g *Grid) FaceQuadrature(face string) []float64 {
-	var w1, w2 []float64
-	switch face {
-	case "x0", "x1":
-		w1, w2 = g.mass1D(1), g.mass1D(2) // (y fast, z slow)
-	case "y0", "y1":
-		w1, w2 = g.mass1D(0), g.mass1D(2) // (x fast, z slow)
-	case "z0", "z1":
-		w1, w2 = g.mass1D(0), g.mass1D(1) // (x fast, y slow)
-	default:
-		panic(fmt.Sprintf("nektar3d: unknown face %q", face))
-	}
-	out := make([]float64, 0, len(w1)*len(w2))
-	for _, b := range w2 {
-		for _, a := range w1 {
-			out = append(out, a*b)
+	axis, high := faceAxis(face)
+	var w [3][]float64
+	for d := range w {
+		if d != axis {
+			w[d] = g.mass1D(d)
 		}
 	}
+	var out []float64
+	g.faceNodes(axis, high, func(n [3]int) {
+		q := 1.0
+		for d := range w {
+			if d != axis {
+				q *= w[d][n[d]]
+			}
+		}
+		out = append(out, q)
+	})
 	return out
 }
 
 // FacePoints returns the physical coordinates of the nodes on a boundary
 // face, in the same order as FaceTrace.
 func (g *Grid) FacePoints(face string) []geometry.Vec3 {
-	var out []geometry.Vec3
-	switch face {
-	case "x0", "x1":
-		x := 0.0
-		if face == "x1" {
-			x = g.Lx
-		}
-		for k := 0; k < g.Nz; k++ {
-			for j := 0; j < g.Ny; j++ {
-				out = append(out, geometry.Vec3{X: x, Y: g.Y[j], Z: g.Z[k]})
-			}
-		}
-	case "y0", "y1":
-		y := 0.0
-		if face == "y1" {
-			y = g.Ly
-		}
-		for k := 0; k < g.Nz; k++ {
-			for i := 0; i < g.Nx; i++ {
-				out = append(out, geometry.Vec3{X: g.X[i], Y: y, Z: g.Z[k]})
-			}
-		}
-	case "z0", "z1":
-		z := 0.0
-		if face == "z1" {
-			z = g.Lz
-		}
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				out = append(out, geometry.Vec3{X: g.X[i], Y: g.Y[j], Z: z})
-			}
-		}
-	default:
-		panic(fmt.Sprintf("nektar3d: unknown face %q", face))
+	axis, high := faceAxis(face)
+	// The face sits on the box boundary, also where a periodic axis dropped
+	// its last node.
+	var at float64
+	if high {
+		at = [3]float64{g.Lx, g.Ly, g.Lz}[axis]
 	}
+	coords := [3][]float64{g.X, g.Y, g.Z}
+	var out []geometry.Vec3
+	g.faceNodes(axis, high, func(n [3]int) {
+		var p [3]float64
+		for d := range p {
+			p[d] = coords[d][n[d]]
+		}
+		p[axis] = at
+		out = append(out, geometry.Vec3{X: p[0], Y: p[1], Z: p[2]})
+	})
 	return out
 }

@@ -86,10 +86,14 @@ type Solver struct {
 	probe []float64
 }
 
-// NewSolver builds a solver with zero initial fields.
-func NewSolver(g *Grid, nu, dt float64) *Solver {
-	if nu <= 0 || dt <= 0 {
-		panic(fmt.Sprintf("nektar3d: nu=%v dt=%v must be positive", nu, dt))
+// NewSolver builds a solver with zero initial fields. The viscosity nu and
+// the time step dt must be positive; the error names the one that is not.
+func NewSolver(g *Grid, nu, dt float64) (*Solver, error) {
+	if !(nu > 0) {
+		return nil, fmt.Errorf("nu %v: must be positive", nu)
+	}
+	if !(dt > 0) {
+		return nil, fmt.Errorf("dt %v: must be positive", dt)
 	}
 	return &Solver{
 		G: g, Nu: nu, Dt: dt,
@@ -99,7 +103,24 @@ func NewSolver(g *Grid, nu, dt float64) *Solver {
 		Order: 1,
 		mask:  g.BoundaryMask(),
 		bcU:   g.NewField(), bcV: g.NewField(), bcW: g.NewField(),
+	}, nil
+}
+
+// checkOrder is the one rule on Order: the scheme is first or second order.
+func checkOrder(order int) error {
+	if order < 1 || order > 2 {
+		return fmt.Errorf("nektar3d: unsupported time order %d", order)
 	}
+	return nil
+}
+
+// SetOrder selects the time integration order, refusing one Step cannot run.
+func (s *Solver) SetOrder(order int) error {
+	err := checkOrder(order)
+	if err == nil {
+		s.Order = order
+	}
+	return err
 }
 
 // SetInitial samples initial velocity.
@@ -198,10 +219,10 @@ func (s *Solver) Step() error {
 	step := s.Rec.Begin("ns.step")
 	defer step.End()
 
-	order := s.Order
-	if order < 1 || order > 2 {
-		return fmt.Errorf("nektar3d: unsupported time order %d", s.Order)
+	if err := checkOrder(s.Order); err != nil {
+		return err
 	}
+	order := s.Order
 	if order == 2 && s.uPrev == nil {
 		order = 1 // bootstrap the history with one first-order step
 	}

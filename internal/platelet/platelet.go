@@ -72,10 +72,11 @@ type record struct {
 
 var _ dpd.StatefulBonded = (*Model)(nil)
 
-// NewModel creates a platelet model with Pivkin-like defaults.
-func NewModel(species int, sites []geometry.Vec3, activationDelay float64) *Model {
+// NewModel creates a platelet model with Pivkin-like defaults. It needs at
+// least one adhesion site.
+func NewModel(species int, sites []geometry.Vec3, activationDelay float64) (*Model, error) {
 	if len(sites) == 0 {
-		panic("platelet: need at least one adhesion site")
+		return nil, fmt.Errorf("sites: need at least one adhesion site")
 	}
 	return &Model{
 		Species:         species,
@@ -86,7 +87,7 @@ func NewModel(species int, sites []geometry.Vec3, activationDelay float64) *Mode
 		Beta:            2,
 		R0:              0.6,
 		recs:            map[int64]record{},
-	}
+	}, nil
 }
 
 // CaptureState implements dpd.StatefulBonded: the activation clock origin,
@@ -221,10 +222,10 @@ func (m *Model) AddForces(sys *dpd.System) {
 }
 
 // SeedPlatelets inserts n platelets at random positions in the sub-box
-// [lo, hi] of the system.
-func SeedPlatelets(sys *dpd.System, m *Model, n int, lo, hi geometry.Vec3, rng func() float64) []int {
+// [lo, hi] of the system. A negative count is an error naming it.
+func SeedPlatelets(sys *dpd.System, m *Model, n int, lo, hi geometry.Vec3, rng func() float64) ([]int, error) {
 	if n < 0 {
-		panic(fmt.Sprintf("platelet: n = %d", n))
+		return nil, fmt.Errorf("count %d: must not be negative", n)
 	}
 	sz := hi.Sub(lo)
 	idx := make([]int, 0, n)
@@ -236,5 +237,5 @@ func SeedPlatelets(sys *dpd.System, m *Model, n int, lo, hi geometry.Vec3, rng f
 		}
 		idx = append(idx, sys.AddParticle(pos, geometry.Vec3{}, m.Species, false))
 	}
-	return idx
+	return idx, nil
 }

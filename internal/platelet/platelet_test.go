@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nektarg/internal/dpd"
@@ -18,13 +19,13 @@ func plateletSystem(t testing.TB, delay float64) (*dpd.System, *Model) {
 	p := dpd.DefaultParams(2)
 	p.Dt = 0.005
 	p.KBT = 0.2
-	s := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 4}, [3]bool{true, true, false})
+	s := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 6, Y: 6, Z: 4}, [3]bool{true, true, false}))(t)
 	s.Walls = []dpd.Wall{
 		&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&dpd.PlaneWall{Point: geometry.Vec3{Z: 4}, Norm: geometry.Vec3{Z: -1}},
 	}
 	s.FillRandom(200, 0)
-	m := NewModel(1, []geometry.Vec3{{X: 3, Y: 3, Z: 0.2}}, delay)
+	m := must(NewModel(1, []geometry.Vec3{{X: 3, Y: 3, Z: 0.2}}, delay))(t)
 	s.Bonded = append(s.Bonded, m)
 	return s, m
 }
@@ -32,7 +33,7 @@ func plateletSystem(t testing.TB, delay float64) (*dpd.System, *Model) {
 func TestNoAggregationBeforeDelay(t *testing.T) {
 	s, m := plateletSystem(t, 1e9) // effectively infinite delay
 	rng := rand.New(rand.NewSource(1))
-	SeedPlatelets(s, m, 30, geometry.Vec3{X: 2, Y: 2, Z: 0.1}, geometry.Vec3{X: 4, Y: 4, Z: 1}, rng.Float64)
+	must(SeedPlatelets(s, m, 30, geometry.Vec3{X: 2, Y: 2, Z: 0.1}, geometry.Vec3{X: 4, Y: 4, Z: 1}, rng.Float64))(t)
 	s.Run(400)
 	passive, triggered, adhered := m.Counts(s)
 	if triggered != 0 || adhered != 0 {
@@ -45,7 +46,7 @@ func TestClotGrowsUnderStagnantFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// Seed across the whole channel so most platelets must diffuse to the
 	// growing clot before they can join it.
-	SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
+	must(SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64))(t)
 	_, _, adhered := m.Counts(s)
 	sizes := []int{adhered}
 	for i := 0; i < 20; i++ {
@@ -93,7 +94,7 @@ func TestActivationRequiresSustainedContact(t *testing.T) {
 }
 
 func TestMorseForceSign(t *testing.T) {
-	m := NewModel(1, []geometry.Vec3{{}}, 0)
+	m := must(NewModel(1, []geometry.Vec3{{}}, 0))(t)
 	if f := m.morseForce(m.R0); f > 1e-12 || f < -1e-12 {
 		t.Fatalf("force at r0 = %v", f)
 	}
@@ -122,12 +123,12 @@ func TestFasterFlowSlowsAggregation(t *testing.T) {
 		p.Dt = 0.005
 		p.KBT = 0.2
 		p.Seed = seed
-		s := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{true, true, true})
+		s := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
 		s.FillRandom(200, 0)
-		m := NewModel(1, []geometry.Vec3{{X: 4, Y: 2, Z: 2}}, 1.0)
+		m := must(NewModel(1, []geometry.Vec3{{X: 4, Y: 2, Z: 2}}, 1.0))(t)
 		s.Bonded = append(s.Bonded, m)
 		rng := rand.New(rand.NewSource(int64(seed)))
-		SeedPlatelets(s, m, 100, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, rng.Float64)
+		must(SeedPlatelets(s, m, 100, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 4, Z: 4}, rng.Float64))(t)
 		for i := range s.Particles {
 			s.Particles[i].Vel.X += speed
 		}
@@ -146,13 +147,10 @@ func TestFasterFlowSlowsAggregation(t *testing.T) {
 	}
 }
 
-func TestNewModelPanicsWithoutSites(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewModel(1, nil, 0)
+func TestNewModelRejectsNoSites(t *testing.T) {
+	if _, err := NewModel(1, nil, 0); err == nil || !strings.HasPrefix(err.Error(), "sites") {
+		t.Fatalf("NewModel without sites = %v, want an error naming sites", err)
+	}
 }
 
 // TestResumeIsBitIdenticalWhileClotGrows: the activation clocks and states
@@ -163,7 +161,7 @@ func TestResumeIsBitIdenticalWhileClotGrows(t *testing.T) {
 	build := func() (*dpd.System, *Model) {
 		s, m := plateletSystem(t, 0.05)
 		rng := rand.New(rand.NewSource(2))
-		SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
+		must(SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64))(t)
 		return s, m
 	}
 	ref, refModel := build()
@@ -198,13 +196,13 @@ func TestResumeIsBitIdenticalWhileClotGrows(t *testing.T) {
 func TestAddForcesReusesScratch(t *testing.T) {
 	s, m := plateletSystem(t, 0.05)
 	rng := rand.New(rand.NewSource(2))
-	SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64)
+	must(SeedPlatelets(s, m, 60, geometry.Vec3{X: 0.2, Y: 0.2, Z: 0.1}, geometry.Vec3{X: 5.8, Y: 5.8, Z: 3.5}, rng.Float64))(t)
 	s.Run(300)
 	if _, _, adhered := m.Counts(s); adhered == 0 {
 		t.Fatal("test is vacuous: no platelet has adhered")
 	}
 
-	fresh := NewModel(m.Species, m.Sites, m.ActivationDelay)
+	fresh := must(NewModel(m.Species, m.Sites, m.ActivationDelay))(t)
 	if err := fresh.ApplyState(m.CaptureState()); err != nil {
 		t.Fatal(err)
 	}
@@ -238,16 +236,16 @@ func TestAddForcesReusesScratch(t *testing.T) {
 // never panic.
 func FuzzPlateletApplyState(f *testing.F) {
 	s, m := plateletSystem(f, 0.05)
-	SeedPlatelets(s, m, 6, geometry.Vec3{X: 2.5, Y: 2.5, Z: 0.1}, geometry.Vec3{X: 3.5, Y: 3.5, Z: 0.5}, rand.New(rand.NewSource(3)).Float64)
+	must(SeedPlatelets(s, m, 6, geometry.Vec3{X: 2.5, Y: 2.5, Z: 0.1}, geometry.Vec3{X: 3.5, Y: 3.5, Z: 0.5}, rand.New(rand.NewSource(3)).Float64))(f)
 	s.Run(40)
 	f.Add(m.CaptureState())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		model := NewModel(1, []geometry.Vec3{{}}, 0.05)
+		model := must(NewModel(1, []geometry.Vec3{{}}, 0.05))(t)
 		if err := model.ApplyState(b); err != nil {
 			return
 		}
 		enc := model.CaptureState()
-		again := NewModel(1, []geometry.Vec3{{}}, 0.05)
+		again := must(NewModel(1, []geometry.Vec3{{}}, 0.05))(t)
 		if err := again.ApplyState(enc); err != nil {
 			t.Fatalf("re-encoded state refused: %v", err)
 		}
@@ -264,4 +262,15 @@ func FuzzPlateletApplyState(f *testing.F) {
 			t.Fatal("a canonical encoding did not re-encode to itself")
 		}
 	})
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCellFreeLayerGeometry(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: 0}, geometry.Vec3{X: 4, Y: 4, Z: 6})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: 0}, geometry.Vec3{X: 4, Y: 4, Z: 6})
 	m := NewMembrane(sys, geometry.Vec3{Z: 3}, 1.0, 1, 1, Healthy(), 1.0)
 	b, top := CellFreeLayer(sys, []*Membrane{m}, 0, 6)
 	// Sphere of radius 1 centered at z=3: gaps of 2 on both sides.
@@ -22,7 +22,7 @@ func TestCellFreeLayerGeometry(t *testing.T) {
 }
 
 func TestCellFreeLayerMultipleCells(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: 0}, geometry.Vec3{X: 4, Y: 4, Z: 8})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: 0}, geometry.Vec3{X: 4, Y: 4, Z: 8})
 	cells := []*Membrane{
 		NewMembrane(sys, geometry.Vec3{Z: 2}, 0.8, 1, 1, Healthy(), 1.0),
 		NewMembrane(sys, geometry.Vec3{X: 1.5, Z: 6}, 0.8, 1, 1, Healthy(), 1.0),
@@ -37,7 +37,7 @@ func TestCellFreeLayerMultipleCells(t *testing.T) {
 }
 
 func TestCellFreeLayerNoCells(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2})
+	sys := quietSystem(t, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2})
 	b, top := CellFreeLayer(sys, nil, 0, 2)
 	if b != 2 || top != 2 {
 		t.Fatalf("empty CFL = %v / %v", b, top)
@@ -45,7 +45,7 @@ func TestCellFreeLayerNoCells(t *testing.T) {
 }
 
 func TestHematocrit(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
 	m := NewMembrane(sys, geometry.Vec3{}, 1.3, 1, 1, Healthy(), 1.0)
 	got := Hematocrit(sys, []*Membrane{m})
 	want := m.Volume(sys) / 512.0
@@ -65,7 +65,7 @@ func TestCellFreeLayerPersistsUnderFlow(t *testing.T) {
 	p := dpd.DefaultParams(2)
 	p.KBT = 0.1
 	p.Dt = 0.0025
-	sys := dpd.NewSystem(p, geometry.Vec3{X: -4, Y: -4, Z: 0}, geometry.Vec3{X: 4, Y: 4, Z: 5}, [3]bool{true, true, false})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{X: -4, Y: -4, Z: 0}, geometry.Vec3{X: 4, Y: 4, Z: 5}, [3]bool{true, true, false}))(t)
 	sys.Walls = []dpd.Wall{
 		&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 		&dpd.PlaneWall{Point: geometry.Vec3{Z: 5}, Norm: geometry.Vec3{Z: -1}, WallVel: geometry.Vec3{X: 1}},
@@ -103,7 +103,7 @@ func TestSuspensionThickensFluid(t *testing.T) {
 		p.KBT = 0.4
 		p.Seed = 3
 		lz := 6.0
-		sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 6, Z: lz}, [3]bool{true, true, false})
+		sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 6, Z: lz}, [3]bool{true, true, false}))(t)
 		sys.Walls = []dpd.Wall{
 			&dpd.PlaneWall{Point: geometry.Vec3{}, Norm: geometry.Vec3{Z: 1}},
 			&dpd.PlaneWall{Point: geometry.Vec3{Z: lz}, Norm: geometry.Vec3{Z: -1}},

@@ -54,16 +54,16 @@ func TestIcosphereRadius(t *testing.T) {
 	}
 }
 
-func quietSystem(lo, hi geometry.Vec3) *dpd.System {
+func quietSystem(t testing.TB, lo, hi geometry.Vec3) *dpd.System {
 	p := dpd.DefaultParams(2)
 	p.KBT = 0.02 // nearly athermal for mechanics checks
 	p.Gamma = 4.5
 	p.Dt = 0.002
-	return dpd.NewSystem(p, lo, hi, [3]bool{true, true, true})
+	return must(dpd.NewSystem(p, lo, hi, [3]bool{true, true, true}))(t)
 }
 
 func TestMembraneConservesAreaAndVolume(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
 	m := NewMembrane(sys, geometry.Vec3{}, 1.3, 1, 1, Healthy(), 1.0)
 	sys.Run(500)
 	area := m.Area(sys)
@@ -77,7 +77,7 @@ func TestMembraneConservesAreaAndVolume(t *testing.T) {
 }
 
 func TestMembraneDeflatesToReducedVolume(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
 	m := NewMembrane(sys, geometry.Vec3{}, 1.3, 1, 1, Healthy(), 0.64)
 	v0 := m.Volume(sys)
 	sys.Run(1500)
@@ -99,7 +99,7 @@ func TestMembraneDeflatesToReducedVolume(t *testing.T) {
 // validate RBC models.
 func stretch(t *testing.T, st Stiffness, force float64) float64 {
 	t.Helper()
-	sys := quietSystem(geometry.Vec3{X: -5, Y: -5, Z: -5}, geometry.Vec3{X: 5, Y: 5, Z: 5})
+	sys := quietSystem(t, geometry.Vec3{X: -5, Y: -5, Z: -5}, geometry.Vec3{X: 5, Y: 5, Z: 5})
 	m := NewMembrane(sys, geometry.Vec3{}, 1.3, 1, 1, st, 1.0)
 	ext0 := m.Extent(sys).X
 
@@ -147,7 +147,7 @@ func TestDiseasedCellStiffer(t *testing.T) {
 
 func TestMembraneForcesAreInternal(t *testing.T) {
 	// Bonded membrane forces must not impart net momentum.
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
 	m := NewMembrane(sys, geometry.Vec3{}, 1.3, 1, 1, Healthy(), 0.8)
 	// Perturb shape so forces are non-trivial.
 	for _, i := range m.Idx {
@@ -178,7 +178,7 @@ func TestMembraneForcesAreInternal(t *testing.T) {
 // across the domain.
 func TestMembraneAcrossPeriodicFace(t *testing.T) {
 	build := func(cx float64) (*dpd.System, *Membrane) {
-		sys := quietSystem(geometry.Vec3{}, geometry.Vec3{X: 8, Y: 6, Z: 6})
+		sys := quietSystem(t, geometry.Vec3{}, geometry.Vec3{X: 8, Y: 6, Z: 6})
 		m := NewMembrane(sys, geometry.Vec3{X: cx, Y: 3, Z: 3}, 1.3, 1, 1, Healthy(), 0.8)
 		for _, i := range m.Idx {
 			p := &sys.Particles[i]
@@ -216,11 +216,22 @@ func TestMembraneAcrossPeriodicFace(t *testing.T) {
 }
 
 func TestNewMembranePanicsOnBadReducedVolume(t *testing.T) {
-	sys := quietSystem(geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
+	sys := quietSystem(t, geometry.Vec3{X: -4, Y: -4, Z: -4}, geometry.Vec3{X: 4, Y: 4, Z: 4})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
 	NewMembrane(sys, geometry.Vec3{}, 1, 1, 1, Healthy(), 0)
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 }

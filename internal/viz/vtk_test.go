@@ -46,8 +46,8 @@ func sectionLines(t *testing.T, out, prefix string) []string {
 }
 
 func TestWriteStructuredGridStructure(t *testing.T) {
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 2, 3, false, false, false)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 2, 3, false, false, false))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	s.SetInitial(func(x, y, z float64) (float64, float64, float64) { return x, y, z })
 	var buf bytes.Buffer
 	if err := WriteStructuredGrid(&buf, "test", g, s.U, s.V, s.W, s.Pr, geometry.Vec3{X: 10}); err != nil {
@@ -79,7 +79,7 @@ func TestWriteStructuredGridStructure(t *testing.T) {
 }
 
 func TestWriteStructuredGridRejectsBadSizes(t *testing.T) {
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, false, false)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, false, false, false))(t)
 	var buf bytes.Buffer
 	err := WriteStructuredGrid(&buf, "bad", g, make([]float64, 3), make([]float64, g.NumNodes()), make([]float64, g.NumNodes()), nil, geometry.Vec3{})
 	if err == nil {
@@ -89,7 +89,7 @@ func TestWriteStructuredGridRejectsBadSizes(t *testing.T) {
 
 func TestWriteParticlesStructure(t *testing.T) {
 	p := dpd.DefaultParams(2)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{true, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 2, Y: 2, Z: 2}, [3]bool{true, true, true}))(t)
 	sys.AddParticle(geometry.Vec3{X: 1, Y: 1, Z: 1}, geometry.Vec3{X: 5}, 0, false)
 	sys.AddParticle(geometry.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, geometry.Vec3{}, 1, false)
 	shift := func(q geometry.Vec3) geometry.Vec3 { return q.Add(geometry.Vec3{X: 100}) }
@@ -116,7 +116,7 @@ func TestWriteParticlesStructure(t *testing.T) {
 
 func TestWriteParticlesScalarSizeMismatch(t *testing.T) {
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 1, Y: 1, Z: 1}, [3]bool{true, true, true}))(t)
 	sys.AddParticle(geometry.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, geometry.Vec3{}, 0, false)
 	var buf bytes.Buffer
 	if err := WriteParticles(&buf, "x", sys, nil, ParticleScalar{Name: "bad", Values: nil}); err == nil {
@@ -149,12 +149,12 @@ type memFile struct {
 func (m *memFile) Close() error { m.closed = true; return nil }
 
 func TestSceneWritesAllPieces(t *testing.T) {
-	g := nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true)
-	s := nektar3d.NewSolver(g, 0.1, 0.01)
+	g := must(nektar3d.NewGrid(1, 1, 1, 2, 1, 1, 1, true, true, true))(t)
+	s := must(nektar3d.NewSolver(g, 0.1, 0.01))(t)
 	patch := core.NewContinuumPatch("chan", s, geometry.Vec3{})
 
 	p := dpd.DefaultParams(1)
-	sys := dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true})
+	sys := must(dpd.NewSystem(p, geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
 	sys.FillRandom(10, 0)
 	region := &core.AtomisticRegion{
 		Name: "ins", Sys: sys,
@@ -208,4 +208,15 @@ func keys(m map[string]*memFile) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// must unwraps a constructor's result, failing the test on its error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 }

@@ -34,7 +34,8 @@ for target in \
 	'FuzzReadFile ./internal/checkpoint' \
 	'FuzzHistoryApplyState ./internal/history' \
 	'FuzzAuditApplyState ./internal/audit' \
-	'FuzzLoadConfig ./internal/config'; do
+	'FuzzLoadConfig ./internal/config' \
+	'FuzzBuildConfig ./internal/config'; do
 	set -- $target
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
 done
