@@ -260,7 +260,7 @@ func (c *Config) Build() (*Built, error) {
 		b.Meta.Patches = append(b.Meta.Patches, patch)
 	}
 
-	for _, cc := range c.Couplings {
+	for i, cc := range c.Couplings {
 		donor, ok := b.Patches[cc.Donor]
 		if !ok {
 			return nil, fmt.Errorf("config: coupling donor %q unknown", cc.Donor)
@@ -275,9 +275,11 @@ func (c *Config) Build() (*Built, error) {
 		if _, _, err := nektar3d.ParseFace(cc.Face); err != nil {
 			return nil, fmt.Errorf("config: coupling face: %w", err)
 		}
-		b.Meta.Couplings = append(b.Meta.Couplings, &core.PatchCoupling{
-			Donor: donor, Receiver: recv, Face: cc.Face,
-		})
+		coupling := &core.PatchCoupling{Donor: donor, Receiver: recv, Face: cc.Face}
+		if err := coupling.CheckFace(); err != nil {
+			return nil, fmt.Errorf("config: couplings[%d].face %s: %w", i, cc.Face, err)
+		}
+		b.Meta.Couplings = append(b.Meta.Couplings, coupling)
 	}
 
 	for i, rc := range c.Regions {

@@ -89,7 +89,13 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 
 func mustBuildErr(t *testing.T, mutate func(*Config)) error {
 	t.Helper()
-	c, err := Load(strings.NewReader(validJSON))
+	return mustBuildErrIn(t, validJSON, mutate)
+}
+
+// mustBuildErrIn is mustBuildErr on the config doc.
+func mustBuildErrIn(t *testing.T, doc string, mutate func(*Config)) error {
+	t.Helper()
+	c, err := Load(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +142,20 @@ func TestBuildValidation(t *testing.T) {
 	} {
 		if err := mustBuildErr(t, row.mutate); !strings.Contains(err.Error(), row.want) {
 			t.Errorf("err = %v, want one naming %s", err, row.want)
+		}
+	}
+	// A receiver face with a node outside its donor, which every exchange
+	// would refuse to sample.
+	small, err := os.ReadFile(filepath.Join("..", "..", "cmd", "nektarg", "testdata", "small.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Couplings[0].Face = "y0" },
+		func(c *Config) { c.Patches[0].Size = Vec{1e-300, 1, 1} },
+	} {
+		if err := mustBuildErrIn(t, string(small), mutate); !strings.Contains(err.Error(), "couplings[0].face") {
+			t.Errorf("err = %v, want one naming couplings[0].face", err)
 		}
 	}
 }

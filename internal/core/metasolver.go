@@ -69,14 +69,33 @@ func (c *PatchCoupling) apply() error {
 	w := make([]float64, len(pts))
 	for i, lp := range pts {
 		g := lp.Add(c.Receiver.Origin)
-		if !c.Donor.Contains(g) {
-			return fmt.Errorf("core: receiver %q face %s node %v outside donor %q",
-				c.Receiver.Name, c.Face, g, c.Donor.Name)
+		if err := c.sampleable(g); err != nil {
+			return err
 		}
 		u[i], v[i], w[i] = c.Donor.SampleVelocity(g)
 	}
 	c.Receiver.BC.SetFace(pts, u, v, w)
 	return nil
+}
+
+// CheckFace returns apply's error for the first receiver face node outside
+// the donor, if there is one: a coupling that fails it fails every exchange.
+func (c *PatchCoupling) CheckFace() error {
+	for _, lp := range c.Receiver.Solver.G.FacePoints(c.Face) {
+		if err := c.sampleable(lp.Add(c.Receiver.Origin)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sampleable reports a receiver face node g the donor cannot be sampled at.
+func (c *PatchCoupling) sampleable(g geometry.Vec3) error {
+	if c.Donor.Contains(g) {
+		return nil
+	}
+	return fmt.Errorf("core: receiver %q face %s node %v outside donor %q",
+		c.Receiver.Name, c.Face, g, c.Donor.Name)
 }
 
 // AtomisticRegion is one DPD-LAMMPS domain ΩA embedded (in the paper, inside
@@ -343,8 +362,11 @@ func (m *Metasolver) Advance(n int) error {
 		}
 		// Atomistic regions advance on the caller goroutine.
 		at := m.rec.Begin("meta.atomistic")
+		var regionErr error
 		for _, a := range m.Atomistic {
-			a.Sys.Run(m.NSStepsPerExchange * m.DPDStepsPerNS)
+			if err := a.Sys.Run(m.NSStepsPerExchange * m.DPDStepsPerNS); err != nil && regionErr == nil {
+				regionErr = fmt.Errorf("core: region %q: %w", a.Name, err)
+			}
 		}
 		at.End()
 		wait := m.rec.Begin("meta.wait")
@@ -359,6 +381,12 @@ func (m *Metasolver) Advance(n int) error {
 				}
 				return fmt.Errorf("core: patch %q: %w", m.Patches[i].Name, err)
 			}
+		}
+		if regionErr != nil {
+			if m.log != nil {
+				m.log.Error("region step failed", "err", regionErr.Error())
+			}
+			return regionErr
 		}
 		m.auditExchange()
 		if m.hist != nil {

@@ -455,7 +455,19 @@ func (f *FluxBC) apply(s *System) {
 	w /= nSample
 	vres = vres.Scale(1.0 / nSample)
 
-	f.Acc += f.Rho * oneSidedFlux(w, sd) * area * s.Dt
+	// One step brings in at most what the box holds at Rho. More, or an
+	// accumulator that is not finite, is a reservoir drift gone wrong, and
+	// inserting it would exhaust memory or never end: the step inserts
+	// nothing and the system keeps the error.
+	acc := f.Acc + f.Rho*oneSidedFlux(w, sd)*area*s.Dt
+	if math.IsNaN(acc) || math.IsInf(acc, 0) || math.Floor(acc) > f.Rho*s.Volume() {
+		if s.err == nil {
+			s.err = fmt.Errorf("dpd: flux face %c%d: one step's influx accumulates to %g particles, the box holds %g at rho %g",
+				"xyz"[f.Axis], btoi(f.AtMax), acc, f.Rho*s.Volume(), f.Rho)
+		}
+		return
+	}
+	f.Acc = acc
 	for f.Acc >= 1 {
 		f.Acc--
 		pos := f.randomFacePoint(s)
@@ -489,6 +501,13 @@ func (f *FluxBC) apply(s *System) {
 		s.AddParticle(pos, vel, f.Species, false)
 		s.Inserted++
 	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // randomFacePoint samples a point in a thin insertion slab at the face.

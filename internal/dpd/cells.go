@@ -1,6 +1,7 @@
 package dpd
 
 import (
+	"fmt"
 	"math"
 
 	"nektarg/internal/geometry"
@@ -40,8 +41,18 @@ func (s *System) buildCells() {
 	s.py = grow(s.py, n, pcap)
 	s.pz = grow(s.pz, n, pcap)
 
+	// The AVX2 kernel indexes A with both species unchecked; AddParticle,
+	// ApplyState and Params.Validate keep every index in range.
+	for _, row := range s.A {
+		if len(row) != len(s.A) {
+			panic(fmt.Sprintf("dpd: species matrix row of %d for %d species", len(row), len(s.A)))
+		}
+	}
 	clear(s.cstart)
 	for i := range s.Particles {
+		if sp := s.Particles[i].Species; uint(sp) >= uint(len(s.A)) {
+			panic(fmt.Sprintf("dpd: particle %d species %d of %d", i, sp, len(s.A)))
+		}
 		c := int32(s.cellOf(s.Particles[i].Pos))
 		s.pcell[i] = c
 		s.cstart[c]++
@@ -100,13 +111,19 @@ var rowShell = [5][2]int{{0, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1}}
 //
 // where own[c] starts home cell c and col[c] neighbour column c-1; columns
 // beyond an open or short row's ends are empty. slot maps an entry back to
-// its mirror slot; hit is the filter's output.
+// its mirror slot and part to its particle; hit is the filter's output. Every buffer keeps rowPad
+// entries beyond the last one in use: the AVX2 filter loads and stores four
+// entries at a time.
 type gatherRow struct {
-	x, y, z   []float64
-	slot, hit []int32
-	own, col  []int32
-	n         int
+	x, y, z    []float64
+	slot, part []int32
+	hit        []int32
+	own, col   []int32
+	n          int
 }
+
+// rowPad is the slack a four-wide vector needs past the last entry it uses.
+const rowPad = 3
 
 // gather fills r for the home row (cy, cz). It is the one traversal of
 // rowShell: the force kernel and the virial both range over its output.
@@ -149,25 +166,26 @@ func (r *gatherRow) gather(s *System, cy, cz int) {
 func (r *gatherRow) add(s *System, cell int, sx, sy, sz float64) {
 	j0, j1 := int(s.cstart[cell]), int(s.cstart[cell+1])
 	n := r.n
-	if need := n + j1 - j0; need > len(r.x) {
+	if need := n + j1 - j0; need > len(r.x)-rowPad {
 		r.grow(need + need/2)
 	}
 	for sj := j0; sj < j1; sj++ {
-		r.x[n], r.y[n], r.z[n], r.slot[n] = s.px[sj]+sx, s.py[sj]+sy, s.pz[sj]+sz, int32(sj)
+		r.x[n], r.y[n], r.z[n], r.slot[n], r.part[n] = s.px[sj]+sx, s.py[sj]+sy, s.pz[sj]+sz, int32(sj), s.sidx[sj]
 		n++
 	}
 	r.n = n
 }
 
-// grow makes room for n entries, keeping what is there.
+// grow makes room for n entries and the padding, keeping what is there.
 func (r *gatherRow) grow(n int) {
-	if n <= len(r.x) {
+	if n += rowPad; n <= len(r.x) {
 		return
 	}
 	r.x = append(r.x, make([]float64, n-len(r.x))...)
 	r.y = append(r.y, make([]float64, n-len(r.y))...)
 	r.z = append(r.z, make([]float64, n-len(r.z))...)
 	r.slot = append(r.slot, make([]int32, n-len(r.slot))...)
+	r.part = append(r.part, make([]int32, n-len(r.part))...)
 	r.hit = append(r.hit, make([]int32, n-len(r.hit))...)
 }
 
@@ -190,13 +208,13 @@ func (s *System) wrapCell(c, d int) (wrapped int, shift float64, ok bool) {
 // foldShort applies the per-pair minimum image along the short axes.
 func (s *System) foldShort(dx, dy, dz float64) (float64, float64, float64) {
 	if s.short[0] {
-		dx -= s.boxLen[0] * math.Round(dx/s.boxLen[0])
+		dx -= float64(s.boxLen[0] * math.Round(dx/s.boxLen[0]))
 	}
 	if s.short[1] {
-		dy -= s.boxLen[1] * math.Round(dy/s.boxLen[1])
+		dy -= float64(s.boxLen[1] * math.Round(dy/s.boxLen[1]))
 	}
 	if s.short[2] {
-		dz -= s.boxLen[2] * math.Round(dz/s.boxLen[2])
+		dz -= float64(s.boxLen[2] * math.Round(dz/s.boxLen[2]))
 	}
 	return dx, dy, dz
 }

@@ -3,6 +3,7 @@ package dpd
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -596,6 +597,41 @@ func TestMinimumImageProperty(t *testing.T) {
 }
 
 // must unwraps a constructor's result, failing the test on its error.
+// TestRunawayFluxFaceStops drives an open box's inflow into the regimes that
+// exhausted memory or never ended — a reservoir drift that is not finite, and
+// one that brings in more particles in one step than the box holds — and
+// requires a step in which that face inserts nothing, then an error that Run
+// returns and keeps returning without stepping, until ApplyState restores a
+// state.
+func TestRunawayFluxFaceStops(t *testing.T) {
+	for _, drift := range []float64{math.NaN(), math.Inf(1), 1e9} {
+		s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 6, Y: 4, Z: 5}, [3]bool{false, true, false}))(t)
+		s.Walls = zWalls(5)
+		s.FillRandom(360, 0)
+		s.Inflows = xFluxFaces()
+		if err := s.Run(5); err != nil {
+			t.Fatal(err)
+		}
+		st := s.CaptureState()
+		face := s.Inflows[0]
+		face.Vel = func(geometry.Vec3) geometry.Vec3 { return geometry.Vec3{X: drift} }
+		step, acc := s.Step, face.Acc
+		err := s.Run(10)
+		if err == nil || !strings.Contains(err.Error(), "flux face x0") {
+			t.Fatalf("drift %g: Run returned %v, want the x0 face's error", drift, err)
+		}
+		if s.Step != step+1 || face.Acc != acc {
+			t.Fatalf("drift %g: %d steps taken, accumulator %g -> %g; want one step and no insertion", drift, s.Step-step, acc, face.Acc)
+		}
+		if again := s.Run(10); again != err || s.Step != step+1 {
+			t.Fatalf("drift %g: a second Run returned %v after %d steps, want the same error and no step", drift, again, s.Step-step)
+		}
+		if err := s.ApplyState(st); err != nil || s.Err() != nil {
+			t.Fatalf("drift %g: ApplyState = %v, Err = %v after it", drift, err, s.Err())
+		}
+	}
+}
+
 func must[T any](v T, err error) func(testing.TB) T {
 	return func(t testing.TB) T {
 		t.Helper()

@@ -33,11 +33,52 @@ func xFluxFaces() []*FluxBC {
 // species, frozen particles, particle indices reshuffled by insertion and
 // deletion, and tile counts from one to one per z-layer.
 func TestPairKernelMatchesReference(t *testing.T) {
+	for _, c := range pairKernelCases(t) {
+		ncz := int(c.build().Size().Z)
+		for _, tiles := range []int{1, 2, 3, 4, ncz} {
+			t.Run(fmt.Sprintf("%s/tiles=%d", c.name, tiles), func(t *testing.T) {
+				s := c.build()
+				s.Parallel = tiles
+				for step := 0; step < 16; step++ {
+					s.VVStep()
+					full := make([]geometry.Vec3, len(s.Particles))
+					for i := range s.Particles {
+						full[i] = s.Particles[i].F
+					}
+					s.pairForces()
+					want := refPairForces(s, tiles)
+					var fmax float64
+					for i := range want {
+						fmax = math.Max(fmax, want[i].Norm())
+					}
+					for i := range s.Particles {
+						if got := s.Particles[i].F; got.Sub(want[i]).Norm() > 1e-12*fmax {
+							t.Fatalf("step %d particle %d (id %d): pair force %v, reference kernel %v (max |F| %.3g)",
+								s.Step, i, s.Particles[i].ID, got, want[i], fmax)
+						}
+						s.Particles[i].F = full[i]
+					}
+				}
+				if len(s.Inflows) > 0 && (s.Inserted == 0 || s.Deleted == 0) {
+					t.Fatalf("open box inserted %d and deleted %d particles: index reshuffling not exercised", s.Inserted, s.Deleted)
+				}
+			})
+		}
+	}
+}
+
+// pairKernelCase is one system the pair-kernel tests step.
+type pairKernelCase struct {
+	name  string
+	build func() *System
+}
+
+// pairKernelCases are the systems of TestPairKernelMatchesReference: every
+// boundary mix the solvers use, a non-cubic grid, two species, frozen
+// particles, and an open box that inserts and deletes.
+func pairKernelCases(t testing.TB) []pairKernelCase {
 	box := func(x, y, z float64) geometry.Vec3 { return geometry.Vec3{X: x, Y: y, Z: z} }
-	cases := []struct {
-		name  string
-		build func() *System
-	}{
+	return []pairKernelCase{
 		{"periodic", func() *System {
 			s := must(NewSystem(DefaultParams(1), geometry.Vec3{}, box(5, 5, 5), [3]bool{true, true, true}))(t)
 			s.FillRandom(375, 0)
@@ -80,38 +121,6 @@ func TestPairKernelMatchesReference(t *testing.T) {
 			return s
 		}},
 	}
-	for _, c := range cases {
-		ncz := int(c.build().Size().Z)
-		for _, tiles := range []int{1, 2, 3, 4, ncz} {
-			t.Run(fmt.Sprintf("%s/tiles=%d", c.name, tiles), func(t *testing.T) {
-				s := c.build()
-				s.Parallel = tiles
-				for step := 0; step < 16; step++ {
-					s.VVStep()
-					full := make([]geometry.Vec3, len(s.Particles))
-					for i := range s.Particles {
-						full[i] = s.Particles[i].F
-					}
-					s.pairForces()
-					want := refPairForces(s, tiles)
-					var fmax float64
-					for i := range want {
-						fmax = math.Max(fmax, want[i].Norm())
-					}
-					for i := range s.Particles {
-						if got := s.Particles[i].F; got.Sub(want[i]).Norm() > 1e-12*fmax {
-							t.Fatalf("step %d particle %d (id %d): pair force %v, reference kernel %v (max |F| %.3g)",
-								s.Step, i, s.Particles[i].ID, got, want[i], fmax)
-						}
-						s.Particles[i].F = full[i]
-					}
-				}
-				if len(s.Inflows) > 0 && (s.Inserted == 0 || s.Deleted == 0) {
-					t.Fatalf("open box inserted %d and deleted %d particles: index reshuffling not exercised", s.Inserted, s.Deleted)
-				}
-			})
-		}
-	}
 }
 
 // TestForcesMatchAllPairs checks the cell walk against an O(N²) oracle that
@@ -121,34 +130,8 @@ func TestPairKernelMatchesReference(t *testing.T) {
 // regular ones; plus one axis shorter than two cutoffs (a single cell that is
 // its own neighbour) and non-periodic short axes, which must not be folded.
 func TestForcesMatchAllPairs(t *testing.T) {
-	type boxCase struct {
-		edge     [3]float64
-		periodic [3]bool
-	}
-	var cases []boxCase
-	edges := []float64{2, 2.5, 3, 4}
-	for _, lx := range edges {
-		for _, ly := range edges {
-			for _, lz := range edges {
-				cases = append(cases, boxCase{[3]float64{lx, ly, lz}, [3]bool{true, true, true}})
-			}
-		}
-	}
-	cases = append(cases,
-		boxCase{[3]float64{1.5, 4, 4}, [3]bool{true, true, true}},
-		boxCase{[3]float64{4, 1.5, 2}, [3]bool{true, true, true}},
-		boxCase{[3]float64{2, 2.5, 3}, [3]bool{false, true, true}},
-		boxCase{[3]float64{2, 2, 2}, [3]bool{true, false, true}},
-		boxCase{[3]float64{2.5, 3, 2}, [3]bool{true, true, false}},
-	)
-	for _, c := range cases {
-		p := DefaultParams(2)
-		p.A[0][1], p.A[1][0] = 35, 35
-		hi := geometry.Vec3{X: c.edge[0], Y: c.edge[1], Z: c.edge[2]}
-		s := must(NewSystem(p, geometry.Vec3{}, hi, c.periodic))(t)
-		n := int(3 * s.Volume())
-		s.FillRandom(n-n/4, 0)
-		s.FillRandom(n/4, 1)
+	for _, c := range allPairsBoxes() {
+		s := allPairsSystem(t, c)
 		s.pairForces()
 		want := allPairsForces(s)
 		var worst float64
@@ -174,4 +157,43 @@ func TestForcesMatchAllPairs(t *testing.T) {
 			t.Errorf("box %v periodic %v: virial pressure %.12g, all-pairs %.12g", c.edge, c.periodic, gotP, wantP)
 		}
 	}
+}
+
+// allPairsBox is one box of TestForcesMatchAllPairs.
+type allPairsBox struct {
+	edge     [3]float64
+	periodic [3]bool
+}
+
+// allPairsBoxes are every box edge from two cutoffs up, then one axis shorter
+// than two cutoffs and non-periodic short axes.
+func allPairsBoxes() []allPairsBox {
+	var cases []allPairsBox
+	edges := []float64{2, 2.5, 3, 4}
+	for _, lx := range edges {
+		for _, ly := range edges {
+			for _, lz := range edges {
+				cases = append(cases, allPairsBox{[3]float64{lx, ly, lz}, [3]bool{true, true, true}})
+			}
+		}
+	}
+	return append(cases,
+		allPairsBox{[3]float64{1.5, 4, 4}, [3]bool{true, true, true}},
+		allPairsBox{[3]float64{4, 1.5, 2}, [3]bool{true, true, true}},
+		allPairsBox{[3]float64{2, 2.5, 3}, [3]bool{false, true, true}},
+		allPairsBox{[3]float64{2, 2, 2}, [3]bool{true, false, true}},
+		allPairsBox{[3]float64{2.5, 3, 2}, [3]bool{true, true, false}},
+	)
+}
+
+// allPairsSystem fills box c at number density 3 with two species.
+func allPairsSystem(t testing.TB, c allPairsBox) *System {
+	p := DefaultParams(2)
+	p.A[0][1], p.A[1][0] = 35, 35
+	hi := geometry.Vec3{X: c.edge[0], Y: c.edge[1], Z: c.edge[2]}
+	s := must(NewSystem(p, geometry.Vec3{}, hi, c.periodic))(t)
+	n := int(3 * s.Volume())
+	s.FillRandom(n-n/4, 0)
+	s.FillRandom(n/4, 1)
+	return s
 }

@@ -108,5 +108,5 @@ func pairXiKeyed(stepKey uint64, id1, id2 int64) float64 {
 	}
 	h := splitmix64(stepKey ^ (uint64(id1)<<32 | uint64(uint32(id2))))
 	const sqrt3 = 1.7320508075688772
-	return (2*float64(h>>11)/float64(1<<53) - 1) * sqrt3
+	return (float64(2*float64(h>>11)/float64(1<<53)) - 1) * sqrt3
 }

@@ -23,10 +23,10 @@ func (s *System) VirialPressure() float64 {
 			row.gather(s, cy, cz)
 			for cx := 0; cx < s.ncell[0]; cx++ {
 				for a := row.own[cx]; a < row.own[cx+1]; a++ {
-					pi := &s.Particles[s.sidx[row.slot[a]]]
+					pi := &s.Particles[row.part[a]]
 					for _, r := range [2][2]int32{{a + 1, row.own[cx+2]}, {row.col[cx], row.col[cx+3]}} {
 						for k := r[0]; k < r[1]; k++ {
-							pj := &s.Particles[s.sidx[row.slot[k]]]
+							pj := &s.Particles[row.part[k]]
 							if pi.Frozen && pj.Frozen {
 								continue
 							}

@@ -3,6 +3,8 @@ package dpd
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"nektarg/internal/geometry"
 )
@@ -38,19 +40,35 @@ func NewSDFWall(s *geometry.Surface, lo, hi geometry.Vec3, h float64) *SDFWall {
 		w.n[d] = int(math.Ceil(v/h)) + 1
 	}
 	w.d = make([]float64, w.n[0]*w.n[1]*w.n[2])
-	for k := 0; k < w.n[2]; k++ {
-		for j := 0; j < w.n[1]; j++ {
-			for i := 0; i < w.n[0]; i++ {
-				p := geometry.Vec3{
-					X: lo.X + float64(i)*h,
-					Y: lo.Y + float64(j)*h,
-					Z: lo.Z + float64(k)*h,
-				}
-				w.d[w.idx(i, j, k)] = tw.Distance(p)
+	// The samples are independent and each z-plane is a disjoint range of
+	// w.d: the planes are dealt out round-robin to one goroutine per core.
+	nw := min(runtime.GOMAXPROCS(0), w.n[2])
+	var wg sync.WaitGroup
+	for t := 0; t < nw; t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := t; k < w.n[2]; k += nw {
+				w.fillPlane(tw, k)
 			}
+		}()
+	}
+	wg.Wait()
+	return w
+}
+
+// fillPlane samples the signed distance at the nodes of z-plane k.
+func (w *SDFWall) fillPlane(tw *TriangulatedWall, k int) {
+	for j := 0; j < w.n[1]; j++ {
+		for i := 0; i < w.n[0]; i++ {
+			p := geometry.Vec3{
+				X: w.Lo.X + float64(i)*w.H,
+				Y: w.Lo.Y + float64(j)*w.H,
+				Z: w.Lo.Z + float64(k)*w.H,
+			}
+			w.d[w.idx(i, j, k)] = tw.Distance(p)
 		}
 	}
-	return w
 }
 
 func (w *SDFWall) idx(i, j, k int) int { return i + w.n[0]*(j+w.n[1]*k) }

@@ -104,8 +104,14 @@ func (s *System) ApplyState(st State) error {
 	if err := s.rngSrc.UnmarshalBinary(st.RNG); err != nil {
 		return fmt.Errorf("dpd: restoring rng stream: %w", err)
 	}
+	for i := range st.Particles {
+		if sp := st.Particles[i].Species; sp < 0 || sp >= len(st.Params.A) {
+			return fmt.Errorf("dpd: applying state: particle %d species %d of %d", i, sp, len(st.Params.A))
+		}
+	}
 	s.Params = st.Params
 	s.Particles = append(s.Particles[:0], st.Particles...)
+	s.err = nil
 	s.Step = st.Step
 	s.Time = st.Time
 	s.nextID = st.NextID

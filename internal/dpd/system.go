@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"unsafe"
 
 	"nektarg/internal/geometry"
 	"nektarg/internal/monitor"
@@ -87,6 +88,10 @@ type System struct {
 	Watch *monitor.Watchdogs
 
 	nextID int64
+
+	// err is the first fault a step could not carry out (a runaway flux
+	// face, FluxBC.apply); it stays until ApplyState restores a state.
+	err error
 
 	// rngSrc/rng drive all stream-based randomness (FillRandom, flux-BC
 	// insertions). The source is a PCG whose full position serializes into
@@ -323,6 +328,27 @@ func (s *System) workers() int {
 // silently loses exactness, and with it the worker-count independence.
 const exactQ = 1.5 * (1 << 12)
 
+// pairArgs is what forceAVX2 reads: the row and particle arrays and the
+// constants of a tile, and the home particle i. Particle's 96 bytes are
+// twelve float64 words in the kernel's gather indices.
+type pairArgs struct {
+	x, y, z, ai     *float64
+	slot, part      *int32
+	parts           *Particle
+	halo            *geometry.Vec3
+	haloLo, haloN   int64
+	invRc, negGamma float64
+	sigma           float64
+	stepKey         uint64
+	xi, yi, zi      float64
+	vxi, vyi, vzi   float64
+	id              int64
+	frozen          int64   // -1 when i is frozen, else 0
+	fx, fy, fz      float64 // out: the sum of i's pair forces
+}
+
+var _ = [1]struct{}{}[unsafe.Sizeof(Particle{})-96]
+
 // forcesInTile accumulates the Groot-Warren pair forces of every cell pair
 // homed in the tile, a row of home cells at a time, in three phases. GATHER
 // (gatherRow.gather) lays the row's half-shell neighbourhood out contiguously.
@@ -334,9 +360,18 @@ func (s *System) forcesInTile(t *forceTile, row *gatherRow) {
 	gamma := s.Gamma
 	sigma := math.Sqrt(2*s.Gamma*s.KBT) / math.Sqrt(s.Dt)
 	stepKey := s.Seed ^ splitmix64(uint64(s.Step))
-	sidx, parts := s.sidx, s.Particles
+	parts := s.Particles
 	halo, haloLo, haloN := s.halo[t.haloOff:], t.haloLo, uint32(t.haloHi-t.haloLo)
 	short := s.short[0] || s.short[1] || s.short[2]
+	// The AVX2 kernel knows no per-pair fold: boxes with a short axis keep
+	// the Go loops.
+	simd := useAVX2 && !short
+	rc2 := s.Rc * s.Rc
+	pa := pairArgs{
+		parts: unsafe.SliceData(parts), halo: unsafe.SliceData(halo),
+		haloLo: int64(haloLo), haloN: int64(haloN),
+		invRc: invRc, negGamma: -gamma, sigma: sigma, stepKey: stepKey,
+	}
 	ncx, ncy := s.ncell[0], s.ncell[1]
 
 	// A quarter more than the row holds when Particles is full: like the
@@ -350,39 +385,58 @@ func (s *System) forcesInTile(t *forceTile, row *gatherRow) {
 				continue
 			}
 			row.gather(s, cy, cz)
-			gx, gy, gz, slot, hit := row.x[:row.n], row.y[:row.n], row.z[:row.n], row.slot[:row.n], row.hit[:row.n]
+			gx, gy, gz, slot, part, hit := row.x[:row.n], row.y[:row.n], row.z[:row.n], row.slot[:row.n], row.part[:row.n], row.hit[:row.n]
+			np := row.n + rowPad
+			px, py, pz, phit := row.x[:np], row.y[:np], row.z[:np], row.hit[:np]
+			pa.x, pa.y, pa.z, pa.slot, pa.part = &px[0], &py[0], &pz[0], &row.slot[0], &row.part[0]
 			for cx := 0; cx < ncx; cx++ {
 				ownEnd := int(row.own[cx+2])
 				col0, col1 := int(row.col[cx]), int(row.col[cx+3])
 				for a := int(row.own[cx]); a < int(row.own[cx+1]); a++ {
 					xi, yi, zi := gx[a], gy[a], gz[a]
-					nhit := s.filter(row, a, a+1, ownEnd, 0)
-					nhit = s.filter(row, a, col0, col1, nhit)
+					var nhit int
+					if simd {
+						nhit = filterAVX2(px, py, pz, phit, a, ownEnd, col0, col1, rc2)
+					} else {
+						nhit = s.filter(row, a, a+1, ownEnd, 0)
+						nhit = s.filter(row, a, col0, col1, nhit)
+					}
 					if nhit == 0 {
 						continue
 					}
-					pi := &parts[sidx[slot[a]]]
+					pi := &parts[part[a]]
 					ai := s.A[pi.Species]
+					if simd {
+						pa.ai, pa.id, pa.frozen = &ai[0], pi.ID, 0
+						pa.xi, pa.yi, pa.zi = xi, yi, zi
+						pa.vxi, pa.vyi, pa.vzi = pi.Vel.X, pi.Vel.Y, pi.Vel.Z
+						if pi.Frozen {
+							pa.frozen = -1
+						}
+						forceAVX2(&pa, phit, nhit)
+						pi.F.X, pi.F.Y, pi.F.Z = pi.F.X+pa.fx, pi.F.Y+pa.fy, pi.F.Z+pa.fz
+						continue
+					}
 					fi := pi.F
 					for _, k := range hit[:nhit] {
 						dx, dy, dz := xi-gx[k], yi-gy[k], zi-gz[k]
 						if short {
 							dx, dy, dz = s.foldShort(dx, dy, dz)
 						}
-						r2 := dx*dx + dy*dy + dz*dz
+						r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 						sj := slot[k]
-						pj := &parts[sidx[sj]]
+						pj := &parts[part[k]]
 						if r2 == 0 || pi.Frozen && pj.Frozen {
 							continue
 						}
 						// One division per pair: with u = 1/r and w = 1 - r/rc,
 						// (a w - γ w² r̂·v + σ w ξ/√dt) r̂ = (a - γ w u d·v + σξ/√dt) w u d.
 						r := math.Sqrt(r2)
-						wu := (1 - r*invRc) / r
+						wu := (1 - float64(r*invRc)) / r
 						vx, vy, vz := pi.Vel.X-pj.Vel.X, pi.Vel.Y-pj.Vel.Y, pi.Vel.Z-pj.Vel.Z
-						fd := -gamma * wu * (dx*vx + dy*vy + dz*vz)
+						fd := -gamma * wu * (float64(dx*vx) + float64(dy*vy) + float64(dz*vz))
 						fr := sigma * pairXiKeyed(stepKey, pi.ID, pj.ID)
-						f := (ai[pj.Species] + fd + fr) * wu
+						f := (ai[pj.Species] + float64(fd) + float64(fr)) * wu
 						// float64() rounds the product, so it cannot fuse
 						// into an FMA with the add that rounds it (exactQ).
 						fx := float64(f*dx) + exactQ - exactQ
@@ -418,11 +472,18 @@ func (s *System) filter(row *gatherRow, a, k0, k1, n int) int {
 			dx, dy, dz = s.foldShort(dx, dy, dz)
 		}
 		hit[n] = int32(k)
-		if dx*dx+dy*dy+dz*dz < rc2 {
+		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < rc2 {
 			n++
 		}
 	}
 	return n
+}
+
+// addScaled returns v + k f. float64() rounds each product on its own, so
+// that no architecture fuses it into the add: the step is the same bits on
+// every one (TestHotLoopsHaveNoFMA).
+func addScaled(v, f geometry.Vec3, k float64) geometry.Vec3 {
+	return geometry.Vec3{X: v.X + float64(f.X*k), Y: v.Y + float64(f.Y*k), Z: v.Z + float64(f.Z*k)}
 }
 
 // VVStep advances one modified velocity-Verlet step (Groot-Warren λ scheme):
@@ -447,15 +508,15 @@ func (s *System) VVStep() {
 		if p.Frozen {
 			continue
 		}
-		p.Vel = p.Vel.Add(p.F.Scale(s.Lambda * dt))
-		p.Pos = p.Pos.Add(p.Vel.Scale(dt))
+		p.Vel = addScaled(p.Vel, p.F, s.Lambda*dt)
+		p.Pos = addScaled(p.Pos, p.Vel, dt)
 	}
 	s.applyBoundaries()
 	s.Step++
 	s.Time += dt
 	// v = v_pred + dt (f_new + (1-2λ) f_old)/2: at Groot-Warren's λ = 1/2 the
 	// old force drops out, and is neither kept nor added.
-	wOld := dt * (1 - 2*s.Lambda) / 2
+	wOld := dt * (1 - float64(2*s.Lambda)) / 2
 	if wOld != 0 {
 		s.fOld = grow(s.fOld, len(s.Particles), cap(s.Particles))
 		for i := range s.Particles {
@@ -468,7 +529,7 @@ func (s *System) VVStep() {
 		if p.Frozen {
 			continue
 		}
-		p.Vel = p.Vel.Add(p.F.Scale(dt / 2))
+		p.Vel = addScaled(p.Vel, p.F, dt/2)
 		if wOld != 0 {
 			p.Vel = p.Vel.Add(s.fOld[i])
 		}
@@ -505,12 +566,20 @@ func (s *System) guardParticles() {
 	}
 }
 
-// Run advances n steps.
-func (s *System) Run(n int) {
-	for i := 0; i < n; i++ {
+// Run advances n steps, stopping after a step that leaves Err set, and
+// returns Err.
+func (s *System) Run(n int) error {
+	for i := 0; i < n && s.err == nil; i++ {
 		s.VVStep()
 	}
+	return s.err
 }
+
+// Err returns the first fault a step could not carry out, nil if none: a
+// flux face whose influx ran away (non-finite, or more particles in one step
+// than the box holds at its density) inserted nothing. It stays set, and Run
+// steps no further, until ApplyState restores a state.
+func (s *System) Err() error { return s.err }
 
 // TotalMomentum sums m v over mobile particles.
 func (s *System) TotalMomentum() geometry.Vec3 {

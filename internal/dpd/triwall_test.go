@@ -3,6 +3,7 @@ package dpd
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +188,30 @@ func TestSDFWallMatchesTriangulated(t *testing.T) {
 	n := sdf.Normal(geometry.Vec3{X: 0.2, Y: 0.1, Z: 0.5})
 	if n.Sub(geometry.Vec3{Z: 1}).Norm() > 0.05 {
 		t.Fatalf("SDF normal = %v", n)
+	}
+}
+
+// TestSDFWallParallelFillMatchesSerial holds NewSDFWall's concurrent fill
+// to a serial one: every node of the grid == the triangulated wall's
+// distance there, with fewer cores than planes and with more.
+func TestSDFWallParallelFillMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	surf := inwardTube(2, -1, 6, 24, 7)
+	lo, hi, h := geometry.Vec3{X: -3, Y: -3, Z: -0.5}, geometry.Vec3{X: 3, Y: 3, Z: 5.5}, 0.3
+	tw := NewTriangulatedWall(surf, 4*h)
+	for _, procs := range []int{3, 32} {
+		runtime.GOMAXPROCS(procs)
+		sdf := NewSDFWall(surf, lo, hi, h)
+		for k := 0; k < sdf.n[2]; k++ {
+			for j := 0; j < sdf.n[1]; j++ {
+				for i := 0; i < sdf.n[0]; i++ {
+					p := geometry.Vec3{X: lo.X + float64(i)*h, Y: lo.Y + float64(j)*h, Z: lo.Z + float64(k)*h}
+					if got, want := sdf.d[sdf.idx(i, j, k)], tw.Distance(p); got != want {
+						t.Fatalf("GOMAXPROCS=%d node (%d, %d, %d): %v, serial %v", procs, i, j, k, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

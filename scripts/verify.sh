@@ -17,6 +17,9 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 go build ./...
+# The AVX2 pair kernel is amd64 assembly; every other architecture builds the
+# Go loops it is checked against.
+GOARCH=arm64 go build ./...
 go test ./...
 # The trajectory must not depend on the host's core count: the recorded
 # fingerprints and the kill-and-resume run again at GOMAXPROCS 1, 2 and 3.
@@ -35,7 +38,8 @@ for target in \
 	'FuzzHistoryApplyState ./internal/history' \
 	'FuzzAuditApplyState ./internal/audit' \
 	'FuzzLoadConfig ./internal/config' \
-	'FuzzBuildConfig ./internal/config'; do
+	'FuzzBuildConfig ./internal/config' \
+	'FuzzPairKernel ./internal/dpd'; do
 	set -- $target
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
 done
