@@ -160,6 +160,29 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestRunawayInflowFailsTheExchange: a region whose imposed inflow would
+// insert more particles in one step than its box holds — small.json with a
+// fluxScale of 1e300 — builds, and its first exchange returns the flux face's
+// error, naming the region, instead of running out of memory.
+func TestRunawayInflowFailsTheExchange(t *testing.T) {
+	small, err := os.ReadFile(filepath.Join("..", "..", "cmd", "nektarg", "testdata", "small.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(strings.NewReader(string(small)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Regions[0].FluxScale = 1e300
+	b, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Meta.Advance(1); err == nil || !strings.Contains(err.Error(), `region "insert"`) || !strings.Contains(err.Error(), "flux face") {
+		t.Fatalf("Advance = %v, want the region's flux face error", err)
+	}
+}
+
 // TestOutletsBlock: an outlet becomes a registered metasolver outlet whose
 // network Built also lists under the outlet's name, and Advance steps it.
 func TestOutletsBlock(t *testing.T) {

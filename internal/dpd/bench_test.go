@@ -93,3 +93,35 @@ func BenchmarkKernelVVStep(b *testing.B) {
 		s.VVStep()
 	}
 }
+
+// BenchmarkKernelGoVsAVX2 times the workload slab's force evaluation and step
+// with the Go pair loops and with the AVX2 kernel (the same bits either way);
+// step-p1 and step-p2 run the force sweep on one and two workers. Off amd64,
+// or without AVX2, the avx2 legs are skipped.
+func BenchmarkKernelGoVsAVX2(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		parallel int
+		step     bool
+	}{{"forces", 1, false}, {"step-p1", 1, true}, {"step-p2", 2, true}} {
+		for _, kernel := range []string{"go", "avx2"} {
+			b.Run(c.name+"/"+kernel, func(b *testing.B) {
+				if kernel == "avx2" && !useAVX2 {
+					b.Skip("no AVX2 kernel on this host")
+				}
+				defer func(v bool) { useAVX2 = v }(useAVX2)
+				useAVX2 = kernel == "avx2"
+				s := benchWorkloadSlab(b)
+				s.Parallel = c.parallel
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if c.step {
+						s.VVStep()
+					} else {
+						s.ComputeForces()
+					}
+				}
+			})
+		}
+	}
+}

@@ -626,8 +626,11 @@ func TestRunawayFluxFaceStops(t *testing.T) {
 		if again := s.Run(10); again != err || s.Step != step+1 {
 			t.Fatalf("drift %g: a second Run returned %v after %d steps, want the same error and no step", drift, again, s.Step-step)
 		}
-		if err := s.ApplyState(st); err != nil || s.Err() != nil {
-			t.Fatalf("drift %g: ApplyState = %v, Err = %v after it", drift, err, s.Err())
+		if err := s.ApplyState(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(0); err != nil {
+			t.Fatalf("drift %g: Run after ApplyState = %v", drift, err)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package dpd
 
+import "unsafe"
+
 // useAVX2 selects the AVX2 pair-sweep kernel (kernel_amd64.s). It is read
 // from CPUID once: AVX2 and POPCNT in the processor, and the YMM state
 // enabled by the operating system. The Go loops are the oracle it must equal
@@ -41,3 +43,11 @@ func filterAVX2(x, y, z []float64, hit []int32, a, ownEnd, col0, col1 int, rc2 f
 //
 //go:noescape
 func forceAVX2(a *pairArgs, hit []int32, n int)
+
+// forceAVX2 addresses particle j at parts + 96 j and loads its Species and
+// ID as one 16-byte pair: a Particle layout that breaks either fails to
+// compile here.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof(Particle{})-96]
+	_ = [1]struct{}{}[unsafe.Offsetof(Particle{}.ID)-unsafe.Offsetof(Particle{}.Species)-8]
+)

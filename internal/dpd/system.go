@@ -329,8 +329,7 @@ func (s *System) workers() int {
 const exactQ = 1.5 * (1 << 12)
 
 // pairArgs is what forceAVX2 reads: the row and particle arrays and the
-// constants of a tile, and the home particle i. Particle's 96 bytes are
-// twelve float64 words in the kernel's gather indices.
+// constants of a tile, and the home particle i.
 type pairArgs struct {
 	x, y, z, ai     *float64
 	slot, part      *int32
@@ -347,14 +346,14 @@ type pairArgs struct {
 	fx, fy, fz      float64 // out: the sum of i's pair forces
 }
 
-var _ = [1]struct{}{}[unsafe.Sizeof(Particle{})-96]
-
 // forcesInTile accumulates the Groot-Warren pair forces of every cell pair
 // homed in the tile, a row of home cells at a time, in three phases. GATHER
 // (gatherRow.gather) lays the row's half-shell neighbourhood out contiguously.
 // FILTER runs the cutoff test of one home particle over its two candidate
 // ranges without a branch, keeping only the indices of the few inside.
 // FORCE touches Particles (velocity, id, species, force) for those alone.
+// Where useAVX2 holds, FILTER and FORCE run as assembly (kernel_amd64.s)
+// that gives the same bits as the Go loops below.
 func (s *System) forcesInTile(t *forceTile, row *gatherRow) {
 	invRc := 1 / s.Rc
 	gamma := s.Gamma
@@ -566,20 +565,16 @@ func (s *System) guardParticles() {
 	}
 }
 
-// Run advances n steps, stopping after a step that leaves Err set, and
-// returns Err.
+// Run advances n steps and returns the first fault a step could not carry
+// out: a flux face whose influx ran away (not finite, or more particles in
+// one step than the box holds at its density) inserted nothing. The fault
+// stays, and Run steps no further, until ApplyState restores a state.
 func (s *System) Run(n int) error {
 	for i := 0; i < n && s.err == nil; i++ {
 		s.VVStep()
 	}
 	return s.err
 }
-
-// Err returns the first fault a step could not carry out, nil if none: a
-// flux face whose influx ran away (non-finite, or more particles in one step
-// than the box holds at its density) inserted nothing. It stays set, and Run
-// steps no further, until ApplyState restores a state.
-func (s *System) Err() error { return s.err }
 
 // TotalMomentum sums m v over mobile particles.
 func (s *System) TotalMomentum() geometry.Vec3 {
