@@ -462,8 +462,12 @@ func (f *FluxBC) apply(s *System) {
 	acc := f.Acc + f.Rho*oneSidedFlux(w, sd)*area*s.Dt
 	if math.IsNaN(acc) || math.IsInf(acc, 0) || math.Floor(acc) > f.Rho*s.Volume() {
 		if s.err == nil {
+			side := 0
+			if f.AtMax {
+				side = 1
+			}
 			s.err = fmt.Errorf("dpd: flux face %c%d: one step's influx accumulates to %g particles, the box holds %g at rho %g",
-				"xyz"[f.Axis], btoi(f.AtMax), acc, f.Rho*s.Volume(), f.Rho)
+				"xyz"[f.Axis], side, acc, f.Rho*s.Volume(), f.Rho)
 		}
 		return
 	}
@@ -501,13 +505,6 @@ func (f *FluxBC) apply(s *System) {
 		s.AddParticle(pos, vel, f.Species, false)
 		s.Inserted++
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // randomFacePoint samples a point in a thin insertion slab at the face.

@@ -111,9 +111,9 @@ var rowShell = [5][2]int{{0, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1}}
 //
 // where own[c] starts home cell c and col[c] neighbour column c-1; columns
 // beyond an open or short row's ends are empty. slot maps an entry back to
-// its mirror slot and part to its particle; hit is the filter's output. Every buffer keeps rowPad
-// entries beyond the last one in use: the AVX2 filter loads and stores four
-// entries at a time.
+// its mirror slot and part to its particle; hit is the filter's output.
+// Every buffer keeps rowPad entries beyond the last one in use: the AVX2
+// kernel loads and stores four entries at a time.
 type gatherRow struct {
 	x, y, z    []float64
 	slot, part []int32

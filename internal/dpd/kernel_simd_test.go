@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nektarg/internal/geometry"
@@ -42,7 +43,7 @@ func requireSameHits(t testing.TB, s *System) {
 					n = s.filter(&row, a, col0, col1, n)
 					want = append(want[:0], row.hit[:n]...)
 					got := filterAVX2(row.x[:np], row.y[:np], row.z[:np], row.hit[:np], a, ownEnd, col0, col1, s.Rc*s.Rc)
-					if fmt.Sprint(row.hit[:got]) != fmt.Sprint(want) {
+					if !slices.Equal(row.hit[:got], want) {
 						t.Fatalf("row (%d, %d) entry %d: AVX2 hits %v, Go hits %v", cy, cz, a, row.hit[:got], want)
 					}
 				}
