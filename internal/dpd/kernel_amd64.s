@@ -362,7 +362,7 @@ counted:
 	VMULPD Y9, Y8, Y8
 
 	// A frozen i skips its frozen partners.
-	CMPQ pairArgs_frozen(BX), $0
+	CMPB pairArgs_frozen(BX), $0
 	JEQ  mobile
 	XORL DX, DX
 	MOVBLZX Particle_Frozen(R8), AX
@@ -635,11 +635,6 @@ DATA low32<>+0x08(SB)/8, $0x00000000ffffffff
 DATA low32<>+0x10(SB)/8, $0x00000000ffffffff
 DATA low32<>+0x18(SB)/8, $0x00000000ffffffff
 GLOBL low32<>(SB), RODATA|NOPTR, $32
-DATA byteMask<>+0x00(SB)/8, $0x00000000000000ff
-DATA byteMask<>+0x08(SB)/8, $0x00000000000000ff
-DATA byteMask<>+0x10(SB)/8, $0x00000000000000ff
-DATA byteMask<>+0x18(SB)/8, $0x00000000000000ff
-GLOBL byteMask<>(SB), RODATA|NOPTR, $32
 // mixAdd: splitmix64's increment
 DATA mixAdd<>+0x00(SB)/8, $0x9e3779b97f4a7c15
 DATA mixAdd<>+0x08(SB)/8, $0x9e3779b97f4a7c15

@@ -342,7 +342,7 @@ type pairArgs struct {
 	xi, yi, zi      float64
 	vxi, vyi, vzi   float64
 	id              int64
-	frozen          int64   // -1 when i is frozen, else 0
+	frozen          bool    // i is frozen
 	fx, fy, fz      float64 // out: the sum of i's pair forces
 }
 
@@ -406,12 +406,9 @@ func (s *System) forcesInTile(t *forceTile, row *gatherRow) {
 					pi := &parts[part[a]]
 					ai := s.A[pi.Species]
 					if simd {
-						pa.ai, pa.id, pa.frozen = &ai[0], pi.ID, 0
+						pa.ai, pa.id, pa.frozen = &ai[0], pi.ID, pi.Frozen
 						pa.xi, pa.yi, pa.zi = xi, yi, zi
 						pa.vxi, pa.vyi, pa.vzi = pi.Vel.X, pi.Vel.Y, pi.Vel.Z
-						if pi.Frozen {
-							pa.frozen = -1
-						}
 						forceAVX2(&pa, phit, nhit)
 						pi.F.X, pi.F.Y, pi.F.Z = pi.F.X+pa.fx, pi.F.Y+pa.fy, pi.F.Z+pa.fz
 						continue
