@@ -45,7 +45,7 @@ type fleetWire struct {
 // single file written at exit would vanish with a killed process and mix
 // spans of different hop-clock eras).
 func wireFleet(o *options, tr *config.Transport,
-	reg *telemetry.Registry, mon *monitor.Monitor, ist *insituState) (*fleetWire, error) {
+	reg *telemetry.Registry, mon *monitor.Monitor, hist *history.Plane, ist *insituState) (*fleetWire, error) {
 	fw := &fleetWire{hold: o.fleetHold, logger: o.logger}
 
 	rank, kind := 0, "inproc"
@@ -107,7 +107,7 @@ func wireFleet(o *options, tr *config.Transport,
 		if mon == nil {
 			return nil, fmt.Errorf("nektarg: -fleet-publish requires -monitor-addr (the published status carries the monitor's snapshots and verdict)")
 		}
-		fw.pub = fleet.NewPublisher(o.fleetPublish, mon, fmt.Sprintf("rank%d", rank), []int{rank}, kind, fw.journal)
+		fw.pub = fleet.NewPublisher(o.fleetPublish, mon, hist, fmt.Sprintf("rank%d", rank), []int{rank}, kind, fw.journal)
 		// The ticker keeps the aggregator's view fresh through windows with
 		// no exchanges — rendezvous, rollback, a peer's outage.
 		fw.stopPub = fw.pub.Start(time.Second)

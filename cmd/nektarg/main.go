@@ -228,20 +228,14 @@ func (o options) setup(cfg *config.Config, meta *core.Metasolver) (*telemetry.Re
 		}
 		led := audit.New(audit.Options{Rec: reg.NewRecorder("audit"), Watch: watch})
 		meta.EnableAudit(led)
-		if mon != nil {
-			// Only wire a real ledger: a typed-nil AuditSource would make
-			// /audit serve an empty document instead of 404ing.
-			mon.SetAuditSource(led)
-			mon.AddStatSource(led.Stats)
-		}
+		mon.Attach(led)
 		o.logger.Info("physics audit ledger enabled", "monitored", mon != nil)
 	}
 	if o.history {
 		plane := history.New(history.Options{ProfileDir: o.historyProfDir})
 		meta.EnableHistory(plane)
 		if mon != nil {
-			mon.SetHistorySource(plane)
-			mon.AddStatSource(plane.Stats)
+			mon.Attach(plane)
 			// Anomalies fire a flight dump against the separate anomaly
 			// budget: the context of a slowdown (recent spans, gauges,
 			// imbalance) captured at the moment it was detected, without
@@ -484,10 +478,12 @@ func run(cfg *config.Config, o options) error {
 		return err
 	}
 	defer ist.finish(o.logger)
-	if mon != nil && ist != nil {
-		mon.SetSnapshotSource(ist.obs)
+	if ist != nil {
+		// The monitor is already serving: the observer's routes join the
+		// live mux.
+		mon.Attach(ist.obs)
 	}
-	fw, err := wireFleet(&o, tr, reg, mon, ist)
+	fw, err := wireFleet(&o, tr, reg, mon, meta.History(), ist)
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,15 @@
-// Exposition: the ledger's scrape-time faces. Stats feeds the
-// nektarg_audit_* Prometheus families through monitor.AddStatSource (and
-// from there into the fleet rollup, relabeled per process); WriteJSON is
-// the GET /audit document; FormatTable is the end-of-run CLI report.
+// Exposition: the ledger's scrape-time faces, served through
+// monitor.Attach. Stats feeds the nektarg_audit_* Prometheus families (and
+// from there the fleet rollup, relabeled per process); Routes serves the
+// GET /audit document WriteJSON writes; FormatTable is the end-of-run CLI
+// report.
 package audit
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 
 	"nektarg/internal/monitor"
@@ -72,6 +74,15 @@ func maxSev(a, b Severity) Severity {
 		return b
 	}
 	return a
+}
+
+// Routes serves the ledger on the monitor: GET /audit is the WriteJSON
+// document.
+func (l *Ledger) Routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{"/audit": func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		l.WriteJSON(w) //nolint:errcheck // client went away
+	}}
 }
 
 // WriteJSON serializes the full ledger status as the GET /audit document.

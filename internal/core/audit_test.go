@@ -85,8 +85,7 @@ func TestAuditCatchesInjectedFluxFault(t *testing.T) {
 	mon := monitor.New(reg, monitor.Options{FlightDir: t.TempDir()})
 	sc.m.EnableMonitoring(mon.Health())
 	led := wireAudit(sc, mon.Health().Watch("audit"))
-	mon.SetAuditSource(led)
-	mon.AddStatSource(led.Stats)
+	mon.Attach(led)
 
 	// Journal leg: violations recorded as they latch, like fleetWire.bindAudit.
 	jpath := filepath.Join(t.TempDir(), "journal.nkj")

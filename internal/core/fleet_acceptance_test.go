@@ -92,7 +92,7 @@ func TestFleetWorldChild(t *testing.T) {
 	}
 	var pub *fleet.Publisher
 	if url := os.Getenv(fleetPubEnv); url != "" {
-		pub = fleet.NewPublisher(url, mon, fmt.Sprintf("rank%d", rank), []int{rank}, "tcp", j)
+		pub = fleet.NewPublisher(url, mon, nil, fmt.Sprintf("rank%d", rank), []int{rank}, "tcp", j)
 	}
 	traces := fleet.NewTraceWriter(os.Getenv(fleetTraceEnv), "trace", rank, "tcp", reg.Recorders, j)
 

@@ -12,8 +12,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"testing"
@@ -27,35 +30,31 @@ import (
 	"nektarg/internal/telemetry"
 )
 
-// historyTestOptions arms the detector early (the test scenarios run tens of
-// exchanges, not thousands) and skips the runtime series so the alarmable
-// series set is exactly the solver's own signals.
-func historyTestOptions() history.Options {
-	return history.Options{Warmup: 8, Sustain: 3, NoRuntime: true}
-}
-
-// wireHistory attaches telemetry and a history plane to a restart scenario.
-func wireHistory(sc *restartScenario, opts history.Options) *history.Plane {
+// wireHistory attaches telemetry and a history plane, at the plane's
+// constants, to a restart scenario.
+func wireHistory(sc *restartScenario) *history.Plane {
 	reg := telemetry.NewRegistry()
 	sc.m.EnableTelemetry(reg)
-	h := history.New(opts)
+	h := history.New(history.Options{})
 	sc.m.EnableHistory(h)
 	return h
 }
 
 // TestHistoryControlRunNoAnomalies is the unfaulted control: an unperturbed
 // coupled run must finish with zero anomalies — the detector would be
-// useless if healthy jitter tripped it.
+// useless if healthy jitter tripped it. The run goes 8 exchanges past the
+// warm-up, so every baseline is armed for 8 samples.
 func TestHistoryControlRunNoAnomalies(t *testing.T) {
 	sc := buildRestartScenario(t)
 	sc.m.Atomistic[0].Sys.FillRandom(400, 0)
-	h := wireHistory(sc, historyTestOptions())
-	sc.advance(t, 16)
+	h := wireHistory(sc)
+	const n = history.Warmup + 8
+	sc.advance(t, n)
 	if n := h.AnomalyTotal(); n != 0 {
 		t.Fatalf("control run fired %d anomalies, want 0: %+v", n, h.Anomalies())
 	}
-	if h.Samples() != 16 {
-		t.Fatalf("samples = %d, want 16 (stride 1)", h.Samples())
+	if h.Samples() != n {
+		t.Fatalf("samples = %d, want %d (stride 1)", h.Samples(), n)
 	}
 	// The sample must actually cover the solver: step time, per-stage
 	// seconds and at least one CG gauge series.
@@ -93,19 +92,14 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sc.m.EnableTelemetry(reg)
 	profDir := t.TempDir()
-	opts := historyTestOptions()
-	opts.Warmup = 4
-	opts.ProfileDir = profDir
-	opts.ProfileWindow = 50 * time.Millisecond
-	opts.ProfileMinGap = time.Millisecond
-	h := history.New(opts)
+	h := history.New(history.Options{ProfileDir: profDir})
 	sc.m.EnableHistory(h)
 
-	// Monitor leg: /history + /anomalies served from the plane, anomaly
-	// flight dumps into their own budget — the cmd/nektarg wiring shape.
+	// Monitor leg: /history + /anomalies served from the attached plane,
+	// anomaly flight dumps into their own budget — the cmd/nektarg wiring
+	// shape.
 	mon := monitor.New(reg, monitor.Options{FlightDir: t.TempDir()})
-	mon.SetHistorySource(h)
-	mon.AddStatSource(h.Stats)
+	mon.Attach(h)
 	flight := mon.Flight()
 	h.OnAnomaly(func(a history.Anomaly) {
 		flight.DumpAnomaly("perf-anomaly " + a.Kind.String() + ": " + a.Series) //nolint:errcheck // best-effort
@@ -126,10 +120,11 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 
 	// Warm the baselines on the unperturbed solver, then measure what
 	// "normal" means and slow every subsequent exchange far past it.
-	sc.advance(t, 8)
+	const warm, slowed = history.Warmup, 6
+	sc.advance(t, warm)
 	doc := h.Doc("step.seconds", 0, 0)
-	if len(doc.Series) != 1 || doc.Series[0].Samples != 8 {
-		t.Fatalf("step.seconds after warm-up = %+v, want 8 samples", doc.Series)
+	if len(doc.Series) != 1 || doc.Series[0].Samples != warm {
+		t.Fatalf("step.seconds after warm-up = %+v, want %d samples", doc.Series, warm)
 	}
 	slow := time.Duration(20 * doc.Series[0].Mean * float64(time.Second))
 	if slow < 50*time.Millisecond {
@@ -139,7 +134,7 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 	// steps.
 	sys := sc.m.Atomistic[0].Sys
 	sys.Bonded = append(sys.Bonded, sleepyBond(slow/time.Duration(sc.m.NSStepsPerExchange*sc.m.DPDStepsPerNS)))
-	sc.advance(t, 6)
+	sc.advance(t, slowed)
 
 	anoms := h.Anomalies()
 	var stepAnoms []history.Anomaly
@@ -156,25 +151,30 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 			len(stepAnoms), h.AnomalyTotal(), anoms)
 	}
 	a := stepAnoms[0]
-	if a.Series != "step.seconds" || a.Value <= a.Baseline || a.Z <= 4 || a.Sustained != 3 {
-		t.Fatalf("anomaly shape = %+v, want step.seconds excursion with z > 4 sustained 3", a)
+	if a.Series != "step.seconds" || a.Value <= a.Baseline || a.Z <= history.Z || a.Sustained != history.Sustain {
+		t.Fatalf("anomaly shape = %+v, want step.seconds excursion with z > %g sustained %d", a, history.Z, history.Sustain)
 	}
-	// The streak started on the first slowed exchange (9) and completed on
-	// the third (11).
-	if a.Step != 11 {
-		t.Fatalf("anomaly fired at exchange %d, want 11", a.Step)
+	// The streak started on the first slowed exchange and completed Sustain
+	// exchanges later.
+	if want := int64(warm + history.Sustain); a.Step != want {
+		t.Fatalf("anomaly fired at exchange %d, want %d", a.Step, want)
 	}
 
-	// Profile: auto-captured, rate-limited, completed in the background.
+	// Profile: auto-captured, rate-limited, completed in the background —
+	// complete once the process's CPU profile is free again.
 	if a.ProfilePath == "" || !strings.HasPrefix(a.ProfilePath, profDir) {
 		t.Fatalf("anomaly profile path = %q, want a capture under %s", a.ProfilePath, profDir)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(h.ProfilePaths()) == 0 {
+	deadline := time.Now().Add(history.ProfileWindow + 5*time.Second)
+	for pprof.StartCPUProfile(io.Discard) != nil {
 		if time.Now().After(deadline) {
 			t.Fatal("pprof capture never completed")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
+	}
+	pprof.StopCPUProfile()
+	if fi, err := os.Stat(a.ProfilePath); err != nil || fi.Size() == 0 {
+		t.Fatalf("captured profile unusable: %v (%+v)", err, fi)
 	}
 
 	// Flight recorder: one dump per anomaly on the anomaly budget, up to its
@@ -200,16 +200,21 @@ func TestHistoryInducedSlowdownEndToEnd(t *testing.T) {
 			t.Errorf("GET /anomalies missing %q:\n%s", want, body)
 		}
 	}
+	// /history at a budget smaller than the run: the auto-selected tier's
+	// window still ends at the newest exchange, the slowed ones included.
 	hist := httpGet(t, srv.URL()+"/history?series=step.&max=4")
 	var served history.Doc
 	if err := json.Unmarshal([]byte(hist), &served); err != nil {
 		t.Fatalf("GET /history body: %v", err)
 	}
-	if len(served.Series) != 1 || served.Series[0].Name != "step.seconds" || len(served.Series[0].Points) != 4 {
-		t.Fatalf("GET /history?series=step.&max=4 served %+v, want 4 newest step.seconds points", served.Series)
+	if len(served.Series) != 1 || served.Series[0].Name != "step.seconds" {
+		t.Fatalf("GET /history?series=step.&max=4 served %+v, want step.seconds", served.Series)
+	}
+	if s := served.Series[0]; len(s.Bins) == 0 || len(s.Bins) > 4 || s.Bins[len(s.Bins)-1].Step1 != warm+slowed {
+		t.Fatalf("GET /history?series=step.&max=4 served %+v, want at most 4 bins ending at exchange %d", s, warm+slowed)
 	}
 	metrics := httpGet(t, srv.URL()+"/metrics")
-	for _, want := range []string{"history_samples_total 14", `history_anomalies_total{kind="step-time"} 1`, "go_heap_alloc_bytes"} {
+	for _, want := range []string{fmt.Sprintf("history_samples_total %d", warm+slowed), `history_anomalies_total{kind="step-time"} 1`, "go_heap_alloc_bytes"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("GET /metrics missing %q", want)
 		}
@@ -274,9 +279,7 @@ func TestHistorySamplingOverhead(t *testing.T) {
 	sc := buildRestartScenario(t)
 	sc.m.Atomistic[0].Sys.FillRandom(400, 0)
 	sc.m.NSStepsPerExchange, sc.m.DPDStepsPerNS = 10, 20
-	opts := historyTestOptions()
-	opts.NoRuntime = false // the ReadMemStats handshake is part of the budget
-	h := wireHistory(sc, opts)
+	h := wireHistory(sc) // the ReadMemStats handshake is part of the budget
 	// At least minExchanges; a run caught in a noisy stretch keeps going
 	// until one sample and one exchange got through undisturbed.
 	const minExchanges, maxExchanges = 12, 48
@@ -303,7 +306,7 @@ func TestHistorySamplingOverhead(t *testing.T) {
 // period.
 func TestHistorySamplesEveryExchange(t *testing.T) {
 	sc := buildRestartScenario(t)
-	h := wireHistory(sc, historyTestOptions())
+	h := wireHistory(sc)
 	sc.advance(t, 7)
 	if h.Samples() != 7 {
 		t.Fatalf("samples = %d over 7 exchanges, want 7", h.Samples())
@@ -325,8 +328,6 @@ func TestHistoryDisabledZeroCost(t *testing.T) {
 	var p *history.Plane
 	if a := testing.AllocsPerRun(1000, func() {
 		p.SampleExchange(7, 0.1, nil)
-		p.Observe("x", 1, 1)
-		p.ObserveCum("x", 1, 1)
 		if p.Stats() != nil || p.Anomalies() != nil {
 			t.Fatal("nil plane returned data")
 		}
@@ -342,7 +343,7 @@ func TestHistoryDisabledZeroCost(t *testing.T) {
 func TestHistoryResumeContinuity(t *testing.T) {
 	const n, m = 5, 3
 	sc := buildRestartScenario(t)
-	h := wireHistory(sc, historyTestOptions())
+	h := wireHistory(sc)
 	sc.advance(t, n)
 
 	bundle := sc.m.CaptureCheckpoint(sc.networks)
@@ -359,7 +360,7 @@ func TestHistoryResumeContinuity(t *testing.T) {
 	}
 
 	resumed := buildRestartScenario(t)
-	h2 := wireHistory(resumed, historyTestOptions())
+	h2 := wireHistory(resumed)
 	if err := resumed.m.RestoreCheckpoint(loaded, resumed.networks); err != nil {
 		t.Fatal(err)
 	}

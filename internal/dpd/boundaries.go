@@ -73,7 +73,7 @@ func (s *System) meanFieldBoundaryForce(h float64) float64 {
 	rho := s.targetDensity()
 	a := s.A[0][0]
 	rc := s.Rc
-	return rho * a * math.Pi * (rc*rc*rc/12 - h*h*rc/2 + 2*h*h*h/3 - h*h*h*h/(4*rc))
+	return rho * a * math.Pi * (float64(rc*rc*rc/12) - float64(h*h*rc/2) + float64(2*h*h*h/3) - float64(h*h*h*h/(4*rc)))
 }
 
 // targetDensity estimates the bulk number density for the boundary force;
@@ -369,7 +369,7 @@ func oneSidedFlux(w, sd float64) float64 {
 	s := w / sd
 	phi := math.Exp(-0.5*s*s) / math.Sqrt(2*math.Pi)
 	cdf := 0.5 * (1 + math.Erf(s/math.Sqrt2))
-	return w*cdf + sd*phi
+	return float64(w*cdf) + float64(sd*phi)
 }
 
 // Flux-face geometry. A reservoir's drift is averaged over nSample points
@@ -452,14 +452,14 @@ func (f *FluxBC) apply(s *System) {
 		vres = vres.Add(v)
 		w += f.inwardComponent(v)
 	}
-	w /= nSample
+	w = float64(w / nSample)
 	vres = vres.Scale(1.0 / nSample)
 
 	// One step brings in at most what the box holds at Rho. More, or an
 	// accumulator that is not finite, is a reservoir drift gone wrong, and
 	// inserting it would exhaust memory or never end: the step inserts
 	// nothing and the system keeps the error.
-	acc := f.Acc + f.Rho*oneSidedFlux(w, sd)*area*s.Dt
+	acc := f.Acc + float64(f.Rho*oneSidedFlux(w, sd)*area*s.Dt)
 	if math.IsNaN(acc) || math.IsInf(acc, 0) || math.Floor(acc) > f.Rho*s.Volume() {
 		if s.err == nil {
 			side := 0
@@ -478,16 +478,16 @@ func (f *FluxBC) apply(s *System) {
 		// Normal component: positive part of N(w, sd) via rejection.
 		vn := 0.0
 		for try := 0; try < 64; try++ {
-			vn = w + s.rng.NormFloat64()*sd
+			vn = w + float64(s.rng.NormFloat64()*sd)
 			if vn > 0 {
 				break
 			}
 			vn = 0
 		}
 		vel := geometry.Vec3{
-			X: vres.X + s.rng.NormFloat64()*sd,
-			Y: vres.Y + s.rng.NormFloat64()*sd,
-			Z: vres.Z + s.rng.NormFloat64()*sd,
+			X: vres.X + float64(s.rng.NormFloat64()*sd),
+			Y: vres.Y + float64(s.rng.NormFloat64()*sd),
+			Z: vres.Z + float64(s.rng.NormFloat64()*sd),
 		}
 		// Overwrite the normal component with the inward-conditioned draw.
 		sign := 1.0
@@ -512,15 +512,15 @@ func (f *FluxBC) randomFacePoint(s *System) geometry.Vec3 {
 	sz := s.Size()
 	depth := faceDepth * s.Rc
 	pos := geometry.Vec3{
-		X: s.Lo.X + s.rng.Float64()*sz.X,
-		Y: s.Lo.Y + s.rng.Float64()*sz.Y,
-		Z: s.Lo.Z + s.rng.Float64()*sz.Z,
+		X: s.Lo.X + float64(s.rng.Float64()*sz.X),
+		Y: s.Lo.Y + float64(s.rng.Float64()*sz.Y),
+		Z: s.Lo.Z + float64(s.rng.Float64()*sz.Z),
 	}
 	coord := func(lo, hi float64) float64 {
 		if f.AtMax {
-			return hi - s.rng.Float64()*depth
+			return hi - float64(s.rng.Float64()*depth)
 		}
-		return lo + s.rng.Float64()*depth
+		return lo + float64(s.rng.Float64()*depth)
 	}
 	switch f.Axis {
 	case 0:

@@ -148,9 +148,11 @@ func FuzzPairKernel(f *testing.F) {
 
 // TestHotLoopsHaveNoFMA cross-compiles the package for arm64, whose compiler
 // fuses a product into the add it feeds unless float64() rounds the product
-// first, and requires that the disassembly of the pair sweep's Go loops and
-// of the step holds no fused multiply-add: one would move arm64's
-// trajectories off amd64's in the last bit.
+// first, and requires that no function in the package archive holds a fused
+// multiply-add: one anywhere in the step, the boundaries, the wall geometry
+// or the insertion sampling would move arm64's trajectories off amd64's in
+// the last bit. The pair sweep's Go loops and the step must be in the
+// disassembly, so an empty or truncated listing cannot pass.
 func TestHotLoopsHaveNoFMA(t *testing.T) {
 	gocmd := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := os.Stat(gocmd); err != nil {
@@ -162,11 +164,11 @@ func TestHotLoopsHaveNoFMA(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("GOARCH=arm64 go build: %v\n%s", err, out)
 	}
-	out, err := exec.Command(gocmd, "tool", "objdump", "-s", `dpd\.\(\*System\)\.(filter|forcesInTile|VVStep)$`, archive).CombinedOutput()
+	out, err := exec.Command(gocmd, "tool", "objdump", archive).CombinedOutput()
 	if err != nil {
 		t.Fatalf("go tool objdump: %v\n%s", err, out)
 	}
-	text := regexp.MustCompile(`(?m)^TEXT \S+\.\(\*System\)\.(\w+)`)
+	text := regexp.MustCompile(`(?m)^TEXT nektarg/internal/dpd\.(\S+)\(SB\)`)
 	fma := regexp.MustCompile(`\bF(N?MADD|N?MSUB)[SD]\b`)
 	fused := map[string]int{}
 	var fn string
@@ -178,12 +180,14 @@ func TestHotLoopsHaveNoFMA(t *testing.T) {
 			fused[fn]++
 		}
 	}
-	for _, name := range []string{"filter", "forcesInTile", "VVStep"} {
-		n, ok := fused[name]
-		if !ok {
-			t.Errorf("(*System).%s is not in the arm64 disassembly", name)
-		} else if n != 0 {
-			t.Errorf("(*System).%s holds %d fused multiply-adds on arm64", name, n)
+	for _, name := range []string{"(*System).filter", "(*System).forcesInTile", "(*System).VVStep"} {
+		if _, ok := fused[name]; !ok {
+			t.Errorf("%s is not in the arm64 disassembly", name)
+		}
+	}
+	for name, n := range fused {
+		if n != 0 {
+			t.Errorf("%s holds %d fused multiply-adds on arm64", name, n)
 		}
 	}
 }

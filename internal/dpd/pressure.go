@@ -34,14 +34,14 @@ func (s *System) VirialPressure() float64 {
 							if short {
 								dx, dy, dz = s.foldShort(dx, dy, dz)
 							}
-							r2 := dx*dx + dy*dy + dz*dz
+							r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 							if r2 >= rc2 || r2 == 0 {
 								continue
 							}
 							r := math.Sqrt(r2)
 							fc := s.A[pi.Species][pj.Species] * (1 - r/s.Rc)
 							// r_ij · F_ij = r * fc for a central force.
-							virial += r * fc
+							virial += float64(r * fc)
 						}
 					}
 				}
@@ -49,12 +49,12 @@ func (s *System) VirialPressure() float64 {
 		}
 	}
 	rho := s.NumberDensity()
-	return rho*s.Temperature() + virial/(3*s.Volume())
+	return float64(rho*s.Temperature()) + virial/(3*s.Volume())
 }
 
 // GrootWarrenPressure evaluates the reference equation of state
 // P = ρ kBT + α a ρ² with α = 0.101.
 func GrootWarrenPressure(a, rho, kBT float64) float64 {
 	const alpha = 0.101
-	return rho*kBT + alpha*a*rho*rho
+	return float64(rho*kBT) + float64(alpha*a*rho*rho)
 }

@@ -54,9 +54,9 @@ func (s *System) RadialDistribution(rmax float64, nbins int) []float64 {
 	g := make([]float64, nbins)
 	dr := rmax / float64(nbins)
 	for k := 0; k < nbins; k++ {
-		r0 := float64(k) * dr
+		r0 := float64(float64(k) * dr)
 		r1 := r0 + dr
-		shell := 4 * math.Pi / 3 * (r1*r1*r1 - r0*r0*r0)
+		shell := 4 * math.Pi / 3 * (float64(r1*r1*r1) - float64(r0*r0*r0))
 		ideal := rho * shell * float64(n)
 		if ideal > 0 {
 			g[k] = counts[k] / ideal

@@ -62,9 +62,9 @@ func (w *SDFWall) fillPlane(tw *TriangulatedWall, k int) {
 	for j := 0; j < w.n[1]; j++ {
 		for i := 0; i < w.n[0]; i++ {
 			p := geometry.Vec3{
-				X: w.Lo.X + float64(i)*w.H,
-				Y: w.Lo.Y + float64(j)*w.H,
-				Z: w.Lo.Z + float64(k)*w.H,
+				X: w.Lo.X + float64(float64(i)*w.H),
+				Y: w.Lo.Y + float64(float64(j)*w.H),
+				Z: w.Lo.Z + float64(float64(k)*w.H),
 			}
 			w.d[w.idx(i, j, k)] = tw.Distance(p)
 		}
@@ -107,7 +107,7 @@ func (w *SDFWall) sample(p geometry.Vec3) float64 {
 				if di == 0 {
 					wx = 1 - tx
 				}
-				s += wx * wy * wz * w.d[w.idx(i+di, j+dj, k+dk)]
+				s += float64(wx * wy * wz * w.d[w.idx(i+di, j+dj, k+dk)])
 			}
 		}
 	}
@@ -119,7 +119,7 @@ func (w *SDFWall) Distance(p geometry.Vec3) float64 { return w.sample(p) }
 
 // Normal implements Wall: the normalized SDF gradient (central differences).
 func (w *SDFWall) Normal(p geometry.Vec3) geometry.Vec3 {
-	e := w.H / 2
+	e := float64(w.H / 2)
 	g := geometry.Vec3{
 		X: w.sample(geometry.Vec3{X: p.X + e, Y: p.Y, Z: p.Z}) - w.sample(geometry.Vec3{X: p.X - e, Y: p.Y, Z: p.Z}),
 		Y: w.sample(geometry.Vec3{X: p.X, Y: p.Y + e, Z: p.Z}) - w.sample(geometry.Vec3{X: p.X, Y: p.Y - e, Z: p.Z}),

@@ -203,9 +203,9 @@ func (s *System) FillRandom(n, species int) {
 	sd := math.Sqrt(s.KBT)
 	for i := 0; i < n; i++ {
 		pos := geometry.Vec3{
-			X: s.Lo.X + s.rng.Float64()*sz.X,
-			Y: s.Lo.Y + s.rng.Float64()*sz.Y,
-			Z: s.Lo.Z + s.rng.Float64()*sz.Z,
+			X: s.Lo.X + float64(s.rng.Float64()*sz.X),
+			Y: s.Lo.Y + float64(s.rng.Float64()*sz.Y),
+			Z: s.Lo.Z + float64(s.rng.Float64()*sz.Z),
 		}
 		vel := geometry.Vec3{
 			X: s.rng.NormFloat64() * sd,
@@ -221,13 +221,13 @@ func (s *System) minimumImage(a, b geometry.Vec3) geometry.Vec3 {
 	d := a.Sub(b)
 	sz := s.Size()
 	if s.Periodic[0] {
-		d.X -= sz.X * math.Round(d.X/sz.X)
+		d.X -= float64(sz.X * math.Round(d.X/sz.X))
 	}
 	if s.Periodic[1] {
-		d.Y -= sz.Y * math.Round(d.Y/sz.Y)
+		d.Y -= float64(sz.Y * math.Round(d.Y/sz.Y))
 	}
 	if s.Periodic[2] {
-		d.Z -= sz.Z * math.Round(d.Z/sz.Z)
+		d.Z -= float64(sz.Z * math.Round(d.Z/sz.Z))
 	}
 	return d
 }

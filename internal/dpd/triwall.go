@@ -157,7 +157,7 @@ func closestPointOnTriangle(tri geometry.Triangle, p geometry.Vec3) geometry.Vec
 	if d3 >= 0 && d4 <= d3 {
 		return b
 	}
-	vc := d1*d4 - d3*d2
+	vc := float64(d1*d4) - float64(d3*d2)
 	if vc <= 0 && d1 >= 0 && d3 <= 0 {
 		v := d1 / (d1 - d3)
 		return a.Add(ab.Scale(v))
@@ -168,12 +168,12 @@ func closestPointOnTriangle(tri geometry.Triangle, p geometry.Vec3) geometry.Vec
 	if d6 >= 0 && d5 <= d6 {
 		return c
 	}
-	vb := d5*d2 - d1*d6
+	vb := float64(d5*d2) - float64(d1*d6)
 	if vb <= 0 && d2 >= 0 && d6 <= 0 {
 		w := d2 / (d2 - d6)
 		return a.Add(ac.Scale(w))
 	}
-	va := d3*d6 - d5*d4
+	va := float64(d3*d6) - float64(d5*d4)
 	if va <= 0 && (d4-d3) >= 0 && (d5-d6) >= 0 {
 		w := (d4 - d3) / ((d4 - d3) + (d5 - d6))
 		return b.Add(c.Sub(b).Scale(w))

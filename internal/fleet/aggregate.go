@@ -25,9 +25,9 @@ type ProcessStatus struct {
 	Verdict     monitor.Verdict       `json:"verdict"`
 	Stats       []monitor.Stat        `json:"stats,omitempty"`
 	// History is the process's compact performance-history document
-	// (series downsampled to fit a publish, plus the anomaly log) as
-	// produced by the monitor's HistorySource; empty when the history
-	// plane is disabled. /cluster/history serves the fleet-wide view.
+	// (series downsampled to fit a publish, plus the anomaly log) as the
+	// publisher's history plane renders it; empty when the history plane
+	// is disabled. /cluster/history serves the fleet-wide view.
 	History json.RawMessage `json:"history,omitempty"`
 }
 

@@ -319,7 +319,7 @@ func TestPublisherEndToEnd(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		j.Record(EventIncarnationStart, nil)
 	}
-	pub := NewPublisher(srv.URL(), mon, "rank7", []int{7}, "tcp", j)
+	pub := NewPublisher(srv.URL(), mon, nil, "rank7", []int{7}, "tcp", j)
 	if err := pub.PublishNow(); err != nil {
 		t.Fatal(err)
 	}

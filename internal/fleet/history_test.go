@@ -9,19 +9,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 
+	"nektarg/internal/history"
 	"nektarg/internal/monitor"
 	"nektarg/internal/telemetry"
 )
-
-// stubHistory satisfies monitor.HistorySource with a fixed compact document.
-type stubHistory struct{ doc string }
-
-func (s stubHistory) HistoryJSON(prefix string, tier, maxPoints int) ([]byte, error) {
-	return []byte(s.doc), nil
-}
-func (s stubHistory) AnomaliesJSON() ([]byte, error) { return []byte(`{"total":0}`), nil }
 
 func TestClusterHistoryRollup(t *testing.T) {
 	a := NewAggregator()
@@ -31,22 +25,27 @@ func TestClusterHistoryRollup(t *testing.T) {
 	}
 	defer srv.Close() //nolint:errcheck // test cleanup
 
-	// rank0 publishes through a monitor with a history plane wired; rank1
-	// through one without.
-	doc := `{"step":44,"anomaly_total":1,"series":[{"name":"step.seconds"}]}`
-	mk := func(name string, hist monitor.HistorySource) *Publisher {
+	// rank0 publishes with a history plane that sampled 44 exchanges; rank1
+	// without one.
+	hist := history.New(history.Options{})
+	rec := telemetry.NewRegistry().NewRecorder("rank0")
+	for step := int64(1); step <= 44; step++ {
+		rec.Gauge("particles", 400)
+		hist.SampleExchange(step, 0.01, []*telemetry.Recorder{rec})
+	}
+	mk := func(name string, hist *history.Plane) *Publisher {
 		reg := telemetry.NewRegistry()
 		reg.NewRecorder(name).Gauge("particles", 400)
-		mon := monitor.New(reg, monitor.Options{})
-		if hist != nil {
-			mon.SetHistorySource(hist)
-		}
-		return NewPublisher(srv.URL(), mon, name, []int{0}, "inproc", nil)
+		return NewPublisher(srv.URL(), monitor.New(reg, monitor.Options{}), hist, name, []int{0}, "inproc", nil)
 	}
-	if err := mk("rank0", stubHistory{doc}).PublishNow(); err != nil {
+	if err := mk("rank0", hist).PublishNow(); err != nil {
 		t.Fatal(err)
 	}
 	if err := mk("rank1", nil).PublishNow(); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := hist.HistoryJSON("", -1, 64)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,8 +59,10 @@ func TestClusterHistoryRollup(t *testing.T) {
 			have[st.Proc] = st.History
 		}
 	}
-	if len(have) != 1 || string(have["rank0"]) != doc {
-		t.Fatalf("aggregated history = %v, want rank0 only with the stub doc", have)
+	var got, want history.Doc
+	if len(have) != 1 || json.Unmarshal(have["rank0"], &got) != nil || json.Unmarshal(doc, &want) != nil ||
+		!reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregated history = %s, want rank0 only with its plane's compact document", have)
 	}
 
 	// GET /cluster/history serves {proc: doc}, omitting history-less ranks.
@@ -84,7 +85,7 @@ func TestClusterHistoryRollup(t *testing.T) {
 	if err := json.Unmarshal(body, &cluster); err != nil {
 		t.Fatalf("GET /cluster/history body: %v\n%s", err, body)
 	}
-	if len(cluster) != 1 || cluster["rank0"].Step != 44 || cluster["rank0"].AnomalyTotal != 1 {
+	if len(cluster) != 1 || cluster["rank0"].Step != 44 || cluster["rank0"].AnomalyTotal != hist.AnomalyTotal() {
 		t.Fatalf("/cluster/history = %+v, want rank0's doc only", cluster)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nektarg/internal/history"
 	"nektarg/internal/monitor"
 	"nektarg/internal/mpi"
 	"nektarg/internal/mpi/tcptransport"
@@ -27,6 +28,7 @@ type Publisher struct {
 	url    string
 	client *http.Client
 	mon    *monitor.Monitor
+	hist   *history.Plane
 	proc   string
 	ranks  []int
 	kind   string // transport kind
@@ -35,12 +37,14 @@ type Publisher struct {
 
 // NewPublisher builds a publisher POSTing to aggregatorURL (base URL, e.g.
 // "http://host:9190"). mon supplies snapshots, the health verdict and extra
-// stats; j (optional) supplies the incarnation id.
-func NewPublisher(aggregatorURL string, mon *monitor.Monitor, proc string, ranks []int, transport string, j *Journal) *Publisher {
+// stats; hist (nil when the run keeps no history) the compact history
+// document; j (optional) the incarnation id.
+func NewPublisher(aggregatorURL string, mon *monitor.Monitor, hist *history.Plane, proc string, ranks []int, transport string, j *Journal) *Publisher {
 	return &Publisher{
 		url:    aggregatorURL,
 		client: &http.Client{Timeout: 5 * time.Second},
 		mon:    mon,
+		hist:   hist,
 		proc:   proc,
 		ranks:  append([]int(nil), ranks...),
 		kind:   transport,
@@ -64,12 +68,10 @@ func (p *Publisher) Status() ProcessStatus {
 		Stats:       p.mon.Stats(),
 	}
 	// Embed a compact history document (auto-tiered, newest 64 points per
-	// series) when the history plane is wired, so /cluster/history can show
+	// series) when the run keeps history, so /cluster/history can show
 	// fleet-wide step-time and anomaly state without scraping each process.
-	if hs := p.mon.HistorySource(); hs != nil {
-		if doc, err := hs.HistoryJSON("", -1, 64); err == nil && json.Valid(doc) {
-			st.History = doc
-		}
+	if doc, err := p.hist.HistoryJSON("", -1, 64); err == nil && json.Valid(doc) {
+		st.History = doc
 	}
 	return st
 }

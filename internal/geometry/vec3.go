@@ -20,17 +20,19 @@ func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 
 // Scale returns s*v.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
+func (v Vec3) Scale(s float64) Vec3 {
+	return Vec3{float64(s * v.X), float64(s * v.Y), float64(s * v.Z)}
+}
 
 // Dot returns the inner product v . w.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+func (v Vec3) Dot(w Vec3) float64 { return float64(v.X*w.X) + float64(v.Y*w.Y) + float64(v.Z*w.Z) }
 
 // Cross returns the vector product v x w.
 func (v Vec3) Cross(w Vec3) Vec3 {
 	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
+		float64(v.Y*w.Z) - float64(v.Z*w.Y),
+		float64(v.Z*w.X) - float64(v.X*w.Z),
+		float64(v.X*w.Y) - float64(v.Y*w.X),
 	}
 }
 
@@ -54,7 +56,9 @@ func (v Vec3) Normalized() Vec3 {
 }
 
 // Mul returns the component-wise product.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
+func (v Vec3) Mul(w Vec3) Vec3 {
+	return Vec3{float64(v.X * w.X), float64(v.Y * w.Y), float64(v.Z * w.Z)}
+}
 
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%.6g, %.6g, %.6g)", v.X, v.Y, v.Z)

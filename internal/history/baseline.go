@@ -91,13 +91,13 @@ type Anomaly struct {
 // detector is the rolling statistical baseline of one series: an EWMA mean
 // plus an EWMA absolute deviation (a streaming MAD stand-in; the 1.4826
 // factor below rescales it to a σ-equivalent under normality). An anomaly
-// fires only on a *sustained* one-sided excursion — `sustain` consecutive
-// samples with z above the threshold — never on single-sample noise, and
+// fires only on a *sustained* one-sided excursion — Sustain consecutive
+// samples with z above Z — never on single-sample noise, and
 // never during warm-up. After firing, the baseline re-seeds at the new
 // level and re-warms, so a plateau regression fires exactly once while a
 // further regression on top of it can fire again.
 //
-// The EWMA α sets what "drift" means: with the default 0.05 the baseline's
+// The EWMA α sets what "drift" means: with Alpha = 0.05 the baseline's
 // half-life is ~14 samples, so inflation slower than that is absorbed as
 // legitimate flow development and only faster-than-baseline growth alarms.
 //
@@ -111,10 +111,6 @@ type Anomaly struct {
 // excursion, so a moderate sustained regression could never complete its
 // streak.
 type detector struct {
-	alpha    float64
-	warmup   int
-	sustain  int
-	zmax     float64
 	relFloor float64 // deviation floor as a fraction of |mean|
 	absFloor float64 // deviation floor in series units
 
@@ -143,9 +139,9 @@ func (d *detector) observe(v float64) (fire bool, z, baseline float64) {
 	if scale > 0 {
 		z = (v - d.mean) / scale
 	}
-	if d.n >= d.warmup && scale > 0 && z > d.zmax {
+	if d.n >= Warmup && scale > 0 && z > Z {
 		d.streak++
-		if d.streak >= d.sustain {
+		if d.streak >= Sustain {
 			d.fired++
 			d.mean, d.dev = v, 0
 			d.n = 1
@@ -157,8 +153,8 @@ func (d *detector) observe(v float64) (fire bool, z, baseline float64) {
 		return false, z, baseline
 	}
 	d.streak = 0
-	a := d.alpha
-	if d.n < d.warmup && a < warmupAlpha {
+	a := Alpha
+	if d.n < Warmup {
 		a = warmupAlpha
 	}
 	// Deviation first, against the pre-update mean, then the mean itself —

@@ -36,29 +36,6 @@ func BenchmarkSampleExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleExchangeNoRuntime isolates the store+detector cost from the
-// runtime.ReadMemStats handshake.
-func BenchmarkSampleExchangeNoRuntime(b *testing.B) {
-	p := New(Options{NoRuntime: true})
-	recs := benchRecorders()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.SampleExchange(int64(i+1), 0.012, recs)
-	}
-}
-
-// BenchmarkObserve is the single-series path (Observe from outside the
-// telemetry registry).
-func BenchmarkObserve(b *testing.B) {
-	p := New(Options{NoRuntime: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Observe("solver.iters", int64(i+1), 14)
-	}
-}
-
 // BenchmarkHistoryDisabled is the nil-plane path every undecorated run pays:
 // it must stay at 0 allocs/op (TestHistoryDisabledZeroCost in internal/core
 // pins the same property as a hard test).

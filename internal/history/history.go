@@ -50,93 +50,60 @@ const (
 	seriesGoroutines  = "runtime.goroutines"
 )
 
-// Options configures a Plane. The zero value selects the defaults listed on
-// each field.
-type Options struct {
-	// RawCap is the raw ring capacity per series (default 1024).
-	RawCap int
-	// TierFactor is the downsample factor between tiers (default 16).
-	TierFactor int
-	// TierCap is the bin-ring capacity per tier (default 1024).
-	TierCap int
-	// Tiers is how many downsample tiers each series keeps (default 2).
-	Tiers int
-	// MaxSeries bounds how many distinct series the plane will create
-	// (default 512); excess signals are counted, not stored, so a gauge
-	// namespace explosion cannot grow memory unboundedly.
-	MaxSeries int
-	// MaxAnomalies bounds the retained anomaly log (default 256, ring:
-	// oldest entries are dropped first; totals stay exact).
-	MaxAnomalies int
+// The plane's capacities, detector settings and profile limits. One series
+// spans the last RawCap samples raw, the last RawCap·TierFactor at
+// TierFactor× and the last RawCap·TierFactor² at TierFactor²×, in ~112 KiB.
+const (
+	// RawCap is the raw ring capacity per series.
+	RawCap = 1024
+	// TierFactor is the downsample factor between tiers.
+	TierFactor = 16
+	// TierCap is the bin-ring capacity per tier.
+	TierCap = 1024
+	// Tiers is how many downsample tiers each series keeps.
+	Tiers = 2
+	// MaxSeries bounds how many distinct series the plane creates; a gauge
+	// namespace explosion is refused, not stored.
+	MaxSeries = 512
+	// MaxAnomalies bounds the retained anomaly log (a ring: the oldest
+	// entries go first; totals stay exact).
+	MaxAnomalies = 256
 
-	// Alpha is the EWMA weight of the baselines (default 0.05 — half-life
-	// ~14 samples; drift slower than that is absorbed, faster alarms).
-	Alpha float64
-	// Warmup is how many samples a baseline needs before it may fire
-	// (default 16).
-	Warmup int
+	// Alpha is the EWMA weight of the baselines: a half-life of ~14
+	// samples, so drift slower than that is absorbed and faster alarms.
+	Alpha = 0.05
+	// Warmup is how many samples a baseline needs before it may fire.
+	Warmup = 16
 	// Sustain is how many consecutive above-threshold samples complete an
-	// anomaly (default 3 — single-sample noise never fires).
-	Sustain int
-	// Z is the one-sided z-score threshold (default 4).
-	Z float64
+	// anomaly: single-sample noise never fires.
+	Sustain = 3
+	// Z is the one-sided z-score threshold.
+	Z = 4.0
 
+	// ProfileWindow is the length of an anomaly-triggered CPU profile.
+	ProfileWindow = time.Second
+	// ProfileLimit caps the captures per run.
+	ProfileLimit = 2
+	// ProfileMinGap is the minimum spacing between captures.
+	ProfileMinGap = 30 * time.Second
+)
+
+// Options configures a Plane.
+type Options struct {
 	// ProfileDir enables anomaly-triggered pprof CPU profile capture into
 	// the given directory ("" disables).
 	ProfileDir string
-	// ProfileWindow is the capture window length (default 1s).
-	ProfileWindow time.Duration
-	// ProfileLimit caps auto-captures per run (default 2).
-	ProfileLimit int
-	// ProfileMinGap is the minimum spacing between captures (default 30s).
-	ProfileMinGap time.Duration
-
-	// NoRuntime skips the Go runtime series (heap, alloc rate, GC pause,
-	// goroutines); tests that pin exact series sets use it.
-	NoRuntime bool
-}
-
-func (o Options) withDefaults() Options {
-	def := func(p *int, v int) {
-		if *p <= 0 {
-			*p = v
-		}
-	}
-	def(&o.RawCap, 1024)
-	def(&o.TierFactor, 16)
-	def(&o.TierCap, 1024)
-	def(&o.Tiers, 2)
-	def(&o.MaxSeries, 512)
-	def(&o.MaxAnomalies, 256)
-	def(&o.Warmup, 16)
-	def(&o.Sustain, 3)
-	def(&o.ProfileLimit, 2)
-	if o.Alpha <= 0 {
-		o.Alpha = 0.05
-	}
-	if o.Z <= 0 {
-		o.Z = 4
-	}
-	if o.ProfileWindow <= 0 {
-		o.ProfileWindow = time.Second
-	}
-	if o.ProfileMinGap <= 0 {
-		o.ProfileMinGap = 30 * time.Second
-	}
-	return o
 }
 
 // Plane is the performance-history store of one process. Create with New;
 // all methods are safe for concurrent use, and every method on a nil *Plane
 // is a no-op (the disabled path).
 type Plane struct {
-	o    Options
 	prof *profiler
 
 	mu        sync.Mutex
 	series    map[string]*Series
 	order     []string // creation order, for stable exposition
-	overflow  int64    // signals refused by MaxSeries
 	anomalies []Anomaly
 	anomHead  int
 	anomTotal [numKinds]int64
@@ -148,15 +115,11 @@ type Plane struct {
 	hooks  []func(Anomaly)
 }
 
-// New builds a plane. Zero-value options select the documented defaults.
+// New builds a plane.
 func New(opts Options) *Plane {
-	o := opts.withDefaults()
-	p := &Plane{o: o, series: map[string]*Series{}}
-	if o.ProfileDir != "" {
-		p.prof = &profiler{
-			dir: o.ProfileDir, window: o.ProfileWindow,
-			limit: o.ProfileLimit, minGap: o.ProfileMinGap,
-		}
+	p := &Plane{series: map[string]*Series{}}
+	if opts.ProfileDir != "" {
+		p.prof = &profiler{dir: opts.ProfileDir}
 	}
 	return p
 }
@@ -170,35 +133,6 @@ func (p *Plane) OnAnomaly(fn func(Anomaly)) {
 	p.hookMu.Lock()
 	p.hooks = append(p.hooks, fn)
 	p.hookMu.Unlock()
-}
-
-// Observe records one sample of a named series, creating it (typed by name
-// classification) on first use. The public seam for signals outside the
-// telemetry registry and for tests.
-func (p *Plane) Observe(name string, step int64, v float64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	var fired []Anomaly
-	p.observeLocked(&fired, name, classify(name), step, v, false)
-	p.noteStep(step)
-	p.mu.Unlock()
-	p.finish(fired)
-}
-
-// ObserveCum records a monotone cumulative counter; the series stores the
-// per-sample delta. First call seeds, backwards movement re-seeds.
-func (p *Plane) ObserveCum(name string, step int64, cum float64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	var fired []Anomaly
-	p.observeLocked(&fired, name, classify(name), step, cum, true)
-	p.noteStep(step)
-	p.mu.Unlock()
-	p.finish(fired)
 }
 
 // SampleExchange takes one full sample: the step wall time, every stage
@@ -229,8 +163,7 @@ func (p *Plane) SampleExchange(step int64, stepSeconds float64, recs []*telemetr
 		}
 		r.VisitStages(func(name string, s telemetry.StageStats) {
 			sn := "stage." + track + "." + name + ".seconds"
-			d, ok := p.cumDelta(&fired, sn, KindOther, step, s.Total)
-			if ok {
+			if d, ok := p.observeLocked(&fired, sn, KindOther, step, s.Total, true); ok {
 				imb[name] = append(imb[name], stageDelta{track, d})
 			}
 		})
@@ -258,9 +191,7 @@ func (p *Plane) SampleExchange(step int64, stepSeconds float64, recs []*telemetr
 			p.observeLocked(&fired, "imbalance."+name, KindImbalance, step, max/mean, false)
 		}
 	}
-	if !p.o.NoRuntime {
-		p.sampleRuntimeLocked(&fired, step)
-	}
+	p.sampleRuntimeLocked(&fired, step)
 	p.samples++
 	p.noteStep(step)
 	p.sampleNs += time.Since(t0).Nanoseconds()
@@ -281,55 +212,34 @@ func (p *Plane) sampleRuntimeLocked(fired *[]Anomaly, step int64) {
 }
 
 // observeLocked routes one sample into its series, creating the series on
-// first use (subject to MaxSeries). cum selects cumulative-counter
-// semantics. Fired anomalies are appended to *fired for post-lock handling.
-func (p *Plane) observeLocked(fired *[]Anomaly, name string, kind Kind, step int64, v float64, cum bool) {
+// first use (up to MaxSeries; excess signals are dropped). cum selects
+// cumulative-counter semantics: v is a running total, the series stores its
+// per-sample delta, the first observation only seeds the reference, and a
+// counter that moved backwards (restore, counter reset) re-seeds without a
+// bogus negative sample. It returns the value stored; ok is false when
+// nothing was. Fired anomalies are appended to *fired for post-lock
+// handling.
+func (p *Plane) observeLocked(fired *[]Anomaly, name string, kind Kind, step int64, v float64, cum bool) (stored float64, ok bool) {
 	s := p.series[name]
 	if s == nil {
-		if len(p.series) >= p.o.MaxSeries {
-			p.overflow++
-			return
-		}
-		s = newSeries(name, kind, p.o)
-		p.series[name] = s
-		p.order = append(p.order, name)
-	}
-	var f bool
-	var a Anomaly
-	if cum {
-		f, a = s.observeCum(step, v)
-	} else {
-		f, a = s.observe(step, v)
-	}
-	if f {
-		*fired = append(*fired, a)
-	}
-}
-
-// cumDelta is observeLocked's cumulative variant that also returns the
-// delta it recorded (the imbalance computation reuses it). ok is false on
-// the seeding sample.
-func (p *Plane) cumDelta(fired *[]Anomaly, name string, kind Kind, step int64, cumV float64) (float64, bool) {
-	s := p.series[name]
-	if s == nil {
-		if len(p.series) >= p.o.MaxSeries {
-			p.overflow++
+		if len(p.series) >= MaxSeries {
 			return 0, false
 		}
-		s = newSeries(name, kind, p.o)
+		s = newSeries(name, kind)
 		p.series[name] = s
 		p.order = append(p.order, name)
 	}
-	if !s.hasPrev || cumV < s.prevCum {
-		s.prevCum, s.hasPrev = cumV, true
-		return 0, false
+	if cum {
+		if !s.hasPrev || v < s.prevCum {
+			s.prevCum, s.hasPrev = v, true
+			return 0, false
+		}
+		v, s.prevCum = v-s.prevCum, v
 	}
-	d := cumV - s.prevCum
-	s.prevCum = cumV
-	if f, a := s.observe(step, d); f {
+	if f, a := s.observe(step, v); f {
 		*fired = append(*fired, a)
 	}
-	return d, true
+	return v, true
 }
 
 func (p *Plane) noteStep(step int64) {
@@ -353,11 +263,11 @@ func (p *Plane) finish(fired []Anomaly) {
 	p.mu.Lock()
 	for _, a := range fired {
 		p.anomTotal[a.Kind]++
-		if len(p.anomalies) < p.o.MaxAnomalies {
+		if len(p.anomalies) < MaxAnomalies {
 			p.anomalies = append(p.anomalies, a)
 		} else {
 			p.anomalies[p.anomHead] = a
-			p.anomHead = (p.anomHead + 1) % p.o.MaxAnomalies
+			p.anomHead = (p.anomHead + 1) % MaxAnomalies
 		}
 	}
 	p.mu.Unlock()
@@ -422,16 +332,8 @@ func (p *Plane) SampleCost() time.Duration {
 	return time.Duration(p.sampleNs)
 }
 
-// ProfilePaths returns the completed auto-captured profile files.
-func (p *Plane) ProfilePaths() []string {
-	if p == nil {
-		return nil
-	}
-	return p.prof.completed()
-}
-
 // Stats is the monitor.Stat bridge: the plane's own meters for /metrics and
-// the fleet rollup (cmd/nektarg registers it via Monitor.AddStatSource).
+// the fleet rollup (monitor.Attach registers it).
 func (p *Plane) Stats() []monitor.Stat {
 	if p == nil {
 		return nil

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -14,51 +17,107 @@ import (
 	"nektarg/internal/telemetry"
 )
 
-// testOptions returns a small, fast configuration for unit tests: tiny rings
-// so wrap-around is exercised in a few dozen samples, an early-armed detector,
-// and no runtime series so the stored series set is exactly what the test fed.
-func testOptions() Options {
-	return Options{
-		RawCap: 8, TierFactor: 2, TierCap: 4, Tiers: 2,
-		Warmup: 4, Sustain: 3, Z: 4,
-		NoRuntime: true,
+// rig drives a plane the way the metasolver does, one SampleExchange per
+// exchange, over a real telemetry recorder whose gauges the test sets before
+// each sample. The plane runs at its constants, runtime series included, so
+// assertions name the series they are about.
+type rig struct {
+	p    *Plane
+	rec  *telemetry.Recorder
+	recs []*telemetry.Recorder
+	step int64
+}
+
+func newRig(opts Options) *rig {
+	rec := telemetry.NewRegistry().NewRecorder("rank0")
+	return &rig{p: New(opts), rec: rec, recs: []*telemetry.Recorder{rec}}
+}
+
+// itersSeries is the CG-iteration series the rig's "solver.iters" gauge
+// feeds (an alarmable kind).
+const itersSeries = "gauge.rank0.solver.iters"
+
+// feed takes n samples with the solver.iters gauge at v and a constant step
+// time.
+func (r *rig) feed(v float64, n int) {
+	for i := 0; i < n; i++ {
+		r.rec.Gauge("solver.iters", v)
+		r.step++
+		r.p.SampleExchange(r.step, 0.1, r.recs)
 	}
+}
+
+// stepTimes takes one sample per value, each the step wall time.
+func (r *rig) stepTimes(vals ...float64) {
+	for _, v := range vals {
+		r.step++
+		r.p.SampleExchange(r.step, v, nil)
+	}
+}
+
+// anomaliesOf returns the retained anomalies of one series.
+func anomaliesOf(p *Plane, series string) []Anomaly {
+	var out []Anomaly
+	for _, a := range p.Anomalies() {
+		if a.Series == series {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// pattern is a deterministic non-monotone sequence in [0, 1), so bin minima
+// are not first samples and maxima not last ones.
+func pattern(n int) []float64 {
+	vals := make([]float64, n)
+	x := uint32(12345)
+	for i := range vals {
+		x = x*1664525 + 1013904223
+		vals[i] = float64(x>>8) / (1 << 24)
+	}
+	return vals
 }
 
 // --- storage invariants -------------------------------------------------
 
 // TestRingBoundsAndOrder: no matter how many samples a series absorbs, the
-// raw ring and every tier ring stay at their configured capacities and read
-// back in chronological order.
+// raw ring and every tier ring stay at their capacities and read back in
+// chronological order.
 func TestRingBoundsAndOrder(t *testing.T) {
-	p := New(testOptions())
-	const n = 100
-	for i := 1; i <= n; i++ {
-		p.Observe("x", int64(i), float64(i))
+	r := newRig(Options{})
+	n := TierCap*TierFactor + 3*TierFactor // the first tier's ring wraps
+	for i := 0; i < n; i++ {
+		r.stepTimes(float64(i))
 	}
-	s := p.series["x"]
-	if len(s.raw) != 8 {
-		t.Fatalf("raw ring holds %d points, want cap 8", len(s.raw))
+	s := r.p.series[seriesStepSeconds]
+	if len(s.raw) != RawCap {
+		t.Fatalf("raw ring holds %d points, want RawCap %d", len(s.raw), RawCap)
 	}
 	pts := s.points()
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Step <= pts[i-1].Step {
-			t.Fatalf("raw points out of order at %d: %+v", i, pts)
+			t.Fatalf("raw points out of order at %d: %+v", i, pts[i-1:i+1])
 		}
 	}
-	if pts[len(pts)-1].Step != n || pts[0].Step != n-7 {
-		t.Fatalf("raw window = [%d,%d], want [%d,%d]", pts[0].Step, pts[len(pts)-1].Step, n-7, n)
+	if first, last := pts[0].Step, pts[len(pts)-1].Step; last != int64(n) || first != int64(n-RawCap+1) {
+		t.Fatalf("raw window = [%d,%d], want [%d,%d]", first, last, n-RawCap+1, n)
+	}
+	if len(s.tiers[0].bins) != TierCap {
+		t.Fatalf("tier 0 holds %d bins after wrapping, want TierCap %d", len(s.tiers[0].bins), TierCap)
 	}
 	for ti, tr := range s.tiers {
-		if len(tr.bins) > 4 {
-			t.Fatalf("tier %d holds %d bins, want <= cap 4", ti, len(tr.bins))
+		if len(tr.bins) > TierCap {
+			t.Fatalf("tier %d holds %d bins, want <= TierCap %d", ti, len(tr.bins), TierCap)
 		}
 		bins := tr.ordered()
 		for i := 1; i < len(bins); i++ {
 			if bins[i].Step0 <= bins[i-1].Step1 {
-				t.Fatalf("tier %d bins overlap at %d: %+v", ti, i, bins)
+				t.Fatalf("tier %d bins overlap at %d: %+v", ti, i, bins[i-1:i+1])
 			}
 		}
+	}
+	if last := s.tiers[0].ordered()[TierCap-1]; last.Step1 != int64(n) {
+		t.Fatalf("tier 0's newest completed bin ends at %d, want %d", last.Step1, n)
 	}
 }
 
@@ -66,48 +125,27 @@ func TestRingBoundsAndOrder(t *testing.T) {
 // min/max/sum/count of the raw samples in its window — tiers consume the
 // sample stream independently, so raw-ring wrap cannot corrupt them.
 func TestTierEnvelopeConservation(t *testing.T) {
-	o := testOptions()
-	o.TierCap = 64 // keep every bin so all windows can be checked
-	p := New(o)
-	// A deliberately non-monotone pattern so min != first and max != last.
-	vals := []float64{5, 1, 9, 3, 7, 2, 8, 4, 6, 0, 9.5, 1.5, 3.5, 8.5, 2.5, 7.5}
-	for i, v := range vals {
-		p.Observe("x", int64(i+1), v)
-	}
-	s := p.series["x"]
-	// Tier 0 folds TierFactor (=2) raw samples per bin.
-	bins := s.tiers[0].ordered()
-	if len(bins) != len(vals)/2 {
-		t.Fatalf("tier 0 completed %d bins, want %d", len(bins), len(vals)/2)
-	}
-	for i, b := range bins {
-		a, c := vals[2*i], vals[2*i+1]
-		wantMin, wantMax := a, c
-		if c < a {
-			wantMin, wantMax = c, a
+	r := newRig(Options{})
+	coarse := TierFactor * TierFactor
+	vals := pattern(2 * coarse)
+	r.stepTimes(vals...)
+	s := r.p.series[seriesStepSeconds]
+	for ti, factor := range []int{TierFactor, coarse} {
+		bins := s.tiers[ti].ordered()
+		if len(bins) != len(vals)/factor {
+			t.Fatalf("tier %d completed %d bins, want %d", ti, len(bins), len(vals)/factor)
 		}
-		if b.Min != wantMin || b.Max != wantMax || b.Sum != a+c || b.Count != 2 {
-			t.Fatalf("tier 0 bin %d = %+v, want min %g max %g sum %g count 2", i, b, wantMin, wantMax, a+c)
-		}
-		if b.Step0 != int64(2*i+1) || b.Step1 != int64(2*i+2) {
-			t.Fatalf("tier 0 bin %d covers [%d,%d], want [%d,%d]", i, b.Step0, b.Step1, 2*i+1, 2*i+2)
-		}
-	}
-	// Tier 1 folds TierFactor^2 (=4) raw samples per bin.
-	for i, b := range s.tiers[1].ordered() {
-		win := vals[4*i : 4*i+4]
-		wantMin, wantMax, wantSum := win[0], win[0], 0.0
-		for _, v := range win {
-			if v < wantMin {
-				wantMin = v
+		for i, b := range bins {
+			win := vals[factor*i : factor*(i+1)]
+			want := Bin{Step0: int64(factor*i + 1), Step1: int64(factor * (i + 1)), Count: int64(factor), Min: win[0], Max: win[0]}
+			for _, v := range win {
+				want.Min = math.Min(want.Min, v)
+				want.Max = math.Max(want.Max, v)
+				want.Sum += v
 			}
-			if v > wantMax {
-				wantMax = v
+			if b != want {
+				t.Fatalf("tier %d bin %d = %+v, want %+v", ti, i, b, want)
 			}
-			wantSum += v
-		}
-		if b.Min != wantMin || b.Max != wantMax || b.Sum != wantSum || b.Count != 4 {
-			t.Fatalf("tier 1 bin %d = %+v, want min %g max %g sum %g count 4", i, b, wantMin, wantMax, wantSum)
 		}
 	}
 }
@@ -115,82 +153,76 @@ func TestTierEnvelopeConservation(t *testing.T) {
 // TestSummaryExactDespiteWrap: the whole-run Summary never loses samples to
 // ring wrap — it is the perf-report currency.
 func TestSummaryExactDespiteWrap(t *testing.T) {
-	p := New(testOptions())
+	r := newRig(Options{})
+	n := RawCap + 100
 	var sum float64
-	const n = 100
 	for i := 1; i <= n; i++ {
-		p.Observe("x", int64(i), float64(i))
+		r.stepTimes(float64(i))
 		sum += float64(i)
 	}
-	s := p.series["x"].sum
-	if s.Count != n || s.Sum != sum || s.Min != 1 || s.Max != n || s.Last != n {
+	s := r.p.series[seriesStepSeconds].sum
+	if s.Count != int64(n) || s.Sum != sum || s.Min != 1 || s.Max != float64(n) || s.Last != float64(n) {
 		t.Fatalf("summary = %+v, want count %d sum %g min 1 max %d last %d", s, n, sum, n, n)
 	}
-	if s.Mean() != sum/n {
-		t.Fatalf("mean = %g, want %g", s.Mean(), sum/n)
+	if s.Mean() != sum/float64(n) {
+		t.Fatalf("mean = %g, want %g", s.Mean(), sum/float64(n))
 	}
 }
 
-// TestCumulativeSeries: ObserveCum stores per-sample deltas, seeds on first
-// observation and re-seeds (without a bogus negative sample) when the counter
-// moves backwards — the restore/reset case.
+// TestCumulativeSeries: a cumulative counter (a track's traffic bytes) is
+// stored as per-sample deltas, seeds on its first sample and re-seeds
+// (without a bogus negative sample) when the counter moves backwards — a
+// restarted process whose recorder counts from zero again.
 func TestCumulativeSeries(t *testing.T) {
-	p := New(testOptions())
-	p.ObserveCum("c", 1, 100) // seed
-	p.ObserveCum("c", 2, 110) // delta 10
-	p.ObserveCum("c", 3, 125) // delta 15
-	p.ObserveCum("c", 4, 50)  // backwards: re-seed, no sample
-	p.ObserveCum("c", 5, 60)  // delta 10
-	pts := p.series["c"].points()
+	p := New(Options{})
+	rec := telemetry.NewRegistry().NewRecorder("rank0")
+	sample := func(step int64, bytes int64) {
+		rec.CountMessage(telemetry.LevelL4, telemetry.OpCoupling, bytes)
+		p.SampleExchange(step, 0.1, []*telemetry.Recorder{rec})
+	}
+	sample(1, 100) // seed
+	sample(2, 10)  // delta 10
+	sample(3, 15)  // delta 15
+	rec = telemetry.NewRegistry().NewRecorder("rank0")
+	sample(4, 50) // backwards (125 -> 50): re-seed, no sample
+	sample(5, 10) // delta 10
+	pts := p.series["traffic.rank0.bytes"].points()
 	want := []Point{{Step: 2, V: 10}, {Step: 3, V: 15}, {Step: 5, V: 10}}
 	if !reflect.DeepEqual(pts, want) {
 		t.Fatalf("cumulative deltas = %+v, want %+v", pts, want)
 	}
 }
 
-// TestMaxSeriesBound: a gauge-namespace explosion is counted, not stored.
+// TestMaxSeriesBound: a gauge-namespace explosion is refused, not stored.
 func TestMaxSeriesBound(t *testing.T) {
-	o := testOptions()
-	o.MaxSeries = 2
-	p := New(o)
-	p.Observe("a", 1, 1)
-	p.Observe("b", 1, 1)
-	p.Observe("c", 1, 1)
-	if len(p.series) != 2 {
-		t.Fatalf("stored %d series, want MaxSeries=2", len(p.series))
+	r := newRig(Options{})
+	for i := 0; i < MaxSeries+10; i++ {
+		r.rec.Gauge(fmt.Sprintf("g%d", i), 1)
 	}
-	if p.overflow != 1 {
-		t.Fatalf("overflow = %d, want 1", p.overflow)
+	r.feed(1, 2)
+	if n := len(r.p.series); n != MaxSeries {
+		t.Fatalf("stored %d series, want MaxSeries %d", n, MaxSeries)
+	}
+	if n := len(r.p.Doc("", 0, 0).Series); n != MaxSeries {
+		t.Fatalf("document serves %d series, want MaxSeries %d", n, MaxSeries)
 	}
 }
 
 // --- detector -----------------------------------------------------------
 
-// feed pushes n identical samples starting at *step, advancing it.
-func feed(p *Plane, name string, step *int64, v float64, n int) {
-	for i := 0; i < n; i++ {
-		*step++
-		p.Observe(name, *step, v)
-	}
-}
-
 // TestDetectorWarmupNeverFires: excursions during warm-up must not alarm —
 // the opening samples of a run are flow development, not regression.
 func TestDetectorWarmupNeverFires(t *testing.T) {
-	o := testOptions()
-	o.Warmup = 16
-	p := New(o)
-	// Wild swings, all inside the warm-up window ("solver.iters" classifies
-	// as cg-inflation, an alarmable kind).
-	for i := int64(1); i <= 15; i++ {
+	r := newRig(Options{})
+	for i := 1; i < Warmup; i++ {
 		v := 10.0
 		if i%2 == 0 {
 			v = 1000
 		}
-		p.Observe("solver.iters", i, v)
+		r.feed(v, 1)
 	}
-	if n := p.AnomalyTotal(); n != 0 {
-		t.Fatalf("warm-up fired %d anomalies, want 0: %+v", n, p.Anomalies())
+	if a := anomaliesOf(r.p, itersSeries); len(a) != 0 {
+		t.Fatalf("warm-up fired %d anomalies, want 0: %+v", len(a), a)
 	}
 }
 
@@ -199,11 +231,10 @@ func TestDetectorWarmupNeverFires(t *testing.T) {
 // samples, then the baseline re-seeds at the new level and the plateau stays
 // quiet.
 func TestDetectorSustainedStepChangeFiresOnce(t *testing.T) {
-	p := New(testOptions()) // warmup 4, sustain 3, z 4
-	var step int64
-	feed(p, "solver.iters", &step, 10, 8) // stable baseline, armed after 4
-	feed(p, "solver.iters", &step, 30, 20)
-	anoms := p.Anomalies()
+	r := newRig(Options{})
+	r.feed(10, Warmup+4) // stable baseline, armed
+	r.feed(30, 20)
+	anoms := anomaliesOf(r.p, itersSeries)
 	if len(anoms) != 1 {
 		t.Fatalf("step change fired %d anomalies, want exactly 1: %+v", len(anoms), anoms)
 	}
@@ -211,36 +242,30 @@ func TestDetectorSustainedStepChangeFiresOnce(t *testing.T) {
 	if a.Kind != KindCGIteration {
 		t.Fatalf("anomaly kind = %s, want %s (suffix .iters)", a.Kind, KindCGIteration)
 	}
-	if a.Series != "solver.iters" || a.Value != 30 || a.Baseline != 10 {
-		t.Fatalf("anomaly = %+v, want series solver.iters value 30 baseline 10", a)
+	if a.Value != 30 || a.Baseline != 10 {
+		t.Fatalf("anomaly = %+v, want value 30 baseline 10", a)
 	}
-	// The streak started on the first 30-sample (step 9) and completed on
-	// the third (step 11).
-	if a.Step != 11 {
-		t.Fatalf("anomaly fired at step %d, want 11 (sustain 3)", a.Step)
+	// The streak started on the first 30-sample and completed Sustain
+	// samples later.
+	if want := int64(Warmup + 4 + Sustain); a.Step != want {
+		t.Fatalf("anomaly fired at step %d, want %d", a.Step, want)
 	}
-	if a.Z <= 4 {
-		t.Fatalf("anomaly z = %g, want > 4", a.Z)
-	}
-	if a.Sustained != 3 {
-		t.Fatalf("anomaly sustained = %d, want 3", a.Sustained)
+	if a.Z <= Z || a.Sustained != Sustain {
+		t.Fatalf("anomaly z = %g sustained %d, want z > %g sustained %d", a.Z, a.Sustained, Z, Sustain)
 	}
 }
 
 // TestDetectorSingleSpikeDoesNotFire: one-sample noise never completes a
 // streak, and the suspect sample is not folded into the baseline.
 func TestDetectorSingleSpikeDoesNotFire(t *testing.T) {
-	p := New(testOptions())
-	var step int64
-	feed(p, "solver.iters", &step, 10, 8)
-	feed(p, "solver.iters", &step, 1000, 1) // spike
-	feed(p, "solver.iters", &step, 10, 8)   // back to normal
-	if n := p.AnomalyTotal(); n != 0 {
-		t.Fatalf("single spike fired %d anomalies, want 0", n)
+	r := newRig(Options{})
+	r.feed(10, Warmup+4)
+	r.feed(1000, 1) // spike
+	r.feed(10, 8)   // back to normal
+	if a := anomaliesOf(r.p, itersSeries); len(a) != 0 {
+		t.Fatalf("single spike fired %d anomalies, want 0", len(a))
 	}
-	// Freeze-during-streak: the spike was judged against the baseline, not
-	// absorbed into it.
-	if m := p.series["solver.iters"].det.mean; m != 10 {
+	if m := r.p.series[itersSeries].det.mean; m != 10 {
 		t.Fatalf("baseline mean after spike = %g, want 10 (spike must not be absorbed)", m)
 	}
 }
@@ -249,25 +274,26 @@ func TestDetectorSingleSpikeDoesNotFire(t *testing.T) {
 // a streak is building, the suspect samples must not pull the mean up
 // underneath the excursion.
 func TestDetectorFreezesBaselineDuringStreak(t *testing.T) {
-	d := detector{alpha: 0.05, warmup: 4, sustain: 3, zmax: 4, relFloor: 0.10, absFloor: 2}
-	for i := 0; i < 8; i++ {
+	var d detector
+	d.relFloor, d.absFloor = KindCGIteration.floors()
+	for i := 0; i < Warmup+4; i++ {
 		d.observe(10)
 	}
 	if d.mean != 10 {
 		t.Fatalf("baseline mean = %g, want 10", d.mean)
 	}
-	for i := 0; i < 2; i++ { // two suspect samples: streak builds, baseline frozen
+	for i := 1; i < Sustain; i++ { // suspect samples: streak builds, baseline frozen
 		fire, _, _ := d.observe(30)
 		if fire {
-			t.Fatalf("fired on streak sample %d, want fire on the 3rd", i+1)
+			t.Fatalf("fired on streak sample %d, want fire on sample %d", i, Sustain)
 		}
 		if d.mean != 10 || d.dev != 0 {
 			t.Fatalf("baseline moved during streak: mean %g dev %g, want 10/0", d.mean, d.dev)
 		}
 	}
 	fire, z, baseline := d.observe(30)
-	if !fire || baseline != 10 || z <= 4 {
-		t.Fatalf("3rd streak sample: fire=%v z=%g baseline=%g, want fire against baseline 10", fire, z, baseline)
+	if !fire || baseline != 10 || z <= Z {
+		t.Fatalf("streak sample %d: fire=%v z=%g baseline=%g, want fire against baseline 10", Sustain, fire, z, baseline)
 	}
 	// Post-fire: re-seeded at the new level, re-warming.
 	if d.mean != 30 || d.n != 1 || d.streak != 0 || d.fired != 1 {
@@ -279,58 +305,71 @@ func TestDetectorFreezesBaselineDuringStreak(t *testing.T) {
 // arm with its deviation re-shrunk to plateau noise (the warmupAlpha
 // refinement) so a later genuine regression is not drowned in ramp error.
 func TestDetectorWarmupTracksRamp(t *testing.T) {
-	o := testOptions()
-	o.Warmup = 16 // the production default: the ramp must fit inside warm-up
-	p := New(o)
-	var step int64
+	r := newRig(Options{})
 	// Opening development ramp 2..16, then the plateau. Warm-up spans both,
 	// so by arming time the fast warmupAlpha has pulled the mean onto the
 	// plateau and re-shrunk the deviation toward plateau noise.
 	for v := 2.0; v <= 16; v += 2 {
-		step++
-		p.Observe("solver.iters", step, v)
+		r.feed(v, 1)
 	}
-	feed(p, "solver.iters", &step, 16, 14)
-	if n := p.AnomalyTotal(); n != 0 {
-		t.Fatalf("ramp itself fired %d anomalies, want 0", n)
+	r.feed(16, Warmup-2)
+	if a := anomaliesOf(r.p, itersSeries); len(a) != 0 {
+		t.Fatalf("ramp itself fired %d anomalies, want 0", len(a))
 	}
 	// A real regression on top of the plateau still fires — the ramp error
 	// did not poison the armed baseline's scale.
-	feed(p, "solver.iters", &step, 28, 4)
-	if n := p.AnomalyTotal(); n != 1 {
-		t.Fatalf("post-ramp regression fired %d anomalies, want 1: %+v", n, p.Anomalies())
+	r.feed(28, Sustain+1)
+	if a := anomaliesOf(r.p, itersSeries); len(a) != 1 {
+		t.Fatalf("post-ramp regression fired %d anomalies, want 1: %+v", len(a), a)
 	}
 }
 
 // TestAnomalyLogRing: the retained log is a ring bounded by MaxAnomalies
 // while the totals stay exact.
 func TestAnomalyLogRing(t *testing.T) {
-	o := testOptions()
-	o.Warmup = 2
-	o.Sustain = 1
-	o.MaxAnomalies = 4
-	p := New(o)
+	p := New(Options{})
+	rec := telemetry.NewRegistry().NewRecorder("rank0")
+	recs := []*telemetry.Recorder{rec}
+	const gauges, rounds = 20, 14 // 280 anomalies > MaxAnomalies
 	var step int64
-	feed(p, "solver.iters", &step, 10, 4)
-	// Escalating plateaus: each 3× jump fires once (sustain 1), then the
-	// baseline re-seeds and re-warms at the new level.
-	v := 30.0
-	for i := 0; i < 6; i++ {
-		feed(p, "solver.iters", &step, v, 1) // fires against the previous plateau
-		feed(p, "solver.iters", &step, v, 2) // re-warms at the new one
-		v *= 3
+	feed := func(v float64, n int) {
+		for i := 0; i < n; i++ {
+			for g := 0; g < gauges; g++ {
+				rec.Gauge(string(rune('a'+g))+".iters", v)
+			}
+			step++
+			p.SampleExchange(step, 0.1, recs)
+		}
 	}
-	if n := p.AnomalyTotal(); n != 6 {
-		t.Fatalf("anomaly total = %d, want 6", n)
+	// Escalating plateaus: each 3× jump fires once per gauge after Sustain
+	// samples, then the baselines re-seed and re-warm at the new level.
+	v := 10.0
+	feed(v, Warmup)
+	for i := 0; i < rounds; i++ {
+		v *= 3
+		feed(v, Sustain)
+		feed(v, Warmup-1)
+	}
+	if n := p.anomTotal[KindCGIteration]; n != gauges*rounds {
+		t.Fatalf("cg-inflation total = %d, want %d", n, gauges*rounds)
 	}
 	anoms := p.Anomalies()
-	if len(anoms) != 4 {
-		t.Fatalf("retained log holds %d, want MaxAnomalies=4", len(anoms))
+	if len(anoms) != MaxAnomalies {
+		t.Fatalf("retained log holds %d, want MaxAnomalies %d", len(anoms), MaxAnomalies)
 	}
 	for i := 1; i < len(anoms); i++ {
-		if anoms[i].Step <= anoms[i-1].Step {
-			t.Fatalf("anomaly log out of order: %+v", anoms)
+		if anoms[i].Step < anoms[i-1].Step {
+			t.Fatalf("anomaly log out of order at %d: %+v", i, anoms[i-1:i+1])
 		}
+	}
+	cg := anoms[:0:0]
+	for _, a := range anoms {
+		if a.Kind == KindCGIteration {
+			cg = append(cg, a)
+		}
+	}
+	if last := cg[len(cg)-1]; last.Value != v {
+		t.Fatalf("newest retained anomaly = %+v, want the last round's (value %g)", last, v)
 	}
 }
 
@@ -388,7 +427,7 @@ func TestSampleExchangeSeries(t *testing.T) {
 	r0 := reg.NewRecorder("rank0")
 	r1 := reg.NewRecorder("rank1")
 	recs := []*telemetry.Recorder{r0, r1}
-	p := New(testOptions())
+	p := New(Options{})
 
 	record := func(d0, d1 time.Duration) {
 		r0.RecordSpan("ns.step", 0, d0, 0, 0)
@@ -406,23 +445,25 @@ func TestSampleExchangeSeries(t *testing.T) {
 	doc := p.Doc("", 0, 0)
 	got := map[string]SeriesJSON{}
 	for _, s := range doc.Series {
-		got[s.Name] = s
+		if !strings.HasPrefix(s.Name, "runtime.") {
+			got[s.Name] = s
+		}
 	}
-	for _, want := range []string{
+	want := []string{
 		"step.seconds",
 		"stage.rank0.ns.step.seconds", "stage.rank1.ns.step.seconds",
 		"gauge.rank0.cg_iterations",
 		"traffic.rank0.bytes", "traffic.rank0.msgs",
+		"traffic.rank1.bytes", "traffic.rank1.msgs",
 		"imbalance.ns.step",
-	} {
-		if _, ok := got[want]; !ok {
-			t.Errorf("series %q missing from sample (have %v)", want, doc.Series)
+	}
+	for _, name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("series %q missing from sample (have %v)", name, doc.Series)
 		}
 	}
-	for name := range got {
-		if strings.HasPrefix(name, "runtime.") {
-			t.Errorf("NoRuntime sample stored runtime series %q", name)
-		}
+	if len(got) != len(want) {
+		t.Errorf("sample stored %d non-runtime series, want %d: %v", len(got), len(want), got)
 	}
 	// Imbalance = max/mean of the per-track stage deltas: 0.3/0.2 = 1.5.
 	if imb := got["imbalance.ns.step"]; math.Abs(imb.Last-1.5) > 1e-9 {
@@ -437,13 +478,12 @@ func TestSampleExchangeSeries(t *testing.T) {
 	}
 }
 
-// TestSampleExchangeRuntimeSeries: without NoRuntime the Go runtime signals
-// are stored too (the /metrics gauges and the KindAlloc detector input).
+// TestSampleExchangeRuntimeSeries: every sample stores the Go runtime
+// signals too (the /metrics gauges and the KindAlloc detector input).
 func TestSampleExchangeRuntimeSeries(t *testing.T) {
-	o := testOptions()
-	o.NoRuntime = false
-	p := New(o)
+	p := New(Options{})
 	p.SampleExchange(1, 0.1, nil)
+	p.SampleExchange(2, 0.1, nil)
 	doc := p.Doc("runtime.", 0, 0)
 	names := map[string]bool{}
 	for _, s := range doc.Series {
@@ -459,61 +499,113 @@ func TestSampleExchangeRuntimeSeries(t *testing.T) {
 // --- document / HTTP bodies ---------------------------------------------
 
 func TestDocTierSelectionAndTruncation(t *testing.T) {
-	o := testOptions()
-	o.TierCap = 64
-	p := New(o)
-	for i := 1; i <= 100; i++ {
-		p.Observe("x", int64(i), float64(i))
+	r := newRig(Options{})
+	n := RawCap + 40*TierFactor + 5
+	r.stepTimes(pattern(n)...)
+	series := func(d *Doc) SeriesJSON {
+		t.Helper()
+		for _, s := range d.Series {
+			if s.Name == seriesStepSeconds {
+				return s
+			}
+		}
+		t.Fatalf("document has no %s series", seriesStepSeconds)
+		return SeriesJSON{}
 	}
+	tier1 := n/TierFactor + 1 // completed bins plus the filling one
+	tier2 := n/(TierFactor*TierFactor) + 1
 
 	// tier 0: the raw ring.
-	d := p.Doc("", 0, 0)
-	if n := len(d.Series[0].Points); n != 8 {
-		t.Fatalf("tier 0 served %d points, want 8", n)
+	if s := series(r.p.Doc("", 0, 0)); s.Tier != 0 || len(s.Points) != RawCap {
+		t.Fatalf("tier 0 served tier=%d points=%d, want RawCap %d", s.Tier, len(s.Points), RawCap)
 	}
-	// Explicit tier 1: bins at factor 2.
-	d = p.Doc("", 1, 0)
-	if s := d.Series[0]; s.Tier != 1 || len(s.Bins) != 50 || len(s.Points) != 0 {
-		t.Fatalf("tier 1 served tier=%d bins=%d points=%d, want 1/50/0", s.Tier, len(s.Bins), len(s.Points))
+	// Explicit tier 1: every bin, the newest still filling.
+	s := series(r.p.Doc("", 1, 0))
+	if s.Tier != 1 || len(s.Bins) != tier1 || len(s.Points) != 0 {
+		t.Fatalf("tier 1 served tier=%d bins=%d points=%d, want 1/%d/0", s.Tier, len(s.Bins), len(s.Points), tier1)
 	}
-	// Auto tier with a budget: rawest representation fitting maxPoints, then
-	// newest-N truncation.
-	d = p.Doc("", -1, 4)
-	s := d.Series[0]
-	if s.Tier != 2 || len(s.Bins) != 4 {
-		t.Fatalf("auto tier served tier=%d bins=%d, want tier 2 with 4 bins", s.Tier, len(s.Bins))
+	if last := s.Bins[len(s.Bins)-1]; last.Step1 != int64(n) || last.Count != int64(n%TierFactor) {
+		t.Fatalf("tier 1's newest bin = %+v, want the filling bin ending at %d", last, n)
 	}
-	if last := s.Bins[len(s.Bins)-1]; last.Step1 != 100 {
-		t.Fatalf("truncation kept oldest bins (last covers to %d), want newest (100)", last.Step1)
+	// Auto tier with a budget: the rawest representation fitting maxPoints.
+	if s := series(r.p.Doc("", -1, tier1)); s.Tier != 1 || len(s.Bins) != tier1 {
+		t.Fatalf("auto tier with max %d served tier=%d bins=%d, want tier 1", tier1, s.Tier, len(s.Bins))
+	}
+	// Nothing fits: the coarsest tier, newest-N truncated.
+	s = series(r.p.Doc("", -1, tier2-1))
+	if s.Tier != 2 || len(s.Bins) != tier2-1 {
+		t.Fatalf("auto tier with max %d served tier=%d bins=%d, want tier 2 with %d bins", tier2-1, s.Tier, len(s.Bins), tier2-1)
+	}
+	if last := s.Bins[len(s.Bins)-1]; last.Step1 != int64(n) {
+		t.Fatalf("truncation kept oldest bins (last covers to %d), want newest (%d)", last.Step1, n)
 	}
 	// Auto tier with a budget the raw ring already fits.
-	d = p.Doc("", -1, 16)
-	if s := d.Series[0]; s.Tier != 0 || len(s.Points) != 8 {
+	if s := series(r.p.Doc("", -1, RawCap)); s.Tier != 0 || len(s.Points) != RawCap {
 		t.Fatalf("auto tier with slack served tier=%d, want raw", s.Tier)
 	}
-	// A tier beyond the configuration serves the coarsest.
-	d = p.Doc("", 9, 0)
-	if s := d.Series[0]; s.Tier != 2 || len(s.Bins) == 0 {
-		t.Fatalf("over-deep tier served tier=%d bins=%d, want coarsest (2)", s.Tier, len(s.Bins))
+	// A tier beyond Tiers serves the coarsest.
+	if s := series(r.p.Doc("", 9, 0)); s.Tier != Tiers || len(s.Bins) != tier2 {
+		t.Fatalf("over-deep tier served tier=%d bins=%d, want coarsest (%d) with %d bins", s.Tier, len(s.Bins), Tiers, tier2)
+	}
+}
+
+// TestDocAutoTierEndsAtNewestSample: whatever tier the budget selects, every
+// series' served window ends at its newest sample — /history and the
+// fleet's compact document (max 64) show the exchanges that just ran.
+func TestDocAutoTierEndsAtNewestSample(t *testing.T) {
+	p := New(Options{})
+	recs := benchRecorders()
+	var step int64
+	for _, n := range []int{4, 22, 100, RawCap + 7, 2*TierFactor*TierFactor + 3} {
+		for step < int64(n) {
+			step++
+			p.SampleExchange(step, 0.012, recs)
+		}
+		for _, max := range []int{4, 64, 512} {
+			d := p.Doc("", -1, max)
+			for _, s := range d.Series {
+				var last int64
+				switch {
+				case len(s.Points) > 0:
+					last = s.Points[len(s.Points)-1].Step
+				case len(s.Bins) > 0:
+					last = s.Bins[len(s.Bins)-1].Step1
+				}
+				if last != step {
+					t.Fatalf("after %d samples, max %d: %s (tier %d) ends at %d, want %d", n, max, s.Name, s.Tier, last, step)
+				}
+				if len(s.Points) > max || len(s.Bins) > max {
+					t.Fatalf("after %d samples: %s served %d points %d bins, over max %d", n, s.Name, len(s.Points), len(s.Bins), max)
+				}
+			}
+		}
 	}
 }
 
 func TestDocPrefixFilter(t *testing.T) {
-	p := New(testOptions())
-	p.Observe("stage.rank0.ns.step.seconds", 1, 0.1)
-	p.Observe("gauge.rank0.particles", 1, 400)
+	p := New(Options{})
+	recs := benchRecorders()
+	p.SampleExchange(1, 0.1, recs)
+	p.SampleExchange(2, 0.1, recs)
 	d := p.Doc("stage.", 0, 0)
-	if len(d.Series) != 1 || d.Series[0].Name != "stage.rank0.ns.step.seconds" {
-		t.Fatalf("prefix filter served %+v, want only the stage series", d.Series)
+	var names []string
+	for _, s := range d.Series {
+		names = append(names, s.Name)
+	}
+	want := []string{
+		"stage.rank0.exchange.seconds", "stage.rank0.ns.step.seconds",
+		"stage.rank1.exchange.seconds", "stage.rank1.ns.step.seconds",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("prefix filter served %v, want only the stage series %v", names, want)
 	}
 }
 
 func TestJSONBodies(t *testing.T) {
-	p := New(testOptions())
-	var step int64
-	feed(p, "solver.iters", &step, 10, 8)
-	feed(p, "solver.iters", &step, 30, 3) // one anomaly
-	hb, err := p.HistoryJSON("", -1, 64)
+	r := newRig(Options{})
+	r.feed(10, Warmup+4)
+	r.feed(30, Sustain) // one anomaly
+	hb, err := r.p.HistoryJSON("", -1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,10 +613,14 @@ func TestJSONBodies(t *testing.T) {
 	if err := json.Unmarshal(hb, &doc); err != nil {
 		t.Fatalf("GET /history body is not a Doc: %v\n%s", err, hb)
 	}
-	if doc.AnomalyTotal != 1 || len(doc.Series) != 1 {
-		t.Fatalf("doc = %+v, want 1 series, 1 anomaly", doc)
+	found := false
+	for _, s := range doc.Series {
+		found = found || s.Name == itersSeries
 	}
-	ab, err := p.AnomaliesJSON()
+	if !found || doc.AnomalyTotal < 1 {
+		t.Fatalf("doc = %+v, want the %s series and its anomaly", doc, itersSeries)
+	}
+	ab, err := r.p.AnomaliesJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,29 +631,44 @@ func TestJSONBodies(t *testing.T) {
 	if err := json.Unmarshal(ab, &anoms); err != nil {
 		t.Fatalf("GET /anomalies body: %v\n%s", err, ab)
 	}
-	if anoms.Total != 1 || anoms.ByKind["cg-inflation"] != 1 {
-		t.Fatalf("anomalies body = %+v, want total 1, cg-inflation 1", anoms)
+	var sum int64
+	for _, n := range anoms.ByKind {
+		sum += n
+	}
+	if anoms.ByKind["cg-inflation"] != 1 || anoms.Total != sum || anoms.Total != doc.AnomalyTotal {
+		t.Fatalf("anomalies body = %+v, want cg-inflation 1 and a total of the kinds", anoms)
 	}
 }
 
 // --- state round-trip ---------------------------------------------------
+
+// withoutRuntime drops the runtime.* series from a captured state: those
+// read the process's allocator, so two planes sampled side by side differ
+// there and nowhere else.
+func withoutRuntime(st *State) *State {
+	out := *st
+	out.Series = nil
+	for _, ss := range st.Series {
+		if !strings.HasPrefix(ss.Name, "runtime.") {
+			out.Series = append(out.Series, ss)
+		}
+	}
+	return &out
+}
 
 // TestStateRoundTrip: capture → gob → apply onto a fresh plane must
 // reproduce the state exactly, and — the reason history rides the checkpoint
 // at all — the restored baselines must continue *identically*: the same
 // future samples produce the same anomalies on both planes.
 func TestStateRoundTrip(t *testing.T) {
-	o := testOptions()
-	a := New(o)
-	var step int64
-	feed(a, "solver.iters", &step, 10, 8)
-	feed(a, "solver.iters", &step, 30, 3) // one fired anomaly in the log
-	for i := int64(1); i <= 20; i++ {
-		a.Observe("step.seconds", i, 0.1+0.001*float64(i%3))
-		a.ObserveCum("traffic.rank0.bytes", i, float64(4096*i))
+	a := newRig(Options{})
+	for i := 0; i < Warmup+4; i++ {
+		a.rec.CountMessage(telemetry.LevelL4, telemetry.OpCoupling, 4096)
+		a.feed(10, 1)
 	}
+	a.feed(30, Sustain) // one fired anomaly in the log
 
-	st := a.CaptureState()
+	st := a.p.CaptureState()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		t.Fatalf("state is not gob-serializable: %v", err)
@@ -567,51 +678,94 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := New(o)
+	b := New(Options{})
 	b.ApplyState(&decoded)
 	if got := b.CaptureState(); !reflect.DeepEqual(got, st) {
 		t.Fatalf("state did not round-trip:\ngot  %+v\nwant %+v", got, st)
 	}
 
 	// Continuation determinism: the regression that started before the
-	// checkpoint must complete identically after it. Feed both planes the
-	// same post-capture samples.
-	cont := func(p *Plane) {
-		s := step
-		for i := int64(1); i <= 10; i++ {
-			p.Observe("solver.iters", s+i, 30) // plateau: quiet (re-seeded at 30)
-			p.Observe("step.seconds", 20+i, 0.1)
-			p.ObserveCum("traffic.rank0.bytes", 20+i, float64(4096*(20+i)))
+	// checkpoint must complete identically after it. Both planes sample the
+	// same recorder after each post-capture exchange.
+	cont := func(v float64, n int) {
+		for i := 0; i < n; i++ {
+			a.rec.Gauge("solver.iters", v)
+			a.rec.CountMessage(telemetry.LevelL4, telemetry.OpCoupling, 4096)
+			a.step++
+			a.p.SampleExchange(a.step, 0.1, a.recs)
+			b.SampleExchange(a.step, 0.1, a.recs)
 		}
-		p.Observe("solver.iters", s+11, 90)
-		p.Observe("solver.iters", s+12, 90)
-		p.Observe("solver.iters", s+13, 90) // second regression fires
 	}
-	cont(a)
-	cont(b)
-	if a.AnomalyTotal() != 2 || b.AnomalyTotal() != 2 {
-		t.Fatalf("anomaly totals diverged: straight %d, resumed %d, want 2/2", a.AnomalyTotal(), b.AnomalyTotal())
+	cont(30, Warmup)  // plateau: quiet (re-seeded at 30)
+	cont(90, Sustain) // second regression fires
+	if na, nb := len(anomaliesOf(a.p, itersSeries)), len(anomaliesOf(b, itersSeries)); na != 2 || nb != 2 {
+		t.Fatalf("anomalies diverged: straight %d, resumed %d, want 2/2", na, nb)
 	}
-	if got, want := b.CaptureState(), a.CaptureState(); !reflect.DeepEqual(got, want) {
+	if got, want := withoutRuntime(b.CaptureState()), withoutRuntime(a.p.CaptureState()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed plane diverged from straight run:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
-// TestApplyStateRebounds: restoring a big capture into a smaller-capacity
-// plane keeps the newest entries (capacity is configuration, not state).
+// TestApplyStateRebounds: a restored state is held to the plane's bounds —
+// rings longer than RawCap or TierCap, and a log longer than MaxAnomalies,
+// keep their newest entries.
 func TestApplyStateRebounds(t *testing.T) {
-	big := testOptions()
-	big.RawCap = 64
-	a := New(big)
-	for i := 1; i <= 32; i++ {
-		a.Observe("x", int64(i), float64(i))
+	ss := SeriesState{Name: "x", Kind: KindOther}
+	for i := int64(1); i <= 2*RawCap; i++ {
+		ss.Raw = append(ss.Raw, Point{Step: i, V: float64(i)})
 	}
-	small := testOptions() // RawCap 8
-	b := New(small)
-	b.ApplyState(a.CaptureState())
-	pts := b.series["x"].points()
-	if len(pts) != 8 || pts[0].Step != 25 || pts[7].Step != 32 {
-		t.Fatalf("re-bounded ring = %+v, want newest 8 (25..32)", pts)
+	var bins []Bin
+	for i := int64(1); i <= TierCap+10; i++ {
+		bins = append(bins, Bin{Step0: i, Step1: i, Count: 1})
+	}
+	ss.Tiers = []TierState{{Factor: TierFactor, Bins: bins}}
+	st := &State{Series: []SeriesState{ss}}
+	for i := int64(1); i <= MaxAnomalies+5; i++ {
+		st.Anomalies = append(st.Anomalies, Anomaly{Step: i})
+	}
+	p := New(Options{})
+	p.ApplyState(st)
+	s := p.series["x"]
+	pts := s.points()
+	if len(pts) != RawCap || pts[0].Step != RawCap+1 || pts[RawCap-1].Step != 2*RawCap {
+		t.Fatalf("re-bounded ring holds %d points [%d..%d], want the newest %d", len(pts), pts[0].Step, pts[len(pts)-1].Step, RawCap)
+	}
+	if got := s.tiers[0].ordered(); len(got) != TierCap || got[0].Step0 != 11 {
+		t.Fatalf("re-bounded tier holds %d bins from %d, want the newest %d", len(got), got[0].Step0, TierCap)
+	}
+	if anoms := p.Anomalies(); len(anoms) != MaxAnomalies || anoms[0].Step != 6 {
+		t.Fatalf("re-bounded log holds %d anomalies from step %d, want the newest %d", len(anoms), anoms[0].Step, MaxAnomalies)
+	}
+}
+
+// TestApplyStateDuplicateAndExcessSeries: a restored state naming a series
+// twice keeps the first occurrence, and one with more than MaxSeries series
+// keeps the first MaxSeries — the document serves each name once.
+func TestApplyStateDuplicateAndExcessSeries(t *testing.T) {
+	st := &State{Series: []SeriesState{
+		{Name: "x", Summary: Summary{Count: 1, Last: 1}},
+		{Name: "x", Summary: Summary{Count: 2, Last: 2}},
+	}}
+	for i := 0; i < MaxSeries+5; i++ {
+		st.Series = append(st.Series, SeriesState{Name: fmt.Sprintf("y%d", i)})
+	}
+	p := New(Options{})
+	p.ApplyState(st)
+	if n := len(p.series); n != MaxSeries {
+		t.Fatalf("restored %d series, want MaxSeries %d", n, MaxSeries)
+	}
+	if s := p.series["x"]; s == nil || s.sum.Last != 1 {
+		t.Fatalf("restored x = %+v, want the first occurrence", s)
+	}
+	seen := map[string]bool{}
+	for _, s := range p.Doc("", 0, 0).Series {
+		if seen[s.Name] {
+			t.Fatalf("document serves %s twice", s.Name)
+		}
+		seen[s.Name] = true
+	}
+	if len(seen) != MaxSeries {
+		t.Fatalf("document serves %d series, want %d", len(seen), MaxSeries)
 	}
 }
 
@@ -619,70 +773,75 @@ func TestApplyStateRebounds(t *testing.T) {
 // (a corrupt or foreign blob) is kept as an untyped series, so it never
 // fires and never indexes the per-kind anomaly counters out of range.
 func TestApplyStateUnknownKind(t *testing.T) {
-	p := New(testOptions())
+	p := New(Options{})
 	p.ApplyState(&State{Series: []SeriesState{{
-		Name: "x", Kind: numKinds + 3,
+		Name: seriesStepSeconds, Kind: numKinds + 3,
 		Det: DetectorState{Mean: 1, Dev: 0.1, N: 100},
 	}}})
 	for i := int64(1); i <= 20; i++ {
-		p.Observe("x", i, 1000)
+		p.SampleExchange(i, 1000, nil)
 	}
-	if n := p.AnomalyTotal(); n != 0 {
-		t.Fatalf("an untyped series fired %d anomalies", n)
+	if a := anomaliesOf(p, seriesStepSeconds); len(a) != 0 {
+		t.Fatalf("an untyped series fired %d anomalies", len(a))
 	}
-	if k := p.series["x"].kind; k != KindOther {
+	if k := p.series[seriesStepSeconds].kind; k != KindOther {
 		t.Fatalf("restored kind = %v, want untyped", k)
 	}
 }
 
 // --- profiling ----------------------------------------------------------
 
+// waitProfileDone blocks until no CPU profile is running: the capture
+// window has stopped and its file is complete.
+func waitProfileDone(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(ProfileWindow + 5*time.Second)
+	for pprof.StartCPUProfile(io.Discard) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("profile capture never completed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	pprof.StopCPUProfile()
+}
+
 // TestAnomalyTriggersProfileCapture: a fired anomaly auto-captures a pprof
 // CPU profile (rate-limited), and the hook sees the final path.
 func TestAnomalyTriggersProfileCapture(t *testing.T) {
 	dir := t.TempDir()
-	o := testOptions()
-	o.ProfileDir = dir
-	o.ProfileWindow = 50 * time.Millisecond
-	o.ProfileMinGap = time.Millisecond
-	o.ProfileLimit = 1
-	p := New(o)
+	r := newRig(Options{ProfileDir: dir})
 	var hooked []Anomaly
-	p.OnAnomaly(func(a Anomaly) { hooked = append(hooked, a) })
+	r.p.OnAnomaly(func(a Anomaly) {
+		if a.Series == itersSeries {
+			hooked = append(hooked, a)
+		}
+	})
 
-	var step int64
-	feed(p, "solver.iters", &step, 10, 8)
-	feed(p, "solver.iters", &step, 30, 3)
-	anoms := p.Anomalies()
-	if len(anoms) != 1 || anoms[0].ProfilePath == "" {
-		t.Fatalf("anomaly without profile path: %+v", anoms)
+	r.feed(10, Warmup+4)
+	r.feed(30, Sustain)
+	anoms := anomaliesOf(r.p, itersSeries)
+	if len(anoms) != 1 || !strings.HasPrefix(anoms[0].ProfilePath, dir) {
+		t.Fatalf("anomaly without a profile under %s: %+v", dir, anoms)
 	}
 	if len(hooked) != 1 || hooked[0].ProfilePath != anoms[0].ProfilePath {
 		t.Fatalf("hook saw %+v, want the anomaly with its final profile path", hooked)
 	}
-	// The capture window runs in the background; wait for completion.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(p.ProfilePaths()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("profile capture never completed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	fi, err := os.Stat(p.ProfilePaths()[0])
+	waitProfileDone(t)
+	fi, err := os.Stat(anoms[0].ProfilePath)
 	if err != nil || fi.Size() == 0 {
-		t.Fatalf("captured profile unusable: %v (size %d)", err, fi.Size())
+		t.Fatalf("captured profile unusable: %v (%+v)", err, fi)
 	}
 
-	// A second regression is over the per-run capture budget: the anomaly
-	// still fires, without a profile.
-	feed(p, "solver.iters", &step, 30, 3) // re-warm at the new level
-	feed(p, "solver.iters", &step, 90, 3)
-	anoms = p.Anomalies()
+	// A second regression inside ProfileMinGap: the anomaly still fires,
+	// without a profile.
+	r.feed(30, Warmup-1) // re-warm at the new level
+	r.feed(90, Sustain)
+	anoms = anomaliesOf(r.p, itersSeries)
 	if len(anoms) != 2 {
 		t.Fatalf("second regression did not fire: %+v", anoms)
 	}
 	if anoms[1].ProfilePath != "" {
-		t.Fatalf("second anomaly captured past ProfileLimit=1: %+v", anoms[1])
+		t.Fatalf("second anomaly captured inside ProfileMinGap: %+v", anoms[1])
 	}
 }
 
@@ -692,16 +851,13 @@ func TestAnomalyTriggersProfileCapture(t *testing.T) {
 // disabled contract shared with telemetry, monitor, audit and in-situ.
 func TestNilPlaneDisabled(t *testing.T) {
 	var p *Plane
-	p.Observe("x", 1, 1)
-	p.ObserveCum("x", 1, 1)
 	p.SampleExchange(1, 0.1, nil)
 	p.OnAnomaly(func(Anomaly) {})
 	p.ApplyState(&State{Samples: 3})
 	if p.Samples() != 0 || p.AnomalyTotal() != 0 || p.SampleCost() != 0 {
 		t.Fatal("nil plane reported non-zero state")
 	}
-	if p.Doc("", 0, 0) != nil || p.CaptureState() != nil || p.Anomalies() != nil ||
-		p.ProfilePaths() != nil || p.Stats() != nil {
+	if p.Doc("", 0, 0) != nil || p.CaptureState() != nil || p.Anomalies() != nil || p.Stats() != nil {
 		t.Fatal("nil plane returned non-nil data")
 	}
 	if b, err := p.HistoryJSON("", 0, 0); b != nil || err != nil {
@@ -754,10 +910,9 @@ func TestCompareReport(t *testing.T) {
 // TestLoadDocRoundTrip: a -history-out file loads back into the same Doc the
 // plane rendered.
 func TestLoadDocRoundTrip(t *testing.T) {
-	p := New(testOptions())
-	var step int64
-	feed(p, "solver.iters", &step, 10, 6)
-	raw, err := p.HistoryJSON("", 0, 0)
+	r := newRig(Options{})
+	r.feed(10, 6)
+	raw, err := r.p.HistoryJSON("", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,8 +924,8 @@ func TestLoadDocRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d, p.Doc("", 0, 0)) {
-		t.Fatalf("loaded doc diverged:\ngot  %+v\nwant %+v", d, p.Doc("", 0, 0))
+	if want := r.p.Doc("", 0, 0); !reflect.DeepEqual(d, want) {
+		t.Fatalf("loaded doc diverged:\ngot  %+v\nwant %+v", d, want)
 	}
 	if _, err := LoadDoc(t.TempDir() + "/missing.json"); err == nil {
 		t.Fatal("missing file did not error")
@@ -779,24 +934,22 @@ func TestLoadDocRoundTrip(t *testing.T) {
 
 // TestStats: the monitor.Stat bridge exposes the plane's own meters.
 func TestStats(t *testing.T) {
-	p := New(testOptions())
-	var step int64
-	feed(p, "solver.iters", &step, 10, 8)
-	feed(p, "solver.iters", &step, 30, 3)
-	p.SampleExchange(20, 0.1, nil)
+	r := newRig(Options{})
+	r.feed(10, Warmup+4)
+	r.feed(30, Sustain)
 	got := map[string]float64{}
-	for _, s := range p.Stats() {
+	for _, s := range r.p.Stats() {
 		key := s.Name
 		for _, l := range s.Labels {
 			key += "{" + l[0] + "=" + l[1] + "}"
 		}
 		got[key] = s.Value
 	}
-	if got["history_samples_total"] != 1 {
-		t.Errorf("history_samples_total = %g, want 1", got["history_samples_total"])
+	if want := float64(Warmup + 4 + Sustain); got["history_samples_total"] != want {
+		t.Errorf("history_samples_total = %g, want %g", got["history_samples_total"], want)
 	}
-	if got["history_series"] != 2 { // solver.iters + step.seconds
-		t.Errorf("history_series = %g, want 2", got["history_series"])
+	if want := float64(len(r.p.Doc("", 0, 0).Series)); got["history_series"] != want {
+		t.Errorf("history_series = %g, want %g", got["history_series"], want)
 	}
 	if got["history_anomalies_total{kind=cg-inflation}"] != 1 {
 		t.Errorf("anomaly counter = %g, want 1 (%v)", got["history_anomalies_total{kind=cg-inflation}"], got)

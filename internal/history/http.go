@@ -2,12 +2,17 @@ package history
 
 import (
 	"encoding/json"
+	"net/http"
 	"sort"
+	"strconv"
+
+	"nektarg/internal/monitor"
 )
 
 // SeriesJSON is one series as served on GET /history and written by
 // -history-out. Exactly one of Points (tier 0, raw) or Bins (downsampled
-// tiers) is populated, selected by the requested tier.
+// tiers; the newest is the bin still filling) is populated, selected by the
+// requested tier.
 type SeriesJSON struct {
 	Name    string  `json:"name"`
 	Kind    Kind    `json:"kind"`
@@ -34,9 +39,12 @@ type Doc struct {
 
 // Doc assembles the document. prefix filters series by name prefix (""
 // keeps all). tier selects the resolution: 0 is raw, 1.. the downsample
-// tiers, and a negative tier auto-selects per series — the rawest tier
-// whose retained length fits maxPoints. maxPoints additionally truncates
-// to the newest N entries (0 = unlimited). A nil plane returns nil.
+// tiers (a tier past Tiers serves the coarsest), and a negative tier
+// auto-selects per series — the rawest tier whose served length fits
+// maxPoints, else the coarsest. maxPoints additionally truncates to the
+// newest N entries (0 = unlimited). Every tier serves its filling bin last,
+// so each served window ends at the series' newest sample. A nil plane
+// returns nil.
 func (p *Plane) Doc(prefix string, tier, maxPoints int) *Doc {
 	if p == nil {
 		return nil
@@ -58,45 +66,18 @@ func (p *Plane) Doc(prefix string, tier, maxPoints int) *Doc {
 			Name: name, Kind: s.kind, Samples: s.sum.Count,
 			Mean: s.sum.Mean(), Min: s.sum.Min, Max: s.sum.Max, Last: s.sum.Last,
 		}
-		t := tier
+		t := min(tier, len(s.tiers))
 		if t < 0 {
 			t = 0
-			if maxPoints > 0 && len(s.raw) > maxPoints {
-				for i, tr := range s.tiers {
-					if len(tr.bins) == 0 {
-						// No completed bins yet (early in the run): coarser
-						// tiers are emptier still, and newest-N truncated raw
-						// beats an empty ring.
-						break
-					}
-					t = i + 1
-					if len(tr.bins) <= maxPoints {
-						break
-					}
-				}
+			for maxPoints > 0 && t < len(s.tiers) && s.servedLen(t) > maxPoints {
+				t++
 			}
 		}
-		switch {
-		case t == 0:
-			pts := s.points()
-			if maxPoints > 0 && len(pts) > maxPoints {
-				pts = pts[len(pts)-maxPoints:]
-			}
-			sj.Points = pts
-		case t-1 < len(s.tiers):
-			bins := s.tiers[t-1].ordered()
-			if maxPoints > 0 && len(bins) > maxPoints {
-				bins = bins[len(bins)-maxPoints:]
-			}
+		if t == 0 {
+			sj.Points = newest(s.points(), maxPoints)
+		} else {
 			sj.Tier = t
-			sj.Bins = bins
-		default:
-			// Requested tier beyond configuration: serve the coarsest.
-			last := len(s.tiers) - 1
-			if last >= 0 {
-				sj.Tier = last + 1
-				sj.Bins = s.tiers[last].ordered()
-			}
+			sj.Bins = newest(s.tiers[t-1].served(), maxPoints)
 		}
 		d.Series = append(d.Series, sj)
 	}
@@ -108,8 +89,39 @@ func (p *Plane) Doc(prefix string, tier, maxPoints int) *Doc {
 	return d
 }
 
-// HistoryJSON renders Doc as indented JSON — the monitor's /history handler
-// and the fleet publisher call it through the HistorySource interface.
+// newest truncates a chronological slice to its newest n entries (n <= 0
+// keeps all).
+func newest[T any](xs []T, n int) []T {
+	if n > 0 && len(xs) > n {
+		return xs[len(xs)-n:]
+	}
+	return xs
+}
+
+// Routes serves the plane on the monitor: GET /history (query series=
+// name-prefix filter, tier= downsample level, max= newest-N truncation; the
+// Doc arguments, defaulting to auto-tier and 512) and GET /anomalies.
+func (p *Plane) Routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"/history": monitor.JSONHandler(func(r *http.Request) ([]byte, error) {
+			q := r.URL.Query()
+			return p.HistoryJSON(q.Get("series"), queryInt(q.Get("tier"), -1), queryInt(q.Get("max"), 512))
+		}),
+		"/anomalies": monitor.JSONHandler(func(*http.Request) ([]byte, error) { return p.AnomaliesJSON() }),
+	}
+}
+
+// queryInt parses an optional integer query parameter, falling back to def
+// on absence or garbage.
+func queryInt(s string, def int) int {
+	if n, err := strconv.Atoi(s); err == nil {
+		return n
+	}
+	return def
+}
+
+// HistoryJSON renders Doc as indented JSON — the /history route and the
+// fleet publisher's compact document.
 func (p *Plane) HistoryJSON(prefix string, tier, maxPoints int) ([]byte, error) {
 	if p == nil {
 		return nil, nil

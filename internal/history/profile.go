@@ -18,28 +18,25 @@ import (
 // profile per process, so a run started with -cpuprofile (or a concurrent
 // /debug/pprof/profile scrape) simply wins and the capture is skipped.
 type profiler struct {
-	dir    string
-	window time.Duration
-	limit  int
-	minGap time.Duration
+	dir string
 
 	mu     sync.Mutex
 	taken  int
 	last   time.Time
 	active bool
-	done   []string // completed capture paths
 }
 
-// capture starts one profile window if the rate limits allow, returning the
+// capture starts one ProfileWindow if the rate limits allow, returning the
 // path the profile will land at ("" when suppressed). The window runs on a
-// background goroutine; completed() reports finished files.
+// background goroutine and is complete once the process's CPU profile is
+// free again.
 func (pr *profiler) capture(tag string) string {
 	if pr == nil {
 		return ""
 	}
 	pr.mu.Lock()
 	now := time.Now()
-	if pr.active || pr.taken >= pr.limit || (pr.taken > 0 && now.Sub(pr.last) < pr.minGap) {
+	if pr.active || pr.taken >= ProfileLimit || (pr.taken > 0 && now.Sub(pr.last) < ProfileMinGap) {
 		pr.mu.Unlock()
 		return ""
 	}
@@ -49,13 +46,13 @@ func (pr *profiler) capture(tag string) string {
 	pr.mu.Unlock()
 
 	if err := os.MkdirAll(pr.dir, 0o755); err != nil {
-		pr.abort()
+		pr.release()
 		return ""
 	}
 	path := filepath.Join(pr.dir, fmt.Sprintf("perf-%s.pprof", tag))
 	f, err := os.Create(path)
 	if err != nil {
-		pr.abort()
+		pr.release()
 		return ""
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
@@ -63,33 +60,21 @@ func (pr *profiler) capture(tag string) string {
 		// /debug/pprof/profile scrape): theirs wins, ours is skipped.
 		f.Close()
 		os.Remove(path)
-		pr.abort()
+		pr.release()
 		return ""
 	}
 	go func() {
-		time.Sleep(pr.window)
+		time.Sleep(ProfileWindow)
 		pprof.StopCPUProfile()
 		f.Close()
-		pr.mu.Lock()
-		pr.active = false
-		pr.done = append(pr.done, path)
-		pr.mu.Unlock()
+		pr.release()
 	}()
 	return path
 }
 
-func (pr *profiler) abort() {
+// release marks the capture window closed (or never opened).
+func (pr *profiler) release() {
 	pr.mu.Lock()
 	pr.active = false
 	pr.mu.Unlock()
-}
-
-// completed returns the paths of finished (stopped and closed) captures.
-func (pr *profiler) completed() []string {
-	if pr == nil {
-		return nil
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return append([]string(nil), pr.done...)
 }

@@ -7,15 +7,12 @@ package history
 //	tier rings  — streamed downsamples: tier i folds TierFactor^(i+1)
 //	              consecutive raw samples into one Bin carrying the min/max
 //	              envelope, sum and count of the window, into its own
-//	              fixed-capacity ring
+//	              TierCap ring, while the next Bin fills
 //	summary     — exact running aggregate over the whole run (never wraps)
 //
 // Each tier consumes the raw sample stream independently, so a Bin's
 // envelope is exactly the min/max of the raw samples it covers — wrap-around
-// of the raw ring cannot corrupt older tiers. With the defaults (raw 1024,
-// two tiers of 1024 bins at factors 16 and 256) one series spans the last
-// 1024 samples raw, the last ~16k at 16× and the last ~262k at 256×, in
-// ~112 KiB per series.
+// of the raw ring cannot corrupt older tiers.
 
 // Point is one raw sample: the exchange index it was taken at and the value.
 type Point struct {
@@ -86,12 +83,11 @@ func (s *Summary) add(v float64) {
 }
 
 // tier is one downsample level: an accumulator bin filling toward `factor`
-// raw samples plus a ring of completed bins.
+// raw samples plus a TierCap ring of completed bins.
 type tier struct {
 	factor int // raw samples per completed bin
-	cap    int
 	bins   []Bin
-	head   int // next overwrite position once len == cap
+	head   int // next overwrite position once len == TierCap
 	acc    Bin
 }
 
@@ -104,19 +100,29 @@ func (t *tier) observe(step int64, v float64) {
 }
 
 func (t *tier) push(b Bin) {
-	if len(t.bins) < t.cap {
+	if len(t.bins) < TierCap {
 		t.bins = append(t.bins, b)
 		return
 	}
 	t.bins[t.head] = b
-	t.head = (t.head + 1) % t.cap
+	t.head = (t.head + 1) % TierCap
 }
 
 // ordered returns the completed bins in chronological order.
 func (t *tier) ordered() []Bin {
-	out := make([]Bin, 0, len(t.bins))
+	out := make([]Bin, 0, len(t.bins)+1)
 	out = append(out, t.bins[t.head:]...)
 	out = append(out, t.bins[:t.head]...)
+	return out
+}
+
+// served returns what a document shows of the tier: the completed bins and,
+// newest, the filling one, so the served window ends at the newest sample.
+func (t *tier) served() []Bin {
+	out := t.ordered()
+	if t.acc.Count > 0 {
+		out = append(out, t.acc)
+	}
 	return out
 }
 
@@ -129,30 +135,25 @@ type Series struct {
 	sum   Summary
 	raw   []Point
 	head  int
-	cap   int
 	tiers []*tier
 
-	// Cumulative-input bookkeeping for observeCum (stage totals, traffic
-	// byte counters, GC totals): the series stores per-sample deltas, and
-	// the first observation only seeds the reference.
+	// Cumulative-input bookkeeping (stage totals, traffic byte counters, GC
+	// totals): the series stores per-sample deltas, and the first
+	// observation only seeds the reference (see Plane.observeLocked).
 	prevCum float64
 	hasPrev bool
 
 	det detector
 }
 
-func newSeries(name string, kind Kind, o Options) *Series {
-	s := &Series{name: name, kind: kind, cap: o.RawCap}
-	f := o.TierFactor
-	for i := 0; i < o.Tiers; i++ {
-		s.tiers = append(s.tiers, &tier{factor: f, cap: o.TierCap})
-		f *= o.TierFactor
+func newSeries(name string, kind Kind) *Series {
+	s := &Series{name: name, kind: kind}
+	f := TierFactor
+	for i := 0; i < Tiers; i++ {
+		s.tiers = append(s.tiers, &tier{factor: f})
+		f *= TierFactor
 	}
-	rel, abs := kind.floors()
-	s.det = detector{
-		alpha: o.Alpha, warmup: o.Warmup, sustain: o.Sustain, zmax: o.Z,
-		relFloor: rel, absFloor: abs,
-	}
+	s.det.relFloor, s.det.absFloor = kind.floors()
 	return s
 }
 
@@ -173,31 +174,29 @@ func (s *Series) observe(step int64, v float64) (fired bool, a Anomaly) {
 	}
 	return true, Anomaly{
 		Kind: s.kind, Series: s.name, Step: step,
-		Value: v, Baseline: baseline, Z: z, Sustained: s.det.sustain,
+		Value: v, Baseline: baseline, Z: z, Sustained: Sustain,
 	}
-}
-
-// observeCum converts a monotone cumulative counter into the per-sample
-// delta series. The first call seeds the reference; a counter that moved
-// backwards (restore, counter reset) re-seeds without recording a bogus
-// negative sample.
-func (s *Series) observeCum(step int64, cum float64) (fired bool, a Anomaly) {
-	if !s.hasPrev || cum < s.prevCum {
-		s.prevCum, s.hasPrev = cum, true
-		return false, Anomaly{}
-	}
-	d := cum - s.prevCum
-	s.prevCum = cum
-	return s.observe(step, d)
 }
 
 func (s *Series) pushRaw(p Point) {
-	if len(s.raw) < s.cap {
+	if len(s.raw) < RawCap {
 		s.raw = append(s.raw, p)
 		return
 	}
 	s.raw[s.head] = p
-	s.head = (s.head + 1) % s.cap
+	s.head = (s.head + 1) % RawCap
+}
+
+// servedLen is how many entries tier t (0 = the raw ring) serves.
+func (s *Series) servedLen(t int) int {
+	if t == 0 {
+		return len(s.raw)
+	}
+	tr := s.tiers[t-1]
+	if tr.acc.Count > 0 {
+		return len(tr.bins) + 1
+	}
+	return len(tr.bins)
 }
 
 // points returns the raw ring in chronological order.

@@ -85,13 +85,13 @@ func (p *Plane) CaptureState() *State {
 }
 
 // ApplyState overlays a captured snapshot onto the plane, replacing all live
-// series — the restore half of the round-trip. Capacities and detection
-// thresholds are configuration, not state: restored rings are re-bounded to
-// the plane's current Options (keeping the newest entries), and restored
-// baselines run under the current α/z/sustain settings. A nil state is a
-// no-op (resuming a pre-v4 checkpoint leaves the fresh plane to re-warm
-// from the restored physics, the best available behaviour for legacy
-// bundles).
+// series — the restore half of the round-trip. A checkpoint is input from
+// outside the program, so it is held to the plane's bounds: the first
+// occurrence of each series name is kept, up to MaxSeries; rings are
+// re-bounded to RawCap and TierCap (keeping the newest entries) and the
+// anomaly log to MaxAnomalies. A nil state is a no-op (resuming a pre-v4
+// checkpoint leaves the fresh plane to re-warm from the restored physics,
+// the best available behaviour for legacy bundles).
 func (p *Plane) ApplyState(st *State) {
 	if p == nil || st == nil {
 		return
@@ -107,24 +107,30 @@ func (p *Plane) ApplyState(st *State) {
 		}
 	}
 	p.anomalies = append(p.anomalies[:0], st.Anomalies...)
-	if len(p.anomalies) > p.o.MaxAnomalies {
-		p.anomalies = append([]Anomaly(nil), p.anomalies[len(p.anomalies)-p.o.MaxAnomalies:]...)
+	if len(p.anomalies) > MaxAnomalies {
+		p.anomalies = append([]Anomaly(nil), p.anomalies[len(p.anomalies)-MaxAnomalies:]...)
 	}
 	p.anomHead = 0
 	p.series = make(map[string]*Series, len(st.Series))
 	p.order = p.order[:0]
 	for _, ss := range st.Series {
+		if p.series[ss.Name] != nil {
+			continue
+		}
+		if len(p.series) >= MaxSeries {
+			break
+		}
 		kind := ss.Kind
 		if kind >= numKinds {
 			// A foreign or corrupt blob: the anomaly counters are indexed
 			// by kind, so an unknown one is kept as an untyped series.
 			kind = KindOther
 		}
-		s := newSeries(ss.Name, kind, p.o)
+		s := newSeries(ss.Name, kind)
 		s.sum = ss.Summary
 		raw := ss.Raw
-		if len(raw) > s.cap {
-			raw = raw[len(raw)-s.cap:]
+		if len(raw) > RawCap {
+			raw = raw[len(raw)-RawCap:]
 		}
 		s.raw = append(s.raw, raw...)
 		for i, t := range s.tiers {
@@ -132,8 +138,8 @@ func (p *Plane) ApplyState(st *State) {
 				break
 			}
 			bins := ss.Tiers[i].Bins
-			if len(bins) > t.cap {
-				bins = bins[len(bins)-t.cap:]
+			if len(bins) > TierCap {
+				bins = bins[len(bins)-TierCap:]
 			}
 			t.bins = append(t.bins, bins...)
 			t.acc = ss.Tiers[i].Acc

@@ -1,15 +1,18 @@
 package insitu
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	"nektarg/internal/geometry"
+	"nektarg/internal/monitor"
 	"nektarg/internal/telemetry"
 	"nektarg/internal/viz"
 )
@@ -32,8 +35,8 @@ const DefaultKeep = 4
 
 // Observer consumes snapshot pieces, assembles causally consistent frames,
 // maintains the latest frame for HTTP serving and optionally writes a rolling
-// VTK series. It satisfies the monitor package's SnapshotSource interface
-// structurally (SnapshotMeta/SnapshotVTK) without importing it.
+// VTK series. It is a monitor.Plane: Attach mounts /snapshot and
+// /snapshot/vtk.
 type Observer struct {
 	cfg ObserverConfig
 
@@ -126,6 +129,32 @@ type Meta struct {
 	Transport *Stats         `json:"transport,omitempty"`
 	WriteErr  string         `json:"write_err,omitempty"`
 }
+
+// Routes serves the observer on the monitor: GET /snapshot is the
+// SnapshotMeta document, GET /snapshot/vtk the latest frame as SnapshotVTK
+// writes it, 503 before the first frame assembles.
+func (o *Observer) Routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"/snapshot": monitor.JSONHandler(func(*http.Request) ([]byte, error) { return o.SnapshotMeta() }),
+		"/snapshot/vtk": func(w http.ResponseWriter, r *http.Request) {
+			// Buffer first: SnapshotVTK's only error before any bytes flow
+			// is "no frame yet", which must map to 503, and headers are
+			// immutable once the body starts.
+			var buf bytes.Buffer
+			if err := o.SnapshotVTK(&buf); err != nil {
+				http.Error(w, err.Error(), http.StatusServiceUnavailable)
+				return
+			}
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			buf.WriteTo(w) //nolint:errcheck // client went away
+		},
+	}
+}
+
+// Stats is the monitor.Plane metric bridge. The observer has none of its
+// own: its accounting rides the insitu.* gauges of its recorder, which the
+// exposition renders as the nektarg_insitu_* families.
+func (o *Observer) Stats() []monitor.Stat { return nil }
 
 // SnapshotMeta returns the latest frame's metadata and gauges as JSON — the
 // monitor's /snapshot payload.

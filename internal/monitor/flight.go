@@ -54,11 +54,6 @@ type FlightDump struct {
 	Events      []Event          `json:"events"`
 	Tracks      []FlightTrack    `json:"tracks"`
 	Imbalance   []StageImbalance `json:"imbalance,omitempty"`
-	// Insitu is the in-situ pipeline's drop/staleness accounting at dump
-	// time (the observer's SnapshotMeta document), present when an in-situ
-	// source is wired. A crashed run's last flight dump then answers "was the
-	// observer keeping up?" next to "which rank died?".
-	Insitu json.RawMessage `json:"insitu,omitempty"`
 }
 
 // FlightRecorder dumps the observability black box on watchdog trips and
@@ -70,8 +65,7 @@ type FlightRecorder struct {
 	anomalyDumps []string
 	source       func() []*telemetry.Recorder
 	health       *Health
-	insitu       func() ([]byte, error) // in-situ meta source; nil = omit
-	now          func() time.Time       // test seam
+	now          func() time.Time // test seam
 
 	incarnation int                       // stamped into dumps; see SetRunLabels
 	transport   string                    // transport kind ("local", "tcp", ...)
@@ -85,17 +79,6 @@ func NewFlightRecorder(dir string, source func() []*telemetry.Recorder, health *
 		dir = "."
 	}
 	return &FlightRecorder{dir: dir, source: source, health: health, now: time.Now}
-}
-
-// SetInsituSource wires an in-situ metadata provider (the observer's
-// SnapshotMeta) whose JSON document is embedded in every dump.
-func (f *FlightRecorder) SetInsituSource(fn func() ([]byte, error)) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.insitu = fn
-	f.mu.Unlock()
 }
 
 // SetRunLabels stamps subsequent dumps with the current world incarnation id
@@ -175,7 +158,6 @@ func (f *FlightRecorder) dump(reason string, trip *Event, anomaly bool) (string,
 		return "", nil
 	}
 	dir := f.dir
-	insitu := f.insitu
 	incarnation, transport := f.incarnation, f.transport
 	onDump := f.onDump
 	ts := f.now()
@@ -203,11 +185,6 @@ func (f *FlightRecorder) dump(reason string, trip *Event, anomaly bool) (string,
 		})
 	}
 	d.Imbalance = AnalyzeImbalance(snaps)
-	if insitu != nil {
-		if meta, err := insitu(); err == nil && json.Valid(meta) {
-			d.Insitu = json.RawMessage(meta)
-		}
-	}
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("monitor: flight dir: %w", err)

@@ -1,9 +1,9 @@
 package monitor
 
 // Monitor-side tests for the performance-history plane wiring: the Go
-// runtime gauges every monitor exposes, the /history and /anomalies routes
-// behind the HistorySource seam, and the anomaly flight-dump budget being
-// independent of the shared watchdog/panic budget.
+// runtime gauges every monitor exposes, and the anomaly flight-dump budget
+// being independent of the shared watchdog/panic budget. The /history and
+// /anomalies routes are tested with the plane attached (planes_test.go).
 
 import (
 	"io"
@@ -37,57 +37,6 @@ func TestRuntimeGaugesInMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("GET /metrics missing runtime gauge %q", want)
 		}
-	}
-}
-
-// fakeHistory is a stub HistorySource pinning the monitor's pass-through of
-// query parameters and bodies.
-type fakeHistory struct {
-	prefix    string
-	tier, max int
-}
-
-func (f *fakeHistory) HistoryJSON(prefix string, tier, maxPoints int) ([]byte, error) {
-	f.prefix, f.tier, f.max = prefix, tier, maxPoints
-	return []byte(`{"series":[]}`), nil
-}
-
-func (f *fakeHistory) AnomaliesJSON() ([]byte, error) {
-	return []byte(`{"total":0}`), nil
-}
-
-// TestHistoryEndpoints: /history and /anomalies 404 until a source is wired,
-// then serve its documents with the query parameters passed through.
-func TestHistoryEndpoints(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := New(reg, Options{FlightDir: t.TempDir()})
-	srv, err := m.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close() //nolint:errcheck // test cleanup
-
-	for _, path := range []string{"/history", "/anomalies"} {
-		resp, err := http.Get(srv.URL() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close() //nolint:errcheck // test cleanup
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s without a source = %d, want 404", path, resp.StatusCode)
-		}
-	}
-
-	src := &fakeHistory{}
-	m.SetHistorySource(src)
-	if body := httpGetBody(t, srv.URL()+"/history?series=stage.&tier=2&max=32"); body != `{"series":[]}` {
-		t.Fatalf("GET /history body = %q", body)
-	}
-	if src.prefix != "stage." || src.tier != 2 || src.max != 32 {
-		t.Fatalf("query pass-through = %+v, want stage./2/32", src)
-	}
-	if body := httpGetBody(t, srv.URL()+"/anomalies"); body != `{"total":0}` {
-		t.Fatalf("GET /anomalies body = %q", body)
 	}
 }
 

@@ -15,6 +15,10 @@
 //	   ↓ exporter              — Prometheus text / imbalance table / flight JSON
 //	HTTP      (/metrics, /healthz, /imbalance, /flight, /debug/pprof)
 //
+// Observer planes (the audit ledger, the history plane, the in-situ
+// observer) join through one seam, Attach: each brings its routes and its
+// metric samples, and a route whose plane is not attached answers 404.
+//
 // Watchdog contract: solvers own a *Watchdogs bundle (nil when monitoring is
 // off — every probe then costs one nil comparison, the same zero-cost bar as
 // telemetry, pinned by TestMonitorDisabledZeroCost). Probes latch per
@@ -24,7 +28,8 @@
 package monitor
 
 import (
-	"io"
+	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -37,47 +42,20 @@ type Options struct {
 	FlightDir string
 }
 
-// SnapshotSource is the in-situ observation surface the monitor serves: the
-// insitu package's Observer satisfies it structurally, so monitor never
-// imports insitu (which imports core, which imports monitor — the interface
-// breaks the cycle at the thinnest point).
-type SnapshotSource interface {
-	// SnapshotMeta returns the latest frame's metadata and the pipeline's
-	// drop/staleness accounting as a JSON document (/snapshot).
-	SnapshotMeta() ([]byte, error)
-	// SnapshotVTK streams the latest assembled frame as concatenated legacy
-	// VTK documents (/snapshot/vtk). An error means no frame exists yet.
-	SnapshotVTK(w io.Writer) error
+// Plane is an observer plane the monitor serves: the audit ledger, the
+// performance-history plane and the in-situ observer each render their own
+// routes next to the data the routes show, and bring their own metric
+// samples. The planes import monitor (for Stat), so monitor never names them.
+type Plane interface {
+	// Routes maps each path the plane serves to its handler.
+	Routes() map[string]http.HandlerFunc
+	// Stats returns the plane's samples for /metrics and the fleet publish;
+	// it is polled at scrape time and must be safe for concurrent calls.
+	Stats() []Stat
 }
 
-// AuditSource is the physics audit surface the monitor serves on GET
-// /audit: the audit package's Ledger satisfies it structurally, so monitor
-// never imports audit (audit imports monitor for the Stat bridge and the
-// watchdog track — the interface breaks the cycle, exactly like
-// SnapshotSource does for insitu).
-type AuditSource interface {
-	// WriteJSON streams the full conservation-ledger status — budgets,
-	// latched severities, EMA statistics, byte-leg totals — as one JSON
-	// document.
-	WriteJSON(w io.Writer) error
-}
-
-// HistorySource is the performance-history surface the monitor serves on
-// GET /history and GET /anomalies: the history package's Plane satisfies it
-// structurally (history imports monitor for the Stat bridge, so the
-// interface breaks the cycle the same way AuditSource does for audit).
-type HistorySource interface {
-	// HistoryJSON renders the time-series document. prefix filters series
-	// by name prefix, tier selects the downsample level (negative =
-	// auto-fit), maxPoints truncates each series to its newest N entries
-	// (0 = unlimited).
-	HistoryJSON(prefix string, tier, maxPoints int) ([]byte, error)
-	// AnomaliesJSON renders the detected-anomaly log with per-kind totals.
-	AnomaliesJSON() ([]byte, error)
-}
-
-// Monitor bundles the health state, flight recorder and snapshot source
-// behind one HTTP surface. Create with New; all methods are safe for
+// Monitor bundles the health state, the flight recorder and the attached
+// planes behind one HTTP surface. Create with New; all methods are safe for
 // concurrent use.
 type Monitor struct {
 	reg    *telemetry.Registry
@@ -85,11 +63,9 @@ type Monitor struct {
 	flight *FlightRecorder
 	start  time.Time
 
-	mu    sync.Mutex
-	stats []func() []Stat // extra metric sources (transport counters, ...)
-	snap  SnapshotSource  // in-situ observation surface; nil = 404
-	audit AuditSource     // physics audit surface; nil = 404
-	hist  HistorySource   // performance history surface; nil = 404
+	mu     sync.Mutex
+	stats  []func() []Stat             // extra metric sources (planes, transport counters, ...)
+	routes map[string]http.HandlerFunc // attached planes' routes by path
 }
 
 // New builds a monitor over a telemetry registry. The registry supplies the
@@ -125,74 +101,42 @@ func (m *Monitor) Flight() *FlightRecorder {
 	return m.flight
 }
 
-// SetSnapshotSource wires the in-situ observation surface: /snapshot and
-// /snapshot/vtk start serving, and flight dumps gain the insitu section.
-// nil detaches it again.
-func (m *Monitor) SetSnapshotSource(src SnapshotSource) {
+// Attach mounts a plane: its routes join the HTTP surface, also while Serve
+// is running, and its stats join /metrics and the fleet publish.
+func (m *Monitor) Attach(p Plane) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	m.snap = src
-	m.mu.Unlock()
-	if src == nil {
-		m.flight.SetInsituSource(nil)
-	} else {
-		m.flight.SetInsituSource(src.SnapshotMeta)
-	}
-}
-
-// snapshotSource returns the wired in-situ surface, if any.
-func (m *Monitor) snapshotSource() SnapshotSource {
-	if m == nil {
-		return nil
-	}
+	m.AddStatSource(p.Stats)
+	routes := p.Routes()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.snap
+	if m.routes == nil {
+		m.routes = map[string]http.HandlerFunc{}
+	}
+	for path, h := range routes {
+		m.routes[path] = h
+	}
 }
 
-// SetAuditSource wires the physics audit surface: GET /audit starts
-// serving the conservation-ledger document. nil detaches it again.
-func (m *Monitor) SetAuditSource(src AuditSource) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.audit = src
-	m.mu.Unlock()
-}
-
-// auditSource returns the wired audit surface, if any.
-func (m *Monitor) auditSource() AuditSource {
-	if m == nil {
-		return nil
-	}
+// route returns the attached handler serving path, nil when no plane
+// serves it.
+func (m *Monitor) route(path string) http.HandlerFunc {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.audit
+	return m.routes[path]
 }
 
-// SetHistorySource wires the performance-history surface: GET /history and
-// GET /anomalies start serving. nil detaches it again.
-func (m *Monitor) SetHistorySource(src HistorySource) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.hist = src
-	m.mu.Unlock()
-}
-
-// HistorySource returns the wired performance-history surface, if any (the
-// fleet publisher embeds its compact document into each status publish).
-func (m *Monitor) HistorySource() HistorySource {
-	if m == nil {
-		return nil
-	}
+// mounted returns the attached planes' paths, sorted.
+func (m *Monitor) mounted() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.hist
+	paths := make([]string, 0, len(m.routes))
+	for path := range m.routes {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
 }
 
 // Snapshots captures every track's aggregates at this instant. Safe to call

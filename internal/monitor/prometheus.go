@@ -139,8 +139,8 @@ func WriteMetrics(w io.Writer, snaps []*telemetry.Snapshot, extra []Stat, h *Hea
 		}
 	}
 
-	// Extra stat samples (transport counters and other sources registered via
-	// Monitor.AddStatSource).
+	// Extra stat samples (attached planes, transport counters and other
+	// sources registered via Monitor.AddStatSource).
 	e.Stats(extra)
 
 	// Health.

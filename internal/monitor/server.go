@@ -1,48 +1,47 @@
 package monitor
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 )
 
 // Handler returns the monitor's HTTP surface:
 //
-//	GET  /            tiny plain-text index
+//	GET  /            plain-text index of the mounted routes
 //	GET  /metrics     Prometheus text exposition (stage seconds, traffic
-//	                  bytes by level×op, solver gauges, per-stage imbalance)
+//	                  bytes by level×op, solver gauges, per-stage imbalance,
+//	                  every attached plane's stats)
 //	GET  /healthz     JSON verdict; 200 while healthy, 503 once a watchdog
 //	                  has tripped
 //	GET  /imbalance   FormatImbalanceTable report (text)
-//	GET  /snapshot    latest in-situ frame metadata + drop/staleness gauges
-//	                  (JSON; 404 until an in-situ source is wired, 503 before
-//	                  the first frame assembles)
-//	GET  /snapshot/vtk  latest assembled frame as concatenated legacy VTK
-//	                  documents, one per piece, split on "# === insitu piece"
-//	                  banners
-//	GET  /history     performance-history time series (JSON; query params
-//	                  series= name-prefix filter, tier= downsample level,
-//	                  max= newest-N truncation; 404 until a history source
-//	                  is wired)
-//	GET  /anomalies   detected performance anomalies with per-kind totals
-//	                  (JSON; 404 until a history source is wired)
 //	GET  /buildinfo   binary provenance (module version, VCS revision, toolchain)
 //	POST /flight      trigger a manual flight dump; returns the path
 //	GET  /debug/pprof/*  live profiling (pprof index, profile, trace, ...)
+//
+// plus the routes of every attached plane (see Attach): /audit from the
+// audit ledger, /history and /anomalies from the history plane, /snapshot
+// and /snapshot/vtk from the in-situ observer. Each answers 404 until its
+// plane is attached.
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
+			if h := m.route(r.URL.Path); h != nil {
+				h(w, r)
+				return
+			}
 			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "nektarg monitor\n\nGET  /metrics\nGET  /healthz\nGET  /audit\nGET  /imbalance\nGET  /history\nGET  /anomalies\nGET  /snapshot\nGET  /snapshot/vtk\nGET  /buildinfo\nPOST /flight\nGET  /debug/pprof/\n")
+		fmt.Fprint(w, "nektarg monitor\n\nGET  /metrics\nGET  /healthz\nGET  /imbalance\nGET  /buildinfo\nPOST /flight\nGET  /debug/pprof/\n")
+		for _, path := range m.mounted() {
+			fmt.Fprintf(w, "GET  %s\n", path)
+		}
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -60,80 +59,9 @@ func (m *Monitor) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(v) //nolint:errcheck // client went away
 	})
-	mux.HandleFunc("/audit", func(w http.ResponseWriter, r *http.Request) {
-		src := m.auditSource()
-		if src == nil {
-			http.Error(w, "no audit ledger wired (run without -audit?)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		src.WriteJSON(w) //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
-		src := m.HistorySource()
-		if src == nil {
-			http.Error(w, "no history plane wired (run without -history?)", http.StatusNotFound)
-			return
-		}
-		q := r.URL.Query()
-		tier := queryInt(q.Get("tier"), -1)
-		max := queryInt(q.Get("max"), 512)
-		doc, err := src.HistoryJSON(q.Get("series"), tier, max)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(doc) //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/anomalies", func(w http.ResponseWriter, r *http.Request) {
-		src := m.HistorySource()
-		if src == nil {
-			http.Error(w, "no history plane wired (run without -history?)", http.StatusNotFound)
-			return
-		}
-		doc, err := src.AnomaliesJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(doc) //nolint:errcheck // client went away
-	})
 	mux.HandleFunc("/imbalance", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, FormatImbalanceTable(m.Imbalance()))
-	})
-	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		src := m.snapshotSource()
-		if src == nil {
-			http.Error(w, "no in-situ source wired (run without -insitu?)", http.StatusNotFound)
-			return
-		}
-		meta, err := src.SnapshotMeta()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(meta) //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/snapshot/vtk", func(w http.ResponseWriter, r *http.Request) {
-		src := m.snapshotSource()
-		if src == nil {
-			http.Error(w, "no in-situ source wired (run without -insitu?)", http.StatusNotFound)
-			return
-		}
-		// Buffer first: SnapshotVTK's only error before any bytes flow is
-		// "no frame yet", which must map to 503, and headers are immutable
-		// once the body starts.
-		var buf bytes.Buffer
-		if err := src.SnapshotVTK(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		buf.WriteTo(w) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -164,17 +92,18 @@ func (m *Monitor) Handler() http.Handler {
 	return mux
 }
 
-// queryInt parses an optional integer query parameter, falling back to def
-// on absence or garbage.
-func queryInt(s string, def int) int {
-	if s == "" {
-		return def
+// JSONHandler serves the document doc renders for each request as
+// application/json; an error answers 500 with its message.
+func JSONHandler(doc func(r *http.Request) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b, err := doc(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(b) //nolint:errcheck // client went away
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return n
 }
 
 // Server is a running HTTP endpoint: the listen/serve/Close wrapper behind

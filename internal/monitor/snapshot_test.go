@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -12,24 +11,6 @@ import (
 
 	"nektarg/internal/telemetry"
 )
-
-// fakeSnapshot implements SnapshotSource the way insitu.Observer does,
-// including the "no frame yet" error contract on the VTK path.
-type fakeSnapshot struct {
-	meta    []byte
-	metaErr error
-	vtk     string
-	vtkErr  error
-}
-
-func (f *fakeSnapshot) SnapshotMeta() ([]byte, error) { return f.meta, f.metaErr }
-func (f *fakeSnapshot) SnapshotVTK(w io.Writer) error {
-	if f.vtkErr != nil {
-		return f.vtkErr
-	}
-	_, err := io.WriteString(w, f.vtk)
-	return err
-}
 
 func serveMonitor(t *testing.T, m *Monitor) func(string) (int, []byte, string) {
 	t.Helper()
@@ -46,61 +27,6 @@ func serveMonitor(t *testing.T, m *Monitor) func(string) (int, []byte, string) {
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, body, resp.Header.Get("Content-Type")
-	}
-}
-
-// TestSnapshotEndpoints pins the HTTP status contract of the in-situ surface:
-// 404 with no source wired, 200 JSON meta / 200 VTK once wired, 503 while the
-// observer has no assembled frame yet, 500 when meta marshalling fails.
-func TestSnapshotEndpoints(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
-	m := New(reg, Options{})
-	get := serveMonitor(t, m)
-
-	// No source wired: both endpoints 404.
-	if code, _, _ := get("/snapshot"); code != http.StatusNotFound {
-		t.Fatalf("/snapshot without source = %d, want 404", code)
-	}
-	if code, _, _ := get("/snapshot/vtk"); code != http.StatusNotFound {
-		t.Fatalf("/snapshot/vtk without source = %d, want 404", code)
-	}
-
-	// Wired but no frame yet: meta 200 (it reports has_frame), vtk 503.
-	src := &fakeSnapshot{
-		meta:   []byte(`{"has_frame": false}`),
-		vtkErr: errors.New("insitu: no assembled frame yet"),
-	}
-	m.SetSnapshotSource(src)
-	code, body, ctype := get("/snapshot")
-	if code != http.StatusOK || ctype != "application/json" {
-		t.Fatalf("/snapshot = %d %q", code, ctype)
-	}
-	if !strings.Contains(string(body), `"has_frame": false`) {
-		t.Fatalf("/snapshot body = %s", body)
-	}
-	if code, _, _ := get("/snapshot/vtk"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/snapshot/vtk before first frame = %d, want 503", code)
-	}
-
-	// Frame available: the VTK body streams through verbatim.
-	src.vtkErr = nil
-	src.vtk = "# vtk DataFile Version 3.0\nfake scene\n"
-	code, body, _ = get("/snapshot/vtk")
-	if code != http.StatusOK || string(body) != src.vtk {
-		t.Fatalf("/snapshot/vtk = %d %q", code, body)
-	}
-
-	// Meta failure surfaces as 500, not a silent empty document.
-	src.metaErr = errors.New("marshal exploded")
-	if code, _, _ := get("/snapshot"); code != http.StatusInternalServerError {
-		t.Fatalf("/snapshot with failing source = %d, want 500", code)
-	}
-
-	// Unwiring restores 404.
-	m.SetSnapshotSource(nil)
-	if code, _, _ := get("/snapshot"); code != http.StatusNotFound {
-		t.Fatalf("/snapshot after unwire = %d, want 404", code)
 	}
 }
 
@@ -129,15 +55,15 @@ func TestBuildinfoEndpoint(t *testing.T) {
 // TestFlightLimitConfigurable pins the flight cap as a recorder is configured
 // now: Options carry no limit, so a monitor built from Options{FlightDir}
 // writes DefaultFlightLimit dumps and refuses the next, and each dump embeds
-// the in-situ drop accounting when a source is wired.
+// the in-situ drop accounting the observer's track carries.
 func TestFlightLimitConfigurable(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	reg.NewRecorder("rank0").RecordSpan("s", 0, time.Millisecond, 0, 0)
+	obs := reg.NewRecorder("observer")
+	obs.Gauge("insitu.published", 9)
+	obs.Gauge("insitu.dropped", 2)
 	m := New(reg, Options{FlightDir: dir})
-	m.SetSnapshotSource(&fakeSnapshot{
-		meta: []byte(`{"has_frame": true, "transport": {"published": 9, "dropped": 2}}`),
-	})
 
 	var paths []string
 	for i := 0; i < DefaultFlightLimit; i++ {
@@ -160,8 +86,14 @@ func TestFlightLimitConfigurable(t *testing.T) {
 		if err := json.Unmarshal(raw, &d); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(d.Insitu), `"published": 9`) {
-			t.Fatalf("%s in-situ section = %s, want the drop accounting embedded", path, d.Insitu)
+		var published, dropped float64
+		for _, tr := range d.Tracks {
+			if tr.Track == "observer" {
+				published, dropped = tr.Gauges["insitu.published"].Last, tr.Gauges["insitu.dropped"].Last
+			}
+		}
+		if published != 9 || dropped != 2 {
+			t.Fatalf("%s observer track = published %g dropped %g, want the drop accounting 9/2 embedded", path, published, dropped)
 		}
 	}
 }

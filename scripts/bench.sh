@@ -55,7 +55,7 @@ kernels=$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkKernel' -benchmem \
 printf '%s\n' "$kernels"
 
 echo "== history benchmarks (per-exchange sampling cost, disabled hook; disabled path must report 0 allocs/op) =="
-history=$(go test -run '^$' -bench 'BenchmarkSampleExchange|BenchmarkObserve|BenchmarkHistoryDisabled' -benchmem ./internal/history 2>&1)
+history=$(go test -run '^$' -bench 'BenchmarkSampleExchange|BenchmarkHistoryDisabled' -benchmem ./internal/history 2>&1)
 printf '%s\n' "$history"
 
 # Assemble the bundle without extra tooling: the bench transcripts are
