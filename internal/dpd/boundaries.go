@@ -62,22 +62,24 @@ func (w *CylinderWall) Velocity(geometry.Vec3) geometry.Vec3 { return geometry.V
 // directed along the inward normal. This is the conservative part of the
 // effective boundary force Feff of Lei, Fedosov & Karniadakis (2011); it
 // makes walls and open faces exert exactly the bulk pressure, keeping the
-// near-boundary density flat.
-func (s *System) meanFieldBoundaryForce(h float64) float64 {
+// near-boundary density flat. rho is targetDensity's, taken once per force
+// evaluation.
+func (s *System) meanFieldBoundaryForce(h, rho float64) float64 {
 	if h >= s.Rc {
 		return 0
 	}
 	if h < 0 {
 		h = 0
 	}
-	rho := s.targetDensity()
 	a := s.A[0][0]
 	rc := s.Rc
 	return rho * a * math.Pi * (float64(rc*rc*rc/12) - float64(h*h*rc/2) + float64(2*h*h*h/3) - float64(h*h*h*h/(4*rc)))
 }
 
 // targetDensity estimates the bulk number density for the boundary force;
-// inflow faces carry an explicit target, otherwise measure.
+// inflow faces carry an explicit target, otherwise measure: a sweep over the
+// particles, so ComputeForces takes it once and hands it to addWallForces and
+// addOpenFaceForces.
 func (s *System) targetDensity() float64 {
 	for _, f := range s.Inflows {
 		if f.Rho > 0 {
@@ -91,8 +93,8 @@ func (s *System) targetDensity() float64 {
 // Karniadakis (2011): the mean-field normal force compensating the missing
 // particle half-space beyond the wall plus a dissipative near-wall friction
 // that enforces no-slip ("we impose effective boundary forces Feff on the
-// particles near boundaries").
-func (s *System) addWallForces() {
+// particles near boundaries"), at bulk density rho.
+func (s *System) addWallForces(rho float64) {
 	if len(s.Walls) == 0 {
 		return
 	}
@@ -113,7 +115,7 @@ func (s *System) addWallForces() {
 			wgt := 1 - h/s.Rc
 			n := w.Normal(p.Pos)
 			rel := p.Vel.Sub(w.Velocity(p.Pos))
-			f := n.Scale(s.meanFieldBoundaryForce(h)).Sub(rel.Scale(gw * wgt))
+			f := n.Scale(s.meanFieldBoundaryForce(h, rho)).Sub(rel.Scale(gw * wgt))
 			p.F = p.F.Add(f)
 		}
 	}
@@ -122,8 +124,9 @@ func (s *System) addWallForces() {
 // addOpenFaceForces adds the conservative part of Feff at inflow/outflow
 // faces: the virtual reservoir beyond an open face must push back with the
 // bulk pressure, otherwise near-face fluid expands out of the domain. Unlike
-// walls there is no dissipative term — flow passes through freely.
-func (s *System) addOpenFaceForces() {
+// walls there is no dissipative term — flow passes through freely. rho is
+// the bulk density of the mean-field force.
+func (s *System) addOpenFaceForces(rho float64) {
 	if len(s.Inflows) == 0 {
 		return
 	}
@@ -175,7 +178,7 @@ func (s *System) addOpenFaceForces() {
 			if h >= s.Rc || h < 0 {
 				continue
 			}
-			p.F = p.F.Add(f.inwardNormal().Scale(s.meanFieldBoundaryForce(h)))
+			p.F = p.F.Add(f.inwardNormal().Scale(s.meanFieldBoundaryForce(h, rho)))
 			if ctrl[k].on {
 				p.F = p.F.Add(ctrl[k].force)
 			}

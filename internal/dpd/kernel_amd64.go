@@ -1,29 +1,16 @@
 package dpd
 
-import "unsafe"
+import (
+	"unsafe"
 
-// useAVX2 selects the AVX2 pair-sweep kernel (kernel_amd64.s). It is read
-// from CPUID once: AVX2 and POPCNT in the processor, and the YMM state
+	"nektarg/internal/simd"
+)
+
+// useAVX2 selects the AVX2 pair-sweep kernel (kernel_amd64.s) from simd's
+// one CPUID probe: AVX2 and POPCNT in the processor, and the YMM state
 // enabled by the operating system. The Go loops are the oracle it must equal
 // bit for bit (TestAVX2KernelMatchesGo, FuzzPairKernel).
-var useAVX2 = cpuHasAVX2()
-
-func cpuHasAVX2() bool {
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx, popcnt = 1 << 27, 1 << 28, 1 << 23
-	if ecx1&(osxsave|avx|popcnt) != osxsave|avx|popcnt {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+var useAVX2 = simd.HasAVX2()
 
 // filterAVX2 is filter over the two candidate ranges of entry a, (a, ownEnd)
 // and [col0, col1), four candidates per instruction: it writes the hits to

@@ -246,8 +246,11 @@ func (s *System) ComputeForces() {
 	for _, b := range s.Bonded {
 		b.AddForces(s)
 	}
-	s.addWallForces()
-	s.addOpenFaceForces()
+	if len(s.Walls) > 0 || len(s.Inflows) > 0 {
+		rho := s.targetDensity()
+		s.addWallForces(rho)
+		s.addOpenFaceForces(rho)
+	}
 	if s.External != nil {
 		for i := range s.Particles {
 			if !s.Particles[i].Frozen {

@@ -64,7 +64,7 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 	mx, my, mz := x.Modes, y.Modes, zz.Modes
 	s, t := p.s, p.t
 
-	contractAxis(s, r, x.ST, mx, nx, 1, ny*nz)
+	simd.MatVecs(s, x.ST, x.S, r, mx, nx, ny*nz)
 	contractAxis(t, s, y.ST, my, ny, mx, nz)
 	contractAxis(s, t, zz.ST, mz, nz, mx*my, 1)
 	for k := 0; k < mz; k++ {
@@ -82,7 +82,7 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 	}
 	contractAxis(t, s, zz.S, nz, mz, mx*my, 1)
 	contractAxis(s, t, y.S, ny, my, mx, nz)
-	contractAxis(z, s, x.S, nx, mx, 1, ny*nz)
+	simd.MatVecs(z, x.S, x.ST, s, nx, mx, ny*nz)
 	for i, m := range p.mask {
 		if m {
 			z[i] = r[i]
@@ -92,15 +92,11 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 
 // contractAxis applies the rows×cols row-major matrix a along the middle
 // axis of src viewed as [outer][cols][inner], writing dst as
-// [outer][rows][inner]: x-lines (inner 1) are contiguous matrix-vector
-// products, y and z are axpy sweeps over contiguous rows and planes.
+// [outer][rows][inner]: axpy sweeps over contiguous rows and planes, for the
+// y and z axes. The x-lines are contiguous matrix-vector products instead
+// (simd.MatVecs), which read the partner factor (S for Sᵀ, Sᵀ for S) as the
+// matrix's column-major form.
 func contractAxis(dst, src, a []float64, rows, cols, inner, outer int) {
-	if inner == 1 {
-		for o := 0; o < outer; o++ {
-			simd.MatVec(dst[o*rows:(o+1)*rows], a, src[o*cols:(o+1)*cols], rows, cols)
-		}
-		return
-	}
 	for o := 0; o < outer; o++ {
 		so := src[o*cols*inner : (o+1)*cols*inner]
 		do := dst[o*rows*inner : (o+1)*rows*inner]

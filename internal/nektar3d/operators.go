@@ -38,51 +38,17 @@ func (ar *arena) stiffPlane(y, x []float64, k int) {
 	for j := 0; j < ny; j++ {
 		r := nx * (j + ny*k)
 		out, xr := y[r:r+nx], x[r:r+nx]
-		c := my[j] * mz
-		for i := range out {
-			out[i] += c * rowDot(kx, i, xr)
-		}
+		simd.BandMulAdd(out, my[j]*mz, kx.RowPtr, kx.ColIdx, kx.Val, xr)
 		sweep(out, mz, ky, j, ar.mx, nx*ny*k, nx)
 		sweep(out, my[j], kz, k, ar.mx, nx*j, nx*ny)
 	}
 }
 
-// rowDot returns row i of a times the line x, summed in column order. A
-// row's columns are one contiguous run except across a periodic seam, and
-// the run is summed without the index gather.
-func rowDot(a *linalg.CSR, i int, x []float64) float64 {
-	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	vals, cols := a.Val[lo:hi], a.ColIdx[lo:hi]
-	var s float64
-	if c := cols[0]; cols[len(cols)-1]-c == len(cols)-1 {
-		xs := x[c : c+len(vals)]
-		for q, v := range vals {
-			s += v * xs[q]
-		}
-		return s
-	}
-	for q, v := range vals {
-		s += v * x[cols[q]]
-	}
-	return s
-}
-
 // sweep adds scale·a[i,c]·src[base+c·stride:][:len(out)] to out over the
-// columns c of row i of a, two rows of src per pass over out.
+// columns c of row i of a (simd.Sweep).
 func sweep(out []float64, scale float64, a *linalg.CSR, i int, src []float64, base, stride int) {
-	n := len(out)
-	p, hi := a.RowPtr[i], a.RowPtr[i+1]
-	for ; p+1 < hi; p += 2 {
-		c0, c1 := scale*a.Val[p], scale*a.Val[p+1]
-		x0 := src[base+a.ColIdx[p]*stride:][:n]
-		x1 := src[base+a.ColIdx[p+1]*stride:][:n]
-		for q := range out {
-			out[q] += c0*x0[q] + c1*x1[q]
-		}
-	}
-	if p < hi {
-		simd.Axpy(scale*a.Val[p], src[base+a.ColIdx[p]*stride:][:n], out)
-	}
+	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	simd.Sweep(out, scale, a.Val[lo:hi], a.ColIdx[lo:hi], src, base, stride)
 }
 
 // derivPlane writes plane k of the collocation derivative of f along axis
@@ -96,10 +62,7 @@ func (ar *arena) derivPlane(dst, f []float64, dir, k int) {
 		out := dst[r : r+nx]
 		switch dir {
 		case 0:
-			fr := f[r : r+nx]
-			for i := range out {
-				out[i] = rowDot(d, i, fr)
-			}
+			simd.BandMul(out, d.RowPtr, d.ColIdx, d.Val, f[r:r+nx])
 		case 1:
 			clear(out)
 			sweep(out, 1, d, j, f, nx*ny*k, nx)

@@ -141,8 +141,9 @@ func (m *Mesh1D) Factors(periodic bool) (k, d *linalg.CSR, mass []float64) {
 // stiffness against its diagonal mass, normalised SᵀMS = I: in the basis S
 // both matrices are diagonal, which is what lets a tensor-product Helmholtz
 // operator λM + K on a box be inverted one axis at a time (fast
-// diagonalization). S and its transpose are stored flat row-major so line
-// contractions can run through simd.MatVec.
+// diagonalization). S and its transpose are stored flat row-major, so each
+// is the other's column-major form: the x-line contractions run through
+// simd.MatVecs, which applies one while its AVX2 kernel reads the other.
 type Modes1D struct {
 	Nodes, Modes int
 	Lambda       []float64 // Modes eigenvalues, descending

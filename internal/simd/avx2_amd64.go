@@ -1,0 +1,63 @@
+package simd
+
+// useAVX2 selects the AVX2 line kernels (avx2_amd64.s). It is read from
+// CPUID once: AVX, AVX2 and POPCNT in the processor, and the YMM state
+// enabled by the operating system. The Go loops are the oracle each kernel
+// must equal bit for bit.
+var useAVX2 = cpuHasAVX2()
+
+// HasAVX2 reports whether this processor and operating system run AVX2
+// code, as one CPUID probe found it at start-up. Packages with AVX2 kernels
+// of their own (the DPD pair sweep) choose them from it.
+func HasAVX2() bool { return useAVX2 }
+
+func cpuHasAVX2() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx, popcnt = 1 << 27, 1 << 28, 1 << 23
+	if ecx1&(osxsave|avx|popcnt) != osxsave|avx|popcnt {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// axpyAVX2 is axpyGo, four elements per vector: y[i] + alpha·x[i], rounded
+// once per operation. len(x) must be at least len(y).
+//
+//go:noescape
+func axpyAVX2(alpha float64, x, y []float64)
+
+// matVecsAVX2 is MatVecs' line loop reading at, a's column-major form: up to
+// sixteen rows are four vector sums held in registers while the columns
+// stream past, and the last vector of a line is masked. The caller checks
+// the dimensions; rows and cols must be positive.
+//
+//go:noescape
+func matVecsAVX2(y, at, x []float64, rows, cols, lines int)
+
+// sweepAVX2 is sweepGo, four elements of out per vector and the last vector
+// masked. It checks every column's offset before it writes and returns false,
+// leaving out as it was, when one is out of range.
+//
+//go:noescape
+func sweepAVX2(out []float64, scale float64, vals []float64, cols []int, src []float64, base, stride int) (ok bool)
+
+// bandAVX2 is the row loop of BandMul (add false: y[i] = s) or BandMulAdd
+// (add true: y[i] += c·s). Four rows whose columns are contiguous runs go
+// per vector: each row's products come four at a time, are transposed so
+// that lane l holds row l's next product, and are added in column order; a
+// lane past its row's end adds +0, which leaves a sum started at +0
+// unchanged. Other rows go one at a time. It checks each row's pointers and
+// columns before it writes the row and returns the index of the first row it
+// did not do, so that the Go loop finishes (or panics) from there.
+// len(rowPtr) must exceed len(y).
+//
+//go:noescape
+func bandAVX2(y []float64, c float64, add bool, rowPtr, colIdx []int, val, x []float64) (done int)

@@ -1,0 +1,588 @@
+#include "textflag.h"
+
+// The AVX2 line kernels. Each performs, for every output element, the IEEE
+// operations of its Go loop in the Go order, one rounding each and no fused
+// multiply-add, so results are == to the Go loops (TestSEMKernelsMatchGo).
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func axpyAVX2(alpha float64, x, y []float64)
+//
+// y[i] = y[i] + alpha·x[i], eight elements per pass, then four, then one.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x_base+8(FP), SI
+	MOVQ y_base+32(FP), DI
+	MOVQ y_len+40(FP), CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+
+axpy8:
+	CMPQ AX, DX
+	JGE  axpy4
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VADDPD  32(DI)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  axpy8
+
+axpy4:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	CMPQ AX, DX
+	JGE  axpy1
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+
+axpy1:
+	CMPQ AX, CX
+	JGE  axpydone
+	VMULSD (SI)(AX*8), X0, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  axpy1
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func matVecsAVX2(y, at, x []float64, rows, cols, lines int)
+//
+// Per line, the rows go in blocks of up to sixteen: four vector sums Y0-Y3
+// (fewer for a short last block) start at +0, and for each column c in turn
+// add at[c·rows + r..r+3]·x[c], so lane r sums row r in column order. The last
+// vector of a block is loaded and stored under the mask Y15.
+//
+// Registers: DI the line's y, SI its x, R8 at, R9 rows, R10 cols, R11 lines
+// left, R12 rows·8 (a column of at), R13 cols·8, BX the block's first row;
+// in a block AX walks at's columns, DX the line's x, CX counts the columns and
+// R14 points at the block's outputs.
+TEXT ·matVecsAVX2(SB), NOSPLIT, $0-96
+	MOVQ y_base+0(FP), DI
+	MOVQ at_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	MOVQ rows+72(FP), R9
+	MOVQ cols+80(FP), R10
+	MOVQ lines+88(FP), R11
+	MOVQ R9, R12
+	SHLQ $3, R12
+	MOVQ R10, R13
+	SHLQ $3, R13
+
+mvline:
+	TESTQ R11, R11
+	JLE   mvdone
+	XORQ  BX, BX
+
+mvblock:
+	MOVQ R9, CX
+	SUBQ BX, CX                  // rows left in the line
+	JLE  mvnext
+	MOVQ $4, AX                  // lanes of the last vector
+	MOVQ $4, DX                  // vectors in the block
+	CMPQ CX, $16
+	JGE  mvmask
+	LEAQ 3(CX), DX
+	SHRQ $2, DX
+	LEAQ -1(DX), AX
+	SHLQ $2, AX
+	NEGQ AX
+	ADDQ CX, AX
+
+mvmask:
+	SHLQ $5, AX
+	LEAQ laneMask<>(SB), R14
+	VMOVDQU (R14)(AX*1), Y15
+	LEAQ (R8)(BX*8), AX
+	LEAQ (DI)(BX*8), R14
+	MOVQ R10, CX
+	CMPQ DX, $2
+	JLT  mv1
+	JEQ  mv2
+	CMPQ DX, $3
+	JEQ  mv3
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, DX
+
+mv4col:
+	VBROADCASTSD (DX), Y4
+	VMULPD (AX), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	VMULPD 32(AX), Y4, Y6
+	VADDPD Y6, Y1, Y1
+	VMULPD 64(AX), Y4, Y7
+	VADDPD Y7, Y2, Y2
+	VMASKMOVPD 96(AX), Y15, Y8
+	VMULPD Y4, Y8, Y8
+	VADDPD Y8, Y3, Y3
+	ADDQ R12, AX
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  mv4col
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	VMOVUPD Y2, 64(R14)
+	VMASKMOVPD Y3, Y15, 96(R14)
+	ADDQ $16, BX
+	JMP  mvblock
+
+mv3:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	MOVQ SI, DX
+
+mv3col:
+	VBROADCASTSD (DX), Y4
+	VMULPD (AX), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	VMULPD 32(AX), Y4, Y6
+	VADDPD Y6, Y1, Y1
+	VMASKMOVPD 64(AX), Y15, Y7
+	VMULPD Y4, Y7, Y7
+	VADDPD Y7, Y2, Y2
+	ADDQ R12, AX
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  mv3col
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	VMASKMOVPD Y2, Y15, 64(R14)
+	JMP  mvnext
+
+mv2:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ SI, DX
+
+mv2col:
+	VBROADCASTSD (DX), Y4
+	VMULPD (AX), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	VMASKMOVPD 32(AX), Y15, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD Y6, Y1, Y1
+	ADDQ R12, AX
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  mv2col
+	VMOVUPD Y0, (R14)
+	VMASKMOVPD Y1, Y15, 32(R14)
+	JMP  mvnext
+
+mv1:
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, DX
+
+mv1col:
+	VBROADCASTSD (DX), Y4
+	VMASKMOVPD (AX), Y15, Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y0, Y0
+	ADDQ R12, AX
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  mv1col
+	VMASKMOVPD Y0, Y15, (R14)
+
+mvnext:
+	ADDQ R12, DI
+	ADDQ R13, SI
+	DECQ R11
+	JMP  mvline
+
+mvdone:
+	VZEROUPPER
+	RET
+
+// func sweepAVX2(out []float64, scale float64, vals []float64, cols []int, src []float64, base, stride int) (ok bool)
+//
+// First every column's offset off = base + cols[p]·stride must satisfy
+// 0 <= off <= len(src) - len(out), or nothing is written. Then per pair of
+// columns, c0 = scale·vals[p] and c1 = scale·vals[p+1], and four elements per
+// vector: out + (c0·x0 + c1·x1); a last odd column adds c·x. The vector past
+// the last multiple of four is masked (Y15).
+//
+// Registers: DI out, R8 len(out), SI vals, R9 len(vals), R10 cols, R11 src,
+// R12 base, R13 stride, R14 len(out) rounded down to a multiple of four, X14
+// scale, CX the column p, AX and DX the columns' src rows, BX the element.
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-121
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R8
+	MOVQ vals_base+32(FP), SI
+	MOVQ vals_len+40(FP), R9
+	MOVQ cols_base+56(FP), R10
+	MOVQ src_base+80(FP), R11
+	MOVQ base+104(FP), R12
+	MOVQ stride+112(FP), R13
+	TESTQ R9, R9
+	JEQ   swok
+	CMPQ cols_len+64(FP), R9
+	JLT  swbad
+	MOVQ src_len+88(FP), R14
+	SUBQ R8, R14                 // the largest offset
+	JLT  swbad
+	XORQ CX, CX
+
+swcheck:
+	MOVQ  (R10)(CX*8), AX
+	IMULQ R13, AX
+	ADDQ  R12, AX
+	CMPQ  AX, R14
+	JHI   swbad                  // unsigned: negative offsets fail too
+	INCQ  CX
+	CMPQ  CX, R9
+	JLT   swcheck
+
+	MOVQ R8, AX
+	ANDQ $3, AX
+	SHLQ $5, AX
+	LEAQ laneMask<>(SB), DX
+	VMOVDQU (DX)(AX*1), Y15
+	MOVQ R8, R14
+	ANDQ $-4, R14
+	VMOVSD scale+24(FP), X14
+	XORQ CX, CX
+
+swpair:
+	LEAQ 1(CX), AX
+	CMPQ AX, R9
+	JGE  swsingle
+	VMULSD (SI)(CX*8), X14, X0
+	VBROADCASTSD X0, Y0
+	VMULSD 8(SI)(CX*8), X14, X1
+	VBROADCASTSD X1, Y1
+	MOVQ  (R10)(CX*8), AX
+	IMULQ R13, AX
+	ADDQ  R12, AX
+	LEAQ  (R11)(AX*8), AX
+	MOVQ  8(R10)(CX*8), DX
+	IMULQ R13, DX
+	ADDQ  R12, DX
+	LEAQ  (R11)(DX*8), DX
+	XORQ  BX, BX
+
+swvec2:
+	CMPQ BX, R14
+	JGE  swtail2
+	VMULPD  (AX)(BX*8), Y0, Y2
+	VMULPD  (DX)(BX*8), Y1, Y3
+	VADDPD  Y3, Y2, Y2
+	VADDPD  (DI)(BX*8), Y2, Y2
+	VMOVUPD Y2, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  swvec2
+
+swtail2:
+	CMPQ BX, R8
+	JGE  swnext
+	VMASKMOVPD (AX)(BX*8), Y15, Y2
+	VMULPD Y0, Y2, Y2
+	VMASKMOVPD (DX)(BX*8), Y15, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD Y3, Y2, Y2
+	VMASKMOVPD (DI)(BX*8), Y15, Y3
+	VADDPD Y3, Y2, Y2
+	VMASKMOVPD Y2, Y15, (DI)(BX*8)
+
+swnext:
+	ADDQ $2, CX
+	JMP  swpair
+
+swsingle:
+	CMPQ CX, R9
+	JGE  swok
+	VMULSD (SI)(CX*8), X14, X0
+	VBROADCASTSD X0, Y0
+	MOVQ  (R10)(CX*8), AX
+	IMULQ R13, AX
+	ADDQ  R12, AX
+	LEAQ  (R11)(AX*8), AX
+	XORQ  BX, BX
+
+swvec1:
+	CMPQ BX, R14
+	JGE  swtail1
+	VMULPD  (AX)(BX*8), Y0, Y2
+	VADDPD  (DI)(BX*8), Y2, Y2
+	VMOVUPD Y2, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  swvec1
+
+swtail1:
+	CMPQ BX, R8
+	JGE  swok
+	VMASKMOVPD (AX)(BX*8), Y15, Y2
+	VMULPD Y0, Y2, Y2
+	VMASKMOVPD (DI)(BX*8), Y15, Y3
+	VADDPD Y3, Y2, Y2
+	VMASKMOVPD Y2, Y15, (DI)(BX*8)
+
+swok:
+	MOVB $1, ok+120(FP)
+	VZEROUPPER
+	RET
+
+swbad:
+	MOVB $0, ok+120(FP)
+	RET
+
+// BAND_LANE checks row i+l of a vector group (SI points at rowPtr[i]): lo =
+// rowPtr[i+l] < hi = rowPtr[i+l+1] <= R12, columns one contiguous run c0 ..
+// c0+nnz-1 with 0 <= c0 <= len(x) - nnz. A row that fails sends the group to
+// the one-row path. It saves &val[lo] and &x[c0] in the frame, broadcasts nnz
+// into ynnz and keeps the group's largest nnz in R14.
+#define BAND_LANE(lo, hi, pv, px, ynnz) \
+	MOVQ lo(SI), AX; \
+	MOVQ hi(SI), DX; \
+	CMPQ DX, R12; \
+	JHI  bdrows; \
+	CMPQ AX, DX; \
+	JCC  bdrows; \
+	SUBQ AX, DX; \
+	MOVQ (R9)(AX*8), CX; \
+	LEAQ (AX)(DX*1), R8; \
+	MOVQ -8(R9)(R8*8), R8; \
+	SUBQ CX, R8; \
+	INCQ R8; \
+	CMPQ R8, DX; \
+	JNE  bdrows; \
+	MOVQ R13, R8; \
+	SUBQ DX, R8; \
+	JLT  bdrows; \
+	CMPQ CX, R8; \
+	JHI  bdrows; \
+	LEAQ (R10)(AX*8), AX; \
+	MOVQ AX, pv; \
+	LEAQ (R11)(CX*8), CX; \
+	MOVQ CX, px; \
+	CMPQ DX, R14; \
+	CMOVQGT DX, R14; \
+	VMOVQ DX, X15; \
+	VPBROADCASTQ X15, ynnz
+
+// BAND_PRODUCT loads four products of one lane, val·x, under the mask
+// nnz > q (Y8 holds q..q+3): past the row's end both loads give +0.
+#define BAND_PRODUCT(pv, px, ynnz, yp, yx) \
+	MOVQ pv, AX; \
+	MOVQ px, DX; \
+	VPCMPGTQ Y8, ynnz, Y15; \
+	VMASKMOVPD (AX)(SI*1), Y15, yp; \
+	VMASKMOVPD (DX)(SI*1), Y15, yx; \
+	VMULPD yx, yp, yp
+
+// func bandAVX2(y []float64, c float64, add bool, rowPtr, colIdx []int, val, x []float64) (done int)
+//
+// A vector group is four rows i..i+3 whose columns are contiguous runs. Per
+// block of four columns, lane l's products P_l = val·x come from two masked
+// loads; the 4×4 transpose of P_0..P_3 gives T_0..T_3, T_q holding each row's
+// q-th product of the block, and the sums Y10 (from +0) add T_0, T_1, T_2,
+// T_3 in turn. A lane past its row's end adds +0, which leaves its sum
+// unchanged: a sum started at +0 is never -0. Rows that are not a vector
+// group go one at a time (bdrows), contiguous or through the column index.
+//
+// Registers: DI y, BX the row i, SI &rowPtr[i] and then the block's byte
+// offset, R9 colIdx, R10 val, R11 x, R12 min(len(val), len(colIdx)), R13
+// len(x), R14 the group's largest nnz, then its blocks; Y8 q, Y9 4, Y11-Y14
+// the lanes' nnz. The frame holds the lanes' &val[lo] and &x[c0].
+TEXT ·bandAVX2(SB), NOSPLIT, $64-144
+	MOVQ y_base+0(FP), DI
+	MOVQ colIdx_base+64(FP), R9
+	MOVQ val_base+88(FP), R10
+	MOVQ x_base+112(FP), R11
+	MOVQ val_len+96(FP), R12
+	MOVQ colIdx_len+72(FP), AX
+	CMPQ AX, R12
+	CMOVQLT AX, R12
+	MOVQ x_len+120(FP), R13
+	XORQ BX, BX
+
+bdgroup:
+	MOVQ y_len+8(FP), AX
+	SUBQ BX, AX
+	JLE  bdstop
+	CMPQ AX, $4
+	JLT  bdrows
+	MOVQ rowPtr_base+40(FP), SI
+	LEAQ (SI)(BX*8), SI
+	XORQ R14, R14
+	BAND_LANE(0, 8, pv0-8(SP), px0-40(SP), Y11)
+	BAND_LANE(8, 16, pv1-16(SP), px1-48(SP), Y12)
+	BAND_LANE(16, 24, pv2-24(SP), px2-56(SP), Y13)
+	BAND_LANE(24, 32, pv3-32(SP), px3-64(SP), Y14)
+	ADDQ $3, R14
+	SHRQ $2, R14
+	VMOVDQU laneIdx<>(SB), Y8
+	VMOVDQU laneStep<>(SB), Y9
+	VXORPD Y10, Y10, Y10
+	XORQ SI, SI
+
+bdblock:
+	BAND_PRODUCT(pv0-8(SP), px0-40(SP), Y11, Y0, Y4)
+	BAND_PRODUCT(pv1-16(SP), px1-48(SP), Y12, Y1, Y5)
+	BAND_PRODUCT(pv2-24(SP), px2-56(SP), Y13, Y2, Y6)
+	BAND_PRODUCT(pv3-32(SP), px3-64(SP), Y14, Y3, Y7)
+	VUNPCKLPD Y1, Y0, Y4         // P0[0] P1[0] P0[2] P1[2]
+	VUNPCKHPD Y1, Y0, Y5         // P0[1] P1[1] P0[3] P1[3]
+	VUNPCKLPD Y3, Y2, Y6         // P2[0] P3[0] P2[2] P3[2]
+	VUNPCKHPD Y3, Y2, Y7         // P2[1] P3[1] P2[3] P3[3]
+	VPERM2F128 $0x20, Y6, Y4, Y0 // T0
+	VPERM2F128 $0x20, Y7, Y5, Y1 // T1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // T2
+	VPERM2F128 $0x31, Y7, Y5, Y3 // T3
+	VADDPD Y0, Y10, Y10
+	VADDPD Y1, Y10, Y10
+	VADDPD Y2, Y10, Y10
+	VADDPD Y3, Y10, Y10
+	VPADDQ Y9, Y8, Y8
+	ADDQ $32, SI
+	DECQ R14
+	JNZ  bdblock
+	CMPB add+32(FP), $0
+	JEQ  bdset
+	VBROADCASTSD c+24(FP), Y4
+	VMULPD Y4, Y10, Y10
+	VADDPD (DI)(BX*8), Y10, Y10
+
+bdset:
+	VMOVUPD Y10, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  bdgroup
+
+// One row at a time, up to the group's end min(i+4, len(y)).
+bdrows:
+	MOVQ rowPtr_base+40(FP), R8
+	MOVQ y_len+8(FP), R14
+	LEAQ 4(BX), AX
+	CMPQ AX, R14
+	CMOVQLT AX, R14
+
+bdrow:
+	CMPQ BX, R14
+	JGE  bdgroup
+	MOVQ (R8)(BX*8), AX          // lo
+	MOVQ 8(R8)(BX*8), DX         // hi
+	CMPQ DX, R12
+	JHI  bdstop
+	CMPQ AX, DX
+	JCC  bdstop
+	VXORPD X0, X0, X0
+	MOVQ (R9)(AX*8), CX          // c0
+	MOVQ -8(R9)(DX*8), SI        // the last column
+	SUBQ CX, SI
+	INCQ SI
+	SUBQ AX, DX                  // nnz
+	CMPQ SI, DX
+	JNE  bdgather
+	MOVQ R13, SI
+	SUBQ DX, SI
+	JLT  bdstop
+	CMPQ CX, SI
+	JHI  bdstop
+	LEAQ (R10)(AX*8), AX
+	LEAQ (R11)(CX*8), CX
+
+bdrun:
+	VMOVSD (AX), X1
+	VMULSD (CX), X1, X1
+	VADDSD X1, X0, X0
+	ADDQ $8, AX
+	ADDQ $8, CX
+	DECQ DX
+	JNZ  bdrun
+	JMP  bdstore
+
+bdgather:
+	LEAQ (R10)(AX*8), SI
+	LEAQ (R9)(AX*8), AX
+
+bdgloop:
+	MOVQ (AX), CX
+	CMPQ CX, R13
+	JCC  bdstop                  // unsigned: negative columns fail too
+	VMOVSD (SI), X1
+	VMULSD (R11)(CX*8), X1, X1
+	VADDSD X1, X0, X0
+	ADDQ $8, AX
+	ADDQ $8, SI
+	DECQ DX
+	JNZ  bdgloop
+
+bdstore:
+	CMPB add+32(FP), $0
+	JEQ  bdsets
+	VMULSD c+24(FP), X0, X0
+	VADDSD (DI)(BX*8), X0, X0
+
+bdsets:
+	VMOVSD X0, (DI)(BX*8)
+	INCQ BX
+	JMP  bdrow
+
+bdstop:
+	MOVQ BX, done+136(FP)
+	VZEROUPPER
+	RET
+
+// laneMask row k has its first k quadwords set.
+DATA laneMask<>+0x00(SB)/8, $0
+DATA laneMask<>+0x08(SB)/8, $0
+DATA laneMask<>+0x10(SB)/8, $0
+DATA laneMask<>+0x18(SB)/8, $0
+DATA laneMask<>+0x20(SB)/8, $-1
+DATA laneMask<>+0x28(SB)/8, $0
+DATA laneMask<>+0x30(SB)/8, $0
+DATA laneMask<>+0x38(SB)/8, $0
+DATA laneMask<>+0x40(SB)/8, $-1
+DATA laneMask<>+0x48(SB)/8, $-1
+DATA laneMask<>+0x50(SB)/8, $0
+DATA laneMask<>+0x58(SB)/8, $0
+DATA laneMask<>+0x60(SB)/8, $-1
+DATA laneMask<>+0x68(SB)/8, $-1
+DATA laneMask<>+0x70(SB)/8, $-1
+DATA laneMask<>+0x78(SB)/8, $0
+DATA laneMask<>+0x80(SB)/8, $-1
+DATA laneMask<>+0x88(SB)/8, $-1
+DATA laneMask<>+0x90(SB)/8, $-1
+DATA laneMask<>+0x98(SB)/8, $-1
+GLOBL laneMask<>(SB), RODATA|NOPTR, $160
+
+// laneIdx is 0, 1, 2, 3 and laneStep 4 in every lane.
+DATA laneIdx<>+0x00(SB)/8, $0
+DATA laneIdx<>+0x08(SB)/8, $1
+DATA laneIdx<>+0x10(SB)/8, $2
+DATA laneIdx<>+0x18(SB)/8, $3
+GLOBL laneIdx<>(SB), RODATA|NOPTR, $32
+DATA laneStep<>+0x00(SB)/8, $4
+DATA laneStep<>+0x08(SB)/8, $4
+DATA laneStep<>+0x10(SB)/8, $4
+DATA laneStep<>+0x18(SB)/8, $4
+GLOBL laneStep<>(SB), RODATA|NOPTR, $32

@@ -12,6 +12,15 @@
 // instruction-level parallelism a vector unit exploits), and explicit slice
 // length hoisting to eliminate bounds checks. The scalar references are the
 // straightforward loops a compiler gets without "#pragma" help.
+//
+// The line kernels that own a spectral-element time step — Axpy, the x-line
+// mat-vecs (MatVecs), the band products (BandMul, BandMulAdd) and the
+// two-column sweep (Sweep) — are AVX2 assembly on amd64 (avx2_amd64.s),
+// chosen once from CPUID. Each performs the same IEEE operations in the same
+// order for every output element as its Go loop, with no fused multiply-add,
+// so the two give the same bits; the Go loops are the portable path and the
+// oracle. Every product in this package's Go loops is rounded by float64()
+// before its add, so that no compiler fuses them (TestKernelsHaveNoFMA).
 package simd
 
 // MulScalar computes z[i] = x[i]*y[i] one element at a time. It is the
@@ -55,7 +64,7 @@ func Dot3Scalar(x, y, z []float64) float64 {
 	}
 	var a float64
 	for i := 0; i < len(x); i++ {
-		a += x[i] * y[i] * z[i]
+		a += float64(x[i] * y[i] * z[i])
 	}
 	return a
 }
@@ -74,14 +83,14 @@ func Dot3Tuned(x, y, z []float64) float64 {
 	var a0, a1, a2, a3 float64
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		a0 += x[i] * y[i] * z[i]
-		a1 += x[i+1] * y[i+1] * z[i+1]
-		a2 += x[i+2] * y[i+2] * z[i+2]
-		a3 += x[i+3] * y[i+3] * z[i+3]
+		a0 += float64(x[i] * y[i] * z[i])
+		a1 += float64(x[i+1] * y[i+1] * z[i+1])
+		a2 += float64(x[i+2] * y[i+2] * z[i+2])
+		a3 += float64(x[i+3] * y[i+3] * z[i+3])
 	}
 	a := (a0 + a1) + (a2 + a3)
 	for ; i < n; i++ {
-		a += x[i] * y[i] * z[i]
+		a += float64(x[i] * y[i] * z[i])
 	}
 	return a
 }
@@ -93,7 +102,7 @@ func DotSqScalar(x, y []float64) float64 {
 	}
 	var a float64
 	for i := 0; i < len(x); i++ {
-		a += x[i] * y[i] * y[i]
+		a += float64(x[i] * y[i] * y[i])
 	}
 	return a
 }
@@ -113,35 +122,47 @@ func DotSqTuned(x, y []float64) float64 {
 		y1 := y[i+1]
 		y2 := y[i+2]
 		y3 := y[i+3]
-		a0 += x[i] * y0 * y0
-		a1 += x[i+1] * y1 * y1
-		a2 += x[i+2] * y2 * y2
-		a3 += x[i+3] * y3 * y3
+		a0 += float64(x[i] * y0 * y0)
+		a1 += float64(x[i+1] * y1 * y1)
+		a2 += float64(x[i+2] * y2 * y2)
+		a3 += float64(x[i+3] * y3 * y3)
 	}
 	a := (a0 + a1) + (a2 + a3)
 	for ; i < n; i++ {
-		a += x[i] * y[i] * y[i]
+		a += float64(x[i] * y[i] * y[i])
 	}
 	return a
 }
 
 // Axpy computes y[i] += alpha*x[i]; it is the workhorse of the CG solvers and
-// receives the same unrolling treatment.
+// of the fast-diagonalization solve's y and z contractions. On amd64 with
+// AVX2 it runs axpyAVX2, four elements per vector; axpyGo is the portable
+// loop and the oracle the kernel must equal bit for bit.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("simd: Axpy length mismatch")
 	}
+	if useAVX2 {
+		axpyAVX2(alpha, x, y)
+		return
+	}
+	axpyGo(alpha, x, y)
+}
+
+// axpyGo is Axpy's Go loop, 4-way unrolled. float64() rounds each product
+// before its add, so that no compiler fuses the two (arm64, GOAMD64=v3).
+func axpyGo(alpha float64, x, y []float64) {
 	n := len(y)
 	x = x[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 
@@ -155,14 +176,14 @@ func Dot(x, y []float64) float64 {
 	var a0, a1, a2, a3 float64
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		a0 += x[i] * y[i]
-		a1 += x[i+1] * y[i+1]
-		a2 += x[i+2] * y[i+2]
-		a3 += x[i+3] * y[i+3]
+		a0 += float64(x[i] * y[i])
+		a1 += float64(x[i+1] * y[i+1])
+		a2 += float64(x[i+2] * y[i+2])
+		a3 += float64(x[i+3] * y[i+3])
 	}
 	a := (a0 + a1) + (a2 + a3)
 	for ; i < n; i++ {
-		a += x[i] * y[i]
+		a += float64(x[i] * y[i])
 	}
 	return a
 }

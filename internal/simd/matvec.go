@@ -12,6 +12,28 @@ package simd
 // loop it replaces: the same multiplications in the same order feed each
 // output, only instruction-level parallelism between rows changes.
 // TestMatVecBitIdentical pins this equivalence exactly (not to a tolerance).
+// MatVecs runs it over every line of a block, through the AVX2 kernel where
+// there is one.
+
+// MatVecs computes y[o*rows+r] = Σ_c a[r*cols+c] * x[o*cols+c] for every
+// line o in [0, lines): MatVec on each cols-long line of x in turn. at must be
+// a's column-major form, at[c*rows+r] = a[r*cols+c], which is how the AVX2
+// kernel reads a: column c of four rows is one vector, and each lane sums its
+// row in column order, as MatVec does (sem.Modes1D's S and ST are each
+// other's column-major forms). y must not alias x.
+func MatVecs(y, a, at, x []float64, rows, cols, lines int) {
+	if rows < 0 || cols < 0 || lines < 0 || len(y) < lines*rows || len(x) < lines*cols ||
+		len(a) < rows*cols || len(at) < rows*cols {
+		panic("simd: MatVecs dimension mismatch")
+	}
+	if useAVX2 && rows > 0 && cols > 0 {
+		matVecsAVX2(y, at, x, rows, cols, lines)
+		return
+	}
+	for o := 0; o < lines; o++ {
+		MatVec(y[o*rows:(o+1)*rows], a, x[o*cols:(o+1)*cols], rows, cols)
+	}
+}
 
 // MatVec computes y[r] = Σ_c a[r*cols+c] * x[c] for r in [0, rows).
 func MatVec(y, a, x []float64, rows, cols int) {
@@ -28,10 +50,10 @@ func MatVec(y, a, x []float64, rows, cols int) {
 		var s0, s1, s2, s3 float64
 		for c := 0; c < cols; c++ {
 			xc := x[c]
-			s0 += a0[c] * xc
-			s1 += a1[c] * xc
-			s2 += a2[c] * xc
-			s3 += a3[c] * xc
+			s0 += float64(a0[c] * xc)
+			s1 += float64(a1[c] * xc)
+			s2 += float64(a2[c] * xc)
+			s3 += float64(a3[c] * xc)
 		}
 		y[r] = s0
 		y[r+1] = s1
@@ -48,9 +70,9 @@ func MatVec(y, a, x []float64, rows, cols int) {
 		var s0, s1, s2 float64
 		for c := 0; c < cols; c++ {
 			xc := x[c]
-			s0 += a0[c] * xc
-			s1 += a1[c] * xc
-			s2 += a2[c] * xc
+			s0 += float64(a0[c] * xc)
+			s1 += float64(a1[c] * xc)
+			s2 += float64(a2[c] * xc)
 		}
 		y[r] = s0
 		y[r+1] = s1
@@ -61,8 +83,8 @@ func MatVec(y, a, x []float64, rows, cols int) {
 		var s0, s1 float64
 		for c := 0; c < cols; c++ {
 			xc := x[c]
-			s0 += a0[c] * xc
-			s1 += a1[c] * xc
+			s0 += float64(a0[c] * xc)
+			s1 += float64(a1[c] * xc)
 		}
 		y[r] = s0
 		y[r+1] = s1
@@ -70,13 +92,13 @@ func MatVec(y, a, x []float64, rows, cols int) {
 		ar := a[r*cols : r*cols+cols]
 		var s float64
 		for c := 0; c < cols; c++ {
-			s += ar[c] * x[c]
+			s += float64(ar[c] * x[c])
 		}
 		y[r] = s
 	}
 }
 
-// Xpay computes y[i] = x[i] + alpha*y[i] (the CG direction update
+// Xpay computes y[i] = x[i] + float64(alpha*y[i]) (the CG direction update
 // p = z + beta*p), preserving the reference operand order exactly.
 func Xpay(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -86,12 +108,12 @@ func Xpay(alpha float64, x, y []float64) {
 	x = x[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] = x[i] + alpha*y[i]
-		y[i+1] = x[i+1] + alpha*y[i+1]
-		y[i+2] = x[i+2] + alpha*y[i+2]
-		y[i+3] = x[i+3] + alpha*y[i+3]
+		y[i] = x[i] + float64(alpha*y[i])
+		y[i+1] = x[i+1] + float64(alpha*y[i+1])
+		y[i+2] = x[i+2] + float64(alpha*y[i+2])
+		y[i+3] = x[i+3] + float64(alpha*y[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] = x[i] + alpha*y[i]
+		y[i] = x[i] + float64(alpha*y[i])
 	}
 }

@@ -17,8 +17,8 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 go build ./...
-# The AVX2 pair kernel is amd64 assembly; every other architecture builds the
-# Go loops it is checked against.
+# The AVX2 pair and SEM line kernels are amd64 assembly; every other
+# architecture builds the Go loops they are checked against.
 GOARCH=arm64 go build ./...
 go test ./...
 # The trajectory must not depend on the host's core count: the recorded
@@ -39,7 +39,8 @@ for target in \
 	'FuzzAuditApplyState ./internal/audit' \
 	'FuzzLoadConfig ./internal/config' \
 	'FuzzBuildConfig ./internal/config' \
-	'FuzzPairKernel ./internal/dpd'; do
+	'FuzzPairKernel ./internal/dpd' \
+	'FuzzSEMKernels ./internal/simd'; do
 	set -- $target
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
 done
