@@ -189,7 +189,7 @@ func (g *Grid) MassDiag() []float64 { return g.massDiag }
 func (g *Grid) Integrate(f []float64) float64 {
 	var s float64
 	for i, v := range f {
-		s += g.massDiag[i] * v
+		s += float64(g.massDiag[i] * v)
 	}
 	return s
 }

@@ -92,7 +92,7 @@ func (o *helmholtzOp) Apply(y, x []float64) {
 	o.g.ApplyStiffness(y, x)
 	if o.lambda != 0 {
 		for i := range y {
-			y[i] += o.lambda * o.g.massDiag[i] * x[i]
+			y[i] += float64(o.lambda * o.g.massDiag[i] * x[i])
 		}
 	}
 	if o.mask != nil {
@@ -167,7 +167,7 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 	ar.op.lambda = lambda
 	ar.op.Apply(b, ug)
 	for i := range b {
-		b[i] = g.massDiag[i]*f[i] - b[i]
+		b[i] = float64(g.massDiag[i]*f[i]) - b[i]
 	}
 	for i, m := range mask {
 		if m {

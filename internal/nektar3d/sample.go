@@ -27,7 +27,7 @@ func locate1D(x, l float64, ne int, periodic bool) (elem int, xi float64) {
 	if elem >= ne {
 		elem = ne - 1
 	}
-	xi = 2*(x-float64(elem)*h)/h - 1
+	xi = 2*(x-float64(float64(elem)*h))/h - 1
 	return elem, xi
 }
 
@@ -68,7 +68,7 @@ func (g *Grid) Sample(f []float64, p geometry.Vec3) float64 {
 				if lx[i] == 0 {
 					continue
 				}
-				s += lx[i] * ljk * f[g.gid(ex, ey, ez, i, j, k)]
+				s += float64(lx[i] * ljk * f[g.gid(ex, ey, ez, i, j, k)])
 			}
 		}
 	}
@@ -181,7 +181,7 @@ func (g *Grid) mass1D(dim int) []float64 {
 			if periodic && gi == nNodes {
 				gi = 0
 			}
-			out[gi] += g.Basis.Weights[i] * jac
+			out[gi] += float64(g.Basis.Weights[i] * jac)
 		}
 	}
 	return out

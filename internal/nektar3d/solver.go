@@ -179,7 +179,7 @@ func (s *Solver) ensureScratch() {
 func (s *Solver) advectInto(dst, q []float64) {
 	s.G.GradientInto(s.qx, s.qy, s.qz, q)
 	for i := range dst {
-		dst[i] = s.U[i]*s.qx[i] + s.V[i]*s.qy[i] + s.W[i]*s.qz[i]
+		dst[i] = float64(s.U[i]*s.qx[i]) + float64(s.V[i]*s.qy[i]) + float64(s.W[i]*s.qz[i])
 	}
 }
 
@@ -247,16 +247,16 @@ func (s *Solver) Step() error {
 	gamma0 := 1.0
 	if order == 1 {
 		for i := range us {
-			us[i] = s.U[i] + dt*exu[i]
-			vs[i] = s.V[i] + dt*exv[i]
-			ws[i] = s.W[i] + dt*exw[i]
+			us[i] = s.U[i] + float64(dt*exu[i])
+			vs[i] = s.V[i] + float64(dt*exv[i])
+			ws[i] = s.W[i] + float64(dt*exw[i])
 		}
 	} else {
 		gamma0 = 1.5
 		for i := range us {
-			us[i] = 2*s.U[i] - 0.5*s.uPrev[i] + dt*(2*exu[i]-s.exuPrev[i])
-			vs[i] = 2*s.V[i] - 0.5*s.vPrev[i] + dt*(2*exv[i]-s.exvPrev[i])
-			ws[i] = 2*s.W[i] - 0.5*s.wPrev[i] + dt*(2*exw[i]-s.exwPrev[i])
+			us[i] = float64(2*s.U[i]) - float64(0.5*s.uPrev[i]) + float64(dt*(float64(2*exu[i])-s.exuPrev[i]))
+			vs[i] = float64(2*s.V[i]) - float64(0.5*s.vPrev[i]) + float64(dt*(float64(2*exv[i])-s.exvPrev[i]))
+			ws[i] = float64(2*s.W[i]) - float64(0.5*s.wPrev[i]) + float64(dt*(float64(2*exw[i])-s.exwPrev[i]))
 		}
 	}
 	// Record history for the next step. The explicit-term buffers swap with
@@ -292,9 +292,9 @@ func (s *Solver) Step() error {
 	proj := s.Rec.Begin("ns.projection")
 	g.GradientInto(s.qx, s.qy, s.qz, s.Pr)
 	for i := range us {
-		us[i] -= dt * s.qx[i]
-		vs[i] -= dt * s.qy[i]
-		ws[i] -= dt * s.qz[i]
+		us[i] -= float64(dt * s.qx[i])
+		vs[i] -= float64(dt * s.qy[i])
+		ws[i] -= float64(dt * s.qz[i])
 	}
 	proj.End()
 
@@ -395,7 +395,7 @@ func (s *Solver) MaxDivergence() float64 {
 func (s *Solver) KineticEnergy() float64 {
 	var e float64
 	for i := range s.U {
-		e += s.G.massDiag[i] * (s.U[i]*s.U[i] + s.V[i]*s.V[i] + s.W[i]*s.W[i])
+		e += float64(s.G.massDiag[i] * (float64(s.U[i]*s.U[i]) + float64(s.V[i]*s.V[i]) + float64(s.W[i]*s.W[i])))
 	}
 	return e / 2
 }

@@ -50,7 +50,7 @@ func (m *Mesh1D) NodeCoords() []float64 {
 	out := make([]float64, m.NumNodes())
 	for e := 0; e < m.Elements; e++ {
 		for i, xi := range m.Basis.Nodes {
-			out[e*m.Basis.P+i] = m.X0 + h*(float64(e)+(xi+1)/2)
+			out[e*m.Basis.P+i] = m.X0 + float64(h*(float64(e)+float64((xi+1)/2)))
 		}
 	}
 	return out
