@@ -1,0 +1,79 @@
+package nektarg_test
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// TestNoFusedMultiplyAdd cross-compiles each censused package for arm64,
+// whose compiler fuses a product into the add it feeds unless float64()
+// rounds the product first, and requires that no function in the package
+// archive holds a fused multiply-add: one would move arm64's trajectories
+// off amd64's in the last bit, and the AVX2 kernels off their Go oracles.
+// (amd64's compiler never fuses.) Each package names functions that must be
+// in its disassembly, so an empty or truncated listing cannot pass.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	gocmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(gocmd); err != nil {
+		t.Skipf("no go command to cross-compile with: %v", err)
+	}
+	for _, c := range []struct {
+		pkg     string
+		present []string
+	}{
+		// The DPD pair sweep's Go loops and the step.
+		{"dpd", []string{"(*System).filter", "(*System).forcesInTile", "(*System).VVStep"}},
+		// The Go loops that are the SEM line kernels' oracles.
+		{"simd", []string{"axpyGo", "MatVec", "sweepGo", "rowDot", "BandMulAdd", "contractGo"}},
+		// The Navier-Stokes step and the operators it applies.
+		{"nektar3d", []string{"(*Solver).step", "(*Solver).advectInto", "(*helmholtzOp).Apply", "(*Grid).helmholtzSeed", "NewGrid"}},
+	} {
+		t.Run(c.pkg, func(t *testing.T) {
+			t.Parallel()
+			fused := armFMACensus(t, gocmd, c.pkg)
+			for _, name := range c.present {
+				if _, ok := fused[name]; !ok {
+					t.Errorf("%s is not in the arm64 disassembly", name)
+				}
+			}
+			for name, n := range fused {
+				if n != 0 {
+					t.Errorf("%s holds %d fused multiply-adds on arm64", name, n)
+				}
+			}
+		})
+	}
+}
+
+// armFMACensus builds internal/<pkg> for arm64 and counts the fused
+// multiply-adds of each function in its go tool objdump listing.
+func armFMACensus(t *testing.T, gocmd, pkg string) map[string]int {
+	archive := filepath.Join(t.TempDir(), pkg+".a")
+	build := exec.Command(gocmd, "build", "-o", archive, "./internal/"+pkg)
+	build.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("GOARCH=arm64 go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(gocmd, "tool", "objdump", archive).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool objdump: %v\n%s", err, out)
+	}
+	text := regexp.MustCompile(`^TEXT nektarg/internal/` + pkg + `\.(\S+)\(SB\)`)
+	fma := regexp.MustCompile(`\bF(N?MADD|N?MSUB)[SD]\b`)
+	fused := map[string]int{}
+	var fn string
+	for _, line := range strings.Split(string(out), "\n") {
+		if m := text.FindStringSubmatch(line); m != nil {
+			fn = m[1]
+			fused[fn] += 0
+		} else if fma.MatchString(line) {
+			fused[fn]++
+		}
+	}
+	return fused
+}

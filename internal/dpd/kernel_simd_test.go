@@ -2,11 +2,6 @@ package dpd
 
 import (
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -144,50 +139,4 @@ func FuzzPairKernel(f *testing.F) {
 		goKernel(ref.pairForces)
 		requireSameParticles(t, simd, ref)
 	})
-}
-
-// TestHotLoopsHaveNoFMA cross-compiles the package for arm64, whose compiler
-// fuses a product into the add it feeds unless float64() rounds the product
-// first, and requires that no function in the package archive holds a fused
-// multiply-add: one anywhere in the step, the boundaries, the wall geometry
-// or the insertion sampling would move arm64's trajectories off amd64's in
-// the last bit. The pair sweep's Go loops and the step must be in the
-// disassembly, so an empty or truncated listing cannot pass.
-func TestHotLoopsHaveNoFMA(t *testing.T) {
-	gocmd := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(gocmd); err != nil {
-		t.Skipf("no go command to cross-compile with: %v", err)
-	}
-	archive := filepath.Join(t.TempDir(), "dpd.a")
-	build := exec.Command(gocmd, "build", "-o", archive, ".")
-	build.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("GOARCH=arm64 go build: %v\n%s", err, out)
-	}
-	out, err := exec.Command(gocmd, "tool", "objdump", archive).CombinedOutput()
-	if err != nil {
-		t.Fatalf("go tool objdump: %v\n%s", err, out)
-	}
-	text := regexp.MustCompile(`(?m)^TEXT nektarg/internal/dpd\.(\S+)\(SB\)`)
-	fma := regexp.MustCompile(`\bF(N?MADD|N?MSUB)[SD]\b`)
-	fused := map[string]int{}
-	var fn string
-	for _, line := range regexp.MustCompile(`\n`).Split(string(out), -1) {
-		if m := text.FindStringSubmatch(line); m != nil {
-			fn = m[1]
-			fused[fn] += 0
-		} else if fma.MatchString(line) {
-			fused[fn]++
-		}
-	}
-	for _, name := range []string{"(*System).filter", "(*System).forcesInTile", "(*System).VVStep"} {
-		if _, ok := fused[name]; !ok {
-			t.Errorf("%s is not in the arm64 disassembly", name)
-		}
-	}
-	for name, n := range fused {
-		if n != 0 {
-			t.Errorf("%s holds %d fused multiply-adds on arm64", name, n)
-		}
-	}
 }

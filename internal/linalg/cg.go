@@ -199,13 +199,14 @@ func (ws *CGWorkspace) ensure(n int) {
 
 // CG solves A x = b with preconditioned conjugate gradients, overwriting x,
 // which on entry is the initial guess. (The paper predicts it from previous
-// time steps; nektar3d's Grid solves pass the fast-diagonalization solve of
-// b, after which CG normally has only the residual check left to do.) It
-// stops when the relative residual drops below tol — tested before each
-// preconditioning, so a guess that already meets tol costs one operator
-// apply and nothing else — or after maxIter iterations. Work
-// vectors are allocated fresh; hot paths use CGWith with a reusable
-// workspace instead.
+// time steps. nektar3d's checked Grid solves pass the fast-diagonalization
+// solve of b, exact on their uniform boxes, so CG has only the residual
+// check left to do; nektar3d.Solver.Run makes that check only in the last
+// step of each call, with no iterations allowed.) It stops when the relative
+// residual drops below tol — tested before each preconditioning, so a guess
+// that already meets tol costs one operator apply and nothing else — or
+// after maxIter iterations. Work vectors are allocated fresh; hot paths use
+// CGWith with a reusable workspace instead.
 func CG(a Operator, x, b []float64, prec Preconditioner, tol float64, maxIter int) (SolveStats, error) {
 	return CGWith(nil, a, x, b, prec, tol, maxIter)
 }

@@ -126,3 +126,24 @@ func BenchmarkKernelStep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelRun times Run(10), one exchange period of the continuum
+// workload's patch (4×2×2 order-6 elements, periodic in y, second order in
+// time): nine unchecked steps and one that checks its solves. Step, which
+// checks all of them, is BenchmarkKernelStep's subject.
+func BenchmarkKernelRun(b *testing.B) {
+	g := must(NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false))(b)
+	s := must(NewSolver(g, 0.5, 0.01))(b)
+	s.Order = 2
+	s.SetInitial(func(x, y, z float64) (u, v, w float64) { return z * (1 - z), 0, 0 })
+	if err := s.Run(3); err != nil { // warm up arena, scratch and history
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Run(10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,23 +7,24 @@ import (
 	"nektarg/internal/simd"
 )
 
-// fdmPrec is the fast-diagonalization solve of the Grid operators, CG's
-// initial iterate and its preconditioner. On a uniform box of GLL elements
-// the mass matrix is diagonal and separable, M = Mx⊗My⊗Mz, and
-// K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz in the same 1D factors
-// (sem.Mesh1D.Factors) that ApplyStiffness applies, so in the 1D generalized
-// eigenbases S_d (K_d S_d = M_d S_d Λ_d, S_dᵀ M_d S_d = I)
+// fdmPrec is the fast-diagonalization solve of the Grid operators: the
+// Grid solves' answer, and CG's preconditioner where a checked solve
+// iterates. On a uniform box of GLL elements the mass matrix is diagonal and
+// separable, M = Mx⊗My⊗Mz, and K = Kx⊗My⊗Mz + Mx⊗Ky⊗Mz + Mx⊗My⊗Kz in the
+// same 1D factors (sem.Mesh1D.Factors) that ApplyStiffness applies, so in the
+// 1D generalized eigenbases S_d (K_d S_d = M_d S_d Λ_d, S_dᵀ M_d S_d = I)
 //
 //	(λM + K)⁻¹ = (Sx⊗Sy⊗Sz) diag(1/(λ + Λx_i + Λy_j + Λz_k)) (Sx⊗Sy⊗Sz)ᵀ
 //
-// exactly: three line contractions in, one scale, three out. CG stays the
-// solve path: the Grid solves hand it this solve of their right-hand side as
-// the initial iterate, so it computes the true residual, finds it at
-// round-off and returns without iterating; where it does not, it iterates
-// under this preconditioner. The all-zero mode of a pure-Neumann problem
-// (λ = 0, a constant on every axis) is pseudo-inverted to 0; with a Dirichlet
-// mask the axes' end nodes carry no modes and the masked rows are the
-// identity, as in helmholtzOp.
+// exactly: three line contractions in, one scale, three out. It is a direct
+// solver, so Solver.Run takes it unchecked and checks the residual once per
+// Run; the checked Grid solves hand it to CG as the initial iterate, which
+// computes the true residual, finds it at round-off and returns without
+// iterating, and where it does not (a factor that is not the inverse)
+// iterates under this preconditioner. The all-zero mode of a pure-Neumann
+// problem (λ = 0, a constant on every axis) is pseudo-inverted to 0; with a
+// Dirichlet mask the axes' end nodes carry no modes and the masked rows are
+// the identity, as in helmholtzOp.
 type fdmPrec struct {
 	ax     [3]*sem.Modes1D // x, y, z
 	lambda float64         // Helmholtz shift, set per solve
@@ -64,9 +65,12 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 	mx, my, mz := x.Modes, y.Modes, zz.Modes
 	s, t := p.s, p.t
 
+	// The x-lines are contiguous matrix-vector products (MatVecs reads the
+	// partner factor, S for Sᵀ and Sᵀ for S, as the matrix's column-major
+	// form); the y and z axes are contractions across whole rows and planes.
 	simd.MatVecs(s, x.ST, x.S, r, mx, nx, ny*nz)
-	contractAxis(t, s, y.ST, my, ny, mx, nz)
-	contractAxis(s, t, zz.ST, mz, nz, mx*my, 1)
+	simd.Contract(t, s, y.ST, my, ny, mx, nz)
+	simd.Contract(s, t, zz.ST, mz, nz, mx*my, 1)
 	for k := 0; k < mz; k++ {
 		for j := 0; j < my; j++ {
 			lyz := p.lambda + y.Lambda[j] + zz.Lambda[k]
@@ -80,32 +84,12 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 			}
 		}
 	}
-	contractAxis(t, s, zz.S, nz, mz, mx*my, 1)
-	contractAxis(s, t, y.S, ny, my, mx, nz)
+	simd.Contract(t, s, zz.S, nz, mz, mx*my, 1)
+	simd.Contract(s, t, y.S, ny, my, mx, nz)
 	simd.MatVecs(z, x.S, x.ST, s, nx, mx, ny*nz)
 	for i, m := range p.mask {
 		if m {
 			z[i] = r[i]
-		}
-	}
-}
-
-// contractAxis applies the rows×cols row-major matrix a along the middle
-// axis of src viewed as [outer][cols][inner], writing dst as
-// [outer][rows][inner]: axpy sweeps over contiguous rows and planes, for the
-// y and z axes. The x-lines are contiguous matrix-vector products instead
-// (simd.MatVecs), which read the partner factor (S for Sᵀ, Sᵀ for S) as the
-// matrix's column-major form.
-func contractAxis(dst, src, a []float64, rows, cols, inner, outer int) {
-	for o := 0; o < outer; o++ {
-		so := src[o*cols*inner : (o+1)*cols*inner]
-		do := dst[o*rows*inner : (o+1)*rows*inner]
-		clear(do)
-		for r := 0; r < rows; r++ {
-			dr := do[r*inner : (r+1)*inner]
-			for c, arc := range a[r*cols : (r+1)*cols] {
-				simd.Axpy(arc, so[c*inner:(c+1)*inner], dr)
-			}
 		}
 	}
 }

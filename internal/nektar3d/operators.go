@@ -140,19 +140,45 @@ func (g *Grid) removeMean(f []float64) {
 }
 
 // SolveHelmholtzDirichletIn solves (lambda*M + K) u = M f with u = gBC on
-// every Dirichlet (non-periodic boundary) node. u is output only: it receives
-// the solution on success and is left untouched on error; what it held on
-// entry is never read. CG starts from the fast-diagonalization solve of the
-// interior right-hand side, which is exact up to round-off, so its first act
-// is the true residual of that iterate against tol and it normally returns
-// with 0 iterations; above tol it iterates, preconditioned by the same
-// solve. All workspace comes from the grid arena, so steady-state solves
-// allocate nothing.
+// every Dirichlet (non-periodic boundary) node and checks the answer. u is
+// output only: it receives the solution on success and is left untouched on
+// error; what it held on entry is never read. The solution is the
+// fast-diagonalization solve of the lifted right-hand side (helmholtzSeed),
+// exact on the grid's box up to round-off; CG starts from it, so its first
+// act is the true residual against tol and it normally returns with 0
+// iterations. Above tol it iterates, preconditioned by the same solve, for
+// at most maxIter iterations (0: none, the residual check alone). All
+// workspace comes from the grid arena, so steady-state solves allocate
+// nothing.
 func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []float64, tol float64, maxIter int) (linalg.SolveStats, error) {
 	ar := g.arena()
-	mask := ar.mask
+	x, b := g.helmholtzSeed(lambda, f, gBC)
+	res, err := linalg.CGWith(&ar.cgws, ar.mopIface, x, b, ar.dir, tol, maxIter)
+	if err != nil {
+		return res, err
+	}
+	if !res.Converged {
+		return res, fmt.Errorf("nektar3d: Helmholtz %w at %g after %d iterations", ErrCGStalled, res.Residual, res.Iterations)
+	}
+	g.lift(u, x)
+	return res, nil
+}
 
-	// Lifting: u = u0 + ug, with ug = gBC on the mask and 0 inside.
+// solveHelmholtzDirect is SolveHelmholtzDirichletIn without the check: u
+// receives the fast-diagonalization solution, the bits the checked solve
+// returns when CG has nothing to do.
+func (g *Grid) solveHelmholtzDirect(u []float64, lambda float64, f, gBC []float64) {
+	x, _ := g.helmholtzSeed(lambda, f, gBC)
+	g.lift(u, x)
+}
+
+// helmholtzSeed poses the Helmholtz problem in the arena and solves it:
+// the lifting ug = gBC on the mask and 0 inside (u = u0 + ug), the
+// right-hand side b = M f - (lambda M + K) ug restricted to the interior,
+// and x its fast-diagonalization solve.
+func (g *Grid) helmholtzSeed(lambda float64, f, gBC []float64) (x, b []float64) {
+	ar := g.arena()
+	mask := ar.mask
 	ug := ar.ug
 	for i := range ug {
 		ug[i] = 0
@@ -162,8 +188,7 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 			ug[i] = gBC[i]
 		}
 	}
-	// b = M f - (lambda M + K) ug, restricted to interior.
-	b := ar.b
+	b = ar.b
 	ar.op.lambda = lambda
 	ar.op.Apply(b, ug)
 	for i := range b {
@@ -174,51 +199,44 @@ func (g *Grid) SolveHelmholtzDirichletIn(u []float64, lambda float64, f, gBC []f
 			b[i] = 0
 		}
 	}
-
-	x := ar.x
 	ar.mop.lambda = lambda
 	ar.dir.lambda = lambda
-	ar.dir.Precondition(x, b)
-	res, err := linalg.CGWith(&ar.cgws, ar.mopIface, x, b, ar.dir, tol, maxIter)
-	if err != nil {
-		return res, err
-	}
-	if !res.Converged {
-		return res, fmt.Errorf("nektar3d: Helmholtz %w at %g after %d iterations", ErrCGStalled, res.Residual, res.Iterations)
-	}
+	fdmSolve(ar.x, b, ar.dir)
+	return ar.x, b
+}
+
+// lift writes u = x + ug, the Helmholtz solution with its boundary values.
+func (g *Grid) lift(u, x []float64) {
+	ug := g.ar.ug
 	for i := range x {
 		u[i] = x[i] + ug[i]
 	}
-	return res, nil
+}
+
+// fdmSolve writes the fast-diagonalization solve p of b into x, exactly what
+// CG returns from that iterate after 0 iterations: that includes CG's rule
+// that a right-hand side of norm 0 has the solution +0, where the
+// contractions could leave a -0 behind.
+func fdmSolve(x, b []float64, p linalg.Preconditioner) {
+	if simd.Dot(b, b) == 0 {
+		clear(x)
+		return
+	}
+	p.Precondition(x, b)
 }
 
 // SolvePoissonNeumannIn solves K p = -M s (that is, ∇²p = s weakly) with
-// homogeneous Neumann boundaries on all non-periodic faces. p is output
-// only: it receives the mean-free solution on success and is left untouched
-// on error. The constant null space is removed from both right-hand side and
-// solution, and CG starts from the mean-free fast-diagonalization solve of
-// the right-hand side, as in SolveHelmholtzDirichletIn. Arena-backed:
-// steady-state solves allocate nothing.
+// homogeneous Neumann boundaries on all non-periodic faces and checks the
+// answer. p is output only: it receives the mean-free solution on success
+// and is left untouched on error. The constant null space is removed from
+// both right-hand side and solution, and the solution is the mean-free
+// fast-diagonalization solve (poissonSeed), checked and if need be iterated
+// on by CG as in SolveHelmholtzDirichletIn; a residual under sqrt(tol) is
+// accepted when CG ran out of iterations. Arena-backed: steady-state solves
+// allocate nothing.
 func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (linalg.SolveStats, error) {
 	ar := g.arena()
-	n := g.NumNodes()
-	b := ar.b
-	for i := range b {
-		b[i] = -g.massDiag[i] * s[i]
-	}
-	// Orthogonalize the RHS against constants (compatibility condition).
-	var mean float64
-	for i := range b {
-		mean += b[i]
-	}
-	for i := range b {
-		b[i] -= mean / float64(n)
-	}
-
-	x := ar.x
-	ar.op.lambda = 0
-	ar.nat.lambda = 0
-	ar.mfIface.Precondition(x, b)
+	x, b := g.poissonSeed(s)
 	res, err := linalg.CGWith(&ar.cgws, ar.opIface, x, b, ar.mfIface, tol, maxIter)
 	if err != nil {
 		return res, err
@@ -229,6 +247,37 @@ func (g *Grid) SolvePoissonNeumannIn(p, s []float64, tol float64, maxIter int) (
 	g.removeMean(x)
 	copy(p, x)
 	return res, nil
+}
+
+// solvePoissonDirect is SolvePoissonNeumannIn without the check, as
+// solveHelmholtzDirect is for the Helmholtz solve.
+func (g *Grid) solvePoissonDirect(p, s []float64) {
+	x, _ := g.poissonSeed(s)
+	g.removeMean(x)
+	copy(p, x)
+}
+
+// poissonSeed poses the Poisson problem in the arena and solves it: the
+// right-hand side b = -M s orthogonalized against constants (the
+// compatibility condition) and x its mean-free fast-diagonalization solve.
+func (g *Grid) poissonSeed(s []float64) (x, b []float64) {
+	ar := g.arena()
+	n := g.NumNodes()
+	b = ar.b
+	for i := range b {
+		b[i] = -g.massDiag[i] * s[i]
+	}
+	var mean float64
+	for i := range b {
+		mean += b[i]
+	}
+	for i := range b {
+		b[i] -= mean / float64(n)
+	}
+	ar.op.lambda = 0
+	ar.nat.lambda = 0
+	fdmSolve(ar.x, b, ar.mfIface)
+	return ar.x, b
 }
 
 // GradientInto computes the collocation gradient of f into fx, fy, fz,

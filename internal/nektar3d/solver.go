@@ -32,7 +32,10 @@ type Solver struct {
 	Force ForceFunc
 	VelBC BCFunc
 
-	// Tol and MaxIter control the inner CG solves.
+	// Tol bounds the relative residual of a checked solve: every solve of
+	// Step, and of the last step of each Run. MaxIter is the CG budget of
+	// Step's solves when a residual is above Tol; Run's checking step does
+	// not iterate, so a residual above Tol there is an error.
 	Tol     float64
 	MaxIter int
 
@@ -209,9 +212,31 @@ func (s *Solver) explicitTerm() {
 	}
 }
 
+// solveCheck says how a step checks its four solves (one pressure Poisson,
+// three viscous Helmholtz), each the fast-diagonalization solve of its
+// right-hand side.
+type solveCheck int8
+
+const (
+	// unchecked takes the fast-diagonalization solve as it is: on the grid's
+	// uniform box it is the exact inverse, up to round-off.
+	unchecked solveCheck = iota
+	// verified computes each solve's residual against Tol, feeds it to the
+	// watchdog and the ns.* gauges, and fails the step with ErrCGStalled
+	// above Tol, without iterating.
+	verified
+	// iterated is verified with CG allowed up to MaxIter iterations, and the
+	// Poisson solve accepted under sqrt(Tol) when they run out.
+	iterated
+)
+
 // Step advances one time step of the stiffly stable velocity-correction
-// scheme at the configured Order.
-func (s *Solver) Step() error {
+// scheme at the configured Order, every solve checked and, where its
+// residual is above Tol, iterated on by CG.
+func (s *Solver) Step() error { return s.step(iterated) }
+
+// step is Step with the solves checked as check says.
+func (s *Solver) step(check solveCheck) error {
 	g := s.G
 	dt := s.Dt
 	tNew := s.Time + dt
@@ -228,8 +253,8 @@ func (s *Solver) Step() error {
 	}
 
 	// Pre-step guard: corruption arriving from outside the step (coupling
-	// exchanges, injected state) is caught here, before 4000 CG iterations
-	// chew on NaNs; the post-step guard below catches corruption the step
+	// exchanges, injected state) is caught here, before the solves spread it
+	// over every node; the post-step guard below catches corruption the step
 	// itself produced.
 	if err := s.guardFields(); err != nil {
 		return err
@@ -277,16 +302,11 @@ func (s *Solver) Step() error {
 	for i := range div {
 		div[i] /= dt
 	}
-	pst, err := g.SolvePoissonNeumannIn(s.Pr, div, s.Tol, s.MaxIter)
+	err := s.solvePressure(div, check)
 	pr.End()
-	// The watchdog sees every solve, failed ones first of all: a stalled or
-	// broken-down CG is what its stagnation/divergence branches are for.
-	s.Watch.ObserveSolve("ns.pressure", pst, s.MaxIter)
 	if err != nil {
 		return fmt.Errorf("pressure solve: %w", err)
 	}
-	s.Rec.Gauge("ns.pressure.iters", float64(pst.Iterations))
-	s.Rec.Gauge("ns.pressure.residual", pst.Residual)
 
 	// 3. Projection: û̂ = û - dt ∇p.
 	proj := s.Rec.Begin("ns.projection")
@@ -310,23 +330,11 @@ func (s *Solver) Step() error {
 		rhsW[i] = ws[i] * scale
 	}
 	helm := s.Rec.Begin("ns.helmholtz")
-	var hst linalg.SolveStats
-	var hIters int
-	for _, c := range [...]struct {
-		name       string
-		u, rhs, bc []float64
-	}{{"u", s.U, rhsU, s.bcU}, {"v", s.V, rhsV, s.bcV}, {"w", s.W, rhsW, s.bcW}} {
-		hst, err = g.SolveHelmholtzDirichletIn(c.u, lambda, c.rhs, c.bc, s.Tol, s.MaxIter)
-		s.Watch.ObserveSolve("ns.helmholtz", hst, s.MaxIter)
-		if err != nil {
-			helm.End()
-			return fmt.Errorf("viscous solve %s: %w", c.name, err)
-		}
-		hIters += hst.Iterations
-	}
+	err = s.solveViscous(lambda, check)
 	helm.End()
-	s.Rec.Gauge("ns.helmholtz.iters", float64(hIters))
-	s.Rec.Gauge("ns.helmholtz.residual", hst.Residual)
+	if err != nil {
+		return err
+	}
 
 	// NaN/Inf field guard: corrupted state trips the health watchdog and
 	// aborts the step instead of silently advancing garbage.
@@ -336,6 +344,67 @@ func (s *Solver) Step() error {
 
 	s.Steps++
 	s.Time = tNew
+	return nil
+}
+
+// budget is the CG iteration budget of a checked solve.
+func (s *Solver) budget(check solveCheck) int {
+	if check == iterated {
+		return s.MaxIter
+	}
+	return 0
+}
+
+// solvePressure solves the pressure Poisson problem into Pr.
+func (s *Solver) solvePressure(div []float64, check solveCheck) error {
+	if check == unchecked {
+		s.G.solvePoissonDirect(s.Pr, div)
+		return nil
+	}
+	maxIter := s.budget(check)
+	st, err := s.G.SolvePoissonNeumannIn(s.Pr, div, s.Tol, maxIter)
+	if err == nil && check == verified && !st.Converged {
+		// No CG iterated on this solve or the unchecked ones before it, so
+		// Tol is the bound, not the sqrt(Tol) a stopped CG is allowed.
+		err = fmt.Errorf("nektar3d: Poisson %w at %g without iterating", ErrCGStalled, st.Residual)
+	}
+	// The watchdog sees every checked solve, failed ones first of all: a
+	// stalled or broken-down CG is what its stagnation/divergence branches
+	// are for.
+	s.Watch.ObserveSolve("ns.pressure", st, maxIter)
+	if err != nil {
+		return err
+	}
+	s.Rec.Gauge("ns.pressure.iters", float64(st.Iterations))
+	s.Rec.Gauge("ns.pressure.residual", st.Residual)
+	return nil
+}
+
+// solveViscous solves the three viscous Helmholtz problems into U, V, W.
+func (s *Solver) solveViscous(lambda float64, check solveCheck) error {
+	maxIter := s.budget(check)
+	var st linalg.SolveStats
+	var iters int
+	for _, c := range [...]struct {
+		name       string
+		u, rhs, bc []float64
+	}{{"u", s.U, s.rhsU, s.bcU}, {"v", s.V, s.rhsV, s.bcV}, {"w", s.W, s.rhsW, s.bcW}} {
+		if check == unchecked {
+			s.G.solveHelmholtzDirect(c.u, lambda, c.rhs, c.bc)
+			continue
+		}
+		var err error
+		st, err = s.G.SolveHelmholtzDirichletIn(c.u, lambda, c.rhs, c.bc, s.Tol, maxIter)
+		s.Watch.ObserveSolve("ns.helmholtz", st, maxIter)
+		if err != nil {
+			return fmt.Errorf("viscous solve %s: %w", c.name, err)
+		}
+		iters += st.Iterations
+	}
+	if check != unchecked {
+		s.Rec.Gauge("ns.helmholtz.iters", float64(iters))
+		s.Rec.Gauge("ns.helmholtz.residual", st.Residual)
+	}
 	return nil
 }
 
@@ -356,10 +425,20 @@ func (s *Solver) guardFields() error {
 	return nil
 }
 
-// Run advances n steps.
+// Run advances n steps, one exchange period of a coupled run. Its first n-1
+// steps take the fast-diagonalization solves unchecked: on the grid's
+// uniform box they are the exact inverse, so a residual would only confirm
+// round-off. The last step checks every solve against Tol without
+// iterating: a factor that is not the inverse served all n steps, so it ends
+// this Run with an error wrapping ErrCGStalled rather than being repaired in
+// one step. Step is the step whose every solve is checked.
 func (s *Solver) Run(n int) error {
 	for i := 0; i < n; i++ {
-		if err := s.Step(); err != nil {
+		check := unchecked
+		if i == n-1 {
+			check = verified
+		}
+		if err := s.step(check); err != nil {
 			return fmt.Errorf("step %d: %w", s.Steps, err)
 		}
 	}

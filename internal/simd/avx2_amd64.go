@@ -42,6 +42,15 @@ func axpyAVX2(alpha float64, x, y []float64)
 //go:noescape
 func matVecsAVX2(y, at, x []float64, rows, cols, lines int)
 
+// contractAVX2 is contractGo with the sums in registers: per outer plane,
+// per chunk of eight inner lanes (the last one masked) and per block of four
+// output rows (then single rows), eight vector sums start at +0 and add
+// a[r,c]·src[c] for each column c in turn. The caller checks the
+// dimensions; all four must be positive.
+//
+//go:noescape
+func contractAVX2(dst, src, a []float64, rows, cols, inner, outer int)
+
 // sweepAVX2 is sweepGo, four elements of out per vector and the last vector
 // masked. It checks every column's offset before it writes and returns false,
 // leaving out as it was, when one is out of range.

@@ -223,6 +223,221 @@ mvdone:
 	VZEROUPPER
 	RET
 
+// CT_MAC adds one row's products of the current column to its two vector
+// sums: ya += a·Y8, yb += a·Y9, with a broadcast from off.
+#define CT_MAC(off, ya, yb) \
+	VBROADCASTSD off, Y10; \
+	VMULPD Y8, Y10, Y11; \
+	VADDPD Y11, ya, ya; \
+	VMULPD Y9, Y10, Y12; \
+	VADDPD Y12, yb, yb
+
+// CT_MAC4 adds the products of the current column for the block's four rows
+// (a's rows at AX, AX+R14, AX+2·R14 and AX+R13).
+#define CT_MAC4 \
+	CT_MAC((AX), Y0, Y1); \
+	CT_MAC((AX)(R14*1), Y2, Y3); \
+	CT_MAC((AX)(R14*2), Y4, Y5); \
+	CT_MAC((AX)(R13*1), Y6, Y7)
+
+// CT_BLOCK points AX at a's row CX and DX at the chunk in src's column 0,
+// and sets R9 to the column count.
+#define CT_BLOCK \
+	MOVQ CX, AX; \
+	IMULQ R14, AX; \
+	ADDQ R8, AX; \
+	LEAQ (SI)(BX*1), DX; \
+	MOVQ cols+80(FP), R9
+
+// CT_DST points DX at the chunk in dst's row CX and R9 three rows further.
+#define CT_DST \
+	MOVQ CX, DX; \
+	IMULQ R11, DX; \
+	ADDQ DI, DX; \
+	ADDQ BX, DX; \
+	LEAQ (DX)(R11*2), R9; \
+	ADDQ R11, R9
+
+// func contractAVX2(dst, src, a []float64, rows, cols, inner, outer int)
+//
+// Per outer plane, the inner lanes go in chunks of eight, two vectors; the
+// last chunk's loads and stores are masked by Y13 and Y14 (lanes past inner
+// load +0 and are never stored). Per chunk the output rows go in blocks of
+// four, Y0-Y7 holding row r+q's two vectors in Y(2q), Y(2q+1), then one at a
+// time in Y0, Y1. Every sum starts at +0 and, for each column c in turn,
+// adds a[r,c]·src[c] without fusing: contractGo's operations in its order.
+//
+// Registers: DI the plane's dst, SI its src, R8 a, R11 inner·8 (a row of
+// src or dst), R12 planes left, R14 cols·8 (a row of a), R13 3·cols·8, R10
+// the bytes of full chunks in a row, BX the chunk's byte offset, CX the row;
+// in a block AX walks a's column, DX src's rows and R9 counts the columns.
+TEXT ·contractAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ a_base+48(FP), R8
+	MOVQ cols+80(FP), R14
+	SHLQ $3, R14
+	LEAQ (R14)(R14*2), R13
+	MOVQ inner+88(FP), R11
+	SHLQ $3, R11
+	MOVQ R11, R10
+	ANDQ $-64, R10
+	MOVQ outer+96(FP), R12
+
+ctplane:
+	XORQ BX, BX
+
+ctchunk:
+	CMPQ BX, R10
+	JGE  cttail
+	XORQ CX, CX
+
+ctfull4:
+	MOVQ rows+72(FP), AX
+	SUBQ CX, AX
+	CMPQ AX, $4
+	JLT  ctfull1
+	CT_BLOCK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+ctfull4col:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	CT_MAC4
+	ADDQ $8, AX
+	ADDQ R11, DX
+	DECQ R9
+	JNZ  ctfull4col
+	CT_DST
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (DX)(R11*1)
+	VMOVUPD Y3, 32(DX)(R11*1)
+	VMOVUPD Y4, (DX)(R11*2)
+	VMOVUPD Y5, 32(DX)(R11*2)
+	VMOVUPD Y6, (R9)
+	VMOVUPD Y7, 32(R9)
+	ADDQ $4, CX
+	JMP  ctfull4
+
+ctfull1:
+	CMPQ CX, rows+72(FP)
+	JGE  ctnextchunk
+	CT_BLOCK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+
+ctfull1col:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	CT_MAC((AX), Y0, Y1)
+	ADDQ $8, AX
+	ADDQ R11, DX
+	DECQ R9
+	JNZ  ctfull1col
+	CT_DST
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	INCQ CX
+	JMP  ctfull1
+
+ctnextchunk:
+	ADDQ $64, BX
+	JMP  ctchunk
+
+// The last chunk, of 1-7 lanes: Y13 masks its first vector and Y14 its
+// second.
+cttail:
+	MOVQ R11, AX
+	SUBQ BX, AX
+	JLE  ctnextplane
+	SHRQ $3, AX
+	MOVQ $4, DX
+	CMPQ AX, DX
+	CMOVQLT AX, DX
+	SUBQ DX, AX
+	SHLQ $5, DX
+	SHLQ $5, AX
+	LEAQ laneMask<>(SB), R9
+	VMOVDQU (R9)(DX*1), Y13
+	VMOVDQU (R9)(AX*1), Y14
+	XORQ CX, CX
+
+cttail4:
+	MOVQ rows+72(FP), AX
+	SUBQ CX, AX
+	CMPQ AX, $4
+	JLT  cttail1
+	CT_BLOCK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+cttail4col:
+	VMASKMOVPD (DX), Y13, Y8
+	VMASKMOVPD 32(DX), Y14, Y9
+	CT_MAC4
+	ADDQ $8, AX
+	ADDQ R11, DX
+	DECQ R9
+	JNZ  cttail4col
+	CT_DST
+	VMASKMOVPD Y0, Y13, (DX)
+	VMASKMOVPD Y1, Y14, 32(DX)
+	VMASKMOVPD Y2, Y13, (DX)(R11*1)
+	VMASKMOVPD Y3, Y14, 32(DX)(R11*1)
+	VMASKMOVPD Y4, Y13, (DX)(R11*2)
+	VMASKMOVPD Y5, Y14, 32(DX)(R11*2)
+	VMASKMOVPD Y6, Y13, (R9)
+	VMASKMOVPD Y7, Y14, 32(R9)
+	ADDQ $4, CX
+	JMP  cttail4
+
+cttail1:
+	CMPQ CX, rows+72(FP)
+	JGE  ctnextplane
+	CT_BLOCK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+
+cttail1col:
+	VMASKMOVPD (DX), Y13, Y8
+	VMASKMOVPD 32(DX), Y14, Y9
+	CT_MAC((AX), Y0, Y1)
+	ADDQ $8, AX
+	ADDQ R11, DX
+	DECQ R9
+	JNZ  cttail1col
+	CT_DST
+	VMASKMOVPD Y0, Y13, (DX)
+	VMASKMOVPD Y1, Y14, 32(DX)
+	INCQ CX
+	JMP  cttail1
+
+ctnextplane:
+	MOVQ cols+80(FP), AX
+	IMULQ R11, AX
+	ADDQ AX, SI
+	MOVQ rows+72(FP), AX
+	IMULQ R11, AX
+	ADDQ AX, DI
+	DECQ R12
+	JNZ  ctplane
+	VZEROUPPER
+	RET
+
 // func sweepAVX2(out []float64, scale float64, vals []float64, cols []int, src []float64, base, stride int) (ok bool)
 //
 // First every column's offset off = base + cols[p]·stride must satisfy

@@ -16,6 +16,10 @@ func matVecsAVX2(y, at, x []float64, rows, cols, lines int) {
 	panic("simd: the AVX2 kernels exist on amd64 only")
 }
 
+func contractAVX2(dst, src, a []float64, rows, cols, inner, outer int) {
+	panic("simd: the AVX2 kernels exist on amd64 only")
+}
+
 func sweepAVX2(out []float64, scale float64, vals []float64, cols []int, src []float64, base, stride int) bool {
 	panic("simd: the AVX2 kernels exist on amd64 only")
 }

@@ -35,6 +35,45 @@ func MatVecs(y, a, at, x []float64, rows, cols, lines int) {
 	}
 }
 
+// Contract applies the rows×cols row-major matrix a along the middle axis of
+// src viewed as [outer][cols][inner], writing dst as [outer][rows][inner]:
+//
+//	dst[o][r][i] = Σ_c a[r*cols+c] * src[o][c][i]
+//
+// each sum started at +0 and taken in column order. These are the y and z
+// contractions of the fast-diagonalization solve, whose lines are not
+// contiguous (the x-lines are MatVecs'). On amd64 with AVX2 contractAVX2
+// holds a block of output rows × inner lanes in registers across the
+// columns; contractGo, one Axpy per matrix entry, is the portable loop and
+// the oracle it must equal bit for bit. dst must not alias src.
+func Contract(dst, src, a []float64, rows, cols, inner, outer int) {
+	if rows < 0 || cols < 0 || inner < 0 || outer < 0 || len(a) < rows*cols ||
+		len(src) < outer*cols*inner || len(dst) < outer*rows*inner {
+		panic("simd: Contract dimension mismatch")
+	}
+	if useAVX2 && rows > 0 && cols > 0 && inner > 0 && outer > 0 {
+		contractAVX2(dst, src, a, rows, cols, inner, outer)
+		return
+	}
+	contractGo(dst, src, a, rows, cols, inner, outer)
+}
+
+// contractGo is Contract's Go loop: every output row is cleared, then gains
+// a[r,c] times source row c for each column c in turn.
+func contractGo(dst, src, a []float64, rows, cols, inner, outer int) {
+	for o := 0; o < outer; o++ {
+		so := src[o*cols*inner : (o+1)*cols*inner]
+		do := dst[o*rows*inner : (o+1)*rows*inner]
+		clear(do)
+		for r := 0; r < rows; r++ {
+			dr := do[r*inner : (r+1)*inner]
+			for c, arc := range a[r*cols : (r+1)*cols] {
+				axpyGo(arc, so[c*inner:(c+1)*inner], dr)
+			}
+		}
+	}
+}
+
 // MatVec computes y[r] = Σ_c a[r*cols+c] * x[c] for r in [0, rows).
 func MatVec(y, a, x []float64, rows, cols int) {
 	if len(y) < rows || len(x) < cols || len(a) < rows*cols {

@@ -109,7 +109,8 @@ func both(t testing.TB, what string, y []float64, f func(y []float64)) {
 // data: the x-line mat-vecs of both mode decompositions' S and Sᵀ over one to
 // thirteen lines, the band products of k and d over lines whose length has
 // each remainder mod 4, the sweep of every row of k and d over outputs of
-// each length mod 4, and an Axpy along the axis.
+// each length mod 4, an Axpy along the axis, and the contractions by both
+// decompositions' S and Sᵀ over a random inner length and plane count.
 func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros float64) {
 	t.Helper()
 	for mi, md := range ax.modes {
@@ -163,6 +164,12 @@ func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros 
 	x, y := values(rng, n, scale, zeros), values(rng, n, scale, zeros)
 	alpha := rng.NormFloat64()
 	both(t, fmt.Sprintf("%s: Axpy, length %d", ax.name, n), y, func(y []float64) { simd.Axpy(alpha, x, y) })
+	for _, md := range ax.modes {
+		inner := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 23}[rng.Intn(10)]
+		outer := 1 + rng.Intn(3)
+		checkContract(t, rng, md.ST, md.Modes, md.Nodes, inner, outer, scale, zeros)
+		checkContract(t, rng, md.S, md.Nodes, md.Modes, inner, outer, scale, zeros)
+	}
 }
 
 // TestSEMKernelsMatchGo holds each AVX2 line kernel to its Go loop with ==
@@ -283,6 +290,52 @@ func BenchmarkKernelSEMGoVsAVX2(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelContract times the fast-diagonalization solve's y and z
+// contractions at the continuum workload's patch (order 6; x 23 Dirichlet
+// modes, y 12 periodic nodes, z 13 nodes and 11 Dirichlet modes), Sᵀ then S
+// along each axis as fdmPrec applies them, with the Go loop and with the
+// AVX2 kernel.
+func BenchmarkKernelContract(b *testing.B) {
+	y := newSEMAxis(b, 2, 6, 1, true).modes[0]
+	z := newSEMAxis(b, 2, 6, 1, false).modes[1]
+	const mx = 23
+	rng := rand.New(rand.NewSource(6))
+	in := values(rng, mx*y.Nodes*z.Nodes, 0, 0)
+	out := make([]float64, len(in))
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"y", func() {
+			simd.Contract(out, in, y.ST, y.Modes, y.Nodes, mx, z.Nodes)
+			simd.Contract(in, out, y.S, y.Nodes, y.Modes, mx, z.Nodes)
+		}},
+		{"z", func() {
+			simd.Contract(out, in, z.ST, z.Modes, z.Nodes, mx*y.Modes, 1)
+			simd.Contract(in, out, z.S, z.Nodes, z.Modes, mx*y.Modes, 1)
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name+"/go", func(b *testing.B) {
+			b.ReportAllocs()
+			simd.GoKernels(func() {
+				for i := 0; i < b.N; i++ {
+					c.f()
+				}
+			})
+		})
+		b.Run(c.name+"/avx2", func(b *testing.B) {
+			if !simd.HasAVX2() {
+				b.Skip("no AVX2 kernels on this host")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.f()
+			}
+		})
+	}
+}
+
 // workloadStep returns one time step of a continuum-workload patch, warmed
 // by three steps.
 func workloadStep(b *testing.B) func() {
@@ -303,5 +356,80 @@ func workloadStep(b *testing.B) func() {
 		if err := s.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// contractValues draws n values for the contraction kernel: normal values of
+// magnitude 2^±scale, and a fraction zeros of them ±0 and as many again
+// subnormal, so that signed zeros and gradual underflow reach the sums.
+func contractValues(rng *rand.Rand, n, scale int, zeros float64) []float64 {
+	v := values(rng, n, scale, zeros)
+	for i := range v {
+		if rng.Float64() < zeros {
+			v[i] = math.Ldexp(rng.NormFloat64(), -1040-rng.Intn(30))
+		}
+	}
+	return v
+}
+
+// checkContract runs Contract with the kernel and with the Go loop on random
+// data and requires == outputs. dst carries five values past its end, which
+// neither may touch.
+func checkContract(t testing.TB, rng *rand.Rand, a []float64, rows, cols, inner, outer, scale int, zeros float64) {
+	t.Helper()
+	src := contractValues(rng, outer*cols*inner, scale, zeros)
+	dst := values(rng, outer*rows*inner+5, scale, zeros)
+	both(t, fmt.Sprintf("Contract %dx%d, inner %d, outer %d", rows, cols, inner, outer), dst, func(dst []float64) {
+		simd.Contract(dst, src, a, rows, cols, inner, outer)
+	})
+}
+
+// TestContractMatchesGo holds the contraction kernel to its Go loop with ==
+// for every matrix of 1–16 rows and columns, inner lengths 1–9 (each lane
+// count of a masked chunk), 23 and 276 (the continuum patch's y and z
+// contractions) and one to three outer planes, on data with signed zeros
+// and subnormals.
+func TestContractMatchesGo(t *testing.T) {
+	if !simd.HasAVX2() {
+		t.Skip("no AVX2 kernels on this host: the Go loops are the kernels")
+	}
+	rng := rand.New(rand.NewSource(41))
+	for rows := 1; rows <= 16; rows++ {
+		for cols := 1; cols <= 16; cols++ {
+			a := contractValues(rng, rows*cols, 4, 0.1)
+			for _, inner := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 23, 276} {
+				checkContract(t, rng, a, rows, cols, inner, 1+(rows+cols+inner)%3, 4, 0.1)
+			}
+		}
+	}
+}
+
+// TestContractShapes checks Contract's edge shapes with either kernel: an
+// empty contraction (no columns) clears its output, empty outputs are left
+// alone, and a slice too short panics.
+func TestContractShapes(t *testing.T) {
+	dst := []float64{1, 2, 3, 4, 5}
+	simd.Contract(dst, nil, nil, 2, 0, 2, 1)
+	for i, v := range dst {
+		if want := []float64{0, 0, 0, 0, 5}[i]; v != want || math.Signbit(v) {
+			t.Fatalf("no columns: dst = %v, want [0 0 0 0 5]", dst)
+		}
+	}
+	simd.Contract(dst, dst, dst, 0, 1, 2, 2)
+	simd.Contract(dst, dst, dst, 1, 1, 0, 2)
+	for _, f := range []func(){
+		func() { simd.Contract(dst, make([]float64, 4), make([]float64, 3), 2, 2, 1, 2) },
+		func() { simd.Contract(dst, make([]float64, 3), make([]float64, 4), 2, 2, 1, 2) },
+		func() { simd.Contract(dst[:3], make([]float64, 4), make([]float64, 4), 2, 2, 1, 2) },
+		func() { simd.Contract(dst, dst, dst, -1, 1, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a short slice or negative dimension did not panic")
+				}
+			}()
+			f()
+		}()
 	}
 }
