@@ -480,7 +480,7 @@ func (s *System) filter(row *gatherRow, a, k0, k1, n int) int {
 
 // addScaled returns v + k f. float64() rounds each product on its own, so
 // that no architecture fuses it into the add: the step is the same bits on
-// every one (TestHotLoopsHaveNoFMA).
+// every one (TestNoFusedMultiplyAdd).
 func addScaled(v, f geometry.Vec3, k float64) geometry.Vec3 {
 	return geometry.Vec3{X: v.X + float64(f.X*k), Y: v.Y + float64(f.Y*k), Z: v.Z + float64(f.Z*k)}
 }

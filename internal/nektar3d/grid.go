@@ -1,13 +1,14 @@
 // Package nektar3d implements the continuum solver of the paper: a
 // high-order spectral-element incompressible Navier-Stokes solver with
-// semi-implicit (velocity-correction) time stepping, conjugate-gradient
-// Helmholtz and Poisson solves, and the interface machinery for multi-patch
-// coupling. Elements are axis-aligned hexahedra with tensor-product
+// semi-implicit (velocity-correction) time stepping, Helmholtz and Poisson
+// solves by fast diagonalization (checked, and where need be iterated on, by
+// preconditioned CG), and the interface machinery for multi-patch coupling.
+// Elements are axis-aligned hexahedra with tensor-product
 // Gauss-Lobatto-Legendre bases of arbitrary order P; curved patient-specific
 // geometry is replaced by parameterized box/channel domains (see DESIGN.md
 // substitutions) while keeping the full numerical pipeline: collocation
-// derivatives, C0 direct stiffness summation, preconditioned CG, splitting
-// scheme and patch interface conditions.
+// derivatives, C0 direct stiffness summation, the direct solves and their
+// residual check, splitting scheme and patch interface conditions.
 package nektar3d
 
 import (

@@ -105,7 +105,9 @@ func (o *helmholtzOp) Apply(y, x []float64) {
 }
 
 // ErrCGStalled is wrapped by the Grid solves when CG exhausts its iteration
-// budget above tolerance (linalg.ErrCGBreakdown covers a non-SPD operator).
+// budget above tolerance, and so by Solver.Run when the solves of its
+// checking step, which has no budget, are above Tol (linalg.ErrCGBreakdown
+// covers a non-SPD operator).
 var ErrCGStalled = errors.New("CG stalled")
 
 // meanFreePrec wraps a preconditioner with a Euclidean mean projection so CG
@@ -215,14 +217,27 @@ func (g *Grid) lift(u, x []float64) {
 
 // fdmSolve writes the fast-diagonalization solve p of b into x, exactly what
 // CG returns from that iterate after 0 iterations: that includes CG's rule
-// that a right-hand side of norm 0 has the solution +0, where the
-// contractions could leave a -0 behind.
+// that a right-hand side of norm 0 (every square underflows) has the
+// solution +0, where the solve would leave tiny values or signed zeros.
 func fdmSolve(x, b []float64, p linalg.Preconditioner) {
-	if simd.Dot(b, b) == 0 {
+	if zeroNorm(b) {
 		clear(x)
 		return
 	}
 	p.Precondition(x, b)
+}
+
+// zeroNorm reports whether CG finds ‖b‖ = 0, sqrt(Σ b[i]²) == 0: a sum of
+// squares is +0 exactly when every square is (one NaN, +Inf or positive
+// square keeps it off 0), so the scan stops at the first square that is
+// not, normally the first interior node.
+func zeroNorm(b []float64) bool {
+	for _, v := range b {
+		if v*v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // SolvePoissonNeumannIn solves K p = -M s (that is, ∇²p = s weakly) with

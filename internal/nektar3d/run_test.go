@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"nektarg/internal/linalg"
 	"nektarg/internal/monitor"
+	"nektarg/internal/simd"
 )
 
 // workloadSolver is a Navier-Stokes solver on the continuum workload's patch
@@ -189,5 +191,42 @@ func TestRunStopsOnASpoiledFactor(t *testing.T) {
 		if events != 1 {
 			t.Errorf("%s: %d cg-watch warnings for %s, want 1: %+v", c.name, events, c.stage, h.Events())
 		}
+	}
+}
+
+// TestZeroNormIsCGsRule: zeroNorm, which stops at the first square that is
+// not 0, agrees with CG's sqrt(Dot(b, b)) == 0 on vectors of ±0, of values
+// whose squares underflow or not, and with NaN and ±Inf.
+func TestZeroNormIsCGsRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pool := []float64{0, math.Copysign(0, -1), 1e-170, -1e-163, 1.5e-162, 1e-161, 1, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324}
+	for n := 0; n < 2000; n++ {
+		b := make([]float64, 1+rng.Intn(9))
+		for i := range b {
+			b[i] = pool[rng.Intn(3)] // mostly zero or tiny
+			if rng.Intn(4) == 0 {
+				b[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		if got, want := zeroNorm(b), math.Sqrt(simd.Dot(b, b)) == 0; got != want {
+			t.Fatalf("%v: zeroNorm %t, CG's rule %t", b, got, want)
+		}
+	}
+}
+
+// TestRunHoldsPressureToTol: Run's checking step holds the pressure solve to
+// Tol itself, not to the sqrt(Tol) a stopped CG is allowed. At Tol 1e-20 the
+// round-off residual is above Tol and under sqrt(Tol), so Run fails in its
+// pressure solve, where Step with no CG budget fails only in a viscous one
+// (TestWatchdogSeesFailedSolves).
+func TestRunHoldsPressureToTol(t *testing.T) {
+	s := workloadSolver(t, 2, false, false)
+	s.Tol = 1e-20
+	err := s.Run(3)
+	if !errors.Is(err, ErrCGStalled) || !strings.Contains(err.Error(), "pressure solve") {
+		t.Fatalf("Run(3) at Tol 1e-20 = %v, want the pressure solve to wrap ErrCGStalled", err)
+	}
+	if s.Steps != 2 {
+		t.Errorf("Run stopped after %d steps, want 2", s.Steps)
 	}
 }

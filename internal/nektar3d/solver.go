@@ -382,17 +382,20 @@ func (s *Solver) solvePressure(div []float64, check solveCheck) error {
 
 // solveViscous solves the three viscous Helmholtz problems into U, V, W.
 func (s *Solver) solveViscous(lambda float64, check solveCheck) error {
+	comps := [...]struct {
+		name       string
+		u, rhs, bc []float64
+	}{{"u", s.U, s.rhsU, s.bcU}, {"v", s.V, s.rhsV, s.bcV}, {"w", s.W, s.rhsW, s.bcW}}
+	if check == unchecked {
+		for _, c := range comps {
+			s.G.solveHelmholtzDirect(c.u, lambda, c.rhs, c.bc)
+		}
+		return nil
+	}
 	maxIter := s.budget(check)
 	var st linalg.SolveStats
 	var iters int
-	for _, c := range [...]struct {
-		name       string
-		u, rhs, bc []float64
-	}{{"u", s.U, s.rhsU, s.bcU}, {"v", s.V, s.rhsV, s.bcV}, {"w", s.W, s.rhsW, s.bcW}} {
-		if check == unchecked {
-			s.G.solveHelmholtzDirect(c.u, lambda, c.rhs, c.bc)
-			continue
-		}
+	for _, c := range comps {
 		var err error
 		st, err = s.G.SolveHelmholtzDirichletIn(c.u, lambda, c.rhs, c.bc, s.Tol, maxIter)
 		s.Watch.ObserveSolve("ns.helmholtz", st, maxIter)
@@ -401,10 +404,8 @@ func (s *Solver) solveViscous(lambda float64, check solveCheck) error {
 		}
 		iters += st.Iterations
 	}
-	if check != unchecked {
-		s.Rec.Gauge("ns.helmholtz.iters", float64(iters))
-		s.Rec.Gauge("ns.helmholtz.residual", st.Residual)
-	}
+	s.Rec.Gauge("ns.helmholtz.iters", float64(iters))
+	s.Rec.Gauge("ns.helmholtz.residual", st.Residual)
 	return nil
 }
 
