@@ -51,16 +51,17 @@ type Solver struct {
 
 	// Rec is the optional per-rank telemetry recorder. When nil (the
 	// default) instrumentation compiles to nil-receiver no-ops. When set,
-	// Step emits ns.* spans for each stage of the splitting scheme and
-	// gauges for the inner CG iteration counts and residuals.
+	// every step emits ns.* spans for each stage of the splitting scheme,
+	// and every step that checks its solves (Step, the last of a Run) gauges
+	// for their CG iteration counts and residuals.
 	Rec *telemetry.Recorder
 
 	// Watch is the optional solver watchdog bundle (monitor package). When
-	// set, every step feeds the CG outcomes to the stagnation/divergence
-	// watchdog and guards the velocity/pressure fields against NaN/Inf —
-	// a tripped guard aborts the step with an error instead of letting
-	// corruption propagate silently. Nil (the default) keeps every probe at
-	// nil-receiver no-op cost.
+	// set, every checked solve feeds its CG outcome to the
+	// stagnation/divergence watchdog, and every step guards the
+	// velocity/pressure fields against NaN/Inf — a tripped guard aborts the
+	// step with an error instead of letting corruption propagate silently.
+	// Nil (the default) keeps every probe at nil-receiver no-op cost.
 	Watch *monitor.Watchdogs
 
 	mask []bool
