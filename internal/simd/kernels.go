@@ -15,12 +15,13 @@
 //
 // The line kernels that own a spectral-element time step — Axpy, the x-line
 // mat-vecs (MatVecs), the y/z contractions (Contract), the band products
-// (BandMul, BandMulAdd) and the two-column sweep (Sweep) — are AVX2 assembly
-// on amd64 (avx2_amd64.s), chosen once from CPUID. Each performs the same
-// IEEE operations in the same order for every output element as its Go
-// loop, with no fused multiply-add, so the two give the same bits; the Go
-// loops are the portable path and the oracle. Every product in this package's Go loops is rounded by float64()
-// before its add, so that no compiler fuses them (TestNoFusedMultiplyAdd).
+// (BandMul, BandMulAdd) and the two-column sweep (Sweep) — are AVX2
+// assembly on amd64 (avx2_amd64.s), chosen once from CPUID. Each performs
+// the same IEEE operations in the same order for every output element as
+// its Go loop, with no fused multiply-add, so the two give the same bits;
+// the Go loops are the portable path and the oracle. Every product in this
+// package's Go loops is rounded by float64() before its add, so that no
+// compiler fuses them (TestNoFusedMultiplyAdd).
 package simd
 
 // MulScalar computes z[i] = x[i]*y[i] one element at a time. It is the
@@ -135,10 +136,10 @@ func DotSqTuned(x, y []float64) float64 {
 }
 
 // Axpy computes y[i] += alpha*x[i]; it is the workhorse of the CG solvers and
-// of the Go loop of the fast-diagonalization solve's y and z contractions
-// (contractGo). On amd64 with
-// AVX2 it runs axpyAVX2, four elements per vector; axpyGo is the portable
-// loop and the oracle the kernel must equal bit for bit.
+// of contractGo, the Go loop of the fast-diagonalization solve's y and z
+// contractions. On amd64 with AVX2 it runs axpyAVX2, four elements per
+// vector; axpyGo is the portable loop and the oracle the kernel must equal
+// bit for bit.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("simd: Axpy length mismatch")
