@@ -31,7 +31,13 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		// The Go loops that are the SEM line kernels' oracles.
 		{"simd", []string{"axpyGo", "MatVec", "sweepGo", "rowDot", "BandMulAdd", "contractGo"}},
 		// The Navier-Stokes step and the operators it applies.
-		{"nektar3d", []string{"(*Solver).step", "(*Solver).advectInto", "(*helmholtzOp).Apply", "(*Grid).helmholtzSeed", "NewGrid"}},
+		{"nektar3d", []string{"(*Solver).step", "(*Solver).advectInto", "(*helmholtzOp).Apply", "(*Grid).helmholtzSeed", "(*arena).liftRHS", "(*Grid).SampleVelocity", "NewGrid"}},
+		// The 1D bases and factors the fast-diagonalization solve and the
+		// lift are built from.
+		{"sem", []string{"GLL", "JacobiP", "(*Mesh1D).Factors", "(*Mesh1D).stiffEntry"}},
+		// The eigensolver those factors come from, and the dense and sparse
+		// products.
+		{"linalg", []string{"EigenSym", "SolveLUInPlace", "(*CSR).MulVec"}},
 	} {
 		t.Run(c.pkg, func(t *testing.T) {
 			t.Parallel()

@@ -58,30 +58,45 @@ type PatchCoupling struct {
 	Donor    *ContinuumPatch
 	Receiver *ContinuumPatch
 	Face     string // receiver face: "x0", "x1", "y0", "y1", "z0", "z1"
+
+	// pts are the receiver's face points, made once (facePoints); u, v and
+	// w are the trace buffers every exchange reuses, which is safe because
+	// SetFace copies the values into the table.
+	pts     []geometry.Vec3
+	u, v, w []float64
+}
+
+// facePoints returns the receiver's face points, computing them on first
+// use.
+func (c *PatchCoupling) facePoints() []geometry.Vec3 {
+	if c.pts == nil {
+		c.pts = c.Receiver.Solver.G.FacePoints(c.Face)
+	}
+	return c.pts
 }
 
 // apply samples the donor at the receiver's face nodes and stores the trace
 // in the receiver's BC table.
 func (c *PatchCoupling) apply() error {
-	pts := c.Receiver.Solver.G.FacePoints(c.Face)
-	u := make([]float64, len(pts))
-	v := make([]float64, len(pts))
-	w := make([]float64, len(pts))
+	pts := c.facePoints()
+	if len(c.u) != len(pts) {
+		c.u, c.v, c.w = make([]float64, len(pts)), make([]float64, len(pts)), make([]float64, len(pts))
+	}
 	for i, lp := range pts {
 		g := lp.Add(c.Receiver.Origin)
 		if err := c.sampleable(g); err != nil {
 			return err
 		}
-		u[i], v[i], w[i] = c.Donor.SampleVelocity(g)
+		c.u[i], c.v[i], c.w[i] = c.Donor.SampleVelocity(g)
 	}
-	c.Receiver.BC.SetFace(pts, u, v, w)
+	c.Receiver.BC.SetFace(pts, c.u, c.v, c.w)
 	return nil
 }
 
 // CheckFace returns apply's error for the first receiver face node outside
 // the donor, if there is one: a coupling that fails it fails every exchange.
 func (c *PatchCoupling) CheckFace() error {
-	for _, lp := range c.Receiver.Solver.G.FacePoints(c.Face) {
+	for _, lp := range c.facePoints() {
 		if err := c.sampleable(lp.Add(c.Receiver.Origin)); err != nil {
 			return err
 		}

@@ -113,9 +113,9 @@ func SolveLUInPlace(a *Dense, b []float64) error {
 			}
 			ri[k] = 0
 			for j := k + 1; j < n; j++ {
-				ri[j] -= f * rk[j]
+				ri[j] -= float64(f * rk[j])
 			}
-			b[i] -= f * b[k]
+			b[i] -= float64(f * b[k])
 		}
 	}
 	// Back substitution.
@@ -123,7 +123,7 @@ func SolveLUInPlace(a *Dense, b []float64) error {
 		ri := a.Row(i)
 		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= ri[j] * b[j]
+			s -= float64(ri[j] * b[j])
 		}
 		b[i] = s / ri[i]
 	}

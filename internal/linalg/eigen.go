@@ -26,7 +26,7 @@ func EigenSym(a *Dense) (eigvals []float64, v *Dense, err error) {
 		var s float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				s += m.At(i, j) * m.At(i, j)
+				s += float64(m.At(i, j) * m.At(i, j))
 			}
 		}
 		return math.Sqrt(s)
@@ -49,32 +49,32 @@ func EigenSym(a *Dense) (eigvals []float64, v *Dense, err error) {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 
 				// Apply the rotation to rows/columns p and q of m.
 				for k := 0; k < n; k++ {
 					akp := m.At(k, p)
 					akq := m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
+					m.Set(k, p, float64(c*akp)-float64(s*akq))
+					m.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk := m.At(p, k)
 					aqk := m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
+					m.Set(p, k, float64(c*apk)-float64(s*aqk))
+					m.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 				// Accumulate the eigenvector rotation.
 				for k := 0; k < n; k++ {
 					vkp := v.At(k, p)
 					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}

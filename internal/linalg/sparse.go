@@ -82,7 +82,7 @@ func (m *CSR) MulVec(y, x []float64) {
 	for i := 0; i < m.Rows; i++ {
 		var s float64
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+			s += float64(m.Val[k] * x[m.ColIdx[k]])
 		}
 		y[i] = s
 	}

@@ -45,7 +45,8 @@ type arena struct {
 	cgws     linalg.CGWorkspace
 	nat, dir *fdmPrec
 	mfIface  linalg.Preconditioner // meanFreePrec{inner: nat}
-	op       *helmholtzOp          // unmasked (lifting applies)
+	face     [3]faceCols           // the stiffness entries liftRHS reads
+	op       *helmholtzOp          // unmasked (the Poisson CG operator)
 	mop      *helmholtzOp          // masked (CG operator)
 	opIface  linalg.Operator
 	mopIface linalg.Operator
@@ -83,6 +84,9 @@ func newArena(g *Grid) *arena {
 	ar.x = make([]float64, n)
 	ar.nat, ar.dir = newFDM(g, ar.mask)
 	ar.mfIface = meanFreePrec{inner: ar.nat}
+	for d := range ar.face {
+		ar.face[d] = newFaceCols(&g.ax[d])
+	}
 	ar.op = &helmholtzOp{g: g}
 	ar.mop = &helmholtzOp{g: g, mask: ar.mask}
 	ar.opIface = ar.op

@@ -147,3 +147,27 @@ func BenchmarkKernelRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelSampleFace samples one x-face trace of the continuum
+// workload's donor: u, v and w of the order-6 4×2×2 "feed" patch at the
+// 13×12 nodes of the "distal" patch's x0 face, which sits at the feed's
+// local x = 1.
+func BenchmarkKernelSampleFace(b *testing.B) {
+	g := must(NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false))(b)
+	u, v, w := randomField(g, 1), randomField(g, 2), randomField(g, 3)
+	pts := g.FacePoints("x0")
+	for i := range pts {
+		pts[i].X = 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pts {
+			su, sv, sw := g.SampleVelocity(u, v, w, p)
+			sampleSink += su + sv + sw
+		}
+	}
+}
+
+// sampleSink keeps BenchmarkKernelSampleFace's samples live.
+var sampleSink float64

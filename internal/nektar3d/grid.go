@@ -29,6 +29,8 @@ type Grid struct {
 	PerX, PerY, PerZ bool
 
 	Basis *sem.Basis1D
+	// bary holds the basis nodes' barycentric constants (SampleVelocity).
+	bary []float64
 
 	// Node counts per direction (periodic dims drop the duplicate node).
 	Nx, Ny, Nz int
@@ -83,6 +85,7 @@ func NewGrid(nex, ney, nez, p int, lx, ly, lz float64, perX, perY, perZ bool) (*
 		PerX: perX, PerY: perY, PerZ: perZ,
 		Basis: sem.NewBasis1D(p),
 	}
+	g.bary = baryWeights(g.Basis)
 	g.Nx = nex * p
 	if !perX {
 		g.Nx++

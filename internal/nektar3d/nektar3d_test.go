@@ -302,8 +302,8 @@ func TestSampleReproducesPolynomial(t *testing.T) {
 	}
 	for _, p := range pts {
 		want := p.X*p.Y + p.Z*p.Z
-		if got := g.Sample(f, p); math.Abs(got-want) > 1e-10 {
-			t.Fatalf("Sample(%v) = %v want %v", p, got, want)
+		if got, _, _ := g.SampleVelocity(f, f, f, p); math.Abs(got-want) > 1e-10 {
+			t.Fatalf("SampleVelocity(%v) = %v want %v", p, got, want)
 		}
 	}
 }
@@ -312,8 +312,8 @@ func TestSamplePeriodicWraps(t *testing.T) {
 	g := must(NewGrid(4, 1, 1, 4, 2, 1, 1, true, true, true))(t)
 	f := g.NewField()
 	g.FillField(f, func(x, y, z float64) float64 { return math.Sin(math.Pi * x) })
-	a := g.Sample(f, geometry.Vec3{X: 0.3, Y: 0.5, Z: 0.5})
-	b := g.Sample(f, geometry.Vec3{X: 2.3, Y: 0.5, Z: 0.5})
+	a, _, _ := g.SampleVelocity(f, f, f, geometry.Vec3{X: 0.3, Y: 0.5, Z: 0.5})
+	b, _, _ := g.SampleVelocity(f, f, f, geometry.Vec3{X: 2.3, Y: 0.5, Z: 0.5})
 	if math.Abs(a-b) > 1e-12 {
 		t.Fatalf("periodic sample differs: %v vs %v", a, b)
 	}

@@ -176,35 +176,104 @@ func (g *Grid) solveHelmholtzDirect(u []float64, lambda float64, f, gBC []float6
 
 // helmholtzSeed poses the Helmholtz problem in the arena and solves it:
 // the lifting ug = gBC on the mask and 0 inside (u = u0 + ug), the
-// right-hand side b = M f - (lambda M + K) ug restricted to the interior,
-// and x its fast-diagonalization solve.
+// right-hand side b = M f - (lambda M + K) ug restricted to the interior
+// (liftRHS), and x its fast-diagonalization solve.
 func (g *Grid) helmholtzSeed(lambda float64, f, gBC []float64) (x, b []float64) {
 	ar := g.arena()
-	mask := ar.mask
 	ug := ar.ug
-	for i := range ug {
-		ug[i] = 0
-	}
-	for i, m := range mask {
+	clear(ug)
+	for i, m := range ar.mask {
 		if m {
 			ug[i] = gBC[i]
 		}
 	}
 	b = ar.b
-	ar.op.lambda = lambda
-	ar.op.Apply(b, ug)
-	for i := range b {
-		b[i] = float64(g.massDiag[i]*f[i]) - b[i]
-	}
-	for i, m := range mask {
-		if m {
-			b[i] = 0
-		}
-	}
+	ar.liftRHS(b, f, ug)
 	ar.mop.lambda = lambda
 	ar.dir.lambda = lambda
 	fdmSolve(ar.x, b, ar.dir)
 	return ar.x, b
+}
+
+// faceCols is one axis's stiffness entries whose column is a Dirichlet face
+// node (0 or n-1 of a non-periodic axis), row by row in storage order: row
+// r's are [ptr[r], ptr[r+1]). Through them alone a lifting that is zero off
+// the mask reaches an interior node.
+type faceCols struct {
+	ptr, col []int
+	val      []float64
+}
+
+func newFaceCols(a *axis) faceCols {
+	k := a.k
+	fc := faceCols{ptr: make([]int, 1, k.Rows+1)}
+	for r := 0; r < k.Rows; r++ {
+		for q := k.RowPtr[r]; q < k.RowPtr[r+1]; q++ {
+			if c := k.ColIdx[q]; !a.per && (c == 0 || c == k.Cols-1) {
+				fc.col = append(fc.col, c)
+				fc.val = append(fc.val, k.Val[q])
+			}
+		}
+		fc.ptr = append(fc.ptr, len(fc.col))
+	}
+	return fc
+}
+
+// liftRHS writes b = M f - (lambda M + K) ug on the interior and 0 on the
+// mask, for a lifting ug that is zero off the mask, from the face terms
+// alone. Each x-row's accumulator starts at +0 and takes stiffPlane's terms
+// in its order: the x band sum, then every y and every z face term. A term
+// this skips is an exact ±0 there (as is lambda M ug on the interior, for a
+// finite lambda M), adding ±0 leaves an accumulator that started at +0
+// unchanged, and for P >= 2 no Sweep pair holds both face columns of a row,
+// so b is the bits of the whole masked operator applied to ug
+// (TestLiftMatchesOperator).
+func (ar *arena) liftRHS(b, f, ug []float64) {
+	g := ar.g
+	nx, ny, nz := g.Nx, g.Ny, g.Nz
+	mx, my, mz := g.ax[0].m, g.ax[1].m, g.ax[2].m
+	fx, fy, fz := &ar.face[0], &ar.face[1], &ar.face[2]
+	lo, hi := 0, nx
+	if !g.PerX {
+		lo, hi = 1, nx-1
+	}
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			r := nx * (j + ny*k)
+			row := b[r : r+nx]
+			clear(row)
+			if ar.mask[r+lo] {
+				continue
+			}
+			acc, mf, fr := row[lo:hi], g.massDiag[r+lo:r+hi], f[r+lo:r+hi]
+			c := my[j] * mz[k]
+			for i := range acc {
+				var s float64
+				for q := fx.ptr[lo+i]; q < fx.ptr[lo+i+1]; q++ {
+					s += float64(fx.val[q] * ug[r+fx.col[q]])
+				}
+				acc[i] += float64(c * s)
+			}
+			for q := fy.ptr[j]; q < fy.ptr[j+1]; q++ {
+				faceTerms(acc, float64(mz[k]*fy.val[q]), mx[lo:hi], ug[nx*(fy.col[q]+ny*k)+lo:])
+			}
+			for q := fz.ptr[k]; q < fz.ptr[k+1]; q++ {
+				faceTerms(acc, float64(my[j]*fz.val[q]), mx[lo:hi], ug[nx*(j+ny*fz.col[q])+lo:])
+			}
+			fr = fr[:len(acc)]
+			for i, m := range mf[:len(acc)] {
+				acc[i] = float64(m*fr[i]) - acc[i]
+			}
+		}
+	}
+}
+
+// faceTerms adds c·(m ⊙ src) to acc, the Sweep term of one face column.
+func faceTerms(acc []float64, c float64, m, src []float64) {
+	src = src[:len(acc)]
+	for i, v := range src {
+		acc[i] += float64(c * float64(m[i]*v))
+	}
 }
 
 // lift writes u = x + ug, the Helmholtz solution with its boundary values.
@@ -286,8 +355,9 @@ func (g *Grid) poissonSeed(s []float64) (x, b []float64) {
 	for i := range b {
 		mean += b[i]
 	}
+	mean /= float64(n)
 	for i := range b {
-		b[i] -= mean / float64(n)
+		b[i] -= mean
 	}
 	ar.op.lambda = 0
 	ar.nat.lambda = 0

@@ -31,12 +31,15 @@ func locate1D(x, l float64, ne int, periodic bool) (elem int, xi float64) {
 	return elem, xi
 }
 
-// Sample evaluates a nodal field at an arbitrary physical point by
-// tensor-product Lagrange interpolation within the containing element. This
-// is the operation behind "the velocity field computed by the continuum
-// solver is interpolated onto the predefined coordinates and ... transferred
-// to the atomistic solver".
-func (g *Grid) Sample(f []float64, p geometry.Vec3) float64 {
+// SampleVelocity evaluates the velocity (u, v, w) at an arbitrary physical
+// point by tensor-product Lagrange interpolation within the containing
+// element. This is the operation behind "the velocity field computed by the
+// continuum solver is interpolated onto the predefined coordinates and ...
+// transferred to the atomistic solver". The point is located and its
+// weights are built once; each component sums its element's nodes
+// z-outermost, skipping zero weights, with the bits of a one-field
+// interpolation (TestSampleVelocityMatchesSample).
+func (g *Grid) SampleVelocity(u, v, w []float64, p geometry.Vec3) (su, sv, sw float64) {
 	ex, xi := locate1D(p.X, g.Lx, g.Nex, g.PerX)
 	ey, eta := locate1D(p.Y, g.Ly, g.Ney, g.PerY)
 	ez, zeta := locate1D(p.Z, g.Lz, g.Nez, g.PerZ)
@@ -50,42 +53,49 @@ func (g *Grid) Sample(f []float64, p geometry.Vec3) float64 {
 		wts = make([]float64, 3*nq)
 	}
 	lx, ly, lz := wts[:nq], wts[nq:2*nq], wts[2*nq:3*nq]
-	lagrangeWeights(g.Basis, xi, lx)
-	lagrangeWeights(g.Basis, eta, ly)
-	lagrangeWeights(g.Basis, zeta, lz)
+	g.lagrangeWeights(xi, lx)
+	g.lagrangeWeights(eta, ly)
+	g.lagrangeWeights(zeta, lz)
 
-	var s float64
-	for k := 0; k < nq; k++ {
+	// Node i of an x-line sits at the line's first node + i, except across
+	// a periodic seam, which wraps it back by Nx.
+	seam := -1
+	if g.PerX {
+		seam = g.Nx - ex*g.P
+	}
+	for k := range lz {
 		if lz[k] == 0 {
 			continue
 		}
-		for j := 0; j < nq; j++ {
+		for j := range ly {
 			if ly[j] == 0 {
 				continue
 			}
 			ljk := ly[j] * lz[k]
-			for i := 0; i < nq; i++ {
+			row := g.gid(ex, ey, ez, 0, j, k)
+			for i := range lx {
 				if lx[i] == 0 {
 					continue
 				}
-				s += float64(lx[i] * ljk * f[g.gid(ex, ey, ez, i, j, k)])
+				c, n := lx[i]*ljk, row+i
+				if i == seam {
+					n -= g.Nx
+				}
+				su += float64(c * u[n])
+				sv += float64(c * v[n])
+				sw += float64(c * w[n])
 			}
 		}
 	}
-	return s
+	return su, sv, sw
 }
 
-// SampleVelocity evaluates all three velocity components at a point.
-func (g *Grid) SampleVelocity(u, v, w []float64, p geometry.Vec3) (float64, float64, float64) {
-	return g.Sample(u, p), g.Sample(v, p), g.Sample(w, p)
-}
-
-// lagrangeWeights fills out, of length nq, with the values of the nq Lagrange
+// lagrangeWeights fills out, of length P+1, with the values of the Lagrange
 // cardinal functions of the basis at reference coordinate xi.
-func lagrangeWeights(b *sem.Basis1D, xi float64, out []float64) {
-	nq := b.P + 1
-	for i := 0; i < nq; i++ {
-		if xi == b.Nodes[i] {
+func (g *Grid) lagrangeWeights(xi float64, out []float64) {
+	nodes := g.Basis.Nodes
+	for i, x := range nodes {
+		if xi == x {
 			clear(out)
 			out[i] = 1
 			return
@@ -93,19 +103,28 @@ func lagrangeWeights(b *sem.Basis1D, xi float64, out []float64) {
 	}
 	// Barycentric form.
 	var den float64
-	for i := 0; i < nq; i++ {
-		w := 1.0
-		for j := 0; j < nq; j++ {
-			if j != i {
-				w /= b.Nodes[i] - b.Nodes[j]
-			}
-		}
-		out[i] = w / (xi - b.Nodes[i])
+	for i, x := range nodes {
+		out[i] = g.bary[i] / (xi - x)
 		den += out[i]
 	}
-	for i := 0; i < nq; i++ {
+	for i := range out {
 		out[i] /= den
 	}
+}
+
+// baryWeights returns the barycentric constants 1/Π_{j≠i}(x_i - x_j) of
+// the basis nodes, divided out in j order (NewGrid, for lagrangeWeights).
+func baryWeights(b *sem.Basis1D) []float64 {
+	w := make([]float64, len(b.Nodes))
+	for i, x := range b.Nodes {
+		w[i] = 1
+		for j, y := range b.Nodes {
+			if j != i {
+				w[i] /= x - y
+			}
+		}
+	}
+	return w
 }
 
 // Contains reports whether a physical point lies inside the grid box.

@@ -93,7 +93,7 @@ func (m *Mesh1D) stiffEntry(i, c int, j float64) float64 {
 	w, d := m.Basis.Weights, m.Basis.D
 	var s float64
 	for q := range w {
-		s += w[q] * d[q][i] * d[q][c]
+		s += float64(w[q] * d[q][i] * d[q][c])
 	}
 	return s / j
 }
@@ -119,7 +119,7 @@ func (m *Mesh1D) Factors(periodic bool) (k, d *linalg.CSR, mass []float64) {
 	for e := 0; e < m.Elements; e++ {
 		for i := 0; i <= p; i++ {
 			gi := (e*p + i) % nodes
-			mass[gi] += w[i] * j
+			mass[gi] += float64(w[i] * j)
 			shared[gi]++
 			for c := 0; c <= p; c++ {
 				gc := (e*p + c) % nodes
@@ -241,7 +241,7 @@ func (m *Mesh1D) SolveHelmholtzDirichlet(lambda float64, f []float64, uL, uR flo
 			jcol := helm.ColIdx[p]
 			v := helm.Val[p]
 			if g, isBC := bc[jcol]; isBC {
-				bi[k] -= v * g
+				bi[k] -= float64(v * g)
 			} else {
 				ac.Add(k, idx[jcol], v)
 			}
@@ -274,7 +274,7 @@ func (m *Mesh1D) L2Error(u []float64, exact func(x float64) float64) float64 {
 		base := e * m.Basis.P
 		for i, w := range m.Basis.Weights {
 			d := u[base+i] - exact(coords[base+i])
-			s += w * j * d * d
+			s += float64(w * j * d * d)
 		}
 	}
 	return math.Sqrt(s)

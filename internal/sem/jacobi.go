@@ -20,17 +20,17 @@ func JacobiP(n int, alpha, beta, x float64) float64 {
 		return 1
 	}
 	p0 := 1.0
-	p1 := 0.5*(alpha-beta) + 0.5*(alpha+beta+2)*x
+	p1 := float64(0.5*(alpha-beta)) + float64(0.5*(alpha+beta+2)*x)
 	if n == 1 {
 		return p1
 	}
 	for k := 1; k < n; k++ {
 		kf := float64(k)
-		a1 := 2 * (kf + 1) * (kf + alpha + beta + 1) * (2*kf + alpha + beta)
-		a2 := (2*kf + alpha + beta + 1) * (alpha*alpha - beta*beta)
-		a3 := (2*kf + alpha + beta) * (2*kf + alpha + beta + 1) * (2*kf + alpha + beta + 2)
-		a4 := 2 * (kf + alpha) * (kf + beta) * (2*kf + alpha + beta + 2)
-		p2 := ((a2+a3*x)*p1 - a4*p0) / a1
+		a1 := 2 * (kf + 1) * (kf + alpha + beta + 1) * (float64(2*kf) + alpha + beta)
+		a2 := (float64(2*kf) + alpha + beta + 1) * (float64(alpha*alpha) - float64(beta*beta))
+		a3 := (float64(2*kf) + alpha + beta) * (float64(2*kf) + alpha + beta + 1) * (float64(2*kf) + alpha + beta + 2)
+		a4 := 2 * (kf + alpha) * (kf + beta) * (float64(2*kf) + alpha + beta + 2)
+		p2 := (float64((float64(a2)+float64(a3*x))*p1) - float64(a4*p0)) / a1
 		p0, p1 = p1, p2
 	}
 	return p1
@@ -67,7 +67,7 @@ func GLL(n int) (nodes, weights []float64) {
 			// f = P'_m(x); f' via the Legendre ODE:
 			// (1-x^2) P''_m = 2x P'_m - m(m+1) P_m.
 			f := JacobiPDeriv(m, 0, 0, x)
-			fp := (2*x*f - float64(m*(m+1))*LegendreP(m, x)) / (1 - x*x)
+			fp := (float64(2*x*f) - float64(float64(m*(m+1))*LegendreP(m, x))) / (1 - float64(x*x))
 			dx := f / fp
 			x -= dx
 			if math.Abs(dx) < 1e-15 {
