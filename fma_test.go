@@ -38,6 +38,10 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		// The eigensolver those factors come from, and the dense and sparse
 		// products.
 		{"linalg", []string{"EigenSym", "SolveLUInPlace", "(*CSR).MulVec"}},
+		// The metasolver's arithmetic: the mass audit's throughflow floor,
+		// the 3D outlet's face flow and the interface trace of a patch
+		// coupling.
+		{"core", []string{"throughflowRate", "(*OutletTo1D).FaceFlow", "(*PatchCoupling).apply"}},
 	} {
 		t.Run(c.pkg, func(t *testing.T) {
 			t.Parallel()

@@ -64,7 +64,7 @@ func (m *Metasolver) EnableAudit(led *audit.Ledger) {
 func throughflowRate(s *nektar3d.Solver) float64 {
 	var speed, vol float64
 	for i, w := range s.G.MassDiag() {
-		speed += w * math.Sqrt(s.U[i]*s.U[i]+s.V[i]*s.V[i]+s.W[i]*s.W[i])
+		speed += float64(w * math.Sqrt(float64(s.U[i]*s.U[i])+float64(s.V[i]*s.V[i])+float64(s.W[i]*s.W[i])))
 		vol += w
 	}
 	return speed / vol / math.Max(s.G.Lx, math.Max(s.G.Ly, s.G.Lz))

@@ -37,6 +37,10 @@ type OutletTo1D struct {
 
 	// lastQ is the most recent flow rate handed to the 1D side.
 	lastQ float64
+	// nodes and weights are the face's node indices and quadrature weights
+	// in FaceNodes order, made once by NewOutletTo1D.
+	nodes   []int
+	weights []float64
 }
 
 // OutletDt1D is the NεκTαr-1D sub-step Advance uses for registered outlets.
@@ -50,12 +54,10 @@ func (c *OutletTo1D) Name() string { return c.Patch.Name + ":" + c.Face }
 // function is replaced by the coupled flow rate. The face must be a boundary
 // face of the patch: one across a periodic axis has no outflow.
 func NewOutletTo1D(patch *ContinuumPatch, face string, net *nektar1d.Network, inlet *nektar1d.Inlet, areaScale float64) (*OutletTo1D, error) {
-	axis, _, err := nektar3d.ParseFace(face)
+	g := patch.Solver.G
+	nodes, err := g.FaceNodes(face)
 	if err != nil {
-		return nil, fmt.Errorf("core: outlet face: %w", err)
-	}
-	if g := patch.Solver.G; [3]bool{g.PerX, g.PerY, g.PerZ}[axis] {
-		return nil, fmt.Errorf("core: outlet face %s: patch %q is periodic along that axis", face, patch.Name)
+		return nil, fmt.Errorf("core: outlet face %s of patch %q: %w", face, patch.Name, err)
 	}
 	if areaScale == 0 {
 		areaScale = 1
@@ -63,7 +65,8 @@ func NewOutletTo1D(patch *ContinuumPatch, face string, net *nektar1d.Network, in
 	if !slices.Contains(net.Inlets, inlet) {
 		return nil, fmt.Errorf("core: inlet does not belong to the network")
 	}
-	c := &OutletTo1D{Patch: patch, Face: face, Network: net, Inlet: inlet, AreaScale: areaScale}
+	c := &OutletTo1D{Patch: patch, Face: face, Network: net, Inlet: inlet, AreaScale: areaScale,
+		nodes: nodes, weights: g.FaceQuadrature(face)}
 	inlet.Q = func(float64) float64 { return c.lastQ }
 	return c, nil
 }
@@ -73,18 +76,15 @@ func NewOutletTo1D(patch *ContinuumPatch, face string, net *nektar1d.Network, in
 // patch.
 func (c *OutletTo1D) FaceFlow() float64 {
 	s := c.Patch.Solver
-	g := s.G
 	axis, high, _ := nektar3d.ParseFace(c.Face) // NewOutletTo1D checked it
 	sign := -1.0
 	if high {
 		sign = 1
 	}
-	normalField := [3][]float64{s.U, s.V, s.W}[axis]
-	trace := g.FaceTrace(normalField, c.Face)
-	weights := g.FaceQuadrature(c.Face)
+	normal := [3][]float64{s.U, s.V, s.W}[axis]
 	var q float64
-	for i, v := range trace {
-		q += weights[i] * v
+	for i, n := range c.nodes {
+		q += float64(c.weights[i] * normal[n])
 	}
 	return sign * q
 }
@@ -125,5 +125,5 @@ func (c *OutletTo1D) auditExchange() {
 	c.Aud.ObserveDrift("1d.mass:"+id, c.Network.TotalVolume()-c.Network.InVol+c.Network.OutVol)
 	// The realized inflow at the 1D inlet node versus the flow the 3D face
 	// commanded: a mismatch is a coupling-application defect.
-	c.Aud.ObserveResidual("q.match:"+id, c.Inlet.Seg.Flow(0)-c.lastQ, c.lastQ)
+	c.Aud.ObserveResidual("q.match:"+id, float64(c.Inlet.Seg.Flow(0))-c.lastQ, c.lastQ)
 }

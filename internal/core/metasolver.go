@@ -22,16 +22,12 @@ type ContinuumPatch struct {
 	Name   string
 	Solver *nektar3d.Solver
 	Origin geometry.Vec3
-	BC     *BCTable
 }
 
-// NewContinuumPatch wraps a solver, installing a BC table whose fallback is
-// the solver's current VelBC.
+// NewContinuumPatch places a solver at origin. Coupled faces receive their
+// traces through Solver.ImposeFace; VelBC keeps the physical boundaries.
 func NewContinuumPatch(name string, s *nektar3d.Solver, origin geometry.Vec3) *ContinuumPatch {
-	p := &ContinuumPatch{Name: name, Solver: s, Origin: origin}
-	p.BC = NewBCTable(s.VelBC)
-	s.VelBC = p.BC.Func()
-	return p
+	return &ContinuumPatch{Name: name, Solver: s, Origin: origin}
 }
 
 // GlobalToLocal converts a global point into the patch's solver frame.
@@ -61,7 +57,7 @@ type PatchCoupling struct {
 
 	// pts are the receiver's face points, made once (facePoints); u, v and
 	// w are the trace buffers every exchange reuses, which is safe because
-	// SetFace copies the values into the table.
+	// ImposeFace copies the values.
 	pts     []geometry.Vec3
 	u, v, w []float64
 }
@@ -75,8 +71,8 @@ func (c *PatchCoupling) facePoints() []geometry.Vec3 {
 	return c.pts
 }
 
-// apply samples the donor at the receiver's face nodes and stores the trace
-// in the receiver's BC table.
+// apply samples the donor at the receiver's face nodes and imposes the trace
+// on the receiver's face.
 func (c *PatchCoupling) apply() error {
 	pts := c.facePoints()
 	if len(c.u) != len(pts) {
@@ -89,13 +85,16 @@ func (c *PatchCoupling) apply() error {
 		}
 		c.u[i], c.v[i], c.w[i] = c.Donor.SampleVelocity(g)
 	}
-	c.Receiver.BC.SetFace(pts, c.u, c.v, c.w)
-	return nil
+	return c.Receiver.Solver.ImposeFace(c.Face, c.u, c.v, c.w)
 }
 
-// CheckFace returns apply's error for the first receiver face node outside
-// the donor, if there is one: a coupling that fails it fails every exchange.
+// CheckFace returns the error apply would return at every exchange, if
+// there is one: a face the receiver cannot impose (FaceNodes), or the first
+// receiver face node outside the donor.
 func (c *PatchCoupling) CheckFace() error {
+	if _, err := c.Receiver.Solver.G.FaceNodes(c.Face); err != nil {
+		return fmt.Errorf("core: receiver %q: %w", c.Receiver.Name, err)
+	}
 	for _, lp := range c.facePoints() {
 		if err := c.sampleable(lp.Add(c.Receiver.Origin)); err != nil {
 			return err

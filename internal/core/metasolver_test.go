@@ -11,23 +11,87 @@ import (
 	"nektarg/internal/nektar3d"
 )
 
-func TestBCTableLookupAndFallback(t *testing.T) {
-	fallbackHits := 0
-	b := NewBCTable(func(_, x, y, z float64) (float64, float64, float64) {
-		fallbackHits++
-		return -1, -2, -3
-	})
-	pts := []geometry.Vec3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}}
-	b.SetFace(pts, []float64{10, 20}, []float64{11, 21}, []float64{12, 22})
-	f := b.Func()
-	u, v, w := f(0, 1, 2, 3)
-	if u != 10 || v != 11 || w != 12 {
-		t.Fatalf("entry 0: %v %v %v", u, v, w)
+// TestCoupledFaceOverFallback steps the receiver of an exchange: the
+// coupled face carries the donor's trace and every other boundary node the
+// solver's own VelBC, bit for bit.
+func TestCoupledFaceOverFallback(t *testing.T) {
+	m, pa, pb := twoPatchChannel(t)
+	trace := donorTrace(t, pa, pb, "x0")
+	if err := m.ExchangeInterfaceConditions(); err != nil {
+		t.Fatal(err)
 	}
-	u, v, w = f(0, 9, 9, 9)
-	if u != -1 || v != -2 || w != -3 || fallbackHits != 1 {
-		t.Fatalf("fallback: %v %v %v (hits %d)", u, v, w, fallbackHits)
+	if err := pb.Solver.Step(); err != nil {
+		t.Fatal(err)
 	}
+	coupled := map[int]bool{}
+	for _, n := range must(pb.Solver.G.FaceNodes("x0"))(t) {
+		coupled[n] = true
+	}
+	requireFace(t, pb, "x0", trace)
+	g := pb.Solver.G
+	checked := 0
+	for _, face := range []string{"x1", "z0", "z1"} {
+		for _, n := range must(g.FaceNodes(face))(t) {
+			if coupled[n] {
+				continue
+			}
+			i, j, k := n%g.Nx, n/g.Nx%g.Ny, n/(g.Nx*g.Ny)
+			u, v, w := pb.Solver.VelBC(pb.Solver.Time, g.X[i], g.Y[j], g.Z[k])
+			got := [3]float64{pb.Solver.U[n], pb.Solver.V[n], pb.Solver.W[n]}
+			for c, want := range [3]float64{u, v, w} {
+				if math.Float64bits(got[c]) != math.Float64bits(want) {
+					t.Fatalf("%s node %d component %d = %v, VelBC gives %v", face, n, c, got[c], want)
+				}
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no boundary node off the coupled face was checked")
+	}
+}
+
+// donorTrace samples donor at the global points of receiver's face, in
+// FacePoints order: the trace an exchange imposes there.
+func donorTrace(t *testing.T, donor, receiver *ContinuumPatch, face string) [3][]float64 {
+	t.Helper()
+	var tr [3][]float64
+	for _, lp := range receiver.Solver.G.FacePoints(face) {
+		u, v, w := donor.SampleVelocity(lp.Add(receiver.Origin))
+		tr[0], tr[1], tr[2] = append(tr[0], u), append(tr[1], v), append(tr[2], w)
+	}
+	return tr
+}
+
+// requireFace requires the velocity on p's face to be trace, bit for bit:
+// after a step, a Dirichlet node holds exactly the value imposed on it.
+func requireFace(t *testing.T, p *ContinuumPatch, face string, trace [3][]float64) {
+	t.Helper()
+	s := p.Solver
+	for i, n := range must(s.G.FaceNodes(face))(t) {
+		got := [3]float64{s.U[n], s.V[n], s.W[n]}
+		for c := range got {
+			if math.Float64bits(got[c]) != math.Float64bits(trace[c][i]) {
+				t.Fatalf("%s %s node %d component %d = %v, trace %v", p.Name, face, n, c, got[c], trace[c][i])
+			}
+		}
+	}
+}
+
+// TestVelBCSetAfterPatchKeepsTrace assigns VelBC after NewContinuumPatch:
+// the physical boundaries change, and the coupled face still carries the
+// donor's trace after an exchange and a step.
+func TestVelBCSetAfterPatchKeepsTrace(t *testing.T) {
+	m, pa, pb := twoPatchChannel(t)
+	pb.Solver.VelBC = func(_, _, _, _ float64) (float64, float64, float64) { return 0, 0, 0 }
+	trace := donorTrace(t, pa, pb, "x0")
+	if err := m.ExchangeInterfaceConditions(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Solver.Step(); err != nil {
+		t.Fatal(err)
+	}
+	requireFace(t, pb, "x0", trace)
 }
 
 // twoPatchChannel builds two overlapping channel patches: patch A spans
@@ -69,20 +133,22 @@ func twoPatchChannel(t *testing.T) (*Metasolver, *ContinuumPatch, *ContinuumPatc
 
 func TestPatchCouplingTransfersTrace(t *testing.T) {
 	m, pa, pb := twoPatchChannel(t)
+	traceB := donorTrace(t, pa, pb, "x0")
+	traceA := donorTrace(t, pb, pa, "x1")
 	if err := m.ExchangeInterfaceConditions(); err != nil {
 		t.Fatal(err)
 	}
-	// B's x0 BC table must now reproduce A's sampled velocity at those
-	// global points.
-	pts := pb.Solver.G.FacePoints("x0")
-	f := pb.BC.Func()
-	for _, lp := range pts[:10] {
-		g := lp.Add(pb.Origin)
-		ua, _, _ := pa.SampleVelocity(g)
-		ub, _, _ := f(0, lp.X, lp.Y, lp.Z)
-		if math.Abs(ua-ub) > 1e-12 {
-			t.Fatalf("trace mismatch at %v: %v vs %v", g, ua, ub)
+	// Each receiver's coupled face must now carry its donor's velocity
+	// sampled at those global points.
+	for _, c := range []struct {
+		p     *ContinuumPatch
+		face  string
+		trace [3][]float64
+	}{{pb, "x0", traceB}, {pa, "x1", traceA}} {
+		if err := c.p.Solver.Step(); err != nil {
+			t.Fatal(err)
 		}
+		requireFace(t, c.p, c.face, c.trace)
 	}
 }
 

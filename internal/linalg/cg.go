@@ -79,104 +79,25 @@ func (p *JacobiPrec) SetDiag(diag []float64) {
 }
 
 // SolveStats reports how a conjugate-gradient solve went: the per-stage
-// convergence record the telemetry layer turns into gauges and the tests
-// assert on. History holds the relative residual observed at the top of each
-// iteration (History[0] is the initial residual), so convergence curves can
-// be reproduced without re-running the solve.
-//
-// History length is bounded by HistoryBound: solves shorter than the bound
-// keep the complete curve; longer solves keep the initial residual, the
-// final residual, and a stride-decimated middle (the stride doubles each
-// time the buffer fills), so memory stays O(bound) per solve no matter how
-// many iterations ran — long telemetry-enabled runs don't grow linearly per
-// CG solve.
+// convergence record the telemetry layer turns into gauges, the CG watchdog
+// reads and the tests assert on.
 type SolveStats struct {
 	Iterations int
+	Initial    float64 // ||b - A x0|| / ||b||, of the initial guess
 	Residual   float64 // final ||b - A x|| / ||b||
 	Converged  bool
-	History    []float64 // decimated relative-residual curve; see HistoryBound
 }
-
-// DefaultHistoryBound is the default cap on len(SolveStats.History).
-const DefaultHistoryBound = 64
-
-// HistoryBound caps SolveStats.History (see SolveStats). Configure it before
-// solving (it is read once per CG call, not safe to change concurrently with
-// running solves); values < 2 disable the cap and keep the full curve.
-var HistoryBound = DefaultHistoryBound
-
-// histAcc streams residuals into a bounded History: always keeps the first
-// sample, decimates the middle with a doubling stride when the buffer fills,
-// and lets seal force the final residual into the last slot.
-type histAcc struct {
-	bound  int
-	stride int
-	n      int // iterations observed so far
-}
-
-// push records the residual at the top of iteration n.
-func (h *histAcc) push(s *SolveStats, v float64) {
-	defer func() { h.n++ }()
-	if h.bound < 2 {
-		s.History = append(s.History, v)
-		return
-	}
-	if h.n%h.stride != 0 {
-		return
-	}
-	if len(s.History) >= h.bound {
-		// Decimate: keep History[0] and every other of the rest, then
-		// double the sampling stride for future iterations.
-		kept := s.History[:1]
-		for i := 2; i < len(s.History); i += 2 {
-			kept = append(kept, s.History[i])
-		}
-		s.History = kept
-		h.stride *= 2
-		if h.n%h.stride != 0 {
-			return
-		}
-	}
-	s.History = append(s.History, v)
-}
-
-// seal guarantees the final residual occupies the last History slot without
-// exceeding the bound.
-func (h *histAcc) seal(s *SolveStats, v float64) {
-	if len(s.History) == 0 {
-		s.History = append(s.History, v)
-		return
-	}
-	if s.History[len(s.History)-1] == v {
-		return
-	}
-	if h.bound >= 2 && len(s.History) >= h.bound {
-		s.History[len(s.History)-1] = v
-		return
-	}
-	s.History = append(s.History, v)
-}
-
-// CGResult is the former name of SolveStats, kept as an alias for callers
-// that predate the telemetry layer.
-type CGResult = SolveStats
 
 // ErrCGBreakdown is returned when the operator is not SPD (p^T A p <= 0).
 var ErrCGBreakdown = errors.New("linalg: CG breakdown: operator not positive definite")
 
-// CGWorkspace owns the four CG work vectors plus the History backing buffer
-// so repeated solves on same-dimension systems allocate nothing. It is pure
-// scratch: no state carries meaning across solves, and checkpoint capture
-// must never include it. A workspace serves one solve at a time (not
-// reentrant); each Grid/Solver arena owns its own.
-//
-// SolveStats.History returned from CGWith ALIASES the workspace: it is valid
-// until the next CGWith call on the same workspace. Callers that retain
-// curves across solves (the flight recorder copies into its own ring) must
-// copy first.
+// CGWorkspace owns the four CG work vectors so repeated solves on
+// same-dimension systems allocate nothing. It is pure scratch: no state
+// carries meaning across solves, and checkpoint capture must never include
+// it. A workspace serves one solve at a time (not reentrant); each
+// Grid/Solver arena owns its own.
 type CGWorkspace struct {
 	r, z, p, ap []float64
-	hist        []float64
 }
 
 // ensure sizes the work vectors for an n-dimensional solve, reusing backing
@@ -192,9 +113,6 @@ func (ws *CGWorkspace) ensure(n int) {
 	ws.z = ws.z[:n]
 	ws.p = ws.p[:n]
 	ws.ap = ws.ap[:n]
-	if bound := HistoryBound; bound >= 2 && cap(ws.hist) < bound {
-		ws.hist = make([]float64, 0, bound)
-	}
 }
 
 // CG solves A x = b with preconditioned conjugate gradients, overwriting x,
@@ -211,10 +129,10 @@ func CG(a Operator, x, b []float64, prec Preconditioner, tol float64, maxIter in
 	return CGWith(nil, a, x, b, prec, tol, maxIter)
 }
 
-// CGWith is CG with caller-owned scratch: ws provides the four work vectors
-// and the History backing buffer, so a steady-state solve performs zero
-// allocations (pinned by TestCGWithZeroAlloc). ws == nil allocates a
-// throwaway workspace, reproducing CG exactly.
+// CGWith is CG with caller-owned scratch: ws provides the four work
+// vectors, so a steady-state solve performs zero allocations (pinned by
+// TestCGWithZeroAlloc). ws == nil allocates a throwaway workspace,
+// reproducing CG exactly.
 func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, tol float64, maxIter int) (SolveStats, error) {
 	n := a.Dim()
 	if len(x) != n || len(b) != n {
@@ -246,16 +164,14 @@ func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, to
 	// Convergence is tested before the residual is preconditioned, so a
 	// solve that returns never computes a z it would not use: Precondition
 	// runs once per iteration that continues, none when x0 already meets tol.
-	res := SolveStats{History: ws.hist[:0]}
-	hist := histAcc{bound: HistoryBound, stride: 1}
+	var res SolveStats
 	var rz float64
 	for k := 0; ; k++ {
 		res.Residual = math.Sqrt(simd.Dot(r, r)) / bnorm
-		if k >= maxIter {
-			break
+		if k == 0 {
+			res.Initial = res.Residual
 		}
-		hist.push(&res, res.Residual)
-		if res.Residual < tol {
+		if k >= maxIter || res.Residual < tol {
 			break
 		}
 		prec.Precondition(z, r)
@@ -270,12 +186,10 @@ func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, to
 		pap := simd.Dot(p, ap)
 		if pap <= 0 {
 			// Breakdown: report the true divergence point — the residual of
-			// the current iterate (r is untouched by the failing apply), the
-			// iteration we broke down in, and a sealed history — so the CG
-			// watchdog and flight recorder see where the solve actually died
-			// rather than the stats of the previous iteration.
-			hist.seal(&res, res.Residual)
-			ws.hist = res.History
+			// the current iterate (r is untouched by the failing apply) and
+			// the iteration we broke down in — so the CG watchdog and flight
+			// recorder see where the solve actually died rather than the
+			// stats of the previous iteration.
 			return res, ErrCGBreakdown
 		}
 		alpha := rz / pap
@@ -283,8 +197,6 @@ func CGWith(ws *CGWorkspace, a Operator, x, b []float64, prec Preconditioner, to
 		simd.Axpy(-alpha, ap, r)
 		res.Iterations = k + 1
 	}
-	hist.seal(&res, res.Residual)
 	res.Converged = res.Residual < tol
-	ws.hist = res.History
 	return res, nil
 }

@@ -197,9 +197,9 @@ func TestWatchdogLatching(t *testing.T) {
 	h := NewHealth()
 	w := h.Watch("rank0")
 
-	ok := linalg.SolveStats{Converged: true, Residual: 1e-10, History: []float64{1, 1e-10}}
-	stag := linalg.SolveStats{Converged: false, Residual: 1e-3, Iterations: 100, History: []float64{1, 1e-3}}
-	div := linalg.SolveStats{Converged: false, Residual: 50, Iterations: 100, History: []float64{1, 50}}
+	ok := linalg.SolveStats{Converged: true, Residual: 1e-10, Initial: 1}
+	stag := linalg.SolveStats{Converged: false, Residual: 1e-3, Iterations: 100, Initial: 1}
+	div := linalg.SolveStats{Converged: false, Residual: 50, Iterations: 100, Initial: 1}
 
 	// Healthy observations are silent: the implicit latch state is info, so
 	// a converged solve emits nothing — steady-state runs generate zero
@@ -254,7 +254,7 @@ func TestWatchdogLatching(t *testing.T) {
 func TestHealthyObservationsAllocateNothing(t *testing.T) {
 	h := NewHealth()
 	w := h.Watch("rank0")
-	ok := linalg.SolveStats{Converged: true, Residual: 1e-10, History: []float64{1, 1e-10}}
+	ok := linalg.SolveStats{Converged: true, Residual: 1e-10, Initial: 1}
 	field := []float64{1, 2, 3}
 	w.ObserveParticles(1000) // seeds the reference
 	allocs := testing.AllocsPerRun(100, func() {
@@ -552,7 +552,7 @@ func TestMonitorDisabledZeroCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	st := linalg.SolveStats{Converged: true, Residual: 1e-9, History: []float64{1, 1e-9}}
+	st := linalg.SolveStats{Converged: true, Residual: 1e-9, Initial: 1}
 	probe := func() {
 		disabledWatch.GuardField("ns.step", "u", disabledField)
 		disabledWatch.GuardValue("dpd.step", "particle", 1.5, 0)
@@ -579,7 +579,7 @@ func TestMonitorDisabledZeroCost(t *testing.T) {
 }
 
 func BenchmarkDisabledWatchdogProbe(b *testing.B) {
-	st := linalg.SolveStats{Converged: true, Residual: 1e-9, History: []float64{1, 1e-9}}
+	st := linalg.SolveStats{Converged: true, Residual: 1e-9, Initial: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		disabledWatch.ObserveSolve("ns.pressure", st, 100)

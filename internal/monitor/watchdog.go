@@ -136,13 +136,11 @@ func (w *Watchdogs) ObserveSolve(stage string, st linalg.SolveStats, maxIter int
 		})
 		return
 	}
-	if len(st.History) > 0 {
-		if init := st.History[0]; init > 0 && st.Residual > divergeFactor*init {
-			w.transition(key, "cg-watch", SevCritical, st.Residual, func() string {
-				return fmt.Sprintf("%s: diverged: residual %.3g > %g x initial %.3g", stage, st.Residual, divergeFactor, init)
-			})
-			return
-		}
+	if init := st.Initial; init > 0 && st.Residual > divergeFactor*init {
+		w.transition(key, "cg-watch", SevCritical, st.Residual, func() string {
+			return fmt.Sprintf("%s: diverged: residual %.3g > %g x initial %.3g", stage, st.Residual, divergeFactor, init)
+		})
+		return
 	}
 	if !st.Converged {
 		w.transition(key, "cg-watch", SevWarn, st.Residual, func() string {

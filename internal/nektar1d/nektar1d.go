@@ -72,7 +72,7 @@ func (s *Segment) Volume() float64 {
 	dx := s.Dx()
 	var v float64
 	for i := 0; i < s.N-1; i++ {
-		v += 0.5 * (s.A[i] + s.A[i+1]) * dx
+		v += float64(0.5 * (s.A[i] + s.A[i+1]) * dx)
 	}
 	return v
 }

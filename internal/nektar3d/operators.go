@@ -177,11 +177,11 @@ func (g *Grid) solveHelmholtzDirect(u []float64, lambda float64, f, gBC []float6
 // helmholtzSeed poses the Helmholtz problem in the arena and solves it:
 // the lifting ug = gBC on the mask and 0 inside (u = u0 + ug), the
 // right-hand side b = M f - (lambda M + K) ug restricted to the interior
-// (liftRHS), and x its fast-diagonalization solve.
+// (liftRHS), and x its fast-diagonalization solve. Only the mask of ug is
+// written: nothing else writes ug, and newArena made its interior +0.
 func (g *Grid) helmholtzSeed(lambda float64, f, gBC []float64) (x, b []float64) {
 	ar := g.arena()
 	ug := ar.ug
-	clear(ug)
 	for i, m := range ar.mask {
 		if m {
 			ug[i] = gBC[i]
@@ -277,6 +277,8 @@ func faceTerms(acc []float64, c float64, m, src []float64) {
 }
 
 // lift writes u = x + ug, the Helmholtz solution with its boundary values.
+// The add covers the interior too, where ug is +0: it turns a -0 of x into
+// the +0 the solution carries there.
 func (g *Grid) lift(u, x []float64) {
 	ug := g.ar.ug
 	for i := range x {

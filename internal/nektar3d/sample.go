@@ -174,17 +174,24 @@ func (g *Grid) faceNodes(axis int, high bool, visit func(n [3]int)) {
 	}
 }
 
-// FaceTrace extracts the nodal values of a field on one boundary face
-// ("x0", "x1", "y0", "y1", "z0", "z1"), flattened in the face's natural
-// (fast-varying first) order. Patch coupling ships these traces between L4
-// roots.
-func (g *Grid) FaceTrace(f []float64, face string) []float64 {
-	axis, high := faceAxis(face)
-	var out []float64
+// FaceNodes returns the node indices of one boundary face ("x0", "x1",
+// "y0", "y1", "z0", "z1") in the face's natural (fast-varying first) order,
+// the order of FacePoints and FaceQuadrature: a field's trace on the face is
+// f[n] for n in it. It refuses an unknown name and a face normal to a
+// periodic axis, which is no boundary.
+func (g *Grid) FaceNodes(face string) ([]int, error) {
+	axis, high, err := ParseFace(face)
+	if err != nil {
+		return nil, fmt.Errorf("nektar3d: %w", err)
+	}
+	if [3]bool{g.PerX, g.PerY, g.PerZ}[axis] {
+		return nil, fmt.Errorf("nektar3d: face %s: the grid is periodic along %c", face, 'x'+axis)
+	}
+	var out []int
 	g.faceNodes(axis, high, func(n [3]int) {
-		out = append(out, f[g.Idx(n[0], n[1], n[2])])
+		out = append(out, g.Idx(n[0], n[1], n[2]))
 	})
-	return out
+	return out, nil
 }
 
 // mass1D assembles the lumped 1D quadrature weights along one direction
@@ -207,7 +214,7 @@ func (g *Grid) mass1D(dim int) []float64 {
 }
 
 // FaceQuadrature returns the 2D quadrature weights of a boundary face's
-// nodes, in FaceTrace order: integrating a traced field against them yields
+// nodes, in FaceNodes order: integrating a traced field against them yields
 // the exact surface integral for the tensor-product basis.
 func (g *Grid) FaceQuadrature(face string) []float64 {
 	axis, high := faceAxis(face)
@@ -231,7 +238,7 @@ func (g *Grid) FaceQuadrature(face string) []float64 {
 }
 
 // FacePoints returns the physical coordinates of the nodes on a boundary
-// face, in the same order as FaceTrace.
+// face, in FaceNodes order.
 func (g *Grid) FacePoints(face string) []geometry.Vec3 {
 	axis, high := faceAxis(face)
 	// The face sits on the box boundary, also where a periodic axis dropped

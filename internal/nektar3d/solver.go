@@ -2,6 +2,7 @@ package nektar3d
 
 import (
 	"fmt"
+	"slices"
 
 	"nektarg/internal/linalg"
 	"nektarg/internal/monitor"
@@ -9,8 +10,8 @@ import (
 )
 
 // BCFunc supplies Dirichlet velocity at a boundary node; the solver queries
-// it each step so coupled simulations can impose interface traces received
-// from an adjacent patch or from the continuum-atomistic exchange.
+// it each step for the physical boundaries (walls, inlets). Interface traces
+// received from an adjacent patch go through ImposeFace instead.
 type BCFunc func(t, x, y, z float64) (u, v, w float64)
 
 // ForceFunc supplies the body force density at a node.
@@ -68,6 +69,10 @@ type Solver struct {
 	bcU  []float64 // scratch Dirichlet value fields
 	bcV  []float64
 	bcW  []float64
+
+	// faces are the boundary faces ImposeFace set, in the order last
+	// imposed; fillBC writes them over VelBC in that order.
+	faces []imposedFace
 
 	// Order-2 history: previous velocity and previous explicit term.
 	uPrev, vPrev, wPrev       []float64
@@ -140,23 +145,66 @@ func (s *Solver) SetInitial(fn func(x, y, z float64) (u, v, w float64)) {
 	}
 }
 
-// fillBC samples the velocity Dirichlet fields at time t.
+// imposedFace is the Dirichlet velocity of one boundary face: node indices
+// and values in FaceNodes order.
+type imposedFace struct {
+	name    string
+	nodes   []int
+	u, v, w []float64
+}
+
+// ImposeFace makes u, v and w, given in FacePoints order, the Dirichlet
+// velocity of one boundary face from the next step on, in place of VelBC
+// there: the interface trace a coupled patch receives (§3.2). The values are
+// copied. Faces are written in the order they were last imposed, so a node
+// two faces share (an edge) carries the later call's value. It refuses what
+// FaceNodes refuses and slices whose length is not the face's node count.
+func (s *Solver) ImposeFace(face string, u, v, w []float64) error {
+	i := slices.IndexFunc(s.faces, func(f imposedFace) bool { return f.name == face })
+	f := imposedFace{name: face}
+	if i >= 0 {
+		f = s.faces[i]
+	} else {
+		var err error
+		if f.nodes, err = s.G.FaceNodes(face); err != nil {
+			return err
+		}
+	}
+	if m := len(f.nodes); len(u) != m || len(v) != m || len(w) != m {
+		return fmt.Errorf("nektar3d: face %s has %d nodes, got %d, %d and %d values",
+			face, m, len(u), len(v), len(w))
+	}
+	f.u, f.v, f.w = append(f.u[:0], u...), append(f.v[:0], v...), append(f.w[:0], w...)
+	if i >= 0 {
+		s.faces = slices.Delete(s.faces, i, i+1)
+	}
+	s.faces = append(s.faces, f)
+	return nil
+}
+
+// fillBC fills the velocity Dirichlet fields at time t: VelBC (or zero) on
+// the mask, then every imposed face over it.
 func (s *Solver) fillBC(t float64) {
 	g := s.G
 	if s.VelBC == nil {
 		for i := range s.bcU {
 			s.bcU[i], s.bcV[i], s.bcW[i] = 0, 0, 0
 		}
-		return
-	}
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				n := g.Idx(i, j, k)
-				if s.mask[n] {
-					s.bcU[n], s.bcV[n], s.bcW[n] = s.VelBC(t, g.X[i], g.Y[j], g.Z[k])
+	} else {
+		for k := 0; k < g.Nz; k++ {
+			for j := 0; j < g.Ny; j++ {
+				for i := 0; i < g.Nx; i++ {
+					n := g.Idx(i, j, k)
+					if s.mask[n] {
+						s.bcU[n], s.bcV[n], s.bcW[n] = s.VelBC(t, g.X[i], g.Y[j], g.Z[k])
+					}
 				}
 			}
+		}
+	}
+	for _, f := range s.faces {
+		for i, n := range f.nodes {
+			s.bcU[n], s.bcV[n], s.bcW[n] = f.u[i], f.v[i], f.w[i]
 		}
 	}
 }

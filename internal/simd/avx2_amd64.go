@@ -28,12 +28,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// axpyAVX2 is axpyGo, four elements per vector: y[i] + alpha·x[i], rounded
-// once per operation. len(x) must be at least len(y).
-//
-//go:noescape
-func axpyAVX2(alpha float64, x, y []float64)
-
 // matVecsAVX2 is MatVecs' line loop reading at, a's column-major form: up to
 // sixteen rows are four vector sums held in registers while the columns
 // stream past, and the last vector of a line is masked. The caller checks

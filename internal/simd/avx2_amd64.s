@@ -23,53 +23,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpyAVX2(alpha float64, x, y []float64)
-//
-// y[i] = y[i] + alpha·x[i], eight elements per pass, then four, then one.
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	VBROADCASTSD alpha+0(FP), Y0
-	MOVQ x_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-axpy8:
-	CMPQ AX, DX
-	JGE  axpy4
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VMULPD  32(SI)(AX*8), Y0, Y2
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VADDPD  32(DI)(AX*8), Y2, Y2
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  axpy8
-
-axpy4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ AX, DX
-	JGE  axpy1
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ $4, AX
-
-axpy1:
-	CMPQ AX, CX
-	JGE  axpydone
-	VMULSD (SI)(AX*8), X0, X1
-	VADDSD (DI)(AX*8), X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ AX
-	JMP  axpy1
-
-axpydone:
-	VZEROUPPER
-	RET
-
 // func matVecsAVX2(y, at, x []float64, rows, cols, lines int)
 //
 // Per line, the rows go in blocks of up to sixteen: four vector sums Y0-Y3

@@ -8,10 +8,6 @@ var useAVX2 = false
 // HasAVX2 reports false: there is no AVX2 code off amd64.
 func HasAVX2() bool { return false }
 
-func axpyAVX2(alpha float64, x, y []float64) {
-	panic("simd: the AVX2 kernels exist on amd64 only")
-}
-
 func matVecsAVX2(y, at, x []float64, rows, cols, lines int) {
 	panic("simd: the AVX2 kernels exist on amd64 only")
 }

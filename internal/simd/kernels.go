@@ -13,7 +13,7 @@
 // length hoisting to eliminate bounds checks. The scalar references are the
 // straightforward loops a compiler gets without "#pragma" help.
 //
-// The line kernels that own a spectral-element time step — Axpy, the x-line
+// The line kernels that own a spectral-element time step — the x-line
 // mat-vecs (MatVecs), the y/z contractions (Contract), the band products
 // (BandMul, BandMulAdd) and the two-column sweep (Sweep) — are AVX2
 // assembly on amd64 (avx2_amd64.s), chosen once from CPUID. Each performs
@@ -135,24 +135,17 @@ func DotSqTuned(x, y []float64) float64 {
 	return a
 }
 
-// Axpy computes y[i] += alpha*x[i]; it is the workhorse of the CG solvers and
-// of contractGo, the Go loop of the fast-diagonalization solve's y and z
-// contractions. On amd64 with AVX2 it runs axpyAVX2, four elements per
-// vector; axpyGo is the portable loop and the oracle the kernel must equal
-// bit for bit.
+// Axpy computes y[i] += alpha*x[i], the update of a CG iteration.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("simd: Axpy length mismatch")
 	}
-	if useAVX2 {
-		axpyAVX2(alpha, x, y)
-		return
-	}
 	axpyGo(alpha, x, y)
 }
 
-// axpyGo is Axpy's Go loop, 4-way unrolled. float64() rounds each product
-// before its add, so that no compiler fuses the two (arm64, GOAMD64=v3).
+// axpyGo is Axpy's loop, 4-way unrolled, and the inner loop of contractGo
+// and the band products. float64() rounds each product before its add, so
+// that no compiler fuses the two (arm64, GOAMD64=v3).
 func axpyGo(alpha float64, x, y []float64) {
 	n := len(y)
 	x = x[:n]

@@ -109,8 +109,8 @@ func both(t testing.TB, what string, y []float64, f func(y []float64)) {
 // data: the x-line mat-vecs of both mode decompositions' S and Sᵀ over one to
 // thirteen lines, the band products of k and d over lines whose length has
 // each remainder mod 4, the sweep of every row of k and d over outputs of
-// each length mod 4, an Axpy along the axis, and the contractions by both
-// decompositions' S and Sᵀ over a random inner length and plane count.
+// each length mod 4, and the contractions by both decompositions' S and Sᵀ
+// over a random inner length and plane count.
 func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros float64) {
 	t.Helper()
 	for mi, md := range ax.modes {
@@ -161,9 +161,6 @@ func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros 
 			}
 		}
 	}
-	x, y := values(rng, n, scale, zeros), values(rng, n, scale, zeros)
-	alpha := rng.NormFloat64()
-	both(t, fmt.Sprintf("%s: Axpy, length %d", ax.name, n), y, func(y []float64) { simd.Axpy(alpha, x, y) })
 	for _, md := range ax.modes {
 		inner := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 23}[rng.Intn(10)]
 		outer := 1 + rng.Intn(3)
@@ -174,8 +171,7 @@ func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros 
 
 // TestSEMKernelsMatchGo holds each AVX2 line kernel to its Go loop with ==
 // on every axis of parityGrids (orders 2–8, natural and Dirichlet mode
-// counts, periodic seams), on lines and outputs of every length mod 4, and
-// on Axpy lengths 0–33 and 325.
+// counts, periodic seams), on lines and outputs of every length mod 4.
 func TestSEMKernelsMatchGo(t *testing.T) {
 	if !simd.HasAVX2() {
 		t.Skip("no AVX2 kernels on this host: the Go loops are the kernels")
@@ -183,15 +179,6 @@ func TestSEMKernelsMatchGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, ax := range parityAxes(t) {
 		checkSEMKernels(t, ax, rng, 4, 0.1)
-	}
-	lengths := []int{325}
-	for n := 0; n <= 33; n++ {
-		lengths = append(lengths, n)
-	}
-	for _, n := range lengths {
-		x, y := values(rng, n, 4, 0.1), values(rng, n, 4, 0.1)
-		alpha := rng.NormFloat64()
-		both(t, fmt.Sprintf("Axpy, length %d", n), y, func(y []float64) { simd.Axpy(alpha, x, y) })
 	}
 }
 
@@ -244,10 +231,9 @@ func TestSEMKernelsRefuseBadIndices(t *testing.T) {
 // BenchmarkKernelSEMGoVsAVX2 times each line kernel at the continuum
 // workload's x-axis (four order-6 elements, 25 nodes, 23 Dirichlet modes),
 // with the Go loops and with the AVX2 kernels: the Sᵀ mat-vec over the 156
-// x-lines of one patch, the band products of k and d over one x-line, one
-// sweep of a row of k over 25-long lines, and an Axpy of 325; then one
-// Navier-Stokes step of the workload's patch (4×2×2 order-6 elements,
-// second order in time).
+// x-lines of one patch, the band products of k and d over one x-line and
+// one sweep of a row of k over 25-long lines; then one Navier-Stokes step of
+// the workload's patch (4×2×2 order-6 elements, second order in time).
 func BenchmarkKernelSEMGoVsAVX2(b *testing.B) {
 	ax := newSEMAxis(b, 4, 6, 1.5, false)
 	md := ax.modes[1]
@@ -258,7 +244,6 @@ func BenchmarkKernelSEMGoVsAVX2(b *testing.B) {
 	my := make([]float64, lines*md.Modes)
 	x, y := values(rng, n, 0, 0), values(rng, n, 0, 0)
 	src := values(rng, n*n, 0, 0)
-	ax325, ay325 := values(rng, 325, 0, 0), values(rng, 325, 0, 0)
 	lo, hi := ax.k.RowPtr[6], ax.k.RowPtr[7] // a row shared by two elements
 	kernels := []struct {
 		name string
@@ -268,7 +253,6 @@ func BenchmarkKernelSEMGoVsAVX2(b *testing.B) {
 		{"BandMulAdd", func() { simd.BandMulAdd(y, 1e-3, ax.k.RowPtr, ax.k.ColIdx, ax.k.Val, x) }},
 		{"BandMul", func() { simd.BandMul(y, ax.d.RowPtr, ax.d.ColIdx, ax.d.Val, x) }},
 		{"Sweep", func() { simd.Sweep(y, 1e-3, ax.k.Val[lo:hi], ax.k.ColIdx[lo:hi], src, 0, n) }},
-		{"Axpy", func() { simd.Axpy(1e-3, ax325, ay325) }},
 		{"Step", workloadStep(b)},
 	}
 	for _, k := range kernels {
