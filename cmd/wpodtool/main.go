@@ -122,15 +122,15 @@ func syntheticSnapshots(n, m int) [][]float64 {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		return (2*float64(rng>>11)/float64(1<<53) - 1) * math.Sqrt(3)
+		return (float64(2*float64(rng>>11)/float64(1<<53)) - 1) * math.Sqrt(3)
 	}
 	for k := range out {
 		t := float64(k) / float64(n)
 		row := make([]float64, m)
 		for i := range row {
 			x := float64(i) / float64(m)
-			row[i] = 4*math.Sin(2*math.Pi*t)*math.Sin(2*math.Pi*x) +
-				2*math.Cos(2*math.Pi*t)*math.Cos(6*math.Pi*x) + next()
+			row[i] = float64(4*math.Sin(2*math.Pi*t)*math.Sin(2*math.Pi*x)) +
+				float64(2*math.Cos(2*math.Pi*t)*math.Cos(6*math.Pi*x)) + float64(next())
 		}
 		out[k] = row
 	}

@@ -68,7 +68,7 @@ func main() {
 		omega = 2 * math.Pi / 5.0
 	)
 	sys.External = func(t float64, _ *dpd.Particle) geometry.Vec3 {
-		return geometry.Vec3{Z: f0 * (1 + 0.8*math.Sin(omega*t))}
+		return geometry.Vec3{Z: f0 * (1 + float64(0.8*math.Sin(omega*t)))}
 	}
 
 	var cells []*rbc.Membrane

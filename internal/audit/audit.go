@@ -332,7 +332,7 @@ func (l *Ledger) ObserveResidual(name string, defect, scale float64) {
 	if b.count == 1 {
 		b.ema = rel
 	} else {
-		b.ema += b.tol.Alpha * (rel - b.ema)
+		b.ema += float64(b.tol.Alpha * (rel - b.ema))
 	}
 	l.judgeStep(b, math.Abs(rel))
 	if b.count >= b.tol.LeakMinCount {
@@ -364,7 +364,7 @@ func (l *Ledger) ObserveDrift(name string, value float64) {
 	rel := (value - b.ref) / math.Max(math.Abs(b.ref), b.tol.Floor)
 	b.rel = rel
 	l.judgeStep(b, math.Abs(rel))
-	b.ref += b.tol.Alpha * (value - b.ref)
+	b.ref += float64(b.tol.Alpha * (value - b.ref))
 	b.ema = (b.ref - b.baseline) / math.Max(math.Abs(b.baseline), b.tol.Floor)
 	if b.count >= b.tol.LeakMinCount {
 		l.judgeLeak(b, math.Abs(b.ema))

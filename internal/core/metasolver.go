@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -207,6 +208,14 @@ type Metasolver struct {
 	// exchange); nil until EnableHistory is called. See history.go in this
 	// package.
 	hist *history.Plane
+
+	// The patch advance Advance reuses every period: the patches the
+	// runners were built for, one error slot and one prebuilt runner per
+	// patch, and the group they finish on (patchRunners).
+	runFor  []*ContinuumPatch
+	runErrs []error
+	runners []func()
+	runWG   sync.WaitGroup
 }
 
 // NewMetasolver applies the paper's default time-progression ratios.
@@ -356,44 +365,26 @@ func (m *Metasolver) Advance(n int) error {
 		// Continuum patches advance concurrently: "the solution is computed
 		// in parallel in each patch".
 		adv := m.rec.Begin("meta.advance")
-		errs := make([]error, len(m.Patches))
-		var wg sync.WaitGroup
-		for i, p := range m.Patches {
-			wg.Add(1)
-			go func(i int, p *ContinuumPatch) {
-				defer wg.Done()
-				// A panicking patch (numerical blow-up, injected fault)
-				// must surface as this exchange's error, not kill the
-				// process: the recover-and-resume loop depends on Advance
-				// returning so it can reload the last good checkpoint.
-				defer func() {
-					if r := recover(); r != nil {
-						errs[i] = fmt.Errorf("core: patch %q panicked: %v", p.Name, r)
-					}
-				}()
-				errs[i] = p.Solver.Run(m.NSStepsPerExchange)
-			}(i, p)
+		m.patchRunners()
+		clear(m.runErrs)
+		m.runWG.Add(len(m.runners))
+		for _, run := range m.runners {
+			go run()
 		}
-		// Atomistic regions advance on the caller goroutine.
 		at := m.rec.Begin("meta.atomistic")
-		var regionErr error
-		for _, a := range m.Atomistic {
-			if err := a.Sys.Run(m.NSStepsPerExchange * m.DPDStepsPerNS); err != nil && regionErr == nil {
-				regionErr = fmt.Errorf("core: region %q: %w", a.Name, err)
-			}
-		}
+		regionErr := m.advanceRegions()
 		at.End()
 		wait := m.rec.Begin("meta.wait")
-		wg.Wait()
+		m.runWG.Wait()
 		wait.End()
 		adv.End()
 		step.End()
-		for i, err := range errs {
+		for i, err := range m.runErrs {
 			if err != nil {
 				if m.log != nil {
-					m.log.Error("patch step failed", "patch", m.Patches[i].Name, "err", err.Error())
+					m.log.Error("patch step failed", "patch", m.runFor[i].Name, "err", err.Error())
 				}
-				return fmt.Errorf("core: patch %q: %w", m.Patches[i].Name, err)
+				return fmt.Errorf("core: patch %q: %w", m.runFor[i].Name, err)
 			}
 		}
 		if regionErr != nil {
@@ -423,6 +414,51 @@ func (m *Metasolver) Advance(n int) error {
 		}
 	}
 	return nil
+}
+
+// patchRunners builds one runner per patch, each advancing its patch by
+// NSStepsPerExchange steps into its error slot, unless they exist for the
+// current Patches. A panicking patch (numerical blow-up, injected fault)
+// must surface as its exchange's error, not kill the process: the
+// recover-and-resume loop depends on Advance returning so it can reload the
+// last good checkpoint.
+func (m *Metasolver) patchRunners() {
+	if slices.Equal(m.runFor, m.Patches) {
+		return
+	}
+	m.runFor = slices.Clone(m.Patches)
+	m.runErrs = make([]error, len(m.runFor))
+	m.runners = make([]func(), len(m.runFor))
+	for i, p := range m.runFor {
+		m.runners[i] = func() {
+			defer m.runWG.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					m.runErrs[i] = fmt.Errorf("core: patch %q panicked: %v", p.Name, r)
+				}
+			}()
+			m.runErrs[i] = p.Solver.Run(m.NSStepsPerExchange)
+		}
+	}
+}
+
+// advanceRegions advances every atomistic region on the caller goroutine,
+// beside the patch runners. A region that panics re-panics only once the
+// runners have finished: the next period reuses their error slots and wait
+// group, and a recovering caller reloads the state they write.
+func (m *Metasolver) advanceRegions() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.runWG.Wait()
+			panic(r)
+		}
+	}()
+	for _, a := range m.Atomistic {
+		if rerr := a.Sys.Run(m.NSStepsPerExchange * m.DPDStepsPerNS); rerr != nil && err == nil {
+			err = fmt.Errorf("core: region %q: %w", a.Name, rerr)
+		}
+	}
+	return err
 }
 
 // InterfaceContinuity measures the Figure 9 diagnostic for one atomistic

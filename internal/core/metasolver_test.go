@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nektarg/internal/dpd"
@@ -415,5 +416,79 @@ func must[T any](v T, err error) func(testing.TB) T {
 			t.Fatal(err)
 		}
 		return v
+	}
+}
+
+// TestAdvanceAllocatesNothingPerPeriod holds a steady exchange period of a
+// two-patch continuum run to zero allocations: the patch runners, their
+// error slots and their wait group are built once, and again only when
+// Patches changes.
+func TestAdvanceAllocatesNothingPerPeriod(t *testing.T) {
+	m, pa, pb := twoPatchChannel(t)
+	m.NSStepsPerExchange = 2
+	if err := m.Advance(2); err != nil { // build the arenas, buffers and runners
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if err := m.Advance(1); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("Advance(1) allocated %.1f times per period, want 0", a)
+	}
+	m.Patches = []*ContinuumPatch{pb, pa}
+	if err := m.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	if m.runFor[0] != pb || m.runFor[1] != pa {
+		t.Fatal("the runners were not rebuilt for the reordered Patches")
+	}
+}
+
+// TestAdvanceSurfacesPatchPanic: a patch that panics inside its step makes
+// Advance return that patch's error, naming it, instead of killing the
+// process; the prebuilt runners serve the next period as before.
+func TestAdvanceSurfacesPatchPanic(t *testing.T) {
+	m, pa, _ := twoPatchChannel(t)
+	m.NSStepsPerExchange = 1
+	force := pa.Solver.Force
+	pa.Solver.Force = func(_, _, _, _ float64) (float64, float64, float64) { panic("injected") }
+	err := m.Advance(1)
+	if err == nil || !strings.Contains(err.Error(), `patch "A" panicked: injected`) {
+		t.Fatalf("Advance with a panicking patch: %v", err)
+	}
+	pa.Solver.Force = force
+	if err := m.Advance(1); err != nil {
+		t.Fatalf("the period after the panic: %v", err)
+	}
+}
+
+// TestAdvanceWaitsForPatchesWhenARegionPanics: a region that panics on the
+// caller goroutine leaves Advance only after both patches have finished
+// their steps of the period, and the next period runs on the same runners.
+func TestAdvanceWaitsForPatchesWhenARegionPanics(t *testing.T) {
+	m, pa, pb := twoPatchChannel(t)
+	m.NSStepsPerExchange = 2
+	sys := must(dpd.NewSystem(dpd.DefaultParams(1), geometry.Vec3{}, geometry.Vec3{X: 4, Y: 4, Z: 4}, [3]bool{true, true, true}))(t)
+	sys.AddParticle(geometry.Vec3{X: 1, Y: 2, Z: 2}, geometry.Vec3{}, 0, false)
+	sys.External = func(float64, *dpd.Particle) geometry.Vec3 { panic("region blew up") }
+	m.Atomistic = []*AtomisticRegion{{Name: "omega", Sys: sys, NSUnits: Units{L: 1e-3, Nu: 0.1}, DPDUnits: Units{L: 5e-5, Nu: 0.1}}}
+	func() {
+		defer func() {
+			if r := recover(); r != "region blew up" {
+				t.Fatalf("Advance with a panicking region: recovered %v", r)
+			}
+		}()
+		m.Advance(1) //nolint:errcheck // it panics
+	}()
+	if pa.Solver.Steps != 2 || pb.Solver.Steps != 2 {
+		t.Fatalf("after the panic the patches had taken %d and %d steps, want 2 each", pa.Solver.Steps, pb.Solver.Steps)
+	}
+	m.Atomistic = nil
+	if err := m.Advance(1); err != nil {
+		t.Fatalf("the period after the panic: %v", err)
+	}
+	if pa.Solver.Steps != 4 || pb.Solver.Steps != 4 {
+		t.Fatalf("after the next period the patches had taken %d and %d steps, want 4 each", pa.Solver.Steps, pb.Solver.Steps)
 	}
 }

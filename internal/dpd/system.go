@@ -551,14 +551,21 @@ func (s *System) VVStep() {
 
 // guardParticles scans particle positions and velocities for NaN/Inf,
 // reporting the first corrupted particle as a critical nan-guard event
-// (latched: a wedged ensemble trips once, not once per step). Only called
-// when the watchdog bundle is attached.
+// (latched: a wedged ensemble trips once, not once per step) with its first
+// non-finite value in the order Pos.X, Pos.Y, Pos.Z, Vel.X, Vel.Y, Vel.Z.
+// Only called when the watchdog bundle is attached. Each particle is
+// screened by one test, that the sum of v - v over its six values is 0,
+// which holds exactly when all six are finite (v - v is NaN for a NaN or an
+// infinity); only a particle that fails is scanned value by value.
 func (s *System) guardParticles() {
 	for i := range s.Particles {
-		p := &s.Particles[i]
-		for _, v := range [...]float64{p.Pos.X, p.Pos.Y, p.Pos.Z, p.Vel.X, p.Vel.Y, p.Vel.Z} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.Watch.GuardValue("dpd.step", "particle", v, i) //nolint:errcheck // event recorded; VVStep has no error path
+		r, v := &s.Particles[i].Pos, &s.Particles[i].Vel
+		if (r.X-r.X)+(r.Y-r.Y)+(r.Z-r.Z)+(v.X-v.X)+(v.Y-v.Y)+(v.Z-v.Z) == 0 {
+			continue
+		}
+		for _, x := range [...]float64{r.X, r.Y, r.Z, v.X, v.Y, v.Z} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				s.Watch.GuardValue("dpd.step", "particle", x, i) //nolint:errcheck // event recorded; VVStep has no error path
 				return
 			}
 		}

@@ -95,9 +95,9 @@ func SphereSurface(name string, center Vec3, radius float64, nLat, nLon int) *Su
 		phi := math.Pi * float64(i) / float64(nLat)    // 0..pi
 		th := 2 * math.Pi * float64(j) / float64(nLon) // 0..2pi
 		return Vec3{
-			center.X + radius*math.Sin(phi)*math.Cos(th),
-			center.Y + radius*math.Sin(phi)*math.Sin(th),
-			center.Z + radius*math.Cos(phi),
+			center.X + float64(radius*math.Sin(phi)*math.Cos(th)),
+			center.Y + float64(radius*math.Sin(phi)*math.Sin(th)),
+			center.Z + float64(radius*math.Cos(phi)),
 		}
 	}
 	for i := 0; i < nLat; i++ {

@@ -22,13 +22,13 @@ func RelativeViscosity045(d float64) float64 {
 	if d <= 0 {
 		panic(fmt.Sprintf("hemo: diameter %v µm", d))
 	}
-	return 220*math.Exp(-1.3*d) + 3.2 - 2.44*math.Exp(-0.06*math.Pow(d, 0.645))
+	return float64(220*math.Exp(-1.3*d)) + 3.2 - float64(2.44*math.Exp(-0.06*math.Pow(d, 0.645)))
 }
 
 // shapeC returns the Pries hematocrit-dependence exponent C(d).
 func shapeC(d float64) float64 {
-	t := 1 / (1 + 1e-11*math.Pow(d, 12))
-	return (0.8+math.Exp(-0.075*d))*(-1+t) + t
+	t := 1 / (1 + float64(1e-11*math.Pow(d, 12)))
+	return float64((0.8+math.Exp(-0.075*d))*(-1+t)) + t
 }
 
 // RelativeViscosity returns the Pries in-vitro relative apparent viscosity
@@ -66,11 +66,11 @@ func FahraeusLindqvistMinimum(hct float64) (diameter, viscosity float64) {
 	for i := 0; i < 200 && b-a > 1e-9; i++ {
 		if f1 < f2 {
 			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
+			x1 = b - float64(phi*(b-a))
 			f1 = RelativeViscosity(x1, hct)
 		} else {
 			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
+			x2 = a + float64(phi*(b-a))
 			f2 = RelativeViscosity(x2, hct)
 		}
 	}

@@ -160,8 +160,8 @@ func (d *detector) observe(v float64) (fire bool, z, baseline float64) {
 	// Deviation first, against the pre-update mean, then the mean itself —
 	// the usual EW update order so dev measures scatter around the baseline
 	// the sample was judged against.
-	d.dev += a * (abs(v-d.mean) - d.dev)
-	d.mean += a * (v - d.mean)
+	d.dev += float64(a * (abs(v-d.mean) - d.dev))
+	d.mean += float64(a * (v - d.mean))
 	d.n++
 	return false, z, baseline
 }

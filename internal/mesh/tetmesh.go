@@ -77,8 +77,8 @@ func CarotidTets(nAxial, nCirc, nRadial int) *TetMesh {
 	for i, v := range m.Verts {
 		// v.X in [0,1] is the axial coordinate; (v.Y, v.Z) the section.
 		s := v.X
-		r := pipeR * (1 - narrow*math.Exp(-20*(s-0.5)*(s-0.5)))
-		y := (v.Y - 0.5) * 2 * r
+		r := pipeR * (1 - float64(narrow*math.Exp(-20*(s-0.5)*(s-0.5))))
+		y := float64((v.Y - 0.5) * 2 * r)
 		z := (v.Z - 0.5) * 2 * r
 		th := bend * s
 		m.Verts[i] = geometry.Vec3{

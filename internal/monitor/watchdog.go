@@ -197,7 +197,7 @@ func (w *Watchdogs) ObserveParticles(n int) {
 	// that means nothing. Track the reference but pass no judgement until
 	// the population carries signal.
 	if w.particleRef < driftMinRef {
-		w.particleRef += driftAlpha * (float64(n) - w.particleRef)
+		w.particleRef += float64(driftAlpha * (float64(n) - w.particleRef))
 		return
 	}
 	drift := math.Abs(float64(n)-w.particleRef) / w.particleRef
@@ -215,7 +215,7 @@ func (w *Watchdogs) ObserveParticles(n int) {
 			return fmt.Sprintf("particle count %d near reference %.0f", n, w.particleRef)
 		})
 	}
-	w.particleRef += driftAlpha * (float64(n) - w.particleRef)
+	w.particleRef += float64(driftAlpha * (float64(n) - w.particleRef))
 }
 
 // Event records an arbitrary structured health event on this track — the

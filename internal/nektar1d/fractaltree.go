@@ -101,7 +101,7 @@ func TotalResistance(spec TreeSpec) float64 {
 		}
 		areaRatio := math.Pow(2, -2/spec.AreaExponent)
 		child := level(gen+1, area*areaRatio, length*spec.LengthRatio)
-		return r + child/2 // two identical children in parallel
+		return r + float64(child/2) // two identical children in parallel
 	}
 	return level(0, spec.RootArea, spec.RootLength)
 }

@@ -61,7 +61,7 @@ func (s *Segment) Pressure(i int) float64 {
 // true value than math.Pow's exp(log(a)/4), and an order of magnitude cheaper
 // in the call every node of every step makes.
 func (s *Segment) WaveSpeed(a float64) float64 {
-	return s.k * math.Sqrt(math.Sqrt(a))
+	return float64(s.k * math.Sqrt(math.Sqrt(a)))
 }
 
 // Flow returns the volumetric flow rate Q = A U at node i.
@@ -78,16 +78,16 @@ func (s *Segment) Volume() float64 {
 }
 
 // charPlus evaluates the forward Riemann invariant W1 = U + 4c.
-func (s *Segment) charPlus(a, u float64) float64 { return u + 4*s.WaveSpeed(a) }
+func (s *Segment) charPlus(a, u float64) float64 { return u + float64(4*s.WaveSpeed(a)) }
 
 // charMinus evaluates the backward Riemann invariant W2 = U - 4c.
-func (s *Segment) charMinus(a, u float64) float64 { return u - 4*s.WaveSpeed(a) }
+func (s *Segment) charMinus(a, u float64) float64 { return u - float64(4*s.WaveSpeed(a)) }
 
 // fluxes computes the conservative fluxes F_A = AU and the momentum term
 // F_U = U²/2 + p/ρ at node values (a, u).
 func (s *Segment) fluxes(a, u float64) (fa, fu float64) {
 	p := s.Beta * (math.Sqrt(a) - math.Sqrt(s.A0))
-	return a * u, u*u/2 + p/s.Rho
+	return float64(a * u), float64(u*u/2) + p/s.Rho
 }
 
 // interiorStep advances the interior nodes with MacCormack; boundary nodes
@@ -101,8 +101,8 @@ func (s *Segment) interiorStep(dt float64, aNew, uNew, ap, up []float64) {
 	for i := 0; i < n-1; i++ {
 		fa0, fu0 := s.fluxes(s.A[i], s.U[i])
 		fa1, fu1 := s.fluxes(s.A[i+1], s.U[i+1])
-		ap[i] = s.A[i] - r*(fa1-fa0)
-		up[i] = s.U[i] - r*(fu1-fu0) - dt*s.Kr*s.U[i]/s.A[i]
+		ap[i] = s.A[i] - float64(r*(fa1-fa0))
+		up[i] = s.U[i] - float64(r*(fu1-fu0)) - dt*s.Kr*s.U[i]/s.A[i]
 	}
 	ap[n-1] = s.A[n-1]
 	up[n-1] = s.U[n-1]
@@ -110,8 +110,8 @@ func (s *Segment) interiorStep(dt float64, aNew, uNew, ap, up []float64) {
 	for i := 1; i < n-1; i++ {
 		fa0, fu0 := s.fluxes(ap[i-1], up[i-1])
 		fa1, fu1 := s.fluxes(ap[i], up[i])
-		aNew[i] = 0.5*(s.A[i]+ap[i]) - 0.5*r*(fa1-fa0)
-		uNew[i] = 0.5*(s.U[i]+up[i]) - 0.5*r*(fu1-fu0) - 0.5*dt*s.Kr*up[i]/ap[i]
+		aNew[i] = float64(0.5*(s.A[i]+ap[i])) - float64(0.5*r*(fa1-fa0))
+		uNew[i] = float64(0.5*(s.U[i]+up[i])) - float64(0.5*r*(fu1-fu0)) - 0.5*dt*s.Kr*up[i]/ap[i]
 	}
 	aNew[0], uNew[0] = s.A[0], s.U[0]
 	aNew[n-1], uNew[n-1] = s.A[n-1], s.U[n-1]

@@ -336,11 +336,11 @@ func (n *Network) Step(dt float64) error {
 	}
 	for _, in := range n.Inlets {
 		s := in.Seg
-		n.InVol += dt * s.A[0] * s.U[0]
+		n.InVol += float64(dt * s.A[0] * s.U[0])
 	}
 	for _, out := range n.Outlets {
 		s := out.Seg
-		n.OutVol += dt * s.A[s.N-1] * s.U[s.N-1]
+		n.OutVol += float64(dt * s.A[s.N-1] * s.U[s.N-1])
 	}
 	n.Time += dt
 	n.Steps++
@@ -356,9 +356,9 @@ func solveInletQ(s *Segment, q, w2 float64) (float64, float64, error) {
 	}
 	for iter := 0; iter < 60; iter++ {
 		c := s.WaveSpeed(a)
-		f := q/a - (w2 + 4*c)
+		f := q/a - (w2 + float64(4*c))
 		dcda := c / (4 * a)
-		df := -q/(a*a) - 4*dcda
+		df := -q/(a*a) - float64(4*dcda)
 		da := f / df
 		aNew := a - da
 		if aNew < 1e-10*s.A0 {
@@ -390,13 +390,13 @@ func solveOutletWK(s *Segment, wk *Windkessel, w1, dt float64) (p, a, u float64,
 		}
 		a = sq * sq
 		c := s.WaveSpeed(a)
-		u = w1 - 4*c
-		q := a * u
+		u = w1 - float64(4*c)
+		q := float64(a * u)
 		dadp := 2 * sq / s.Beta
 		dcdp := c / (4 * a) * dadp
-		dqdp := dadp*u - 4*a*dcdp
-		f = p - wk.P - g*(q-p/wk.R)
-		df = 1 - g*(dqdp-1/wk.R)
+		dqdp := float64(dadp*u) - float64(4*a*dcdp)
+		f = p - wk.P - float64(g*(q-p/wk.R))
+		df = 1 - float64(g*(dqdp-1/wk.R))
 		return f, df, a, u
 	}
 	for iter := 0; iter < 80; iter++ {
@@ -444,10 +444,10 @@ func (ja *junctionArena) solve(ar *stepArena) error {
 			c[b] = segs[b].WaveSpeed(a)
 			dcda := c[b] / (4 * a)
 			if b == 0 {
-				f[b] = u + 4*c[b] - w[b]
+				f[b] = u + float64(4*c[b]) - w[b]
 				jac.Set(b, b, 4*dcda)
 			} else {
-				f[b] = u - 4*c[b] - w[b]
+				f[b] = u - float64(4*c[b]) - w[b]
 				jac.Set(b, b, -4*dcda)
 			}
 			jac.Set(b, nb+b, 1)
@@ -458,15 +458,15 @@ func (ja *junctionArena) solve(ar *stepArena) error {
 		jac.Set(row, 0, x[nb])
 		jac.Set(row, nb, x[0])
 		for b := 1; b < nb; b++ {
-			f[row] -= x[b] * x[nb+b]
+			f[row] -= float64(x[b] * x[nb+b])
 			jac.Set(row, b, -x[nb+b])
 			jac.Set(row, nb+b, -x[b])
 		}
 		// Pressure continuity: p0(a0) - pb(ab) = 0 for each child.
 		for b := 1; b < nb; b++ {
 			row := nb + b
-			p0 := segs[0].Beta * (math.Sqrt(x[0]) - math.Sqrt(segs[0].A0))
-			pb := segs[b].Beta * (math.Sqrt(x[b]) - math.Sqrt(segs[b].A0))
+			p0 := float64(segs[0].Beta * (math.Sqrt(x[0]) - math.Sqrt(segs[0].A0)))
+			pb := float64(segs[b].Beta * (math.Sqrt(x[b]) - math.Sqrt(segs[b].A0)))
 			f[row] = p0 - pb
 			jac.Set(row, 0, segs[0].Beta/(2*math.Sqrt(x[0])))
 			jac.Set(row, b, -segs[b].Beta/(2*math.Sqrt(x[b])))

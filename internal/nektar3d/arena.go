@@ -24,6 +24,7 @@ type arena struct {
 	mask          []bool    // cached BoundaryMask
 	mx            []float64 // Mx ⊙ x, the stiffness apply's one scratch field
 	dxF, dyF, dzF []float64 // directional-derivative node fields for Divergence
+	xb            []band    // the x-axis derivative in dense row bands
 
 	// The in-flight tiled pass (see tiled): what it computes, its output
 	// fields and its input, and the prebuilt worker closure that runs it.
@@ -76,6 +77,7 @@ func newArena(g *Grid) *arena {
 	ar.dxF = g.NewField()
 	ar.dyF = g.NewField()
 	ar.dzF = g.NewField()
+	ar.xb = bands(g.ax[0].d)
 	ar.tileFn = ar.tile
 
 	n := g.NumNodes()

@@ -76,6 +76,24 @@ func BenchmarkKernelGradient(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelDerivative times one collocation derivative field along
+// each axis on the continuum workload's patch (25×12×13 nodes), serial: the
+// unit of the 15 derivative fields an NS step takes.
+func BenchmarkKernelDerivative(b *testing.B) {
+	g := must(NewGrid(4, 2, 2, 6, 1.5, 1, 1, false, true, false))(b)
+	f, dst := randomField(g, 1), g.NewField()
+	for dir, name := range []string{"x", "y", "z"} {
+		b.Run(name, func(b *testing.B) {
+			g.derivInto(dst, f, dir) // build the arena outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.derivInto(dst, f, dir)
+			}
+		})
+	}
+}
+
 func BenchmarkKernelHelmholtz(b *testing.B) {
 	g := benchGrid(b, 4)
 	f := randomField(g, 2)

@@ -68,7 +68,7 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 	// The x-lines are contiguous matrix-vector products (MatVecs reads the
 	// partner factor, S for Sᵀ and Sᵀ for S, as the matrix's column-major
 	// form); the y and z axes are contractions across whole rows and planes.
-	simd.MatVecs(s, x.ST, x.S, r, mx, nx, ny*nz)
+	simd.MatVecs(s, x.ST, x.S, r, mx, nx, ny*nz, mx, nx)
 	simd.Contract(t, s, y.ST, my, ny, mx, nz)
 	simd.Contract(s, t, zz.ST, mz, nz, mx*my, 1)
 	for k := 0; k < mz; k++ {
@@ -86,7 +86,7 @@ func (p *fdmPrec) Precondition(z, r []float64) {
 	}
 	simd.Contract(t, s, zz.S, nz, mz, mx*my, 1)
 	simd.Contract(s, t, y.S, ny, my, mx, nz)
-	simd.MatVecs(z, x.S, x.ST, s, nx, mx, ny*nz)
+	simd.MatVecs(z, x.S, x.ST, s, nx, mx, ny*nz, nx, mx)
 	for i, m := range p.mask {
 		if m {
 			z[i] = r[i]

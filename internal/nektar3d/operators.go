@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nektarg/internal/linalg"
 	"nektarg/internal/simd"
@@ -52,25 +53,67 @@ func sweep(out []float64, scale float64, a *linalg.CSR, i int, src []float64, ba
 }
 
 // derivPlane writes plane k of the collocation derivative of f along axis
-// dir into dst: the axis's averaged 1D derivative applied to every line.
+// dir into dst: the axis's averaged 1D derivative applied to every line of
+// the plane in one kernel call per row band along x (arena.xb), one along y
+// (SweepRows over the x-lines) and one along z (Sweep over the plane). Along
+// x each node's row sum runs over its band's dense block; the zeros it adds
+// are ±0, which leave a sum started at +0 as it was, so on finite input
+// every node gets the bits of its CSR row in column order (DESIGN.md §14).
 func (ar *arena) derivPlane(dst, f []float64, dir, k int) {
 	g := ar.g
-	nx, ny := g.Nx, g.Ny
+	nx, n := g.Nx, g.Nx*g.Ny
+	out, in := dst[n*k:n*(k+1)], f[n*k:n*(k+1)]
 	d := g.ax[dir].d
-	for j := 0; j < ny; j++ {
-		r := nx * (j + ny*k)
-		out := dst[r : r+nx]
-		switch dir {
-		case 0:
-			simd.BandMul(out, d.RowPtr, d.ColIdx, d.Val, f[r:r+nx])
-		case 1:
-			clear(out)
-			sweep(out, 1, d, j, f, nx*ny*k, nx)
-		case 2:
-			clear(out)
-			sweep(out, 1, d, k, f, nx*j, nx*ny)
+	switch dir {
+	case 0:
+		for _, b := range ar.xb {
+			simd.MatVecs(out[b.r0:], b.a, b.at, in[b.c0:], b.rows, b.cols, g.Ny, nx, nx)
 		}
+	case 1:
+		clear(out)
+		simd.SweepRows(out, 1, d.RowPtr, d.ColIdx, d.Val, in, nx)
+	case 2:
+		clear(out)
+		sweep(out, 1, d, k, f, 0, n)
 	}
+}
+
+// band is a run of rows r0..r0+rows-1 of a CSR matrix held dense over the
+// columns c0..c0+cols-1 their entries span: row-major in a, column-major in
+// at (simd.MatVecs reads both).
+type band struct {
+	r0, rows, c0, cols int
+	a, at              []float64
+}
+
+// bandRows is the rows per band: the sixteen rows the AVX2 MatVecs kernel
+// holds in registers, so that each band is one register block per line.
+const bandRows = 16
+
+// bands cuts the CSR matrix a into runs of bandRows rows, each dense over
+// the columns its rows' entries span. A band of a derivative's rows spans
+// a few elements, not the whole axis, unless a periodic seam row is in it.
+func bands(a *linalg.CSR) []band {
+	var bs []band
+	for r0 := 0; r0 < a.Rows; r0 += bandRows {
+		b := band{r0: r0, rows: min(bandRows, a.Rows-r0)}
+		lo, hi := a.RowPtr[r0], a.RowPtr[r0+b.rows]
+		if lo < hi {
+			b.c0, b.cols = slices.Min(a.ColIdx[lo:hi]), slices.Max(a.ColIdx[lo:hi])+1
+			b.cols -= b.c0
+		}
+		b.a = make([]float64, b.rows*b.cols)
+		b.at = make([]float64, b.rows*b.cols)
+		for r := 0; r < b.rows; r++ {
+			for q := a.RowPtr[r0+r]; q < a.RowPtr[r0+r+1]; q++ {
+				c := a.ColIdx[q] - b.c0
+				b.a[r*b.cols+c] = a.Val[q]
+				b.at[c*b.rows+r] = a.Val[q]
+			}
+		}
+		bs = append(bs, b)
+	}
+	return bs
 }
 
 // helmholtzOp is the masked operator y = (lambda*M + K) x with identity rows

@@ -93,7 +93,7 @@ func coarsenOnce(g *mesh.Graph, vw []int) (*wgraph, bool) {
 			if cv > cu {
 				key = [2]int{cu, cv}
 			}
-			acc[key] += e.Weight / 2 // each undirected edge appears twice
+			acc[key] += float64(e.Weight / 2) // each undirected edge appears twice
 		}
 	}
 	for key, w := range acc {

@@ -63,9 +63,9 @@ func (m *ContinuumModel) Time(np, elementsPerPatch, coresPerPatch, p int) float6
 	base := m.Base(elementsPerPatch, coresPerPatch, p)
 	switch {
 	case m.LinearContention > 0:
-		return base + m.LinearContention*float64(np)
+		return base + float64(m.LinearContention*float64(np))
 	default:
-		return base + m.Jitter*base*math.Sqrt(2*math.Log(float64(np)))
+		return base + float64(m.Jitter*base*math.Sqrt(2*math.Log(float64(np))))
 	}
 }
 
@@ -99,7 +99,7 @@ func (m *DPDModel) Time(particles float64, cores, steps int) float64 {
 		panic(fmt.Sprintf("perfmodel: cores=%d steps=%d", cores, steps))
 	}
 	n := particles / float64(cores)
-	tau := m.TauInf + m.CacheSlope*n
+	tau := m.TauInf + float64(m.CacheSlope*n)
 	return tau * n * float64(steps)
 }
 
@@ -121,7 +121,7 @@ type Machine struct {
 func (ma *Machine) CoupledTime(particles float64, dpdCores, dpdSteps, exchangeEvery int) float64 {
 	t := ma.DPD.Time(particles, dpdCores, dpdSteps)
 	if exchangeEvery > 0 {
-		t += float64(dpdSteps/exchangeEvery) * ma.CouplingExchange
+		t += float64(float64(dpdSteps/exchangeEvery) * ma.CouplingExchange)
 	}
 	return t
 }

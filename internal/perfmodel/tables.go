@@ -76,12 +76,12 @@ func Table2() *Table {
 	// subtracting eliminates W.
 	c0, c2 := float64(cores[0]), float64(cores[2])
 	kappa := (paperA[0]*c0/c2 - paperA[2]) / (vFace[0]*c0/c2 - vFace[2])
-	w := (paperA[0] - kappa*vFace[0]) * c0
+	w := (paperA[0] - float64(kappa*vFace[0])) * c0
 
 	tbl := &Table{Title: "Table 2: partitioning strategies, carotid flow, 1000 steps (BG/P)", Unit: "s"}
 	for i, c := range cores {
-		ta := w/float64(c) + kappa*vFace[i]
-		tb := w/float64(c) + kappa*vFull[i]
+		ta := w/float64(c) + float64(kappa*vFace[i])
+		tb := w/float64(c) + float64(kappa*vFull[i])
 		tbl.Rows = append(tbl.Rows,
 			Row{Label: fmt.Sprintf("a) face-only partitioning, %d cores", c), Paper: paperA[i], Measured: ta},
 			Row{Label: fmt.Sprintf("b) full adjacency partitioning, %d cores", c), Paper: paperB[i], Measured: tb},

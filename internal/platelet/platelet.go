@@ -231,9 +231,9 @@ func SeedPlatelets(sys *dpd.System, m *Model, n int, lo, hi geometry.Vec3, rng f
 	idx := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		pos := geometry.Vec3{
-			X: lo.X + rng()*sz.X,
-			Y: lo.Y + rng()*sz.Y,
-			Z: lo.Z + rng()*sz.Z,
+			X: lo.X + float64(rng()*sz.X),
+			Y: lo.Y + float64(rng()*sz.Y),
+			Z: lo.Z + float64(rng()*sz.Z),
 		}
 		idx = append(idx, sys.AddParticle(pos, geometry.Vec3{}, m.Species, false))
 	}

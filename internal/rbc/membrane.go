@@ -130,7 +130,7 @@ func wlcForce(kwlc, l, lmax float64) float64 {
 	if x > 0.90 {
 		x = 0.90
 	}
-	return kwlc * (1/(4*(1-x)*(1-x)) - 0.25 + x)
+	return float64(kwlc * (1/(4*(1-x)*(1-x)) - 0.25 + x))
 }
 
 // positions gathers current vertex positions from the DPD system. A cell
@@ -144,13 +144,13 @@ func (m *Membrane) positions(sys *dpd.System) []geometry.Vec3 {
 	for k, i := range m.Idx {
 		p := sys.Particles[i].Pos
 		if sys.Periodic[0] {
-			p.X -= size.X * math.Round((p.X-ref.X)/size.X)
+			p.X -= float64(size.X * math.Round((p.X-ref.X)/size.X))
 		}
 		if sys.Periodic[1] {
-			p.Y -= size.Y * math.Round((p.Y-ref.Y)/size.Y)
+			p.Y -= float64(size.Y * math.Round((p.Y-ref.Y)/size.Y))
 		}
 		if sys.Periodic[2] {
-			p.Z -= size.Z * math.Round((p.Z-ref.Z)/size.Z)
+			p.Z -= float64(size.Z * math.Round((p.Z-ref.Z)/size.Z))
 		}
 		out[k] = p
 	}

@@ -34,7 +34,7 @@ func xgetbv() (eax, edx uint32)
 // the dimensions; rows and cols must be positive.
 //
 //go:noescape
-func matVecsAVX2(y, at, x []float64, rows, cols, lines int)
+func matVecsAVX2(y, at, x []float64, rows, cols, lines, ystride, xstride int)
 
 // contractAVX2 is contractGo with the sums in registers: per outer plane,
 // per chunk of eight inner lanes (the last one masked) and per block of four
@@ -52,15 +52,26 @@ func contractAVX2(dst, src, a []float64, rows, cols, inner, outer int)
 //go:noescape
 func sweepAVX2(out []float64, scale float64, vals []float64, cols []int, src []float64, base, stride int) (ok bool)
 
-// bandAVX2 is the row loop of BandMul (add false: y[i] = s) or BandMulAdd
-// (add true: y[i] += c·s). Four rows whose columns are contiguous runs go
-// per vector: each row's products come four at a time, are transposed so
-// that lane l holds row l's next product, and are added in column order; a
-// lane past its row's end adds +0, which leaves a sum started at +0
-// unchanged. Other rows go one at a time. It checks each row's pointers and
-// columns before it writes the row and returns the index of the first row it
-// did not do, so that the Go loop finishes (or panics) from there.
-// len(rowPtr) must exceed len(y).
+// sweepRowsAVX2 is sweepRowsGo from row 0, the sums in registers: per row,
+// per chunk of sixteen lanes (the last one masked), the chunk of out is
+// loaded once, gains each pair of columns and a last odd column in Sweep's
+// order, and is stored once. It checks each row's pointers and columns
+// (every column at most maxCol) before it writes the row and returns the
+// index of the first row it did not do, so that the Go loop finishes (or
+// panics) from there. The caller makes n positive and out at least
+// (len(rowPtr)-1)·n long, and passes maxCol = (len(src)-n)/n >= 0.
 //
 //go:noescape
-func bandAVX2(y []float64, c float64, add bool, rowPtr, colIdx []int, val, x []float64) (done int)
+func sweepRowsAVX2(out []float64, scale float64, rowPtr, colIdx []int, val, src []float64, n, maxCol int) (done int)
+
+// bandAVX2 is BandMulAdd's row loop, y[i] += c·s. Four rows whose columns
+// are contiguous runs go per vector: each row's products come four at a
+// time, are transposed so that lane l holds row l's next product, and are
+// added in column order; a lane past its row's end adds +0, which leaves a
+// sum started at +0 unchanged. Other rows go one at a time. It checks each
+// row's pointers and columns before it writes the row and returns the index
+// of the first row it did not do, so that the Go loop finishes (or panics)
+// from there. len(rowPtr) must exceed len(y).
+//
+//go:noescape
+func bandAVX2(y []float64, c float64, rowPtr, colIdx []int, val, x []float64) (done int)

@@ -23,7 +23,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func matVecsAVX2(y, at, x []float64, rows, cols, lines int)
+// func matVecsAVX2(y, at, x []float64, rows, cols, lines, ystride, xstride int)
 //
 // Per line, the rows go in blocks of up to sixteen: four vector sums Y0-Y3
 // (fewer for a short last block) start at +0, and for each column c in turn
@@ -31,10 +31,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // vector of a block is loaded and stored under the mask Y15.
 //
 // Registers: DI the line's y, SI its x, R8 at, R9 rows, R10 cols, R11 lines
-// left, R12 rows·8 (a column of at), R13 cols·8, BX the block's first row;
-// in a block AX walks at's columns, DX the line's x, CX counts the columns and
-// R14 points at the block's outputs.
-TEXT ·matVecsAVX2(SB), NOSPLIT, $0-96
+// left, R12 rows·8 (a column of at), R13 xstride·8, BX the block's first
+// row; in a block AX walks at's columns, DX the line's x, CX counts the
+// columns and R14 points at the block's outputs.
+TEXT ·matVecsAVX2(SB), NOSPLIT, $0-112
 	MOVQ y_base+0(FP), DI
 	MOVQ at_base+24(FP), R8
 	MOVQ x_base+48(FP), SI
@@ -43,7 +43,7 @@ TEXT ·matVecsAVX2(SB), NOSPLIT, $0-96
 	MOVQ lines+88(FP), R11
 	MOVQ R9, R12
 	SHLQ $3, R12
-	MOVQ R10, R13
+	MOVQ xstride+104(FP), R13
 	SHLQ $3, R13
 
 mvline:
@@ -167,7 +167,8 @@ mv1col:
 	VMASKMOVPD Y0, Y15, (R14)
 
 mvnext:
-	ADDQ R12, DI
+	MOVQ ystride+96(FP), AX
+	LEAQ (DI)(AX*8), DI
 	ADDQ R13, SI
 	DECQ R11
 	JMP  mvline
@@ -523,6 +524,206 @@ swbad:
 	MOVB $0, ok+120(FP)
 	RET
 
+// SR_COEF sets yc to scale·val[p+k] in every lane (voff = 8k).
+#define SR_COEF(voff, xc, yc) \
+	VMULSD voff(R10)(CX*8), X8, xc; \
+	VBROADCASTSD xc, yc
+
+// SR_COL points reg at the chunk in column colIdx[p+k]'s source line
+// (coff = 8k).
+#define SR_COL(coff, reg) \
+	MOVQ  coff(R9)(CX*8), reg; \
+	IMULQ R13, reg; \
+	ADDQ  R11, reg; \
+	ADDQ  R14, reg
+
+// SR_PAIR adds one vector of a column pair to its sum: acc + (c0·x0 + c1·x1),
+// as Sweep adds to out; SR_PAIRM does it under a mask (masked lanes load +0).
+#define SR_PAIR(off, acc) \
+	VMULPD off(AX), Y4, Y6; \
+	VMULPD off(DX), Y5, Y7; \
+	VADDPD Y7, Y6, Y6; \
+	VADDPD acc, Y6, acc
+
+#define SR_PAIRM(off, mask, acc) \
+	VMASKMOVPD off(AX), mask, Y6; \
+	VMULPD Y4, Y6, Y6; \
+	VMASKMOVPD off(DX), mask, Y7; \
+	VMULPD Y5, Y7, Y7; \
+	VADDPD Y7, Y6, Y6; \
+	VADDPD acc, Y6, acc
+
+// SR_ONE adds one vector of a last odd column: acc + c·x; SR_ONEM masked.
+#define SR_ONE(off, acc) \
+	VMULPD off(AX), Y4, Y6; \
+	VADDPD acc, Y6, acc
+
+#define SR_ONEM(off, mask, acc) \
+	VMASKMOVPD off(AX), mask, Y6; \
+	VMULPD Y4, Y6, Y6; \
+	VADDPD acc, Y6, acc
+
+// func sweepRowsAVX2(out []float64, scale float64, rowPtr, colIdx []int, val, src []float64, n, maxCol int) (done int)
+//
+// Per row i, first lo = rowPtr[i] <= hi = rowPtr[i+1] <= min(len(val),
+// len(colIdx)) and every column colIdx[lo:hi] <= maxCol, or the kernel stops
+// before the row. Then per chunk of sixteen lanes of the row's output line,
+// four vector sums Y0-Y3 load the chunk of out, add c0·x0 + c1·x1 for each
+// pair of columns in turn and c·x for a last odd column, and are stored: the
+// operations of Sweep on that line, in its order. The last chunk of a line,
+// of 1-15 lanes, loads and stores under the masks Y12-Y15.
+//
+// Registers: DI the row's output line, BX the row i, R8 rowPtr, R9 colIdx,
+// R10 val, R11 src, R13 n·8 (a line), X8 scale, SI lo, R12 hi, R14 the
+// chunk's byte offset in a line, CX the column p, AX and DX the columns'
+// chunks.
+TEXT ·sweepRowsAVX2(SB), NOSPLIT, $0-152
+	MOVQ out_base+0(FP), DI
+	MOVQ rowPtr_base+32(FP), R8
+	MOVQ colIdx_base+56(FP), R9
+	MOVQ val_base+80(FP), R10
+	MOVQ src_base+104(FP), R11
+	MOVQ n+128(FP), R13
+	SHLQ $3, R13
+	VMOVSD scale+24(FP), X8
+	XORQ BX, BX
+
+srrow:
+	MOVQ rowPtr_len+40(FP), AX
+	DECQ AX
+	CMPQ BX, AX
+	JGE  srstop
+	MOVQ (R8)(BX*8), SI          // lo
+	MOVQ 8(R8)(BX*8), R12        // hi
+	MOVQ val_len+88(FP), AX
+	MOVQ colIdx_len+64(FP), DX
+	CMPQ DX, AX
+	CMOVQLT DX, AX
+	CMPQ R12, AX
+	JHI  srstop                  // unsigned: negative pointers fail too
+	CMPQ SI, R12
+	JHI  srstop
+	MOVQ SI, CX
+
+srcheck:
+	CMPQ CX, R12
+	JGE  srgo
+	MOVQ (R9)(CX*8), AX
+	CMPQ AX, maxCol+136(FP)
+	JHI  srstop                  // unsigned: negative columns fail too
+	INCQ CX
+	JMP  srcheck
+
+srgo:
+	XORQ R14, R14
+
+srchunk:
+	MOVQ R13, AX
+	SUBQ R14, AX                 // bytes left in the line
+	JLE  srnext
+	CMPQ AX, $128
+	JLT  srtail
+	VMOVUPD (DI)(R14*1), Y0
+	VMOVUPD 32(DI)(R14*1), Y1
+	VMOVUPD 64(DI)(R14*1), Y2
+	VMOVUPD 96(DI)(R14*1), Y3
+	MOVQ SI, CX
+
+srpair:
+	LEAQ 1(CX), AX
+	CMPQ AX, R12
+	JGE  srsingle
+	SR_COEF(0, X4, Y4)
+	SR_COEF(8, X5, Y5)
+	SR_COL(0, AX)
+	SR_COL(8, DX)
+	SR_PAIR(0, Y0)
+	SR_PAIR(32, Y1)
+	SR_PAIR(64, Y2)
+	SR_PAIR(96, Y3)
+	ADDQ $2, CX
+	JMP  srpair
+
+srsingle:
+	CMPQ CX, R12
+	JGE  srstore
+	SR_COEF(0, X4, Y4)
+	SR_COL(0, AX)
+	SR_ONE(0, Y0)
+	SR_ONE(32, Y1)
+	SR_ONE(64, Y2)
+	SR_ONE(96, Y3)
+
+srstore:
+	VMOVUPD Y0, (DI)(R14*1)
+	VMOVUPD Y1, 32(DI)(R14*1)
+	VMOVUPD Y2, 64(DI)(R14*1)
+	VMOVUPD Y3, 96(DI)(R14*1)
+	ADDQ $128, R14
+	JMP  srchunk
+
+// The last chunk, of 1-15 lanes: lane q of Y12-Y15 is set when the chunk
+// has more than q lanes.
+srtail:
+	SHRQ $3, AX
+	VMOVQ AX, X10
+	VPBROADCASTQ X10, Y10
+	VMOVDQU laneIdx<>(SB), Y11
+	VMOVDQU laneStep<>(SB), Y9
+	VPCMPGTQ Y11, Y10, Y12
+	VPADDQ Y9, Y11, Y11
+	VPCMPGTQ Y11, Y10, Y13
+	VPADDQ Y9, Y11, Y11
+	VPCMPGTQ Y11, Y10, Y14
+	VPADDQ Y9, Y11, Y11
+	VPCMPGTQ Y11, Y10, Y15
+	VMASKMOVPD (DI)(R14*1), Y12, Y0
+	VMASKMOVPD 32(DI)(R14*1), Y13, Y1
+	VMASKMOVPD 64(DI)(R14*1), Y14, Y2
+	VMASKMOVPD 96(DI)(R14*1), Y15, Y3
+	MOVQ SI, CX
+
+srmpair:
+	LEAQ 1(CX), AX
+	CMPQ AX, R12
+	JGE  srmsingle
+	SR_COEF(0, X4, Y4)
+	SR_COEF(8, X5, Y5)
+	SR_COL(0, AX)
+	SR_COL(8, DX)
+	SR_PAIRM(0, Y12, Y0)
+	SR_PAIRM(32, Y13, Y1)
+	SR_PAIRM(64, Y14, Y2)
+	SR_PAIRM(96, Y15, Y3)
+	ADDQ $2, CX
+	JMP  srmpair
+
+srmsingle:
+	CMPQ CX, R12
+	JGE  srmstore
+	SR_COEF(0, X4, Y4)
+	SR_COL(0, AX)
+	SR_ONEM(0, Y12, Y0)
+	SR_ONEM(32, Y13, Y1)
+	SR_ONEM(64, Y14, Y2)
+	SR_ONEM(96, Y15, Y3)
+
+srmstore:
+	VMASKMOVPD Y0, Y12, (DI)(R14*1)
+	VMASKMOVPD Y1, Y13, 32(DI)(R14*1)
+	VMASKMOVPD Y2, Y14, 64(DI)(R14*1)
+	VMASKMOVPD Y3, Y15, 96(DI)(R14*1)
+
+srnext:
+	ADDQ R13, DI
+	INCQ BX
+	JMP  srrow
+
+srstop:
+	MOVQ BX, done+144(FP)
+	VZEROUPPER
+	RET
+
 // BAND_LANE checks row i+l of a vector group (SI points at rowPtr[i]): lo =
 // rowPtr[i+l] < hi = rowPtr[i+l+1] <= R12, columns one contiguous run c0 ..
 // c0+nnz-1 with 0 <= c0 <= len(x) - nnz. A row that fails sends the group to
@@ -567,9 +768,9 @@ swbad:
 	VMASKMOVPD (DX)(SI*1), Y15, yx; \
 	VMULPD yx, yp, yp
 
-// func bandAVX2(y []float64, c float64, add bool, rowPtr, colIdx []int, val, x []float64) (done int)
+// func bandAVX2(y []float64, c float64, rowPtr, colIdx []int, val, x []float64) (done int)
 //
-// A vector group is four rows i..i+3 whose columns are contiguous runs. Per
+// Each row's sum s is added to y as y + c·s. A vector group is four rows i..i+3 whose columns are contiguous runs. Per
 // block of four columns, lane l's products P_l = val·x come from two masked
 // loads; the 4×4 transpose of P_0..P_3 gives T_0..T_3, T_q holding each row's
 // q-th product of the block, and the sums Y10 (from +0) add T_0, T_1, T_2,
@@ -581,16 +782,16 @@ swbad:
 // offset, R9 colIdx, R10 val, R11 x, R12 min(len(val), len(colIdx)), R13
 // len(x), R14 the group's largest nnz, then its blocks; Y8 q, Y9 4, Y11-Y14
 // the lanes' nnz. The frame holds the lanes' &val[lo] and &x[c0].
-TEXT ·bandAVX2(SB), NOSPLIT, $64-144
+TEXT ·bandAVX2(SB), NOSPLIT, $64-136
 	MOVQ y_base+0(FP), DI
-	MOVQ colIdx_base+64(FP), R9
-	MOVQ val_base+88(FP), R10
-	MOVQ x_base+112(FP), R11
-	MOVQ val_len+96(FP), R12
-	MOVQ colIdx_len+72(FP), AX
+	MOVQ colIdx_base+56(FP), R9
+	MOVQ val_base+80(FP), R10
+	MOVQ x_base+104(FP), R11
+	MOVQ val_len+88(FP), R12
+	MOVQ colIdx_len+64(FP), AX
 	CMPQ AX, R12
 	CMOVQLT AX, R12
-	MOVQ x_len+120(FP), R13
+	MOVQ x_len+112(FP), R13
 	XORQ BX, BX
 
 bdgroup:
@@ -599,7 +800,7 @@ bdgroup:
 	JLE  bdstop
 	CMPQ AX, $4
 	JLT  bdrows
-	MOVQ rowPtr_base+40(FP), SI
+	MOVQ rowPtr_base+32(FP), SI
 	LEAQ (SI)(BX*8), SI
 	XORQ R14, R14
 	BAND_LANE(0, 8, pv0-8(SP), px0-40(SP), Y11)
@@ -634,20 +835,16 @@ bdblock:
 	ADDQ $32, SI
 	DECQ R14
 	JNZ  bdblock
-	CMPB add+32(FP), $0
-	JEQ  bdset
 	VBROADCASTSD c+24(FP), Y4
 	VMULPD Y4, Y10, Y10
 	VADDPD (DI)(BX*8), Y10, Y10
-
-bdset:
 	VMOVUPD Y10, (DI)(BX*8)
 	ADDQ $4, BX
 	JMP  bdgroup
 
 // One row at a time, up to the group's end min(i+4, len(y)).
 bdrows:
-	MOVQ rowPtr_base+40(FP), R8
+	MOVQ rowPtr_base+32(FP), R8
 	MOVQ y_len+8(FP), R14
 	LEAQ 4(BX), AX
 	CMPQ AX, R14
@@ -705,18 +902,14 @@ bdgloop:
 	JNZ  bdgloop
 
 bdstore:
-	CMPB add+32(FP), $0
-	JEQ  bdsets
 	VMULSD c+24(FP), X0, X0
 	VADDSD (DI)(BX*8), X0, X0
-
-bdsets:
 	VMOVSD X0, (DI)(BX*8)
 	INCQ BX
 	JMP  bdrow
 
 bdstop:
-	MOVQ BX, done+136(FP)
+	MOVQ BX, done+128(FP)
 	VZEROUPPER
 	RET
 

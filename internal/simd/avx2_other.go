@@ -8,7 +8,7 @@ var useAVX2 = false
 // HasAVX2 reports false: there is no AVX2 code off amd64.
 func HasAVX2() bool { return false }
 
-func matVecsAVX2(y, at, x []float64, rows, cols, lines int) {
+func matVecsAVX2(y, at, x []float64, rows, cols, lines, ystride, xstride int) {
 	panic("simd: the AVX2 kernels exist on amd64 only")
 }
 
@@ -20,6 +20,10 @@ func sweepAVX2(out []float64, scale float64, vals []float64, cols []int, src []f
 	panic("simd: the AVX2 kernels exist on amd64 only")
 }
 
-func bandAVX2(y []float64, c float64, add bool, rowPtr, colIdx []int, val, x []float64) int {
+func sweepRowsAVX2(out []float64, scale float64, rowPtr, colIdx []int, val, src []float64, n, maxCol int) int {
+	panic("simd: the AVX2 kernels exist on amd64 only")
+}
+
+func bandAVX2(y []float64, c float64, rowPtr, colIdx []int, val, x []float64) int {
 	panic("simd: the AVX2 kernels exist on amd64 only")
 }

@@ -4,25 +4,12 @@ package simd
 // factor (stiffness, averaged derivative) is a CSR band matrix, given here as
 // its three arrays: row i holds val[rowPtr[i]:rowPtr[i+1]] in columns
 // colIdx[rowPtr[i]:rowPtr[i+1]]. Along a contiguous x-line the factor is
-// applied row by row (BandMul, BandMulAdd); across lines, one row of the
-// factor scales whole lines (Sweep). On amd64 with AVX2 each runs one
-// assembly kernel per line that performs the same IEEE operations in the
-// same order for every output element as the Go loops here, which are the
-// portable path and the oracle (TestSEMKernelsMatchGo, FuzzSEMKernels).
-
-// BandMul sets y[i] to row i of the CSR matrix (rowPtr, colIdx, val) times
-// x, for every i in [0, len(y)), each row summed in its column order. y
-// must not alias x.
-func BandMul(y []float64, rowPtr, colIdx []int, val, x []float64) {
-	_ = rowPtr[len(y)] // bandAVX2 reads rowPtr[:len(y)+1] unchecked
-	i := 0
-	if useAVX2 {
-		i = bandAVX2(y, 0, false, rowPtr, colIdx, val, x)
-	}
-	for ; i < len(y); i++ {
-		y[i] = rowDot(rowPtr, colIdx, val, i, x)
-	}
-}
+// applied row by row (BandMulAdd); across lines, one row of the factor scales
+// whole lines (Sweep), or every row does, each into its own output line
+// (SweepRows). On amd64 with AVX2 each runs one assembly kernel per call
+// that performs the same IEEE operations in the same order for every output
+// element as the Go loops here, which are the portable path and the oracle
+// (TestSEMKernelsMatchGo, FuzzSEMKernels).
 
 // BandMulAdd adds c times row i of the CSR matrix (rowPtr, colIdx, val)
 // times x to y[i], for every i in [0, len(y)). y must not alias x.
@@ -30,7 +17,7 @@ func BandMulAdd(y []float64, c float64, rowPtr, colIdx []int, val, x []float64) 
 	_ = rowPtr[len(y)] // bandAVX2 reads rowPtr[:len(y)+1] unchecked
 	i := 0
 	if useAVX2 {
-		i = bandAVX2(y, c, true, rowPtr, colIdx, val, x)
+		i = bandAVX2(y, c, rowPtr, colIdx, val, x)
 	}
 	for ; i < len(y); i++ {
 		y[i] += float64(c * rowDot(rowPtr, colIdx, val, i, x))
@@ -85,5 +72,37 @@ func sweepGo(out []float64, scale float64, vals []float64, cols []int, src []flo
 	}
 	if p < len(vals) {
 		axpyGo(scale*vals[p], src[base+cols[p]*stride:][:n], out)
+	}
+}
+
+// SweepRows is Sweep for every row i of the CSR matrix (rowPtr, colIdx, val)
+// in one call, i in [0, len(rowPtr)-1): row i adds into out[i*n:][:n], and
+// its column c reads src[c*n:][:n], so that
+//
+//	SweepRows(out, scale, rowPtr, colIdx, val, src, n)
+//
+// gives the same bits as, for each row i,
+//
+//	Sweep(out[i*n:(i+1)*n], scale, val[lo:hi], colIdx[lo:hi], src, 0, n)
+//
+// with lo, hi = rowPtr[i], rowPtr[i+1]. rowPtr's entries index colIdx and
+// val directly, so rowPtr[k:k+2] sweeps row k alone into out[:n]. out must
+// not alias src.
+func SweepRows(out []float64, scale float64, rowPtr, colIdx []int, val, src []float64, n int) {
+	i := 0
+	if useAVX2 && n > 0 && len(src) >= n && len(rowPtr) > 1 {
+		rows := min(len(rowPtr)-1, len(out)/n)
+		i = sweepRowsAVX2(out, scale, rowPtr[:rows+1], colIdx, val, src, n, (len(src)-n)/n)
+	}
+	sweepRowsGo(out, scale, rowPtr, colIdx, val, src, n, i)
+}
+
+// sweepRowsGo is SweepRows' Go loop from row first on; it panics where it
+// reaches an index out of range.
+func sweepRowsGo(out []float64, scale float64, rowPtr, colIdx []int, val, src []float64, n, first int) {
+	out, src = out[:len(out):len(out)], src[:len(src):len(src)] // no line past len
+	for i := first; i < len(rowPtr)-1; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		sweepGo(out[i*n:(i+1)*n], scale, val[lo:hi], colIdx[lo:hi], src, 0, n)
 	}
 }

@@ -14,8 +14,8 @@
 // straightforward loops a compiler gets without "#pragma" help.
 //
 // The line kernels that own a spectral-element time step — the x-line
-// mat-vecs (MatVecs), the y/z contractions (Contract), the band products
-// (BandMul, BandMulAdd) and the two-column sweep (Sweep) — are AVX2
+// mat-vecs (MatVecs), the y/z contractions (Contract), the band product
+// (BandMulAdd) and the two-column sweeps (Sweep, SweepRows) — are AVX2
 // assembly on amd64 (avx2_amd64.s), chosen once from CPUID. Each performs
 // the same IEEE operations in the same order for every output element as
 // its Go loop, with no fused multiply-add, so the two give the same bits;

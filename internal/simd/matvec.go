@@ -15,23 +15,27 @@ package simd
 // MatVecs runs it over every line of a block, through the AVX2 kernel where
 // there is one.
 
-// MatVecs computes y[o*rows+r] = Σ_c a[r*cols+c] * x[o*cols+c] for every
-// line o in [0, lines): MatVec on each cols-long line of x in turn. at must be
-// a's column-major form, at[c*rows+r] = a[r*cols+c], which is how the AVX2
-// kernel reads a: column c of four rows is one vector, and each lane sums its
-// row in column order, as MatVec does (sem.Modes1D's S and ST are each
-// other's column-major forms). y must not alias x.
-func MatVecs(y, a, at, x []float64, rows, cols, lines int) {
-	if rows < 0 || cols < 0 || lines < 0 || len(y) < lines*rows || len(x) < lines*cols ||
-		len(a) < rows*cols || len(at) < rows*cols {
+// MatVecs computes y[o*ystride+r] = Σ_c a[r*cols+c] * x[o*xstride+c] for
+// every line o in [0, lines): MatVec on each line of x in turn, line o's
+// cols inputs at x[o*xstride:] and its rows outputs at y[o*ystride:]. at must
+// be a's column-major form, at[c*rows+r] = a[r*cols+c], which is how the
+// AVX2 kernel reads a: column c of four rows is one vector, and each lane
+// sums its row in column order, as MatVec does (sem.Modes1D's S and ST are
+// each other's column-major forms). Packed lines have ystride = rows and
+// xstride = cols; a wider stride applies a to a band of each line. The
+// output lines must not overlap (ystride >= rows), and y must not alias x.
+func MatVecs(y, a, at, x []float64, rows, cols, lines, ystride, xstride int) {
+	if rows < 0 || cols < 0 || lines < 0 || ystride < rows || xstride < 0 ||
+		len(a) < rows*cols || len(at) < rows*cols ||
+		lines > 0 && (len(y) < (lines-1)*ystride+rows || len(x) < (lines-1)*xstride+cols) {
 		panic("simd: MatVecs dimension mismatch")
 	}
 	if useAVX2 && rows > 0 && cols > 0 {
-		matVecsAVX2(y, at, x, rows, cols, lines)
+		matVecsAVX2(y, at, x, rows, cols, lines, ystride, xstride)
 		return
 	}
 	for o := 0; o < lines; o++ {
-		MatVec(y[o*rows:(o+1)*rows], a, x[o*cols:(o+1)*cols], rows, cols)
+		MatVec(y[o*ystride:o*ystride+rows], a, x[o*xstride:o*xstride+cols], rows, cols)
 	}
 }
 

@@ -107,10 +107,11 @@ func both(t testing.TB, what string, y []float64, f func(y []float64)) {
 
 // checkSEMKernels runs every line kernel on the axis's factors with random
 // data: the x-line mat-vecs of both mode decompositions' S and Sᵀ over one to
-// thirteen lines, the band products of k and d over lines whose length has
+// thirteen lines, packed and strided, the band product of k and d over lines whose length has
 // each remainder mod 4, the sweep of every row of k and d over outputs of
-// each length mod 4, and the contractions by both decompositions' S and Sᵀ
-// over a random inner length and plane count.
+// each length mod 4, the sweep of all rows at once and of one row alone over
+// lines of every length mod 16, and the contractions by both decompositions'
+// S and Sᵀ over a random inner length and plane count.
 func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros float64) {
 	t.Helper()
 	for mi, md := range ax.modes {
@@ -126,7 +127,15 @@ func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros 
 				x := values(rng, lines*f.cols, scale, zeros)
 				y := values(rng, lines*f.rows, scale, zeros)
 				both(t, fmt.Sprintf("%s: MatVecs %s of modes %d, %d lines", ax.name, f.name, mi, lines), y, func(y []float64) {
-					simd.MatVecs(y, f.a, f.at, x, f.rows, f.cols, lines)
+					simd.MatVecs(y, f.a, f.at, x, f.rows, f.cols, lines, f.rows, f.cols)
+				})
+				// The same product over lines spread out: strides past the
+				// row and column counts, the gaps in y left as they were.
+				ys, xs := f.rows+1+rng.Intn(3), f.cols+rng.Intn(3)
+				xw := values(rng, (lines-1)*xs+f.cols, scale, zeros)
+				yw := values(rng, (lines-1)*ys+f.rows+2, scale, zeros)
+				both(t, fmt.Sprintf("%s: MatVecs %s of modes %d, %d lines, strides %d, %d", ax.name, f.name, mi, lines, ys, xs), yw, func(y []float64) {
+					simd.MatVecs(y, f.a, f.at, xw, f.rows, f.cols, lines, ys, xs)
 				})
 			}
 		}
@@ -141,9 +150,6 @@ func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros 
 		c := math.Ldexp(rng.NormFloat64(), rng.Intn(2*scale+1)-scale)
 		for rows := n; rows > 0 && rows > n-4; rows-- {
 			y := values(rng, rows, scale, zeros)
-			both(t, fmt.Sprintf("%s: BandMul %s, %d rows", ax.name, m.name, rows), y, func(y []float64) {
-				simd.BandMul(y, a.RowPtr, a.ColIdx, a.Val, x)
-			})
 			both(t, fmt.Sprintf("%s: BandMulAdd %s, %d rows", ax.name, m.name, rows), y, func(y []float64) {
 				simd.BandMulAdd(y, c, a.RowPtr, a.ColIdx, a.Val, x)
 			})
@@ -159,6 +165,17 @@ func checkSEMKernels(t testing.TB, ax semAxis, rng *rand.Rand, scale int, zeros 
 					simd.Sweep(out, c, a.Val[lo:hi], a.ColIdx[lo:hi], src, base, stride)
 				})
 			}
+		}
+		for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33, n} {
+			src := values(rng, n*width, scale, zeros)
+			out := values(rng, n*width+5, scale, zeros) // five past the last line
+			both(t, fmt.Sprintf("%s: SweepRows %s, width %d", ax.name, m.name, width), out, func(out []float64) {
+				simd.SweepRows(out, c, a.RowPtr, a.ColIdx, a.Val, src, width)
+			})
+			i := rng.Intn(n)
+			both(t, fmt.Sprintf("%s: SweepRows %s row %d alone, width %d", ax.name, m.name, i, width), out, func(out []float64) {
+				simd.SweepRows(out, c, a.RowPtr[i:i+2], a.ColIdx, a.Val, src, width)
+			})
 		}
 	}
 	for _, md := range ax.modes {
@@ -217,23 +234,30 @@ func TestSEMKernelsRefuseBadIndices(t *testing.T) {
 	rowPtr := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	for _, col := range []int{-1, 8, 1 << 40} {
 		colIdx := []int{0, 1, 2, 3, 4, 5, col, 7}
-		mustPanic(fmt.Sprintf("BandMul column %d", col), func() { simd.BandMul(y, rowPtr, colIdx, val, x) })
 		mustPanic(fmt.Sprintf("BandMulAdd column %d", col), func() { simd.BandMulAdd(y, 1, rowPtr, colIdx, val, x) })
 		mustPanic(fmt.Sprintf("Sweep column %d", col), func() { simd.Sweep(y[:4], 1, val[:3], colIdx[5:8], x, 0, 1) })
+		mustPanic(fmt.Sprintf("SweepRows column %d", col), func() { simd.SweepRows(y, 1, rowPtr, colIdx, val, x, 1) })
 	}
-	mustPanic("BandMul row past val", func() { simd.BandMul(y, []int{0, 1, 2, 3, 4, 5, 6, 7, 9}, rowPtr, val, x) })
-	mustPanic("BandMul empty row", func() { simd.BandMul(y, []int{0, 1, 2, 3, 3, 5, 6, 7, 8}, rowPtr, val, x) })
-	mustPanic("BandMul short rowPtr", func() { simd.BandMul(y, rowPtr[:8], rowPtr, val, x) })
+	mustPanic("BandMulAdd row past val", func() { simd.BandMulAdd(y, 1, []int{0, 1, 2, 3, 4, 5, 6, 7, 9}, rowPtr, val, x) })
+	mustPanic("BandMulAdd empty row", func() { simd.BandMulAdd(y, 1, []int{0, 1, 2, 3, 3, 5, 6, 7, 8}, rowPtr, val, x) })
+	mustPanic("BandMulAdd short rowPtr", func() { simd.BandMulAdd(y, 1, rowPtr[:8], rowPtr, val, x) })
 	mustPanic("Sweep past src", func() { simd.Sweep(y[:4], 1, val[:2], []int{0, 1}, x, 5, 1) })
-	mustPanic("MatVecs short x", func() { simd.MatVecs(y, val, val, x[:7], 2, 4, 2) })
+	mustPanic("SweepRows row past val", func() { simd.SweepRows(y, 1, []int{0, 1, 2, 3, 4, 5, 6, 7, 9}, rowPtr, val, x, 1) })
+	mustPanic("SweepRows falling row", func() { simd.SweepRows(y, 1, []int{0, 1, 2, 3, 4, 3, 6, 7, 8}, rowPtr, val, x, 1) })
+	mustPanic("SweepRows short out", func() { simd.SweepRows(y[:7], 1, rowPtr, rowPtr, val, x, 1) })
+	mustPanic("SweepRows past src", func() { simd.SweepRows(y[:5], 1, []int{0, 2}, []int{0, 1}, val, x[:6], 5) })
+	mustPanic("MatVecs short x", func() { simd.MatVecs(y, val, val, x[:7], 2, 4, 2, 2, 4) })
+	mustPanic("MatVecs short strided y", func() { simd.MatVecs(y[:5], val, val, x, 2, 2, 2, 4, 2) })
+	mustPanic("MatVecs overlapping lines", func() { simd.MatVecs(y, val, val, x, 2, 2, 2, 1, 2) })
 }
 
 // BenchmarkKernelSEMGoVsAVX2 times each line kernel at the continuum
 // workload's x-axis (four order-6 elements, 25 nodes, 23 Dirichlet modes),
 // with the Go loops and with the AVX2 kernels: the Sᵀ mat-vec over the 156
-// x-lines of one patch, the band products of k and d over one x-line and
-// one sweep of a row of k over 25-long lines; then one Navier-Stokes step of
-// the workload's patch (4×2×2 order-6 elements, second order in time).
+// x-lines of one patch, the band product of k over one x-line, one sweep of
+// a row of k over 25-long lines and the sweep of every row of d over
+// 25-long lines; then one Navier-Stokes step of the workload's patch (4×2×2
+// order-6 elements, second order in time).
 func BenchmarkKernelSEMGoVsAVX2(b *testing.B) {
 	ax := newSEMAxis(b, 4, 6, 1.5, false)
 	md := ax.modes[1]
@@ -244,15 +268,16 @@ func BenchmarkKernelSEMGoVsAVX2(b *testing.B) {
 	my := make([]float64, lines*md.Modes)
 	x, y := values(rng, n, 0, 0), values(rng, n, 0, 0)
 	src := values(rng, n*n, 0, 0)
+	rows := make([]float64, n*n)
 	lo, hi := ax.k.RowPtr[6], ax.k.RowPtr[7] // a row shared by two elements
 	kernels := []struct {
 		name string
 		f    func()
 	}{
-		{"MatVecs", func() { simd.MatVecs(my, md.ST, md.S, mx, md.Modes, md.Nodes, lines) }},
+		{"MatVecs", func() { simd.MatVecs(my, md.ST, md.S, mx, md.Modes, md.Nodes, lines, md.Modes, md.Nodes) }},
 		{"BandMulAdd", func() { simd.BandMulAdd(y, 1e-3, ax.k.RowPtr, ax.k.ColIdx, ax.k.Val, x) }},
-		{"BandMul", func() { simd.BandMul(y, ax.d.RowPtr, ax.d.ColIdx, ax.d.Val, x) }},
 		{"Sweep", func() { simd.Sweep(y, 1e-3, ax.k.Val[lo:hi], ax.k.ColIdx[lo:hi], src, 0, n) }},
+		{"SweepRows", func() { simd.SweepRows(rows, 1, ax.d.RowPtr, ax.d.ColIdx, ax.d.Val, src, n) }},
 		{"Step", workloadStep(b)},
 	}
 	for _, k := range kernels {

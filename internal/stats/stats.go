@@ -23,7 +23,7 @@ func (m *Moments) Add(x float64) {
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.m2 += float64(d * (x - m.mean))
 }
 
 // AddAll folds a batch of samples.
@@ -88,7 +88,7 @@ func (h *Histogram) BinCenters() []float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	c := make([]float64, len(h.Counts))
 	for i := range c {
-		c[i] = h.Lo + (float64(i)+0.5)*w
+		c[i] = h.Lo + float64((float64(i)+0.5)*w)
 	}
 	return c
 }
@@ -125,7 +125,7 @@ func (h *Histogram) L2PDFDistance(mean, sigma float64) float64 {
 	var s float64
 	for i, p := range pdf {
 		d := p - GaussianPDF(centers[i], mean, sigma)
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(pdf)))
 }
@@ -141,7 +141,7 @@ func RMSE(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(a)))
 }

@@ -64,7 +64,7 @@ func Analyze(snapshots [][]float64, opts Options) (*Result, error) {
 		for l := k; l < n; l++ {
 			var s float64
 			for i := 0; i < m; i++ {
-				s += snapshots[k][i] * snapshots[l][i]
+				s += float64(snapshots[k][i] * snapshots[l][i])
 			}
 			s /= float64(n)
 			c.Set(k, l, s)
@@ -93,11 +93,11 @@ func Analyze(snapshots [][]float64, opts Options) (*Result, error) {
 				continue
 			}
 			for i := 0; i < m; i++ {
-				col[i] += w * snapshots[k][i]
+				col[i] += float64(w * snapshots[k][i])
 			}
 		}
 		for i := 0; i < m; i++ {
-			norm += col[i] * col[i]
+			norm += float64(col[i] * col[i])
 		}
 		norm = math.Sqrt(norm)
 		if norm > 0 {
@@ -113,7 +113,7 @@ func Analyze(snapshots [][]float64, opts Options) (*Result, error) {
 		for j := 0; j < n; j++ {
 			var s float64
 			for i := 0; i < m; i++ {
-				s += snapshots[k][i] * spatial.At(i, j)
+				s += float64(snapshots[k][i] * spatial.At(i, j))
 			}
 			temporal.Set(k, j, s)
 		}
@@ -203,7 +203,7 @@ func (r *Result) Reconstruct(k int) [][]float64 {
 				continue
 			}
 			for i := 0; i < m; i++ {
-				row[i] += a * r.Spatial.At(i, j)
+				row[i] += float64(a * r.Spatial.At(i, j))
 			}
 		}
 		out[t] = row

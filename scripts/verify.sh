@@ -20,6 +20,12 @@ go build ./...
 # The AVX2 pair and SEM line kernels are amd64 assembly; every other
 # architecture builds the Go loops they are checked against.
 GOARCH=arm64 go build ./...
+# A GOAMD64=v3 build lets the compiler choose FMA, AVX2 and BMI2
+# instructions: the recorded fingerprints and the kill-and-resume run must
+# hold in a v3 build too (on a host that runs v3 code).
+if grep -qw fma /proc/cpuinfo && grep -qw avx2 /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo && grep -qw movbe /proc/cpuinfo; then
+	GOAMD64=v3 go test -count=1 -run 'TestRunFingerprints|TestRunKillAtSameFingerprint' ./cmd/nektarg
+fi
 go test ./...
 # The trajectory must not depend on the host's core count: the recorded
 # fingerprints and the kill-and-resume run again at GOMAXPROCS 1, 2 and 3.
